@@ -34,6 +34,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
+from repro.core.errors import QueryError
 
 __all__ = [
     "AGG_FUNCS",
@@ -41,6 +42,7 @@ __all__ = [
     "TilePruner",
     "TileSynopsis",
     "aggregate_eligible",
+    "check_aggregate",
     "combine_aggregate",
     "compute_synopsis",
     "constant_synopsis",
@@ -107,6 +109,25 @@ AGG_FUNCS: Dict[str, Callable[[np.ndarray], Union[int, float]]] = {
     "min_cells": lambda a: a.min().item(),
     "count_cells": lambda a: int(np.count_nonzero(a)),
 }
+
+
+def check_aggregate(op: str, obj) -> None:
+    """Reject an unknown condenser or a non-numeric cell type.
+
+    ``obj`` is a stored or sharded MDD (its ``name`` and ``mdd_type``
+    are all that is read) — the one validation every aggregate entry
+    point runs before touching a tile.
+    """
+    if op not in AGG_FUNCS:
+        raise QueryError(
+            f"unknown aggregate {op!r}; known: {sorted(AGG_FUNCS)}"
+        )
+    base = obj.mdd_type.base
+    if base.dtype.fields is not None:
+        raise QueryError(
+            f"aggregate {op!r} needs a numeric base type, object "
+            f"{obj.name!r} has {base.name!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -500,25 +521,9 @@ def aggregate_eligible(
     accumulator and float64 mean are reproduced exactly; float
     ``add``/``avg`` are never eligible (float addition re-associates).
     """
-    if dtype.fields is not None or dtype.kind not in "biuf":
-        return False
-    if op in ("count_cells", "min_cells", "max_cells"):
-        return True
-    if op not in ("add_cells", "avg_cells"):
-        return False
-    if dtype.kind == "f":
-        return False
-    max_abs = abs(default) if uncovered else 0  # type: ignore[arg-type]
-    for syn in synopses:
-        if syn is None:
-            return False
-        if syn.cell_count == 0:
-            continue
-        if syn.vmin is None:
-            return False
-        max_abs = max(max_abs, abs(syn.vmin), abs(syn.vmax))
-    bound = _SUM_BOUND if op == "add_cells" else _AVG_BOUND
-    return region_cells * max_abs < bound
+    return partial_aggregate_eligible(
+        op, dtype, synopses, uncovered, default, region_cells
+    )
 
 
 def partial_aggregate_eligible(

@@ -17,7 +17,7 @@ import numpy as np
 from repro import obs
 from repro.core.errors import QueryError
 from repro.core.geometry import MInterval
-from repro.index.zonemap import AGG_FUNCS, CellPredicate
+from repro.index.zonemap import AGG_FUNCS, CellPredicate, check_aggregate
 from repro.query.access import Access, classify
 from repro.query.plan import aggregate_plan, group_by_plan
 from repro.query.result import QueryResult
@@ -42,6 +42,32 @@ AggFunc = Callable[[np.ndarray], Union[int, float]]
 #: shared with the zone-map short-circuit path so both reduce bitwise
 #: identically (:data:`repro.index.zonemap.AGG_FUNCS`).
 AGGREGATES: dict[str, AggFunc] = AGG_FUNCS
+
+
+def run_aggregate(
+    obj: "StoredMDD",
+    region: MInterval,
+    op: str,
+    predicate: Optional[CellPredicate] = None,
+    prune: bool = True,
+    pushdown: bool = True,
+) -> tuple[Union[int, float], QueryTiming, bool]:
+    """One condenser over one box: ``(value, timing, pushed)``.
+
+    ``pushdown`` routes through :meth:`StoredMDD.aggregate_push`;
+    without it the v1 path runs — :meth:`StoredMDD.aggregate` when
+    unpredicated, else a masked read reduced here (charged to
+    ``t_cpu``) — and ``pushed`` is ``False``.
+    """
+    if pushdown:
+        return obj.aggregate_push(region, op, predicate=predicate, prune=prune)
+    if predicate is None:
+        return (*obj.aggregate(region, op, prune=prune), False)
+    data, timing = obj.read(region, predicate=predicate, prune=prune)
+    started = time.perf_counter()
+    value = AGGREGATES[op](data)
+    timing.t_cpu += (time.perf_counter() - started) * 1000.0
+    return value, timing, False
 
 
 class QueryEngine:
@@ -171,17 +197,7 @@ class QueryEngine:
         predicate through :meth:`StoredMDD.aggregate`, with one through
         a masked read reduced here (charged to ``t_cpu``).
         """
-        try:
-            func = AGGREGATES[op]
-        except KeyError:
-            raise QueryError(
-                f"unknown aggregate {op!r}; known: {sorted(AGGREGATES)}"
-            ) from None
-        if obj.mdd_type.base.dtype.fields is not None:
-            raise QueryError(
-                f"aggregate {op!r} needs a numeric base type, object "
-                f"{obj.name!r} has {obj.mdd_type.base.name!r}"
-            )
+        check_aggregate(op, obj)
         plan = aggregate_plan(
             obj.name,
             obj.resolve_region(region),
@@ -192,21 +208,9 @@ class QueryEngine:
         with obs.span(
             "query.aggregate", object=obj.name, op=op, region=str(region)
         ):
-            if pushdown:
-                value, timing, pushed = obj.aggregate_push(
-                    region, op, predicate=predicate, prune=prune
-                )
-            elif predicate is None:
-                value, timing = obj.aggregate(region, op, prune=prune)
-                pushed = False
-            else:
-                data, timing = obj.read(
-                    region, predicate=predicate, prune=prune
-                )
-                started = time.perf_counter()
-                value = func(data)
-                timing.t_cpu += (time.perf_counter() - started) * 1000.0
-                pushed = False
+            value, timing, pushed = run_aggregate(
+                obj, region, op, predicate, prune, pushdown
+            )
             self._log(obj, region)
         _AGGREGATE_QUERIES.inc()
         return QueryResult(
@@ -239,15 +243,7 @@ class QueryEngine:
         the span counts, exactly as :class:`~repro.query.olap.RollUp`
         lays its values out.
         """
-        if op not in AGGREGATES:
-            raise QueryError(
-                f"unknown aggregate {op!r}; known: {sorted(AGGREGATES)}"
-            )
-        if obj.mdd_type.base.dtype.fields is not None:
-            raise QueryError(
-                f"aggregate {op!r} needs a numeric base type, object "
-                f"{obj.name!r} has {obj.mdd_type.base.name!r}"
-            )
+        check_aggregate(op, obj)
         region = obj.resolve_region(region)
         for axis in group_spec:
             if not 0 <= axis < region.dim:
@@ -298,22 +294,10 @@ class QueryEngine:
                     [spans_per_axis[ax][i][0] for ax, i in enumerate(index)],
                     [spans_per_axis[ax][i][1] for ax, i in enumerate(index)],
                 )
-                if pushdown:
-                    value, box_timing, pushed = obj.aggregate_push(
-                        box, op, predicate=predicate, prune=prune
-                    )
-                    all_pushed = all_pushed and pushed
-                elif predicate is None:
-                    value, box_timing = obj.aggregate(box, op, prune=prune)
-                else:
-                    data, box_timing = obj.read(
-                        box, predicate=predicate, prune=prune
-                    )
-                    started = time.perf_counter()
-                    value = AGGREGATES[op](data)
-                    box_timing.t_cpu += (
-                        time.perf_counter() - started
-                    ) * 1000.0
+                value, box_timing, pushed = run_aggregate(
+                    obj, box, op, predicate, prune, pushdown
+                )
+                all_pushed = all_pushed and pushed
                 timing.add(box_timing)
                 values[index] = value
             self._log(obj, region)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.query.engine import run_aggregate
 from repro.query.plan import QueryPlan, aggregate_plan
 from repro.query.timing import QueryTiming
 
@@ -377,21 +378,9 @@ def profile_aggregate(
     before_ids = {s.span_id for s in tracer.finished()}
     disk_before = database.disk.counters.time_ms
     started = time.perf_counter()
-    if pushdown:
-        _value, timing, pushed = obj.aggregate_push(
-            region, op, predicate=predicate
-        )
-    elif predicate is None:
-        _value, timing = obj.aggregate(region, op)
-        pushed = False
-    else:
-        from repro.index.zonemap import AGG_FUNCS
-
-        data, timing = obj.read(region, predicate=predicate)
-        reduce_started = time.perf_counter()
-        _value = AGG_FUNCS[op](data)
-        timing.t_cpu += (time.perf_counter() - reduce_started) * 1000.0
-        pushed = False
+    _value, timing, pushed = run_aggregate(
+        obj, region, op, predicate, pushdown=pushdown
+    )
     wall_ms = (time.perf_counter() - started) * 1000.0
     disk_delta = database.disk.counters.time_ms - disk_before
     plan.annotate(timing, pushed)

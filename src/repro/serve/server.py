@@ -308,7 +308,7 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                 result = version.index.search(region)
                 entries = sorted(
                     (version.tiles[e.tile_id] for e in result.entries),
-                    key=lambda t: database.disk.blob_pages(t.blob_id).start,
+                    key=database.first_page,
                 )
                 payload = {
                     "etag": etag,
@@ -397,7 +397,7 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
             result = version.index.search(region)
             entries = sorted(
                 (version.tiles[e.tile_id] for e in result.entries),
-                key=lambda t: database.disk.blob_pages(t.blob_id).start,
+                key=database.first_page,
             )
             frames = []
             for entry in entries:

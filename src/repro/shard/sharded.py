@@ -10,16 +10,16 @@ scale-out is what production array stores do; the paper's arbitrary
 tiling makes the tile the natural distribution unit because each tile is
 already an independent BLOB.
 
-:class:`ShardedMDD` is the scatter-gather layer: it plans a query box
-once, fans the fetch out over the owning shards through each shard's
-existing pipeline pool (:func:`~repro.storage.pipeline.fetch_tiles` /
-:func:`~repro.storage.pipeline.fetch_tile_partials`), and reassembles
-fragments **byte-identically** to the single-store compose path — the
-per-cell masking and default-fill logic is the same, and tiles are
-disjoint across shards, so fragment copy order cannot change the result.
-Aggregation pushdown combines per-tile partials with the order-
-insensitive :func:`~repro.index.zonemap.combine_aggregate` under the
-same exactness guards as a single store, so a pushed aggregate is
+:class:`ShardedMDD` is the scatter-gather layer, and it owns no read
+path of its own: a query runs through the single
+:class:`~repro.storage.tilestore.ReadExecutor` (DESIGN §17), which
+selects on every shard's pinned view, fetches each shard's tiles through
+that shard's pipeline pool and feeds one sink.  Fragments are therefore
+reassembled by *the* compose code — per-cell masking and default fill
+included — and tiles are disjoint across shards, so copy order cannot
+change the result; aggregation pushdown combines per-tile partials with
+the order-insensitive :func:`~repro.index.zonemap.combine_aggregate`
+under one global exactness decision, so a pushed aggregate is
 bitwise-equal no matter how tiles are spread.
 
 Writes route each tile batch to its owner shard as **one WAL transaction
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,17 +68,24 @@ from repro.core.order import TileKey, shifted_key, tile_order
 from repro.index.zonemap import (
     AGG_FUNCS,
     CellPredicate,
-    TilePruner,
-    TileSynopsis,
-    combine_aggregate,
-    partial_aggregate_eligible,
-    synopsis_can_match,
+    check_aggregate,
+    synopsis_can_match,  # noqa: F401  (a trace target, see below)
 )
 from repro.query.timing import LoadStats, QueryTiming
 from repro.shard.ranges import RangeMap
 from repro.storage.latch import OrderedLatch
-from repro.storage.pipeline import fetch_tile_partials, fetch_tiles
-from repro.storage.tilestore import Database, StoredMDD, TileEntry
+
+# Trace targets: the read executor prunes and fetches for every shard, so
+# nothing here calls these (or synopsis_can_match) any more — but
+# benchmarks/e2e/tracing.py wraps them as attributes of this module and
+# refuses to run if one is unbound (its TARGETS change in a benchmark PR).
+from repro.storage.pipeline import fetch_tile_partials, fetch_tiles  # noqa: F401
+from repro.storage.tilestore import (
+    Database,
+    ReadExecutor,
+    StoredMDD,
+    TileEntry,
+)
 
 #: The sharded write latch ranks below every per-shard latch
 #: (``txn.writer`` is rank 10), so it may be held across per-shard
@@ -533,27 +540,6 @@ class ShardedMDD:
     def tiles_per_shard(self) -> Tuple[int, ...]:
         return tuple(part.tile_count for part in self._parts)
 
-    def resolve_region(self, region: MInterval) -> MInterval:
-        """Resolve open bounds against the current domain and clip."""
-        return self._resolve_in(region, self._current_domain)
-
-    def _resolve_in(
-        self, region: MInterval, domain: Optional[MInterval]
-    ) -> MInterval:
-        if domain is None:
-            raise QueryError(f"object {self.name!r} holds no tiles yet")
-        if region.dim != self.dim:
-            raise QueryError(
-                f"query dim {region.dim} does not match object dim {self.dim}"
-            )
-        resolved = region.resolve(domain)
-        clipped = resolved.intersection(domain)
-        if clipped is None:
-            raise QueryError(
-                f"region {region} outside current domain {domain}"
-            )
-        return clipped
-
     # -- writes -------------------------------------------------------------
 
     def _check_cross_shard_overlap(
@@ -780,142 +766,17 @@ class ShardedMDD:
         and the :meth:`_with_stable_views` seqlock discards any pass a
         concurrent migration or cross-shard commit raced.
         """
-        if version is not None:
-            raise QueryError(
-                "sharded objects do not support explicit version reads; "
-                "pin per-shard snapshots instead"
-            )
+        self._reject_version(version)
         return self._with_stable_views(
-            lambda: self._read_once(region, predicate=predicate, prune=prune)
+            lambda: self._scatter(region, None, predicate, prune)[:2]
         )
 
-    def _read_once(
-        self,
-        region: MInterval,
-        *,
-        predicate: Optional[CellPredicate],
-        prune: bool,
-    ) -> Tuple[np.ndarray, QueryTiming]:
-        region = self.resolve_region(region)
-        dtype = self.mdd_type.base.dtype
-        default = self.mdd_type.base.default
-        cell_size = self.mdd_type.cell_size
-        timing = QueryTiming(cells_result=region.cell_count)
-        out = np.zeros(region.shape, dtype=dtype)
-        if default != 0:
-            out[...] = default
-        default_cell = np.asarray(default, dtype=dtype)
-        aligned_bytes = 0
-        border_bytes = 0
-        measured_ms = 0.0
-        per_shard_ms: List[float] = []
-        per_shard_tiles: List[int] = []
-
-        with obs.span(
-            "shard.read",
-            object=self.name,
-            region=str(region),
-            shards=self.sdb.n_shards,
-        ):
-            for shard_index, part in enumerate(self._parts):
-                db = self.sdb.shards[shard_index]
-                tiles_map, index, _vdom, zones, pin = part._reader_view(None)
-                shard_ms = 0.0
-                shard_tiles = 0
-                shard_cells = 0
-                try:
-                    started = time.perf_counter()
-                    result = index.search(region)
-                    cpu_ix = (time.perf_counter() - started) * 1000.0
-                    page_ix = sum(
-                        db.disk.charge_index_node()
-                        for _ in range(result.nodes_visited)
-                    )
-                    timing.t_ix += cpu_ix + page_ix
-                    timing.t_ix_pages += page_ix
-                    timing.index_nodes += result.nodes_visited
-                    shard_ms += page_ix
-                    entries = [tiles_map[e.tile_id] for e in result.entries]
-                    if predicate is not None and prune and zones:
-                        pruner = TilePruner(predicate, zones, dtype)
-                        entries = [
-                            entry
-                            for entry in entries
-                            if pruner.can_match(entry.tile_id)
-                        ]
-                        timing.tiles_pruned += pruner.pruned
-                    entries.sort(
-                        key=lambda t: db.disk.blob_pages(t.blob_id).start
-                    )
-                    fetched = fetch_tiles(db, entries, dtype)
-                    started = time.perf_counter()
-                    for tile in fetched:
-                        entry = tile.entry
-                        timing.t_o += tile.cost
-                        shard_ms += tile.cost
-                        timing.tiles_read += 1
-                        shard_tiles += 1
-                        timing.bytes_read += tile.payload_bytes
-                        timing.pages_read += db.disk.blob_pages(
-                            entry.blob_id
-                        ).count
-                        timing.cells_fetched += entry.domain.cell_count
-                        shard_cells += entry.domain.cell_count
-                        part_box = entry.domain.intersection(region)
-                        assert part_box is not None
-                        if part_box == entry.domain:
-                            aligned_bytes += (
-                                entry.domain.cell_count * cell_size
-                            )
-                        else:
-                            border_bytes += (
-                                entry.domain.cell_count * cell_size
-                            )
-                        if tile.array is None:
-                            continue  # virtual tile: defaults already there
-                        part_vals = tile.array[
-                            part_box.to_slices(entry.domain.lowest)
-                        ]
-                        if predicate is not None:
-                            part_vals = np.where(
-                                predicate.mask(part_vals),
-                                part_vals,
-                                default_cell,
-                            )
-                        out[part_box.to_slices(region.lowest)] = part_vals
-                    measured_ms += (time.perf_counter() - started) * 1000.0
-                finally:
-                    if pin is not None:
-                        db.epoch.unpin(pin)
-                per_shard_ms.append(shard_ms)
-                per_shard_tiles.append(shard_tiles)
-                ring = db.access_ring
-                if ring.capacity and obs.registry.enabled:
-                    ring.record(
-                        "read",
-                        self.collection,
-                        self.name,
-                        str(region),
-                        db.epoch._current,
-                        cost_ms=shard_ms,
-                        cells=shard_cells,
-                    )
-        timing.t_cpu = measured_ms + self.sdb.shards[
-            0
-        ].cpu_parameters.compose_ms(aligned_bytes, border_bytes)
-        self.last_scatter = ScatterStats(per_shard_ms, per_shard_tiles)
-        _SCATTER_READS.inc()
-        return out, timing
-
-    def read_section(
-        self, axis: int, coordinate: int
-    ) -> Tuple[np.ndarray, QueryTiming]:
-        """Access type (d): fix a coordinate, drop that axis."""
-        if self._current_domain is None:
-            raise QueryError(f"object {self.name!r} holds no tiles yet")
-        slab = self._current_domain.section(axis, coordinate)
-        data, timing = self.read(slab)
-        return data.squeeze(axis=axis), timing
+    #: Access type (d) and region resolution read only ``name``, ``dim``,
+    #: the current domain and ``read`` — the single-store bodies serve
+    #: the sharded object unchanged.
+    read_section = StoredMDD.read_section
+    resolve_region = StoredMDD.resolve_region
+    _resolve_in = StoredMDD._resolve_in
 
     def aggregate(
         self,
@@ -926,10 +787,12 @@ class ShardedMDD:
     ) -> Tuple[Union[int, float, bool], QueryTiming]:
         """Materialized condense (the v1 comparison path): scatter-gather
         the box, then reduce — bitwise what a single store returns."""
-        self._check_aggregate(op)
+        check_aggregate(op, self)
         data, timing = self.read(region, version, prune=prune)
         started = time.perf_counter()
-        value = AGG_FUNCS[op](data)
+        # contiguous, like the single store's composed slab: numpy's
+        # float summation order follows the memory layout
+        value = AGG_FUNCS[op](np.ascontiguousarray(data))
         timing.t_cpu += (time.perf_counter() - started) * 1000.0
         return value, timing
 
@@ -957,205 +820,73 @@ class ShardedMDD:
         add/avg, unbounded integer ranges) fall back to the materialized
         scatter-gather read, identical to the v1 path.
         """
+        self._reject_version(version)
+        check_aggregate(op, self)
+        return self._with_stable_views(
+            lambda: self._scatter(region, op, predicate, prune)
+        )
+
+    @staticmethod
+    def _reject_version(version) -> None:
         if version is not None:
             raise QueryError(
                 "sharded objects do not support explicit version reads; "
                 "pin per-shard snapshots instead"
             )
-        self._check_aggregate(op)
-        return self._with_stable_views(
-            lambda: self._aggregate_push_once(
-                region, op, predicate=predicate, prune=prune
-            )
-        )
 
-    def _aggregate_push_once(
+    def _scatter(
         self,
         region: MInterval,
-        op: str,
-        *,
+        op: Optional[str],
         predicate: Optional[CellPredicate],
         prune: bool,
-    ) -> Tuple[Union[int, float, bool], QueryTiming, bool]:
-        region = self.resolve_region(region)
-        dtype = self.mdd_type.base.dtype
-        default = self.mdd_type.base.default
-        timing = QueryTiming(cells_result=region.cell_count)
-        per_shard_ms: List[float] = [0.0] * len(self._parts)
-        per_shard_tiles: List[int] = [0] * len(self._parts)
-
-        views = []
-        pins: List[Tuple[Database, int]] = []
-        value: Union[int, float, bool]
-        try:
-            for shard_index, part in enumerate(self._parts):
-                db = self.sdb.shards[shard_index]
-                view = part._reader_view(None)
-                views.append((shard_index, db, view))
-                if view[4] is not None:
-                    pins.append((db, view[4]))
-
-            # One global plan: index lookups per shard, then a single
-            # partition into pruned / synopsis-answered / decode items,
-            # deduplicated by tile domain (dual-presence safe).
-            seen: set = set()
-            candidates: List[
-                Tuple[int, TileEntry, MInterval, Optional[TileSynopsis]]
-            ] = []
-            covered = 0
-            for shard_index, db, (tiles_map, index, _vd, zones, _p) in views:
-                started = time.perf_counter()
-                result = index.search(region)
-                cpu_ix = (time.perf_counter() - started) * 1000.0
-                page_ix = sum(
-                    db.disk.charge_index_node()
-                    for _ in range(result.nodes_visited)
+    ) -> tuple:
+        """One pass over the shards through the read executor
+        (DESIGN §17): select on every shard's pinned view, take one
+        global exactness decision, run each shard's part on its own
+        pipeline pool, feed one sink.  ``op`` is ``None`` for a read;
+        an aggregate that may not be combined exactly shares the read's
+        slab sink and reduces the slab.
+        """
+        query = ReadExecutor(
+            self.mdd_type,
+            self.resolve_region(region),
+            predicate=predicate,
+            prune=prune,
+            merge=True,
+        )
+        with ExitStack() as pins:
+            for part in self._parts:
+                view = pins.enter_context(part._reader_view(None))
+                query.select(part, view, condense=op is not None)
+            pushed = op is not None and query.exact(op)
+            if pushed:
+                span = obs.span(
+                    "shard.aggregate_push",
+                    object=self.name,
+                    op=op,
+                    shards=sum(1 for sel in query.selections if sel.items),
                 )
-                timing.t_ix += cpu_ix + page_ix
-                timing.t_ix_pages += page_ix
-                timing.index_nodes += result.nodes_visited
-                per_shard_ms[shard_index] += page_ix
-                zone_map = zones or {}
-                for hit in result.entries:
-                    entry = tiles_map[hit.tile_id]
-                    corner = tuple(entry.domain.lowest)
-                    if corner in seen:
-                        continue  # migration dual-presence: count once
-                    seen.add(corner)
-                    part_box = entry.domain.intersection(region)
-                    assert part_box is not None
-                    covered += part_box.cell_count
-                    candidates.append(
-                        (
-                            shard_index,
-                            entry,
-                            part_box,
-                            zone_map.get(entry.tile_id),
-                        )
-                    )
-
-            default_cells = 0
-            syn_answered: List[Tuple[Tuple[int, ...], TileSynopsis]] = []
-            decode_by_shard: Dict[
-                int, List[Tuple[TileEntry, MInterval]]
-            ] = {}
-            bound_syns: List[Optional[TileSynopsis]] = []
-            for shard_index, entry, part_box, syn in candidates:
-                if (
-                    predicate is not None
-                    and prune
-                    and syn is not None
-                    and not synopsis_can_match(syn, predicate, dtype)
-                ):
-                    default_cells += part_box.cell_count
-                    timing.tiles_pruned += 1
-                    continue
-                bound_syns.append(syn)
-                if (
-                    predicate is None
-                    and prune
-                    and syn is not None
-                    and region.contains(entry.domain)
-                ):
-                    syn_answered.append((tuple(entry.domain.lowest), syn))
-                    continue
-                decode_by_shard.setdefault(shard_index, []).append(
-                    (entry, part_box)
+            else:
+                span = obs.span(
+                    "shard.read",
+                    object=self.name,
+                    region=str(query.region),
+                    shards=self.sdb.n_shards,
                 )
-            uncovered = region.cell_count - covered
-            default_cells += uncovered
-            pushed = partial_aggregate_eligible(
-                op,
-                dtype,
-                bound_syns,
-                uncovered,
-                default,
-                region.cell_count,
-                masked=predicate is not None,
-            )
-            if not pushed:
-                raise _Fallback()
-
-            # Scatter: each shard decodes its items through its own
-            # pipeline pool and reduces them to partials on the workers.
-            contributions = list(syn_answered)
-            peak_partial = 0
-            started = time.perf_counter()
-            with obs.span(
-                "shard.aggregate_push",
-                object=self.name,
-                op=op,
-                shards=len(decode_by_shard),
-            ):
-                for shard_index in sorted(decode_by_shard):
-                    db = self.sdb.shards[shard_index]
-                    items = sorted(
-                        decode_by_shard[shard_index],
-                        key=lambda item: db.disk.blob_pages(
-                            item[0].blob_id
-                        ).start,
-                    )
-                    partials, peak = fetch_tile_partials(
-                        db, items, dtype, predicate=predicate, default=default
-                    )
-                    peak_partial = max(peak_partial, peak)
-                    for item in partials:
-                        entry = item.entry
-                        timing.t_o += item.cost
-                        per_shard_ms[shard_index] += item.cost
-                        timing.tiles_read += 1
-                        per_shard_tiles[shard_index] += 1
-                        timing.bytes_read += item.payload_bytes
-                        timing.pages_read += db.disk.blob_pages(
-                            entry.blob_id
-                        ).count
-                        timing.cells_fetched += entry.domain.cell_count
-                        if item.partial is None:
-                            default_cells += item.part.cell_count
-                            continue
-                        contributions.append(
-                            (tuple(entry.domain.lowest), item.partial)
-                        )
-                        timing.tiles_partial_agg += 1
-            timing.peak_partial_bytes = peak_partial
-            contributions.sort(key=lambda pair: pair[0])
-            value = combine_aggregate(
-                op,
-                dtype,
-                [syn for _, syn in contributions],
-                [],
-                default_cells,
-                default,
-                region.cell_count,
-            )
-            timing.tiles_synopsis_answered = len(syn_answered)
-            timing.t_cpu = (time.perf_counter() - started) * 1000.0
-        except _Fallback:
-            pushed = False
-        finally:
-            for db, pin in pins:
-                db.epoch.unpin(pin)
-        if not pushed:
-            # Materialized fallback: bitwise the v1 path, charged as one.
-            data, timing = self.read(
-                region, predicate=predicate, prune=prune
-            )
-            started = time.perf_counter()
-            value = AGG_FUNCS[op](data)
-            timing.t_cpu += (time.perf_counter() - started) * 1000.0
-            return value, timing, False
-        self.last_scatter = ScatterStats(per_shard_ms, per_shard_tiles)
-        _SCATTER_AGGS.inc()
-        return value, timing, True
-
-    def _check_aggregate(self, op: str) -> None:
-        if op not in AGG_FUNCS:
-            raise QueryError(f"unknown aggregate {op!r}")
-        if self.mdd_type.base.dtype.fields is not None:
-            raise QueryError(
-                f"aggregate {op!r} needs a numeric base type, object "
-                f"{self.name!r} has {self.mdd_type.base.name!r}"
-            )
+            with span:
+                for selection in query.selections:
+                    query.fetch(selection, partials=pushed)
+                result = query.combine(op) if pushed else query.compose()
+                if op is not None and not pushed:
+                    result = query.condense(op, result)
+        query.finish(cells_returned=op is None)
+        self.last_scatter = ScatterStats(
+            [sel.model_ms for sel in query.selections],
+            [len(sel.fetched) for sel in query.selections],
+        )
+        (_SCATTER_AGGS if pushed else _SCATTER_READS).inc()
+        return result, query.timing, pushed
 
     def __repr__(self) -> str:
         return (
@@ -1163,6 +894,3 @@ class ShardedMDD:
             f"domain={self._current_domain})"
         )
 
-
-class _Fallback(Exception):
-    """Internal: pushdown ineligible, take the materialized path."""

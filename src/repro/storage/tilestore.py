@@ -23,8 +23,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from repro.index.zonemap import (
     CellPredicate,
     TilePruner,
     TileSynopsis,
-    aggregate_eligible,
+    check_aggregate,
     combine_aggregate,
     compute_synopsis,
     constant_synopsis,
@@ -105,6 +106,458 @@ class TileEntry:
     blob_id: int
     codec: str = "none"
     virtual: bool = False
+
+
+class ReaderView(NamedTuple):
+    """The containers of one object version, as one reader sees them.
+
+    ``zones`` comes from the same version as ``tiles``, so a synopsis
+    can never be stale relative to the tile it describes; ``epoch`` is
+    the commit epoch the view was served at (the pinned one for readers
+    outside a transaction).
+    """
+
+    tiles: dict
+    index: SpatialIndex
+    domain: Optional[MInterval]
+    zones: dict
+    epoch: int
+
+
+@dataclass(slots=True)
+class _Selection:
+    """One store view's share of a query, as the select phase left it."""
+
+    store: "StoredMDD"
+    epoch: int
+    #: Modelled ms charged to this store's disk: index pages, then
+    #: fetches — exactly what its clock advanced by.
+    model_ms: float
+    #: ``(entry, part)`` of every tile still to fetch.
+    items: list = field(default_factory=list)
+    #: ``(entry, part, synopsis)`` of tiles answered with zero decode.
+    answered: list = field(default_factory=list)
+    #: Synopsis (or ``None``) of every non-pruned hit: what the
+    #: exactness decision bounds cell magnitudes with.
+    syns: list = field(default_factory=list)
+    covered: int = 0
+    pruned_cells: int = 0
+    fetched: list = field(default_factory=list)
+
+
+class ReadExecutor:
+    """One read query, staged: select → run → sink (DESIGN §17).
+
+    The paper's three stages — index lookup (``t_ix``), page-ordered
+    tile retrieval (``t_o``), composition (``t_cpu``) — written once.
+    :meth:`select` searches one store view, prunes by zone map and
+    classifies every hit as pruned, synopsis-answered or to-decode,
+    with no I/O; :meth:`fetch` page-orders a selection, fetches it and
+    does all the ``t_o`` / tiles / bytes / pages / cells and cache-delta
+    accounting; a *sink* — :meth:`compose`, :meth:`blocks`,
+    :meth:`reduce` or :meth:`combine` — is the only stage that differs
+    between ``read``, ``read_blocks``, ``aggregate`` and
+    ``aggregate_push``.  Materialize-then-reduce is :meth:`compose`
+    followed by :meth:`condense`, not a path of its own.
+
+    A single store selects once; a sharded object selects on every
+    shard's view (``merge=True`` deduplicates hits by domain corner, so
+    a migration's dual presence counts once), takes one :meth:`exact`
+    decision over all selections and feeds one sink.  Charges land in
+    :attr:`timing` in selection order then page order, which keeps
+    ``t_o`` bit-identical however tiles are spread.
+    """
+
+    def __init__(
+        self,
+        mdd_type: MDDType,
+        region: MInterval,
+        *,
+        predicate: Optional[CellPredicate] = None,
+        prune: bool = True,
+        merge: bool = False,
+    ) -> None:
+        self.region = region
+        self.predicate = predicate
+        self.prune = prune
+        self.dtype = mdd_type.base.dtype
+        self.default = mdd_type.base.default
+        self.cell_size = mdd_type.cell_size
+        self.timing = QueryTiming(cells_result=region.cell_count)
+        self.selections: list[_Selection] = []
+        self._seen: Optional[set] = set() if merge else None
+        self._pruning = False
+        # Cells of fetched tiles lying wholly inside / across the
+        # region's border: the input of the modelled compose cost.
+        self._aligned_cells = 0
+        self._border_cells = 0
+
+    # -- select ------------------------------------------------------------
+
+    def select(
+        self, store: "StoredMDD", view: ReaderView, *, condense: bool = False
+    ) -> _Selection:
+        """Index search, zone-map prune and classification — no I/O.
+
+        Charges the index lookup to ``t_ix``.  Every hit the pruner
+        cannot rule out becomes a fetch item; with ``condense`` (the
+        aggregates) a fully-covered, unpredicated tile with a synopsis
+        is set aside as *answered* instead, and coverage is tallied so
+        pruned parts and uncovered space count as default cells.
+        """
+        region, timing = self.region, self.timing
+        disk = store.database.disk
+        with obs.span(
+            "index.search", index=type(view.index).__name__
+        ) as ix_span:
+            started = time.perf_counter()
+            result = view.index.search(region)
+            cpu_ix = (time.perf_counter() - started) * 1000.0
+            page_ix = sum(
+                disk.charge_index_node() for _ in range(result.nodes_visited)
+            )
+            ix_span.set_attr("nodes_visited", result.nodes_visited)
+            ix_span.set_attr("entries", len(result.entries))
+        timing.t_ix += cpu_ix + page_ix
+        timing.t_ix_pages += page_ix
+        timing.index_nodes += result.nodes_visited
+
+        selection = _Selection(store, view.epoch, page_ix)
+        self.selections.append(selection)
+        zones = view.zones or {}
+        pruner = (
+            TilePruner(self.predicate, zones, self.dtype)
+            if self.predicate is not None and self.prune and zones
+            else None
+        )
+        answer = condense and self.predicate is None and self.prune
+        seen = self._seen
+        tiles_map = view.tiles
+        for hit in result.entries:
+            entry = tiles_map[hit.tile_id]
+            if seen is not None:
+                corner = entry.domain.lowest
+                if corner in seen:
+                    continue  # migration dual-presence: count once
+                seen.add(corner)
+            # An interior tile is its own part: no new interval to build
+            # (or to keep alive until the sink runs).
+            inside = region.contains(entry.domain)
+            part = entry.domain if inside else entry.domain.intersection(region)
+            assert part is not None
+            if condense:
+                selection.covered += part.cell_count
+            if pruner is not None and not pruner.can_match(entry.tile_id):
+                # Provably only failing cells: the masked box would
+                # hold defaults there, and so does the aggregate.
+                selection.pruned_cells += part.cell_count
+                continue
+            if condense:
+                syn = zones.get(entry.tile_id)
+                selection.syns.append(syn)
+                if answer and inside and syn is not None:
+                    selection.answered.append((entry, part, syn))
+                    continue
+            selection.items.append((entry, part))
+        if pruner is not None:
+            self._pruning = True
+            timing.tiles_pruned += pruner.pruned
+        return selection
+
+    def exact(self, op: str) -> bool:
+        """May ``op`` be combined from synopses and per-tile partials?
+
+        One decision over every selection
+        (:func:`~repro.index.zonemap.partial_aggregate_eligible`): the
+        combination must equal materialize-then-reduce bitwise.  When
+        it may not, the synopsis shortcut is off the table too — the
+        answered tiles rejoin the fetch items, so every non-pruned tile
+        is fetched and the box materialized.
+        """
+        cells = self.region.cell_count
+        exact = partial_aggregate_eligible(
+            op,
+            self.dtype,
+            chain.from_iterable(sel.syns for sel in self.selections),
+            cells - sum(sel.covered for sel in self.selections),
+            self.default,
+            cells,
+            masked=self.predicate is not None,
+        )
+        if not exact:
+            for selection in self.selections:
+                selection.items.extend(
+                    (entry, part) for entry, part, _syn in selection.answered
+                )
+                selection.answered = []
+        return exact
+
+    # -- run ---------------------------------------------------------------
+
+    def fetch(self, selection: _Selection, *, partials: bool = False) -> None:
+        """Run phase: fetch a selection's items in page order.
+
+        ``partials`` reduces every tile to a partial aggregate on the
+        pipeline workers instead of returning its cells.
+        """
+        self._page_order(selection)
+        selection.fetched = self._fetch(
+            selection, selection.items, "partials" if partials else "tiles"
+        )
+
+    @staticmethod
+    def _page_order(selection: _Selection) -> None:
+        """Sort the fetch items by first page, for sequential runs."""
+        first_page = selection.store.database.first_page
+        selection.items.sort(key=lambda item: first_page(item[0]))
+
+    def _fetch(self, selection: _Selection, items, how: str) -> list:
+        """Fetch ``items`` — as a ``"tiles"`` batch, as worker-reduced
+        ``"partials"``, or ``"one"`` tile serially for the streaming
+        sink — and account for every tile: the one place ``t_o``,
+        tiles / bytes / pages / cells and the cache deltas are charged."""
+        database = selection.store.database
+        pool = database.pool
+        decoded = database.decoded_cache
+        timing = self.timing
+        pool_before = (
+            (pool.hits, pool.misses, pool.evictions) if pool else None
+        )
+        decoded_before = (
+            (decoded.hits, decoded.misses) if decoded is not None else None
+        )
+        with obs.span("tilestore.fetch", tiles=len(items)):
+            if how == "partials":
+                fetched, peak = fetch_tile_partials(
+                    database,
+                    items,
+                    self.dtype,
+                    predicate=self.predicate,
+                    default=self.default,
+                )
+                timing.peak_partial_bytes = max(timing.peak_partial_bytes, peak)
+            elif how == "one":
+                fetched = [fetch_tile(database, items[0][0], self.dtype)]
+            else:
+                fetched = fetch_tiles(
+                    database, [entry for entry, _ in items], self.dtype
+                )
+            blob_pages = database.disk.blob_pages
+            cost = 0.0
+            for (entry, part), tile in zip(items, fetched):
+                cost += tile.cost
+                timing.t_o += tile.cost
+                timing.tiles_read += 1
+                timing.bytes_read += tile.payload_bytes
+                timing.pages_read += blob_pages(entry.blob_id).count
+                cells = entry.domain.cell_count
+                timing.cells_fetched += cells
+                if part == entry.domain:
+                    self._aligned_cells += cells
+                else:
+                    self._border_cells += cells
+        if pool_before is not None:
+            timing.pool_hits += pool.hits - pool_before[0]
+            timing.pool_misses += pool.misses - pool_before[1]
+            timing.pool_evictions += pool.evictions - pool_before[2]
+        if decoded_before is not None:
+            timing.decoded_hits += decoded.hits - decoded_before[0]
+            timing.decoded_misses += decoded.misses - decoded_before[1]
+        selection.model_ms += cost
+        return fetched
+
+    def _charge_cpu(self, started: float) -> None:
+        """``t_cpu``: the sink's measured numpy time plus the modelled
+        copy cost (era-calibrated; border tiles pay the strided rate)."""
+        measured_ms = (time.perf_counter() - started) * 1000.0
+        cpu = self.selections[0].store.database.cpu_parameters
+        self.timing.t_cpu = measured_ms + cpu.compose_ms(
+            self._aligned_cells * self.cell_size,
+            self._border_cells * self.cell_size,
+        )
+        self._aligned_cells = self._border_cells = 0
+
+    def _fetched(self) -> Iterator[tuple[TileEntry, MInterval, object]]:
+        """Every fetched tile with its clipped part, selection by
+        selection in page order."""
+        for selection in self.selections:
+            for (entry, part), tile in zip(selection.items, selection.fetched):
+                yield entry, part, tile
+
+    def _key(self, entry: TileEntry):
+        """Deterministic combine order: tile id within one store, domain
+        corner across stores (tile ids are per store)."""
+        return entry.tile_id if self._seen is None else entry.domain.lowest
+
+    # -- sinks -------------------------------------------------------------
+
+    def compose(self) -> np.ndarray:
+        """Slab sink: copy every fetched fragment into the result array.
+
+        Under a predicate, failing cells become the default.  One real
+        tile covering the whole region skips the copy: the result is a
+        (read-only) view of the decoded tile.
+        """
+        region, predicate, dtype = self.region, self.predicate, self.dtype
+        with obs.span("tilestore.compose"):
+            started = time.perf_counter()
+            out = None
+            if predicate is None and self.timing.tiles_read == 1:
+                entry, _part, tile = next(self._fetched())
+                if tile.array is not None and entry.domain.contains(region):
+                    out = tile.array[region.to_slices(entry.domain.lowest)]
+            if out is None:
+                out = np.zeros(region.shape, dtype=dtype)
+                if self.default != 0:
+                    out[...] = self.default
+                default_cell = np.asarray(self.default, dtype=dtype)
+                for entry, part, tile in self._fetched():
+                    if tile.array is None:
+                        # Synthesized tiles carry default cells; under
+                        # a predicate the masked value of a default
+                        # cell is the default either way.
+                        continue
+                    part_vals = tile.array[part.to_slices(entry.domain.lowest)]
+                    if predicate is not None:
+                        part_vals = np.where(
+                            predicate.mask(part_vals), part_vals, default_cell
+                        )
+                    out[part.to_slices(region.lowest)] = part_vals
+            self._charge_cpu(started)
+        return out
+
+    def condense(self, op: str, out: np.ndarray) -> Union[int, float, bool]:
+        """Reduce a composed slab — the materialized half of every
+        aggregate the exactness guards keep from being combined.
+
+        The single-tile view :meth:`compose` may return is made
+        contiguous first: numpy's float summation order follows the
+        memory layout, and the reference is a freshly composed slab.
+        """
+        started = time.perf_counter()
+        value = AGG_FUNCS[op](np.ascontiguousarray(out))
+        self.timing.t_cpu += (time.perf_counter() - started) * 1000.0
+        return value
+
+    def blocks(
+        self, selection: _Selection
+    ) -> Iterator[tuple[MInterval, np.ndarray, QueryTiming]]:
+        """Streaming sink: fetch and yield one tile at a time in page
+        order, each with the timing charged for it (the index lookup
+        rides on the first)."""
+        self._page_order(selection)
+        for item in selection.items:
+            entry, part = item
+            (tile,) = self._fetch(selection, [item], "one")
+            started = time.perf_counter()
+            if tile.array is None:
+                data = np.zeros(part.shape, dtype=self.dtype)
+                if self.default != 0:
+                    data[...] = self.default
+            else:
+                data = tile.array[part.to_slices(entry.domain.lowest)].copy()
+            timing = self.timing
+            timing.cells_result = part.cell_count
+            self._charge_cpu(started)
+            self.timing = QueryTiming()
+            yield part, data, timing
+
+    def reduce(self, op: str) -> Union[int, float, bool]:
+        """v1 aggregate sink: answered tiles' synopses plus the clipped
+        arrays of the fetched ones, combined exactly."""
+        with obs.span("tilestore.compose"):
+            started = time.perf_counter()
+            syn_parts = [
+                syn for sel in self.selections for _e, _p, syn in sel.answered
+            ]
+            self.timing.tiles_synopsis_answered = len(syn_parts)
+            array_parts = [
+                tile.array[part.to_slices(entry.domain.lowest)]
+                for entry, part, tile in self._fetched()
+                if tile.array is not None
+            ]
+            value = self._combined(op, syn_parts, array_parts)
+            self._charge_cpu(started)
+        return value
+
+    def combine(self, op: str) -> Union[int, float, bool]:
+        """Pushdown sink: merge the per-tile partials (worker-reduced
+        and synopsis-answered alike) in deterministic key order."""
+        timing = self.timing
+        with obs.span("tilestore.combine", parts=timing.tiles_read):
+            started = time.perf_counter()
+            contributions = [
+                (self._key(entry), syn)
+                for sel in self.selections
+                for entry, _part, syn in sel.answered
+            ]
+            timing.tiles_synopsis_answered = len(contributions)
+            contributions += [
+                (self._key(entry), item.partial)
+                for entry, _part, item in self._fetched()
+                if item.partial is not None
+            ]
+            timing.tiles_partial_agg = (
+                len(contributions) - timing.tiles_synopsis_answered
+            )
+            contributions.sort(key=lambda pair: pair[0])
+            value = self._combined(op, [syn for _, syn in contributions], [])
+            self._charge_cpu(started)
+        return value
+
+    def _combined(self, op: str, syn_parts: list, array_parts: list):
+        """Exact aggregate of the gathered parts plus the region's
+        default cells: uncovered space, pruned parts, and fetched
+        virtual tiles (which carry neither an array nor a partial)."""
+        default_cells = self.region.cell_count
+        for sel in self.selections:
+            default_cells += sel.pruned_cells - sel.covered
+            default_cells += sum(
+                part.cell_count for entry, part in sel.items if entry.virtual
+            )
+        return combine_aggregate(
+            op,
+            self.dtype,
+            syn_parts,
+            array_parts,
+            default_cells,
+            self.default,
+            self.region.cell_count,
+        )
+
+    # -- account -----------------------------------------------------------
+
+    def annotate(self, span, *counters: str) -> None:
+        """Copy timing counters onto the query's root span."""
+        if self._pruning:
+            span.set_attr("tiles_pruned", self.timing.tiles_pruned)
+        for name in counters:
+            span.set_attr(name, getattr(self.timing, name))
+
+    def finish(self, *, cells_returned: bool = False) -> None:
+        """Emit the query's metrics and one access-ring record per store
+        (what the rebalancer folds into per-shard load)."""
+        timing = self.timing
+        note_tiles_pruned(timing.tiles_pruned)
+        note_synopsis_answered(timing.tiles_synopsis_answered)
+        _READS.inc()
+        _TILES_LOADED.inc(timing.tiles_read)
+        _CELLS_FETCHED.inc(timing.cells_fetched)
+        if cells_returned:
+            _CELLS_RETURNED.inc(timing.cells_result)
+        _READ_MS.observe(timing.t_totalcpu)
+        region = str(self.region)
+        for selection in self.selections:
+            store = selection.store
+            store.database.access_ring.record(
+                "read",
+                store.collection,
+                store.name,
+                region,
+                selection.epoch,
+                cost_ms=selection.model_ms,
+                cells=timing.cells_result,
+            )
 
 
 class StoredMDD:
@@ -185,46 +638,52 @@ class StoredMDD:
         self._next_tile_id = next_tile_id
         self._published = version
 
+    @contextmanager
     def _reader_view(
         self, version: Optional[ObjectVersion]
-    ) -> tuple:
-        """``(tiles, index, domain, zones, pinned_epoch)`` for one read.
+    ) -> Iterator[ReaderView]:
+        """The :class:`ReaderView` one read runs against.
 
         An explicit ``version`` (snapshot read) is used as-is — the
         snapshot holds the pin.  A thread inside its own transaction
         reads the working state (read-your-own-writes).  Anyone else
-        pins the current epoch and reads the published version; the
-        caller must unpin the returned epoch when done.  ``zones`` comes
-        from the same version as ``tiles``, so a synopsis can never be
-        stale relative to the tile it describes.
+        pins the current epoch and reads the published version; the pin
+        is released when the block exits.
         """
+        pin = None
         if version is not None:
-            return (
+            view = ReaderView(
                 version.tiles,
                 version.index,
                 version.domain,
                 version.zones,
-                None,
+                version.epoch,
             )
-        if self.database._current_txn() is not None:
-            return (
+        elif self.database._current_txn() is not None:
+            view = ReaderView(
                 self._tiles,
                 self.index,
                 self._current_domain,
                 self._zones,
-                None,
+                self.database.epoch._current,
             )
-        epoch = self.database.epoch
-        with epoch.latch:
-            pin = epoch.pin_locked()
-            published = self._published
-        return (
-            published.tiles,
-            published.index,
-            published.domain,
-            published.zones,
-            pin,
-        )
+        else:
+            epoch = self.database.epoch
+            with epoch.latch:
+                pin = epoch.pin_locked()
+                published = self._published
+            view = ReaderView(
+                published.tiles,
+                published.index,
+                published.domain,
+                published.zones,
+                pin,
+            )
+        try:
+            yield view
+        finally:
+            if pin is not None:
+                self.database.epoch.unpin(pin)
 
     def _log_meta(self, operation: dict) -> None:
         """Buffer a redo record naming this object (no-op without a WAL)."""
@@ -567,7 +1026,7 @@ class StoredMDD:
         return stats
 
     # ------------------------------------------------------------------
-    # Reads
+    # Reads — thin drivers over the ReadExecutor (DESIGN §17)
     # ------------------------------------------------------------------
 
     def resolve_region(self, region: MInterval) -> MInterval:
@@ -628,182 +1087,21 @@ class StoredMDD:
         fetched (``prune=False`` disables pruning for byte-identity
         verification); the result is byte-identical either way.
         """
-        tiles_map, index, view_domain, zones, pin = self._reader_view(version)
-        try:
-            out, timing = self._read_view(
-                region,
-                tiles_map,
-                index,
-                view_domain,
+        with self._reader_view(version) as view:
+            query = ReadExecutor(
+                self.mdd_type,
+                self._resolve_in(region, view.domain),
                 predicate=predicate,
                 prune=prune,
-                zones=zones,
             )
-        finally:
-            if pin is not None:
-                self.database.epoch.unpin(pin)
-        ring = self.database.access_ring
-        if ring.capacity and obs.registry.enabled:
-            if version is not None:
-                epoch = version.epoch
-            elif pin is not None:
-                epoch = pin
-            else:  # read-your-own-writes inside a transaction
-                epoch = self.database.epoch._current
-            ring.record(
-                "read",
-                self.collection,
-                self.name,
-                str(self._resolve_in(region, view_domain)),
-                epoch,
-                cost_ms=timing.t_totalcpu,
-                cells=timing.cells_result,
-            )
-        return out, timing
-
-    def _read_view(
-        self,
-        region: MInterval,
-        tiles_map,
-        index: SpatialIndex,
-        view_domain: Optional[MInterval],
-        predicate: Optional[CellPredicate] = None,
-        prune: bool = True,
-        zones=None,
-    ) -> tuple[np.ndarray, QueryTiming]:
-        region = self._resolve_in(region, view_domain)
-        timing = QueryTiming(cells_result=region.cell_count)
-        disk = self.database.disk
-        pool = self.database.pool
-        decoded = self.database.decoded_cache
-        dtype = self.mdd_type.base.dtype
-
-        with obs.span(
-            "tilestore.read", object=self.name, region=str(region)
-        ) as read_span:
-            # (1) index lookup
             with obs.span(
-                "index.search", index=type(index).__name__
-            ) as ix_span:
-                started = time.perf_counter()
-                result = index.search(region)
-                cpu_ix = (time.perf_counter() - started) * 1000.0
-                page_ix = sum(
-                    disk.charge_index_node()
-                    for _ in range(result.nodes_visited)
-                )
-                ix_span.set_attr("nodes_visited", result.nodes_visited)
-                ix_span.set_attr("entries", len(result.entries))
-            timing.t_ix = cpu_ix + page_ix
-            timing.t_ix_pages = page_ix
-            timing.index_nodes = result.nodes_visited
-
-            # (1b) value pruning: between the index lookup and the fetch,
-            # drop intersected tiles whose synopsis proves no cell can
-            # satisfy the predicate — they pay neither disk nor decode.
-            entries = [tiles_map[e.tile_id] for e in result.entries]
-            if predicate is not None and prune and zones:
-                pruner = TilePruner(predicate, zones, dtype)
-                entries = [
-                    entry for entry in entries if pruner.can_match(entry.tile_id)
-                ]
-                timing.tiles_pruned = pruner.pruned
-                note_tiles_pruned(pruner.pruned)
-                read_span.set_attr("tiles_pruned", pruner.pruned)
-
-            # (2) tile retrieval, in page order for sequential runs
-            entries.sort(key=lambda t: disk.blob_pages(t.blob_id).start)
-            pool_before = (
-                (pool.hits, pool.misses, pool.evictions) if pool else None
-            )
-            decoded_before = (
-                (decoded.hits, decoded.misses) if decoded is not None else None
-            )
-            with obs.span("tilestore.fetch", tiles=len(entries)):
-                fetched = fetch_tiles(self.database, entries, dtype)
-                for tile in fetched:
-                    timing.t_o += tile.cost
-                    timing.tiles_read += 1
-                    timing.bytes_read += tile.payload_bytes
-                    timing.pages_read += disk.blob_pages(
-                        tile.entry.blob_id
-                    ).count
-                    timing.cells_fetched += tile.entry.domain.cell_count
-            if pool_before is not None:
-                timing.pool_hits = pool.hits - pool_before[0]
-                timing.pool_misses = pool.misses - pool_before[1]
-                timing.pool_evictions = pool.evictions - pool_before[2]
-            if decoded_before is not None:
-                timing.decoded_hits = decoded.hits - decoded_before[0]
-                timing.decoded_misses = decoded.misses - decoded_before[1]
-
-            # (3) composition: modelled copy cost (era-calibrated) plus the
-            # real numpy time; border tiles pay the strided rate.
-            with obs.span("tilestore.compose"):
-                started = time.perf_counter()
-                cell_size = self.mdd_type.cell_size
-                aligned_bytes = 0
-                border_bytes = 0
-                single = fetched[0] if len(fetched) == 1 else None
-                if (
-                    predicate is None
-                    and single is not None
-                    and single.array is not None
-                    and single.entry.domain.contains(region)
-                ):
-                    # Fast path: one real tile covers the whole region —
-                    # no zeroed buffer, no copy, just a (read-only) view.
-                    if region == single.entry.domain:
-                        aligned_bytes = region.cell_count * cell_size
-                        out = single.array
-                    else:
-                        border_bytes = (
-                            single.entry.domain.cell_count * cell_size
-                        )
-                        out = single.array[
-                            region.to_slices(single.entry.domain.lowest)
-                        ]
-                else:
-                    out = np.zeros(region.shape, dtype=dtype)
-                    default = self.mdd_type.base.default
-                    if default != 0:
-                        out[...] = default
-                    default_cell = np.asarray(default, dtype=dtype)
-                    for tile in fetched:
-                        entry = tile.entry
-                        part = entry.domain.intersection(region)
-                        assert part is not None
-                        if part == entry.domain:
-                            aligned_bytes += entry.domain.cell_count * cell_size
-                        else:
-                            border_bytes += entry.domain.cell_count * cell_size
-                        if tile.array is None:
-                            # Synthesized tiles carry default cells; under
-                            # a predicate the masked value of a default
-                            # cell is the default either way.
-                            continue
-                        part_vals = tile.array[
-                            part.to_slices(entry.domain.lowest)
-                        ]
-                        if predicate is not None:
-                            part_vals = np.where(
-                                predicate.mask(part_vals),
-                                part_vals,
-                                default_cell,
-                            )
-                        out[part.to_slices(region.lowest)] = part_vals
-                measured_ms = (time.perf_counter() - started) * 1000.0
-            timing.t_cpu = measured_ms + self.database.cpu_parameters.compose_ms(
-                aligned_bytes, border_bytes
-            )
-            read_span.set_attr("tiles_read", timing.tiles_read)
-            read_span.set_attr("bytes_read", timing.bytes_read)
-        _READS.inc()
-        _TILES_LOADED.inc(timing.tiles_read)
-        _CELLS_FETCHED.inc(timing.cells_fetched)
-        _CELLS_RETURNED.inc(timing.cells_result)
-        _READ_MS.observe(timing.t_totalcpu)
-        return out, timing
+                "tilestore.read", object=self.name, region=str(query.region)
+            ) as span:
+                query.fetch(query.select(self, view))
+                out = query.compose()
+                query.annotate(span, "tiles_read", "bytes_read")
+        query.finish(cells_returned=True)
+        return out, query.timing
 
     def read_blocks(
         self,
@@ -824,92 +1122,11 @@ class StoredMDD:
         outside a transaction) is held until the generator is exhausted
         or closed, so the streamed version stays fetchable throughout.
         """
-        tiles_map, index, view_domain, _zones, pin = self._reader_view(version)
-        try:
-            yield from self._read_blocks_view(
-                region, tiles_map, index, view_domain
+        with self._reader_view(version) as view:
+            query = ReadExecutor(
+                self.mdd_type, self._resolve_in(region, view.domain)
             )
-        finally:
-            if pin is not None:
-                self.database.epoch.unpin(pin)
-
-    def _read_blocks_view(
-        self,
-        region: MInterval,
-        tiles_map,
-        index: SpatialIndex,
-        view_domain: Optional[MInterval],
-    ) -> "Iterator[tuple[MInterval, np.ndarray, QueryTiming]]":
-        region = self._resolve_in(region, view_domain)
-        disk = self.database.disk
-
-        started = time.perf_counter()
-        result = index.search(region)
-        cpu_ix = (time.perf_counter() - started) * 1000.0
-        page_ix = sum(
-            disk.charge_index_node() for _ in range(result.nodes_visited)
-        )
-        pending_ix = cpu_ix + page_ix
-        pending_nodes = result.nodes_visited
-
-        entries = sorted(
-            (tiles_map[e.tile_id] for e in result.entries),
-            key=lambda t: disk.blob_pages(t.blob_id).start,
-        )
-        dtype = self.mdd_type.base.dtype
-        pool = self.database.pool
-        decoded = self.database.decoded_cache
-        for entry in entries:
-            timing = QueryTiming()
-            timing.t_ix = pending_ix
-            timing.t_ix_pages = page_ix
-            timing.index_nodes = pending_nodes
-            pending_ix = 0.0
-            page_ix = 0.0
-            pending_nodes = 0
-            pool_before = (
-                (pool.hits, pool.misses, pool.evictions) if pool else None
-            )
-            decoded_before = (
-                (decoded.hits, decoded.misses) if decoded is not None else None
-            )
-            fetched = fetch_tile(self.database, entry, dtype)
-            if pool_before is not None:
-                timing.pool_hits = pool.hits - pool_before[0]
-                timing.pool_misses = pool.misses - pool_before[1]
-                timing.pool_evictions = pool.evictions - pool_before[2]
-            if decoded_before is not None:
-                timing.decoded_hits = decoded.hits - decoded_before[0]
-                timing.decoded_misses = decoded.misses - decoded_before[1]
-            timing.t_o = fetched.cost
-            timing.tiles_read = 1
-            timing.bytes_read = fetched.payload_bytes
-            timing.pages_read = disk.blob_pages(entry.blob_id).count
-            timing.cells_fetched = entry.domain.cell_count
-            part = entry.domain.intersection(region)
-            assert part is not None
-            timing.cells_result = part.cell_count
-            started = time.perf_counter()
-            if fetched.array is None:
-                data = np.zeros(part.shape, dtype=dtype)
-                default = self.mdd_type.base.default
-                if default != 0:
-                    data[...] = default
-            else:
-                data = fetched.array[
-                    part.to_slices(entry.domain.lowest)
-                ].copy()
-            timing.t_cpu = (
-                (time.perf_counter() - started) * 1000.0
-                + self.database.cpu_parameters.compose_ms(
-                    *(
-                        (entry.domain.cell_count * self.mdd_type.cell_size, 0)
-                        if part == entry.domain
-                        else (0, entry.domain.cell_count * self.mdd_type.cell_size)
-                    )
-                )
-            )
-            yield part, data, timing
+            yield from query.blocks(query.select(self, view))
 
     def read_section(
         self, axis: int, coordinate: int
@@ -941,197 +1158,30 @@ class StoredMDD:
         ranges, ``prune=False`` — the region is decoded and reduced
         conventionally.  Results are identical either way.
         """
-        if op not in AGG_FUNCS:
-            raise QueryError(f"unknown aggregate {op!r}")
-        if self.mdd_type.base.dtype.fields is not None:
-            raise QueryError(
-                f"aggregate {op!r} needs a numeric base type, object "
-                f"{self.name!r} has {self.mdd_type.base.name!r}"
+        check_aggregate(op, self)
+        with self._reader_view(version) as view:
+            query = ReadExecutor(
+                self.mdd_type,
+                self._resolve_in(region, view.domain),
+                prune=prune,
             )
-        tiles_map, index, view_domain, zones, pin = self._reader_view(version)
-        try:
-            value, timing = self._aggregate_view(
-                region, tiles_map, index, view_domain, zones, op, prune
-            )
-        finally:
-            if pin is not None:
-                self.database.epoch.unpin(pin)
-        ring = self.database.access_ring
-        if ring.capacity and obs.registry.enabled:
-            if version is not None:
-                epoch = version.epoch
-            elif pin is not None:
-                epoch = pin
-            else:
-                epoch = self.database.epoch._current
-            ring.record(
-                "read",
-                self.collection,
-                self.name,
-                str(self._resolve_in(region, view_domain)),
-                epoch,
-                cost_ms=timing.t_totalcpu,
-                cells=timing.cells_result,
-            )
-        return value, timing
-
-    def _aggregate_view(
-        self,
-        region: MInterval,
-        tiles_map,
-        index: SpatialIndex,
-        view_domain: Optional[MInterval],
-        zones,
-        op: str,
-        prune: bool,
-    ) -> tuple[Union[int, float, bool], QueryTiming]:
-        region = self._resolve_in(region, view_domain)
-        timing = QueryTiming(cells_result=region.cell_count)
-        disk = self.database.disk
-        pool = self.database.pool
-        decoded = self.database.decoded_cache
-        dtype = self.mdd_type.base.dtype
-        default = self.mdd_type.base.default
-        zones = zones or {}
-
-        with obs.span(
-            "tilestore.aggregate", object=self.name, region=str(region), op=op
-        ) as agg_span:
-            # (1) index lookup — charged exactly like a range read
             with obs.span(
-                "index.search", index=type(index).__name__
-            ) as ix_span:
-                started = time.perf_counter()
-                result = index.search(region)
-                cpu_ix = (time.perf_counter() - started) * 1000.0
-                page_ix = sum(
-                    disk.charge_index_node()
-                    for _ in range(result.nodes_visited)
+                "tilestore.aggregate",
+                object=self.name,
+                region=str(query.region),
+                op=op,
+            ) as span:
+                selection = query.select(self, view, condense=True)
+                exact = prune and query.exact(op)
+                query.fetch(selection)
+                value = (
+                    query.reduce(op)
+                    if exact
+                    else query.condense(op, query.compose())
                 )
-                ix_span.set_attr("nodes_visited", result.nodes_visited)
-                ix_span.set_attr("entries", len(result.entries))
-            timing.t_ix = cpu_ix + page_ix
-            timing.t_ix_pages = page_ix
-            timing.index_nodes = result.nodes_visited
-
-            # (1b) partition: fully-covered tiles with a synopsis can be
-            # answered without decode; everything else must be fetched.
-            entries = [tiles_map[e.tile_id] for e in result.entries]
-            full: list[TileEntry] = []
-            partial: list[TileEntry] = []
-            syn_parts: list[TileSynopsis] = []
-            all_syns: list[Optional[TileSynopsis]] = []
-            covered = 0
-            for entry in entries:
-                part = entry.domain.intersection(region)
-                assert part is not None
-                covered += part.cell_count
-                syn = zones.get(entry.tile_id)
-                all_syns.append(syn)
-                if syn is not None and region.contains(entry.domain):
-                    full.append(entry)
-                    syn_parts.append(syn)
-                else:
-                    partial.append(entry)
-            uncovered = region.cell_count - covered
-            eligible = prune and aggregate_eligible(
-                op, dtype, all_syns, uncovered, default, region.cell_count
-            )
-            fetch_list = partial if eligible else entries
-
-            # (2) tile retrieval of whatever could not be short-circuited
-            fetch_list = sorted(
-                fetch_list, key=lambda t: disk.blob_pages(t.blob_id).start
-            )
-            pool_before = (
-                (pool.hits, pool.misses, pool.evictions) if pool else None
-            )
-            decoded_before = (
-                (decoded.hits, decoded.misses) if decoded is not None else None
-            )
-            with obs.span("tilestore.fetch", tiles=len(fetch_list)):
-                fetched = fetch_tiles(self.database, fetch_list, dtype)
-                for tile in fetched:
-                    timing.t_o += tile.cost
-                    timing.tiles_read += 1
-                    timing.bytes_read += tile.payload_bytes
-                    timing.pages_read += disk.blob_pages(
-                        tile.entry.blob_id
-                    ).count
-                    timing.cells_fetched += tile.entry.domain.cell_count
-            if pool_before is not None:
-                timing.pool_hits = pool.hits - pool_before[0]
-                timing.pool_misses = pool.misses - pool_before[1]
-                timing.pool_evictions = pool.evictions - pool_before[2]
-            if decoded_before is not None:
-                timing.decoded_hits = decoded.hits - decoded_before[0]
-                timing.decoded_misses = decoded.misses - decoded_before[1]
-
-            # (3) reduction
-            with obs.span("tilestore.compose"):
-                started = time.perf_counter()
-                cell_size = self.mdd_type.cell_size
-                aligned_bytes = 0
-                border_bytes = 0
-                if eligible:
-                    array_parts: list[np.ndarray] = []
-                    default_cells = uncovered
-                    for tile in fetched:
-                        entry = tile.entry
-                        part = entry.domain.intersection(region)
-                        assert part is not None
-                        if part == entry.domain:
-                            aligned_bytes += entry.domain.cell_count * cell_size
-                        else:
-                            border_bytes += entry.domain.cell_count * cell_size
-                        if tile.array is None:
-                            default_cells += part.cell_count
-                            continue
-                        array_parts.append(
-                            tile.array[part.to_slices(entry.domain.lowest)]
-                        )
-                    value = combine_aggregate(
-                        op,
-                        dtype,
-                        syn_parts,
-                        array_parts,
-                        default_cells,
-                        default,
-                        region.cell_count,
-                    )
-                    timing.tiles_synopsis_answered = len(full)
-                    note_synopsis_answered(len(full))
-                else:
-                    out = np.zeros(region.shape, dtype=dtype)
-                    if default != 0:
-                        out[...] = default
-                    for tile in fetched:
-                        entry = tile.entry
-                        part = entry.domain.intersection(region)
-                        assert part is not None
-                        if part == entry.domain:
-                            aligned_bytes += entry.domain.cell_count * cell_size
-                        else:
-                            border_bytes += entry.domain.cell_count * cell_size
-                        if tile.array is None:
-                            continue
-                        out[part.to_slices(region.lowest)] = tile.array[
-                            part.to_slices(entry.domain.lowest)
-                        ]
-                    value = AGG_FUNCS[op](out)
-                measured_ms = (time.perf_counter() - started) * 1000.0
-            timing.t_cpu = measured_ms + self.database.cpu_parameters.compose_ms(
-                aligned_bytes, border_bytes
-            )
-            agg_span.set_attr("tiles_read", timing.tiles_read)
-            agg_span.set_attr(
-                "tiles_synopsis_answered", timing.tiles_synopsis_answered
-            )
-        _READS.inc()
-        _TILES_LOADED.inc(timing.tiles_read)
-        _CELLS_FETCHED.inc(timing.cells_fetched)
-        _READ_MS.observe(timing.t_totalcpu)
-        return value, timing
+                query.annotate(span, "tiles_read", "tiles_synopsis_answered")
+        query.finish()
+        return value, query.timing
 
     def aggregate_push(
         self,
@@ -1166,278 +1216,37 @@ class StoredMDD:
         ``(value, timing, pushed)`` with ``pushed`` telling which branch
         ran (the planner surfaces it in ``EXPLAIN``).
         """
-        if op not in AGG_FUNCS:
-            raise QueryError(f"unknown aggregate {op!r}")
-        if self.mdd_type.base.dtype.fields is not None:
-            raise QueryError(
-                f"aggregate {op!r} needs a numeric base type, object "
-                f"{self.name!r} has {self.mdd_type.base.name!r}"
-            )
-        tiles_map, index, view_domain, zones, pin = self._reader_view(version)
-        try:
-            value, timing, pushed = self._aggregate_push_view(
-                region,
-                tiles_map,
-                index,
-                view_domain,
-                zones,
-                op,
+        check_aggregate(op, self)
+        with self._reader_view(version) as view:
+            query = ReadExecutor(
+                self.mdd_type,
+                self._resolve_in(region, view.domain),
                 predicate=predicate,
                 prune=prune,
             )
-        finally:
-            if pin is not None:
-                self.database.epoch.unpin(pin)
-        ring = self.database.access_ring
-        if ring.capacity and obs.registry.enabled:
-            if version is not None:
-                epoch = version.epoch
-            elif pin is not None:
-                epoch = pin
-            else:
-                epoch = self.database.epoch._current
-            ring.record(
-                "read",
-                self.collection,
-                self.name,
-                str(self._resolve_in(region, view_domain)),
-                epoch,
-                cost_ms=timing.t_totalcpu,
-                cells=timing.cells_result,
-            )
-        return value, timing, pushed
-
-    def _aggregate_push_view(
-        self,
-        region: MInterval,
-        tiles_map,
-        index: SpatialIndex,
-        view_domain: Optional[MInterval],
-        zones,
-        op: str,
-        *,
-        predicate: Optional[CellPredicate] = None,
-        prune: bool = True,
-    ) -> tuple[Union[int, float, bool], QueryTiming, bool]:
-        region = self._resolve_in(region, view_domain)
-        timing = QueryTiming(cells_result=region.cell_count)
-        disk = self.database.disk
-        pool = self.database.pool
-        decoded = self.database.decoded_cache
-        dtype = self.mdd_type.base.dtype
-        default = self.mdd_type.base.default
-        zones = zones or {}
-
-        with obs.span(
-            "tilestore.aggregate",
-            object=self.name,
-            region=str(region),
-            op=op,
-            mode="pushdown",
-        ) as agg_span:
-            # (1) index lookup — charged exactly like a range read
             with obs.span(
-                "index.search", index=type(index).__name__
-            ) as ix_span:
-                started = time.perf_counter()
-                result = index.search(region)
-                cpu_ix = (time.perf_counter() - started) * 1000.0
-                page_ix = sum(
-                    disk.charge_index_node()
-                    for _ in range(result.nodes_visited)
+                "tilestore.aggregate",
+                object=self.name,
+                region=str(query.region),
+                op=op,
+                mode="pushdown",
+            ) as span:
+                selection = query.select(self, view, condense=True)
+                pushed = query.exact(op)
+                query.fetch(selection, partials=pushed)
+                value = (
+                    query.combine(op)
+                    if pushed
+                    else query.condense(op, query.compose())
                 )
-                ix_span.set_attr("nodes_visited", result.nodes_visited)
-                ix_span.set_attr("entries", len(result.entries))
-            timing.t_ix = cpu_ix + page_ix
-            timing.t_ix_pages = page_ix
-            timing.index_nodes = result.nodes_visited
-
-            # (1b) partition: pruned (contribute default fill), answered
-            # from the stored synopsis (zero decode), or decoded to a
-            # worker-side partial.  Pruned tiles mirror the masked box:
-            # their clipped part provably holds only failing cells, which
-            # the materialized path would overwrite with the default.
-            entries = [tiles_map[e.tile_id] for e in result.entries]
-            pruner = (
-                TilePruner(predicate, zones, dtype)
-                if predicate is not None and prune and zones
-                else None
-            )
-            syn_answered: list[tuple[int, TileSynopsis]] = []
-            non_pruned: list[tuple[TileEntry, MInterval]] = []
-            decode_items: list[tuple[TileEntry, MInterval]] = []
-            bound_syns: list[Optional[TileSynopsis]] = []
-            covered = 0
-            default_cells = 0
-            for entry in entries:
-                part = entry.domain.intersection(region)
-                assert part is not None
-                covered += part.cell_count
-                if pruner is not None and not pruner.can_match(entry.tile_id):
-                    default_cells += part.cell_count
-                    continue
-                non_pruned.append((entry, part))
-                syn = zones.get(entry.tile_id)
-                bound_syns.append(syn)
-                if (
-                    predicate is None
-                    and prune
-                    and syn is not None
-                    and region.contains(entry.domain)
-                ):
-                    syn_answered.append((entry.tile_id, syn))
-                    continue
-                decode_items.append((entry, part))
-            uncovered = region.cell_count - covered
-            default_cells += uncovered
-            if pruner is not None:
-                timing.tiles_pruned = pruner.pruned
-                note_tiles_pruned(pruner.pruned)
-                agg_span.set_attr("tiles_pruned", pruner.pruned)
-            pushed = partial_aggregate_eligible(
-                op,
-                dtype,
-                bound_syns,
-                uncovered,
-                default,
-                region.cell_count,
-                masked=predicate is not None,
-            )
-            if not pushed:
-                # Ineligible (float add/avg, unbounded integer range):
-                # the synopsis shortcut is off the table too — every
-                # non-pruned tile is fetched and the box materialized.
-                decode_items = non_pruned
-                syn_answered = []
-
-            # (2) tile retrieval, in page order for sequential runs
-            fetch_list = sorted(
-                decode_items,
-                key=lambda item: disk.blob_pages(item[0].blob_id).start,
-            )
-            pool_before = (
-                (pool.hits, pool.misses, pool.evictions) if pool else None
-            )
-            decoded_before = (
-                (decoded.hits, decoded.misses) if decoded is not None else None
-            )
-            cell_size = self.mdd_type.cell_size
-            aligned_bytes = 0
-            border_bytes = 0
-            if pushed:
-                with obs.span("tilestore.fetch", tiles=len(fetch_list)):
-                    partials, peak = fetch_tile_partials(
-                        self.database,
-                        fetch_list,
-                        dtype,
-                        predicate=predicate,
-                        default=default,
-                    )
-                    for item in partials:
-                        timing.t_o += item.cost
-                        timing.tiles_read += 1
-                        timing.bytes_read += item.payload_bytes
-                        timing.pages_read += disk.blob_pages(
-                            item.entry.blob_id
-                        ).count
-                        timing.cells_fetched += item.entry.domain.cell_count
-                timing.peak_partial_bytes = peak
-                # (3) combination, in deterministic tile-id order: the
-                # per-tile partials (worker-reduced and synopsis-answered
-                # alike) are merged by the coordinator; virtual tiles'
-                # parts carry only default cells.
-                with obs.span("tilestore.combine", parts=len(partials)):
-                    started = time.perf_counter()
-                    contributions = list(syn_answered)
-                    for item in partials:
-                        entry = item.entry
-                        if item.part == entry.domain:
-                            aligned_bytes += entry.domain.cell_count * cell_size
-                        else:
-                            border_bytes += entry.domain.cell_count * cell_size
-                        if item.partial is None:
-                            default_cells += item.part.cell_count
-                            continue
-                        contributions.append((entry.tile_id, item.partial))
-                        timing.tiles_partial_agg += 1
-                    contributions.sort(key=lambda pair: pair[0])
-                    value = combine_aggregate(
-                        op,
-                        dtype,
-                        [syn for _, syn in contributions],
-                        [],
-                        default_cells,
-                        default,
-                        region.cell_count,
-                    )
-                    timing.tiles_synopsis_answered = len(syn_answered)
-                    note_synopsis_answered(len(syn_answered))
-                    measured_ms = (time.perf_counter() - started) * 1000.0
-            else:
-                with obs.span("tilestore.fetch", tiles=len(fetch_list)):
-                    fetched = fetch_tiles(
-                        self.database,
-                        [entry for entry, _ in fetch_list],
-                        dtype,
-                    )
-                    for tile in fetched:
-                        timing.t_o += tile.cost
-                        timing.tiles_read += 1
-                        timing.bytes_read += tile.payload_bytes
-                        timing.pages_read += disk.blob_pages(
-                            tile.entry.blob_id
-                        ).count
-                        timing.cells_fetched += tile.entry.domain.cell_count
-                # (3) materialized fallback: compose the (masked) box and
-                # reduce it — bitwise the v1 path, charged identically.
-                with obs.span("tilestore.compose"):
-                    started = time.perf_counter()
-                    out = np.zeros(region.shape, dtype=dtype)
-                    if default != 0:
-                        out[...] = default
-                    default_cell = np.asarray(default, dtype=dtype)
-                    for tile in fetched:
-                        entry = tile.entry
-                        part = entry.domain.intersection(region)
-                        assert part is not None
-                        if part == entry.domain:
-                            aligned_bytes += entry.domain.cell_count * cell_size
-                        else:
-                            border_bytes += entry.domain.cell_count * cell_size
-                        if tile.array is None:
-                            continue
-                        part_vals = tile.array[
-                            part.to_slices(entry.domain.lowest)
-                        ]
-                        if predicate is not None:
-                            part_vals = np.where(
-                                predicate.mask(part_vals),
-                                part_vals,
-                                default_cell,
-                            )
-                        out[part.to_slices(region.lowest)] = part_vals
-                    value = AGG_FUNCS[op](out)
-                    measured_ms = (time.perf_counter() - started) * 1000.0
-            if pool_before is not None:
-                timing.pool_hits = pool.hits - pool_before[0]
-                timing.pool_misses = pool.misses - pool_before[1]
-                timing.pool_evictions = pool.evictions - pool_before[2]
-            if decoded_before is not None:
-                timing.decoded_hits = decoded.hits - decoded_before[0]
-                timing.decoded_misses = decoded.misses - decoded_before[1]
-            timing.t_cpu = measured_ms + self.database.cpu_parameters.compose_ms(
-                aligned_bytes, border_bytes
-            )
-            agg_span.set_attr("tiles_read", timing.tiles_read)
-            agg_span.set_attr("tiles_partial_agg", timing.tiles_partial_agg)
-            agg_span.set_attr(
-                "tiles_synopsis_answered", timing.tiles_synopsis_answered
-            )
-        _READS.inc()
-        _TILES_LOADED.inc(timing.tiles_read)
-        _CELLS_FETCHED.inc(timing.cells_fetched)
-        _READ_MS.observe(timing.t_totalcpu)
-        return value, timing, pushed
+                query.annotate(
+                    span,
+                    "tiles_read",
+                    "tiles_partial_agg",
+                    "tiles_synopsis_answered",
+                )
+        query.finish()
+        return value, query.timing, pushed
 
     # ------------------------------------------------------------------
     # Updates / deletion
@@ -1744,6 +1553,11 @@ class Database:
     def make_index(self, dim: int) -> SpatialIndex:
         """New spatial index from the configured factory."""
         return self._index_factory(dim, self.store.page_size)
+
+    def first_page(self, entry: TileEntry) -> int:
+        """Where a tile's BLOB starts: sorting a batch of fetches by this
+        key turns them into sequential page runs."""
+        return self.disk.blob_pages(entry.blob_id).start
 
     def read_blob(self, blob_id: int) -> tuple[bytes, float]:
         """BLOB payload and charged milliseconds, via the pool if any."""
