@@ -16,15 +16,26 @@ The contract:
 * request handlers run on daemon threads and the accept loop runs on a
   daemon thread, so a process that exits never hangs on an open
   connection;
+* ``TCP_NODELAY`` is set on every accepted connection: a handler sends
+  headers and body as two writes, and under Nagle the second waits
+  ~40 ms for the client's delayed ACK;
 * :meth:`stop` is idempotent and a stopped handle can be started again
   (a fresh socket is bound each time).
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
+
+
+class _NoDelayServer(ThreadingHTTPServer):
+    def get_request(self):
+        connection, address = super().get_request()
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection, address
 
 
 class HttpServerHandle:
@@ -70,7 +81,7 @@ class HttpServerHandle:
         # Bind explicitly (not in the constructor) so SO_REUSEADDR is
         # guaranteed to be set on the socket before bind(), and so a
         # failed bind leaves no half-open server behind.
-        httpd = ThreadingHTTPServer(
+        httpd = _NoDelayServer(
             (self.host, self._requested_port),
             self._handler,
             bind_and_activate=False,

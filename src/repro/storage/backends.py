@@ -25,8 +25,9 @@ from typing import Optional, Sequence, Union
 
 from repro import obs
 from repro.core.errors import ChecksumError, StorageError
-from repro.storage.blob import BlobRecord, BlobStore
+from repro.storage.blob import BlobRecord, BlobStore, page_runs
 from repro.storage.checksum import (
+    mismatched_pages,
     page_checksums,
     page_checksums_many,
     verify_page_checksums,
@@ -40,6 +41,17 @@ _PAGES_VERIFIED = obs.counter(
 _PAGE_FAILURES = obs.counter(
     "checksum.page_failures", "Storage pages failing CRC32C verification"
 )
+
+
+def _report_pages(record: BlobRecord, pages: int, bad: list[int]) -> None:
+    """Count one blob's verified pages; a bad one is a ChecksumError."""
+    _PAGES_VERIFIED.inc(pages)
+    if bad:
+        _PAGE_FAILURES.inc(len(bad))
+        raise ChecksumError(
+            f"blob {record.blob_id}: CRC32C mismatch on page(s) "
+            f"{bad} of {record.pages}"
+        )
 
 
 class MemoryBlobStore(BlobStore):
@@ -248,50 +260,22 @@ class FileBlobStore(BlobStore):
         expected = self._page_crcs.get(record.blob_id)
         if self.checksums and expected is not None:
             bad = verify_page_checksums(raw, self.page_size, expected)
-            _PAGES_VERIFIED.inc(len(expected))
-            if bad:
-                _PAGE_FAILURES.inc(len(bad))
-                raise ChecksumError(
-                    f"blob {record.blob_id}: CRC32C mismatch on page(s) "
-                    f"{bad} of {record.pages}"
-                )
+            _report_pages(record, len(expected), bad)
 
     def _read_payload(self, record: BlobRecord) -> bytes:
-        self._file.seek(record.pages.start * self.page_size)
-        stored = record.stored_size
-        assert stored is not None
-        raw = self._file.read(stored)
-        if len(raw) != stored:
-            raise StorageError(
-                f"short read for blob {record.blob_id}: wanted {stored} "
-                f"bytes, got {len(raw)}"
-            )
+        raw = self._read_span([record])[0]
         self._verify(record, raw)
         return raw
 
-    def get_run(self, blob_ids: Sequence[int]) -> list[bytes]:
-        """One contiguous read for a run of page-adjacent BLOBs.
-
-        Every blob's pages are verified against the sidecar CRCs in one
-        lockstep pass — the same guarantees as per-blob :meth:`get`, in
-        a single seek+read syscall.  Falls back to the per-blob loop if
-        any blob is virtual or still buffered.
-        """
-        with self._latch:
-            return self._get_run_locked(blob_ids)
-
-    def _get_run_locked(self, blob_ids: Sequence[int]) -> list[bytes]:
-        records = [self.record(blob_id) for blob_id in blob_ids]
-        if len(records) < 2 or any(
-            r.virtual or r.blob_id in self._pending for r in records
-        ):
-            return super().get_run(blob_ids)
+    def _read_span(self, records: Sequence[BlobRecord]) -> list[bytes]:
+        """Stored bytes of page-adjacent records, fetched with one read."""
         base = records[0].pages.start * self.page_size
         last = records[-1]
         assert last.stored_size is not None
-        span = last.pages.start * self.page_size + last.stored_size - base
         self._file.seek(base)
-        buf = self._file.read(span)
+        buf = self._file.read(
+            last.pages.start * self.page_size + last.stored_size - base
+        )
         payloads: list[bytes] = []
         for record in records:
             offset = record.pages.start * self.page_size - base
@@ -304,23 +288,39 @@ class FileBlobStore(BlobStore):
                     f"bytes, got {len(raw)}"
                 )
             payloads.append(raw)
-        if self.checksums:
-            actual = page_checksums_many(payloads, self.page_size)
-            for record, raw, crcs in zip(records, payloads, actual):
-                expected = self._page_crcs.get(record.blob_id)
-                if expected is None:
-                    continue
-                _PAGES_VERIFIED.inc(len(expected))
-                if crcs != expected:
-                    bad = [
-                        i for i, (a, e) in enumerate(zip(crcs, expected))
-                        if a != e
-                    ] or list(range(max(len(crcs), len(expected))))
-                    _PAGE_FAILURES.inc(len(bad))
-                    raise ChecksumError(
-                        f"blob {record.blob_id}: CRC32C mismatch on page(s) "
-                        f"{bad} of {record.pages}"
-                    )
+        return payloads
+
+    def get_run(self, blob_ids: Sequence[int]) -> list[bytes]:
+        """Verified payloads of a page-ordered list of BLOBs.
+
+        Page-adjacent neighbours share one seek+read, and every page of
+        every blob is checked against the sidecar CRCs in one kernel pass
+        after the store latch is released — the same guarantees as
+        per-blob :meth:`get`.  Falls back to the per-blob loop if any
+        blob is virtual or still buffered.
+        """
+        with self._latch:
+            records = [self.record(blob_id) for blob_id in blob_ids]
+            if any(r.virtual or r.blob_id in self._pending for r in records):
+                return super().get_run(blob_ids)
+            payloads = [
+                raw
+                for span in page_runs(records)
+                for raw in self._read_span(span)
+            ]
+            checked = []
+            if self.checksums:
+                for record, raw in zip(records, payloads):
+                    expected = self._page_crcs.get(record.blob_id)
+                    if expected is not None:
+                        checked.append((record, raw, expected))
+        actual = page_checksums_many(
+            [raw for _, raw, _ in checked], self.page_size
+        )
+        for (record, _, expected), crcs in zip(checked, actual):
+            _report_pages(
+                record, len(expected), mismatched_pages(crcs, expected)
+            )
         return payloads
 
     def _delete_payload(self, record: BlobRecord) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro import obs
 from repro.core.errors import BlobNotFoundError, StorageError
@@ -58,6 +58,17 @@ class BlobRecord:
     def __post_init__(self) -> None:
         if self.stored_size is None:
             self.stored_size = self.byte_size
+
+
+def page_runs(records: Iterable[BlobRecord]) -> list[list[BlobRecord]]:
+    """Split records into runs whose page ranges touch end to start."""
+    runs: list[list[BlobRecord]] = []
+    for record in records:
+        if runs and runs[-1][-1].pages.end == record.pages.start:
+            runs[-1].append(record)
+        else:
+            runs.append([record])
+    return runs
 
 
 class BlobStore(abc.ABC):
@@ -270,16 +281,9 @@ class BlobStore(abc.ABC):
 
     def _flush_locked(self, blob_ids: Sequence[int]) -> list[PageRange]:
         ordered = sorted(blob_ids, key=lambda b: self._catalog[b].pages.start)
-        runs: list[list[int]] = []
-        for blob_id in ordered:
-            pages = self._catalog[blob_id].pages
-            if runs and self._catalog[runs[-1][-1]].pages.end == pages.start:
-                runs[-1].append(blob_id)
-            else:
-                runs.append([blob_id])
         written: list[PageRange] = []
-        for run in runs:
-            records = [self._catalog[b] for b in run]
+        for records in page_runs(self._catalog[b] for b in ordered):
+            run = [record.blob_id for record in records]
             self._write_payload_run(records, [self._pending[b] for b in run])
             for blob_id in run:
                 self._crc_stash.pop(blob_id, None)

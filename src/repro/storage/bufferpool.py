@@ -62,8 +62,18 @@ class BufferPool:
     def used_bytes(self) -> int:
         return self._used
 
-    def read_blob(self, blob_id: int) -> tuple[bytes, float]:
-        """BLOB payload and charged disk milliseconds (0.0 on a hit)."""
+    def __contains__(self, blob_id: int) -> bool:
+        """Whether a payload is cached — a peek: no LRU touch, no tally."""
+        with self._latch:
+            return blob_id in self._entries
+
+    def read_blob(
+        self, blob_id: int, verified: bytes | None = None
+    ) -> tuple[bytes, float]:
+        """BLOB payload and charged disk milliseconds (0.0 on a hit).
+
+        ``verified`` is handed to the disk on a miss
+        (:meth:`SimulatedDisk.read_blob`)."""
         with self._latch:
             cached = self._entries.get(blob_id)
             if cached is not None:
@@ -74,7 +84,7 @@ class BufferPool:
             # The latch is held across the miss read: the disk latch
             # ranks above the pool latch, and a serialized miss+admit is
             # what keeps the LRU trajectory and the charges deterministic.
-            payload, cost = self.disk.read_blob(blob_id)
+            payload, cost = self.disk.read_blob(blob_id, verified)
             self.misses += 1
             _MISSES.inc()
             self._admit(blob_id, payload)

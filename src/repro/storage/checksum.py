@@ -8,14 +8,26 @@ dependency-free slice-by-8 implementation: eight 256-entry tables are
 derived once from the reflected polynomial and the hot loop consumes the
 input eight bytes per step.
 
-A single CRC is inherently sequential, but *many independent* CRCs are
-not: :func:`crc32c_many` advances every chunk's state in lockstep with
-numpy — one table-lookup step per byte column across all chunks at once —
-so checksumming a whole ingest batch's pages costs a few thousand numpy
-operations instead of a Python-level loop over every byte.  This is the
-CPU side of group commit: batching writes is what makes the lockstep
-pass possible, and it is why the batched ingest path beats the per-tile
-path even on one core.  Results are bit-identical to :func:`crc32c`.
+The scalar :func:`crc32c` is the reference every test compares against
+and the path for short inputs.  :func:`crc32c_many` is the array-speed
+path for pages: CRC is linear over GF(2), so for the raw remainder ``R``
+(init 0, no final xor)
+
+* ``R(A || B) = advance_|B|(R(A)) ^ R(B)`` — a chunk splits into blocks
+  with no sequential dependency between them;
+* leading zero bytes are free — a chunk is left-padded to ``64 << k``;
+* the ``0xFFFFFFFF`` init equals xor-ing ``0xFF`` into the first four
+  message bytes.
+
+Each padded chunk is viewed as 64-byte lanes.  One ``take`` from the
+64 x 256 *position table* (``P[j][b]`` = remainder of byte ``b``
+followed by ``63 - j`` zero bytes) plus one xor-reduce gives every
+lane's remainder; ``k`` pairwise folds through per-level *advance
+tables* (a 32-bit state moved across ``64 << level`` zero bytes in four
+lookups, each level the square of the one below) give the chunk's.  The
+tables are built at import in well under 5 ms and are read-only, so
+every thread shares them.  Results are bit-identical to :func:`crc32c`:
+no stored CRC, page file, sidecar or WAL record changes.
 
 Verification failures surface as
 :class:`~repro.core.errors.ChecksumError` at the call sites (page reads,
@@ -25,7 +37,7 @@ WAL scans); this module only computes.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -73,70 +85,82 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-_NP_TABLES: Optional[np.ndarray] = None
+# Chunks shorter than this go to the scalar loop: a kernel call costs a
+# fixed dozen numpy dispatches, which a few hundred bytes cannot repay.
+_SCALAR_BELOW = 256
+# Padded input bytes per kernel call, and the largest chunk it takes: the
+# index array is 8x its input, so bigger calls spill the cache.
+_KERNEL_BYTES = 1 << 18
+_LANE = 64
+_OFFSETS = np.arange(_LANE, dtype=np.intp) * 256
 
-# Below this many chunks the per-column numpy dispatch overhead loses to
-# the scalar loop; measured on the slice-by-8 tables.
-_LOCKSTEP_MIN_CHUNKS = 16
+
+def _gather(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR over each row's bytes ``b`` at column ``j`` of ``table[j][b]``."""
+    index = rows + _OFFSETS[: rows.shape[1]]
+    return np.bitwise_xor.reduce(table.take(index), axis=1)
 
 
-def _np_tables() -> np.ndarray:
-    global _NP_TABLES
-    if _NP_TABLES is None:
-        _NP_TABLES = np.array(_TABLES, dtype=np.uint64)
-    return _NP_TABLES
+def _build_kernel_tables() -> tuple[np.ndarray, list[np.ndarray]]:
+    table0 = np.array(_TABLES[0], dtype="<u4")
+    rows = [table0]  # rows[z][b]: remainder of byte b followed by z zeros
+    for _ in range(_LANE - 1):
+        rows.append((rows[-1] >> 8) ^ table0[rows[-1] & 0xFF])
+    position = np.concatenate(rows[::-1])
+    # A state equals its four bytes xor-ed into the next four message
+    # bytes, so advancing it across one zero lane is the first four rows
+    # of the position table; squaring a level doubles the distance.
+    advance = [position[: 4 * 256]]
+    while _LANE << len(advance) < _KERNEL_BYTES:
+        last = advance[-1]
+        advance.append(_gather(last, last.view(np.uint8).reshape(-1, 4)))
+    for table in (_OFFSETS, position, *advance):
+        table.flags.writeable = False
+    return position, advance
+
+
+_POSITION, _ADVANCE = _build_kernel_tables()
+
+
+def _remainders(padded: np.ndarray) -> np.ndarray:
+    """Raw CRC remainder of every row of a ``(n, 64 << k)`` byte matrix."""
+    state = _gather(_POSITION, padded.reshape(-1, _LANE))
+    for level in range((padded.shape[1] // _LANE).bit_length() - 1):
+        pairs = state.reshape(-1, 2)
+        head = np.ascontiguousarray(pairs[:, 0]).view(np.uint8).reshape(-1, 4)
+        state = _gather(_ADVANCE[level], head) ^ pairs[:, 1]
+    return state
 
 
 def crc32c_many(chunks: Sequence[bytes]) -> list[int]:
-    """CRC32C of every chunk, advanced in lockstep across the batch.
+    """CRC32C of every chunk, block-parallel across and along the batch.
 
-    Chunks are sorted by word count so the active set is always a prefix
-    of the lane array; each 8-byte column is one round of vectorised
-    table lookups over that prefix, and sub-word tails finish on the
-    scalar tables.  Bit-identical to ``[crc32c(c) for c in chunks]`` —
-    small batches take that path directly.
+    Chunks are bucketed by padded width ``64 << k`` and each bucket runs
+    through :func:`_remainders` about ``_KERNEL_BYTES`` at a time; chunks
+    too short (or too long) for the kernel take the scalar loop.
+    Bit-identical to ``[crc32c(c) for c in chunks]``.
     """
-    n = len(chunks)
-    if n < _LOCKSTEP_MIN_CHUNKS:
-        return [crc32c(c) for c in chunks]
-    views = [memoryview(c) for c in chunks]
-    bulk_words = np.fromiter(
-        (len(v) // 8 for v in views), dtype=np.int64, count=n
-    )
-    order = np.argsort(-bulk_words, kind="stable")
-    state = np.full(n, 0xFFFFFFFF, dtype=np.uint64)
-    max_words = int(bulk_words[order[0]])
-    if max_words:
-        words = np.zeros((n, max_words), dtype=np.uint64)
-        for row, idx in enumerate(order):
-            count = int(bulk_words[idx])
-            if count:
-                words[row, :count] = np.frombuffer(
-                    views[idx], dtype="<u8", count=count
-                )
-        sorted_words = bulk_words[order]
-        tables = _np_tables()
-        lane_state = np.full(n, 0xFFFFFFFF, dtype=np.uint64)
-        eight = np.uint64(8)
-        low_byte = np.uint64(0xFF)
-        active = n
-        for col in range(max_words):
-            while active and sorted_words[active - 1] <= col:
-                active -= 1
-            word = words[:active, col] ^ lane_state[:active]
-            acc = tables[7][(word & low_byte).astype(np.intp)]
-            for k in range(6, -1, -1):
-                word >>= eight
-                acc ^= tables[k][(word & low_byte).astype(np.intp)]
-            lane_state[:active] = acc
-        state[order] = lane_state
-    t0 = _TABLES[0]
-    out = [0] * n
-    for i, view in enumerate(views):
-        crc = int(state[i])
-        for byte in view[len(view) - (len(view) % 8):]:
-            crc = (crc >> 8) ^ t0[(crc ^ byte) & 0xFF]
-        out[i] = crc ^ 0xFFFFFFFF
+    out = [0] * len(chunks)
+    buckets: dict[int, list[int]] = {}
+    for i, chunk in enumerate(chunks):
+        size = len(chunk)
+        if size < _SCALAR_BELOW or size > _KERNEL_BYTES:
+            out[i] = crc32c(chunk)
+        else:
+            lanes = (size + _LANE - 1) // _LANE
+            buckets.setdefault(_LANE << (lanes - 1).bit_length(), []).append(i)
+    for width, members in buckets.items():
+        step = _KERNEL_BYTES // width
+        for start in range(0, len(members), step):
+            batch = members[start : start + step]
+            padded = np.zeros((len(batch), width), dtype=np.uint8)
+            for row, i in zip(padded, batch):
+                data = np.frombuffer(chunks[i], dtype=np.uint8)
+                body = row[width - data.size :]
+                body[:] = data
+                body[:4] ^= 0xFF  # the 0xFFFFFFFF init, as message bits
+            for i, crc in zip(batch, _remainders(padded).tolist()):
+                out[i] = crc ^ 0xFFFFFFFF
     return out
 
 
@@ -156,12 +180,12 @@ def page_checksums(payload: bytes, page_size: int) -> list[int]:
 def page_checksums_many(
     payloads: Sequence[bytes], page_size: int
 ) -> list[list[int]]:
-    """:func:`page_checksums` for many payloads in one lockstep pass.
+    """:func:`page_checksums` for many payloads in one kernel pass.
 
     All pages of all payloads feed a single :func:`crc32c_many` call, so
-    a batch of tile payloads is checksummed at vector speed — the reason
-    the batched ingest path computes its page CRCs here rather than tile
-    by tile.
+    a batch of tile payloads is checksummed at array speed — the reason
+    the batched ingest path computes, and the read-ahead verifies, page
+    CRCs here rather than tile by tile.
     """
     chunks: list[memoryview] = []
     counts: list[int] = []
@@ -180,16 +204,21 @@ def page_checksums_many(
     return out
 
 
-def verify_page_checksums(
-    payload: bytes, page_size: int, expected: list[int]
-) -> list[int]:
-    """Indexes of pages whose checksum does not match ``expected``.
+def mismatched_pages(actual: list[int], expected: list[int]) -> list[int]:
+    """Indexes at which two per-page CRC lists disagree.
 
-    A length mismatch between the chunk list and ``expected`` marks every
-    page as bad — the checksum table itself is inconsistent with the
-    payload, which is exactly what a torn metadata write looks like.
+    A length mismatch marks every page as bad — the checksum table itself
+    is inconsistent with the payload, which is exactly what a torn
+    metadata write looks like.
     """
-    actual = page_checksums(payload, page_size)
     if len(actual) != len(expected):
         return list(range(max(len(actual), len(expected))))
     return [i for i, (a, e) in enumerate(zip(actual, expected)) if a != e]
+
+
+def verify_page_checksums(
+    payload: bytes, page_size: int, expected: list[int]
+) -> list[int]:
+    """Indexes of pages whose checksum does not match ``expected``
+    (see :func:`mismatched_pages`)."""
+    return mismatched_pages(page_checksums(payload, page_size), expected)

@@ -280,20 +280,26 @@ class SimulatedDisk:
 
     # -- blob interface ------------------------------------------------------
 
-    def read_blob(self, blob_id: int) -> tuple[bytes, float]:
+    def read_blob(
+        self, blob_id: int, verified: bytes | None = None
+    ) -> tuple[bytes, float]:
         """Fetch a BLOB's bytes and the charged time in milliseconds.
 
         Charge and byte fetch happen under the disk latch, so the pages
         a reader is charged for are the pages whose bytes it gets even
         while a writer commits concurrently (the store latch ranks above
-        the disk latch, see :mod:`repro.storage.latch`).
+        the disk latch, see :mod:`repro.storage.latch`).  ``verified`` is
+        the payload when the caller's read-ahead already fetched and
+        checksummed it (:func:`repro.storage.pipeline.fetch_tiles`, under
+        a pinned view, where blobs are immutable): only the charge is
+        left to do.
         """
         with self._latch:
             record = self.store.record(blob_id)
             cost = self._charge_pages_locked(record.pages)
             cost += self.parameters.blob_overhead_ms
             self.counters.time_ms += self.parameters.blob_overhead_ms
-            payload = self.store.get(blob_id)
+            payload = self.store.get(blob_id) if verified is None else verified
             self.counters.blob_reads += 1
             self.counters.bytes_read += record.byte_size
         _BLOB_READS.inc()

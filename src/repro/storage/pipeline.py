@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -153,6 +153,57 @@ def _coalesce_runs(
     return runs
 
 
+# Runs per verified read-ahead: enough pages to fill a CRC kernel pass,
+# few enough that the decode workers start long before the I/O ends.
+_READ_AHEAD_RUNS = 32
+
+
+def _read_runs(
+    database: "Database",
+    items: Sequence[tuple[int, "TileEntry"]],
+) -> Iterator[tuple[int, "TileEntry", bytes, float]]:
+    """Read the cache misses in order: ``(position, entry, payload, cost)``.
+
+    Charges, pool lookups and admissions happen blob by blob, in item
+    order.  With a pool, each chunk of runs first has the store fetch
+    the blobs the pool lacks — one read per page run, one CRC pass per
+    chunk, outside the pool and disk latches (``FileBlobStore.get_run``)
+    — and hands every verified payload to its ``read_blob``; a blob
+    cached at the peek but evicted before its turn takes the per-blob
+    read.  Safe because the caller's pinned view keeps blobs immutable.
+    """
+    pool = database.pool
+    runs = _coalesce_runs(database, items)
+    for start in range(0, len(runs), _READ_AHEAD_RUNS):
+        chunk = runs[start : start + _READ_AHEAD_RUNS]
+        ahead: dict[int, bytes] = {}
+        if pool is not None:
+            absent = [
+                entry.blob_id
+                for run in chunk
+                for _, entry in run
+                if entry.blob_id not in pool
+            ]
+            ahead = dict(zip(absent, database.store.get_run(absent)))
+        for run in chunk:
+            _READ_RUN_LEN.observe(len(run))
+            if len(run) == 1:
+                position, entry = run[0]
+                yield (
+                    position,
+                    entry,
+                    *database.read_blob(entry.blob_id, ahead.get(entry.blob_id)),
+                )
+            else:
+                _READ_RUNS.inc()
+                _READ_BLOBS.inc(len(run))
+                results = database.disk.read_blob_run(
+                    [entry.blob_id for _, entry in run]
+                )
+                for (position, entry), result in zip(run, results):
+                    yield (position, entry, *result)
+
+
 def fetch_tiles(
     database: "Database",
     entries: Sequence["TileEntry"],
@@ -216,20 +267,8 @@ def fetch_tiles(
                 )
             )
 
-    for run in _coalesce_runs(database, to_fetch):
-        _READ_RUN_LEN.observe(len(run))
-        if len(run) == 1:
-            position, entry = run[0]
-            payload, cost = database.read_blob(entry.blob_id)
-            dispatch(position, entry, payload, cost)
-        else:
-            _READ_RUNS.inc()
-            _READ_BLOBS.inc(len(run))
-            results = database.disk.read_blob_run(
-                [entry.blob_id for _, entry in run]
-            )
-            for (position, entry), (payload, cost) in zip(run, results):
-                dispatch(position, entry, payload, cost)
+    for fetch in _read_runs(database, to_fetch):
+        dispatch(*fetch)
 
     if futures:
         _PARALLEL_BATCHES.inc()
@@ -436,20 +475,8 @@ def fetch_tile_partials(
                 )
             )
 
-    for run in _coalesce_runs(database, to_fetch):
-        _READ_RUN_LEN.observe(len(run))
-        if len(run) == 1:
-            position, entry = run[0]
-            payload, cost = database.read_blob(entry.blob_id)
-            dispatch(position, entry, payload, cost)
-        else:
-            _READ_RUNS.inc()
-            _READ_BLOBS.inc(len(run))
-            results = database.disk.read_blob_run(
-                [entry.blob_id for _, entry in run]
-            )
-            for (position, entry), (payload, cost) in zip(run, results):
-                dispatch(position, entry, payload, cost)
+    for fetch in _read_runs(database, to_fetch):
+        dispatch(*fetch)
 
     if futures:
         _PARALLEL_BATCHES.inc()

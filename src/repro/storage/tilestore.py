@@ -1559,11 +1559,14 @@ class Database:
         key turns them into sequential page runs."""
         return self.disk.blob_pages(entry.blob_id).start
 
-    def read_blob(self, blob_id: int) -> tuple[bytes, float]:
-        """BLOB payload and charged milliseconds, via the pool if any."""
+    def read_blob(
+        self, blob_id: int, verified: Optional[bytes] = None
+    ) -> tuple[bytes, float]:
+        """BLOB payload and charged milliseconds, via the pool if any
+        (``verified``: see :meth:`SimulatedDisk.read_blob`)."""
         if self.pool is not None:
-            return self.pool.read_blob(blob_id)
-        return self.disk.read_blob(blob_id)
+            return self.pool.read_blob(blob_id, verified)
+        return self.disk.read_blob(blob_id, verified)
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
         """Lazy decode worker pool; ``None`` in serial mode (default)."""

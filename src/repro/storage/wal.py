@@ -39,7 +39,7 @@ Record types:
                  tail fails the length framing), but the page CRCs are
                  now computed **once** — shared with the store's page
                  sidecar and, on the batched ingest path, produced by
-                 one lockstep-vectorised pass over the whole batch —
+                 one block-parallel pass over the whole batch —
                  instead of CRC-ing every payload twice per tile.
 ===============  ======================================================
 

@@ -1,7 +1,9 @@
 """Tile server, wire formats, parallel client, and the shared HTTP helper."""
 
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -560,6 +562,19 @@ class TestHttpServerHandle:
         handle.start()
         handle.stop()
         handle.stop()  # no error
+
+    def test_response_body_does_not_wait_for_delayed_ack(self, served):
+        # headers and body are two sends; without TCP_NODELAY on the
+        # accepted socket the body waits ~40 ms for the client's ACK
+        _db, data, server = served
+        laps = []
+        with Client(server.url) as client:
+            for _ in range(20):
+                started = time.perf_counter()
+                results = client.query("select count_cells(a) from imgs as a")
+                laps.append(time.perf_counter() - started)
+                assert results[0]["value"] == np.count_nonzero(data)
+        assert statistics.median(laps) < 0.020
 
     def test_both_servers_share_the_helper(self, served):
         # the tile server and the metrics server both delegate their
