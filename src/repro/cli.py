@@ -29,10 +29,11 @@ pool across repeat runs), and ``--artifacts DIR`` / ``--no-artifacts``
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -485,202 +486,83 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Bench(NamedTuple):
+    """One ``repro bench`` mode: where it lives and how it reports."""
+
+    module: str
+    run: str
+    help: str
+    #: Flags (beyond ``--runs`` and the artifact directory) the run takes.
+    extra: Tuple[str, ...] = ()
+    verdicts: str = "identity verdicts:"
+    #: Heading of the performance block; ``None``: the report has none.
+    performance: Optional[str] = "performance (not gated):"
+
+
+_BENCHES: Dict[str, _Bench] = {
+    "pipeline": _Bench(
+        "repro.bench.pipeline", "run_pipeline_bench",
+        "serial vs parallel vs decoded-cache reads",
+        extra=("io_workers", "decoded_mb"),
+        verdicts="verdicts:", performance=None,
+    ),
+    "ingest": _Bench(
+        "repro.bench.ingest", "run_ingest_bench",
+        "serial vs batched vs parallel writes",
+        extra=("io_workers",),
+    ),
+    "concurrent": _Bench(
+        "repro.bench.concurrent", "run_concurrent_bench",
+        "snapshot-reader scaling under a writer",
+    ),
+    "obs": _Bench(
+        "repro.bench.obsbench", "run_obs_bench",
+        "observability overhead, enabled vs disabled vs no-obs",
+        performance="performance (overhead gate in identity):",
+    ),
+    "prune": _Bench(
+        "repro.bench.prune", "run_prune_bench",
+        "zone-map pruning selectivity sweep vs full scan",
+    ),
+    "serve": _Bench(
+        "repro.bench.serve", "run_serve_bench",
+        "parallel HTTP clients against the tile server",
+    ),
+    "query": _Bench(
+        "repro.bench.query", "run_query_bench",
+        "planned aggregate/GROUP BY pushdown vs materialize",
+    ),
+    "shard": _Bench(
+        "repro.bench.shard", "run_shard_bench",
+        "scatter-gather over 1/2/4 shards vs single store "
+        "plus the WAL-shipping failover drill",
+    ),
+}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.mode == "pipeline":
-        from repro.bench.pipeline import comparison_table, run_pipeline_bench
-
-        report = run_pipeline_bench(
-            runs=args.runs,
-            io_workers=args.io_workers,
-            decoded_mb=args.decoded_mb,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "ingest":
-        from repro.bench.ingest import comparison_table, run_ingest_bench
-
-        report = run_ingest_bench(
-            runs=args.runs,
-            io_workers=args.io_workers,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (not gated):")
+    """Run one implementation benchmark; exit 1 on a failed verdict."""
+    bench = _BENCHES[args.mode]
+    module = importlib.import_module(bench.module)
+    report = getattr(module, bench.run)(
+        runs=args.runs,
+        artifact_dir=_artifact_dir(args),
+        **{name: getattr(args, name) for name in bench.extra},
+    )
+    print(module.comparison_table(report))
+    print()
+    print(bench.verdicts)
+    for name, value in report["identity"].items():
+        print(f"  {name}: {value}")
+    if bench.performance is not None:
+        print(bench.performance)
         for name, value in report["performance"].items():
             formatted = f"{value:.2f}" if isinstance(value, float) else value
             print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "obs":
-        from repro.bench.obsbench import comparison_table, run_obs_bench
-
-        report = run_obs_bench(
-            runs=args.runs,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (overhead gate in identity):")
-        for name, value in report["performance"].items():
-            formatted = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "prune":
-        from repro.bench.prune import comparison_table, run_prune_bench
-
-        report = run_prune_bench(
-            runs=args.runs,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (not gated):")
-        for name, value in report["performance"].items():
-            formatted = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "concurrent":
-        from repro.bench.concurrent import (
-            comparison_table,
-            run_concurrent_bench,
-        )
-
-        report = run_concurrent_bench(
-            runs=args.runs,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (not gated):")
-        for name, value in report["performance"].items():
-            formatted = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "query":
-        from repro.bench.query import comparison_table, run_query_bench
-
-        report = run_query_bench(
-            runs=args.runs,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (not gated):")
-        for name, value in report["performance"].items():
-            formatted = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "shard":
-        from repro.bench.shard import comparison_table, run_shard_bench
-
-        report = run_shard_bench(
-            runs=args.runs,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (not gated):")
-        for name, value in report["performance"].items():
-            formatted = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    if args.mode == "serve":
-        from repro.bench.serve import comparison_table, run_serve_bench
-
-        report = run_serve_bench(
-            runs=args.runs,
-            artifact_dir=_artifact_dir(args),
-        )
-        print(comparison_table(report))
-        print()
-        print("identity verdicts:")
-        for name, value in report["identity"].items():
-            print(f"  {name}: {value}")
-        print("performance (not gated):")
-        for name, value in report["performance"].items():
-            formatted = f"{value:.2f}" if isinstance(value, float) else value
-            print(f"  {name}: {formatted}")
-        if "artifact_path" in report:
-            print(f"\nwrote {report['artifact_path']}")
-        failed = [
-            name
-            for name, value in report["identity"].items()
-            if value is False
-        ]
-        return 1 if failed else 0
-    raise SystemExit(f"unknown bench mode {args.mode!r}")
+    if "artifact_path" in report:
+        print(f"\nwrote {report['artifact_path']}")
+    failed = any(value is False for value in report["identity"].values())
+    return 1 if failed else 0
 
 
 # ----------------------------------------------------------------------
@@ -739,6 +621,18 @@ _COMMANDS = {
 _BENCH_COMMANDS = ("table4", "table6", "figure7", "figure8", "tables")
 
 
+def _add_artifact_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--artifacts", default=DEFAULT_ARTIFACT_DIR, metavar="DIR",
+        help=f"directory for BENCH_*.json artifacts "
+             f"(default: {DEFAULT_ARTIFACT_DIR})",
+    )
+    parser.add_argument(
+        "--no-artifacts", action="store_true",
+        help="do not write BENCH_*.json artifacts",
+    )
+
+
 def _add_bench_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runs", type=int, default=3, metavar="N",
@@ -752,15 +646,7 @@ def _add_bench_options(parser: argparse.ArgumentParser) -> None:
         "--warm", action="store_true",
         help="keep pool/disk state across repeat runs (first run stays cold)",
     )
-    parser.add_argument(
-        "--artifacts", default=DEFAULT_ARTIFACT_DIR, metavar="DIR",
-        help=f"directory for BENCH_*.json artifacts "
-             f"(default: {DEFAULT_ARTIFACT_DIR})",
-    )
-    parser.add_argument(
-        "--no-artifacts", action="store_true",
-        help="do not write BENCH_*.json artifacts",
-    )
+    _add_artifact_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -798,18 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "mode",
-        choices=(
-            "pipeline", "ingest", "concurrent", "obs", "prune", "serve",
-            "query", "shard",
-        ),
-        help="pipeline: serial vs parallel vs decoded-cache reads; "
-             "ingest: serial vs batched vs parallel writes; "
-             "concurrent: snapshot-reader scaling under a writer; "
-             "obs: observability overhead, enabled vs disabled vs no-obs; "
-             "prune: zone-map pruning selectivity sweep vs full scan; "
-             "query: planned aggregate/GROUP BY pushdown vs materialize; "
-             "shard: scatter-gather over 1/2/4 shards vs single store "
-             "plus the WAL-shipping failover drill",
+        choices=tuple(_BENCHES),
+        help="; ".join(f"{mode}: {b.help}" for mode, b in _BENCHES.items()),
     )
     bench.add_argument(
         "--runs", type=int, default=3, metavar="N",
@@ -823,15 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--decoded-mb", type=int, default=16, metavar="M",
         help="decoded-tile cache capacity in MiB (default: 16)",
     )
-    bench.add_argument(
-        "--artifacts", default=DEFAULT_ARTIFACT_DIR, metavar="DIR",
-        help=f"directory for BENCH_*.json artifacts "
-             f"(default: {DEFAULT_ARTIFACT_DIR})",
-    )
-    bench.add_argument(
-        "--no-artifacts", action="store_true",
-        help="do not write BENCH_*.json artifacts",
-    )
+    _add_artifact_options(bench)
     recover = subparsers.add_parser(
         "recover", help="replay a database's write-ahead log after a crash"
     )

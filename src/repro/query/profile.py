@@ -245,41 +245,19 @@ def _query_tree(
     return [root] + [s for s in tree if s is not root], by_name
 
 
-def profile_read(
-    database, collection: str, name: str, region, predicate=None
-) -> QueryProfile:
-    """Run one read with per-stage profiling (see module docstring).
+def _wall(by_name: Dict[str, list], span_name: str) -> Optional[float]:
+    """Duration of the query's first span of that name, if traced."""
+    spans = by_name.get(span_name)
+    return spans[0].duration_ms if spans else None
 
-    ``region`` is an :class:`~repro.core.geometry.MInterval` (or
-    anything ``StoredMDD.read`` accepts).  ``predicate`` (a
-    :class:`~repro.index.zonemap.CellPredicate`) profiles a masked read:
-    a ``prune`` stage reports the tiles the zone maps dropped before
-    fetch.  Uses the live tracer when enabled; with observability off
-    the profile still carries the timing breakdown and the
-    modelled-disk reconciliation, just no per-stage walls.
-    """
-    obj = database.collection(collection)[name]
-    tracer = obs.tracer
-    before_ids = {s.span_id for s in tracer.finished()}
-    disk_before = database.disk.counters.time_ms
-    started = time.perf_counter()
-    _out, timing = obj.read(region, predicate=predicate)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    disk_delta = database.disk.counters.time_ms - disk_before
 
-    tree, by_name = _query_tree(before_ids, tracer)
-
-    def wall(span_name: str) -> Optional[float]:
-        spans = by_name.get(span_name)
-        if not spans:
-            return None
-        return spans[0].duration_ms
-
-    decode_spans = by_name.get("pipeline.decode", [])
+def _head_stages(timing, predicate, by_name) -> List[StageProfile]:
+    """``index`` → ``prune`` (predicated queries only) → ``fetch``: the
+    stages every read query starts with."""
     stages = [
         StageProfile(
             "index",
-            wall("index.search"),
+            _wall(by_name, "index.search"),
             timing.t_ix,
             {
                 "nodes": timing.index_nodes,
@@ -302,10 +280,10 @@ def profile_read(
                 },
             )
         )
-    stages += [
+    stages.append(
         StageProfile(
             "fetch",
-            wall("tilestore.fetch"),
+            _wall(by_name, "tilestore.fetch"),
             timing.t_o,
             {
                 "tiles": timing.tiles_read,
@@ -314,10 +292,63 @@ def profile_read(
                 "decoded_hits": timing.decoded_hits,
                 "pool_hits": timing.pool_hits,
             },
-        ),
-    ]
+        )
+    )
+    return stages
+
+
+def _profiled(
+    database, collection: str, name: str, region, predicate, call, root_name
+) -> Tuple[tuple, QueryProfile, Dict[str, list]]:
+    """Run ``call`` — a query returning ``(value, timing, ...)`` — and
+    capture what a profile reconciles: the caller-side wall time, the
+    simulated disk clock's advance and the span tree under the
+    ``root_name`` span.  Returns the call's result, the profile with its
+    stages filled in up to ``fetch``, and the tree's spans by name."""
+    tracer = obs.tracer
+    before_ids = {s.span_id for s in tracer.finished()}
+    disk_before = database.disk.counters.time_ms
+    started = time.perf_counter()
+    result = call()
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    disk_delta = database.disk.counters.time_ms - disk_before
+    tree, by_name = _query_tree(before_ids, tracer, root_name)
+    timing = result[1]
+    profile = QueryProfile(
+        collection=collection,
+        object_name=name,
+        region=str(region),
+        timing=timing,
+        stages=_head_stages(timing, predicate, by_name),
+        wall_ms=wall_ms,
+        disk_ms_delta=disk_delta,
+        spans=tuple(s.as_dict() for s in tree),
+    )
+    return result, profile, by_name
+
+
+def profile_read(
+    database, collection: str, name: str, region, predicate=None
+) -> QueryProfile:
+    """Run one read with per-stage profiling (see module docstring).
+
+    ``region`` is an :class:`~repro.core.geometry.MInterval` (or
+    anything ``StoredMDD.read`` accepts).  ``predicate`` (a
+    :class:`~repro.index.zonemap.CellPredicate`) profiles a masked read:
+    a ``prune`` stage reports the tiles the zone maps dropped before
+    fetch.  Uses the live tracer when enabled; with observability off
+    the profile still carries the timing breakdown and the
+    modelled-disk reconciliation, just no per-stage walls.
+    """
+    obj = database.collection(collection)[name]
+    (_out, timing), profile, by_name = _profiled(
+        database, collection, name, region, predicate,
+        lambda: obj.read(region, predicate=predicate),
+        "tilestore.read",
+    )
+    decode_spans = by_name.get("pipeline.decode", [])
     if decode_spans:
-        stages.append(
+        profile.stages.append(
             StageProfile(
                 "decode",
                 sum(s.duration_ms for s in decode_spans),
@@ -325,24 +356,15 @@ def profile_read(
                 {"workers": len(decode_spans)},
             )
         )
-    stages.append(
+    profile.stages.append(
         StageProfile(
             "compose",
-            wall("tilestore.compose"),
+            _wall(by_name, "tilestore.compose"),
             timing.t_cpu,
             {"cells": timing.cells_result},
         )
     )
-    return QueryProfile(
-        collection=collection,
-        object_name=name,
-        region=str(region),
-        timing=timing,
-        stages=stages,
-        wall_ms=wall_ms,
-        disk_ms_delta=disk_delta,
-        spans=tuple(s.as_dict() for s in tree),
-    )
+    return profile
 
 
 def profile_aggregate(
@@ -374,70 +396,18 @@ def profile_aggregate(
         predicate=predicate,
         pushdown=pushdown,
     )
-    tracer = obs.tracer
-    before_ids = {s.span_id for s in tracer.finished()}
-    disk_before = database.disk.counters.time_ms
-    started = time.perf_counter()
-    _value, timing, pushed = run_aggregate(
-        obj, region, op, predicate, pushdown=pushdown
+    (_value, timing, pushed), profile, by_name = _profiled(
+        database, collection, name, region, predicate,
+        lambda: run_aggregate(obj, region, op, predicate, pushdown=pushdown),
+        "tilestore.aggregate"
+        if pushdown or predicate is None
+        else "tilestore.read",
     )
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    disk_delta = database.disk.counters.time_ms - disk_before
     plan.annotate(timing, pushed)
-
-    root_name = (
-        "tilestore.aggregate" if pushdown or predicate is None
-        else "tilestore.read"
-    )
-    tree, by_name = _query_tree(before_ids, tracer, root_name=root_name)
-
-    def wall(span_name: str) -> Optional[float]:
-        spans = by_name.get(span_name)
-        if not spans:
-            return None
-        return spans[0].duration_ms
-
-    stages = [
-        StageProfile(
-            "index",
-            wall("index.search"),
-            timing.t_ix,
-            {
-                "nodes": timing.index_nodes,
-                "model_pages_ms": round(timing.t_ix_pages, 6),
-                "measured_cpu_ms": round(timing.t_ix - timing.t_ix_pages, 6),
-            },
-        ),
-    ]
-    if predicate is not None:
-        stages.append(
-            StageProfile(
-                "prune",
-                None,
-                None,
-                {
-                    "predicate": str(predicate),
-                    "tiles_pruned": timing.tiles_pruned,
-                },
-            )
-        )
-    stages.append(
-        StageProfile(
-            "fetch",
-            wall("tilestore.fetch"),
-            timing.t_o,
-            {
-                "tiles": timing.tiles_read,
-                "bytes": timing.bytes_read,
-                "pages": timing.pages_read,
-                "decoded_hits": timing.decoded_hits,
-                "pool_hits": timing.pool_hits,
-            },
-        )
-    )
+    profile.plan = plan
     partial_spans = by_name.get("pipeline.partial_agg", [])
     if partial_spans or timing.tiles_partial_agg:
-        stages.append(
+        profile.stages.append(
             StageProfile(
                 "partial-aggregate",
                 sum(s.duration_ms for s in partial_spans) or None,
@@ -448,13 +418,12 @@ def profile_aggregate(
                 },
             )
         )
-    combine_wall = wall("tilestore.combine")
-    stages.append(
+    # An untraced or materialized run has no combine span: report compose.
+    sink = "combine" if "tilestore.combine" in by_name else "compose"
+    profile.stages.append(
         StageProfile(
-            "combine" if combine_wall is not None else "compose",
-            combine_wall
-            if combine_wall is not None
-            else wall("tilestore.compose"),
+            sink,
+            _wall(by_name, f"tilestore.{sink}"),
             timing.t_cpu,
             {
                 "synopsis_answered": timing.tiles_synopsis_answered,
@@ -462,14 +431,4 @@ def profile_aggregate(
             },
         )
     )
-    return QueryProfile(
-        collection=collection,
-        object_name=name,
-        region=str(region),
-        timing=timing,
-        stages=stages,
-        wall_ms=wall_ms,
-        disk_ms_delta=disk_delta,
-        spans=tuple(s.as_dict() for s in tree),
-        plan=plan,
-    )
+    return profile

@@ -665,59 +665,43 @@ class ShardedMDD:
         )
         return stats
 
+    def _fan_out(self, region: MInterval, action) -> int:
+        """Sum ``action(part, clipped)`` over every shard part whose
+        current domain meets ``region`` (``clipped`` is that meeting) —
+        under the fan-out guard when more than one shard commits."""
+        plans = []
+        for part in self._parts:
+            if part.current_domain is None:
+                continue
+            clipped = region.intersection(part.current_domain)
+            if clipped is not None:
+                plans.append((part, clipped))
+        guard = self.sdb.fanout_commit() if len(plans) > 1 else nullcontext()
+        with guard:
+            return sum(action(part, clipped) for part, clipped in plans)
+
     def update(self, region: MInterval, values: np.ndarray) -> int:
         """Overwrite the covered parts of ``region``; returns covered
-        cells.  Each shard updates its own tiles in its own transaction."""
+        cells.  Each shard updates its own tiles in its own transaction.
+        Clipping to a shard's current domain only routes: the region is
+        validated, and ``values`` indexed, as the caller gave it."""
+        self._check_update(region, values)
         with self.sdb.writer:
-            region = self.resolve_region(region)
-            if tuple(values.shape) != region.shape:
-                raise DomainError(
-                    f"update values shape {tuple(values.shape)} does not "
-                    f"match region {region} shape {region.shape}"
-                )
-            plans = []
-            for part in self._parts:
-                if part.current_domain is None:
-                    continue
-                clipped = region.intersection(part.current_domain)
-                if clipped is None:
-                    continue
-                plans.append((part, clipped))
-            covered = 0
-            guard = (
-                self.sdb.fanout_commit() if len(plans) > 1 else nullcontext()
+            return self._fan_out(
+                region,
+                lambda part, clipped: part.update(
+                    clipped, values[clipped.to_slices(region.lowest)]
+                ),
             )
-            with guard:
-                for part, clipped in plans:
-                    covered += part.update(
-                        clipped, values[clipped.to_slices(region.lowest)]
-                    )
-            return covered
 
     def delete_region(self, region: MInterval) -> int:
         """Drop tiles fully inside ``region``; returns tiles dropped."""
         with self.sdb.writer:
-            region = self.resolve_region(region)
-            plans = []
-            for part in self._parts:
-                if part.current_domain is None:
-                    continue
-                clipped = region.intersection(part.current_domain)
-                if clipped is None:
-                    continue
-                plans.append((part, clipped))
-            dropped = 0
-            guard = (
-                self.sdb.fanout_commit() if len(plans) > 1 else nullcontext()
+            dropped = self._fan_out(
+                self.resolve_region(region),
+                lambda part, clipped: part.delete_region(clipped),
             )
-            with guard:
-                for part, clipped in plans:
-                    dropped += part.delete_region(clipped)
-            domains = [
-                entry.domain
-                for part in self._parts
-                for entry in part.tile_entries()
-            ]
+            domains = [entry.domain for entry in self.tile_entries()]
             self._current_domain = (
                 MInterval.hull_of(domains) if domains else None
             )
@@ -771,12 +755,14 @@ class ShardedMDD:
             lambda: self._scatter(region, None, predicate, prune)[:2]
         )
 
-    #: Access type (d) and region resolution read only ``name``, ``dim``,
-    #: the current domain and ``read`` — the single-store bodies serve
-    #: the sharded object unchanged.
+    #: Access type (d), region resolution and update validation read
+    #: only ``name``, ``dim``, ``mdd_type``, the current domain and
+    #: ``read`` — the single-store bodies serve the sharded object
+    #: unchanged.
     read_section = StoredMDD.read_section
     resolve_region = StoredMDD.resolve_region
     _resolve_in = StoredMDD._resolve_in
+    _check_update = StoredMDD._check_update
 
     def aggregate(
         self,

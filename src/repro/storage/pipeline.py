@@ -12,15 +12,18 @@ This module turns that per-tile chain into a small pipeline:
   pipeline runs serial or parallel;
 * **workers** (an optional :class:`~concurrent.futures.ThreadPoolExecutor`
   owned by the :class:`~repro.storage.tilestore.Database`) run the
-  order-free CPU work — ``decompress`` + ``frombuffer`` — concurrently.
-  ``zlib`` releases the GIL, so compressed tiles genuinely overlap;
+  order-free CPU work — ``decompress`` + ``frombuffer``, then on the
+  aggregation pushdown clip → mask → reduce — concurrently.  ``zlib``
+  releases the GIL, so compressed tiles genuinely overlap;
 * **decoded-cache admissions** happen after the whole batch, in page
   order, in *both* modes, so the LRU evolves identically and a tiny cache
   cannot make serial and parallel disagree on later hits.
 
 With ``io_workers=1`` (the default) no executor exists and the pipeline
 degrades to the straight-line serial loop, keeping historical timings
-reproducible.
+reproducible.  All of it is one function, :func:`_fetch`; the public
+``fetch_tiles`` / ``fetch_tile`` / ``fetch_tile_partials`` are its entry
+points.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ _PARTIAL_LIVE_BYTES = obs.gauge(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchedTile:
     """One tile's outcome: charged cost, accounting sizes, decoded cells.
 
@@ -82,32 +85,96 @@ class FetchedTile:
     the modelled disk milliseconds charged for this tile (0.0 on a buffer
     pool or decoded-cache hit).  ``payload_bytes`` is the stored payload
     size, counted whether or not the payload was actually materialised.
+
+    On the pushdown path (:func:`fetch_tile_partials`) ``array`` stays
+    ``None`` and ``partial`` summarises the region-clipped,
+    predicate-masked cells (:func:`~repro.index.zonemap.partial_synopsis`).
+    A virtual tile has neither: its clipped cells are all defaults, and
+    the caller accounts them as default fill.
     """
 
     entry: "TileEntry"
     cost: float
     payload_bytes: int
-    array: Optional[np.ndarray]
-    decoded_hit: bool
+    array: Optional[np.ndarray] = None
+    decoded_hit: bool = False
+    partial: Optional[TileSynopsis] = None
 
 
-def _decode(payload: bytes, codec: str, dtype, shape) -> np.ndarray:
-    """The order-free CPU half: decompress and shape one tile's cells."""
+class _Reducer:
+    """The pushdown's per-tile step: clip → mask → summarise.
+
+    Also tracks the decoded bytes concurrently alive inside it and their
+    high-water mark (``peak``), under its own lock: workers reduce in
+    parallel.
+    """
+
+    def __init__(
+        self, predicate: Optional[CellPredicate], default_cell: np.ndarray
+    ) -> None:
+        self.predicate = predicate
+        self.default_cell = default_cell
+        self._latch = threading.Lock()
+        self._live = 0
+        self.peak = 0
+
+    def __call__(
+        self, array: np.ndarray, entry: "TileEntry", part: "MInterval"
+    ) -> TileSynopsis:
+        nbytes = array.nbytes
+        with self._latch:
+            self._live += nbytes
+            if self._live > self.peak:
+                self.peak = self._live
+        _PARTIAL_LIVE_BYTES.inc(nbytes)
+        try:
+            vals = array[part.to_slices(entry.domain.lowest)]
+            if self.predicate is not None:
+                vals = np.where(
+                    self.predicate.mask(vals), vals, self.default_cell
+                )
+            summary = partial_synopsis(vals)
+            _PARTIAL_AGGS.inc()
+            return summary
+        finally:
+            with self._latch:
+                self._live -= nbytes
+            _PARTIAL_LIVE_BYTES.dec(nbytes)
+
+
+def _decode(
+    tile: FetchedTile,
+    payload: bytes,
+    dtype,
+    shape,
+    part: Optional["MInterval"],
+    reduce: Optional[_Reducer],
+) -> None:
+    """The order-free CPU half of one miss: decompress and shape the
+    tile's cells, then hand them over — or, given a reducer, reduce them
+    to ``tile.partial`` and drop them."""
+    entry = tile.entry
     started = time.perf_counter()
-    raw = decompress(payload, codec)
+    raw = decompress(payload, entry.codec)
     array = np.frombuffer(raw, dtype=dtype).reshape(shape)
     _DECODE_MS.observe((time.perf_counter() - started) * 1000.0)
     _TILES_DECODED.inc()
-    return array
+    if reduce is None:
+        tile.array = array
+    else:
+        assert part is not None  # a reducer comes with parts
+        tile.partial = reduce(array, entry, part)
 
 
 def _decode_task(
+    tile: FetchedTile,
     payload: bytes,
-    codec: str,
     dtype,
     shape,
-    parent: Optional[obs.SpanContext] = None,
-) -> np.ndarray:
+    part: Optional["MInterval"],
+    reduce: Optional[_Reducer],
+    parent: Optional[obs.SpanContext],
+) -> None:
     """Worker wrapper around :func:`_decode` tracking pool occupancy.
 
     ``parent`` is the coordinator's span context, captured before the
@@ -116,8 +183,12 @@ def _decode_task(
     """
     _WORKERS_BUSY.inc()
     try:
-        with obs.span("pipeline.decode", parent=parent, bytes=len(payload)):
-            return _decode(payload, codec, dtype, shape)
+        with obs.span(
+            "pipeline.decode" if reduce is None else "pipeline.partial_agg",
+            parent=parent,
+            bytes=len(payload),
+        ):
+            _decode(tile, payload, dtype, shape, part, reduce)
     finally:
         _WORKERS_BUSY.dec()
 
@@ -204,180 +275,99 @@ def _read_runs(
                     yield (position, entry, *result)
 
 
-def fetch_tiles(
+def _fetch(
     database: "Database",
     entries: Sequence["TileEntry"],
     dtype,
+    parts: Sequence["MInterval"] = (),
+    reduce: Optional[_Reducer] = None,
 ) -> list[FetchedTile]:
-    """Fetch and decode a page-ordered batch of tiles.
+    """Fetch a page-ordered batch of tiles: the one ``t_o`` loop.
 
-    Returns one :class:`FetchedTile` per entry, in the given order.  Disk
-    and pool interactions happen on the calling thread in entry order;
-    only decoding is (optionally) offloaded.  Page-adjacent misses merge
-    into one backend read (:meth:`SimulatedDisk.read_blob_run`) whose
-    per-blob charges equal the serial ones — adjacent follow-on reads
-    are in the sequential regime either way — so the result (arrays,
-    costs, cache counters) is identical for any ``io_workers`` setting
-    and with coalescing on or off.
+    Returns one :class:`FetchedTile` per entry, in the given order.
+    Decoded-cache lookups, then disk and pool interactions, happen on
+    the calling thread in entry order; only the order-free step of each
+    miss — decode, then ``reduce(array, entry, parts[i])`` when a
+    reducer is given — is (optionally) offloaded.  Page-adjacent misses
+    merge into one backend read (:meth:`SimulatedDisk.read_blob_run`)
+    whose per-blob charges equal the serial ones — adjacent follow-on
+    reads are in the sequential regime either way — so the result
+    (arrays or partials, costs, cache counters) is identical for any
+    ``io_workers`` setting and with coalescing on or off.
+
+    With a reducer the decoded arrays are dropped, never admitted to
+    the decoded cache: a retain-all admission pass would defeat the
+    one-tile-per-worker memory bound.  Cache hits are still consulted,
+    and reduced on the spot.
     """
     cache = database.decoded_cache
     executor = database.pipeline_executor() if len(entries) > 1 else None
     trace_ctx = obs.tracer.current_context() if executor is not None else None
-    fetched: list[Optional[FetchedTile]] = [None] * len(entries)
-    pending: list[tuple[int, float, int]] = []  # (index, cost, payload_bytes)
+    fetched: list[FetchedTile] = [None] * len(entries)  # type: ignore
+    misses: list[tuple[int, "TileEntry"]] = []
     futures = []
-    to_fetch: list[tuple[int, "TileEntry"]] = []
 
     for position, entry in enumerate(entries):
         if cache is not None and not entry.virtual:
             array = cache.get(entry.blob_id)
             if array is not None:
-                fetched[position] = FetchedTile(
-                    entry,
-                    cost=0.0,
-                    payload_bytes=database.store.record(entry.blob_id).byte_size,
-                    array=array,
-                    decoded_hit=True,
+                size = database.store.record(entry.blob_id).byte_size
+                tile = fetched[position] = FetchedTile(
+                    entry, 0.0, size, decoded_hit=True
                 )
+                if reduce is None:
+                    tile.array = array
+                else:
+                    tile.partial = reduce(array, entry, parts[position])
                 continue
-        to_fetch.append((position, entry))
+        misses.append((position, entry))
 
-    def dispatch(position: int, entry: "TileEntry", payload: bytes, cost: float) -> None:
+    for position, entry, payload, cost in _read_runs(database, misses):
+        tile = fetched[position] = FetchedTile(entry, cost, len(payload))
         if entry.virtual:
-            fetched[position] = FetchedTile(
-                entry, cost, len(payload), array=None, decoded_hit=False
-            )
-            return
-        shape = entry.domain.shape
+            continue
+        part = None if reduce is None else parts[position]
+        shape = entry.domain.shape  # here, not on the workers: they are the wall
         if executor is None:
-            array = _decode(payload, entry.codec, dtype, shape)
-            fetched[position] = FetchedTile(
-                entry, cost, len(payload), array, decoded_hit=False
-            )
+            _decode(tile, payload, dtype, shape, part, reduce)
         else:
-            pending.append((position, cost, len(payload)))
             futures.append(
                 executor.submit(
-                    _decode_task,
-                    payload,
-                    entry.codec,
-                    dtype,
-                    shape,
-                    parent=trace_ctx,
+                    _decode_task, tile, payload, dtype, shape, part, reduce, trace_ctx
                 )
             )
-
-    for fetch in _read_runs(database, to_fetch):
-        dispatch(*fetch)
 
     if futures:
         _PARALLEL_BATCHES.inc()
-        for (position, cost, payload_bytes), future in zip(pending, futures):
-            fetched[position] = FetchedTile(
-                entries[position],
-                cost,
-                payload_bytes,
-                future.result(),
-                decoded_hit=False,
-            )
+        for future in futures:
+            future.result()  # the worker filled its tile; re-raise failures
 
     # Deferred admissions, page-ordered in every mode: admitting only after
     # the batch's lookups keeps the LRU trajectory independent of worker
     # completion order (and of the serial/parallel choice).
-    if cache is not None:
+    if cache is not None and reduce is None:
         for tile in fetched:
-            assert tile is not None
             if tile.array is not None and not tile.decoded_hit:
                 tile.array = cache.put(tile.entry.blob_id, tile.array)
-    return fetched  # type: ignore[return-value]
+    return fetched
 
 
-# ---------------------------------------------------------------------------
-# Aggregation pushdown: decode -> clip -> mask -> reduce, on the workers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TilePartial:
-    """One tile's partial aggregate: charges plus an exact value summary.
-
-    ``partial`` summarises the decoded, region-clipped, predicate-masked
-    cells (:func:`~repro.index.zonemap.partial_synopsis`); ``None`` for
-    virtual tiles, whose clipped cells are all defaults — the caller
-    accounts them as default fill.  The decoded array itself is **not**
-    retained: the worker reduces it and drops it, which is what bounds
-    the pushdown path's peak memory at one tile per worker.
-    """
-
-    entry: "TileEntry"
-    part: "MInterval"
-    cost: float
-    payload_bytes: int
-    partial: Optional[TileSynopsis]
-    decoded_hit: bool
-
-
-class _PeakTracker:
-    """Concurrently-live decoded bytes, and the high-water mark."""
-
-    def __init__(self) -> None:
-        self._latch = threading.Lock()
-        self._live = 0
-        self.peak = 0
-
-    def acquire(self, nbytes: int) -> None:
-        with self._latch:
-            self._live += nbytes
-            if self._live > self.peak:
-                self.peak = self._live
-        _PARTIAL_LIVE_BYTES.inc(nbytes)
-
-    def release(self, nbytes: int) -> None:
-        with self._latch:
-            self._live -= nbytes
-        _PARTIAL_LIVE_BYTES.dec(nbytes)
-
-
-def _reduce_tile(
-    array: np.ndarray,
-    entry: "TileEntry",
-    part: "MInterval",
-    predicate: Optional[CellPredicate],
-    default_cell: np.ndarray,
-) -> TileSynopsis:
-    """Clip a decoded tile to its region part, mask it, summarise it."""
-    vals = array[part.to_slices(entry.domain.lowest)]
-    if predicate is not None:
-        vals = np.where(predicate.mask(vals), vals, default_cell)
-    summary = partial_synopsis(vals)
-    _PARTIAL_AGGS.inc()
-    return summary
-
-
-def _partial_task(
-    payload: bytes,
-    entry: "TileEntry",
-    part: "MInterval",
+def fetch_tiles(
+    database: "Database",
+    entries: Sequence["TileEntry"],
     dtype,
-    predicate: Optional[CellPredicate],
-    default_cell: np.ndarray,
-    peak: _PeakTracker,
-    parent: Optional[obs.SpanContext] = None,
-) -> TileSynopsis:
-    """Worker half of the pushdown: decode, reduce, drop the array."""
-    _WORKERS_BUSY.inc()
-    try:
-        with obs.span(
-            "pipeline.partial_agg", parent=parent, bytes=len(payload)
-        ):
-            array = _decode(payload, entry.codec, dtype, entry.domain.shape)
-            peak.acquire(array.nbytes)
-            try:
-                return _reduce_tile(array, entry, part, predicate, default_cell)
-            finally:
-                peak.release(array.nbytes)
-    finally:
-        _WORKERS_BUSY.dec()
+) -> list[FetchedTile]:
+    """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`)."""
+    return _fetch(database, entries, dtype)
+
+
+def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
+    """Single-tile fetch for the update path: a batch of one.
+
+    One tile has nothing to overlap, so the worker pool is never used
+    and the decoded cache is fed at once.
+    """
+    return _fetch(database, [entry], dtype)[0]
 
 
 def fetch_tile_partials(
@@ -386,134 +376,25 @@ def fetch_tile_partials(
     dtype,
     predicate: Optional[CellPredicate] = None,
     default: object = 0,
-) -> tuple[list[TilePartial], int]:
+) -> tuple[list[FetchedTile], int]:
     """Fetch tiles and reduce each to a partial aggregate on the workers.
 
-    The coordinator keeps the exact charging protocol of
-    :func:`fetch_tiles` — decoded-cache lookups first, then page-ordered
-    (coalesced) disk/pool interactions on the calling thread — but the
-    workers reduce each decoded tile to a
-    :class:`~repro.index.zonemap.TileSynopsis` partial instead of
-    returning its cells, so the query box is never materialized and peak
-    memory stays at one decoded tile per worker plus the partials table.
-    Decoded arrays are **not** admitted to the decoded cache (a
-    retain-all admission pass would defeat the memory bound; cache hits
-    are still consulted and answered).
+    The charging protocol is that of :func:`fetch_tiles`, but every
+    decoded tile is clipped to its item's region part, masked by
+    ``predicate`` and reduced to a
+    :class:`~repro.index.zonemap.TileSynopsis` instead of being
+    returned, so the query box is never materialized and peak memory
+    stays at one decoded tile per worker plus the partials table.
 
-    Returns the partials in ``items`` order plus the observed peak of
+    Returns the tiles in ``items`` order plus the observed peak of
     concurrently-live decoded bytes.
     """
-    executor = database.pipeline_executor() if len(items) > 1 else None
-    trace_ctx = obs.tracer.current_context() if executor is not None else None
-    cache = database.decoded_cache
-    default_cell = np.asarray(default, dtype=dtype)
-    peak = _PeakTracker()
-    fetched: list[Optional[TilePartial]] = [None] * len(items)
-    pending: list[tuple[int, float, int]] = []  # (index, cost, payload_bytes)
-    futures = []
-    to_fetch: list[tuple[int, "TileEntry"]] = []
-
-    for position, (entry, part) in enumerate(items):
-        if cache is not None and not entry.virtual:
-            array = cache.get(entry.blob_id)
-            if array is not None:
-                peak.acquire(array.nbytes)
-                try:
-                    summary = _reduce_tile(
-                        array, entry, part, predicate, default_cell
-                    )
-                finally:
-                    peak.release(array.nbytes)
-                fetched[position] = TilePartial(
-                    entry,
-                    part,
-                    cost=0.0,
-                    payload_bytes=database.store.record(
-                        entry.blob_id
-                    ).byte_size,
-                    partial=summary,
-                    decoded_hit=True,
-                )
-                continue
-        to_fetch.append((position, entry))
-
-    def dispatch(
-        position: int, entry: "TileEntry", payload: bytes, cost: float
-    ) -> None:
-        part = items[position][1]
-        if entry.virtual:
-            fetched[position] = TilePartial(
-                entry, part, cost, len(payload), partial=None,
-                decoded_hit=False,
-            )
-            return
-        if executor is None:
-            array = _decode(payload, entry.codec, dtype, entry.domain.shape)
-            peak.acquire(array.nbytes)
-            try:
-                summary = _reduce_tile(
-                    array, entry, part, predicate, default_cell
-                )
-            finally:
-                peak.release(array.nbytes)
-            fetched[position] = TilePartial(
-                entry, part, cost, len(payload), summary, decoded_hit=False
-            )
-        else:
-            pending.append((position, cost, len(payload)))
-            futures.append(
-                executor.submit(
-                    _partial_task,
-                    payload,
-                    entry,
-                    part,
-                    dtype,
-                    predicate,
-                    default_cell,
-                    peak,
-                    parent=trace_ctx,
-                )
-            )
-
-    for fetch in _read_runs(database, to_fetch):
-        dispatch(*fetch)
-
-    if futures:
-        _PARALLEL_BATCHES.inc()
-        for (position, cost, payload_bytes), future in zip(pending, futures):
-            entry, part = items[position]
-            fetched[position] = TilePartial(
-                entry,
-                part,
-                cost,
-                payload_bytes,
-                future.result(),
-                decoded_hit=False,
-            )
-    return fetched, peak.peak  # type: ignore[return-value]
-
-
-def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
-    """Serial single-tile fetch for the streaming / update paths.
-
-    Consults (and immediately feeds) the decoded cache; never uses the
-    worker pool — one tile has nothing to overlap.
-    """
-    cache = database.decoded_cache
-    if cache is not None and not entry.virtual:
-        array = cache.get(entry.blob_id)
-        if array is not None:
-            return FetchedTile(
-                entry,
-                cost=0.0,
-                payload_bytes=database.store.record(entry.blob_id).byte_size,
-                array=array,
-                decoded_hit=True,
-            )
-    payload, cost = database.read_blob(entry.blob_id)
-    if entry.virtual:
-        return FetchedTile(entry, cost, len(payload), None, decoded_hit=False)
-    array = _decode(payload, entry.codec, dtype, entry.domain.shape)
-    if cache is not None:
-        array = cache.put(entry.blob_id, array)
-    return FetchedTile(entry, cost, len(payload), array, decoded_hit=False)
+    reducer = _Reducer(predicate, np.asarray(default, dtype=dtype))
+    fetched = _fetch(
+        database,
+        [entry for entry, _ in items],
+        dtype,
+        [part for _, part in items],
+        reducer,
+    )
+    return fetched, reducer.peak

@@ -301,9 +301,7 @@ class ReadExecutor:
         pipeline workers instead of returning its cells.
         """
         self._page_order(selection)
-        selection.fetched = self._fetch(
-            selection, selection.items, "partials" if partials else "tiles"
-        )
+        selection.fetched = self._fetch(selection, selection.items, partials)
 
     @staticmethod
     def _page_order(selection: _Selection) -> None:
@@ -311,10 +309,11 @@ class ReadExecutor:
         first_page = selection.store.database.first_page
         selection.items.sort(key=lambda item: first_page(item[0]))
 
-    def _fetch(self, selection: _Selection, items, how: str) -> list:
-        """Fetch ``items`` — as a ``"tiles"`` batch, as worker-reduced
-        ``"partials"``, or ``"one"`` tile serially for the streaming
-        sink — and account for every tile: the one place ``t_o``,
+    def _fetch(
+        self, selection: _Selection, items, partials: bool = False
+    ) -> list:
+        """Fetch ``items`` — as decoded tiles or as worker-reduced
+        ``partials`` — and account for every tile: the one place ``t_o``,
         tiles / bytes / pages / cells and the cache deltas are charged."""
         database = selection.store.database
         pool = database.pool
@@ -327,7 +326,7 @@ class ReadExecutor:
             (decoded.hits, decoded.misses) if decoded is not None else None
         )
         with obs.span("tilestore.fetch", tiles=len(items)):
-            if how == "partials":
+            if partials:
                 fetched, peak = fetch_tile_partials(
                     database,
                     items,
@@ -336,8 +335,6 @@ class ReadExecutor:
                     default=self.default,
                 )
                 timing.peak_partial_bytes = max(timing.peak_partial_bytes, peak)
-            elif how == "one":
-                fetched = [fetch_tile(database, items[0][0], self.dtype)]
             else:
                 fetched = fetch_tiles(
                     database, [entry for entry, _ in items], self.dtype
@@ -448,7 +445,7 @@ class ReadExecutor:
         self._page_order(selection)
         for item in selection.items:
             entry, part = item
-            (tile,) = self._fetch(selection, [item], "one")
+            (tile,) = self._fetch(selection, [item])
             started = time.perf_counter()
             if tile.array is None:
                 data = np.zeros(part.shape, dtype=self.dtype)
@@ -1252,6 +1249,16 @@ class StoredMDD:
     # Updates / deletion
     # ------------------------------------------------------------------
 
+    def _check_update(self, region: MInterval, values: np.ndarray) -> None:
+        """What ``update`` accepts, on one store or sharded: a bounded
+        region inside the definition domain — it may overhang the
+        current domain — and values of exactly its shape."""
+        self.mdd_type.validate_domain(region, what="update region")
+        if tuple(values.shape) != region.shape:
+            raise DomainError(
+                f"values shape {tuple(values.shape)} does not match {region}"
+            )
+
     def update(self, region: MInterval, values: np.ndarray) -> int:
         """Overwrite covered cells of ``region`` (read-modify-write tiles).
 
@@ -1260,11 +1267,7 @@ class StoredMDD:
         rewritten — its BLOB, page placement, and cache entries all stay
         untouched (a no-op write must not evict hot cache state).
         """
-        self.mdd_type.validate_domain(region, what="update region")
-        if tuple(values.shape) != region.shape:
-            raise DomainError(
-                f"values shape {tuple(values.shape)} does not match {region}"
-            )
+        self._check_update(region, values)
         written = 0
         dtype = self.mdd_type.base.dtype
         with self.database.transaction():
@@ -1942,18 +1945,12 @@ class Database:
         combine → project) and its stages cover the pushdown path;
         ``pushdown=False`` profiles the v1 materialized reduction.
         """
-        if op is not None:
-            from repro.query.profile import profile_aggregate
+        from repro.query import profile
 
-            return profile_aggregate(
-                self,
-                collection,
-                name,
-                region,
-                op,
-                predicate=predicate,
-                pushdown=pushdown,
+        if op is None:
+            return profile.profile_read(
+                self, collection, name, region, predicate=predicate
             )
-        from repro.query.profile import profile_read
-
-        return profile_read(self, collection, name, region, predicate=predicate)
+        return profile.profile_aggregate(
+            self, collection, name, region, op, predicate, pushdown
+        )

@@ -7,6 +7,8 @@ the decoded-tile cache turns repeat reads into zero-disk, zero-decode hits
 that are invalidated by updates.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from repro import obs
 from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
+from repro.index.zonemap import CellPredicate, partial_synopsis
+from repro.storage.compression import decompress
+from repro.storage.pipeline import fetch_tile, fetch_tile_partials, fetch_tiles
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 from repro.tiling.directional import DirectionalTiling
@@ -237,3 +242,241 @@ class TestComposeFastPath:
         assert np.array_equal(out, expected)
         fresh, _ = obj.read(region)
         assert np.count_nonzero(fresh) == 0
+
+
+DTYPE = CUBE.base.dtype
+FULL = MInterval.parse("[0:127,0:127]")
+
+
+def _per_blob(db, entry, dtype):
+    """Reference single-tile route, spelled out: decoded cache, then one
+    ``read_blob``, decode, immediate admission."""
+    cache = db.decoded_cache
+    if cache is not None and not entry.virtual:
+        array = cache.get(entry.blob_id)
+        if array is not None:
+            size = db.store.record(entry.blob_id).byte_size
+            return array.tobytes(), 0.0, size, True
+    payload, cost = db.read_blob(entry.blob_id)
+    if entry.virtual:
+        return None, cost, len(payload), False
+    raw = decompress(payload, entry.codec)
+    array = np.frombuffer(raw, dtype=dtype).reshape(entry.domain.shape)
+    if cache is not None:
+        cache.put(entry.blob_id, array)
+    return array.tobytes(), cost, len(payload), False
+
+
+def _outcome(tile):
+    cells = None if tile.array is None else tile.array.tobytes()
+    return cells, tile.cost, tile.payload_bytes, tile.decoded_hit
+
+
+ROUTES = {
+    "fetch_tile": lambda db, e: _outcome(fetch_tile(db, e, DTYPE)),
+    "fetch_tiles": lambda db, e: _outcome(fetch_tiles(db, [e], DTYPE)[0]),
+    "per_blob": lambda db, e: _per_blob(db, e, DTYPE),
+}
+
+
+def _cache_state(db):
+    pool, decoded = db.pool, db.decoded_cache
+    return (
+        dataclasses.asdict(db.disk.counters),
+        None
+        if pool is None
+        else (pool.hits, pool.misses, pool.evictions, list(pool._entries)),
+        None
+        if decoded is None
+        else (
+            decoded.hits,
+            decoded.misses,
+            [(k, a.tobytes()) for k, a in decoded._entries.items()],
+        ),
+    )
+
+
+class TestSingleTileFetch:
+    """(a) ``fetch_tile`` is a ``fetch_tiles`` batch of one, and both
+    behave as the per-blob path did: same tile, same charges, same pool,
+    decoded-cache and disk trajectory."""
+
+    # revisits make hits; the small caches below make them evict too
+    VISITS = (0, 1, 2, 0, 5, 9, 1, 8, 3, 0, 9, 9, 4, 7, 2, 6)
+
+    def _walk(self, route, **db_kwargs):
+        db = Database(compression=True, **db_kwargs)
+        real = loaded(db)
+        virtual = db.create_object("pipe", CUBE, "virt")
+        virtual.load_virtual(FULL, RegularTiling(32 * 1024))
+        db.reset_clock()  # drop the load's write-through warmth
+        entries = sorted(real.tile_entries(), key=db.first_page)
+        entries.append(virtual.tile_entries()[0])
+        assert len(entries) == 10 and entries[-1].virtual
+        return [route(db, entries[i]) for i in self.VISITS], _cache_state(db)
+
+    @pytest.mark.parametrize("buffer_bytes", [0, 3000])
+    @pytest.mark.parametrize("decoded_cache_bytes", [0, 30_000])
+    def test_routes_agree(self, buffer_bytes, decoded_cache_bytes):
+        walks = {
+            name: self._walk(
+                route,
+                buffer_bytes=buffer_bytes,
+                decoded_cache_bytes=decoded_cache_bytes,
+            )
+            for name, route in ROUTES.items()
+        }
+        outcomes, state = walks["per_blob"]
+        assert walks["fetch_tile"] == walks["fetch_tiles"] == (outcomes, state)
+        for visit, (cells, cost, _size, hit) in zip(self.VISITS, outcomes):
+            assert (cells is None) == (visit == 9)  # the virtual tile
+            assert hit or cost > 0.0 or bool(buffer_bytes)
+        assert any(hit for *_, hit in outcomes) == bool(decoded_cache_bytes)
+        if buffer_bytes:
+            assert state[1][0] > 0 and state[1][2] > 0  # hits and evictions
+        if decoded_cache_bytes:
+            assert 0 < len(state[2][2]) < 9  # admitted, and evicting
+
+    def test_routes_agree_on_a_pending_blob(self, tmp_path):
+        def walk(name, route):
+            db = Database(
+                compression=True,
+                buffer_bytes=3000,
+                decoded_cache_bytes=30_000,
+                durability="wal",
+                wal_path=tmp_path / f"{name}.wal",
+            )
+            try:
+                obj = loaded(db)
+                db.reset_clock()
+                box = MInterval.parse("[0:60,0:60]")
+                with db.transaction():
+                    obj.update(box, np.full(box.shape, 7, dtype=DTYPE))
+                    assert db.store.pending_writes > 0
+                    entries = sorted(obj.tile_entries(), key=db.first_page)
+                    assert any(db.store.is_pending(e.blob_id) for e in entries)
+                    db.decoded_cache.clear()  # forget the write-through
+                    outcomes = [route(db, e) for e in entries + entries[:3]]
+                    return outcomes, _cache_state(db)
+            finally:
+                db.close()
+
+        walks = {name: walk(name, route) for name, route in ROUTES.items()}
+        assert walks["fetch_tile"] == walks["fetch_tiles"] == walks["per_blob"]
+
+
+def _page_ordered_items(db, obj, region):
+    entries = sorted(
+        (e for e in obj.tile_entries() if e.domain.intersects(region)),
+        key=db.first_page,
+    )
+    return [(e, e.domain.intersection(region)) for e in entries]
+
+
+class TestReducedBatch:
+    """(b) the pushdown batch: every tile reduced, none kept (DESIGN §15)."""
+
+    REGION = MInterval.parse("[10:120,5:99]")  # clips the border tiles
+
+    @pytest.mark.parametrize("io_workers", [1, 2])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("predicate", [None, CellPredicate(">", 200)])
+    def test_partials_match_the_numpy_mirror(self, io_workers, warm, predicate):
+        db = Database(
+            compression=True,
+            io_workers=io_workers,
+            decoded_cache_bytes=8 << 20,
+        )
+        try:
+            obj = loaded(db)
+            db.reset_clock()
+            if warm:  # some of the batch's tiles, not all
+                obj.read(MInterval.parse("[0:50,0:127]"))
+            cache = db.decoded_cache
+            cached = list(cache._entries)
+            hits = cache.hits
+            items = _page_ordered_items(db, obj, self.REGION)
+            assert len(items) == 9
+            assert 0 < len(cached) < 9 if warm else not cached
+
+            fetched, peak = fetch_tile_partials(
+                db, items, DTYPE, predicate=predicate, default=0
+            )
+
+            mirror = cube_data()
+            for (entry, part), tile in zip(items, fetched):
+                vals = mirror[part.to_slices((0, 0))]
+                if predicate is not None:
+                    vals = np.where(predicate.mask(vals), vals, DTYPE.type(0))
+                assert tile.partial == partial_synopsis(vals)
+                assert tile.array is None
+                assert tile.entry is entry
+                assert tile.decoded_hit == (entry.blob_id in cached)
+            # consulted, answered from, never admitted to
+            assert sorted(cache._entries) == sorted(cached)
+            assert cache.hits - hits == len(cached)
+            largest = max(e.domain.cell_count for e, _ in items) * DTYPE.itemsize
+            if io_workers == 1:
+                assert peak == largest  # exactly one tile alive at a time
+            else:
+                assert 0 < peak <= io_workers * largest
+        finally:
+            db.close()
+
+    def test_virtual_tiles_carry_neither_array_nor_partial(self):
+        db = Database(io_workers=2)
+        try:
+            obj = db.create_object("pipe", CUBE, "virt")
+            obj.load_virtual(FULL, RegularTiling(8 * 1024))
+            items = _page_ordered_items(db, obj, self.REGION)
+            fetched, peak = fetch_tile_partials(db, items, DTYPE)
+            assert len(fetched) > 1 and peak == 0
+            for tile in fetched:
+                assert tile.array is None and tile.partial is None
+                assert tile.cost > 0.0 and not tile.decoded_hit
+        finally:
+            db.close()
+
+
+class TestWorkerSpans:
+    """(c) workers name their span by mode and stay in the query's tree."""
+
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        was = obs.registry.enabled, obs.tracer.enabled
+        obs.enable()
+        obs.reset()
+        yield
+        obs.reset()
+        obs.registry.enabled, obs.tracer.enabled = was
+
+    @staticmethod
+    def _roots_of(worker_name):
+        spans = {s.span_id: s for s in obs.tracer.finished()}
+        workers = [s for s in spans.values() if s.name == worker_name]
+        roots = set()
+        for span in workers:
+            while span.parent_id in spans:
+                span = spans[span.parent_id]
+            roots.add(span.name)
+        return len(workers), roots
+
+    def test_named_by_mode_under_the_query_root(self):
+        db = Database(compression=True, io_workers=2)
+        try:
+            obj = loaded(db)
+            obj.read(FULL)
+            assert self._roots_of("pipeline.decode") == (9, {"tilestore.read"})
+            assert self._roots_of("pipeline.partial_agg") == (0, set())
+            obs.reset()
+            _value, timing, pushed = obj.aggregate_push(
+                FULL, "count_cells", predicate=CellPredicate(">", 200)
+            )
+            assert pushed and timing.tiles_partial_agg == 9
+            assert self._roots_of("pipeline.partial_agg") == (
+                9,
+                {"tilestore.aggregate"},
+            )
+            assert self._roots_of("pipeline.decode") == (0, set())
+        finally:
+            db.close()

@@ -349,6 +349,39 @@ class TestPlacement:
                 np.zeros((4, 4), dtype=np.int32),
             )
 
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_update_region_is_valid_as_on_a_single_store(self, n_shards):
+        # The region may overhang the current domain (only covered cells
+        # count, values stay indexed by the caller's region) and may not
+        # be open-bounded: clipping routes, it never validates.
+        inner = MInterval.parse("[0:49,0:49]")
+        data = _data()[:50, :50]
+        db, sdb = Database(), ShardedDatabase(n_shards)
+        objects = [
+            store.create_object("c", _cube_type(), "cube")
+            for store in (db, sdb)
+        ]
+        for obj in objects:
+            obj.write_tiles(
+                [
+                    Tile(box, data[box.to_slices((0, 0))].copy())
+                    for box in grid_partition(inner, (10, 10))
+                ]
+            )
+            assert obj.current_domain == inner
+        overhang = MInterval.parse("[40:59,40:59]")
+        patch = np.arange(400, dtype=np.int32).reshape(20, 20)
+        assert [obj.update(overhang, patch) for obj in objects] == [100, 100]
+        for obj in objects:
+            with pytest.raises(DomainError):
+                obj.update(
+                    MInterval.parse("[*:*,0:9]"), np.zeros((50, 10), np.int32)
+                )
+        expected = data.copy()
+        expected[40:50, 40:50] = patch[:10, :10]
+        for obj in objects:
+            assert obj.read(inner)[0].tobytes() == expected.tobytes()
+
     def test_delete_region_recomputes_domain(self):
         _sdb, obj = _sharded(_data(), 2)
         dropped = obj.delete_region(MInterval.parse("[48:63,0:63]"))
