@@ -154,119 +154,63 @@ def _compare_identity(candidate: dict, baseline: dict) -> list[str]:
     return problems
 
 
-def _compare_pipeline_modes(candidate: dict, baseline: dict) -> list[str]:
+def _compare_flat(path: str, cand: dict, base: dict, fields: tuple) -> list[str]:
+    """One flat record: a problem per listed field the baseline holds
+    and the candidate does not reproduce."""
+    return [
+        f"{path}.{field}: baseline {base[field]!r}, "
+        f"candidate {cand.get(field)!r}"
+        for field in fields
+        if field in base and cand.get(field) != base[field]
+    ]
+
+
+#: Labels whose ``modes`` map a mode name straight to one flat record:
+#: label -> the deterministic fields compared.  Every other label
+#: ("pipeline", "obs", "prune", "query", "shard") has the per-mode /
+#: per-query shape: a result digest plus ``CHARGE_FIELDS`` of its timing.
+FLAT_FIELDS = {
+    "ingest": INGEST_FIELDS,
+    "concurrent": CONCURRENT_FIELDS,
+    "serve": SERVE_FIELDS,
+}
+
+
+def _compare_run(path: str, cand_run, base_run: dict) -> list[str]:
+    """One mode/query result: its digest and its modelled charges."""
+    if cand_run is None:
+        return [f"{path}: missing"]
     problems: list[str] = []
-    base_modes = baseline.get("modes", {})
-    cand_modes = candidate.get("modes", {})
-    for mode, queries in sorted(base_modes.items()):
-        if mode not in cand_modes:
-            problems.append(f"modes.{mode}: missing from candidate")
-            continue
-        for query, base_run in sorted(queries.items()):
-            cand_run = cand_modes[mode].get(query)
-            if cand_run is None:
-                problems.append(f"modes.{mode}.{query}: missing")
-                continue
-            if cand_run.get("digest") != base_run.get("digest"):
-                problems.append(
-                    f"modes.{mode}.{query}: result digest changed "
-                    f"({base_run.get('digest')} -> "
-                    f"{cand_run.get('digest')})"
-                )
-            base_timing = base_run.get("timing", {})
-            cand_timing = cand_run.get("timing", {})
-            for field in CHARGE_FIELDS:
-                if field not in base_timing:
-                    continue
-                if cand_timing.get(field) != base_timing[field]:
-                    problems.append(
-                        f"modes.{mode}.{query}.timing.{field}: "
-                        f"baseline {base_timing[field]!r}, "
-                        f"candidate {cand_timing.get(field)!r}"
-                    )
-    return problems
-
-
-def _compare_ingest_modes(candidate: dict, baseline: dict) -> list[str]:
-    problems: list[str] = []
-    base_modes = baseline.get("modes", {})
-    cand_modes = candidate.get("modes", {})
-    for mode, base_run in sorted(base_modes.items()):
-        cand_run = cand_modes.get(mode)
-        if cand_run is None:
-            problems.append(f"modes.{mode}: missing from candidate")
-            continue
-        for field in INGEST_FIELDS:
-            if field not in base_run:
-                continue
-            if cand_run.get(field) != base_run[field]:
-                problems.append(
-                    f"modes.{mode}.{field}: baseline {base_run[field]!r}, "
-                    f"candidate {cand_run.get(field)!r}"
-                )
-    return problems
-
-
-def _compare_concurrent_modes(candidate: dict, baseline: dict) -> list[str]:
-    problems: list[str] = []
-    base_modes = baseline.get("modes", {})
-    cand_modes = candidate.get("modes", {})
-    for mode, base_run in sorted(base_modes.items()):
-        cand_run = cand_modes.get(mode)
-        if cand_run is None:
-            problems.append(f"modes.{mode}: missing from candidate")
-            continue
-        for field in CONCURRENT_FIELDS:
-            if field not in base_run:
-                continue
-            if cand_run.get(field) != base_run[field]:
-                problems.append(
-                    f"modes.{mode}.{field}: baseline {base_run[field]!r}, "
-                    f"candidate {cand_run.get(field)!r}"
-                )
-    return problems
-
-
-def _compare_serve_modes(candidate: dict, baseline: dict) -> list[str]:
-    problems: list[str] = []
-    base_modes = baseline.get("modes", {})
-    cand_modes = candidate.get("modes", {})
-    for mode, base_run in sorted(base_modes.items()):
-        cand_run = cand_modes.get(mode)
-        if cand_run is None:
-            problems.append(f"modes.{mode}: missing from candidate")
-            continue
-        for field in SERVE_FIELDS:
-            if field not in base_run:
-                continue
-            if cand_run.get(field) != base_run[field]:
-                problems.append(
-                    f"modes.{mode}.{field}: baseline {base_run[field]!r}, "
-                    f"candidate {cand_run.get(field)!r}"
-                )
-    return problems
+    if cand_run.get("digest") != base_run.get("digest"):
+        problems.append(
+            f"{path}: result digest changed "
+            f"({base_run.get('digest')} -> {cand_run.get('digest')})"
+        )
+    return problems + _compare_flat(
+        f"{path}.timing",
+        cand_run.get("timing", {}),
+        base_run.get("timing", {}),
+        CHARGE_FIELDS,
+    )
 
 
 def compare(candidate: dict, baseline: dict) -> list[str]:
     problems = _compare_identity(candidate, baseline)
-    if baseline.get("label") == "ingest":
-        problems += _compare_ingest_modes(candidate, baseline)
-    elif baseline.get("label") == "concurrent":
-        problems += _compare_concurrent_modes(candidate, baseline)
-    elif baseline.get("label") == "serve":
-        problems += _compare_serve_modes(candidate, baseline)
-    elif baseline.get("label") == "prune":
-        # same per-mode/point digest+charges shape as pipeline
-        problems += _compare_pipeline_modes(candidate, baseline)
-    elif baseline.get("label") == "query":
-        # same per-strategy/config digest+charges shape as pipeline
-        problems += _compare_pipeline_modes(candidate, baseline)
-    elif baseline.get("label") == "shard":
-        # same per-deployment/query digest+charges shape as pipeline
-        problems += _compare_pipeline_modes(candidate, baseline)
-    else:
-        # "pipeline" and "obs" share the per-mode/query digest+charges shape
-        problems += _compare_pipeline_modes(candidate, baseline)
+    fields = FLAT_FIELDS.get(baseline.get("label"))
+    cand_modes = candidate.get("modes", {})
+    for mode, base_entry in sorted(baseline.get("modes", {}).items()):
+        cand_entry = cand_modes.get(mode)
+        if cand_entry is None:
+            problems.append(f"modes.{mode}: missing from candidate")
+        elif fields is not None:
+            problems += _compare_flat(
+                f"modes.{mode}", cand_entry, base_entry, fields
+            )
+        else:
+            for query, base_run in sorted(base_entry.items()):
+                problems += _compare_run(
+                    f"modes.{mode}.{query}", cand_entry.get(query), base_run
+                )
     return problems
 
 
@@ -288,7 +232,7 @@ def main(argv: list[str]) -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    if baseline.get("label") in ("ingest", "concurrent", "serve"):
+    if baseline.get("label") in FLAT_FIELDS:
         checked = len(baseline.get("modes", {}))
     else:
         checked = sum(

@@ -27,9 +27,6 @@ bytecode artifact.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -38,8 +35,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.core.cells import base_type
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
@@ -68,9 +64,7 @@ PAYLOAD_VARIANTS = 8
 
 
 def _digest(array: np.ndarray) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(array).tobytes()
-    ).hexdigest()[:16]
+    return digest(array)[:16]
 
 
 def _payloads() -> List[np.ndarray]:
@@ -252,11 +246,7 @@ def run_concurrent_bench(
         "performance": _performance(modes),
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _verdicts(modes: Dict[str, dict]) -> dict:
@@ -292,14 +282,6 @@ def _performance(modes: Dict[str, dict]) -> dict:
     out["read_scaling_4r"] = scaling
     out["read_scaling_2x"] = scaling >= 2.0
     return out
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_concurrent.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

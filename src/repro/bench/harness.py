@@ -16,8 +16,6 @@ passing ``artifact_dir`` (the CLI does) or setting the
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +24,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
+from repro.bench.report import artifact_directory, write_json
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
 from repro.query.timing import LoadStats, QueryTiming, speedup
@@ -33,9 +32,6 @@ from repro.storage.tilestore import Database, StoredMDD
 from repro.tiling.base import TilingStrategy
 
 DatabaseFactory = Callable[[], Database]
-
-#: Environment variable naming a default artifact directory.
-ARTIFACTS_ENV = "REPRO_BENCH_ARTIFACTS"
 
 
 @dataclass
@@ -141,11 +137,10 @@ def run_benchmark(
     benchmark = BenchmarkResults(
         runs=results, queries=dict(queries), label=label
     )
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
+    directory = artifact_directory(artifact_dir)
+    if directory is not None:
         benchmark.artifact_path = str(
-            write_artifact(benchmark, artifact_dir, runs=runs, warm=warm)
+            write_artifact(benchmark, directory, runs=runs, warm=warm)
         )
     return benchmark
 
@@ -179,9 +174,6 @@ def write_artifact(
     warm: bool = False,
 ) -> Path:
     """Write ``BENCH_<label>.json``: timings, pool stats, registry snapshot."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{results.label}.json"
     schemes = {}
     for name, run in results.runs.items():
         pool = run.database.pool
@@ -214,8 +206,7 @@ def write_artifact(
         "schemes": schemes,
         "registry": obs.snapshot(),
     }
-    path.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
-    return path
+    return write_json(artifact, directory)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

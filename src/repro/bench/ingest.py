@@ -26,8 +26,6 @@ CI (they vary with the host).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import shutil
 import tempfile
 import time
@@ -37,8 +35,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.bench.salescube import (
     SALES_DOMAIN,
     generate_sales_data,
@@ -104,7 +101,7 @@ def _ingest_once(
         "tile_count": len(mdd.tile_entries()),
         "logical_bytes": int(data.nbytes),
         "stored_bytes": mdd.stored_bytes(),
-        "result_digest": hashlib.sha256(array.tobytes(order="C")).hexdigest(),
+        "result_digest": digest(array),
     }
     save_database(database, directory)
     database.close()
@@ -164,11 +161,7 @@ def run_ingest_bench(
         "performance": _performance(modes),
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _verdicts(modes: Dict[str, dict]) -> dict:
@@ -206,14 +199,6 @@ def _performance(modes: Dict[str, dict]) -> dict:
         "speedup_parallel": serial / parallel if parallel else float("inf"),
         "speedup_2x": parallel > 0 and serial / parallel >= 2.0,
     }
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_ingest.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

@@ -28,9 +28,6 @@ tracing does real work.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,9 +36,8 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
 from repro.bench.pipeline import QUERIES, _load_cube
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.core.geometry import MInterval
 
 #: Gated ceiling on (disabled - noop) / noop, in percent.
@@ -117,10 +113,6 @@ def _mode_state(mode: str):
             obs.disable()
 
 
-def _digest(array: np.ndarray) -> str:
-    return hashlib.sha256(array.tobytes(order="C")).hexdigest()
-
-
 def run_obs_bench(
     runs: int = 3,
     artifact_dir: Optional[Union[str, Path]] = None,
@@ -145,7 +137,7 @@ def run_obs_bench(
                     elapsed = (time.perf_counter() - started) * 1000.0
                     walls[mode][query].append(elapsed)
                     samples[mode][query] = {
-                        "digest": _digest(array),
+                        "digest": digest(array),
                         "timing": timing.as_dict(),
                     }
 
@@ -223,19 +215,7 @@ def run_obs_bench(
     }
     for database, _mdd in cubes.values():
         database.close()
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_obs.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
+    return write_report(report, artifact_dir)
 
 
 def comparison_table(report: dict) -> str:

@@ -23,9 +23,6 @@ can track them alongside the wall-clock numbers.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -33,8 +30,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.storage.tilestore import Database, StoredMDD
@@ -101,14 +97,10 @@ def _measure_mode(
             "wall_ms": float(np.mean(wall)),
             "wall_ms_min": float(np.min(wall)),
             "tiles_decoded_per_run": decoded,
-            "digest": _digest(array),
+            "digest": digest(array),
             "timing": timings[-1].as_dict(),
         }
     return results
-
-
-def _digest(array: np.ndarray) -> str:
-    return hashlib.sha256(array.tobytes(order="C")).hexdigest()
 
 
 def run_pipeline_bench(
@@ -151,11 +143,7 @@ def run_pipeline_bench(
         "identity": identity,
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _verdicts(serial: dict, parallel: dict, decoded: dict) -> dict:
@@ -195,14 +183,6 @@ def _verdicts(serial: dict, parallel: dict, decoded: dict) -> dict:
         "warm_t_o_zero": warm_t_o_zero,
         "warm_faster_than_serial_cold": warm_faster,
     }
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_pipeline.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

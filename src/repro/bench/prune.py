@@ -23,9 +23,6 @@ selectivity, where pruning drops nearly every tile.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -33,8 +30,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.bench.salescube import (
     SALES_DOMAIN,
     generate_sales_data,
@@ -94,7 +90,7 @@ def _read_point(mdd, predicate: CellPredicate, prune: bool, runs: int) -> dict:
         )
         walls.append((time.perf_counter() - started) * 1000.0)
     return {
-        "digest": hashlib.sha256(array.tobytes(order="C")).hexdigest(),
+        "digest": digest(array),
         "wall_ms": float(np.mean(walls)),
         "wall_ms_min": float(np.min(walls)),
         "modelled_ms": timing.t_o + timing.t_ix_pages,
@@ -173,11 +169,7 @@ def run_prune_bench(
         "performance": _performance(modes, points),
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _verdicts(
@@ -228,14 +220,6 @@ def _performance(
         low_speedups and min(low_speedups) >= 5.0
     )
     return out
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_prune.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

@@ -4,10 +4,10 @@ Loads the Section 6.1 sales cube with the value-friendly tiling of the
 prune bench (tiles elongated along time, 3000 tiles) and runs the same
 query set through both engine strategies:
 
-* ``v1``       — the materialize-then-reduce path (``pushdown=False,
-  prune=False``): the query box is composed in memory and reduced by the
-  coordinator, the pre-PR-9 cost;
-* ``pushdown`` — the planned path (the default): zone maps prune,
+* ``v1``       — materialize-then-reduce (:func:`materialize_reference`,
+  the one copy of it): the query box is composed in memory by an
+  unpruned read and reduced by the coordinator, the pre-PR-9 cost;
+* ``pushdown`` — the engine's only aggregate path: zone maps prune,
   stored synopses answer fully-covered tiles with zero decode, the rest
   are reduced to partials on the pipeline workers, and the coordinator
   combines partials in tile-id order without ever materializing the box.
@@ -29,18 +29,15 @@ selectivity, where pruning plus pushdown drop nearly all fetch work.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
+import itertools
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.bench.salescube import (
     DISTRICT_BOUNDARIES,
     PRODUCT_CLASS_BOUNDARIES,
@@ -49,8 +46,10 @@ from repro.bench.salescube import (
     month_boundaries,
     sales_mdd_type,
 )
-from repro.index.zonemap import AGG_FUNCS, CellPredicate
+from repro.core.geometry import MInterval
+from repro.index.zonemap import AGG_FUNCS, CellPredicate, check_aggregate
 from repro.query.engine import QueryEngine
+from repro.query.timing import QueryTiming
 from repro.storage.tilestore import Database
 from repro.tiling.directional import category_intervals
 
@@ -118,25 +117,95 @@ def _thresholds(data: np.ndarray) -> Dict[str, dict]:
     return points
 
 
-def _digest(value) -> str:
-    """Bitwise digest of a result: exact repr for scalars, raw bytes
-    for GROUP BY value cubes (float64, C order)."""
-    if isinstance(value, np.ndarray):
-        payload = value.tobytes(order="C")
+def materialize_reference(
+    obj,
+    boxes: Iterable[MInterval],
+    op: str,
+    predicate: Optional[CellPredicate] = None,
+) -> tuple[list, QueryTiming]:
+    """Materialize-then-reduce, the identity reference: one scalar per
+    box plus the summed charges.
+
+    Each box is composed by an unpruned (masked) ``read`` and reduced on
+    the coordinator (charged to ``t_cpu``) — what every pushed aggregate
+    must equal bitwise, and the cost the bench's ``v1`` mode reports.
+    """
+    check_aggregate(op, obj)
+    values: list = []
+    timing = QueryTiming()
+    for box in boxes:
+        data, box_timing = obj.read(box, predicate=predicate, prune=False)
+        started = time.perf_counter()
+        # contiguous: numpy's float summation order follows the layout
+        values.append(AGG_FUNCS[op](np.ascontiguousarray(data)))
+        box_timing.t_cpu += (time.perf_counter() - started) * 1000.0
+        timing.add(box_timing)
+    return values, timing
+
+
+def reference_group_by(
+    obj,
+    region: MInterval,
+    op: str,
+    group_spec: Mapping[int, Sequence[tuple[int, int]]],
+    predicate: Optional[CellPredicate] = None,
+) -> tuple[np.ndarray, QueryTiming]:
+    """:func:`materialize_reference` over a GROUP BY's boxes (arguments
+    as :meth:`QueryEngine.group_by_query` takes them, ``region``
+    resolved): the float64 group cube plus the summed charges."""
+    spans = [
+        group_spec.get(axis, [(region.lowest[axis], region.highest[axis])])
+        for axis in range(region.dim)
+    ]
+    values, timing = materialize_reference(
+        obj,
+        (MInterval(*zip(*combo)) for combo in itertools.product(*spans)),
+        op,
+        predicate,
+    )
+    cube = np.array(values, dtype=np.float64)
+    return cube.reshape([len(axis_spans) for axis_spans in spans]), timing
+
+
+def _engine_run(engine, mdd, config: dict) -> tuple:
+    """One configuration through the engine: ``(value, timing, pushed)``."""
+    if config["kind"] == "group_by":
+        result = engine.group_by_query(
+            mdd, SALES_DOMAIN, config["op"], config["spec"]
+        )
     else:
-        payload = repr(value).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+        result = engine.aggregate_query(
+            mdd, SALES_DOMAIN, config["op"], predicate=config.get("predicate")
+        )
+    return result.value, result.timing, bool(result.plan.pushed)
 
 
-def _entry(result, walls: List[float]) -> dict:
-    timing = result.timing
-    value = result.value
+def _reference_run(mdd, config: dict) -> tuple:
+    """The same configuration materialized: ``(value, timing, False)``."""
+    if config["kind"] == "group_by":
+        value, timing = reference_group_by(
+            mdd, SALES_DOMAIN, config["op"], config["spec"]
+        )
+    else:
+        (value,), timing = materialize_reference(
+            mdd, [SALES_DOMAIN], config["op"], config.get("predicate")
+        )
+    return value, timing, False
+
+
+def _measure(run, runs: int) -> dict:
+    """One configuration under one strategy, wall-averaged over runs."""
+    walls: List[float] = []
+    for _ in range(max(1, runs)):
+        started = time.perf_counter()
+        value, timing, pushed = run()
+        walls.append((time.perf_counter() - started) * 1000.0)
     return {
-        "digest": _digest(value),
+        "digest": digest(value),
         "value": (
             value.tolist() if isinstance(value, np.ndarray) else value
         ),
-        "pushed": bool(result.plan.pushed) if result.plan else False,
+        "pushed": pushed,
         "wall_ms": float(np.mean(walls)),
         "wall_ms_min": float(np.min(walls)),
         "modelled_ms": timing.t_o + timing.t_ix_pages,
@@ -148,34 +217,6 @@ def _entry(result, walls: List[float]) -> dict:
         "bytes_read": timing.bytes_read,
         "timing": timing.as_dict(),
     }
-
-
-def _run_config(engine, mdd, config: dict, pushdown: bool, runs: int) -> dict:
-    """One configuration under one strategy, wall-averaged over runs."""
-    walls: List[float] = []
-    result = None
-    for _ in range(max(1, runs)):
-        started = time.perf_counter()
-        if config["kind"] == "group_by":
-            result = engine.group_by_query(
-                mdd,
-                SALES_DOMAIN,
-                config["op"],
-                config["spec"],
-                pushdown=pushdown,
-                prune=pushdown,
-            )
-        else:
-            result = engine.aggregate_query(
-                mdd,
-                SALES_DOMAIN,
-                config["op"],
-                predicate=config.get("predicate"),
-                pushdown=pushdown,
-                prune=pushdown,
-            )
-        walls.append((time.perf_counter() - started) * 1000.0)
-    return _entry(result, walls)
 
 
 def _configs(points: Dict[str, dict]) -> Dict[str, dict]:
@@ -214,11 +255,11 @@ def run_query_bench(
         configs = _configs(points)
         modes: Dict[str, Dict[str, dict]] = {"v1": {}, "pushdown": {}}
         for name, config in configs.items():
-            modes["v1"][name] = _run_config(
-                engine, mdd, config, pushdown=False, runs=runs
+            modes["v1"][name] = _measure(
+                lambda: _reference_run(mdd, config), runs
             )
-            modes["pushdown"][name] = _run_config(
-                engine, mdd, config, pushdown=True, runs=runs
+            modes["pushdown"][name] = _measure(
+                lambda: _engine_run(engine, mdd, config), runs
             )
         tile_count = len(mdd.tile_entries())
         tile_bytes = max(
@@ -247,11 +288,7 @@ def run_query_bench(
         "performance": _performance(modes),
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _verdicts(modes: Dict[str, Dict[str, dict]], tile_bytes: int) -> dict:
@@ -306,14 +343,6 @@ def _performance(modes: Dict[str, Dict[str, dict]]) -> dict:
 def _point_of(name: str) -> float:
     """Selectivity of a ``sel_<point>_<op>`` configuration name."""
     return float(name.split("_")[1])
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_query.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

@@ -7,9 +7,59 @@ published numbers (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import hashlib
+import json
+import os
+from pathlib import Path
+from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.query.timing import QueryTiming
+
+#: Environment variable naming a default artifact directory.
+ARTIFACTS_ENV = "REPRO_BENCH_ARTIFACTS"
+
+
+def digest(value: object) -> str:
+    """Bitwise SHA-256 of a result: raw C-order bytes for arrays (and
+    GROUP BY value cubes), the exact ``repr`` for scalars."""
+    if isinstance(value, np.ndarray):
+        payload = value.tobytes(order="C")
+    else:
+        payload = repr(value).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
+
+
+def artifact_directory(
+    artifact_dir: Optional[Union[str, Path]],
+) -> Optional[Path]:
+    """Where artifacts go: ``artifact_dir``, else the directory
+    ``REPRO_BENCH_ARTIFACTS`` names, else nowhere (``None``)."""
+    if artifact_dir is None:
+        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
+    return None if artifact_dir is None else Path(artifact_dir)
+
+
+def write_json(artifact: dict, directory: Union[str, Path]) -> Path:
+    """Write ``<directory>/BENCH_<artifact['label']>.json``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"BENCH_{artifact['label']}.json"
+    path.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def write_report(
+    report: dict, artifact_dir: Optional[Union[str, Path]]
+) -> dict:
+    """Write a gate bench's report as its artifact when a directory is
+    named (argument or environment) and note the path in the returned
+    report — after writing, so the file itself never carries it."""
+    directory = artifact_directory(artifact_dir)
+    if directory is not None:
+        report["artifact_path"] = str(write_json(report, directory))
+    return report
 
 
 def format_table(

@@ -22,9 +22,6 @@ Two result sections, the same CI contract as the other benches:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -33,8 +30,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.client import Client
 from repro.core.cells import base_type
 from repro.core.geometry import MInterval
@@ -63,9 +59,7 @@ CLIENT_WORKERS = 4
 
 
 def _digest(array: np.ndarray) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(array).tobytes()
-    ).hexdigest()[:16]
+    return digest(array)[:16]
 
 
 def _build_database() -> Database:
@@ -240,11 +234,7 @@ def run_serve_bench(
         "performance": _performance(modes),
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _verdicts(modes: Dict[str, dict]) -> dict:
@@ -278,14 +268,6 @@ def _performance(modes: Dict[str, dict]) -> dict:
         modes["c4"]["throughput_rps"] / t1 if t1 else 0.0
     )
     return out
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_serve.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

@@ -28,9 +28,6 @@ gated).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import shutil
 import tempfile
 import time
@@ -40,8 +37,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.bench.harness import ARTIFACTS_ENV
-from repro.bench.report import format_table
+from repro.bench.report import digest, format_table, write_report
 from repro.bench.salescube import (
     SALES_DOMAIN,
     generate_sales_data,
@@ -112,14 +108,6 @@ def _rollup_spec() -> Dict[int, tuple]:
     }
 
 
-def _digest(value) -> str:
-    if isinstance(value, np.ndarray):
-        payload = value.tobytes(order="C")
-    else:
-        payload = repr(value).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
-
-
 def _configs(threshold: int) -> Dict[str, dict]:
     predicate = CellPredicate(">", threshold)
     configs: Dict[str, dict] = {
@@ -168,8 +156,7 @@ def _run_config(database, mdd, config: dict, runs: int) -> dict:
         else:
             engine = QueryEngine(database)
             result = engine.group_by_query(
-                mdd, SALES_DOMAIN, config["op"], config["spec"],
-                pushdown=True, prune=True,
+                mdd, SALES_DOMAIN, config["op"], config["spec"]
             )
             value, timing = result.value, result.timing
             pushed = bool(result.plan.pushed) if result.plan else False
@@ -180,7 +167,7 @@ def _run_config(database, mdd, config: dict, runs: int) -> dict:
             if scatter is not None:
                 scatter_max = scatter.max_ms
     return {
-        "digest": _digest(value),
+        "digest": digest(value),
         "value": (
             None if isinstance(value, np.ndarray) else value
         ),
@@ -309,11 +296,7 @@ def run_shard_bench(
         "performance": _performance(modes),
         "registry": obs.snapshot(),
     }
-    if artifact_dir is None:
-        artifact_dir = os.environ.get(ARTIFACTS_ENV) or None
-    if artifact_dir is not None:
-        report["artifact_path"] = str(_write_artifact(report, artifact_dir))
-    return report
+    return write_report(report, artifact_dir)
 
 
 def _query_names(modes: Dict[str, Dict[str, dict]]) -> List[str]:
@@ -390,14 +373,6 @@ def _performance(modes: Dict[str, Dict[str, dict]]) -> dict:
                 else float("inf")
             )
     return out
-
-
-def _write_artifact(report: dict, directory: Union[str, Path]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "BENCH_shard.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def comparison_table(report: dict) -> str:

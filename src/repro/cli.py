@@ -397,8 +397,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
     profile = database.profile(
-        "explain", args.scheme, region, predicate=predicate,
-        op=args.agg, pushdown=not args.no_pushdown,
+        "explain", args.scheme, region, predicate=predicate, op=args.agg
     )
     if args.json:
         print(json.dumps(profile.as_dict(), indent=2))
@@ -762,10 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile an aggregate instead of a read: plan shows the "
              "partial-aggregate pushdown stages "
              f"(one of: {', '.join(sorted(AGG_FUNCS))})",
-    )
-    explain.add_argument(
-        "--no-pushdown", action="store_true",
-        help="with --agg, force the v1 materialize-then-reduce path",
     )
     serve = subparsers.add_parser(
         "serve-metrics",

@@ -13,7 +13,7 @@ the same epoch as the tile it describes.  Two read-side consumers:
 * **Short-circuiting** — the condensers (``count_cells`` / ``min_cells``
   / ``max_cells`` / ``add_cells`` / ``avg_cells``) over fully-covered
   tiles are answered from the synopsis with zero decode, via
-  :func:`aggregate_eligible` / :func:`combine_aggregate`.
+  :func:`partial_aggregate_eligible` / :func:`combine_aggregate`.
 
 Every decision here is **conservative and exact**: a pruned tile
 provably contains no matching cell (the monotone relops are decided by
@@ -41,7 +41,6 @@ __all__ = [
     "CellPredicate",
     "TilePruner",
     "TileSynopsis",
-    "aggregate_eligible",
     "check_aggregate",
     "combine_aggregate",
     "compute_synopsis",
@@ -503,29 +502,6 @@ class TilePruner:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_eligible(
-    op: str,
-    dtype: np.dtype,
-    synopses: Iterable[Optional[TileSynopsis]],
-    uncovered: int,
-    default: object,
-    region_cells: int,
-) -> bool:
-    """May ``op`` over this region be answered without full decode?
-
-    ``synopses`` covers **every** intersecting tile (``None`` when a tile
-    has no synopsis).  ``count``/``min``/``max`` are always eligible —
-    tiles lacking a synopsis are simply decoded as if partial.  Integer
-    ``add``/``avg`` need a synopsis-backed bound on every cell magnitude
-    (tiles *and* the uncovered default) to guarantee the numpy
-    accumulator and float64 mean are reproduced exactly; float
-    ``add``/``avg`` are never eligible (float addition re-associates).
-    """
-    return partial_aggregate_eligible(
-        op, dtype, synopses, uncovered, default, region_cells
-    )
-
-
 def partial_aggregate_eligible(
     op: str,
     dtype: np.dtype,
@@ -537,18 +513,19 @@ def partial_aggregate_eligible(
 ) -> bool:
     """May ``op`` be computed as per-tile partials combined at the top?
 
-    The pushdown variant of :func:`aggregate_eligible`: each intersecting
-    tile contributes a :func:`partial_synopsis` of its decoded (clipped,
-    optionally masked) cells, and the coordinator combines them in tile-id
-    order.  ``count``/``min``/``max`` partials are exact selections and
-    counts for every numeric dtype, so they are always eligible — the
-    per-tile combination never re-associates a float sum.  Integer
-    ``add``/``avg`` are eligible under the same synopsis-backed magnitude
-    bound as the zero-decode short-circuit (the *materialized* reduction
-    this path must reproduce uses the wrapping int64/uint64 accumulator
-    and the float64 mean, which the exact Python-int partial combination
-    only matches below those bounds); float ``add``/``avg`` are never
-    eligible and must fall back to materialize-then-reduce.
+    ``synopses`` covers **every** intersecting tile (``None`` when a tile
+    has no synopsis).  Each contributes either its stored synopsis (fully
+    covered: zero decode) or a :func:`partial_synopsis` of its decoded
+    (clipped, optionally masked) cells, and the coordinator combines them
+    in tile-id order.  ``count``/``min``/``max`` partials are exact
+    selections and counts for every numeric dtype, so they are always
+    eligible — the per-tile combination never re-associates a float sum.
+    Integer ``add``/``avg`` need a synopsis-backed bound on every cell
+    magnitude (tiles *and* the uncovered default): the *materialized*
+    reduction this path must reproduce uses the wrapping int64/uint64
+    accumulator and the float64 mean, which the exact Python-int partial
+    combination only matches below those bounds; float ``add``/``avg``
+    are never eligible and must fall back to materialize-then-reduce.
 
     ``masked`` marks a cell-predicate query: failing cells then carry
     the default value *inside* tiles, so ``|default|`` always enters the
@@ -579,23 +556,21 @@ def combine_aggregate(
     op: str,
     dtype: np.dtype,
     syn_parts: Sequence[TileSynopsis],
-    array_parts: Sequence[np.ndarray],
     default_cells: int,
     default: object,
     region_cells: int,
 ) -> Union[int, float, bool]:
-    """Exact aggregate from synopses + decoded fragments + default fill.
+    """Exact aggregate from per-tile synopses + default fill.
 
-    ``syn_parts`` are fully-covered tiles answered without decode;
-    ``array_parts`` are the region-clipped cells of partially-covered
-    (or synopsis-less) tiles; ``default_cells`` counts cells carrying
-    the default value (uncovered space and virtual fragments).  Under
-    :func:`aggregate_eligible`'s guards the result equals
+    ``syn_parts`` are the stored synopses of fully-covered tiles
+    answered without decode and the :func:`partial_synopsis` of every
+    decoded fragment; ``default_cells`` counts cells carrying the
+    default value (uncovered space and virtual fragments).  Under
+    :func:`partial_aggregate_eligible`'s guards the result equals
     ``AGG_FUNCS[op]`` applied to the composed region bitwise.
     """
     if op == "count_cells":
         total = sum(s.nonzero for s in syn_parts)
-        total += sum(int(np.count_nonzero(a)) for a in array_parts)
         if default_cells and default != 0:  # NaN default: != 0 is True
             total += default_cells
         return total
@@ -608,12 +583,6 @@ def combine_aggregate(
                 saw_nan = True
             if syn.vmin is not None:
                 values.append(syn.vmin if op == "min_cells" else syn.vmax)
-        for part in array_parts:
-            value = (part.min() if op == "min_cells" else part.max()).item()
-            if isinstance(value, float) and math.isnan(value):
-                saw_nan = True
-            else:
-                values.append(value)
         if default_cells:
             if isinstance(default, float) and math.isnan(default):
                 saw_nan = True
@@ -627,7 +596,6 @@ def combine_aggregate(
         return pick(values)
     if op in ("add_cells", "avg_cells"):
         total = sum(int(s.vsum) for s in syn_parts)
-        total += sum(int(a.sum()) for a in array_parts)
         total += int(default) * default_cells  # type: ignore[call-overload]
         if op == "add_cells":
             return total

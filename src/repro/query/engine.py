@@ -9,7 +9,7 @@ session's history.
 
 from __future__ import annotations
 
-import time
+import itertools
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -44,30 +44,40 @@ AggFunc = Callable[[np.ndarray], Union[int, float]]
 AGGREGATES: dict[str, AggFunc] = AGG_FUNCS
 
 
-def run_aggregate(
+def group_aggregate(
     obj: "StoredMDD",
-    region: MInterval,
+    spans_per_axis: Sequence[Sequence[tuple[int, int]]],
     op: str,
     predicate: Optional[CellPredicate] = None,
     prune: bool = True,
-    pushdown: bool = True,
-) -> tuple[Union[int, float], QueryTiming, bool]:
-    """One condenser over one box: ``(value, timing, pushed)``.
+) -> tuple[np.ndarray, QueryTiming, bool]:
+    """One aggregate per cell of the span cross product:
+    ``(values, timing, all_pushed)``.
 
-    ``pushdown`` routes through :meth:`StoredMDD.aggregate_push`;
-    without it the v1 path runs — :meth:`StoredMDD.aggregate` when
-    unpredicated, else a masked read reduced here (charged to
-    ``t_cpu``) — and ``pushed`` is ``False``.
+    ``spans_per_axis`` lists every axis's closed coordinate spans; each
+    group box runs through :meth:`StoredMDD.aggregate_push` in
+    deterministic row-major group order.  ``values`` is a float64 cube
+    shaped by the span counts, ``timing`` the accumulated charges, and
+    ``all_pushed`` whether every group combined per-tile partials.  The
+    one GROUP BY loop: :meth:`QueryEngine.group_by_query` and
+    :func:`~repro.query.olap.aggregate_by_category` both end here.
     """
-    if pushdown:
-        return obj.aggregate_push(region, op, predicate=predicate, prune=prune)
-    if predicate is None:
-        return (*obj.aggregate(region, op, prune=prune), False)
-    data, timing = obj.read(region, predicate=predicate, prune=prune)
-    started = time.perf_counter()
-    value = AGGREGATES[op](data)
-    timing.t_cpu += (time.perf_counter() - started) * 1000.0
-    return value, timing, False
+    shape = tuple(len(spans) for spans in spans_per_axis)
+    values = np.zeros(shape, dtype=np.float64)
+    timing = QueryTiming()
+    all_pushed = True
+    # ndindex and product both walk row-major; a combo is one (low,
+    # high) span per axis, transposed into the box's two corners.
+    for index, combo in zip(
+        np.ndindex(shape), itertools.product(*spans_per_axis)
+    ):
+        value, box_timing, pushed = obj.aggregate_push(
+            MInterval(*zip(*combo)), op, predicate=predicate, prune=prune
+        )
+        all_pushed = all_pushed and pushed
+        timing.add(box_timing)
+        values[index] = value
+    return values, timing, all_pushed
 
 
 class QueryEngine:
@@ -176,40 +186,29 @@ class QueryEngine:
         op: str,
         predicate: Optional[CellPredicate] = None,
         prune: bool = True,
-        pushdown: bool = True,
     ) -> QueryResult:
         """Condense a region with one of the RasQL condensers.
 
-        The planned path (``pushdown=True``, the default) routes through
-        :meth:`StoredMDD.aggregate_push`: zone maps prune, stored
-        synopses answer fully-covered tiles with zero decode, and the
-        remaining tiles are reduced to partials **on the pipeline
-        workers** — the query box is never materialized, and the
-        coordinator combines partials in tile-id order.  The storage
+        Routes through :meth:`StoredMDD.aggregate_push`: zone maps
+        prune, stored synopses answer fully-covered tiles with zero
+        decode, and the remaining tiles are reduced to partials **on the
+        pipeline workers** — the query box is never materialized, and
+        the coordinator combines partials in tile-id order.  The storage
         layer falls back to materialize-then-reduce whenever the
         exactness guards reject pushdown, so the result is
         bitwise-identical either way; the annotated
         :class:`~repro.query.plan.QueryPlan` on the result records which
         branch ran.
-
-        ``pushdown=False`` keeps the v1 path — the materialized
-        reduction the bench verifies identity against: without a
-        predicate through :meth:`StoredMDD.aggregate`, with one through
-        a masked read reduced here (charged to ``t_cpu``).
         """
         check_aggregate(op, obj)
         plan = aggregate_plan(
-            obj.name,
-            obj.resolve_region(region),
-            op,
-            predicate=predicate,
-            pushdown=pushdown,
+            obj.name, obj.resolve_region(region), op, predicate=predicate
         )
         with obs.span(
             "query.aggregate", object=obj.name, op=op, region=str(region)
         ):
-            value, timing, pushed = run_aggregate(
-                obj, region, op, predicate, prune, pushdown
+            value, timing, pushed = obj.aggregate_push(
+                region, op, predicate=predicate, prune=prune
             )
             self._log(obj, region)
         _AGGREGATE_QUERIES.inc()
@@ -229,19 +228,19 @@ class QueryEngine:
         group_spec: Mapping[int, Sequence[tuple[int, int]]],
         predicate: Optional[CellPredicate] = None,
         prune: bool = True,
-        pushdown: bool = True,
     ) -> QueryResult:
         """One aggregate per cell of the GROUP BY interval cross product.
 
         ``group_spec`` maps an axis to its closed coordinate spans (the
-        OLAP category intervals); axes absent from it form a single group
-        spanning the query region's full extent.  Each group is one
-        aggregate over the corresponding box, executed through the same
-        pushdown path as :meth:`aggregate_query` (or materialized with
-        ``pushdown=False`` — the v1 comparison path), in deterministic
-        row-major group order.  The result is a float64 cube shaped by
-        the span counts, exactly as :class:`~repro.query.olap.RollUp`
-        lays its values out.
+        OLAP category intervals), each clipped to the query region's
+        extent on that axis — a span that misses the region is an error;
+        axes absent from it form a single group spanning the region's
+        full extent.  Each group is one aggregate over the corresponding
+        box (:func:`group_aggregate`), executed through the same path as
+        :meth:`aggregate_query` in deterministic row-major group order.
+        The result is a float64 cube shaped by the span counts, exactly
+        as :class:`~repro.query.olap.RollUp` lays its values out;
+        ``groups`` lists the spans actually aggregated.
         """
         check_aggregate(op, obj)
         region = obj.resolve_region(region)
@@ -253,35 +252,36 @@ class QueryEngine:
                 )
         spans_per_axis: list[list[tuple[int, int]]] = []
         for axis in range(region.dim):
+            low, high = region.lowest[axis], region.highest[axis]
             spans = group_spec.get(axis)
             if spans is None:
-                spans_per_axis.append(
-                    [(region.lowest[axis], region.highest[axis])]
-                )
+                spans_per_axis.append([(low, high)])
                 continue
             if not spans:
                 raise QueryError(f"GROUP BY axis {axis} lists no intervals")
-            for low, high in spans:
-                if low > high:
+            clipped: list[tuple[int, int]] = []
+            for lo, hi in spans:
+                if lo > hi:
                     raise QueryError(
-                        f"GROUP BY interval {low}:{high} on axis {axis} "
+                        f"GROUP BY interval {lo}:{hi} on axis {axis} "
                         f"is empty"
                     )
-            spans_per_axis.append([(int(lo), int(hi)) for lo, hi in spans])
-        shape = tuple(len(spans) for spans in spans_per_axis)
-        group_count = int(np.prod(shape))
+                if hi < low or lo > high:
+                    raise QueryError(
+                        f"GROUP BY interval {lo}:{hi} on axis {axis} "
+                        f"misses the query region {region}"
+                    )
+                clipped.append((max(int(lo), low), min(int(hi), high)))
+            spans_per_axis.append(clipped)
+        group_count = int(np.prod([len(spans) for spans in spans_per_axis]))
         plan = group_by_plan(
             obj.name,
             region,
             op,
-            {axis: spans for axis, spans in group_spec.items()},
+            {axis: spans_per_axis[axis] for axis in group_spec},
             group_count,
             predicate=predicate,
-            pushdown=pushdown,
         )
-        values = np.zeros(shape, dtype=np.float64)
-        timing = QueryTiming()
-        all_pushed = pushdown
         with obs.span(
             "query.group_by",
             object=obj.name,
@@ -289,17 +289,9 @@ class QueryEngine:
             region=str(region),
             groups=group_count,
         ):
-            for index in np.ndindex(shape):
-                box = MInterval(
-                    [spans_per_axis[ax][i][0] for ax, i in enumerate(index)],
-                    [spans_per_axis[ax][i][1] for ax, i in enumerate(index)],
-                )
-                value, box_timing, pushed = run_aggregate(
-                    obj, box, op, predicate, prune, pushdown
-                )
-                all_pushed = all_pushed and pushed
-                timing.add(box_timing)
-                values[index] = value
+            values, timing, all_pushed = group_aggregate(
+                obj, spans_per_axis, op, predicate, prune
+            )
             self._log(obj, region)
         _GROUP_BY_QUERIES.inc()
         return QueryResult(

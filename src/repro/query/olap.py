@@ -14,15 +14,14 @@ touches each byte exactly once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import QueryError
-from repro.core.geometry import MInterval
-from repro.query.engine import AGGREGATES
+from repro.index.zonemap import check_aggregate
+from repro.query.engine import group_aggregate
 from repro.query.timing import QueryTiming
 from repro.tiling.directional import category_intervals
 
@@ -66,7 +65,6 @@ def aggregate_by_category(
     obj: "StoredMDD",
     partitions: Mapping[int, Sequence[int]],
     op: str = "add_cells",
-    pushdown: bool = True,
 ) -> RollUp:
     """Compute one aggregate per category combination of the partitions.
 
@@ -74,29 +72,16 @@ def aggregate_by_category(
     :func:`~repro.tiling.directional.category_intervals`); axes without a
     partition form a single category spanning the full extent.
 
-    With ``pushdown`` (the default) each category block runs through the
-    planned engine's per-tile partial aggregation
-    (:meth:`StoredMDD.aggregate_push`): the block is never materialized,
-    synopses answer fully-covered tiles with zero decode, and the
-    exactness guards guarantee the values match the materialized
-    reduction bitwise.  ``pushdown=False`` keeps the v1
-    read-then-reduce (the identity baseline).
+    Each category block runs through the planned engine's per-tile
+    partial aggregation (:func:`~repro.query.engine.group_aggregate`):
+    the block is never materialized, synopses answer fully-covered tiles
+    with zero decode, and the exactness guards guarantee the values
+    match the materialized reduction bitwise.
     """
-    if obj.current_domain is None:
-        raise QueryError(f"object {obj.name!r} holds no tiles yet")
-    try:
-        func = AGGREGATES[op]
-    except KeyError:
-        raise QueryError(
-            f"unknown aggregate {op!r}; known: {sorted(AGGREGATES)}"
-        ) from None
-    if obj.mdd_type.base.dtype.fields is not None:
-        raise QueryError(
-            f"aggregate {op!r} needs a numeric base type, object "
-            f"{obj.name!r} has {obj.mdd_type.base.name!r}"
-        )
-
+    check_aggregate(op, obj)
     domain = obj.current_domain
+    if domain is None:
+        raise QueryError(f"object {obj.name!r} holds no tiles yet")
     spans_per_axis: list[list[tuple[int, int]]] = []
     for axis in range(domain.dim):
         low = domain.lowest[axis]
@@ -107,32 +92,7 @@ def aggregate_by_category(
         else:
             spans_per_axis.append(category_intervals(boundaries, low, high))
 
-    shape = tuple(len(spans) for spans in spans_per_axis)
-    values = np.zeros(shape, dtype=np.float64)
-    timing = QueryTiming()
-
-    def fill(prefix: list[int]) -> None:
-        axis = len(prefix)
-        if axis == domain.dim:
-            region = MInterval(
-                [spans_per_axis[ax][i][0] for ax, i in enumerate(prefix)],
-                [spans_per_axis[ax][i][1] for ax, i in enumerate(prefix)],
-            )
-            if pushdown:
-                value, block_timing, _pushed = obj.aggregate_push(region, op)
-                timing.add(block_timing)
-                values[tuple(prefix)] = value
-                return
-            data, block_timing = obj.read(region)
-            timing.add(block_timing)
-            started = time.perf_counter()
-            values[tuple(prefix)] = func(data)
-            timing.t_cpu += (time.perf_counter() - started) * 1000.0
-            return
-        for index in range(shape[axis]):
-            fill(prefix + [index])
-
-    fill([])
+    values, timing, _all_pushed = group_aggregate(obj, spans_per_axis, op)
     return RollUp(
         values=values,
         categories=tuple(tuple(spans) for spans in spans_per_axis),

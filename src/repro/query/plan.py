@@ -2,9 +2,10 @@
 
 The planned engine (query engine v2) separates *what* an aggregate query
 does from *how* the storage layer runs it.  A :class:`QueryPlan` is built
-from the parsed RaSQL statement before execution — the stage list states
-the strategy (aggregation pushdown vs. materialize-then-reduce) — and is
-annotated afterwards with what actually happened: tiles pruned by zone
+from the parsed RaSQL statement before execution — the planned strategy
+is always aggregation pushdown — and is annotated afterwards with what
+actually happened: whether the exactness guards forced the
+materialize-then-reduce fallback, tiles pruned by zone
 maps, tiles answered straight from stored synopses, tiles decoded into
 worker-side partials, and the peak of concurrently-live decoded bytes.
 
@@ -49,8 +50,8 @@ class PlanStage:
 class QueryPlan:
     """A logical aggregate/GROUP BY plan plus post-execution annotations.
 
-    ``pushdown`` is the *planned* strategy; :meth:`annotate` records the
-    executed one in ``pushed`` (the storage layer may fall back to the
+    The *planned* strategy is always pushdown; :meth:`annotate` records
+    the executed one in ``pushed`` (the storage layer falls back to the
     materialized reduction when the exactness guards reject pushdown for
     the object's actual value range).
     """
@@ -59,7 +60,6 @@ class QueryPlan:
     op: str
     object_name: str
     region: str
-    pushdown: bool
     predicate: Optional[str] = None
     group_spec: Optional[dict[int, Sequence[tuple[int, int]]]] = None
     group_count: int = 0
@@ -90,11 +90,9 @@ class QueryPlan:
 
     def format(self) -> str:
         """The EXPLAIN rendering: one line per stage, annotated."""
-        strategy = "pushdown" if self.pushdown else "materialize"
-        if self.executed and self.pushed is not None:
-            ran = "pushdown" if self.pushed else "materialize"
-            if ran != strategy:
-                strategy = f"{strategy} -> {ran} (exactness fallback)"
+        strategy = "pushdown"
+        if self.pushed is False:
+            strategy += " -> materialize (exactness fallback)"
         header = f"QUERY PLAN ({self.kind} {self.op}, {strategy})"
         width = max(len(stage.name) for stage in self.stages)
         lines = [header]
@@ -110,7 +108,6 @@ class QueryPlan:
             "op": self.op,
             "object": self.object_name,
             "region": self.region,
-            "pushdown": self.pushdown,
             "stages": [stage.as_dict() for stage in self.stages],
         }
         if self.predicate is not None:
@@ -135,7 +132,7 @@ class QueryPlan:
 
 def _stages_for(plan: QueryPlan) -> list[PlanStage]:
     executed = plan.executed
-    pushed = plan.pushed if plan.pushed is not None else plan.pushdown
+    pushed = plan.pushed is not False  # planned: pushdown
     stages: list[PlanStage] = []
 
     scan = f"{plan.object_name}{plan.region}"
@@ -193,7 +190,6 @@ def aggregate_plan(
     region: object,
     op: str,
     predicate: Optional[object] = None,
-    pushdown: bool = True,
 ) -> QueryPlan:
     """The logical plan of a single aggregate query."""
     plan = QueryPlan(
@@ -201,7 +197,6 @@ def aggregate_plan(
         op=op,
         object_name=object_name,
         region=str(region),
-        pushdown=pushdown,
         predicate=str(predicate) if predicate is not None else None,
     )
     plan._rebuild_stages()
@@ -215,7 +210,6 @@ def group_by_plan(
     group_spec: dict[int, Sequence[tuple[int, int]]],
     group_count: int,
     predicate: Optional[object] = None,
-    pushdown: bool = True,
 ) -> QueryPlan:
     """The logical plan of a GROUP BY (OLAP roll-up) query."""
     plan = QueryPlan(
@@ -223,7 +217,6 @@ def group_by_plan(
         op=op,
         object_name=object_name,
         region=str(region),
-        pushdown=pushdown,
         predicate=str(predicate) if predicate is not None else None,
         group_spec={axis: list(spans) for axis, spans in group_spec.items()},
         group_count=group_count,

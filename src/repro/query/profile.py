@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.query.engine import run_aggregate
 from repro.query.plan import QueryPlan, aggregate_plan
 from repro.query.timing import QueryTiming
 
@@ -374,14 +373,12 @@ def profile_aggregate(
     region,
     op: str,
     predicate=None,
-    pushdown: bool = True,
 ) -> QueryProfile:
     """Profile one planned aggregate query (EXPLAIN for the v2 engine).
 
     Runs ``op`` over ``region`` through
-    :meth:`StoredMDD.aggregate_push` (or the v1 materialized reduction
-    with ``pushdown=False``), reconciling the same three sources as
-    :func:`profile_read` — the :class:`QueryTiming`, the span tree under
+    :meth:`StoredMDD.aggregate_push`, reconciling the same three sources
+    as :func:`profile_read` — the :class:`QueryTiming`, the span tree under
     the ``tilestore.aggregate`` root, and the simulated disk clock.
     The returned profile carries the annotated
     :class:`~repro.query.plan.QueryPlan`, whose rendering leads the
@@ -390,18 +387,12 @@ def profile_aggregate(
     """
     obj = database.collection(collection)[name]
     plan = aggregate_plan(
-        name,
-        obj.resolve_region(region),
-        op,
-        predicate=predicate,
-        pushdown=pushdown,
+        name, obj.resolve_region(region), op, predicate=predicate
     )
     (_value, timing, pushed), profile, by_name = _profiled(
         database, collection, name, region, predicate,
-        lambda: run_aggregate(obj, region, op, predicate, pushdown=pushdown),
-        "tilestore.aggregate"
-        if pushdown or predicate is None
-        else "tilestore.read",
+        lambda: obj.aggregate_push(region, op, predicate=predicate),
+        "tilestore.aggregate",
     )
     plan.annotate(timing, pushed)
     profile.plan = plan

@@ -66,7 +66,6 @@ from repro.core.mdd import Tile
 from repro.core.mddtype import MDDType
 from repro.core.order import TileKey, shifted_key, tile_order
 from repro.index.zonemap import (
-    AGG_FUNCS,
     CellPredicate,
     check_aggregate,
     synopsis_can_match,  # noqa: F401  (a trace target, see below)
@@ -771,16 +770,10 @@ class ShardedMDD:
         version=None,
         prune: bool = True,
     ) -> Tuple[Union[int, float, bool], QueryTiming]:
-        """Materialized condense (the v1 comparison path): scatter-gather
-        the box, then reduce — bitwise what a single store returns."""
-        check_aggregate(op, self)
-        data, timing = self.read(region, version, prune=prune)
-        started = time.perf_counter()
-        # contiguous, like the single store's composed slab: numpy's
-        # float summation order follows the memory layout
-        value = AGG_FUNCS[op](np.ascontiguousarray(data))
-        timing.t_cpu += (time.perf_counter() - started) * 1000.0
-        return value, timing
+        """The two-tuple short form of :meth:`aggregate_push`
+        (unpredicated; ``pushed`` dropped) — bitwise what a single
+        store's :meth:`StoredMDD.aggregate` returns, charge for charge."""
+        return self.aggregate_push(region, op, version, prune=prune)[:2]
 
     def aggregate_push(
         self,
@@ -804,7 +797,7 @@ class ShardedMDD:
         transient dual-presence can never double-count.  Returns
         ``(value, timing, pushed)``; ineligible combinations (float
         add/avg, unbounded integer ranges) fall back to the materialized
-        scatter-gather read, identical to the v1 path.
+        scatter-gather read, reduced on the coordinator.
         """
         self._reject_version(version)
         check_aggregate(op, self)

@@ -154,11 +154,10 @@ class ReadExecutor:
     classifies every hit as pruned, synopsis-answered or to-decode,
     with no I/O; :meth:`fetch` page-orders a selection, fetches it and
     does all the ``t_o`` / tiles / bytes / pages / cells and cache-delta
-    accounting; a *sink* — :meth:`compose`, :meth:`blocks`,
-    :meth:`reduce` or :meth:`combine` — is the only stage that differs
-    between ``read``, ``read_blocks``, ``aggregate`` and
-    ``aggregate_push``.  Materialize-then-reduce is :meth:`compose`
-    followed by :meth:`condense`, not a path of its own.
+    accounting; a *sink* — :meth:`compose`, :meth:`blocks` or
+    :meth:`combine` — is the only stage that differs between ``read``,
+    ``read_blocks`` and ``aggregate_push``.  Materialize-then-reduce is
+    :meth:`compose` followed by :meth:`condense`, not a path of its own.
 
     A single store selects once; a sharded object selects on every
     shard's view (``merge=True`` deduplicates hits by domain corner, so
@@ -459,24 +458,6 @@ class ReadExecutor:
             self.timing = QueryTiming()
             yield part, data, timing
 
-    def reduce(self, op: str) -> Union[int, float, bool]:
-        """v1 aggregate sink: answered tiles' synopses plus the clipped
-        arrays of the fetched ones, combined exactly."""
-        with obs.span("tilestore.compose"):
-            started = time.perf_counter()
-            syn_parts = [
-                syn for sel in self.selections for _e, _p, syn in sel.answered
-            ]
-            self.timing.tiles_synopsis_answered = len(syn_parts)
-            array_parts = [
-                tile.array[part.to_slices(entry.domain.lowest)]
-                for entry, part, tile in self._fetched()
-                if tile.array is not None
-            ]
-            value = self._combined(op, syn_parts, array_parts)
-            self._charge_cpu(started)
-        return value
-
     def combine(self, op: str) -> Union[int, float, bool]:
         """Pushdown sink: merge the per-tile partials (worker-reduced
         and synopsis-answered alike) in deterministic key order."""
@@ -498,12 +479,12 @@ class ReadExecutor:
                 len(contributions) - timing.tiles_synopsis_answered
             )
             contributions.sort(key=lambda pair: pair[0])
-            value = self._combined(op, [syn for _, syn in contributions], [])
+            value = self._combined(op, [syn for _, syn in contributions])
             self._charge_cpu(started)
         return value
 
-    def _combined(self, op: str, syn_parts: list, array_parts: list):
-        """Exact aggregate of the gathered parts plus the region's
+    def _combined(self, op: str, syn_parts: list):
+        """Exact aggregate of the gathered partials plus the region's
         default cells: uncovered space, pruned parts, and fetched
         virtual tiles (which carry neither an array nor a partial)."""
         default_cells = self.region.cell_count
@@ -516,7 +497,6 @@ class ReadExecutor:
             op,
             self.dtype,
             syn_parts,
-            array_parts,
             default_cells,
             self.default,
             self.region.cell_count,
@@ -1142,43 +1122,16 @@ class StoredMDD:
         version: Optional[ObjectVersion] = None,
         prune: bool = True,
     ) -> tuple[Union[int, float, bool], QueryTiming]:
-        """Condense ``op`` over ``region``, short-circuiting from synopses.
+        """Condense ``op`` over ``region``: the two-tuple short form of
+        :meth:`aggregate_push` (unpredicated; ``pushed`` dropped).
 
-        Fully-covered tiles whose synopsis is present are answered with
-        **zero decode** — no fetch, no disk charge — and counted in
-        ``timing.tiles_synopsis_answered``; partially-covered (or
-        synopsis-less) tiles are decoded and clipped.  The combination
-        is only taken when :func:`~repro.index.zonemap.aggregate_eligible`
-        proves it bitwise-equal to decoding the whole region and applying
-        the condenser (integer sums under overflow guards, min/max/count
-        with NaN bookkeeping); otherwise — float sums, oversized integer
-        ranges, ``prune=False`` — the region is decoded and reduced
-        conventionally.  Results are identical either way.
+        Fully-covered tiles with a synopsis are answered with **zero
+        decode** and counted in ``timing.tiles_synopsis_answered``;
+        ``prune=False`` fetches every intersected tile instead.  The
+        value is bitwise what decoding the region and applying the
+        condenser yields either way.
         """
-        check_aggregate(op, self)
-        with self._reader_view(version) as view:
-            query = ReadExecutor(
-                self.mdd_type,
-                self._resolve_in(region, view.domain),
-                prune=prune,
-            )
-            with obs.span(
-                "tilestore.aggregate",
-                object=self.name,
-                region=str(query.region),
-                op=op,
-            ) as span:
-                selection = query.select(self, view, condense=True)
-                exact = prune and query.exact(op)
-                query.fetch(selection)
-                value = (
-                    query.reduce(op)
-                    if exact
-                    else query.condense(op, query.compose())
-                )
-                query.annotate(span, "tiles_read", "tiles_synopsis_answered")
-        query.finish()
-        return value, query.timing
+        return self.aggregate_push(region, op, version, prune=prune)[:2]
 
     def aggregate_push(
         self,
@@ -1208,8 +1161,8 @@ class StoredMDD:
         :func:`~repro.index.zonemap.partial_aggregate_eligible` proves it
         bitwise-equal to materialize-then-reduce; otherwise (float
         sums/averages, unbounded integer ranges) this method falls back
-        to the materialized reduction *inline* — same charges as the v1
-        path — so results are identical either way.  Returns
+        to the materialized reduction *inline* — the charges of a read of
+        the same tiles — so results are identical either way.  Returns
         ``(value, timing, pushed)`` with ``pushed`` telling which branch
         ran (the planner surfaces it in ``EXPLAIN``).
         """
@@ -1931,7 +1884,6 @@ class Database:
         region,
         predicate: Optional[CellPredicate] = None,
         op: Optional[str] = None,
-        pushdown: bool = True,
     ) -> "QueryProfile":
         """Run one read with EXPLAIN ANALYZE-style per-stage accounting.
 
@@ -1942,8 +1894,7 @@ class Database:
         ``prune`` stage reporting ``tiles_pruned``.  With ``op`` (a
         condenser name) the query is a planned aggregate: the profile
         carries the annotated plan (scan → prune → partial-aggregate →
-        combine → project) and its stages cover the pushdown path;
-        ``pushdown=False`` profiles the v1 materialized reduction.
+        combine → project) and its stages cover the pushdown path.
         """
         from repro.query import profile
 
@@ -1952,5 +1903,5 @@ class Database:
                 self, collection, name, region, predicate=predicate
             )
         return profile.profile_aggregate(
-            self, collection, name, region, op, predicate, pushdown
+            self, collection, name, region, op, predicate
         )

@@ -53,6 +53,12 @@ class TestExplainWhere:
         err = capsys.readouterr().err
         assert "cannot parse cell predicate" in err
 
+    def test_no_pushdown_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["explain", "e", "--agg", "add_cells", "--no-pushdown"])
+        assert raised.value.code == 2
+        assert "--no-pushdown" in capsys.readouterr().err
+
 
 class TestBench:
     def test_pipeline_prints_every_identity_verdict(self, capsys, monkeypatch):

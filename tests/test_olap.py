@@ -3,18 +3,38 @@
 import numpy as np
 import pytest
 
+from repro.bench.query import reference_group_by
 from repro.core.errors import QueryError
 from repro.core.mddtype import mdd_type
+from repro.index.zonemap import AGG_FUNCS
+from repro.query.engine import QueryEngine
 from repro.query.olap import aggregate_by_category
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
-from repro.tiling.directional import DirectionalTiling
+from repro.tiling.directional import DirectionalTiling, category_intervals
 
 CUBE = mdd_type("Sales", "ulong", "[1:60,1:100]")
 PARTITIONS = {
     0: (1, 27, 42, 60),                       # 3 product classes
     1: (1, 27, 35, 41, 59, 73, 89, 97, 100),  # 8 districts
 }
+
+
+def _spans(obj):
+    """PARTITIONS as the GROUP BY spec ``group_by_query`` takes."""
+    domain = obj.current_domain
+    return {
+        axis: category_intervals(
+            bounds, domain.lowest[axis], domain.highest[axis]
+        )
+        for axis, bounds in PARTITIONS.items()
+    }
+
+
+def _materialized(obj, op="add_cells"):
+    """The roll-up over PARTITIONS by materialize-then-reduce (the
+    bench's reference): ``(values, timing)``."""
+    return reference_group_by(obj, obj.current_domain, op, _spans(obj))
 
 
 @pytest.fixture()
@@ -60,28 +80,39 @@ class TestRollUp:
 
     def test_exact_reads_under_matching_tiling(self, cube):
         obj, _data = cube
-        # v1 (materialized) path: every block read is tile-aligned.
-        rollup = aggregate_by_category(obj, PARTITIONS, pushdown=False)
-        assert rollup.timing.cells_fetched == rollup.timing.cells_result
+        # materialized: every block read is tile-aligned.
+        _values, timing = _materialized(obj)
+        assert timing.cells_fetched == timing.cells_result
 
     def test_pushdown_answers_aligned_rollup_from_synopses(self, cube):
         obj, _data = cube
-        # Pushdown (the default): aligned blocks are answered entirely
-        # from stored synopses — zero decode, same values bitwise.
+        # Aligned blocks are answered entirely from stored synopses —
+        # zero decode, same values bitwise as materialize-then-reduce.
         rollup = aggregate_by_category(obj, PARTITIONS)
-        baseline = aggregate_by_category(obj, PARTITIONS, pushdown=False)
+        baseline, _timing = _materialized(obj)
         assert rollup.timing.cells_fetched == 0
         assert rollup.timing.tiles_synopsis_answered > 0
-        assert rollup.values.tobytes() == baseline.values.tobytes()
+        assert rollup.values.tobytes() == baseline.tobytes()
+
+    def test_rollup_is_the_group_by_loop(self, cube):
+        obj, _data = cube
+        engine = QueryEngine(obj.database)
+        for op in sorted(AGG_FUNCS):
+            rollup = aggregate_by_category(obj, PARTITIONS, op)
+            grouped = engine.group_by_query(
+                obj, obj.current_domain, op, _spans(obj)
+            )
+            assert rollup.values.tobytes() == grouped.value.tobytes(), op
+            assert rollup.categories == grouped.groups
 
     def test_regular_tiling_pays_amplification(self):
         db = Database()
         obj = db.create_object("cubes", CUBE, "sales_reg")
         data = np.arange(6000, dtype=np.uint32).reshape(60, 100)
         obj.load_array(data, RegularTiling(4096), origin=(1, 1))
-        rollup = aggregate_by_category(obj, PARTITIONS, pushdown=False)
-        assert rollup.timing.cells_fetched > rollup.timing.cells_result
-        assert rollup.values.sum() == data.sum()  # still correct
+        values, timing = _materialized(obj)
+        assert timing.cells_fetched > timing.cells_result
+        assert values.sum() == data.sum()  # still correct
 
     def test_lookup_by_point(self, cube):
         obj, data = cube

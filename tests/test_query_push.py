@@ -2,9 +2,10 @@
 
 The contract under test: the planned pushdown path (per-tile partials on
 the pipeline workers, combined in tile-id order) is **bitwise-identical**
-to the v1 materialize-then-reduce path for every aggregate and GROUP BY
-query — including NaN bookkeeping, the integer-overflow eligibility
-guards, default-filled holes, and cell predicates — while never
+to materialize-then-reduce (the bench's reference, beside the numpy
+brute force) for every aggregate and GROUP BY query — including NaN
+bookkeeping, the integer-overflow eligibility guards, default-filled
+holes, and cell predicates — while never
 materializing the query box (peak decoded bytes bounded by the worker
 count times one tile).
 """
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.query import materialize_reference, reference_group_by
+from repro.core.errors import QueryError
 from repro.core.geometry import MInterval
 from repro.core.mdd import Tile
 from repro.core.mddtype import mdd_type
@@ -23,7 +26,9 @@ from repro.index.zonemap import (
     compute_synopsis,
     partial_aggregate_eligible,
 )
+from repro.query import rasql
 from repro.query.engine import QueryEngine
+from repro.shard import ShardedDatabase
 from repro.storage.tilestore import Database
 from repro.tiling.base import grid_partition
 
@@ -79,6 +84,12 @@ def _brute(composed: np.ndarray, op: str, predicate=None):
     return AGG_FUNCS[op](composed)
 
 
+def _v1(obj, region, op, predicate=None):
+    """The materialize-then-reduce reference value of one box."""
+    (value,), _timing = materialize_reference(obj, [region], op, predicate)
+    return value
+
+
 def _same(a, b) -> bool:
     """Bitwise scalar identity: exact repr, NaN-safe, type-separating."""
     return repr(a) == repr(b)
@@ -99,9 +110,8 @@ class TestPushdownIdentity:
         region = obj.current_domain
         for op in OPS:
             push = engine.aggregate_query(obj, region, op)
-            v1 = engine.aggregate_query(obj, region, op, pushdown=False)
             assert push.plan is not None and push.plan.pushed, op
-            assert _same(push.value, v1.value), op
+            assert _same(push.value, _v1(obj, region, op)), op
             assert _same(push.value, _brute(composed, op)), op
 
     def test_predicated_ops_match_v1_and_numpy(self):
@@ -112,11 +122,8 @@ class TestPushdownIdentity:
         sub = composed[2:14, 3:21]
         for op in OPS:
             push = engine.aggregate_query(obj, region, op, predicate=predicate)
-            v1 = engine.aggregate_query(
-                obj, region, op, predicate=predicate, pushdown=False
-            )
             assert push.plan.pushed, op
-            assert _same(push.value, v1.value), op
+            assert _same(push.value, _v1(obj, region, op, predicate)), op
             assert _same(push.value, _brute(sub, op, predicate)), op
 
     def test_float_add_avg_fall_back_min_max_count_push(self):
@@ -128,10 +135,9 @@ class TestPushdownIdentity:
         region = obj.current_domain
         for op in OPS:
             push = engine.aggregate_query(obj, region, op)
-            v1 = engine.aggregate_query(obj, region, op, pushdown=False)
             expect_pushed = op in ("count_cells", "min_cells", "max_cells")
             assert push.plan.pushed is expect_pushed, op
-            assert _same(push.value, v1.value), op
+            assert _same(push.value, _v1(obj, region, op)), op
             assert _same(push.value, _brute(composed, op)), op
 
     def test_hole_contributes_default_cells(self):
@@ -143,8 +149,7 @@ class TestPushdownIdentity:
         region = obj.current_domain
         for op in OPS:
             push = engine.aggregate_query(obj, region, op)
-            v1 = engine.aggregate_query(obj, region, op, pushdown=False)
-            assert _same(push.value, v1.value), op
+            assert _same(push.value, _v1(obj, region, op)), op
             assert _same(push.value, _brute(composed, op)), op
 
     def test_group_by_matches_v1_and_numpy(self):
@@ -153,14 +158,14 @@ class TestPushdownIdentity:
         spec = {0: [(0, 5), (6, 11), (12, 17)], 1: [(0, 7), (8, 15)]}
         for op in OPS:
             push = engine.group_by_query(obj, obj.current_domain, op, spec)
-            v1 = engine.group_by_query(
-                obj, obj.current_domain, op, spec, pushdown=False
+            v1, _timing = reference_group_by(
+                obj, obj.current_domain, op, spec
             )
             assert push.value.shape == (3, 2)
             assert push.groups == (
                 ((0, 5), (6, 11), (12, 17)), ((0, 7), (8, 15))
             )
-            assert push.value.tobytes() == v1.value.tobytes(), op
+            assert push.value.tobytes() == v1.tobytes(), op
             expected = np.zeros((3, 2))
             for i, (r0, r1) in enumerate(spec[0]):
                 for j, (c0, c1) in enumerate(spec[1]):
@@ -178,6 +183,73 @@ class TestPushdownIdentity:
         assert result.value.shape == (2, 1)
         assert result.value[0, 0] == data[:4].sum()
         assert result.value[1, 0] == data[4:].sum()
+
+
+class TestGroupByHonoursTheTrim:
+    """A grouped axis's spans are clipped to the query region: the
+    values are sums over the trimmed box, not over the spans alone."""
+
+    DATA = np.arange(900, dtype=np.int32).reshape(30, 30)
+
+    def _objects(self):
+        """The same 30x30 cube on one store and on 2 and 4 shards."""
+        domain = MInterval.from_shape(self.DATA.shape)
+        mdd = mdd_type("T", "long", str(domain))
+        tiles = [
+            Tile(box, self.DATA[box.to_slices(domain.lowest)])
+            for box in grid_partition(domain, (7, 8))
+        ]
+        for root in (Database(), ShardedDatabase(2), ShardedDatabase(4)):
+            obj = root.create_object("cubes", mdd, "c")
+            obj.write_tiles(tiles)
+            yield QueryEngine(root), obj
+
+    def test_one_grouped_axis(self):
+        region = MInterval.parse("[10:19,0:9]")
+        for engine, obj in self._objects():
+            result = engine.group_by_query(
+                obj, region, "add_cells", {0: [(0, 29)]}
+            )
+            assert result.region == region
+            assert result.groups == (((10, 19),), ((0, 9),))
+            assert result.value.tolist() == [[self.DATA[10:20, 0:10].sum()]]
+            assert result.value[0, 0] == 43950
+
+    def test_two_grouped_axes(self):
+        region = MInterval.parse("[10:19,3:26]")
+        spec = {0: [(0, 14), (15, 29)], 1: [(0, 9), (10, 29)]}
+        expected = np.array(
+            [
+                [self.DATA[10:15, 3:10].sum(), self.DATA[10:15, 10:27].sum()],
+                [self.DATA[15:20, 3:10].sum(), self.DATA[15:20, 10:27].sum()],
+            ],
+            dtype=np.float64,
+        )
+        for engine, obj in self._objects():
+            result = engine.group_by_query(obj, region, "add_cells", spec)
+            assert result.groups == (
+                ((10, 14), (15, 19)), ((3, 9), (10, 26))
+            )
+            assert result.value.tobytes() == expected.tobytes()
+            assert result.value.sum() == self.DATA[10:20, 3:27].sum()
+
+    def test_through_rasql(self):
+        for engine, _obj in self._objects():
+            (result,) = rasql.execute(
+                engine,
+                "SELECT add_cells(c[10:19,0:9]) FROM cubes AS c "
+                "GROUP BY dim0(0:29)",
+            )
+            assert result.value.tolist() == [[43950.0]]
+            assert result.groups == (((10, 19),), ((0, 9),))
+
+    def test_span_missing_the_region_raises(self):
+        region = MInterval.parse("[10:19,0:9]")
+        for engine, obj in self._objects():
+            with pytest.raises(QueryError, match=r"20:29 on axis 0"):
+                engine.group_by_query(
+                    obj, region, "add_cells", {0: [(10, 19), (20, 29)]}
+                )
 
 
 # ----------------------------------------------------------------------
@@ -304,10 +376,19 @@ class TestPlanText:
         assert "partial-aggregate" in text
 
     def test_materialize_plan(self):
-        text = self._result(pushdown=False).plan.format()
-        assert "QUERY PLAN (aggregate add_cells, materialize)" in text
-        assert "materialize" in text
-        assert "partial-aggregate" not in text
+        # materialize is never planned, only executed: float add_cells
+        # fails the exactness guards and runs the inline fallback
+        data = np.linspace(0.0, 1.0, 144).reshape(12, 12)
+        db, obj, _ = _build(data, "double", (4, 4))
+        result = QueryEngine(db).aggregate_query(
+            obj, obj.current_domain, "add_cells"
+        )
+        header, *stages = result.plan.format().splitlines()
+        assert header.startswith("QUERY PLAN (aggregate add_cells, ")
+        assert "materialize" in header
+        assert any(line.split()[0] == "materialize" for line in stages)
+        assert "partial-aggregate" not in "\n".join(stages)
+        assert "pushdown" not in result.plan.as_dict()
 
     def test_fallback_is_visible(self):
         data = np.linspace(0.0, 1.0, 144).reshape(12, 12)
@@ -379,14 +460,11 @@ def test_property_aggregate_matches_numpy(case):
     assume(region is not None)
     engine = QueryEngine(db)
     push = engine.aggregate_query(obj, region, op, predicate=predicate)
-    v1 = engine.aggregate_query(
-        obj, region, op, predicate=predicate, pushdown=False
-    )
     # composed is indexed from the origin-0 full domain, not the
     # (possibly shrunken) current domain
     origin = MInterval.from_shape(data.shape).lowest
     sub = composed[region.to_slices(origin)]
-    assert _same(push.value, v1.value)
+    assert _same(push.value, _v1(obj, region, op, predicate))
     assert _same(push.value, _brute(sub, op, predicate))
 
 
@@ -441,11 +519,10 @@ def test_property_group_by_matches_numpy(case):
     push = engine.group_by_query(
         obj, obj.current_domain, op, spec, predicate=predicate
     )
-    v1 = engine.group_by_query(
-        obj, obj.current_domain, op, spec, predicate=predicate,
-        pushdown=False,
+    v1, _timing = reference_group_by(
+        obj, obj.current_domain, op, spec, predicate
     )
-    assert push.value.tobytes() == v1.value.tobytes()
+    assert push.value.tobytes() == v1.tobytes()
     rows, cols = data.shape
     row_spans = spec.get(0, [(0, rows - 1)])
     col_spans = spec.get(1, [(0, cols - 1)])

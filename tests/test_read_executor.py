@@ -208,15 +208,30 @@ def test_matrix(entry, deployment, variant):
     if entry == "read_blocks" and deployment != "single":
         pytest.skip("sharded objects do not stream blocks")
     timing, zone = _run(entry, variant, deployment)
-    if deployment == "single" or entry == "aggregate":
-        # ShardedMDD.aggregate is materialize-then-reduce by contract, so
-        # it neither answers from synopses nor charges like one store.
+    if deployment == "single":
         return
     single_timing, single_zone = _run(entry, variant, "single")
     assert zone == single_zone, "zone-map counters differ from one store"
     if deployment == 1:
         for field in CHARGE_FIELDS:
             assert getattr(timing, field) == getattr(single_timing, field), field
+
+
+@pytest.mark.parametrize("variant", ("int32", "float64", "hole"))
+@pytest.mark.parametrize("deployment", ("single", 2))
+@pytest.mark.parametrize("op", sorted(AGG_FUNCS))
+def test_aggregate_is_the_short_form_of_aggregate_push(op, deployment, variant):
+    """One aggregate path: ``aggregate`` is ``aggregate_push(...)[:2]`` in
+    value bits and in every gated charge, on a fresh store each."""
+    root, _stores, obj, _mirror = _build(variant, deployment)
+    value, timing = obj.aggregate(BOX, op)
+    root.close()
+    root, _stores, obj, _mirror = _build(variant, deployment)
+    want, want_timing, _pushed = obj.aggregate_push(BOX, op)
+    root.close()
+    assert _same(value, want)
+    for field in CHARGE_FIELDS:
+        assert getattr(timing, field) == getattr(want_timing, field), field
 
 
 def test_prune_and_synopsis_paths_are_exercised():

@@ -246,10 +246,10 @@ class TestScatterGatherIdentity:
             1: ((0, 15), (16, 47), (48, 63)),
         }
         want = QueryEngine(db).group_by_query(
-            single, DOMAIN, "add_cells", spec, pushdown=True, prune=True
+            single, DOMAIN, "add_cells", spec
         )
         got = QueryEngine(sdb).group_by_query(
-            obj, DOMAIN, "add_cells", spec, pushdown=True, prune=True
+            obj, DOMAIN, "add_cells", spec
         )
         assert want.value.tobytes() == got.value.tobytes()
 

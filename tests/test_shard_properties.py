@@ -136,9 +136,9 @@ def test_group_by_rollup_identical(case):
         1: ((0, mid_x), (mid_x + 1, width - 1)),
     }
     want = QueryEngine(db).group_by_query(
-        single, domain, "add_cells", spec, pushdown=True, prune=True
+        single, domain, "add_cells", spec
     )
     got = QueryEngine(sdb).group_by_query(
-        obj, domain, "add_cells", spec, pushdown=True, prune=True
+        obj, domain, "add_cells", spec
     )
     assert want.value.tobytes() == got.value.tobytes()

@@ -13,11 +13,12 @@ from repro.index.zonemap import (
     CellPredicate,
     TilePruner,
     TileSynopsis,
-    aggregate_eligible,
     combine_aggregate,
     compute_synopsis,
     constant_synopsis,
     parse_predicate,
+    partial_aggregate_eligible,
+    partial_synopsis,
     synopsis_can_match,
 )
 from repro.storage.tilestore import Database
@@ -219,39 +220,39 @@ class TestAggregateEligible:
 
     def test_count_min_max_always_eligible(self):
         for op in ("count_cells", "min_cells", "max_cells"):
-            assert aggregate_eligible(op, self.INT, [None], 5, 0, 10)
-            assert aggregate_eligible(op, np.dtype(np.float64), [], 0, 0.0, 4)
+            assert partial_aggregate_eligible(op, self.INT, [None], 5, 0, 10)
+            assert partial_aggregate_eligible(op, np.dtype(np.float64), [], 0, 0.0, 4)
 
     def test_struct_never_eligible(self):
         dt = np.dtype([("r", "u1")])
-        assert not aggregate_eligible("count_cells", dt, [], 0, 0, 1)
+        assert not partial_aggregate_eligible("count_cells", dt, [], 0, 0, 1)
 
     def test_float_add_never_eligible(self):
         syn = compute_synopsis(np.array([1.0, 2.0]))
-        assert not aggregate_eligible(
+        assert not partial_aggregate_eligible(
             "add_cells", np.dtype(np.float64), [syn], 0, 0.0, 2
         )
 
     def test_int_add_needs_every_synopsis(self):
         syn = compute_synopsis(np.array([1, 2], dtype=self.INT))
-        assert aggregate_eligible("add_cells", self.INT, [syn], 0, 0, 2)
-        assert not aggregate_eligible(
+        assert partial_aggregate_eligible("add_cells", self.INT, [syn], 0, 0, 2)
+        assert not partial_aggregate_eligible(
             "add_cells", self.INT, [syn, None], 0, 0, 4
         )
 
     def test_int_add_overflow_guard(self):
         big = compute_synopsis(np.array([2 ** 62], dtype=np.int64))
-        assert not aggregate_eligible(
+        assert not partial_aggregate_eligible(
             "add_cells", np.dtype(np.int64), [big], 0, 0, 4
         )
 
     def test_default_magnitude_counts_when_uncovered(self):
         huge_default = 2 ** 62
         syn = compute_synopsis(np.array([1], dtype=np.int64))
-        assert aggregate_eligible(
+        assert partial_aggregate_eligible(
             "add_cells", np.dtype(np.int64), [syn], 0, huge_default, 4
         )
-        assert not aggregate_eligible(
+        assert not partial_aggregate_eligible(
             "add_cells", np.dtype(np.int64), [syn], 3, huge_default, 4
         )
 
@@ -267,8 +268,7 @@ class TestCombineAggregate:
             [full, partial, np.full(default_cells, default, self.INT)]
         )
         parts = dict(
-            syn_parts=[compute_synopsis(full)],
-            array_parts=[partial],
+            syn_parts=[compute_synopsis(full), partial_synopsis(partial)],
             default_cells=default_cells,
             default=default,
             region_cells=composed.size,
@@ -280,12 +280,12 @@ class TestCombineAggregate:
     def test_float_min_propagates_nan(self):
         dt = np.dtype(np.float64)
         syn = compute_synopsis(np.array([1.0, np.nan]))
-        got = combine_aggregate("min_cells", dt, [syn], [], 0, 0.0, 2)
+        got = combine_aggregate("min_cells", dt, [syn], 0, 0.0, 2)
         assert math.isnan(got)
 
     def test_unknown_op_raises(self):
         with pytest.raises(KeyError):
-            combine_aggregate("median_cells", self.INT, [], [], 0, 0, 1)
+            combine_aggregate("median_cells", self.INT, [], 0, 0, 1)
 
 
 IMG = mdd_type("Img", "long", "[0:19,0:19]")
