@@ -161,11 +161,9 @@ def _run_config(database, mdd, config: dict, runs: int) -> dict:
             value, timing = result.value, result.timing
             pushed = bool(result.plan.pushed) if result.plan else False
         walls.append((time.perf_counter() - started) * 1000.0)
-        # A GROUP BY is many scatters; a single max would be misleading.
-        if config["kind"] != "group_by":
-            scatter = getattr(mdd, "last_scatter", None)
-            if scatter is not None:
-                scatter_max = scatter.max_ms
+        scatter = getattr(mdd, "last_scatter", None)
+        if scatter is not None:
+            scatter_max = scatter.max_ms
     return {
         "digest": digest(value),
         "value": (

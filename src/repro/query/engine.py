@@ -9,7 +9,6 @@ session's history.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.index.zonemap import AGG_FUNCS, CellPredicate, check_aggregate
 from repro.query.access import Access, classify
 from repro.query.plan import aggregate_plan, group_by_plan
 from repro.query.result import QueryResult
-from repro.query.timing import QueryTiming
 
 _RANGE_QUERIES = obs.counter("query.range_queries", "Range queries executed")
 _SECTION_QUERIES = obs.counter("query.section_queries", "Section queries executed")
@@ -42,42 +40,6 @@ AggFunc = Callable[[np.ndarray], Union[int, float]]
 #: shared with the zone-map short-circuit path so both reduce bitwise
 #: identically (:data:`repro.index.zonemap.AGG_FUNCS`).
 AGGREGATES: dict[str, AggFunc] = AGG_FUNCS
-
-
-def group_aggregate(
-    obj: "StoredMDD",
-    spans_per_axis: Sequence[Sequence[tuple[int, int]]],
-    op: str,
-    predicate: Optional[CellPredicate] = None,
-    prune: bool = True,
-) -> tuple[np.ndarray, QueryTiming, bool]:
-    """One aggregate per cell of the span cross product:
-    ``(values, timing, all_pushed)``.
-
-    ``spans_per_axis`` lists every axis's closed coordinate spans; each
-    group box runs through :meth:`StoredMDD.aggregate_push` in
-    deterministic row-major group order.  ``values`` is a float64 cube
-    shaped by the span counts, ``timing`` the accumulated charges, and
-    ``all_pushed`` whether every group combined per-tile partials.  The
-    one GROUP BY loop: :meth:`QueryEngine.group_by_query` and
-    :func:`~repro.query.olap.aggregate_by_category` both end here.
-    """
-    shape = tuple(len(spans) for spans in spans_per_axis)
-    values = np.zeros(shape, dtype=np.float64)
-    timing = QueryTiming()
-    all_pushed = True
-    # ndindex and product both walk row-major; a combo is one (low,
-    # high) span per axis, transposed into the box's two corners.
-    for index, combo in zip(
-        np.ndindex(shape), itertools.product(*spans_per_axis)
-    ):
-        value, box_timing, pushed = obj.aggregate_push(
-            MInterval(*zip(*combo)), op, predicate=predicate, prune=prune
-        )
-        all_pushed = all_pushed and pushed
-        timing.add(box_timing)
-        values[index] = value
-    return values, timing, all_pushed
 
 
 class QueryEngine:
@@ -235,11 +197,12 @@ class QueryEngine:
         OLAP category intervals), each clipped to the query region's
         extent on that axis — a span that misses the region is an error;
         axes absent from it form a single group spanning the region's
-        full extent.  Each group is one aggregate over the corresponding
-        box (:func:`group_aggregate`), executed through the same path as
-        :meth:`aggregate_query` in deterministic row-major group order.
-        The result is a float64 cube shaped by the span counts, exactly
-        as :class:`~repro.query.olap.RollUp` lays its values out;
+        full extent.  The whole roll-up is one
+        :meth:`StoredMDD.aggregate_push` with ``groups``: one snapshot,
+        one index search, each tile fetched once and its partials routed
+        to the group cells it meets.  The result is a float64 cube
+        shaped by the span counts, exactly as
+        :class:`~repro.query.olap.RollUp` lays its values out;
         ``groups`` lists the spans actually aggregated.
         """
         check_aggregate(op, obj)
@@ -289,8 +252,9 @@ class QueryEngine:
             region=str(region),
             groups=group_count,
         ):
-            values, timing, all_pushed = group_aggregate(
-                obj, spans_per_axis, op, predicate, prune
+            values, timing, all_pushed = obj.aggregate_push(
+                region, op, predicate=predicate, prune=prune,
+                groups=spans_per_axis,
             )
             self._log(obj, region)
         _GROUP_BY_QUERIES.inc()

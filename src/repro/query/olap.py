@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.index.zonemap import check_aggregate
-from repro.query.engine import group_aggregate
 from repro.query.timing import QueryTiming
 from repro.tiling.directional import category_intervals
 
@@ -72,11 +71,13 @@ def aggregate_by_category(
     :func:`~repro.tiling.directional.category_intervals`); axes without a
     partition form a single category spanning the full extent.
 
-    Each category block runs through the planned engine's per-tile
-    partial aggregation (:func:`~repro.query.engine.group_aggregate`):
-    the block is never materialized, synopses answer fully-covered tiles
-    with zero decode, and the exactness guards guarantee the values
-    match the materialized reduction bitwise.
+    All category blocks run as one GROUP BY pass of the planned
+    engine's per-tile partial aggregation
+    (:meth:`~repro.storage.tilestore.StoredMDD.aggregate_push` with
+    ``groups``): no block is materialized, synopses answer tiles inside
+    a block with zero decode, a tile straddling blocks is decoded once,
+    and the exactness guards guarantee the values match the
+    materialized reduction bitwise.
     """
     check_aggregate(op, obj)
     domain = obj.current_domain
@@ -92,7 +93,9 @@ def aggregate_by_category(
         else:
             spans_per_axis.append(category_intervals(boundaries, low, high))
 
-    values, timing, _all_pushed = group_aggregate(obj, spans_per_axis, op)
+    values, timing, _pushed = obj.aggregate_push(
+        domain, op, groups=spans_per_axis
+    )
     return RollUp(
         values=values,
         categories=tuple(tuple(spans) for spans in spans_per_axis),

@@ -164,6 +164,8 @@ def _stages_for(plan: QueryPlan) -> list[PlanStage]:
             )
         stages.append(PlanStage("partial-aggregate", detail))
         detail = "partials merged in tile-id order (deterministic)"
+        if plan.kind == "group-by":
+            detail = f"partials routed to {plan.group_count} group cells, merged per cell in tile-id order"
         stages.append(PlanStage("combine", detail))
     else:
         detail = "compose the full box, reduce on the coordinator"

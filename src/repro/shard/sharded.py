@@ -783,7 +783,8 @@ class ShardedMDD:
         *,
         predicate: Optional[CellPredicate] = None,
         prune: bool = True,
-    ) -> Tuple[Union[int, float, bool], QueryTiming, bool]:
+        groups: Optional[Sequence[Sequence[Tuple[int, int]]]] = None,
+    ) -> Tuple[Union[int, float, bool, np.ndarray], QueryTiming, bool]:
         """Distributed aggregation pushdown over all shards.
 
         Every shard reduces its tiles to per-tile partials on its own
@@ -797,12 +798,14 @@ class ShardedMDD:
         transient dual-presence can never double-count.  Returns
         ``(value, timing, pushed)``; ineligible combinations (float
         add/avg, unbounded integer ranges) fall back to the materialized
-        scatter-gather read, reduced on the coordinator.
+        scatter-gather read, reduced on the coordinator.  ``groups``
+        makes it a GROUP BY exactly as :meth:`StoredMDD.aggregate_push`
+        — still one pass over the shards under one stable set of views.
         """
         self._reject_version(version)
         check_aggregate(op, self)
         return self._with_stable_views(
-            lambda: self._scatter(region, op, predicate, prune)
+            lambda: self._scatter(region, op, predicate, prune, groups)
         )
 
     @staticmethod
@@ -819,6 +822,7 @@ class ShardedMDD:
         op: Optional[str],
         predicate: Optional[CellPredicate],
         prune: bool,
+        groups=None,
     ) -> tuple:
         """One pass over the shards through the read executor
         (DESIGN §17): select on every shard's pinned view, take one
@@ -833,6 +837,7 @@ class ShardedMDD:
             predicate=predicate,
             prune=prune,
             merge=True,
+            groups=groups,
         )
         with ExitStack() as pins:
             for part in self._parts:

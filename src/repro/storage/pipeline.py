@@ -68,7 +68,7 @@ _READ_RUN_LEN = obs.histogram(
 )
 _PARTIAL_AGGS = obs.counter(
     "pipeline.partial_aggregates",
-    "Per-tile partial aggregates computed on the pushdown path",
+    "Partial aggregates (one per tile part) computed on the pushdown path",
 )
 _PARTIAL_LIVE_BYTES = obs.gauge(
     "pipeline.partial_live_bytes",
@@ -87,10 +87,11 @@ class FetchedTile:
     size, counted whether or not the payload was actually materialised.
 
     On the pushdown path (:func:`fetch_tile_partials`) ``array`` stays
-    ``None`` and ``partial`` summarises the region-clipped,
-    predicate-masked cells (:func:`~repro.index.zonemap.partial_synopsis`).
-    A virtual tile has neither: its clipped cells are all defaults, and
-    the caller accounts them as default fill.
+    ``None`` and ``partials`` summarises the predicate-masked cells of
+    each of the tile's parts, in order
+    (:func:`~repro.index.zonemap.partial_synopsis`).  A virtual tile has
+    neither: its clipped cells are all defaults, and the caller accounts
+    them as default fill.
     """
 
     entry: "TileEntry"
@@ -98,11 +99,13 @@ class FetchedTile:
     payload_bytes: int
     array: Optional[np.ndarray] = None
     decoded_hit: bool = False
-    partial: Optional[TileSynopsis] = None
+    partials: tuple[TileSynopsis, ...] = ()
 
 
 class _Reducer:
-    """The pushdown's per-tile step: clip → mask → summarise.
+    """The pushdown's per-tile step: clip → mask → summarise, once per
+    part (a tile straddling GROUP BY cells has one part per cell it
+    meets) from one decoded array.
 
     Also tracks the decoded bytes concurrently alive inside it and their
     high-water mark (``peak``), under its own lock: workers reduce in
@@ -119,8 +122,8 @@ class _Reducer:
         self.peak = 0
 
     def __call__(
-        self, array: np.ndarray, entry: "TileEntry", part: "MInterval"
-    ) -> TileSynopsis:
+        self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
+    ) -> tuple[TileSynopsis, ...]:
         nbytes = array.nbytes
         with self._latch:
             self._live += nbytes
@@ -128,14 +131,16 @@ class _Reducer:
                 self.peak = self._live
         _PARTIAL_LIVE_BYTES.inc(nbytes)
         try:
-            vals = array[part.to_slices(entry.domain.lowest)]
-            if self.predicate is not None:
-                vals = np.where(
-                    self.predicate.mask(vals), vals, self.default_cell
-                )
-            summary = partial_synopsis(vals)
-            _PARTIAL_AGGS.inc()
-            return summary
+            summaries = []
+            for part in parts:
+                vals = array[part.to_slices(entry.domain.lowest)]
+                if self.predicate is not None:
+                    vals = np.where(
+                        self.predicate.mask(vals), vals, self.default_cell
+                    )
+                summaries.append(partial_synopsis(vals))
+            _PARTIAL_AGGS.inc(len(summaries))
+            return tuple(summaries)
         finally:
             with self._latch:
                 self._live -= nbytes
@@ -147,12 +152,12 @@ def _decode(
     payload: bytes,
     dtype,
     shape,
-    part: Optional["MInterval"],
+    parts: Sequence["MInterval"],
     reduce: Optional[_Reducer],
 ) -> None:
     """The order-free CPU half of one miss: decompress and shape the
     tile's cells, then hand them over — or, given a reducer, reduce them
-    to ``tile.partial`` and drop them."""
+    to ``tile.partials`` and drop them."""
     entry = tile.entry
     started = time.perf_counter()
     raw = decompress(payload, entry.codec)
@@ -162,8 +167,7 @@ def _decode(
     if reduce is None:
         tile.array = array
     else:
-        assert part is not None  # a reducer comes with parts
-        tile.partial = reduce(array, entry, part)
+        tile.partials = reduce(array, entry, parts)
 
 
 def _decode_task(
@@ -171,7 +175,7 @@ def _decode_task(
     payload: bytes,
     dtype,
     shape,
-    part: Optional["MInterval"],
+    parts: Sequence["MInterval"],
     reduce: Optional[_Reducer],
     parent: Optional[obs.SpanContext],
 ) -> None:
@@ -188,7 +192,7 @@ def _decode_task(
             parent=parent,
             bytes=len(payload),
         ):
-            _decode(tile, payload, dtype, shape, part, reduce)
+            _decode(tile, payload, dtype, shape, parts, reduce)
     finally:
         _WORKERS_BUSY.dec()
 
@@ -279,7 +283,7 @@ def _fetch(
     database: "Database",
     entries: Sequence["TileEntry"],
     dtype,
-    parts: Sequence["MInterval"] = (),
+    parts: Sequence[Sequence["MInterval"]] = (),
     reduce: Optional[_Reducer] = None,
 ) -> list[FetchedTile]:
     """Fetch a page-ordered batch of tiles: the one ``t_o`` loop.
@@ -318,7 +322,7 @@ def _fetch(
                 if reduce is None:
                     tile.array = array
                 else:
-                    tile.partial = reduce(array, entry, parts[position])
+                    tile.partials = reduce(array, entry, parts[position])
                 continue
         misses.append((position, entry))
 
@@ -326,14 +330,14 @@ def _fetch(
         tile = fetched[position] = FetchedTile(entry, cost, len(payload))
         if entry.virtual:
             continue
-        part = None if reduce is None else parts[position]
+        tile_parts = () if reduce is None else parts[position]
         shape = entry.domain.shape  # here, not on the workers: they are the wall
         if executor is None:
-            _decode(tile, payload, dtype, shape, part, reduce)
+            _decode(tile, payload, dtype, shape, tile_parts, reduce)
         else:
             futures.append(
                 executor.submit(
-                    _decode_task, tile, payload, dtype, shape, part, reduce, trace_ctx
+                    _decode_task, tile, payload, dtype, shape, tile_parts, reduce, trace_ctx
                 )
             )
 
@@ -372,19 +376,20 @@ def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
 
 def fetch_tile_partials(
     database: "Database",
-    items: Sequence[tuple["TileEntry", "MInterval"]],
+    items: Sequence[tuple["TileEntry", Sequence["MInterval"]]],
     dtype,
     predicate: Optional[CellPredicate] = None,
     default: object = 0,
 ) -> tuple[list[FetchedTile], int]:
-    """Fetch tiles and reduce each to a partial aggregate on the workers.
+    """Fetch tiles and reduce each to partial aggregates on the workers.
 
     The charging protocol is that of :func:`fetch_tiles`, but every
-    decoded tile is clipped to its item's region part, masked by
-    ``predicate`` and reduced to a
-    :class:`~repro.index.zonemap.TileSynopsis` instead of being
-    returned, so the query box is never materialized and peak memory
-    stays at one decoded tile per worker plus the partials table.
+    decoded tile is clipped to each of its item's parts, masked by
+    ``predicate`` and reduced to one
+    :class:`~repro.index.zonemap.TileSynopsis` per part instead of being
+    returned — a tile is decoded once however many parts it has — so
+    the query box is never materialized and peak memory stays at one
+    decoded tile per worker plus the partials table.
 
     Returns the tiles in ``items`` order plus the observed peak of
     concurrently-live decoded bytes.
@@ -394,7 +399,7 @@ def fetch_tile_partials(
         database,
         [entry for entry, _ in items],
         dtype,
-        [part for _, part in items],
+        [parts for _, parts in items],
         reducer,
     )
     return fetched, reducer.peak

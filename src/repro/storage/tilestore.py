@@ -23,7 +23,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import reduce
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -126,22 +127,27 @@ class ReaderView(NamedTuple):
 
 @dataclass(slots=True)
 class _Selection:
-    """One store view's share of a query, as the select phase left it."""
+    """One store view's share of a query, as the select phase left it:
+    per query cell (see :class:`ReadExecutor`) what that cell alone
+    would have tallied; ``routes`` are a tile's ``(cell, part)`` pairs."""
 
     store: "StoredMDD"
     epoch: int
     #: Modelled ms charged to this store's disk: index pages, then
     #: fetches — exactly what its clock advanced by.
     model_ms: float
-    #: ``(entry, part)`` of every tile still to fetch.
+    #: Per cell: cells of the hits meeting it, and of the pruned ones.
+    covered: list
+    pruned_cells: list
+    #: Per cell: synopsis (or ``None``) of every non-pruned hit meeting
+    #: it — what that cell's exactness decision bounds magnitudes with.
+    syns: list
+    #: ``(entry, part, routes)`` of every tile still to fetch (``part``:
+    #: the tile clipped to the query region).
     items: list = field(default_factory=list)
-    #: ``(entry, part, synopsis)`` of tiles answered with zero decode.
+    #: ``(entry, part, routes, synopsis)`` of tiles answered with zero
+    #: decode.
     answered: list = field(default_factory=list)
-    #: Synopsis (or ``None``) of every non-pruned hit: what the
-    #: exactness decision bounds cell magnitudes with.
-    syns: list = field(default_factory=list)
-    covered: int = 0
-    pruned_cells: int = 0
     fetched: list = field(default_factory=list)
 
 
@@ -159,6 +165,10 @@ class ReadExecutor:
     ``read_blocks`` and ``aggregate_push``.  Materialize-then-reduce is
     :meth:`compose` followed by :meth:`condense`, not a path of its own.
 
+    A GROUP BY is one query with many *cells* (``groups``: closed spans
+    per axis; the region searched is their hull; a plain query is one
+    cell): each hit is routed to the cells it meets and fetched once.
+
     A single store selects once; a sharded object selects on every
     shard's view (``merge=True`` deduplicates hits by domain corner, so
     a migration's dual presence counts once), takes one :meth:`exact`
@@ -175,14 +185,32 @@ class ReadExecutor:
         predicate: Optional[CellPredicate] = None,
         prune: bool = True,
         merge: bool = False,
+        groups: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
     ) -> None:
+        self.grouped = groups is not None
+        if groups is None:
+            self.groups = [[bounds] for bounds in zip(region.lowest, region.highest)]
+            self.cell_counts = [region.cell_count]
+        else:
+            self.groups = [  # clipped to the region as this view resolved it
+                [(max(lo, low), min(hi, high)) for lo, hi in spans]
+                for spans, low, high in zip(groups, region.lowest, region.highest)
+            ]
+            if any(lo > hi for spans in self.groups for lo, hi in spans):
+                raise QueryError(f"a GROUP BY span misses the region {region}")
+            region = MInterval(
+                [min(lo for lo, _ in spans) for spans in self.groups],
+                [max(hi for _, hi in spans) for spans in self.groups],
+            )
+            extents = [np.array([hi - lo + 1 for lo, hi in s]) for s in self.groups]
+            self.cell_counts = reduce(np.multiply.outer, extents).ravel().tolist()
         self.region = region
         self.predicate = predicate
         self.prune = prune
         self.dtype = mdd_type.base.dtype
         self.default = mdd_type.base.default
         self.cell_size = mdd_type.cell_size
-        self.timing = QueryTiming(cells_result=region.cell_count)
+        self.timing = QueryTiming(cells_result=sum(self.cell_counts))
         self.selections: list[_Selection] = []
         self._seen: Optional[set] = set() if merge else None
         self._pruning = False
@@ -200,9 +228,10 @@ class ReadExecutor:
 
         Charges the index lookup to ``t_ix``.  Every hit the pruner
         cannot rule out becomes a fetch item; with ``condense`` (the
-        aggregates) a fully-covered, unpredicated tile with a synopsis
-        is set aside as *answered* instead, and coverage is tallied so
-        pruned parts and uncovered space count as default cells.
+        aggregates) an unpredicated tile with a synopsis lying inside
+        every cell it meets is set aside as *answered* instead, and
+        coverage is tallied per cell so pruned parts and uncovered space
+        count as default cells.  A hit in a gap between cells is dropped.
         """
         region, timing = self.region, self.timing
         disk = store.database.disk
@@ -221,7 +250,10 @@ class ReadExecutor:
         timing.t_ix_pages += page_ix
         timing.index_nodes += result.nodes_visited
 
-        selection = _Selection(store, view.epoch, page_ix)
+        cells = len(self.cell_counts)
+        selection = _Selection(
+            store, view.epoch, page_ix, [0] * cells, [0] * cells, [[] for _ in range(cells)]
+        )
         self.selections.append(selection)
         zones = view.zones or {}
         pruner = (
@@ -231,63 +263,110 @@ class ReadExecutor:
         )
         answer = condense and self.predicate is None and self.prune
         seen = self._seen
-        tiles_map = view.tiles
+        entries = []
         for hit in result.entries:
-            entry = tiles_map[hit.tile_id]
+            entry = view.tiles[hit.tile_id]
             if seen is not None:
                 corner = entry.domain.lowest
                 if corner in seen:
                     continue  # migration dual-presence: count once
                 seen.add(corner)
+            entries.append(entry)
+        routed = self._route(entries) if condense and cells > 1 else repeat(None)
+        for entry, routes in zip(entries, routed):
             # An interior tile is its own part: no new interval to build
             # (or to keep alive until the sink runs).
             inside = region.contains(entry.domain)
             part = entry.domain if inside else entry.domain.intersection(region)
             assert part is not None
-            if condense:
-                selection.covered += part.cell_count
+            if routes is None:
+                routes = [(0, part)] if condense else ()
+            elif not routes:
+                continue
+            for cell, cell_part in routes:
+                selection.covered[cell] += cell_part.cell_count
             if pruner is not None and not pruner.can_match(entry.tile_id):
                 # Provably only failing cells: the masked box would
                 # hold defaults there, and so does the aggregate.
-                selection.pruned_cells += part.cell_count
+                for cell, cell_part in routes:
+                    selection.pruned_cells[cell] += cell_part.cell_count
                 continue
             if condense:
                 syn = zones.get(entry.tile_id)
-                selection.syns.append(syn)
-                if answer and inside and syn is not None:
-                    selection.answered.append((entry, part, syn))
+                for cell, _ in routes:
+                    selection.syns[cell].append(syn)
+                if answer and syn is not None and all(p == entry.domain for _, p in routes):
+                    selection.answered.append((entry, part, routes, syn))
                     continue
-            selection.items.append((entry, part))
+            selection.items.append((entry, part, routes))
         if pruner is not None:
             self._pruning = True
             timing.tiles_pruned += pruner.pruned
         return selection
 
+    def _route(self, entries: list) -> list:
+        """Per entry, ``(cell, part)`` of every group cell it meets (``part``
+        is the entry's own domain inside the cell): one numpy overlap pass
+        per axis; only the spans a tile meets reach Python."""
+        if not entries:
+            return []
+        lows = np.array([entry.domain.lower for entry in entries])
+        highs = np.array([entry.domain.upper for entry in entries])
+        per_axis: list = []
+        stride = 1
+        for axis in reversed(range(len(self.groups))):
+            span_lo, span_hi = np.array(self.groups[axis]).T
+            rows, spans = np.nonzero(
+                (span_lo <= highs[:, axis, None]) & (span_hi >= lows[:, axis, None])
+            )
+            met: list = [[] for _ in entries]
+            for row, span, lo, hi in zip(
+                rows.tolist(),
+                (spans * stride).tolist(),
+                np.maximum(span_lo[spans], lows[rows, axis]).tolist(),
+                np.minimum(span_hi[spans], highs[rows, axis]).tolist(),
+            ):
+                met[row].append((span, lo, hi))
+            per_axis.insert(0, met)
+            stride *= len(span_lo)
+        routed = []
+        for entry, *met in zip(entries, *per_axis):
+            routes = []
+            for combo in product(*met):
+                cells, low, high = zip(*combo)
+                whole = low == entry.domain.lower and high == entry.domain.upper
+                routes.append(
+                    (sum(cells), entry.domain if whole else MInterval(low, high))
+                )
+            routed.append(routes)
+        return routed
+
     def exact(self, op: str) -> bool:
         """May ``op`` be combined from synopses and per-tile partials?
 
-        One decision over every selection
-        (:func:`~repro.index.zonemap.partial_aggregate_eligible`): the
-        combination must equal materialize-then-reduce bitwise.  When
-        it may not, the synopsis shortcut is off the table too — the
+        One :func:`~repro.index.zonemap.partial_aggregate_eligible`
+        decision per cell over every selection, with exactly the inputs
+        that cell alone would pass: the combination must equal
+        materialize-then-reduce bitwise in every cell.  When it may not
+        in some cell, the synopsis shortcut is off the table too — the
         answered tiles rejoin the fetch items, so every non-pruned tile
-        is fetched and the box materialized.
+        is fetched and the region materialized.
         """
-        cells = self.region.cell_count
-        exact = partial_aggregate_eligible(
-            op,
-            self.dtype,
-            chain.from_iterable(sel.syns for sel in self.selections),
-            cells - sum(sel.covered for sel in self.selections),
-            self.default,
-            cells,
-            masked=self.predicate is not None,
+        exact = all(
+            partial_aggregate_eligible(
+                op,
+                self.dtype,
+                chain.from_iterable(sel.syns[cell] for sel in self.selections),
+                cells - sum(sel.covered[cell] for sel in self.selections),
+                self.default,
+                cells,
+                masked=self.predicate is not None,
+            )
+            for cell, cells in enumerate(self.cell_counts)
         )
         if not exact:
             for selection in self.selections:
-                selection.items.extend(
-                    (entry, part) for entry, part, _syn in selection.answered
-                )
+                selection.items.extend(item[:3] for item in selection.answered)
                 selection.answered = []
         return exact
 
@@ -296,8 +375,8 @@ class ReadExecutor:
     def fetch(self, selection: _Selection, *, partials: bool = False) -> None:
         """Run phase: fetch a selection's items in page order.
 
-        ``partials`` reduces every tile to a partial aggregate on the
-        pipeline workers instead of returning its cells.
+        ``partials`` reduces every tile to one partial aggregate per
+        cell part on the pipeline workers instead of returning its cells.
         """
         self._page_order(selection)
         selection.fetched = self._fetch(selection, selection.items, partials)
@@ -328,7 +407,10 @@ class ReadExecutor:
             if partials:
                 fetched, peak = fetch_tile_partials(
                     database,
-                    items,
+                    [
+                        (entry, [cell_part for _, cell_part in routes])
+                        for entry, _part, routes in items
+                    ],
                     self.dtype,
                     predicate=self.predicate,
                     default=self.default,
@@ -336,11 +418,11 @@ class ReadExecutor:
                 timing.peak_partial_bytes = max(timing.peak_partial_bytes, peak)
             else:
                 fetched = fetch_tiles(
-                    database, [entry for entry, _ in items], self.dtype
+                    database, [item[0] for item in items], self.dtype
                 )
             blob_pages = database.disk.blob_pages
             cost = 0.0
-            for (entry, part), tile in zip(items, fetched):
+            for (entry, part, _routes), tile in zip(items, fetched):
                 cost += tile.cost
                 timing.t_o += tile.cost
                 timing.tiles_read += 1
@@ -373,17 +455,24 @@ class ReadExecutor:
         )
         self._aligned_cells = self._border_cells = 0
 
-    def _fetched(self) -> Iterator[tuple[TileEntry, MInterval, object]]:
-        """Every fetched tile with its clipped part, selection by
-        selection in page order."""
+    def _fetched(self) -> Iterator[tuple[TileEntry, MInterval, list, object]]:
+        """Every fetched tile with its clipped part and routes, selection
+        by selection in page order."""
         for selection in self.selections:
-            for (entry, part), tile in zip(selection.items, selection.fetched):
-                yield entry, part, tile
+            for item, tile in zip(selection.items, selection.fetched):
+                yield (*item, tile)
 
     def _key(self, entry: TileEntry):
         """Deterministic combine order: tile id within one store, domain
         corner across stores (tile ids are per store)."""
         return entry.tile_id if self._seen is None else entry.domain.lowest
+
+    def _shaped(self, values: list):
+        """The sinks' result: a plain query's scalar, a GROUP BY's cube."""
+        if not self.grouped:
+            return values[0]
+        shape = [len(spans) for spans in self.groups]
+        return np.array(values, dtype=np.float64).reshape(shape)
 
     # -- sinks -------------------------------------------------------------
 
@@ -399,7 +488,7 @@ class ReadExecutor:
             started = time.perf_counter()
             out = None
             if predicate is None and self.timing.tiles_read == 1:
-                entry, _part, tile = next(self._fetched())
+                entry, _part, _routes, tile = next(self._fetched())
                 if tile.array is not None and entry.domain.contains(region):
                     out = tile.array[region.to_slices(entry.domain.lowest)]
             if out is None:
@@ -407,7 +496,7 @@ class ReadExecutor:
                 if self.default != 0:
                     out[...] = self.default
                 default_cell = np.asarray(self.default, dtype=dtype)
-                for entry, part, tile in self._fetched():
+                for entry, part, _routes, tile in self._fetched():
                     if tile.array is None:
                         # Synthesized tiles carry default cells; under
                         # a predicate the masked value of a default
@@ -422,18 +511,24 @@ class ReadExecutor:
             self._charge_cpu(started)
         return out
 
-    def condense(self, op: str, out: np.ndarray) -> Union[int, float, bool]:
-        """Reduce a composed slab — the materialized half of every
-        aggregate the exactness guards keep from being combined.
+    def condense(self, op: str, out: np.ndarray):
+        """Reduce a composed slab cell by cell — the materialized half of
+        every aggregate the exactness guards keep from being combined.
 
-        The single-tile view :meth:`compose` may return is made
-        contiguous first: numpy's float summation order follows the
-        memory layout, and the reference is a freshly composed slab.
+        Each cell's slice is made contiguous first: numpy's float
+        summation order follows the memory layout, and the reference is
+        a freshly composed slab of that cell alone.
         """
         started = time.perf_counter()
-        value = AGG_FUNCS[op](np.ascontiguousarray(out))
+        origin = self.region.lowest
+        values = [
+            AGG_FUNCS[op](np.ascontiguousarray(out[tuple(
+                slice(lo - at, hi - at + 1) for (lo, hi), at in zip(combo, origin)
+            )]))
+            for combo in product(*self.groups)
+        ]
         self.timing.t_cpu += (time.perf_counter() - started) * 1000.0
-        return value
+        return self._shaped(values)
 
     def blocks(
         self, selection: _Selection
@@ -443,7 +538,7 @@ class ReadExecutor:
         rides on the first)."""
         self._page_order(selection)
         for item in selection.items:
-            entry, part = item
+            entry, part, _routes = item
             (tile,) = self._fetch(selection, [item])
             started = time.perf_counter()
             if tile.array is None:
@@ -458,49 +553,47 @@ class ReadExecutor:
             self.timing = QueryTiming()
             yield part, data, timing
 
-    def combine(self, op: str) -> Union[int, float, bool]:
+    def combine(self, op: str):
         """Pushdown sink: merge the per-tile partials (worker-reduced
-        and synopsis-answered alike) in deterministic key order."""
+        and synopsis-answered alike) per cell, in deterministic key
+        order, with each cell's default cells: uncovered space, pruned
+        parts, and fetched virtual tiles (which carry neither an array
+        nor a partial)."""
         timing = self.timing
         with obs.span("tilestore.combine", parts=timing.tiles_read):
             started = time.perf_counter()
-            contributions = [
-                (self._key(entry), syn)
-                for sel in self.selections
-                for entry, _part, syn in sel.answered
+            contributions: list[list] = [[] for _ in self.cell_counts]
+            default_cells = list(self.cell_counts)
+            answered = decoded = 0
+            for sel in self.selections:
+                for cell, (pruned, covered) in enumerate(
+                    zip(sel.pruned_cells, sel.covered)
+                ):
+                    default_cells[cell] += pruned - covered
+                for entry, _part, routes, syn in sel.answered:
+                    answered += 1
+                    for cell, _ in routes:
+                        contributions[cell].append((self._key(entry), syn))
+            for entry, _part, routes, tile in self._fetched():
+                if entry.virtual:
+                    for cell, cell_part in routes:
+                        default_cells[cell] += cell_part.cell_count
+                decoded += bool(tile.partials)
+                for (cell, _), partial in zip(routes, tile.partials):
+                    contributions[cell].append((self._key(entry), partial))
+            timing.tiles_synopsis_answered = answered
+            timing.tiles_partial_agg = decoded
+            values = [
+                combine_aggregate(
+                    op, self.dtype, [syn for _, syn in sorted(parts, key=lambda p: p[0])],
+                    defaults, self.default, cells,
+                )
+                for parts, defaults, cells in zip(
+                    contributions, default_cells, self.cell_counts
+                )
             ]
-            timing.tiles_synopsis_answered = len(contributions)
-            contributions += [
-                (self._key(entry), item.partial)
-                for entry, _part, item in self._fetched()
-                if item.partial is not None
-            ]
-            timing.tiles_partial_agg = (
-                len(contributions) - timing.tiles_synopsis_answered
-            )
-            contributions.sort(key=lambda pair: pair[0])
-            value = self._combined(op, [syn for _, syn in contributions])
             self._charge_cpu(started)
-        return value
-
-    def _combined(self, op: str, syn_parts: list):
-        """Exact aggregate of the gathered partials plus the region's
-        default cells: uncovered space, pruned parts, and fetched
-        virtual tiles (which carry neither an array nor a partial)."""
-        default_cells = self.region.cell_count
-        for sel in self.selections:
-            default_cells += sel.pruned_cells - sel.covered
-            default_cells += sum(
-                part.cell_count for entry, part in sel.items if entry.virtual
-            )
-        return combine_aggregate(
-            op,
-            self.dtype,
-            syn_parts,
-            default_cells,
-            self.default,
-            self.region.cell_count,
-        )
+        return self._shaped(values)
 
     # -- account -----------------------------------------------------------
 
@@ -1141,7 +1234,8 @@ class StoredMDD:
         *,
         predicate: Optional[CellPredicate] = None,
         prune: bool = True,
-    ) -> tuple[Union[int, float, bool], QueryTiming, bool]:
+        groups: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
+    ) -> tuple[Union[int, float, bool, np.ndarray], QueryTiming, bool]:
         """Condense ``op`` over ``region`` as combined per-tile partials.
 
         The planned engine's aggregation pushdown: intersected tiles are
@@ -1165,6 +1259,11 @@ class StoredMDD:
         the same tiles — so results are identical either way.  Returns
         ``(value, timing, pushed)`` with ``pushed`` telling which branch
         ran (the planner surfaces it in ``EXPLAIN``).
+
+        ``groups`` (closed spans per axis inside ``region``) makes it a
+        one-pass GROUP BY (DESIGN §15): the value is the float64 cube of
+        one aggregate per span combination, ``pushed`` true when every
+        cell combined partials.
         """
         check_aggregate(op, self)
         with self._reader_view(version) as view:
@@ -1173,6 +1272,7 @@ class StoredMDD:
                 self._resolve_in(region, view.domain),
                 predicate=predicate,
                 prune=prune,
+                groups=groups,
             )
             with obs.span(
                 "tilestore.aggregate",

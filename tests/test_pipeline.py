@@ -370,7 +370,7 @@ def _page_ordered_items(db, obj, region):
         (e for e in obj.tile_entries() if e.domain.intersects(region)),
         key=db.first_page,
     )
-    return [(e, e.domain.intersection(region)) for e in entries]
+    return [(e, (e.domain.intersection(region),)) for e in entries]
 
 
 class TestReducedBatch:
@@ -404,11 +404,11 @@ class TestReducedBatch:
             )
 
             mirror = cube_data()
-            for (entry, part), tile in zip(items, fetched):
+            for (entry, (part,)), tile in zip(items, fetched):
                 vals = mirror[part.to_slices((0, 0))]
                 if predicate is not None:
                     vals = np.where(predicate.mask(vals), vals, DTYPE.type(0))
-                assert tile.partial == partial_synopsis(vals)
+                assert tile.partials == (partial_synopsis(vals),)
                 assert tile.array is None
                 assert tile.entry is entry
                 assert tile.decoded_hit == (entry.blob_id in cached)
@@ -432,7 +432,7 @@ class TestReducedBatch:
             fetched, peak = fetch_tile_partials(db, items, DTYPE)
             assert len(fetched) > 1 and peak == 0
             for tile in fetched:
-                assert tile.array is None and tile.partial is None
+                assert tile.array is None and tile.partials == ()
                 assert tile.cost > 0.0 and not tile.decoded_hit
         finally:
             db.close()
