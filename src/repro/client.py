@@ -5,14 +5,16 @@ of keep-alive connections (one per worker thread) and reassembles range
 reads **byte-identically** to a direct :meth:`Database.read`:
 
 * **parallel reads** (the default) first fetch the tile *plan* of the
-  box — the stored tiles intersecting it at one pinned epoch — then fan
-  the per-tile fetches out over the worker pool in the tile-frame
-  format (compressed exactly as stored; the client decodes), composing
-  with :func:`repro.serve.wire.assemble`, the same rule the storage
-  layer uses.  Every tile fetch carries ``X-Repro-Expect-Etag``; if a
-  writer publishes a new epoch mid-read the server answers 409 and the
-  client retries the whole read at the new epoch, so an assembled array
-  is always one snapshot, never a torn mix of epochs.
+  box — the stored tiles intersecting it at one pinned epoch, in page
+  order — then split its tiles into at most ``workers`` page-contiguous
+  chunks and fetch each chunk's hull with one request over the worker
+  pool, in the tile-frame format (compressed exactly as stored; the
+  client decodes), composing with :func:`repro.serve.wire.assemble`, the
+  same rule the storage layer uses.  Every chunk fetch carries
+  ``X-Repro-Expect-Etag``; if a writer publishes a new epoch mid-read
+  the server answers 409 and the client retries the whole read at the
+  new epoch, so an assembled array is always one snapshot, never a torn
+  mix of epochs.
 * **ETag caching**: responses are cached keyed on the epoch-keyed ETag;
   repeat reads revalidate with ``If-None-Match`` and an unchanged
   object answers **304** with no body — the cached array is returned
@@ -118,9 +120,10 @@ class Client:
         self.timeout = timeout
         self.max_retries = max_retries
         self.stats = ClientStats()
+        self.workers = max(1, workers)
         self._local = threading.local()
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="repro-client"
+            max_workers=self.workers, thread_name_prefix="repro-client"
         )
         # ETag cache: (collection, name, box text) -> (etag, array copy).
         self._cache: dict[tuple[str, str, str], tuple[str, np.ndarray]] = {}
@@ -158,9 +161,10 @@ class Client:
     ) -> np.ndarray:
         """A range read, byte-identical to the server reading directly.
 
-        ``parallel=True`` fetches the tile plan and fans per-tile
-        fetches out over the worker pool; ``parallel=False`` issues one
-        raw-format request.  Both revalidate through the ETag cache.
+        ``parallel=True`` fetches the tile plan and fans at most
+        ``workers`` chunk fetches out over the worker pool;
+        ``parallel=False`` issues one raw-format request.  Both
+        revalidate through the ETag cache.
         """
         box_text = str(box) if box is not None else ""
         for attempt in range(self.max_retries + 1):
@@ -228,17 +232,11 @@ class Client:
         self, collection: str, name: str, box_text: str
     ) -> np.ndarray:
         key = (collection, name, box_text)
-        cached = self._cached(key)
-        headers = {"Accept": wire.FORMAT_RAW}
-        if cached is not None:
-            headers["If-None-Match"] = cached[0]
-        response = self._request(
-            "GET", self._slice_path(collection, name, box_text), headers
+        response, cached = self._revalidate(
+            key, self._path(collection, name, "slice", box_text), {"Accept": wire.FORMAT_RAW}
         )
-        if response.status == 304:
-            assert cached is not None
-            return cached[1].copy()
-        self._raise_for_status(response)
+        if cached is not None:
+            return cached
         shape = tuple(
             int(side)
             for side in response.headers["x-repro-shape"].split(",")
@@ -252,91 +250,74 @@ class Client:
         self, collection: str, name: str, box_text: str
     ) -> np.ndarray:
         key = (collection, name, box_text)
-        cached = self._cached(key)
-        plan_path = f"/v1/{quote(collection)}/{quote(name)}/tiles"
-        if box_text:
-            plan_path += f"?box={quote(box_text)}"
-        headers = {}
+        response, cached = self._revalidate(
+            key, self._path(collection, name, "tiles", box_text), {}
+        )
         if cached is not None:
-            headers["If-None-Match"] = cached[0]
-        plan_response = self._request("GET", plan_path, headers)
-        if plan_response.status == 304:
-            assert cached is not None
-            return cached[1].copy()
-        self._raise_for_status(plan_response)
-        plan = self._json(plan_response)
+            return cached
+        plan = self._json(response)
         etag = plan["etag"]
         box = MInterval.parse(plan["box"])
         dtype = np.dtype(plan["dtype"])
         default = plan["default"]
 
-        real_tiles = [t for t in plan["tiles"] if not t["virtual"]]
-        frames: list[wire.TileFrame] = []
-        if real_tiles:
-            futures = [
-                self._pool.submit(
-                    self._fetch_tile_frames,
-                    collection,
-                    name,
-                    tile["domain"],
-                    box,
-                    etag,
-                )
-                for tile in real_tiles
-            ]
-            for future in futures:
-                frames.extend(future.result())
+        # The plan is in page order, so consecutive tiles are neighbours
+        # on disk and (along the clustering curve) in space: one chunk of
+        # them per worker, one request per chunk.
+        real = [MInterval.parse(t["domain"]) for t in plan["tiles"] if not t["virtual"]]
+        size = max(1, -(-len(real) // self.workers))
+        futures = [
+            self._pool.submit(
+                self._fetch_chunk, collection, name, real[start : start + size], box, etag
+            )
+            for start in range(0, len(real), size)
+        ]
+        frames = [frame for future in futures for frame in future.result()]
         array = wire.assemble(box, dtype, default, frames)
         self._remember(key, etag, array)
         return array.copy()
 
-    def _fetch_tile_frames(
-        self,
-        collection: str,
-        name: str,
-        tile_domain: str,
-        box: MInterval,
-        etag: str,
+    def _fetch_chunk(
+        self, collection: str, name: str, tiles: list, box: MInterval, etag: str
     ) -> list[wire.TileFrame]:
-        """One tile's frames, pinned to the plan's epoch via the ETag."""
-        part = MInterval.parse(tile_domain).intersection(box)
-        if part is None:
-            return []
+        """One chunk's frames: one request for the chunk's hull inside the
+        box, pinned to the plan's epoch via the ETag."""
+        hull = MInterval.hull_of(tiles).intersection(box)
         response = self._request(
             "GET",
-            self._slice_path(collection, name, str(part)),
-            {
-                "Accept": wire.FORMAT_TILES,
-                "X-Repro-Expect-Etag": etag,
-            },
+            self._path(collection, name, "slice", str(hull)),
+            {"Accept": wire.FORMAT_TILES, "X-Repro-Expect-Etag": etag},
         )
         if response.status == 409:
-            raise StaleReadError(
-                409, f"{collection}/{name} changed mid-read"
-            )
+            raise StaleReadError(409, f"{collection}/{name} changed mid-read")
         self._raise_for_status(response)
         _header, frames = wire.decode_frames(response.body)
-        # A tile fetch may return neighbours too (any stored tile
-        # intersecting the part); keep only the one asked for, so the
-        # final assemble sees each tile exactly once.
-        wanted = MInterval.parse(tile_domain)
-        return [frame for frame in frames if frame.domain == wanted]
+        # The hull may meet other chunks' tiles too; keep only this
+        # chunk's, so the final assemble sees each tile exactly once.
+        wanted = set(tiles)
+        return [frame for frame in frames if frame.domain in wanted]
 
     # -- plumbing ----------------------------------------------------------
 
-    def _slice_path(
-        self, collection: str, name: str, box_text: str
-    ) -> str:
-        path = f"/v1/{quote(collection)}/{quote(name)}/slice"
-        if box_text:
-            path += f"?box={quote(box_text)}"
-        return path
+    def _path(self, collection: str, name: str, action: str, box_text: str) -> str:
+        path = f"/v1/{quote(collection)}/{quote(name)}/{action}"
+        return f"{path}?box={quote(box_text)}" if box_text else path
 
-    def _cached(
-        self, key: tuple[str, str, str]
-    ) -> Optional[tuple[str, np.ndarray]]:
+    def _revalidate(
+        self, key: tuple[str, str, str], path: str, headers: dict
+    ) -> tuple[_Response, Optional[np.ndarray]]:
+        """GET ``path``, revalidating the cached copy of ``key``: the
+        response, and a copy of the cached array if it answered 304."""
         with self._cache_latch:
-            return self._cache.get(key)
+            cached = self._cache.get(key)
+        if cached is not None:
+            headers["If-None-Match"] = cached[0]
+        response = self._request("GET", path, headers)
+        if response.status == 304:
+            assert cached is not None
+            return response, cached[1].copy()
+        self._raise_for_status(response)
+        return response, None
 
     def _remember(
         self,

@@ -21,8 +21,9 @@ metrics endpoint via :class:`repro.httpd.HttpServerHandle`) exposing one
 
 **Snapshot isolation.**  Every read request opens one
 :meth:`Database.snapshot` pin for its whole lifetime, so a response is
-always one committed state — never half a concurrent transaction — and
-raw reads run through the coalesced ``fetch_tiles`` read pipeline.
+always one committed state — never half a concurrent transaction.  Plans
+and reads of every format run through the storage layer's one read
+executor, so a served read is charged and recorded like a local one.
 
 **ETags.**  Responses carry a strong epoch-keyed ETag
 (:func:`repro.serve.wire.etag_for`); ``If-None-Match`` revalidation
@@ -89,6 +90,8 @@ _ENDPOINT_MS = {
 
 #: Default tile budget for auto-created objects (bytes).
 DEFAULT_TILE_BYTES = 64 * 1024
+#: Largest request body read (bytes); a larger declared length is 413.
+MAX_BODY_BYTES = 256 * 1024 * 1024
 
 
 class _HttpError(Exception):
@@ -280,15 +283,7 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
             with database.snapshot() as snap:
                 obj, version = self._lookup(snap, coll, name)
                 payload = self._describe(coll, name, obj, version)
-                payload["tiles"] = [
-                    {
-                        "id": entry.tile_id,
-                        "domain": str(entry.domain),
-                        "codec": entry.codec,
-                        "virtual": entry.virtual,
-                    }
-                    for entry in version.tiles.values()
-                ]
+                payload["tiles"] = _tile_rows(version.tiles.values())
                 self._reply_json(
                     200,
                     payload,
@@ -298,33 +293,21 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                 )
 
         def _tiles(self, coll: str, name: str, params: dict) -> None:
-            """The tile plan of a box at one pinned epoch."""
+            """The tile plan of a box at one pinned epoch: the tiles a
+            read of it fetches, in page order (index lookup only)."""
             with database.snapshot() as snap:
                 obj, version = self._lookup(snap, coll, name)
                 etag = wire.etag_for(coll, name, version.epoch)
                 if self._not_modified(etag):
                     return
                 region = self._resolve_box(obj, version, params)
-                result = version.index.search(region)
-                entries = sorted(
-                    (version.tiles[e.tile_id] for e in result.entries),
-                    key=database.first_page,
-                )
                 payload = {
                     "etag": etag,
                     "epoch": version.epoch,
                     "box": str(region),
                     "dtype": wire.dtype_token(obj.mdd_type.base.dtype),
                     "default": wire.default_token(obj.mdd_type.base.default),
-                    "tiles": [
-                        {
-                            "id": entry.tile_id,
-                            "domain": str(entry.domain),
-                            "codec": entry.codec,
-                            "virtual": entry.virtual,
-                        }
-                        for entry in entries
-                    ],
+                    "tiles": _tile_rows(obj.tile_plan(region, version)),
                 }
                 self._reply_json(200, payload, headers={"ETag": etag})
 
@@ -365,13 +348,21 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                         wire.default_token(obj.mdd_type.base.default)
                     ),
                 }
+                # Every format is one executor read of the pinned version:
+                # tile frames take the stored-tile sink, raw / json compose.
                 if fmt == wire.FORMAT_TILES:
-                    body = self._tile_frames(obj, version, region)
-                    self._reply(200, body, fmt, headers=headers)
-                    return
-                # raw / json route through the pinned version and the
-                # coalesced fetch_tiles read pipeline.
-                array, timing = obj.read(region, version=version)
+                    tiles, timing = obj.read_stored(region, version)
+                    body = wire.encode_frames(
+                        region,
+                        dtype,
+                        obj.mdd_type.base.default,
+                        [
+                            wire.TileFrame(entry.domain, entry.codec, stored, entry.virtual)
+                            for entry, stored in tiles
+                        ],
+                    )
+                else:
+                    array, timing = obj.read(region, version=version)
                 headers["X-Repro-T-O"] = f"{timing.t_o:.6f}"
                 headers["X-Repro-Tiles-Read"] = str(timing.tiles_read)
                 if fmt == wire.FORMAT_RAW:
@@ -379,6 +370,7 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                         str(side) for side in array.shape
                     )
                     body = np.ascontiguousarray(array).tobytes(order="C")
+                if fmt != wire.FORMAT_JSON:
                     self._reply(200, body, fmt, headers=headers)
                 else:
                     payload = {
@@ -389,33 +381,6 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                         "timing": _timing_dict(timing),
                     }
                     self._reply_json(200, payload, headers=headers)
-
-        def _tile_frames(
-            self, obj: StoredMDD, version: ObjectVersion, region: MInterval
-        ) -> bytes:
-            """Stored tiles intersecting the region, compressed as stored."""
-            result = version.index.search(region)
-            entries = sorted(
-                (version.tiles[e.tile_id] for e in result.entries),
-                key=database.first_page,
-            )
-            frames = []
-            for entry in entries:
-                if entry.virtual:
-                    frames.append(
-                        wire.TileFrame(entry.domain, "none", b"", virtual=True)
-                    )
-                    continue
-                payload, _cost = database.read_blob(entry.blob_id)
-                frames.append(
-                    wire.TileFrame(entry.domain, entry.codec, payload)
-                )
-            return wire.encode_frames(
-                region,
-                obj.mdd_type.base.dtype,
-                obj.mdd_type.base.default,
-                frames,
-            )
 
         def _query(self) -> None:
             payload = self._json_body()
@@ -498,28 +463,24 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                     f"{dtype_text} needs {expected}",
                 )
             values = np.frombuffer(body, dtype=dtype).reshape(region.shape)
+            # Checked before the object is auto-created: a rejected write
+            # must leave nothing behind.
+            tile_kb = params.get("tile_kb", str(DEFAULT_TILE_BYTES // 1024))
+            if not tile_kb.isdecimal() or int(tile_kb) <= 0:
+                raise _HttpError(400, f"tile_kb must be a positive integer, got {tile_kb!r}")
             obj = self._find_or_create(coll, name, region, dtype, params)
             if obj.tile_count == 0:
-                tile_bytes = int(
-                    params.get("tile_kb", DEFAULT_TILE_BYTES // 1024)
-                ) * 1024
-                stats = obj.load_array(
-                    values.copy(), RegularTiling(tile_bytes)
-                )
-                written = region.cell_count
-                tiles = stats.tile_count
+                stats = obj.load_array(values.copy(), RegularTiling(int(tile_kb) * 1024))
+                written, tiles = region.cell_count, stats.tile_count
             else:
-                written = obj.update(region, values)
-                tiles = obj.tile_count
-            epoch = database.last_commit_epoch()
-            version = obj._published
+                written, tiles = obj.update(region, values), obj.tile_count
             self._reply_json(
                 200,
                 {
                     "written_cells": written,
                     "tiles": tiles,
-                    "epoch": epoch,
-                    "etag": wire.etag_for(coll, name, version.epoch),
+                    "epoch": database.last_commit_epoch(),
+                    "etag": wire.etag_for(coll, name, obj._published.epoch),
                 },
             )
 
@@ -613,10 +574,17 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
             return payload
 
         def _raw_body(self) -> bytes:
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                raise _HttpError(400, "bad Content-Length") from None
+            declared = self.headers.get("Content-Length", "0").strip()
+            length = int(declared) if declared.isdecimal() else -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                # The body stays unread, so the connection cannot carry
+                # another request: answer and close it.
+                self.close_connection = True
+                if length < 0:
+                    raise _HttpError(400, f"bad Content-Length {declared!r}")
+                raise _HttpError(
+                    413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+                )
             body = self.rfile.read(length) if length > 0 else b""
             _BYTES_IN.inc(len(body))
             return body
@@ -656,10 +624,25 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
             self.send_header("Content-Length", str(len(body)))
             for key, value in (headers or {}).items():
                 self.send_header(key, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
     return Handler
+
+
+def _tile_rows(entries) -> list[dict]:
+    """Tile-table rows as the metadata and plan endpoints list them."""
+    return [
+        {
+            "id": entry.tile_id,
+            "domain": str(entry.domain),
+            "codec": entry.codec,
+            "virtual": entry.virtual,
+        }
+        for entry in entries
+    ]
 
 
 def _base_for_dtype(dtype: np.dtype) -> str:

@@ -23,7 +23,7 @@ With ``io_workers=1`` (the default) no executor exists and the pipeline
 degrades to the straight-line serial loop, keeping historical timings
 reproducible.  All of it is one function, :func:`_fetch`; the public
 ``fetch_tiles`` / ``fetch_tile`` / ``fetch_tile_partials`` are its entry
-points.
+points; ``fetch_payloads`` (served tile frames) is its read walk alone.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class FetchedTile:
     each of the tile's parts, in order
     (:func:`~repro.index.zonemap.partial_synopsis`).  A virtual tile has
     neither: its clipped cells are all defaults, and the caller accounts
-    them as default fill.
+    them as default fill.  From :func:`fetch_payloads` only ``payload``
+    is set: the stored bytes, undecoded.
     """
 
     entry: "TileEntry"
@@ -100,6 +101,7 @@ class FetchedTile:
     array: Optional[np.ndarray] = None
     decoded_hit: bool = False
     partials: tuple[TileSynopsis, ...] = ()
+    payload: bytes = b""
 
 
 class _Reducer:
@@ -363,6 +365,18 @@ def fetch_tiles(
 ) -> list[FetchedTile]:
     """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`)."""
     return _fetch(database, entries, dtype)
+
+
+def fetch_payloads(
+    database: "Database", entries: Sequence["TileEntry"]
+) -> list[FetchedTile]:
+    """Stored payloads of a page-ordered batch (served tile frames):
+    :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
+    decoded cache."""
+    return [
+        FetchedTile(entry, cost, len(payload), payload=payload)
+        for _, entry, payload, cost in _read_runs(database, list(enumerate(entries)))
+    ]
 
 
 def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:

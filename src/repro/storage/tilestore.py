@@ -71,7 +71,7 @@ from repro.storage.mvcc import (
     Snapshot,
     note_live_versions,
 )
-from repro.storage.pipeline import fetch_tile, fetch_tile_partials, fetch_tiles
+from repro.storage.pipeline import fetch_payloads, fetch_tile, fetch_tile_partials, fetch_tiles
 from repro.storage.wal import WriteAheadLog
 
 IndexFactory = Callable[[int, int], SpatialIndex]
@@ -379,7 +379,9 @@ class ReadExecutor:
         cell part on the pipeline workers instead of returning its cells.
         """
         self._page_order(selection)
-        selection.fetched = self._fetch(selection, selection.items, partials)
+        selection.fetched = self._fetch(
+            selection, selection.items, self._partials if partials else self._decoded
+        )
 
     @staticmethod
     def _page_order(selection: _Selection) -> None:
@@ -387,12 +389,25 @@ class ReadExecutor:
         first_page = selection.store.database.first_page
         selection.items.sort(key=lambda item: first_page(item[0]))
 
-    def _fetch(
-        self, selection: _Selection, items, partials: bool = False
-    ) -> list:
-        """Fetch ``items`` — as decoded tiles or as worker-reduced
-        ``partials`` — and account for every tile: the one place ``t_o``,
-        tiles / bytes / pages / cells and the cache deltas are charged."""
+    def _decoded(self, database: "Database", items) -> list:
+        return fetch_tiles(database, [item[0] for item in items], self.dtype)
+
+    def _partials(self, database: "Database", items) -> list:
+        parts = [(entry, [part for _, part in routes]) for entry, _part, routes in items]
+        fetched, peak = fetch_tile_partials(
+            database, parts, self.dtype, predicate=self.predicate, default=self.default
+        )
+        self.timing.peak_partial_bytes = max(self.timing.peak_partial_bytes, peak)
+        return fetched
+
+    def _payloads(self, database: "Database", items) -> list:
+        return fetch_payloads(database, [item[0] for item in items])
+
+    def _fetch(self, selection: _Selection, items, run: Callable) -> list:
+        """Fetch ``items`` with ``run`` — decoded tiles, worker-reduced
+        partials or stored payloads — and account for every tile: the one
+        place ``t_o``, tiles / bytes / pages / cells and the cache deltas
+        are charged."""
         database = selection.store.database
         pool = database.pool
         decoded = database.decoded_cache
@@ -404,22 +419,7 @@ class ReadExecutor:
             (decoded.hits, decoded.misses) if decoded is not None else None
         )
         with obs.span("tilestore.fetch", tiles=len(items)):
-            if partials:
-                fetched, peak = fetch_tile_partials(
-                    database,
-                    [
-                        (entry, [cell_part for _, cell_part in routes])
-                        for entry, _part, routes in items
-                    ],
-                    self.dtype,
-                    predicate=self.predicate,
-                    default=self.default,
-                )
-                timing.peak_partial_bytes = max(timing.peak_partial_bytes, peak)
-            else:
-                fetched = fetch_tiles(
-                    database, [item[0] for item in items], self.dtype
-                )
+            fetched = run(database, items)
             blob_pages = database.disk.blob_pages
             cost = 0.0
             for (entry, part, _routes), tile in zip(items, fetched):
@@ -539,7 +539,7 @@ class ReadExecutor:
         self._page_order(selection)
         for item in selection.items:
             entry, part, _routes = item
-            (tile,) = self._fetch(selection, [item])
+            (tile,) = self._fetch(selection, [item], self._decoded)
             started = time.perf_counter()
             if tile.array is None:
                 data = np.zeros(part.shape, dtype=self.dtype)
@@ -594,6 +594,15 @@ class ReadExecutor:
             ]
             self._charge_cpu(started)
         return self._shaped(values)
+
+    def payloads(self, selection: _Selection) -> list[tuple[TileEntry, bytes]]:
+        """Stored-tile sink (served tile frames): every hit with its payload
+        as stored, in page order.  Nothing is decoded and the decoded cache
+        is never touched, so the charges are a :meth:`compose` read's on a
+        database without that cache."""
+        self._page_order(selection)
+        fetched = self._fetch(selection, selection.items, self._payloads)
+        return [(tile.entry, tile.payload) for tile in fetched]
 
     # -- account -----------------------------------------------------------
 
@@ -1197,6 +1206,33 @@ class StoredMDD:
                 self.mdd_type, self._resolve_in(region, view.domain)
             )
             yield from query.blocks(query.select(self, view))
+
+    def tile_plan(
+        self, region: MInterval, version: Optional[ObjectVersion] = None
+    ) -> list[TileEntry]:
+        """The tiles a :meth:`read` of ``region`` fetches, in its order:
+        select and page order, no fetch — only ``t_ix`` is charged."""
+        with self._reader_view(version) as view:
+            query = ReadExecutor(self.mdd_type, self._resolve_in(region, view.domain))
+            selection = query.select(self, view)
+            query._page_order(selection)  # under the pin: blobs stay placed
+        return [entry for entry, _part, _routes in selection.items]
+
+    def read_stored(
+        self, region: MInterval, version: Optional[ObjectVersion] = None
+    ) -> tuple[list[tuple[TileEntry, bytes]], QueryTiming]:
+        """:meth:`read` with the stored-tile sink: the tiles meeting
+        ``region`` with their payloads as stored, in page order, charged
+        like a :meth:`read` without a decoded cache."""
+        with self._reader_view(version) as view:
+            query = ReadExecutor(self.mdd_type, self._resolve_in(region, view.domain))
+            with obs.span(
+                "tilestore.read_stored", object=self.name, region=str(query.region)
+            ) as span:
+                tiles = query.payloads(query.select(self, view))
+                query.annotate(span, "tiles_read", "bytes_read")
+        query.finish()
+        return tiles, query.timing
 
     def read_section(
         self, axis: int, coordinate: int
