@@ -500,14 +500,6 @@ class ShardedMDD:
         self._key: TileKey = shifted_key(
             lambda point: base(point, bits), origin
         )
-        domains = [
-            part.current_domain
-            for part in parts
-            if part.current_domain is not None
-        ]
-        self._current_domain: Optional[MInterval] = (
-            MInterval.hull_of(domains) if domains else None
-        )
         self.last_scatter: Optional[ScatterStats] = None
 
     # -- state --------------------------------------------------------------
@@ -518,7 +510,16 @@ class ShardedMDD:
 
     @property
     def current_domain(self) -> Optional[MInterval]:
-        return self._current_domain
+        """The hull of the parts' published domains — derived, never
+        stored, so it reopens as it was committed (DESIGN §16)."""
+        domains = [
+            part._published.domain
+            for part in self._parts
+            if part._published.domain is not None
+        ]
+        return MInterval.hull_of(domains) if domains else None
+
+    _current_domain = current_domain
 
     @property
     def tile_count(self) -> int:
@@ -573,15 +574,20 @@ class ShardedMDD:
     def write_tiles(self, tiles: Sequence[Tile]) -> List[int]:
         """Bulk insert: one WAL transaction on every owner shard.
 
-        Tiles are grouped by owner; each group is one
-        :meth:`StoredMDD.write_tiles` call on its shard — one group
+        Tiles are grouped by owner; each group is the shard's own
+        :meth:`StoredMDD.write_tiles` step (``_write``) — one group
         commit (and one fsync in ``wal+fsync`` mode) per shard touched,
         in ascending shard order.
         """
         with self.sdb.writer:
-            return self._write_tiles_locked(tiles)
+            return self._route(tiles, None)
 
-    def _write_tiles_locked(self, tiles: Sequence[Tile]) -> List[int]:
+    def _route(
+        self, tiles: Sequence[Tile], region: Optional[MInterval]
+    ) -> List[int]:
+        """Group ``tiles`` by owner shard and run each group as that
+        shard's :meth:`StoredMDD._write` — for a load (``region`` given)
+        every owner's transaction carries the domain closure."""
         # First batch for this curve layout pre-splits the ownership map
         # at the batch keys' quantiles (see ShardedDatabase.range_map).
         rmap = self.sdb.range_map(
@@ -605,14 +611,8 @@ class ShardedMDD:
             shards=len(groups),
         ):
             for owner in sorted(groups):
-                tile_ids.extend(self._parts[owner].write_tiles(groups[owner]))
+                tile_ids.extend(self._parts[owner]._write(groups[owner], region))
         _TILES_ROUTED.inc(len(tiles))
-        for tile in tiles:
-            self._current_domain = (
-                tile.domain
-                if self._current_domain is None
-                else self._current_domain.hull(tile.domain)
-            )
         return tile_ids
 
     def insert_tile(self, tile: Tile) -> int:
@@ -625,85 +625,64 @@ class ShardedMDD:
         origin: Optional[Sequence[int]] = None,
         skip_default_tiles: bool = False,
     ) -> LoadStats:
-        """Tile and store a dense array: the strategy plans **once**, the
-        tile batches commit once per owner shard."""
-        if array.dtype != self.mdd_type.base.dtype:
-            array = array.astype(self.mdd_type.base.dtype)
-        if origin is None:
-            dd = self.mdd_type.definition_domain
-            origin = tuple(0 if lo is None else lo for lo in dd.lower)
-        region = MInterval.from_shape(array.shape, origin)
-        stats = LoadStats()
+        """Tile and store a dense array: the strategy plans **once**
+        (:meth:`StoredMDD._plan_load`), the tile batches commit once per
+        owner shard, each closing that shard's domain over the loaded
+        region — so partial coverage reopens with the domain it loaded."""
+        region, tiles, stats = self._plan_load(
+            array, strategy, origin, skip_default_tiles
+        )
         started = time.perf_counter()
-        spec = strategy.tile(region, self.mdd_type.cell_size)
-        stats.tiling_ms = (time.perf_counter() - started) * 1000.0
-
-        default_cell = self.mdd_type.base.default_cell()
-        started = time.perf_counter()
-        tiles = []
-        for tile_domain in spec.tiles:
-            data = array[tile_domain.to_slices(origin)]
-            if skip_default_tiles and (data == default_cell).all():
-                continue
-            tiles.append(Tile(tile_domain, data))
         with self.sdb.writer:
-            if not tiles:
-                raise StorageError(
-                    f"array for {self.name!r} holds only default values; "
-                    f"nothing to store with skip_default_tiles"
-                )
-            self._write_tiles_locked(tiles)
-            # Partial coverage must not shrink the domain below the
-            # loaded region (same closure as the single-store path).
-            if self._current_domain is not None:
-                self._current_domain = self._current_domain.hull(region)
+            self._route(tiles, region)
         stats.store_ms = (time.perf_counter() - started) * 1000.0
-        stats.tile_count = len(tiles)
         stats.bytes_stored = sum(
             part.stored_bytes() for part in self._parts
         )
         return stats
 
-    def _fan_out(self, region: MInterval, action) -> int:
-        """Sum ``action(part, clipped)`` over every shard part whose
-        current domain meets ``region`` (``clipped`` is that meeting) —
-        under the fan-out guard when more than one shard commits."""
-        plans = []
-        for part in self._parts:
-            if part.current_domain is None:
-                continue
-            clipped = region.intersection(part.current_domain)
-            if clipped is not None:
-                plans.append((part, clipped))
-        guard = self.sdb.fanout_commit() if len(plans) > 1 else nullcontext()
-        with guard:
-            return sum(action(part, clipped) for part, clipped in plans)
-
     def update(self, region: MInterval, values: np.ndarray) -> int:
         """Overwrite the covered parts of ``region``; returns covered
-        cells.  Each shard updates its own tiles in its own transaction.
-        Clipping to a shard's current domain only routes: the region is
-        validated, and ``values`` indexed, as the caller gave it."""
+        cells.  Every shard holding a tile that meets ``region`` updates
+        it in its own transaction, with ``region`` and ``values`` as the
+        caller gave them."""
         self._check_update(region, values)
         with self.sdb.writer:
-            return self._fan_out(
-                region,
-                lambda part, clipped: part.update(
-                    clipped, values[clipped.to_slices(region.lowest)]
-                ),
-            )
+            parts = [
+                part for part in self._parts if part.index.search(region).entries
+            ]
+            guard = self.sdb.fanout_commit() if len(parts) > 1 else nullcontext()
+            with guard:
+                return sum(part.update(region, values) for part in parts)
 
     def delete_region(self, region: MInterval) -> int:
-        """Drop tiles fully inside ``region``; returns tiles dropped."""
+        """Drop tiles fully inside ``region``; returns tiles dropped.
+
+        Single-store semantics (:meth:`StoredMDD.delete_region`): a
+        delete that drops nothing changes nothing; otherwise the domain
+        shrinks to the hull of the remaining tiles — so every shard whose
+        domain is not already its own tiles' hull (a load's closure)
+        commits that shrink, victims or not.
+        """
+        self._check_delete(region)
         with self.sdb.writer:
-            dropped = self._fan_out(
-                self.resolve_region(region),
-                lambda part, clipped: part.delete_region(clipped),
-            )
-            domains = [entry.domain for entry in self.tile_entries()]
-            self._current_domain = (
-                MInterval.hull_of(domains) if domains else None
-            )
+            plans = [(part, part._victims(region)) for part in self._parts]
+            dropped = sum(len(victims) for _part, victims in plans)
+            if not dropped:
+                return 0
+            plans = [
+                (part, victims)
+                for part, victims in plans
+                if victims or part.current_domain != part._tile_hull()
+            ]
+            guard = self.sdb.fanout_commit() if len(plans) > 1 else nullcontext()
+            with guard:
+                for part, victims in plans:
+                    if victims:
+                        part.delete_region(region)
+                    else:
+                        with part.database.transaction():
+                            part._drop_tiles(())  # the shrink alone
             return dropped
 
     # -- reads --------------------------------------------------------------
@@ -754,14 +733,16 @@ class ShardedMDD:
             lambda: self._scatter(region, None, predicate, prune)[:2]
         )
 
-    #: Access type (d), region resolution and update validation read
-    #: only ``name``, ``dim``, ``mdd_type``, the current domain and
-    #: ``read`` — the single-store bodies serve the sharded object
-    #: unchanged.
+    #: Access type (d), region resolution, write validation and load
+    #: planning read only ``name``, ``dim``, ``mdd_type``, the current
+    #: domain and ``read`` — the single-store bodies serve the sharded
+    #: object unchanged.
     read_section = StoredMDD.read_section
     resolve_region = StoredMDD.resolve_region
     _resolve_in = StoredMDD._resolve_in
     _check_update = StoredMDD._check_update
+    _check_delete = StoredMDD._check_delete
+    _plan_load = StoredMDD._plan_load
 
     def aggregate(
         self,

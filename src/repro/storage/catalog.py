@@ -40,7 +40,7 @@ from repro.index.zonemap import TileSynopsis
 from repro.storage.backends import FileBlobStore, MemoryBlobStore
 from repro.storage.disk import CpuParameters, DiskParameters
 from repro.storage.faults import FaultInjector
-from repro.storage.tilestore import Database, StoredMDD
+from repro.storage.tilestore import Database, StoredMDD, TileEntry
 from repro.storage.wal import scan_wal
 
 CATALOG_NAME = "catalog.json"
@@ -283,26 +283,22 @@ def open_database(
             obj_zones = zone_payload.get(coll_name, {}).get(
                 payload["name"], {}
             )
+            # The checkpoint is a set of tile_register records and one
+            # object_domain record: the same appliers replay them.
             for tile in payload["tiles"]:
-                synopsis = obj_zones.get(str(tile.get("id")))
-                obj.attach_tile(
-                    MInterval.parse(tile["domain"]),
-                    tile["blob"],
-                    tile["codec"],
-                    tile_id=tile.get("id"),
-                    synopsis=(
-                        TileSynopsis.from_dict(synopsis)
-                        if synopsis is not None
-                        else None
+                obj._apply_register(
+                    TileEntry(
+                        tile["id"],
+                        MInterval.parse(tile["domain"]),
+                        tile["blob"],
+                        tile["codec"],
+                        tile["virtual"],
                     ),
+                    _synopsis(obj_zones.get(str(tile["id"]))),
                 )
-            if "next_tile_id" in payload:
-                obj._next_tile_id = max(
-                    obj._next_tile_id, payload["next_tile_id"]
-                )
-            domain = payload.get("domain")
-            if domain is not None:
-                obj._current_domain = MInterval.parse(domain)
+            obj._apply_domain(_domain(payload["domain"]))
+            # The id counter outlives deleted tiles: ids are never reused.
+            obj._next_tile_id = max(obj._next_tile_id, payload["next_tile_id"])
 
     report = RecoveryReport(
         records_discarded=scan.uncommitted_records,
@@ -406,52 +402,56 @@ def _apply_record(database: Database, record: tuple) -> str:
             f"log names unknown object {operation.get('obj')!r} in "
             f"collection {operation.get('coll')!r} (op {op!r})"
         )
+    # The object ops: parse, guard for idempotence, call the applier the
+    # live write called (StoredMDD._apply_*).
+    tile_id = operation.get("tile_id")
+    entry = obj._tiles.get(tile_id)
     if op == "tile_register":
-        zone = operation.get("zone")
-        if operation["tile_id"] not in obj._tiles:
-            obj.attach_tile(
-                MInterval.parse(operation["domain"]),
-                operation["blob"],
-                operation["codec"],
-                tile_id=operation["tile_id"],
-                synopsis=(
-                    TileSynopsis.from_dict(zone) if zone is not None else None
+        synopsis = _synopsis(operation.get("zone"))
+        if entry is None:
+            obj._apply_register(
+                TileEntry(
+                    tile_id,
+                    MInterval.parse(operation["domain"]),
+                    operation["blob"],
+                    operation["codec"],
+                    operation["virtual"],
                 ),
+                synopsis,
             )
-        elif zone is not None:
+        elif synopsis is not None:
             # Tile already in the checkpoint: re-apply the synopsis too,
             # so tile and zone entry stay paired under double replay.
-            obj._zones[operation["tile_id"]] = TileSynopsis.from_dict(zone)
+            obj._apply_rebind(tile_id, entry.blob_id, entry.codec, synopsis)
     elif op == "tile_remove":
-        if operation["tile_id"] in obj._tiles:
-            obj.index.remove(operation["tile_id"])
-            del obj._tiles[operation["tile_id"]]
-        obj._zones.pop(operation["tile_id"], None)
+        if entry is not None:
+            obj._apply_remove(tile_id)
     elif op == "tile_rebind":
-        entry = obj._tiles.get(operation["tile_id"])
         if entry is None:
             raise RecoveryError(
-                f"log rebinds unknown tile {operation['tile_id']} of "
-                f"{obj.name!r}"
+                f"log rebinds unknown tile {tile_id} of {obj.name!r}"
             )
-        entry.blob_id = operation["blob"]
-        entry.codec = operation["codec"]
-        if "zone" in operation:
-            zone = operation["zone"]
-            if zone is not None:
-                obj._zones[entry.tile_id] = TileSynopsis.from_dict(zone)
-            else:
-                obj._zones.pop(entry.tile_id, None)
-    elif op == "object_domain":
-        domain = operation["domain"]
-        obj._current_domain = (
-            MInterval.parse(domain) if domain is not None else None
+        obj._apply_rebind(
+            tile_id,
+            operation["blob"],
+            operation["codec"],
+            # A record without a zone key leaves the synopsis as it is.
+            _synopsis(operation["zone"])
+            if "zone" in operation
+            else obj._zones.get(tile_id),
         )
+    elif op == "object_domain":
+        obj._apply_domain(_domain(operation["domain"]))
     elif op == "object_clear":
-        obj._tiles.clear()
-        obj._zones.clear()
-        obj.index = database.make_index(obj.dim)
-        obj._current_domain = None
+        obj._apply_clear()
     else:
         raise RecoveryError(f"unknown redo operation {op!r}")
     return kind
+
+
+def _synopsis(zone: Optional[dict]) -> Optional[TileSynopsis]:
+    return None if zone is None else TileSynopsis.from_dict(zone)
+
+
+def _domain(text: Optional[str]) -> Optional[MInterval]:
+    return None if text is None else MInterval.parse(text)

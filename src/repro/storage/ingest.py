@@ -93,8 +93,9 @@ def encode_payload(
 ) -> tuple[str, bytes, Optional[list[int]]]:
     """Encode one raw payload: codec selection plus (shared) page CRCs.
 
-    The single-tile path (:meth:`StoredMDD.update` rewrites) — same
-    outputs as one batch element, without the batch machinery.
+    Same outputs as one :func:`encode_tiles` element, without the batch
+    machinery.  No caller in the package since ``update`` encodes in one
+    batch; tests and the wall-clock benchmark's tracer still bind it.
     """
     codec, payload = _encode(raw, database.compression, database.codecs)
     crcs = (

@@ -380,10 +380,12 @@ def fetch_payloads(
 
 
 def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
-    """Single-tile fetch for the update path: a batch of one.
+    """Single-tile fetch: a batch of one.
 
     One tile has nothing to overlap, so the worker pool is never used
-    and the decoded cache is fed at once.
+    and the decoded cache is fed at once.  No caller in the package since
+    ``update`` fetches in one batch; tests and the wall-clock benchmark's
+    tracer still bind it.
     """
     return _fetch(database, [entry], dtype)[0]
 

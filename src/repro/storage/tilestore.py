@@ -50,7 +50,6 @@ from repro.index.zonemap import (
     TileSynopsis,
     check_aggregate,
     combine_aggregate,
-    compute_synopsis,
     constant_synopsis,
     note_synopsis_answered,
     note_tiles_pruned,
@@ -63,7 +62,12 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.decodedcache import DecodedTileCache
 from repro.storage.disk import CpuParameters, DiskParameters, SimulatedDisk
 from repro.storage.faults import FaultInjector
-from repro.storage.ingest import encode_payload, encode_tiles
+
+# Trace targets: ``update`` fetches and encodes in one batch each, so
+# nothing here calls encode_payload or fetch_tile any more — but
+# benchmarks/e2e/tracing.py wraps them as attributes of this module and
+# refuses to run if one is unbound (its TARGETS change in a benchmark PR).
+from repro.storage.ingest import EncodedTile, encode_payload, encode_tiles  # noqa: F401
 from repro.storage.latch import OrderedLatch
 from repro.storage.mvcc import (
     EpochManager,
@@ -71,7 +75,7 @@ from repro.storage.mvcc import (
     Snapshot,
     note_live_versions,
 )
-from repro.storage.pipeline import fetch_payloads, fetch_tile, fetch_tile_partials, fetch_tiles
+from repro.storage.pipeline import fetch_payloads, fetch_tile, fetch_tile_partials, fetch_tiles  # noqa: F401
 from repro.storage.wal import WriteAheadLog
 
 IndexFactory = Callable[[int, int], SpatialIndex]
@@ -771,6 +775,80 @@ class StoredMDD:
             operation.setdefault("obj", self.name)
             self.database.wal.log_meta(operation)
 
+    # -- the applier (DESIGN §10): one method per object redo op --------
+    # The only code that changes an object's tiles, synopses, index or
+    # current domain.  A live write validates, logs the record, then calls
+    # the applier with the objects it holds; replay and the checkpoint
+    # reload parse the record and call the same method, so live and
+    # replayed state can only differ if the logged record does.
+
+    def _apply_register(self, entry: TileEntry, synopsis: Optional[TileSynopsis]) -> None:
+        """``tile_register``: add a tile row (with its synopsis) and its
+        index entry; the current domain grows to cover it."""
+        self._touch()
+        self._tiles[entry.tile_id] = entry
+        if synopsis is not None:
+            self._zones[entry.tile_id] = synopsis
+        self.index.insert(IndexEntry(entry.domain, entry.tile_id))
+        self._next_tile_id = max(self._next_tile_id, entry.tile_id + 1)
+        domain = self._current_domain
+        self._current_domain = entry.domain if domain is None else domain.hull(entry.domain)
+
+    def _apply_rebind(
+        self, tile_id: int, blob_id: int, codec: str, synopsis: Optional[TileSynopsis]
+    ) -> None:
+        """``tile_rebind``: point a tile at a new BLOB; its synopsis is
+        replaced in the same step (``None`` drops it)."""
+        self._touch()
+        entry = self._tiles[tile_id]
+        entry.blob_id = blob_id
+        entry.codec = codec
+        if synopsis is None:
+            self._zones.pop(tile_id, None)
+        else:
+            self._zones[tile_id] = synopsis
+
+    def _apply_remove(self, tile_id: int) -> None:
+        """``tile_remove``: drop a tile row, its synopsis and index entry."""
+        self._touch()
+        self.index.remove(tile_id)
+        del self._tiles[tile_id]
+        self._zones.pop(tile_id, None)
+
+    def _apply_domain(self, domain: Optional[MInterval]) -> None:
+        """``object_domain``: set the current domain."""
+        self._touch()
+        self._current_domain = domain
+
+    def _apply_clear(self) -> None:
+        """``object_clear``: forget every tile; a fresh, empty index."""
+        self._touch()
+        self._tiles.clear()
+        self._zones.clear()
+        self.index = self.database.make_index(self.dim)
+        self._current_domain = None
+
+    def _log_domain(self, domain: Optional[MInterval]) -> None:
+        """Log and apply ``object_domain``."""
+        self._log_meta({"op": "object_domain", "domain": None if domain is None else str(domain)})
+        self._apply_domain(domain)
+
+    def _tile_hull(self) -> Optional[MInterval]:
+        """Hull of the stored tiles (``None`` without tiles)."""
+        if not self._tiles:
+            return None
+        return MInterval.hull_of(entry.domain for entry in self._tiles.values())
+
+    def _note_access(self, kind: str, region: MInterval, cells: int) -> None:
+        """Record a ``write`` / ``delete`` on the live access ring (read
+        records are the executor's, :meth:`ReadExecutor.finish`)."""
+        ring = self.database.access_ring
+        if ring.capacity and obs.registry.enabled:
+            ring.record(
+                kind, self.collection, self.name, str(region),
+                self.database.epoch._current, cells=cells,
+            )
+
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
@@ -822,14 +900,27 @@ class StoredMDD:
         same order; only the transaction boundaries differ.  Returns the
         new tile ids in storage order.
         """
+        with obs.span(
+            "tilestore.write_tiles", object=self.name, tiles=len(tiles)
+        ):
+            return self._write(tiles, None)
+
+    def _write(self, tiles: Sequence[Tile], region: Optional[MInterval]) -> list[int]:
+        """One store's share of a write, as one transaction: the tiles in
+        the database's clustering order through :meth:`_store_batch`.
+        Given a load's ``region``, the current domain then closes over it
+        — partial coverage must not shrink it below what the user loaded
+        — and the closure is logged with the tiles (``object_domain``),
+        so recovery reopens the same domain."""
         ordered = sorted(
             tiles, key=lambda t: self.database.tile_key(t.domain.lowest)
         )
-        with obs.span(
-            "tilestore.write_tiles", object=self.name, tiles=len(ordered)
-        ):
-            with self.database.transaction():
-                return self._store_batch(ordered)
+        with self.database.transaction():
+            tile_ids = self._store_batch(ordered)
+            if region is not None:
+                assert self._current_domain is not None
+                self._log_domain(self._current_domain.hull(region))
+        return tile_ids
 
     def _store_batch(self, tiles: Sequence[Tile]) -> list[int]:
         """Coordinator half of the ingest pipeline (inside a transaction).
@@ -841,44 +932,36 @@ class StoredMDD:
         in page order, mirroring the read pipeline's deferred
         admissions.
         """
-        self._touch()
         encoded = encode_tiles(self.database, tiles)
         tile_ids: list[int] = []
-        admissions: list[tuple[int, bytes, tuple[int, ...]]] = []
+        blob_ids: list[int] = []
         for item in encoded:
             self._admit_domain(item.tile.domain)
-            blob_id = self.database.store.put(
-                item.payload, codec=item.codec, page_crcs=item.page_crcs
-            )
-            self.database._note_created_blob(blob_id)
-            self.database._log_blob_put(
-                blob_id, item.payload, page_crcs=item.page_crcs
-            )
+            blob_id = self._put(item)
             _TILES_STORED.inc()
             tile_ids.append(
                 self._register(
-                    item.tile.domain,
-                    blob_id,
-                    item.codec,
-                    virtual=False,
-                    synopsis=item.synopsis,
+                    item.tile.domain, blob_id, item.codec, False, item.synopsis
                 )
             )
-            admissions.append((blob_id, item.raw, item.tile.domain.shape))
+            blob_ids.append(blob_id)
         if self.database.decoded_cache is not None:
-            for blob_id, raw, shape in admissions:
-                self._admit_write_through(blob_id, raw, shape)
-        ring = self.database.access_ring
-        if tiles and ring.capacity and obs.registry.enabled:
-            ring.record(
+            for item, blob_id in zip(encoded, blob_ids):
+                self._admit_write_through(blob_id, item.raw, item.tile.domain.shape)
+        if tiles:
+            self._note_access(
                 "write",
-                self.collection,
-                self.name,
-                str(MInterval.hull_of(t.domain for t in tiles)),
-                self.database.epoch._current,
-                cells=sum(t.domain.cell_count for t in tiles),
+                MInterval.hull_of(t.domain for t in tiles),
+                sum(t.domain.cell_count for t in tiles),
             )
         return tile_ids
+
+    def _put(self, item: EncodedTile) -> int:
+        """Store one encoded tile as a new BLOB, logged (``BLOB_PUT2``)."""
+        blob_id = self.database.store.put(item.payload, codec=item.codec, page_crcs=item.page_crcs)
+        self.database._note_created_blob(blob_id)
+        self.database._log_blob_put(blob_id, item.payload, page_crcs=item.page_crcs)
+        return blob_id
 
     def _admit_write_through(
         self, blob_id: int, raw: bytes, shape: tuple[int, ...]
@@ -899,23 +982,12 @@ class StoredMDD:
         _WRITE_THROUGH.inc()
 
     def attach_tile(
-        self,
-        domain: MInterval,
-        blob_id: int,
-        codec: str = "none",
-        tile_id: Optional[int] = None,
-        synopsis: Optional[TileSynopsis] = None,
+        self, domain: MInterval, blob_id: int, codec: str = "none"
     ) -> int:
-        """Re-register an existing BLOB as a tile (catalog reload path).
-
-        Used when reopening a file-backed database: the BLOB already holds
-        the tile's cells, so no data is copied — only the tile table and
-        the index are rebuilt.  ``tile_id`` pins the row id so that WAL
-        records written against the live database keep resolving after a
-        checkpoint reload.
-        """
+        """Register an existing BLOB as a tile: no data is copied — only
+        the tile table and the index grow.  Outside a transaction the
+        attached tile is visible to readers at once."""
         record = self.database.store.record(blob_id)  # raises when missing
-        self._touch()
         self._admit_domain(domain)
         expected = domain.cell_count * self.mdd_type.cell_size
         if codec == "none" and record.byte_size != expected:
@@ -923,17 +995,8 @@ class StoredMDD:
                 f"blob {blob_id} holds {record.byte_size} bytes, tile "
                 f"{domain} needs {expected}"
             )
-        registered = self._register(
-            domain,
-            blob_id,
-            codec,
-            virtual=record.virtual,
-            tile_id=tile_id,
-            synopsis=synopsis,
-        )
+        registered = self._register(domain, blob_id, codec, record.virtual, None)
         if self.database._current_txn() is None:
-            # Reload path runs outside any transaction: make the attached
-            # tile (and the grown domain) visible to readers right away.
             epoch_mgr = self.database.epoch
             with epoch_mgr.latch:
                 self._publish(epoch_mgr._current)
@@ -946,7 +1009,6 @@ class StoredMDD:
         reads return default-valued cells.
         """
         with self.database.transaction():
-            self._touch()
             self._admit_domain(domain)
             blob_id = self.database.store.put_virtual(
                 domain.cell_count * self.mdd_type.cell_size
@@ -961,9 +1023,7 @@ class StoredMDD:
                 and self.mdd_type.base.dtype.fields is None
                 else None
             )
-            return self._register(
-                domain, blob_id, "none", virtual=True, synopsis=synopsis
-            )
+            return self._register(domain, blob_id, "none", True, synopsis)
 
     def _admit_domain(self, domain: MInterval) -> None:
         self.mdd_type.validate_domain(domain, what="tile domain")
@@ -980,24 +1040,10 @@ class StoredMDD:
         blob_id: int,
         codec: str,
         virtual: bool,
-        tile_id: Optional[int] = None,
-        synopsis: Optional[TileSynopsis] = None,
+        synopsis: Optional[TileSynopsis],
     ) -> int:
-        if tile_id is None:
-            tile_id = self._next_tile_id
-        elif tile_id in self._tiles:
-            raise StorageError(
-                f"tile id {tile_id} already registered in {self.name!r}"
-            )
-        self._next_tile_id = max(self._next_tile_id, tile_id + 1)
-        self._tiles[tile_id] = TileEntry(tile_id, domain, blob_id, codec, virtual)
-        if synopsis is not None:
-            self._zones[tile_id] = synopsis
-        self.index.insert(IndexEntry(domain, tile_id))
-        if self._current_domain is None:
-            self._current_domain = domain
-        else:
-            self._current_domain = self._current_domain.hull(domain)
+        """Log and apply ``tile_register`` under the next tile id."""
+        tile_id = self._next_tile_id
         record = {
             "op": "tile_register",
             "tile_id": tile_id,
@@ -1012,6 +1058,9 @@ class StoredMDD:
             # other (crash-safe sidecar, WAL-logged).
             record["zone"] = synopsis.to_dict()
         self._log_meta(record)
+        self._apply_register(
+            TileEntry(tile_id, domain, blob_id, codec, virtual), synopsis
+        )
         return tile_id
 
     def load_array(
@@ -1035,56 +1084,58 @@ class StoredMDD:
         cubes", important for sparse OLAP data).  Reads synthesise the
         default for the uncovered areas.
         """
-        if array.dtype != self.mdd_type.base.dtype:
-            array = array.astype(self.mdd_type.base.dtype)
-        if origin is None:
-            dd = self.mdd_type.definition_domain
-            origin = tuple(0 if l is None else l for l in dd.lower)
-        region = MInterval.from_shape(array.shape, origin)
-
-        stats = LoadStats()
         with obs.span(
             "tilestore.load_array",
             object=self.name,
             strategy=type(strategy).__name__,
         ):
-            started = time.perf_counter()
-            spec = strategy.tile(region, self.mdd_type.cell_size)
-            stats.tiling_ms = (time.perf_counter() - started) * 1000.0
-
-            default_cell = self.mdd_type.base.default_cell()
-            ordered = sorted(
-                spec.tiles, key=lambda t: self.database.tile_key(t.lowest)
+            region, tiles, stats = self._plan_load(
+                array, strategy, origin, skip_default_tiles
             )
+            # One batch, one commit: the whole load is a single WAL
+            # transaction (group commit) encoded through the ingest
+            # pipeline.
             started = time.perf_counter()
-            tiles = []
-            for tile_domain in ordered:
-                data = array[tile_domain.to_slices(origin)]
-                if skip_default_tiles and (data == default_cell).all():
-                    continue
-                tiles.append(Tile(tile_domain, data))
-            with self.database.transaction():
-                if not tiles:
-                    raise StorageError(
-                        f"array for {self.name!r} holds only default values; "
-                        f"nothing to store with skip_default_tiles"
-                    )
-                # One batch, one commit: the whole load is a single WAL
-                # transaction (group commit) encoded through the ingest
-                # pipeline.
-                self._store_batch(tiles)
-                # Partial coverage must not shrink the current domain below
-                # the loaded region (the closure is over what the user
-                # loaded).
-                if self._current_domain is not None:
-                    self._current_domain = self._current_domain.hull(region)
-                self._log_meta(
-                    {"op": "object_domain", "domain": str(self._current_domain)}
-                )
+            self._write(tiles, region)
             stats.store_ms = (time.perf_counter() - started) * 1000.0
-            stats.tile_count = len(tiles)
             stats.bytes_stored = self.stored_bytes()
         return stats
+
+    def _plan_load(
+        self,
+        array: np.ndarray,
+        strategy,
+        origin: Optional[Sequence[int]],
+        skip_default_tiles: bool,
+    ) -> tuple[MInterval, list[Tile], LoadStats]:
+        """Phase one of a load, on one store or sharded: the loaded region
+        (at ``origin``, by default the definition domain's lower corner)
+        and its tiles under ``strategy``, all-default ones dropped with
+        ``skip_default_tiles``; ``tiling_ms`` and ``tile_count`` are set."""
+        if array.dtype != self.mdd_type.base.dtype:
+            array = array.astype(self.mdd_type.base.dtype)
+        if origin is None:
+            dd = self.mdd_type.definition_domain
+            origin = tuple(0 if lo is None else lo for lo in dd.lower)
+        region = MInterval.from_shape(array.shape, origin)
+        stats = LoadStats()
+        started = time.perf_counter()
+        spec = strategy.tile(region, self.mdd_type.cell_size)
+        stats.tiling_ms = (time.perf_counter() - started) * 1000.0
+        default_cell = self.mdd_type.base.default_cell()
+        tiles = []
+        for tile_domain in spec.tiles:
+            data = array[tile_domain.to_slices(origin)]
+            if skip_default_tiles and (data == default_cell).all():
+                continue
+            tiles.append(Tile(tile_domain, data))
+        if not tiles:
+            raise StorageError(
+                f"array for {self.name!r} holds only default values; "
+                f"nothing to store with skip_default_tiles"
+            )
+        stats.tile_count = len(tiles)
+        return region, tiles, stats
 
     def load_virtual(self, domain: MInterval, strategy) -> LoadStats:
         """Like :meth:`load_array` but with synthesized tile contents."""
@@ -1351,90 +1402,75 @@ class StoredMDD:
     def update(self, region: MInterval, values: np.ndarray) -> int:
         """Overwrite covered cells of ``region`` (read-modify-write tiles).
 
-        Returns the number of cells the update covered.  A tile whose new
-        payload is byte-identical to its stored payload is *not*
-        rewritten — its BLOB, page placement, and cache entries all stay
-        untouched (a no-op write must not evict hot cache state).
+        Returns the number of cells the update covered.  One batch: the
+        hit tiles are fetched in one :func:`fetch_tiles` call (in index
+        order), patched, and the changed ones encoded in one
+        :func:`encode_tiles` call; then each is rebound to its new BLOB.
+        A tile whose cells did not change is *not* rewritten — its BLOB,
+        page placement, and cache entries all stay untouched (a no-op
+        write must not evict hot cache state).  A virtual tile in the
+        region fails the update before any I/O.
         """
         self._check_update(region, values)
-        written = 0
-        dtype = self.mdd_type.base.dtype
         with self.database.transaction():
+            entries = [self._tiles[hit.tile_id] for hit in self.index.search(region).entries]
+            for entry in entries:
+                if entry.virtual:
+                    raise StorageError(f"cannot update virtual tile {entry.domain}")
+            # Every committed update publishes a new version (and so a new
+            # ETag), whether or not a cell changed.
             self._touch()
-            for entry in self.index.search(region).entries:
-                tile_entry = self._tiles[entry.tile_id]
-                if tile_entry.virtual:
-                    raise StorageError(
-                        f"cannot update virtual tile {tile_entry.domain}"
-                    )
-                fetched = fetch_tile(self.database, tile_entry, dtype)
-                assert fetched.array is not None
-                data = fetched.array.copy()
-                part = tile_entry.domain.intersection(region)
-                assert part is not None
-                data[part.to_slices(tile_entry.domain.lowest)] = values[
-                    part.to_slices(region.lowest)
-                ]
+            written = 0
+            changed: list[TileEntry] = []
+            patched: list[Tile] = []
+            fetched = fetch_tiles(self.database, entries, self.mdd_type.base.dtype)
+            for entry, tile in zip(entries, fetched):
+                part = entry.domain.intersection(region)
+                assert part is not None and tile.array is not None
+                cells = part.to_slices(entry.domain.lowest)
+                data = tile.array.copy()
+                data[cells] = values[part.to_slices(region.lowest)]
                 written += part.cell_count
-                payload = data.tobytes(order="C")
-                if payload == fetched.array.tobytes(order="C"):
-                    continue  # unchanged cells: keep BLOB and caches as-is
-                self._replace_payload(tile_entry, payload)
-        ring = self.database.access_ring
-        if ring.capacity and obs.registry.enabled:
-            ring.record(
-                "write",
-                self.collection,
-                self.name,
-                str(region),
-                self.database.epoch._current,
-                cells=written,
-            )
+                if data[cells].tobytes() != tile.array[cells].tobytes():
+                    changed.append(entry)
+                    patched.append(Tile(entry.domain, data))
+            for entry, item in zip(changed, encode_tiles(self.database, patched)):
+                # The superseded blob is retired, not deleted: a reader
+                # pinned on an older version may still fetch it.  Epoch
+                # reclamation deletes it once no pin can reach it
+                # (immediately when there are none).
+                self.database.retire_blob(entry.blob_id)
+                self._log_meta({"op": "blob_delete", "blob": entry.blob_id})
+                blob_id = self._put(item)
+                # The synopsis the encode workers computed from the new
+                # cells rides in the rebind's redo record — an updated
+                # tile and a stale synopsis can never publish together.
+                synopsis = item.synopsis
+                self._log_meta(
+                    {
+                        "op": "tile_rebind",
+                        "tile_id": entry.tile_id,
+                        "blob": blob_id,
+                        "codec": item.codec,
+                        "zone": None if synopsis is None else synopsis.to_dict(),
+                    }
+                )
+                self._apply_rebind(entry.tile_id, blob_id, item.codec, synopsis)
+                self._admit_write_through(blob_id, item.raw, entry.domain.shape)
+        self._note_access("write", region, written)
         return written
 
-    def _replace_payload(self, tile_entry: TileEntry, payload: bytes) -> None:
-        # The superseded blob is retired, not deleted: a reader pinned on
-        # an older version may still fetch it.  Epoch reclamation deletes
-        # it once no pin can reach it (immediately when there are none).
-        self.database.retire_blob(tile_entry.blob_id)
-        self._log_meta({"op": "blob_delete", "blob": tile_entry.blob_id})
-        raw = payload
-        codec, payload, page_crcs = encode_payload(self.database, raw)
-        tile_entry.blob_id = self.database.store.put(
-            payload, codec=codec, page_crcs=page_crcs
-        )
-        tile_entry.codec = codec
-        self.database._note_created_blob(tile_entry.blob_id)
-        self.database._log_blob_put(
-            tile_entry.blob_id, payload, page_crcs=page_crcs
-        )
-        record: dict = {
-            "op": "tile_rebind",
-            "tile_id": tile_entry.tile_id,
-            "blob": tile_entry.blob_id,
-            "codec": codec,
-        }
-        # Recompute the synopsis from the new cells in the same
-        # transaction (and the same redo record) as the rebind — an
-        # updated tile and a stale synopsis can never publish together.
-        synopsis = (
-            compute_synopsis(
-                np.frombuffer(raw, dtype=self.mdd_type.base.dtype),
-                self.database.zone_bins,
-            )
-            if self.database.zone_maps
-            else None
-        )
-        if synopsis is not None:
-            self._zones[tile_entry.tile_id] = synopsis
-            record["zone"] = synopsis.to_dict()
-        else:
-            self._zones.pop(tile_entry.tile_id, None)
-            record["zone"] = None
-        self._log_meta(record)
-        self._admit_write_through(
-            tile_entry.blob_id, raw, tile_entry.domain.shape
-        )
+    def _check_delete(self, region: MInterval) -> None:
+        """What ``delete_region`` accepts, on one store or sharded: a
+        bounded region inside the definition domain (one missing the
+        current domain drops nothing)."""
+        self.mdd_type.validate_domain(region, what="delete region")
+
+    def _victims(self, region: MInterval) -> list[TileEntry]:
+        """The tiles lying wholly inside ``region``, in tile-id order."""
+        hits = self.index.search(region).entries
+        victims = [self._tiles[hit.tile_id] for hit in hits if region.contains(hit.domain)]
+        return sorted(victims, key=lambda entry: entry.tile_id)
 
     def delete_region(self, region: MInterval) -> int:
         """Shrinkage (Section 2): drop every tile fully inside ``region``.
@@ -1443,57 +1479,29 @@ class StoredMDD:
         tiles are the unit of storage, so removal granularity is the
         tile (callers wanting finer removal can :meth:`update` cells to
         the default value instead).  The current domain shrinks to the
-        hull of the remaining tiles.  Returns the number of tiles
-        dropped.
+        hull of the remaining tiles; a delete that drops nothing changes
+        nothing.  Returns the number of tiles dropped.
         """
-        self.mdd_type.validate_domain(region, what="delete region")
+        self._check_delete(region)
         with self.database.transaction():
-            self._touch()
-            victims = sorted(
-                (
-                    self._tiles[hit.tile_id]
-                    for hit in self.index.search(region).entries
-                    if region.contains(hit.domain)
-                ),
-                key=lambda entry: entry.tile_id,
-            )
-            for entry in victims:
-                self.database.retire_blob(entry.blob_id)
-                self.index.remove(entry.tile_id)
-                del self._tiles[entry.tile_id]
-                self._zones.pop(entry.tile_id, None)
-                self._log_meta({"op": "blob_delete", "blob": entry.blob_id})
-                self._log_meta(
-                    {"op": "tile_remove", "tile_id": entry.tile_id}
-                )
-            if self._tiles:
-                self._current_domain = MInterval.hull_of(
-                    entry.domain for entry in self._tiles.values()
-                )
-            else:
-                self._current_domain = None
+            victims = self._victims(region)
             if victims:
-                self._log_meta(
-                    {
-                        "op": "object_domain",
-                        "domain": (
-                            str(self._current_domain)
-                            if self._current_domain is not None
-                            else None
-                        ),
-                    }
-                )
-        ring = self.database.access_ring
-        if victims and ring.capacity and obs.registry.enabled:
-            ring.record(
-                "delete",
-                self.collection,
-                self.name,
-                str(region),
-                self.database.epoch._current,
-                cells=sum(entry.domain.cell_count for entry in victims),
+                self._drop_tiles(victims)
+        if victims:
+            self._note_access(
+                "delete", region, sum(entry.domain.cell_count for entry in victims)
             )
         return len(victims)
+
+    def _drop_tiles(self, victims: Sequence[TileEntry]) -> None:
+        """Remove ``victims`` and shrink the current domain to the hull of
+        the tiles left (inside a transaction)."""
+        for entry in victims:
+            self.database.retire_blob(entry.blob_id)
+            self._log_meta({"op": "blob_delete", "blob": entry.blob_id})
+            self._log_meta({"op": "tile_remove", "tile_id": entry.tile_id})
+            self._apply_remove(entry.tile_id)
+        self._log_domain(self._tile_hull())
 
     def retile(self, strategy, skip_default_tiles: bool = False) -> LoadStats:
         """Reorganise the object's storage under a new tiling strategy.
@@ -1528,17 +1536,11 @@ class StoredMDD:
     def drop(self) -> None:
         """Delete all tiles and index entries of this object."""
         with self.database.transaction():
-            self._touch()
             for tile_entry in self._tiles.values():
                 self.database.retire_blob(tile_entry.blob_id)
-                self._log_meta(
-                    {"op": "blob_delete", "blob": tile_entry.blob_id}
-                )
-            self._tiles.clear()
-            self._zones.clear()
-            self.index = self.database.make_index(self.dim)
-            self._current_domain = None
+                self._log_meta({"op": "blob_delete", "blob": tile_entry.blob_id})
             self._log_meta({"op": "object_clear"})
+            self._apply_clear()
 
     def __repr__(self) -> str:
         return (
@@ -1671,12 +1673,18 @@ class Database:
         return self._io_executor
 
     def close(self) -> None:
-        """Shut down the decode worker pool and the WAL (idempotent)."""
+        """Shut down the decode worker pool and the WAL, and empty the
+        caches (idempotent): a closed database's cached tiles are freed
+        now, not whenever the collector reaches its reference cycles."""
         if self._io_executor is not None:
             self._io_executor.shutdown(wait=True)
             self._io_executor = None
         if self.wal is not None:
             self.wal.close()
+        if self.pool is not None:
+            self.pool.clear()
+        if self.decoded_cache is not None:
+            self.decoded_cache.clear()
 
     def invalidate_blob(self, blob_id: int) -> None:
         """Drop a BLOB from every cache layer (after update/delete)."""
