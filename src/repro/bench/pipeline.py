@@ -74,7 +74,6 @@ def _measure_mode(
     warm protocol resets once and lets the repeats hit the caches (the
     first, cold run is excluded from the averages).
     """
-    decoded_counter = obs.counter("pipeline.tiles_decoded")
     results: Dict[str, dict] = {}
     for name, spec in QUERIES.items():
         region = MInterval.parse(spec)
@@ -83,20 +82,17 @@ def _measure_mode(
             mdd.read(region)  # cold priming run, not measured
         wall: List[float] = []
         timings = []
-        decoded = []
         for _ in range(max(1, runs)):
             if not warm:
                 database.reset_clock()
-            before = decoded_counter.value
             started = time.perf_counter()
             array, timing = mdd.read(region)
             wall.append((time.perf_counter() - started) * 1000.0)
             timings.append(timing)
-            decoded.append(int(decoded_counter.value - before))
         results[name] = {
             "wall_ms": float(np.mean(wall)),
             "wall_ms_min": float(np.min(wall)),
-            "tiles_decoded_per_run": decoded,
+            "tiles_decoded_per_run": [timing.tiles_decoded for timing in timings],
             "digest": digest(array),
             "timing": timings[-1].as_dict(),
         }

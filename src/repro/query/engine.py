@@ -18,7 +18,7 @@ from repro.core.errors import QueryError
 from repro.core.geometry import MInterval
 from repro.index.zonemap import AGG_FUNCS, CellPredicate, check_aggregate
 from repro.query.access import Access, classify
-from repro.query.plan import aggregate_plan, group_by_plan
+from repro.query.plan import QueryPlan
 from repro.query.result import QueryResult
 
 _RANGE_QUERIES = obs.counter("query.range_queries", "Range queries executed")
@@ -158,14 +158,11 @@ class QueryEngine:
         the coordinator combines partials in tile-id order.  The storage
         layer falls back to materialize-then-reduce whenever the
         exactness guards reject pushdown, so the result is
-        bitwise-identical either way; the annotated
-        :class:`~repro.query.plan.QueryPlan` on the result records which
-        branch ran.
+        bitwise-identical either way; the
+        :class:`~repro.query.plan.QueryPlan` on the result renders which
+        branch ran from the query's record.
         """
         check_aggregate(op, obj)
-        plan = aggregate_plan(
-            obj.name, obj.resolve_region(region), op, predicate=predicate
-        )
         with obs.span(
             "query.aggregate", object=obj.name, op=op, region=str(region)
         ):
@@ -174,12 +171,13 @@ class QueryEngine:
             )
             self._log(obj, region)
         _AGGREGATE_QUERIES.inc()
+        resolved = obj.resolve_region(region)
         return QueryResult(
             value=value,
             timing=timing,
-            region=obj.resolve_region(region),
+            region=resolved,
             object_name=obj.name,
-            plan=plan.annotate(timing, pushed),
+            plan=QueryPlan(op, obj.name, resolved, predicate, timing, pushed),
         )
 
     def group_by_query(
@@ -236,21 +234,12 @@ class QueryEngine:
                     )
                 clipped.append((max(int(lo), low), min(int(hi), high)))
             spans_per_axis.append(clipped)
-        group_count = int(np.prod([len(spans) for spans in spans_per_axis]))
-        plan = group_by_plan(
-            obj.name,
-            region,
-            op,
-            {axis: spans_per_axis[axis] for axis in group_spec},
-            group_count,
-            predicate=predicate,
-        )
         with obs.span(
             "query.group_by",
             object=obj.name,
             op=op,
             region=str(region),
-            groups=group_count,
+            groups=int(np.prod([len(spans) for spans in spans_per_axis])),
         ):
             values, timing, all_pushed = obj.aggregate_push(
                 region, op, predicate=predicate, prune=prune,
@@ -263,7 +252,10 @@ class QueryEngine:
             timing=timing,
             region=region,
             object_name=obj.name,
-            plan=plan.annotate(timing, all_pushed),
+            plan=QueryPlan(
+                op, obj.name, region, predicate, timing, all_pushed,
+                {axis: spans_per_axis[axis] for axis in group_spec},
+            ),
             groups=tuple(tuple(spans) for spans in spans_per_axis),
         )
 

@@ -1,17 +1,18 @@
 """Logical query plans: scan → prune → partial-aggregate → combine → project.
 
 The planned engine (query engine v2) separates *what* an aggregate query
-does from *how* the storage layer runs it.  A :class:`QueryPlan` is built
-from the parsed RaSQL statement before execution — the planned strategy
-is always aggregation pushdown — and is annotated afterwards with what
-actually happened: whether the exactness guards forced the
-materialize-then-reduce fallback, tiles pruned by zone
-maps, tiles answered straight from stored synopses, tiles decoded into
-worker-side partials, and the peak of concurrently-live decoded bytes.
+does from *how* the storage layer runs it.  A :class:`QueryPlan` is a
+rendering of one executed aggregate or GROUP BY statement: its shape
+(op, object, region, predicate, group spec), the
+:class:`~repro.query.timing.QueryTiming` the executor recorded, and
+whether the exactness guards let pushdown run (``pushed``) or forced
+the materialize-then-reduce fallback.  The stage text — tiles pruned
+by zone maps, answered straight from stored synopses, decoded into
+worker-side partials, the peak of concurrently-live decoded bytes — is
+computed from that record whenever the plan is rendered.
 
-``EXPLAIN`` renders the annotated plan; the per-stage times still come
-from the span-tree profiler (:mod:`repro.query.profile`), which
-reconciles them against the simulated disk's clock.
+``EXPLAIN`` renders the plan above the per-stage walls of the same
+record (:mod:`repro.query.profile`).
 
 Determinism rules the plan encodes (see DESIGN §15):
 
@@ -27,201 +28,128 @@ Determinism rules the plan encodes (see DESIGN §15):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 from repro.query.timing import QueryTiming
 
-__all__ = ["PlanStage", "QueryPlan", "aggregate_plan", "group_by_plan"]
+__all__ = ["QueryPlan"]
 
 
-@dataclass
-class PlanStage:
-    """One operator of the logical plan, with its human-readable detail."""
-
-    name: str
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "detail": self.detail}
-
-
-@dataclass
+@dataclass(frozen=True)
 class QueryPlan:
-    """A logical aggregate/GROUP BY plan plus post-execution annotations.
+    """One executed aggregate/GROUP BY statement, rendered on demand.
 
-    The *planned* strategy is always pushdown; :meth:`annotate` records
-    the executed one in ``pushed`` (the storage layer falls back to the
-    materialized reduction when the exactness guards reject pushdown for
-    the object's actual value range).
+    The *planned* strategy is always pushdown; ``pushed`` is the
+    executed one (the storage layer falls back to the materialized
+    reduction when the exactness guards reject pushdown for the
+    object's actual value range).  ``group_spec`` maps each grouped axis
+    to its clipped spans; ``None`` makes the plan a scalar aggregate.
     """
 
-    kind: str  # "aggregate" | "group-by"
     op: str
     object_name: str
-    region: str
-    predicate: Optional[str] = None
+    region: object
+    predicate: Optional[object]
+    timing: QueryTiming
+    pushed: bool
     group_spec: Optional[dict[int, Sequence[tuple[int, int]]]] = None
-    group_count: int = 0
-    stages: list[PlanStage] = field(default_factory=list)
-    # --- filled by annotate() after execution ---
-    executed: bool = False
-    pushed: Optional[bool] = None
-    tiles_pruned: int = 0
-    tiles_synopsis_answered: int = 0
-    tiles_decoded: int = 0
-    tiles_partial_agg: int = 0
-    peak_partial_bytes: int = 0
 
-    def annotate(self, timing: QueryTiming, pushed: bool) -> "QueryPlan":
-        """Record what execution actually did (in place) and return self."""
-        self.executed = True
-        self.pushed = pushed
-        self.tiles_pruned = timing.tiles_pruned
-        self.tiles_synopsis_answered = timing.tiles_synopsis_answered
-        self.tiles_decoded = timing.tiles_read
-        self.tiles_partial_agg = timing.tiles_partial_agg
-        self.peak_partial_bytes = timing.peak_partial_bytes
-        self._rebuild_stages()
-        return self
+    @property
+    def kind(self) -> str:
+        return "aggregate" if self.group_spec is None else "group-by"
 
-    def _rebuild_stages(self) -> None:
-        self.stages = _stages_for(self)
+    @property
+    def group_count(self) -> int:
+        """Cells of the GROUP BY cross product (ungrouped axes count 1)."""
+        return prod(len(spans) for spans in (self.group_spec or {}).values())
+
+    @property
+    def stages(self) -> list[tuple[str, str]]:
+        """``(operator, detail)`` per stage, from the shape and the record."""
+        timing, groups = self.timing, self.group_count
+        scan = f"{self.object_name}{self.region}"
+        if self.group_spec is not None:
+            axes = ", ".join(
+                f"dim{axis}({', '.join(f'{lo}:{hi}' for lo, hi in spans)})"
+                for axis, spans in sorted(self.group_spec.items())
+            )
+            scan += f" grouped by {axes} ({groups} groups)"
+        stages = [("scan", scan)]
+        if self.predicate is not None:
+            stages.append((
+                "prune",
+                f"zone maps vs `{self.predicate}` — "
+                f"{timing.tiles_pruned} tiles pruned",
+            ))
+        if self.pushed:
+            stages.append((
+                "partial-aggregate",
+                "per-tile partials on the pipeline workers "
+                "(decode, clip, mask, reduce; box never materialized)"
+                f" — {timing.tiles_partial_agg} tiles decoded, "
+                f"{timing.tiles_synopsis_answered} synopsis-answered "
+                f"(zero decode), peak {timing.peak_partial_bytes} "
+                f"decoded bytes live",
+            ))
+            stages.append((
+                "combine",
+                "partials merged in tile-id order (deterministic)"
+                if self.group_spec is None
+                else f"partials routed to {groups} group cells, "
+                "merged per cell in tile-id order",
+            ))
+        else:
+            stages.append((
+                "materialize",
+                "compose the full box, reduce on the coordinator"
+                f" — {timing.tiles_decoded} tiles decoded",
+            ))
+        stages.append((
+            "project",
+            f"scalar {self.op}"
+            if self.group_spec is None
+            else f"float64 cube of {groups} group aggregates",
+        ))
+        return stages
 
     def format(self) -> str:
         """The EXPLAIN rendering: one line per stage, annotated."""
         strategy = "pushdown"
-        if self.pushed is False:
+        if not self.pushed:
             strategy += " -> materialize (exactness fallback)"
-        header = f"QUERY PLAN ({self.kind} {self.op}, {strategy})"
-        width = max(len(stage.name) for stage in self.stages)
-        lines = [header]
-        lines.extend(
-            f"  {stage.name.ljust(width)}  {stage.detail}"
-            for stage in self.stages
-        )
+        stages = self.stages
+        width = max(len(name) for name, _ in stages)
+        lines = [f"QUERY PLAN ({self.kind} {self.op}, {strategy})"]
+        lines.extend(f"  {name.ljust(width)}  {detail}" for name, detail in stages)
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        payload = {
+        payload: dict = {
             "kind": self.kind,
             "op": self.op,
             "object": self.object_name,
-            "region": self.region,
-            "stages": [stage.as_dict() for stage in self.stages],
+            "region": str(self.region),
+            "stages": [
+                {"name": name, "detail": detail} for name, detail in self.stages
+            ],
         }
         if self.predicate is not None:
-            payload["predicate"] = self.predicate
+            payload["predicate"] = str(self.predicate)
         if self.group_spec is not None:
             payload["group_by"] = {
                 str(axis): [list(span) for span in spans]
                 for axis, spans in self.group_spec.items()
             }
             payload["groups"] = self.group_count
-        if self.executed:
-            payload.update(
-                pushed=self.pushed,
-                tiles_pruned=self.tiles_pruned,
-                tiles_synopsis_answered=self.tiles_synopsis_answered,
-                tiles_decoded=self.tiles_decoded,
-                tiles_partial_agg=self.tiles_partial_agg,
-                peak_partial_bytes=self.peak_partial_bytes,
-            )
+        timing = self.timing
+        payload.update(
+            pushed=self.pushed,
+            tiles_pruned=timing.tiles_pruned,
+            tiles_synopsis_answered=timing.tiles_synopsis_answered,
+            tiles_decoded=timing.tiles_decoded,
+            tiles_partial_agg=timing.tiles_partial_agg,
+            peak_partial_bytes=timing.peak_partial_bytes,
+        )
         return payload
-
-
-def _stages_for(plan: QueryPlan) -> list[PlanStage]:
-    executed = plan.executed
-    pushed = plan.pushed is not False  # planned: pushdown
-    stages: list[PlanStage] = []
-
-    scan = f"{plan.object_name}{plan.region}"
-    if plan.kind == "group-by" and plan.group_spec is not None:
-        axes = ", ".join(
-            f"dim{axis}({', '.join(f'{lo}:{hi}' for lo, hi in spans)})"
-            for axis, spans in sorted(plan.group_spec.items())
-        )
-        scan += f" grouped by {axes} ({plan.group_count} groups)"
-    stages.append(PlanStage("scan", scan))
-
-    if plan.predicate is not None:
-        detail = f"zone maps vs `{plan.predicate}`"
-        if executed:
-            detail += f" — {plan.tiles_pruned} tiles pruned"
-        stages.append(PlanStage("prune", detail))
-
-    if pushed:
-        detail = (
-            "per-tile partials on the pipeline workers "
-            "(decode, clip, mask, reduce; box never materialized)"
-        )
-        if executed:
-            detail += (
-                f" — {plan.tiles_partial_agg} tiles decoded, "
-                f"{plan.tiles_synopsis_answered} synopsis-answered "
-                f"(zero decode), peak {plan.peak_partial_bytes} "
-                f"decoded bytes live"
-            )
-        stages.append(PlanStage("partial-aggregate", detail))
-        detail = "partials merged in tile-id order (deterministic)"
-        if plan.kind == "group-by":
-            detail = f"partials routed to {plan.group_count} group cells, merged per cell in tile-id order"
-        stages.append(PlanStage("combine", detail))
-    else:
-        detail = "compose the full box, reduce on the coordinator"
-        if executed:
-            detail += f" — {plan.tiles_decoded} tiles decoded"
-        stages.append(
-            PlanStage("materialize", detail)
-        )
-
-    if plan.kind == "group-by":
-        stages.append(
-            PlanStage(
-                "project",
-                f"float64 cube of {plan.group_count} group aggregates",
-            )
-        )
-    else:
-        stages.append(PlanStage("project", f"scalar {plan.op}"))
-    return stages
-
-
-def aggregate_plan(
-    object_name: str,
-    region: object,
-    op: str,
-    predicate: Optional[object] = None,
-) -> QueryPlan:
-    """The logical plan of a single aggregate query."""
-    plan = QueryPlan(
-        kind="aggregate",
-        op=op,
-        object_name=object_name,
-        region=str(region),
-        predicate=str(predicate) if predicate is not None else None,
-    )
-    plan._rebuild_stages()
-    return plan
-
-
-def group_by_plan(
-    object_name: str,
-    region: object,
-    op: str,
-    group_spec: dict[int, Sequence[tuple[int, int]]],
-    group_count: int,
-    predicate: Optional[object] = None,
-) -> QueryPlan:
-    """The logical plan of a GROUP BY (OLAP roll-up) query."""
-    plan = QueryPlan(
-        kind="group-by",
-        op=op,
-        object_name=object_name,
-        region=str(region),
-        predicate=str(predicate) if predicate is not None else None,
-        group_spec={axis: list(spans) for axis, spans in group_spec.items()},
-        group_count=group_count,
-    )
-    plan._rebuild_stages()
-    return plan

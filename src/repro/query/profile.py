@@ -1,27 +1,30 @@
 """EXPLAIN ANALYZE for tile-store reads: per-stage wall and model time.
 
-:func:`profile_read` runs one range query and assembles a
-:class:`QueryProfile` from three sources that already exist — the
-query's :class:`~repro.query.timing.QueryTiming`, the span tree the
-tracer recorded while the read ran, and the simulated disk's modelled
-clock — then reconciles them:
+:func:`profile_read` runs one query — a range read, or with ``op`` a
+planned aggregate — and renders its
+:class:`~repro.query.timing.QueryTiming` as a :class:`QueryProfile`.
+The record carries both clocks of every stage: the executor's measured
+walls (``select_ms`` / ``fetch_ms`` / ``sink_ms``, plus the summed
+per-tile ``decode_ms``) beside the modelled components (``t_ix`` /
+``t_o`` / ``t_cpu``).  Two checks reconcile it with the clocks around
+the call:
 
-* **Modelled time** is exact: the disk clock advanced by precisely the
-  charges this query reported (``t_o`` for tile retrieval plus
-  ``t_ix_pages`` for index-node page reads), so
+* **Modelled time** is exact: the simulated disk's clock advanced by
+  precisely the charges this query reported (``t_o`` for tile retrieval
+  plus ``t_ix_pages`` for index-node page reads), so
   ``disk_ms_delta == t_o + t_ix_pages`` up to float re-association
   (checked to :data:`MODELLED_TOLERANCE_MS`, a nanosecond).
-* **Wall time** is approximate: the ``tilestore.read`` span's duration
-  must cover its child stages and sit within a tolerance of the wall
-  clock measured around the whole call — Python-level bookkeeping
-  between spans keeps this from ever being exact.
+* **Wall time** is approximate: the wall clock measured around the
+  whole call, less the three coordinator stages, must stay within
+  :data:`WALL_TOLERANCE_MS` — the remainder is Python bookkeeping
+  between the stages (view pin, metrics, access ring).  Worker decode
+  overlaps the fetch stage, so it is not part of the sum.
 
-The profiler reads the tracer ring *by span id* (snapshot before,
-diff after), so concurrent queries on other threads don't leak into
-the profile — only the tree rooted at this read's own
-``tilestore.read`` span is kept.  The modelled-disk reconciliation,
-by contrast, diffs a process-wide clock: run profiles on a quiescent
-database (the intended use) or the delta includes other readers.
+The stage walls are the query's own record, measured whether
+observability is on or off, so queries on other threads never leak into
+them.  The modelled-disk reconciliation, by contrast, diffs a
+process-wide clock: run profiles on a quiescent database (the intended
+use) or the delta includes other readers.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro import obs
-from repro.query.plan import QueryPlan, aggregate_plan
+from repro.query.plan import QueryPlan
 from repro.query.timing import QueryTiming
 
 #: Modelled reconciliation slack: the disk accumulates charges into one
@@ -41,8 +43,8 @@ from repro.query.timing import QueryTiming
 #: never by a real charge (the smallest modelled charge is ~1e-3 ms).
 MODELLED_TOLERANCE_MS = 1e-6
 
-#: Default wall-clock slack (ms) between the root span and the wall
-#: time measured around the call, and for child-stage coverage.
+#: Default wall-clock slack (ms) between the wall time measured around
+#: the call and the sum of the executor's coordinator stages.
 WALL_TOLERANCE_MS = 5.0
 
 
@@ -51,7 +53,8 @@ class StageProfile:
     """One pipeline stage: measured wall time next to the model's claim."""
 
     name: str
-    #: Span duration in ms; ``None`` when tracing was disabled.
+    #: Measured wall ms; ``None`` for ``prune``, whose synopsis
+    #: arithmetic is timed inside the index stage's select wall.
     wall_ms: Optional[float]
     #: The stage's share of :class:`QueryTiming`; ``None`` when the
     #: timing model has no component for this stage.
@@ -76,14 +79,11 @@ class QueryProfile:
     region: str
     timing: QueryTiming
     stages: List[StageProfile]
-    #: Wall ms measured around the whole ``read`` call.
+    #: Wall ms measured around the whole call.
     wall_ms: float
-    #: Advance of the simulated disk's modelled clock during the read.
+    #: Advance of the simulated disk's modelled clock during the call.
     disk_ms_delta: float
-    #: Span dicts of this query's tree (root first), empty if tracing
-    #: was disabled.
-    spans: Tuple[dict, ...] = ()
-    #: The annotated logical plan, for planned (aggregate) profiles.
+    #: The executed plan, for aggregate profiles.
     plan: Optional[QueryPlan] = None
 
     # -- reconciliation ----------------------------------------------------
@@ -104,33 +104,15 @@ class QueryProfile:
         )
 
     @property
-    def root_wall_ms(self) -> Optional[float]:
-        """Duration of the query's root span, if traced."""
-        if not self.spans:
-            return None
-        return self.spans[0]["duration_ms"]
+    def stage_wall_ms(self) -> float:
+        """Wall ms of the coordinator stages: select + fetch + sink."""
+        timing = self.timing
+        return timing.select_ms + timing.fetch_ms + timing.sink_ms
 
-    def wall_reconciles(self, tolerance_ms: float = WALL_TOLERANCE_MS) -> Optional[bool]:
-        """Span walls are consistent with the measured wall clock.
-
-        The root span must sit within ``tolerance_ms`` of the wall time
-        measured around the call, and the direct child stages must fit
-        inside the root (children are disjoint phases of the read;
-        worker-side decode / partial-aggregate spans overlap the fetch
-        stage, so they are excluded from the sum).
-        Returns ``None`` when tracing was disabled (nothing to check).
-        """
-        root = self.root_wall_ms
-        if root is None:
-            return None
-        if abs(self.wall_ms - root) > tolerance_ms:
-            return False
-        child_sum = sum(
-            s.wall_ms for s in self.stages
-            if s.wall_ms is not None
-            and s.name not in ("decode", "partial-aggregate")
-        )
-        return child_sum <= root + tolerance_ms
+    def wall_reconciles(self, tolerance_ms: float = WALL_TOLERANCE_MS) -> bool:
+        """The coordinator stages account for the call's wall clock to
+        within ``tolerance_ms``."""
+        return abs(self.wall_ms - self.stage_wall_ms) <= tolerance_ms
 
     # -- presentation ------------------------------------------------------
 
@@ -146,7 +128,6 @@ class QueryProfile:
             "wall_reconciles": self.wall_reconciles(),
             "timing": self.timing.as_dict(),
             "stages": [stage.as_dict() for stage in self.stages],
-            "spans": list(self.spans),
         }
         if self.plan is not None:
             payload["plan"] = self.plan.as_dict()
@@ -176,15 +157,13 @@ class QueryProfile:
             lines.append(
                 f"{stage.name:<{width}} {wall:>10} {model:>10}  {detail}"
             )
-        root = self.root_wall_ms
         lines += [
-            f"{'total':<{width}} "
-            f"{(f'{root:.3f}' if root is not None else '-'):>10} "
+            f"{'total':<{width}} {self.stage_wall_ms:>10.3f} "
             f"{timing.t_totalcpu:>10.3f}",
             "",
             f"tiles      : {timing.tiles_read} read "
             f"({timing.decoded_hits} decoded-cache hits, "
-            f"{timing.decoded_misses} decoded), "
+            f"{timing.tiles_decoded} decoded), "
             f"{timing.tiles_pruned} pruned, "
             f"{timing.tiles_synopsis_answered} synopsis-answered, "
             f"{timing.tiles_partial_agg} partial-aggregated, "
@@ -200,63 +179,23 @@ class QueryProfile:
             f"query charged {self.modelled_ms:.6f} ms "
             f"(t_o + t_ix_pages) -> "
             f"{'exact' if self.modelled_reconciles else 'MISMATCH'}",
+            f"wall check : call {self.wall_ms:.3f} ms vs stages "
+            f"{self.stage_wall_ms:.3f} ms -> "
+            f"{'within tolerance' if self.wall_reconciles() else 'MISMATCH'}",
         ]
-        wall_ok = self.wall_reconciles()
-        if wall_ok is None:
-            lines.append("wall check : n/a (tracing disabled)")
-        else:
-            lines.append(
-                f"wall check : call {self.wall_ms:.3f} ms vs root span "
-                f"{root:.3f} ms -> "
-                f"{'within tolerance' if wall_ok else 'MISMATCH'}"
-            )
         return "\n".join(lines)
 
 
-def _query_tree(
-    before_ids: set, tracer, root_name: str = "tilestore.read"
-) -> Tuple[list, dict]:
-    """This query's finished spans: the tree under its ``root_name`` span.
-
-    Diffs the tracer ring against the pre-read snapshot, finds the new
-    root, and keeps only spans reachable from it — spans from concurrent
-    queries on other threads are left out.
-    """
-    new = [s for s in tracer.finished() if s.span_id not in before_ids]
-    root = next((s for s in new if s.name == root_name), None)
-    if root is None:
-        return [], {}
-    keep = {root.span_id}
-    # Children finish before parents, so one reverse sweep by id order
-    # is not enough; iterate until the reachable set stops growing.
-    grew = True
-    while grew:
-        grew = False
-        for span in new:
-            if span.span_id in keep or span.parent_id not in keep:
-                continue
-            keep.add(span.span_id)
-            grew = True
-    tree = [s for s in new if s.span_id in keep]
-    by_name: Dict[str, list] = {}
-    for span in tree:
-        by_name.setdefault(span.name, []).append(span)
-    return [root] + [s for s in tree if s is not root], by_name
-
-
-def _wall(by_name: Dict[str, list], span_name: str) -> Optional[float]:
-    """Duration of the query's first span of that name, if traced."""
-    spans = by_name.get(span_name)
-    return spans[0].duration_ms if spans else None
-
-
-def _head_stages(timing, predicate, by_name) -> List[StageProfile]:
-    """``index`` → ``prune`` (predicated queries only) → ``fetch``: the
-    stages every read query starts with."""
+def _stages(
+    timing: QueryTiming, predicate, op: Optional[str], pushed: bool
+) -> List[StageProfile]:
+    """``index`` → ``prune`` (predicated only) → ``fetch`` → ``decode``
+    or ``partial-aggregate`` (when tiles were decoded) → ``compose`` or
+    ``combine``, every figure read off the query's record."""
     stages = [
         StageProfile(
             "index",
-            _wall(by_name, "index.search"),
+            timing.select_ms,
             timing.t_ix,
             {
                 "nodes": timing.index_nodes,
@@ -266,8 +205,6 @@ def _head_stages(timing, predicate, by_name) -> List[StageProfile]:
         ),
     ]
     if predicate is not None:
-        # The pruning decision is pure synopsis arithmetic folded into
-        # the read span — no wall or model component of its own.
         stages.append(
             StageProfile(
                 "prune",
@@ -282,7 +219,7 @@ def _head_stages(timing, predicate, by_name) -> List[StageProfile]:
     stages.append(
         StageProfile(
             "fetch",
-            _wall(by_name, "tilestore.fetch"),
+            timing.fetch_ms,
             timing.t_o,
             {
                 "tiles": timing.tiles_read,
@@ -293,133 +230,77 @@ def _head_stages(timing, predicate, by_name) -> List[StageProfile]:
             },
         )
     )
-    return stages
-
-
-def _profiled(
-    database, collection: str, name: str, region, predicate, call, root_name
-) -> Tuple[tuple, QueryProfile, Dict[str, list]]:
-    """Run ``call`` — a query returning ``(value, timing, ...)`` — and
-    capture what a profile reconciles: the caller-side wall time, the
-    simulated disk clock's advance and the span tree under the
-    ``root_name`` span.  Returns the call's result, the profile with its
-    stages filled in up to ``fetch``, and the tree's spans by name."""
-    tracer = obs.tracer
-    before_ids = {s.span_id for s in tracer.finished()}
-    disk_before = database.disk.counters.time_ms
-    started = time.perf_counter()
-    result = call()
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    disk_delta = database.disk.counters.time_ms - disk_before
-    tree, by_name = _query_tree(before_ids, tracer, root_name)
-    timing = result[1]
-    profile = QueryProfile(
-        collection=collection,
-        object_name=name,
-        region=str(region),
-        timing=timing,
-        stages=_head_stages(timing, predicate, by_name),
-        wall_ms=wall_ms,
-        disk_ms_delta=disk_delta,
-        spans=tuple(s.as_dict() for s in tree),
-    )
-    return result, profile, by_name
-
-
-def profile_read(
-    database, collection: str, name: str, region, predicate=None
-) -> QueryProfile:
-    """Run one read with per-stage profiling (see module docstring).
-
-    ``region`` is an :class:`~repro.core.geometry.MInterval` (or
-    anything ``StoredMDD.read`` accepts).  ``predicate`` (a
-    :class:`~repro.index.zonemap.CellPredicate`) profiles a masked read:
-    a ``prune`` stage reports the tiles the zone maps dropped before
-    fetch.  Uses the live tracer when enabled; with observability off
-    the profile still carries the timing breakdown and the
-    modelled-disk reconciliation, just no per-stage walls.
-    """
-    obj = database.collection(collection)[name]
-    (_out, timing), profile, by_name = _profiled(
-        database, collection, name, region, predicate,
-        lambda: obj.read(region, predicate=predicate),
-        "tilestore.read",
-    )
-    decode_spans = by_name.get("pipeline.decode", [])
-    if decode_spans:
-        profile.stages.append(
-            StageProfile(
-                "decode",
-                sum(s.duration_ms for s in decode_spans),
-                None,  # decode CPU is folded into the fetch model's t_o
-                {"workers": len(decode_spans)},
-            )
-        )
-    profile.stages.append(
-        StageProfile(
-            "compose",
-            _wall(by_name, "tilestore.compose"),
-            timing.t_cpu,
-            {"cells": timing.cells_result},
-        )
-    )
-    return profile
-
-
-def profile_aggregate(
-    database,
-    collection: str,
-    name: str,
-    region,
-    op: str,
-    predicate=None,
-) -> QueryProfile:
-    """Profile one planned aggregate query (EXPLAIN for the v2 engine).
-
-    Runs ``op`` over ``region`` through
-    :meth:`StoredMDD.aggregate_push`, reconciling the same three sources
-    as :func:`profile_read` — the :class:`QueryTiming`, the span tree under
-    the ``tilestore.aggregate`` root, and the simulated disk clock.
-    The returned profile carries the annotated
-    :class:`~repro.query.plan.QueryPlan`, whose rendering leads the
-    ``format()`` output (scan → prune → partial-aggregate → combine →
-    project, with tiles pruned / synopsis-answered / decoded).
-    """
-    obj = database.collection(collection)[name]
-    plan = aggregate_plan(
-        name, obj.resolve_region(region), op, predicate=predicate
-    )
-    (_value, timing, pushed), profile, by_name = _profiled(
-        database, collection, name, region, predicate,
-        lambda: obj.aggregate_push(region, op, predicate=predicate),
-        "tilestore.aggregate",
-    )
-    plan.annotate(timing, pushed)
-    profile.plan = plan
-    partial_spans = by_name.get("pipeline.partial_agg", [])
-    if partial_spans or timing.tiles_partial_agg:
-        profile.stages.append(
+    # Worker CPU overlaps the fetch model's t_o: no modelled share.
+    if pushed and timing.tiles_partial_agg:
+        stages.append(
             StageProfile(
                 "partial-aggregate",
-                sum(s.duration_ms for s in partial_spans) or None,
-                None,  # worker CPU overlaps the fetch model's t_o
+                timing.decode_ms,
+                None,
                 {
                     "tiles": timing.tiles_partial_agg,
                     "peak_partial_bytes": timing.peak_partial_bytes,
                 },
             )
         )
-    # An untraced or materialized run has no combine span: report compose.
-    sink = "combine" if "tilestore.combine" in by_name else "compose"
-    profile.stages.append(
-        StageProfile(
-            sink,
-            _wall(by_name, f"tilestore.{sink}"),
-            timing.t_cpu,
-            {
-                "synopsis_answered": timing.tiles_synopsis_answered,
-                "order": "tile-id",
-            },
+    elif not pushed and timing.tiles_decoded:
+        stages.append(
+            StageProfile(
+                "decode", timing.decode_ms, None, {"tiles": timing.tiles_decoded}
+            )
         )
+    if op is None:
+        sink, detail = "compose", {"cells": timing.cells_result}
+    else:
+        sink = "combine" if pushed else "compose"
+        detail = {
+            "synopsis_answered": timing.tiles_synopsis_answered,
+            "order": "tile-id",
+        }
+    stages.append(StageProfile(sink, timing.sink_ms, timing.t_cpu, detail))
+    return stages
+
+
+def profile_read(
+    database,
+    collection: str,
+    name: str,
+    region,
+    predicate=None,
+    op: Optional[str] = None,
+) -> QueryProfile:
+    """Run one query with per-stage profiling (see module docstring).
+
+    ``region`` is an :class:`~repro.core.geometry.MInterval` (or
+    anything ``StoredMDD.read`` accepts).  ``predicate`` (a
+    :class:`~repro.index.zonemap.CellPredicate`) profiles a masked read:
+    a ``prune`` stage reports the tiles the zone maps dropped before
+    fetch.  ``op`` (a condenser name) runs the query through
+    :meth:`StoredMDD.aggregate_push` instead; the profile then carries
+    the executed :class:`~repro.query.plan.QueryPlan`, whose rendering
+    leads the ``format()`` output.
+    """
+    obj = database.collection(collection)[name]
+    disk_before = database.disk.counters.time_ms
+    started = time.perf_counter()
+    if op is None:
+        timing, pushed = obj.read(region, predicate=predicate)[1], False
+    else:
+        _value, timing, pushed = obj.aggregate_push(region, op, predicate=predicate)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    disk_delta = database.disk.counters.time_ms - disk_before
+    plan = None
+    if op is not None:
+        plan = QueryPlan(
+            op, name, obj.resolve_region(region), predicate, timing, pushed
+        )
+    return QueryProfile(
+        collection=collection,
+        object_name=name,
+        region=str(region),
+        timing=timing,
+        stages=_stages(timing, predicate, op, pushed),
+        wall_ms=wall_ms,
+        disk_ms_delta=disk_delta,
+        plan=plan,
     )
-    return profile

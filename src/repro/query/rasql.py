@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -698,6 +698,7 @@ def execute(engine: QueryEngine, statement: str) -> list[QueryResult]:
                 continue
         result = evaluator.run()
         if where_timing is not None:
-            result.timing.add(where_timing)
+            # A new record: the plan still renders the query's own.
+            result.timing = replace(result.timing).add(where_timing)
         results.append(result)
     return results

@@ -16,7 +16,7 @@ milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -61,6 +61,19 @@ class QueryTiming:
     #: pushdown partial-aggregate phase — bounded by workers x one tile,
     #: never by the query box (zero outside the pushdown path).
     peak_partial_bytes: int = 0
+    #: Tiles actually decompressed for this query (decoded-cache hits,
+    #: virtual tiles and stored-payload reads decode nothing).
+    tiles_decoded: int = 0
+    #: Wall ms of the executor's stages, measured with or without
+    #: observability: index search + prune + classification, page order
+    #: + fetch, and the sink's measured numpy work.  Their sum is the
+    #: query's coordinator wall up to bookkeeping between the stages.
+    select_ms: float = 0.0
+    fetch_ms: float = 0.0
+    sink_ms: float = 0.0
+    #: Summed wall ms of the per-tile decode (+ partial reduce) steps;
+    #: on workers these overlap ``fetch_ms``.
+    decode_ms: float = 0.0
 
     @property
     def t_totalaccess(self) -> float:
@@ -86,30 +99,18 @@ class QueryTiming:
         return self.pool_hits / total if total else 0.0
 
     def add(self, other: "QueryTiming") -> "QueryTiming":
-        """Accumulate another timing into this one (in place) and return it."""
-        self.t_ix += other.t_ix
-        self.t_o += other.t_o
-        self.t_cpu += other.t_cpu
-        self.t_ix_pages += other.t_ix_pages
-        self.tiles_read += other.tiles_read
-        self.bytes_read += other.bytes_read
-        self.pages_read += other.pages_read
-        self.index_nodes += other.index_nodes
-        self.cells_result += other.cells_result
-        self.cells_fetched += other.cells_fetched
-        self.pool_hits += other.pool_hits
-        self.pool_misses += other.pool_misses
-        self.pool_evictions += other.pool_evictions
-        self.decoded_hits += other.decoded_hits
-        self.decoded_misses += other.decoded_misses
-        self.tiles_pruned += other.tiles_pruned
-        self.tiles_synopsis_answered += other.tiles_synopsis_answered
-        self.tiles_partial_agg += other.tiles_partial_agg
-        # Peaks don't sum: concurrent live bytes of two sequential
-        # queries never coexist, so the accumulated peak is the max.
-        self.peak_partial_bytes = max(
-            self.peak_partial_bytes, other.peak_partial_bytes
-        )
+        """Accumulate another timing into this one (in place) and return it.
+
+        Peaks don't sum: the live bytes of two sequential queries never
+        coexist, so the accumulated ``peak_partial_bytes`` is the max.
+        """
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(
+                self,
+                f.name,
+                max(mine, theirs) if f.name == "peak_partial_bytes" else mine + theirs,
+            )
         return self
 
     def scaled(self, factor: float) -> "QueryTiming":
@@ -120,60 +121,28 @@ class QueryTiming:
         multi-run bench that accumulates with :meth:`add` would otherwise
         report N-run counter totals (N× ``bytes_read``) next to 1-run
         average times.  Counters are rounded back to ints; for identical
-        cold runs the rounding is exact.
+        cold runs the rounding is exact.  A peak is identical across
+        identical runs, so ``peak_partial_bytes`` passes through unscaled.
         """
-        return QueryTiming(
-            t_ix=self.t_ix * factor,
-            t_o=self.t_o * factor,
-            t_cpu=self.t_cpu * factor,
-            t_ix_pages=self.t_ix_pages * factor,
-            tiles_read=round(self.tiles_read * factor),
-            bytes_read=round(self.bytes_read * factor),
-            pages_read=round(self.pages_read * factor),
-            index_nodes=round(self.index_nodes * factor),
-            cells_result=round(self.cells_result * factor),
-            cells_fetched=round(self.cells_fetched * factor),
-            pool_hits=round(self.pool_hits * factor),
-            pool_misses=round(self.pool_misses * factor),
-            pool_evictions=round(self.pool_evictions * factor),
-            decoded_hits=round(self.decoded_hits * factor),
-            decoded_misses=round(self.decoded_misses * factor),
-            tiles_pruned=round(self.tiles_pruned * factor),
-            tiles_synopsis_answered=round(
-                self.tiles_synopsis_answered * factor
-            ),
-            tiles_partial_agg=round(self.tiles_partial_agg * factor),
-            # A peak is identical across identical runs; scaling it would
-            # misreport the per-run bound, so it passes through unscaled.
-            peak_partial_bytes=self.peak_partial_bytes,
-        )
+        out = QueryTiming()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "peak_partial_bytes":
+                value *= factor
+                if isinstance(f.default, int):
+                    value = round(value)
+            setattr(out, f.name, value)
+        return out
 
     def as_dict(self) -> dict:
         """JSON-able view with the derived totals included."""
-        return {
-            "t_ix": self.t_ix,
-            "t_o": self.t_o,
-            "t_cpu": self.t_cpu,
-            "t_ix_pages": self.t_ix_pages,
-            "t_totalaccess": self.t_totalaccess,
-            "t_totalcpu": self.t_totalcpu,
-            "tiles_read": self.tiles_read,
-            "bytes_read": self.bytes_read,
-            "pages_read": self.pages_read,
-            "index_nodes": self.index_nodes,
-            "cells_result": self.cells_result,
-            "cells_fetched": self.cells_fetched,
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
-            "pool_evictions": self.pool_evictions,
-            "pool_hit_rate": self.pool_hit_rate,
-            "decoded_hits": self.decoded_hits,
-            "decoded_misses": self.decoded_misses,
-            "tiles_pruned": self.tiles_pruned,
-            "tiles_synopsis_answered": self.tiles_synopsis_answered,
-            "tiles_partial_agg": self.tiles_partial_agg,
-            "peak_partial_bytes": self.peak_partial_bytes,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(
+            t_totalaccess=self.t_totalaccess,
+            t_totalcpu=self.t_totalcpu,
+            pool_hit_rate=self.pool_hit_rate,
+        )
+        return payload
 
     def __str__(self) -> str:
         return (

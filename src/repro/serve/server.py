@@ -103,21 +103,17 @@ class _HttpError(Exception):
         self.message = message
 
 
+#: The slice of :meth:`QueryTiming.as_dict` a JSON response carries.
+_WIRE_TIMING = (
+    "t_ix", "t_o", "t_cpu", "tiles_read", "tiles_pruned",
+    "tiles_synopsis_answered", "tiles_decoded", "tiles_partial_agg",
+    "peak_partial_bytes", "bytes_read", "pages_read", "cells_result",
+)
+
+
 def _timing_dict(timing: QueryTiming) -> dict:
-    return {
-        "t_ix": timing.t_ix,
-        "t_o": timing.t_o,
-        "t_cpu": timing.t_cpu,
-        "tiles_read": timing.tiles_read,
-        "tiles_pruned": timing.tiles_pruned,
-        "tiles_synopsis_answered": timing.tiles_synopsis_answered,
-        "tiles_decoded": timing.tiles_read,
-        "tiles_partial_agg": timing.tiles_partial_agg,
-        "peak_partial_bytes": timing.peak_partial_bytes,
-        "bytes_read": timing.bytes_read,
-        "pages_read": timing.pages_read,
-        "cells_result": timing.cells_result,
-    }
+    record = timing.as_dict()
+    return {key: record[key] for key in _WIRE_TIMING}
 
 
 class TileServer:
@@ -432,7 +428,7 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                     sum(r.timing.tiles_synopsis_answered for r in results)
                 ),
                 "X-Repro-Tiles-Decoded": str(
-                    sum(r.timing.tiles_read for r in results)
+                    sum(r.timing.tiles_decoded for r in results)
                 ),
             }
             self._reply_json(

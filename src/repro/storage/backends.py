@@ -84,25 +84,25 @@ class FileBlobStore(BlobStore):
     catalog.  Call :meth:`sync` (or use as a context manager) to persist
     the catalog; :meth:`open` reloads an existing store.
 
-    ``checksums`` (default on) records a CRC32C per page of every real
-    payload and verifies on read; ``injector`` routes page-file writes
-    through a :class:`~repro.storage.faults.FaultInjector` for crash
-    testing.
+    A CRC32C is recorded per page of every real payload and verified on
+    read; ``injector`` routes page-file writes through a
+    :class:`~repro.storage.faults.FaultInjector` for crash testing.
     """
 
     CATALOG_SUFFIX = ".catalog.json"
+    #: Page CRCs are always on (the ingest pipeline computes them once
+    #: for every store that keeps them).
+    checksums = True
 
     def __init__(
         self,
         path: Union[str, Path],
         page_size: int = DEFAULT_PAGE_SIZE,
-        checksums: bool = True,
         injector: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(page_size)
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.checksums = checksums
         self._page_crcs: dict[int, list[int]] = {}
         # "a+b" must be avoided: O_APPEND redirects every write to the file
         # end, ignoring seek positions, which would corrupt page placement.
@@ -153,7 +153,6 @@ class FileBlobStore(BlobStore):
     def open(
         cls,
         path: Union[str, Path],
-        checksums: bool = True,
         injector: Optional[FaultInjector] = None,
     ) -> "FileBlobStore":
         """Reload a previously synced store."""
@@ -162,12 +161,7 @@ class FileBlobStore(BlobStore):
         if not catalog_path.exists():
             raise StorageError(f"no catalog at {catalog_path}")
         meta = json.loads(catalog_path.read_text())
-        store = cls(
-            path,
-            page_size=meta["page_size"],
-            checksums=checksums,
-            injector=injector,
-        )
+        store = cls(path, page_size=meta["page_size"], injector=injector)
         store._next_id = meta["next_id"]
         store._allocator._next_page = meta["high_water"]
         store._allocator.restore_free_ranges(
@@ -223,8 +217,7 @@ class FileBlobStore(BlobStore):
 
     def _write_payload(self, record: BlobRecord, payload: bytes) -> None:
         self._check_overflow(record, payload)
-        if self.checksums:
-            self._record_crcs(record, payload)
+        self._record_crcs(record, payload)
         self._file.seek(record.pages.start * self.page_size)
         self._file.write(payload)
         record.stored_size = len(payload)
@@ -246,8 +239,7 @@ class FileBlobStore(BlobStore):
         last = len(records) - 1
         for i, (record, payload) in enumerate(zip(records, payloads)):
             self._check_overflow(record, payload)
-            if self.checksums:
-                self._record_crcs(record, payload)
+            self._record_crcs(record, payload)
             parts.append(payload)
             slack = record.pages.count * self.page_size - len(payload)
             if i < last and slack:
@@ -258,7 +250,7 @@ class FileBlobStore(BlobStore):
 
     def _verify(self, record: BlobRecord, raw: bytes) -> None:
         expected = self._page_crcs.get(record.blob_id)
-        if self.checksums and expected is not None:
+        if expected is not None:
             bad = verify_page_checksums(raw, self.page_size, expected)
             _report_pages(record, len(expected), bad)
 
@@ -309,11 +301,10 @@ class FileBlobStore(BlobStore):
                 for raw in self._read_span(span)
             ]
             checked = []
-            if self.checksums:
-                for record, raw in zip(records, payloads):
-                    expected = self._page_crcs.get(record.blob_id)
-                    if expected is not None:
-                        checked.append((record, raw, expected))
+            for record, raw in zip(records, payloads):
+                expected = self._page_crcs.get(record.blob_id)
+                if expected is not None:
+                    checked.append((record, raw, expected))
         actual = page_checksums_many(
             [raw for _, raw, _ in checked], self.page_size
         )

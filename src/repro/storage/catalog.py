@@ -38,7 +38,7 @@ from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
 from repro.index.zonemap import TileSynopsis
 from repro.storage.backends import FileBlobStore, MemoryBlobStore
-from repro.storage.disk import CpuParameters, DiskParameters
+from repro.storage.disk import DiskParameters
 from repro.storage.faults import FaultInjector
 from repro.storage.tilestore import Database, StoredMDD, TileEntry
 from repro.storage.wal import scan_wal
@@ -225,7 +225,6 @@ def _copy_memory_store(store: MemoryBlobStore, pages_path: Path) -> None:
 def open_database(
     directory: Union[str, Path],
     disk_parameters: Optional[DiskParameters] = None,
-    cpu_parameters: Optional[CpuParameters] = None,
     buffer_bytes: int = 0,
     durability: str = "none",
     injector: Optional[FaultInjector] = None,
@@ -263,7 +262,6 @@ def open_database(
     database = Database(
         store=store,
         disk_parameters=disk_parameters,
-        cpu_parameters=cpu_parameters,
         buffer_bytes=buffer_bytes,
         **database_kwargs,
     )

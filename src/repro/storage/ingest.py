@@ -122,7 +122,7 @@ def encode_tiles(
     started = time.perf_counter()
     compression = database.compression
     codecs = database.codecs
-    zone_bins = database.zone_bins if database.zone_maps else None
+    zone_maps = database.zone_maps
 
     def task(
         tile: Tile,
@@ -131,11 +131,7 @@ def encode_tiles(
         codec, payload = _encode(raw, compression, codecs)
         # The synopsis piggybacks on the worker that already holds the
         # cells: one extra vectorized pass, amortized with the codec cost.
-        synopsis = (
-            compute_synopsis(tile.data, zone_bins)
-            if zone_bins is not None
-            else None
-        )
+        synopsis = compute_synopsis(tile.data) if zone_maps else None
         return raw, codec, payload, synopsis
 
     def chunk_task(

@@ -102,6 +102,9 @@ class FetchedTile:
     decoded_hit: bool = False
     partials: tuple[TileSynopsis, ...] = ()
     payload: bytes = b""
+    #: Wall ms of this tile's :func:`_decode` (decode, then reduce);
+    #: non-zero exactly when it was decoded for this fetch.
+    decode_ms: float = 0.0
 
 
 class _Reducer:
@@ -164,12 +167,13 @@ def _decode(
     started = time.perf_counter()
     raw = decompress(payload, entry.codec)
     array = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    _DECODE_MS.observe((time.perf_counter() - started) * 1000.0)
-    _TILES_DECODED.inc()
     if reduce is None:
         tile.array = array
     else:
         tile.partials = reduce(array, entry, parts)
+    tile.decode_ms = (time.perf_counter() - started) * 1000.0
+    _DECODE_MS.observe(tile.decode_ms)
+    _TILES_DECODED.inc()
 
 
 def _decode_task(

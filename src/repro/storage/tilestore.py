@@ -237,6 +237,7 @@ class ReadExecutor:
         coverage is tallied per cell so pruned parts and uncovered space
         count as default cells.  A hit in a gap between cells is dropped.
         """
+        selecting = time.perf_counter()
         region, timing = self.region, self.timing
         disk = store.database.disk
         with obs.span(
@@ -306,6 +307,7 @@ class ReadExecutor:
         if pruner is not None:
             self._pruning = True
             timing.tiles_pruned += pruner.pruned
+        timing.select_ms += (time.perf_counter() - selecting) * 1000.0
         return selection
 
     def _route(self, entries: list) -> list:
@@ -382,9 +384,8 @@ class ReadExecutor:
         ``partials`` reduces every tile to one partial aggregate per
         cell part on the pipeline workers instead of returning its cells.
         """
-        self._page_order(selection)
         selection.fetched = self._fetch(
-            selection, selection.items, self._partials if partials else self._decoded
+            selection, self._partials if partials else self._decoded
         )
 
     @staticmethod
@@ -407,11 +408,16 @@ class ReadExecutor:
     def _payloads(self, database: "Database", items) -> list:
         return fetch_payloads(database, [item[0] for item in items])
 
-    def _fetch(self, selection: _Selection, items, run: Callable) -> list:
-        """Fetch ``items`` with ``run`` — decoded tiles, worker-reduced
-        partials or stored payloads — and account for every tile: the one
-        place ``t_o``, tiles / bytes / pages / cells and the cache deltas
-        are charged."""
+    def _fetch(self, selection: _Selection, run: Callable, items=None) -> list:
+        """Fetch ``items`` (default: the whole selection, page-ordered
+        first) with ``run`` — decoded tiles, worker-reduced partials or
+        stored payloads — and account for every tile: the one place
+        ``t_o``, tiles / bytes / pages / cells, decodes, the cache deltas
+        and ``fetch_ms`` are charged."""
+        started = time.perf_counter()
+        if items is None:
+            self._page_order(selection)
+            items = selection.items
         database = selection.store.database
         pool = database.pool
         decoded = database.decoded_cache
@@ -434,6 +440,9 @@ class ReadExecutor:
                 timing.pages_read += blob_pages(entry.blob_id).count
                 cells = entry.domain.cell_count
                 timing.cells_fetched += cells
+                if tile.decode_ms:
+                    timing.tiles_decoded += 1
+                    timing.decode_ms += tile.decode_ms
                 if part == entry.domain:
                     self._aligned_cells += cells
                 else:
@@ -446,12 +455,15 @@ class ReadExecutor:
             timing.decoded_hits += decoded.hits - decoded_before[0]
             timing.decoded_misses += decoded.misses - decoded_before[1]
         selection.model_ms += cost
+        timing.fetch_ms += (time.perf_counter() - started) * 1000.0
         return fetched
 
     def _charge_cpu(self, started: float) -> None:
-        """``t_cpu``: the sink's measured numpy time plus the modelled
-        copy cost (era-calibrated; border tiles pay the strided rate)."""
+        """``t_cpu``: the sink's measured numpy time (its ``sink_ms``)
+        plus the modelled copy cost (era-calibrated; border tiles pay the
+        strided rate)."""
         measured_ms = (time.perf_counter() - started) * 1000.0
+        self.timing.sink_ms += measured_ms
         cpu = self.selections[0].store.database.cpu_parameters
         self.timing.t_cpu = measured_ms + cpu.compose_ms(
             self._aligned_cells * self.cell_size,
@@ -531,7 +543,9 @@ class ReadExecutor:
             )]))
             for combo in product(*self.groups)
         ]
-        self.timing.t_cpu += (time.perf_counter() - started) * 1000.0
+        measured_ms = (time.perf_counter() - started) * 1000.0
+        self.timing.t_cpu += measured_ms
+        self.timing.sink_ms += measured_ms
         return self._shaped(values)
 
     def blocks(
@@ -543,7 +557,7 @@ class ReadExecutor:
         self._page_order(selection)
         for item in selection.items:
             entry, part, _routes = item
-            (tile,) = self._fetch(selection, [item], self._decoded)
+            (tile,) = self._fetch(selection, self._decoded, [item])
             started = time.perf_counter()
             if tile.array is None:
                 data = np.zeros(part.shape, dtype=self.dtype)
@@ -604,9 +618,11 @@ class ReadExecutor:
         as stored, in page order.  Nothing is decoded and the decoded cache
         is never touched, so the charges are a :meth:`compose` read's on a
         database without that cache."""
-        self._page_order(selection)
-        fetched = self._fetch(selection, selection.items, self._payloads)
-        return [(tile.entry, tile.payload) for tile in fetched]
+        fetched = self._fetch(selection, self._payloads)
+        started = time.perf_counter()
+        tiles = [(tile.entry, tile.payload) for tile in fetched]
+        self.timing.sink_ms += (time.perf_counter() - started) * 1000.0
+        return tiles
 
     # -- account -----------------------------------------------------------
 
@@ -1585,7 +1601,6 @@ class Database:
         self,
         store: Optional[BlobStore] = None,
         disk_parameters: Optional[DiskParameters] = None,
-        cpu_parameters: Optional[CpuParameters] = None,
         buffer_bytes: int = 0,
         index_factory: IndexFactory = default_index_factory,
         tile_key=row_major_key,
@@ -1598,15 +1613,12 @@ class Database:
         injector: Optional[FaultInjector] = None,
         access_log_capacity: int = 1024,
         zone_maps: bool = True,
-        zone_bins: int = 8,
     ) -> None:
         self.store = store if store is not None else MemoryBlobStore()
         if disk_parameters is None:
             disk_parameters = DiskParameters(page_size=self.store.page_size)
         self.disk = SimulatedDisk(self.store, disk_parameters)
-        self.cpu_parameters = (
-            cpu_parameters if cpu_parameters is not None else CpuParameters()
-        )
+        self.cpu_parameters = CpuParameters()
         self.pool = (
             BufferPool(self.disk, buffer_bytes) if buffer_bytes > 0 else None
         )
@@ -1626,7 +1638,6 @@ class Database:
         # Zone maps: per-tile value synopses for predicate pruning and
         # aggregate short-circuiting (DESIGN §13).
         self.zone_maps = zone_maps
-        self.zone_bins = zone_bins
         self.collections: dict[str, dict[str, StoredMDD]] = {}
         self.wal: Optional[WriteAheadLog] = None
         self.durability = "none"
@@ -2031,21 +2042,16 @@ class Database:
     ) -> "QueryProfile":
         """Run one read with EXPLAIN ANALYZE-style per-stage accounting.
 
-        Returns a :class:`repro.query.profile.QueryProfile` whose stages
-        reconcile against the read's :class:`QueryTiming` (modelled time
-        exactly, wall time within tolerance).  With a ``predicate`` the
-        read is masked and zone-map pruned, and the profile gains a
-        ``prune`` stage reporting ``tiles_pruned``.  With ``op`` (a
-        condenser name) the query is a planned aggregate: the profile
-        carries the annotated plan (scan → prune → partial-aggregate →
-        combine → project) and its stages cover the pushdown path.
+        Returns a :class:`repro.query.profile.QueryProfile` rendered from
+        the read's :class:`QueryTiming` and reconciled against the clocks
+        around it (modelled time exactly, wall time within tolerance).
+        With a ``predicate`` the read is masked and zone-map pruned, and
+        the profile gains a ``prune`` stage reporting ``tiles_pruned``.
+        With ``op`` (a condenser name) the query is a planned aggregate:
+        the profile carries the executed plan (scan → prune →
+        partial-aggregate → combine → project) and its stages cover the
+        pushdown path.
         """
-        from repro.query import profile
+        from repro.query.profile import profile_read
 
-        if op is None:
-            return profile.profile_read(
-                self, collection, name, region, predicate=predicate
-            )
-        return profile.profile_aggregate(
-            self, collection, name, region, op, predicate
-        )
+        return profile_read(self, collection, name, region, predicate, op)

@@ -1,4 +1,9 @@
-"""EXPLAIN ANALYZE profiler: per-stage accounting and reconciliation."""
+"""EXPLAIN ANALYZE profiler: per-stage accounting and reconciliation.
+
+A profile is a rendering of the query's own :class:`QueryTiming`: its
+stage walls are the executor's timers, so they exist (and reconcile)
+with observability off and are untouched by queries on other threads.
+"""
 
 import numpy as np
 import pytest
@@ -48,8 +53,11 @@ class TestProfileRead:
         database = _load()
         profile = database.profile("prof", "img", DOMAIN)
         assert profile.wall_reconciles() is True
-        assert profile.root_wall_ms is not None
-        assert profile.root_wall_ms <= profile.wall_ms
+        timing = profile.timing
+        assert profile.stage_wall_ms == (
+            timing.select_ms + timing.fetch_ms + timing.sink_ms
+        )
+        assert 0.0 < profile.stage_wall_ms <= profile.wall_ms
 
     def test_stage_structure(self):
         database = _load()
@@ -66,24 +74,23 @@ class TestProfileRead:
         assert fetch.detail["tiles"] == profile.timing.tiles_read
 
     def test_parallel_read_profile_keeps_one_tree(self):
+        """A parallel read's worker decodes land in its one record: the
+        decode stage is the summed worker wall of every decoded tile."""
         database = _load(io_workers=4, compression=True)
         database.reset_clock()
         profile = database.profile("prof", "img", DOMAIN)
         assert profile.modelled_reconciles
-        assert profile.spans[0]["name"] == "tilestore.read"
-        root_id = profile.spans[0]["span_id"]
-        ids = {s["span_id"] for s in profile.spans}
-        assert all(
-            s["parent_id"] in ids for s in profile.spans[1:]
-        ), "every profiled span hangs off the query tree"
-        assert profile.spans[0]["parent_id"] is None
-        decode = next(s for s in profile.stages if s.name == "decode")
-        assert decode.detail["workers"] > 0
-        assert root_id in ids
+        assert profile.wall_reconciles() is True
+        names = [stage.name for stage in profile.stages]
+        assert names == ["index", "fetch", "decode", "compose"]
+        decode = profile.stages[2]
+        assert decode.detail["tiles"] == profile.timing.tiles_decoded
+        assert decode.detail["tiles"] == profile.timing.tiles_read > 0
+        assert decode.wall_ms == profile.timing.decode_ms > 0.0
         database.close()
 
     def test_concurrent_spans_not_leaked_into_profile(self):
-        """Spans from another thread's query stay out of this profile."""
+        """Another thread's queries stay out of this profile's record."""
         import threading
 
         database = _load()
@@ -95,6 +102,7 @@ class TestProfileRead:
             while not stop.is_set():
                 mdd.read(MInterval.parse("[0:7,0:7]"))
 
+        quiet = _load().profile("prof", "img", DOMAIN)
         thread = threading.Thread(target=noisy)
         thread.start()
         try:
@@ -102,10 +110,12 @@ class TestProfileRead:
         finally:
             stop.set()
             thread.join()
-        # Every span in the profile belongs to one rooted tree.
-        ids = {s["span_id"] for s in profile.spans}
-        assert profile.spans[0]["parent_id"] is None
-        assert all(s["parent_id"] in ids for s in profile.spans[1:])
+        # The other thread's reads leave this query's record untouched:
+        # every counter and modelled charge equals the quiet twin's.
+        assert _counters(profile) == _counters(quiet)
+        assert [s.name for s in profile.stages] == [
+            s.name for s in quiet.stages
+        ]
 
     def test_decoded_cache_warm_profile_reconciles(self):
         database = _load(decoded_cache_bytes=1 << 20)
@@ -122,9 +132,9 @@ class TestProfileRead:
         obs.disable()
         profile = database.profile("prof", "img", DOMAIN)
         assert profile.modelled_reconciles
-        assert profile.wall_reconciles() is None
-        assert profile.spans == ()
-        assert all(stage.wall_ms is None for stage in profile.stages)
+        assert profile.wall_reconciles() is True
+        assert all(stage.wall_ms is not None for stage in profile.stages)
+        assert "spans" not in profile.as_dict()
 
     def test_format_and_as_dict(self):
         database = _load()
@@ -142,6 +152,59 @@ class TestProfileRead:
         database = _load()
         via_function = profile_read(database, "prof", "img", DOMAIN)
         assert via_function.modelled_reconciles
+
+
+def _counters(profile) -> dict:
+    """The record's counters, then its modelled disk charges."""
+    timing = profile.timing
+    counters = {k: v for k, v in timing.as_dict().items() if isinstance(v, int)}
+    return {**counters, "t_o": timing.t_o, "t_ix_pages": timing.t_ix_pages}
+
+
+def _shape(profile) -> list:
+    """Stage names and details in order, less the measured CPU share."""
+    return [
+        (stage.name, {k: v for k, v in stage.detail.items() if k != "measured_cpu_ms"})
+        for stage in profile.stages
+    ]
+
+
+class TestObsIndependence:
+    """Observability on or off, the profile is the same rendering."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"op": "add_cells"},
+            {"op": "add_cells", "predicate": "> 40"},
+            {"predicate": "> 200"},
+        ],
+        ids=["read", "aggregate", "predicated-aggregate", "predicated-read"],
+    )
+    def test_obs_off_profile_matches_obs_on(self, kwargs):
+        from repro.index.zonemap import parse_predicate
+
+        if "predicate" in kwargs:
+            kwargs = dict(kwargs, predicate=parse_predicate(kwargs["predicate"]))
+        profiles = []
+        for enabled in (True, False):
+            obs.enable() if enabled else obs.disable()
+            database = _load(compression=True)
+            database.reset_clock()
+            profiles.append(database.profile("prof", "img", DOMAIN, **kwargs))
+        on, off = profiles
+        assert _shape(off) == _shape(on)
+        assert _counters(off) == _counters(on)
+        assert off.modelled_reconciles and on.modelled_reconciles
+        assert off.wall_reconciles() is True
+        assert all(
+            stage.wall_ms is not None
+            for stage in off.stages
+            if stage.name != "prune"
+        )
+        assert "-> exact" in off.format()
+        assert "within tolerance" in off.format()
 
 
 class TestTimingPageComponent:

@@ -29,8 +29,9 @@ FULL = MInterval.parse("[0:767,0:767]")
 LEFT = MInterval.parse("[0:767,0:383]")
 TILE_BYTES = 16 * 1024
 MIB = 1 << 20
-# measured wall time is part of these two; everything else is modelled
-MEASURED = {"t_ix", "t_cpu"}
+# measured wall time is part of t_ix / t_cpu and all of the stage
+# walls; everything else is modelled
+MEASURED = {"t_ix", "t_cpu", "select_ms", "fetch_ms", "sink_ms", "decode_ms"}
 
 
 def cube_data() -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import StorageError
-from repro.index.zonemap import compute_synopsis
+from repro.index.zonemap import DEFAULT_BINS, compute_synopsis
 from repro.storage.ingest import encode_payload
 from repro.storage.pipeline import fetch_tile
 
@@ -55,7 +55,7 @@ def _replace_payload(obj, entry, raw: bytes) -> None:
     database._log_blob_put(blob_id, payload, page_crcs=page_crcs)
     synopsis = (
         compute_synopsis(
-            np.frombuffer(raw, dtype=obj.mdd_type.base.dtype), database.zone_bins
+            np.frombuffer(raw, dtype=obj.mdd_type.base.dtype), DEFAULT_BINS
         )
         if database.zone_maps
         else None
