@@ -47,6 +47,7 @@ __all__ = [
     "constant_synopsis",
     "note_synopsis_answered",
     "note_tiles_pruned",
+    "op_partials",
     "parse_predicate",
     "partial_aggregate_eligible",
     "partial_synopsis",
@@ -337,6 +338,37 @@ def partial_synopsis(array: np.ndarray) -> TileSynopsis:
     return syn
 
 
+def op_partials(stack: np.ndarray, op: Optional[str] = None) -> list[TileSynopsis]:
+    """One partial per leading-axis slice of ``stack`` (a batch of tile
+    parts), each field reduced for the whole batch in one numpy call.
+
+    Fills only what :func:`combine_aggregate` reads for ``op``, the other
+    fields staying neutral: ``count_cells`` → ``nonzero``; ``add_cells``
+    / ``avg_cells`` → ``vsum``; ``min_cells`` / ``max_cells`` → the
+    NaN-ignoring extreme in ``vmin`` and ``vmax`` (``None`` exactly when
+    no comparable cell exists) and ``nan_count``.  ``op=None`` (and float
+    sums, which never push) gets the full :func:`partial_synopsis`.
+    """
+    if op is None or (stack.dtype.kind == "f" and op in ("add_cells", "avg_cells")):
+        return [partial_synopsis(part) for part in stack]
+    cells = stack[0].size
+    axes = tuple(range(1, stack.ndim))
+    if op == "count_cells":  # per part: count_nonzero has no fast path along axes
+        return [TileSynopsis(cells, int(np.count_nonzero(part)), None, None, 0) for part in stack]
+    if op in ("add_cells", "avg_cells"):
+        return [TileSynopsis(cells, 0, None, None, s) for s in stack.sum(axis=axes).tolist()]
+    if op not in ("min_cells", "max_cells"):
+        raise KeyError(f"unknown aggregate {op!r}")
+    # fmin / fmax skip NaN: only an all-NaN part reduces to NaN
+    extremes = (np.fmin if op == "min_cells" else np.fmax).reduce(stack, axis=axes).tolist()
+    nans = np.isnan(stack).sum(axis=axes).tolist() if stack.dtype.kind == "f" else [0] * len(stack)
+    partials = []
+    for extreme, nan_count in zip(extremes, nans):
+        value = None if nan_count == cells else extreme
+        partials.append(TileSynopsis(cells, 0, value, value, 0, nan_count))
+    return partials
+
+
 def constant_synopsis(
     cell_count: int, value: object, nbins: int = 0
 ) -> TileSynopsis:
@@ -569,6 +601,9 @@ def combine_aggregate(
     :func:`partial_aggregate_eligible`'s guards the result equals
     ``AGG_FUNCS[op]`` applied to the composed region bitwise.
     """
+    # the dtype's scalar, exactly what a default-filled fragment holds (a
+    # default of 7 is True in a bool cube; 0.0 in a float one, not 0)
+    default = dtype.type(default).item()
     if op == "count_cells":
         total = sum(s.nonzero for s in syn_parts)
         if default_cells and default != 0:  # NaN default: != 0 is True
@@ -587,10 +622,7 @@ def combine_aggregate(
             if isinstance(default, float) and math.isnan(default):
                 saw_nan = True
             else:
-                # the dtype's scalar, exactly as np.min/np.max over a
-                # default-filled fragment would yield it (0.0 for float
-                # arrays, False for bool — not the raw Python int 0)
-                values.append(dtype.type(default).item())
+                values.append(default)
         if saw_nan and dtype.kind == "f":
             return float("nan")  # np.min/np.max propagate NaN
         return pick(values)

@@ -841,7 +841,7 @@ class ShardedMDD:
                 )
             with span:
                 for selection in query.selections:
-                    query.fetch(selection, partials=pushed)
+                    query.fetch(selection, op=op if pushed else None)
                 result = query.combine(op) if pushed else query.compose()
                 if op is not None and not pushed:
                     result = query.condense(op, result)

@@ -292,7 +292,7 @@ class FileBlobStore(BlobStore):
         blob is virtual or still buffered.
         """
         with self._latch:
-            records = [self.record(blob_id) for blob_id in blob_ids]
+            records = self.records(blob_ids)
             if any(r.virtual or r.blob_id in self._pending for r in records):
                 return super().get_run(blob_ids)
             payloads = [

@@ -105,11 +105,17 @@ class BlobStore(abc.ABC):
 
     def record(self, blob_id: int) -> BlobRecord:
         """Catalog entry for a BLOB (raises when unknown)."""
+        return self.records((blob_id,))[0]
+
+    def records(self, blob_ids: Iterable[int]) -> list[BlobRecord]:
+        """Catalog entries of a batch under one latch acquisition (raises
+        naming the first unknown id)."""
         with self._latch:
+            catalog = self._catalog
             try:
-                return self._catalog[blob_id]
-            except KeyError:
-                raise BlobNotFoundError(f"no blob {blob_id}") from None
+                return [catalog[blob_id] for blob_id in blob_ids]
+            except KeyError as missing:
+                raise BlobNotFoundError(f"no blob {missing.args[0]}") from None
 
     def __contains__(self, blob_id: int) -> bool:
         with self._latch:

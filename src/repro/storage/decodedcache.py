@@ -30,7 +30,7 @@ sum instead of overwriting each other.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -85,16 +85,25 @@ class DecodedTileCache:
 
     def get(self, blob_id: int) -> Optional[np.ndarray]:
         """The decoded tile, or ``None`` on a miss (counted either way)."""
+        return self.get_many((blob_id,))[0]
+
+    def get_many(self, blob_ids: Sequence[int]) -> list[Optional[np.ndarray]]:
+        """:meth:`get` for a batch under one latch acquisition: per id, in
+        order, a hit (promoted to most recently used) or a miss, counted."""
+        found: list[Optional[np.ndarray]] = []
         with self._latch:
-            array = self._entries.get(blob_id)
-            if array is None:
-                self.misses += 1
-                _MISSES.inc()
-                return None
-            self._entries.move_to_end(blob_id)
-            self.hits += 1
-            _HITS.inc()
-            return array
+            entries = self._entries
+            for blob_id in blob_ids:
+                array = entries.get(blob_id)
+                if array is not None:
+                    entries.move_to_end(blob_id)
+                found.append(array)
+            hits = sum(array is not None for array in found)
+            self.hits += hits
+            self.misses += len(found) - hits
+            _HITS.inc(hits)
+            _MISSES.inc(len(found) - hits)
+        return found
 
     def peek(self, blob_id: int) -> Optional[np.ndarray]:
         """Like :meth:`get` but without counters or LRU promotion."""

@@ -347,9 +347,6 @@ class SimulatedDisk:
             time.sleep(model_ms * scale / 1000.0)
             _REALTIME_WAIT_MS.inc(model_ms * scale)
 
-    def blob_pages(self, blob_id: int) -> PageRange:
-        return self.store.record(blob_id).pages
-
     # -- bookkeeping -----------------------------------------------------------
 
     def reset(self) -> DiskCounters:

@@ -30,17 +30,19 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.index.zonemap import CellPredicate, TileSynopsis, partial_synopsis
+from repro.index.zonemap import CellPredicate, TileSynopsis, op_partials
 from repro.storage.compression import decompress
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids a cycle)
     from repro.core.geometry import MInterval
+    from repro.storage.blob import BlobRecord
     from repro.storage.tilestore import Database, TileEntry
 
 _WORKERS_BUSY = obs.gauge(
@@ -89,7 +91,7 @@ class FetchedTile:
     On the pushdown path (:func:`fetch_tile_partials`) ``array`` stays
     ``None`` and ``partials`` summarises the predicate-masked cells of
     each of the tile's parts, in order
-    (:func:`~repro.index.zonemap.partial_synopsis`).  A virtual tile has
+    (:func:`~repro.index.zonemap.op_partials`).  A virtual tile has
     neither: its clipped cells are all defaults, and the caller accounts
     them as default fill.  From :func:`fetch_payloads` only ``payload``
     is set: the stored bytes, undecoded.
@@ -110,7 +112,8 @@ class FetchedTile:
 class _Reducer:
     """The pushdown's per-tile step: clip → mask → summarise, once per
     part (a tile straddling GROUP BY cells has one part per cell it
-    meets) from one decoded array.
+    meets) from one decoded array.  Given the query's ``op`` it fills only
+    what that op's combine reads (:func:`~repro.index.zonemap.op_partials`).
 
     Also tracks the decoded bytes concurrently alive inside it and their
     high-water mark (``peak``), under its own lock: workers reduce in
@@ -118,38 +121,79 @@ class _Reducer:
     """
 
     def __init__(
-        self, predicate: Optional[CellPredicate], default_cell: np.ndarray
+        self,
+        predicate: Optional[CellPredicate],
+        default_cell: np.ndarray,
+        op: Optional[str] = None,
     ) -> None:
         self.predicate = predicate
         self.default_cell = default_cell
+        self.op = op
         self._latch = threading.Lock()
         self._live = 0
         self.peak = 0
 
-    def __call__(
-        self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
-    ) -> tuple[TileSynopsis, ...]:
-        nbytes = array.nbytes
+    @contextmanager
+    def _holding(self, nbytes: int) -> Iterator[None]:
         with self._latch:
             self._live += nbytes
             if self._live > self.peak:
                 self.peak = self._live
         _PARTIAL_LIVE_BYTES.inc(nbytes)
         try:
-            summaries = []
-            for part in parts:
-                vals = array[part.to_slices(entry.domain.lowest)]
-                if self.predicate is not None:
-                    vals = np.where(
-                        self.predicate.mask(vals), vals, self.default_cell
-                    )
-                summaries.append(partial_synopsis(vals))
-            _PARTIAL_AGGS.inc(len(summaries))
-            return tuple(summaries)
+            yield
         finally:
             with self._latch:
                 self._live -= nbytes
             _PARTIAL_LIVE_BYTES.dec(nbytes)
+
+    def _summaries(self, stack: np.ndarray) -> list[TileSynopsis]:
+        """Mask a stack of parts once and reduce it to one partial each."""
+        if self.predicate is not None:
+            stack = np.where(self.predicate.mask(stack), stack, self.default_cell)
+        return op_partials(stack, self.op)
+
+    def __call__(
+        self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
+    ) -> tuple[TileSynopsis, ...]:
+        with self._holding(array.nbytes):
+            _PARTIAL_AGGS.inc(len(parts))
+            return tuple(
+                self._summaries(array[part.to_slices(entry.domain.lowest)][None])[0]
+                for part in parts
+            )
+
+    def hits(
+        self,
+        tiles: Sequence[tuple[FetchedTile, np.ndarray, Sequence["MInterval"]]],
+        chunk: int,
+    ) -> None:
+        """Reduce decoded-cache hits on the calling thread.  With an op,
+        hits whose one part is the whole tile (the entry's own domain
+        object, as ``select`` routes it) are grouped by shape and reduced
+        in stacks of at most ``chunk`` tiles; the rest take the per-part
+        path."""
+        shapes: dict[tuple, list] = {}
+        for tile, array, parts in tiles:
+            if self.op is not None and len(parts) == 1 and parts[0] is tile.entry.domain:
+                shapes.setdefault(array.shape, []).append((tile, array))
+            else:
+                tile.partials = self(array, tile.entry, parts)
+        batches = [
+            group[start : start + chunk]
+            for group in shapes.values()
+            for start in range(0, len(group), chunk)
+        ]
+        if not batches:
+            return
+        _PARTIAL_AGGS.inc(sum(map(len, batches)))
+        # one stack at a time: the largest is all that is ever alive
+        with self._holding(max(len(batch) * batch[0][1].nbytes for batch in batches)):
+            for batch in batches:
+                arrays = [array for _, array in batch]
+                stack = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+                for (tile, _), partial in zip(batch, self._summaries(stack)):
+                    tile.partials = (partial,)
 
 
 def _decode(
@@ -206,6 +250,7 @@ def _decode_task(
 def _coalesce_runs(
     database: "Database",
     items: Sequence[tuple[int, "TileEntry"]],
+    records: Sequence["BlobRecord"],
 ) -> list[list[tuple[int, "TileEntry"]]]:
     """Group page-adjacent cache misses into contiguous read runs.
 
@@ -220,12 +265,12 @@ def _coalesce_runs(
     runs: list[list[tuple[int, "TileEntry"]]] = []
     prev_end: Optional[int] = None
     for item in items:
-        entry = item[1]
+        position, entry = item
         if entry.virtual or store.is_pending(entry.blob_id):
             runs.append([item])
             prev_end = None
             continue
-        pages = store.record(entry.blob_id).pages
+        pages = records[position].pages
         if prev_end is not None and pages.start == prev_end:
             runs[-1].append(item)
         else:
@@ -242,8 +287,10 @@ _READ_AHEAD_RUNS = 32
 def _read_runs(
     database: "Database",
     items: Sequence[tuple[int, "TileEntry"]],
+    records: Sequence["BlobRecord"],
 ) -> Iterator[tuple[int, "TileEntry", bytes, float]]:
-    """Read the cache misses in order: ``(position, entry, payload, cost)``.
+    """Read the cache misses in order: ``(position, entry, payload, cost)``
+    (``records``: the batch's catalog snapshot, indexed by position).
 
     Charges, pool lookups and admissions happen blob by blob, in item
     order.  With a pool, each chunk of runs first has the store fetch
@@ -254,7 +301,7 @@ def _read_runs(
     read.  Safe because the caller's pinned view keeps blobs immutable.
     """
     pool = database.pool
-    runs = _coalesce_runs(database, items)
+    runs = _coalesce_runs(database, items, records)
     for start in range(0, len(runs), _READ_AHEAD_RUNS):
         chunk = runs[start : start + _READ_AHEAD_RUNS]
         ahead: dict[int, bytes] = {}
@@ -291,48 +338,62 @@ def _fetch(
     dtype,
     parts: Sequence[Sequence["MInterval"]] = (),
     reduce: Optional[_Reducer] = None,
+    records: Optional[Sequence["BlobRecord"]] = None,
 ) -> list[FetchedTile]:
     """Fetch a page-ordered batch of tiles: the one ``t_o`` loop.
 
     Returns one :class:`FetchedTile` per entry, in the given order.
-    Decoded-cache lookups, then disk and pool interactions, happen on
-    the calling thread in entry order; only the order-free step of each
-    miss — decode, then ``reduce(array, entry, parts[i])`` when a
-    reducer is given — is (optionally) offloaded.  Page-adjacent misses
-    merge into one backend read (:meth:`SimulatedDisk.read_blob_run`)
-    whose per-blob charges equal the serial ones — adjacent follow-on
-    reads are in the sequential regime either way — so the result
-    (arrays or partials, costs, cache counters) is identical for any
-    ``io_workers`` setting and with coalescing on or off.
+    Decoded-cache lookups (one :meth:`DecodedTileCache.get_many` for the
+    batch), then disk and pool interactions, happen on the calling thread
+    in entry order; only the order-free step of each miss — decode, then
+    ``reduce(array, entry, parts[i])`` when a reducer is given — is
+    (optionally) offloaded.  Page-adjacent misses merge into one backend
+    read (:meth:`SimulatedDisk.read_blob_run`) whose per-blob charges
+    equal the serial ones — adjacent follow-on reads are in the
+    sequential regime either way — so the result (arrays or partials,
+    costs, cache counters) is identical for any ``io_workers`` setting
+    and with coalescing on or off.  ``records`` is the batch's catalog
+    snapshot (hit sizes, run coalescing); one :meth:`BlobStore.records`
+    call takes it when the caller has none.
 
     With a reducer the decoded arrays are dropped, never admitted to
     the decoded cache: a retain-all admission pass would defeat the
     one-tile-per-worker memory bound.  Cache hits are still consulted,
-    and reduced on the spot.
+    and reduced on the calling thread before any miss is read
+    (:meth:`_Reducer.hits`: same-shape whole tiles in stacks of at most
+    ``io_workers``, so the peak stays within ``io_workers`` tiles).
     """
     cache = database.decoded_cache
+    if records is None:
+        records = database.store.records([entry.blob_id for entry in entries])
     executor = database.pipeline_executor() if len(entries) > 1 else None
     trace_ctx = obs.tracer.current_context() if executor is not None else None
     fetched: list[FetchedTile] = [None] * len(entries)  # type: ignore
     misses: list[tuple[int, "TileEntry"]] = []
+    hits: list = []
     futures = []
 
+    cached = iter(
+        cache.get_many([entry.blob_id for entry in entries if not entry.virtual])
+        if cache is not None
+        else ()
+    )
     for position, entry in enumerate(entries):
-        if cache is not None and not entry.virtual:
-            array = cache.get(entry.blob_id)
-            if array is not None:
-                size = database.store.record(entry.blob_id).byte_size
-                tile = fetched[position] = FetchedTile(
-                    entry, 0.0, size, decoded_hit=True
-                )
-                if reduce is None:
-                    tile.array = array
-                else:
-                    tile.partials = reduce(array, entry, parts[position])
-                continue
-        misses.append((position, entry))
+        array = None if cache is None or entry.virtual else next(cached)
+        if array is None:
+            misses.append((position, entry))
+            continue
+        tile = fetched[position] = FetchedTile(
+            entry, 0.0, records[position].byte_size, decoded_hit=True
+        )
+        if reduce is None:
+            tile.array = array
+        else:
+            hits.append((tile, array, parts[position]))
+    if reduce is not None:
+        reduce.hits(hits, max(1, database.io_workers))
 
-    for position, entry, payload, cost in _read_runs(database, misses):
+    for position, entry, payload, cost in _read_runs(database, misses, records):
         tile = fetched[position] = FetchedTile(entry, cost, len(payload))
         if entry.virtual:
             continue
@@ -366,20 +427,23 @@ def fetch_tiles(
     database: "Database",
     entries: Sequence["TileEntry"],
     dtype,
+    records: Optional[Sequence["BlobRecord"]] = None,
 ) -> list[FetchedTile]:
     """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`)."""
-    return _fetch(database, entries, dtype)
+    return _fetch(database, entries, dtype, records=records)
 
 
 def fetch_payloads(
-    database: "Database", entries: Sequence["TileEntry"]
+    database: "Database", entries: Sequence["TileEntry"], records: Sequence["BlobRecord"]
 ) -> list[FetchedTile]:
     """Stored payloads of a page-ordered batch (served tile frames):
     :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
-    decoded cache."""
+    decoded cache (``records``: the batch's catalog snapshot)."""
     return [
         FetchedTile(entry, cost, len(payload), payload=payload)
-        for _, entry, payload, cost in _read_runs(database, list(enumerate(entries)))
+        for _, entry, payload, cost in _read_runs(
+            database, list(enumerate(entries)), records
+        )
     ]
 
 
@@ -400,6 +464,8 @@ def fetch_tile_partials(
     dtype,
     predicate: Optional[CellPredicate] = None,
     default: object = 0,
+    op: Optional[str] = None,
+    records: Optional[Sequence["BlobRecord"]] = None,
 ) -> tuple[list[FetchedTile], int]:
     """Fetch tiles and reduce each to partial aggregates on the workers.
 
@@ -408,18 +474,22 @@ def fetch_tile_partials(
     ``predicate`` and reduced to one
     :class:`~repro.index.zonemap.TileSynopsis` per part instead of being
     returned — a tile is decoded once however many parts it has — so
-    the query box is never materialized and peak memory stays at one
-    decoded tile per worker plus the partials table.
+    the query box is never materialized and peak memory stays at
+    ``io_workers`` decoded tiles plus the partials table.  With ``op``
+    a partial carries only the fields that op's combine reads
+    (:func:`~repro.index.zonemap.op_partials`); without, the full
+    :func:`~repro.index.zonemap.partial_synopsis`.
 
     Returns the tiles in ``items`` order plus the observed peak of
     concurrently-live decoded bytes.
     """
-    reducer = _Reducer(predicate, np.asarray(default, dtype=dtype))
+    reducer = _Reducer(predicate, np.asarray(default, dtype=dtype), op)
     fetched = _fetch(
         database,
         [entry for entry, _ in items],
         dtype,
         [parts for _, parts in items],
         reducer,
+        records,
     )
     return fetched, reducer.peak

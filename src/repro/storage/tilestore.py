@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -153,6 +153,10 @@ class _Selection:
     #: decode.
     answered: list = field(default_factory=list)
     fetched: list = field(default_factory=list)
+    #: Catalog record of every item, aligned with ``items`` once page
+    #: ordered: one snapshot feeds the order, the fetch and the accounting
+    #: (blobs stay immutable under the pinned view).
+    records: list = field(default_factory=list)
 
 
 class ReadExecutor:
@@ -378,46 +382,54 @@ class ReadExecutor:
 
     # -- run ---------------------------------------------------------------
 
-    def fetch(self, selection: _Selection, *, partials: bool = False) -> None:
+    def fetch(self, selection: _Selection, *, op: Optional[str] = None) -> None:
         """Run phase: fetch a selection's items in page order.
 
-        ``partials`` reduces every tile to one partial aggregate per
-        cell part on the pipeline workers instead of returning its cells.
+        An ``op`` reduces every tile to one partial aggregate per cell
+        part — holding only what that op's combine reads — instead of
+        returning its cells.
         """
         selection.fetched = self._fetch(
-            selection, self._partials if partials else self._decoded
+            selection, self._decoded if op is None else partial(self._partials, op=op)
         )
 
     @staticmethod
     def _page_order(selection: _Selection) -> None:
-        """Sort the fetch items by first page, for sequential runs."""
-        first_page = selection.store.database.first_page
-        selection.items.sort(key=lambda item: first_page(item[0]))
+        """Sort the fetch items by first page, for sequential runs (a
+        stable sort: ties keep select order), with their records."""
+        records = selection.store.database.store.records(
+            [entry.blob_id for entry, _part, _routes in selection.items]
+        )
+        ordered = sorted(zip(records, selection.items), key=lambda pair: pair[0].pages.start)
+        selection.records = [record for record, _item in ordered]
+        selection.items[:] = [item for _record, item in ordered]
 
-    def _decoded(self, database: "Database", items) -> list:
-        return fetch_tiles(database, [item[0] for item in items], self.dtype)
+    def _decoded(self, database: "Database", items, records) -> list:
+        return fetch_tiles(database, [item[0] for item in items], self.dtype, records)
 
-    def _partials(self, database: "Database", items) -> list:
+    def _partials(self, database: "Database", items, records, op: str) -> list:
         parts = [(entry, [part for _, part in routes]) for entry, _part, routes in items]
         fetched, peak = fetch_tile_partials(
-            database, parts, self.dtype, predicate=self.predicate, default=self.default
+            database, parts, self.dtype, self.predicate, self.default, op, records
         )
         self.timing.peak_partial_bytes = max(self.timing.peak_partial_bytes, peak)
         return fetched
 
-    def _payloads(self, database: "Database", items) -> list:
-        return fetch_payloads(database, [item[0] for item in items])
+    def _payloads(self, database: "Database", items, records) -> list:
+        return fetch_payloads(database, [item[0] for item in items], records)
 
-    def _fetch(self, selection: _Selection, run: Callable, items=None) -> list:
-        """Fetch ``items`` (default: the whole selection, page-ordered
-        first) with ``run`` — decoded tiles, worker-reduced partials or
-        stored payloads — and account for every tile: the one place
-        ``t_o``, tiles / bytes / pages / cells, decodes, the cache deltas
-        and ``fetch_ms`` are charged."""
+    def _fetch(self, selection: _Selection, run: Callable, at: Optional[int] = None) -> list:
+        """Fetch the whole selection, page-ordered first (or only item
+        ``at`` of an ordered one) with ``run`` — decoded tiles,
+        worker-reduced partials or stored payloads — and account for
+        every tile: the one place ``t_o``, tiles / bytes / pages / cells,
+        decodes, the cache deltas and ``fetch_ms`` are charged."""
         started = time.perf_counter()
-        if items is None:
+        if at is None:
             self._page_order(selection)
-            items = selection.items
+            items, records = selection.items, selection.records
+        else:
+            items, records = selection.items[at : at + 1], selection.records[at : at + 1]
         database = selection.store.database
         pool = database.pool
         decoded = database.decoded_cache
@@ -429,15 +441,14 @@ class ReadExecutor:
             (decoded.hits, decoded.misses) if decoded is not None else None
         )
         with obs.span("tilestore.fetch", tiles=len(items)):
-            fetched = run(database, items)
-            blob_pages = database.disk.blob_pages
+            fetched = run(database, items, records)
             cost = 0.0
-            for (entry, part, _routes), tile in zip(items, fetched):
+            for (entry, part, _routes), record, tile in zip(items, records, fetched):
                 cost += tile.cost
                 timing.t_o += tile.cost
                 timing.tiles_read += 1
                 timing.bytes_read += tile.payload_bytes
-                timing.pages_read += blob_pages(entry.blob_id).count
+                timing.pages_read += record.pages.count
                 cells = entry.domain.cell_count
                 timing.cells_fetched += cells
                 if tile.decode_ms:
@@ -555,9 +566,8 @@ class ReadExecutor:
         order, each with the timing charged for it (the index lookup
         rides on the first)."""
         self._page_order(selection)
-        for item in selection.items:
-            entry, part, _routes = item
-            (tile,) = self._fetch(selection, self._decoded, [item])
+        for at, (entry, part, _routes) in enumerate(selection.items):
+            (tile,) = self._fetch(selection, self._decoded, at)
             started = time.perf_counter()
             if tile.array is None:
                 data = np.zeros(part.shape, dtype=self.dtype)
@@ -597,8 +607,8 @@ class ReadExecutor:
                     for cell, cell_part in routes:
                         default_cells[cell] += cell_part.cell_count
                 decoded += bool(tile.partials)
-                for (cell, _), partial in zip(routes, tile.partials):
-                    contributions[cell].append((self._key(entry), partial))
+                for (cell, _), syn in zip(routes, tile.partials):
+                    contributions[cell].append((self._key(entry), syn))
             timing.tiles_synopsis_answered = answered
             timing.tiles_partial_agg = decoded
             values = [
@@ -1386,7 +1396,7 @@ class StoredMDD:
             ) as span:
                 selection = query.select(self, view, condense=True)
                 pushed = query.exact(op)
-                query.fetch(selection, partials=pushed)
+                query.fetch(selection, op=op if pushed else None)
                 value = (
                     query.combine(op)
                     if pushed
@@ -1662,7 +1672,7 @@ class Database:
     def first_page(self, entry: TileEntry) -> int:
         """Where a tile's BLOB starts: sorting a batch of fetches by this
         key turns them into sequential page runs."""
-        return self.disk.blob_pages(entry.blob_id).start
+        return self.store.record(entry.blob_id).pages.start
 
     def read_blob(
         self, blob_id: int, verified: Optional[bytes] = None
