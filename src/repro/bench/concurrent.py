@@ -223,9 +223,8 @@ def run_concurrent_bench(
 ) -> dict:
     """Run the reader-scaling curve and return the comparison dict."""
     modes: Dict[str, dict] = {}
-    with obs.span("bench.concurrent", runs=runs):
-        for readers in READER_COUNTS:
-            modes[f"r{readers}"] = _run_mode(readers, runs)
+    for readers in READER_COUNTS:
+        modes[f"r{readers}"] = _run_mode(readers, runs)
     report = {
         "label": "concurrent",
         "created_unix": time.time(),

@@ -115,25 +115,24 @@ def run_benchmark(
     ``REPRO_BENCH_ARTIFACTS`` environment variable) set, the results are
     also written to ``<artifact_dir>/BENCH_<label>.json``.
     """
-    with obs.span("bench.run", label=label, schemes=len(schemes)):
-        results: Dict[str, SchemeRun] = {}
-        for name, strategy in schemes.items():
-            database = database_factory() if database_factory else Database()
-            mdd = database.create_object("bench", mdd_type, name)
-            if data is not None:
-                load = mdd.load_array(data, strategy, origin=origin)
-            else:
-                if domain is None:
-                    raise ValueError(
-                        "virtual benchmarks need an explicit domain"
-                    )
-                load = mdd.load_virtual(domain, strategy)
-            run = SchemeRun(name, strategy, database, mdd, load)
-            for query_name, region in queries.items():
-                run.timings[query_name] = _measure(
-                    database, mdd, region, runs, warm=warm
+    results: Dict[str, SchemeRun] = {}
+    for name, strategy in schemes.items():
+        database = database_factory() if database_factory else Database()
+        mdd = database.create_object("bench", mdd_type, name)
+        if data is not None:
+            load = mdd.load_array(data, strategy, origin=origin)
+        else:
+            if domain is None:
+                raise ValueError(
+                    "virtual benchmarks need an explicit domain"
                 )
-            results[name] = run
+            load = mdd.load_virtual(domain, strategy)
+        run = SchemeRun(name, strategy, database, mdd, load)
+        for query_name, region in queries.items():
+            run.timings[query_name] = _measure(
+                database, mdd, region, runs, warm=warm
+            )
+        results[name] = run
     benchmark = BenchmarkResults(
         runs=results, queries=dict(queries), label=label
     )

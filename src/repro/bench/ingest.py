@@ -137,14 +137,13 @@ def run_ingest_bench(
     """Run the three ingest modes and return the comparison dict."""
     data = generate_sales_data()
     modes: Dict[str, dict] = {}
-    with obs.span("bench.ingest", runs=runs, io_workers=io_workers):
-        with tempfile.TemporaryDirectory(prefix="bench_ingest_") as tmp:
-            workspace = Path(tmp)
-            for mode, workers in MODES.items():
-                workers = io_workers if mode == "parallel" else workers
-                modes[mode] = _measure_mode(
-                    workspace, mode, workers, runs, data
-                )
+    with tempfile.TemporaryDirectory(prefix="bench_ingest_") as tmp:
+        workspace = Path(tmp)
+        for mode, workers in MODES.items():
+            workers = io_workers if mode == "parallel" else workers
+            modes[mode] = _measure_mode(
+                workspace, mode, workers, runs, data
+            )
     report = {
         "label": "ingest",
         "created_unix": time.time(),

@@ -5,13 +5,12 @@ per instrument call.  This bench puts a number on that claim.  It loads
 the read-pipeline cube three times and runs the same query set under
 three observability states:
 
-* ``enabled``  — metrics and tracing on (the default);
+* ``enabled``  — metrics on (the default);
 * ``disabled`` — ``obs.disable()``: every instrument call hits its
   enabled-flag check and returns;
 * ``noop``     — the no-obs-build floor: obs disabled **and** every
   instrument method (``Counter.inc``, ``Gauge.set/inc/dec``,
-  ``Histogram.observe``, ``Tracer.span``) monkeypatched to an empty
-  body.  This is the closest a Python build can get to compiling the
+  ``Histogram.observe``) monkeypatched to an empty body.  This is the closest a Python build can get to compiling the
   instrumentation out, so ``disabled - noop`` isolates the cost of the
   flag checks themselves.
 
@@ -23,7 +22,7 @@ disabled walls must stay within ``OVERHEAD_PCT`` of the noop floor
 nothing is all noise).  Byte identity across all three modes and
 equality of the modelled charges are gated too: observability must
 never change results.  The enabled overhead is reported but not gated —
-tracing does real work.
+recording metrics does real work.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ MODES = ("enabled", "disabled", "noop")
 def _noop_instruments():
     """Patch every instrument method to an empty body (no-obs floor)."""
     from repro.obs import metrics as m
-    from repro.obs import trace as t
 
     saved = (
         m.Counter.inc,
@@ -61,21 +59,16 @@ def _noop_instruments():
         m.Gauge.inc,
         m.Gauge.dec,
         m.Histogram.observe,
-        t.Tracer.span,
     )
 
     def _noop(self, *args, **kwargs):
         pass
-
-    def _null_span(self, name, *, parent=None, **attrs):
-        return t.NULL_SPAN
 
     m.Counter.inc = _noop
     m.Gauge.set = _noop
     m.Gauge.inc = _noop
     m.Gauge.dec = _noop
     m.Histogram.observe = _noop
-    t.Tracer.span = _null_span
     try:
         yield
     finally:
@@ -85,7 +78,6 @@ def _noop_instruments():
             m.Gauge.inc,
             m.Gauge.dec,
             m.Histogram.observe,
-            t.Tracer.span,
         ) = saved
 
 

@@ -106,18 +106,17 @@ def run_pipeline_bench(
     artifact_dir: Optional[Union[str, Path]] = None,
 ) -> dict:
     """Run the three configurations and return the comparison dict."""
-    with obs.span("bench.pipeline", runs=runs, io_workers=io_workers):
-        serial_db, serial_mdd = _load_cube(io_workers=1)
-        serial = _measure_mode(serial_mdd, serial_db, runs, warm=False)
+    serial_db, serial_mdd = _load_cube(io_workers=1)
+    serial = _measure_mode(serial_mdd, serial_db, runs, warm=False)
 
-        parallel_db, parallel_mdd = _load_cube(io_workers=io_workers)
-        parallel = _measure_mode(parallel_mdd, parallel_db, runs, warm=False)
-        parallel_db.close()
+    parallel_db, parallel_mdd = _load_cube(io_workers=io_workers)
+    parallel = _measure_mode(parallel_mdd, parallel_db, runs, warm=False)
+    parallel_db.close()
 
-        decoded_db, decoded_mdd = _load_cube(
-            io_workers=1, decoded_cache_bytes=decoded_mb * 1024 * 1024
-        )
-        decoded = _measure_mode(decoded_mdd, decoded_db, runs, warm=True)
+    decoded_db, decoded_mdd = _load_cube(
+        io_workers=1, decoded_cache_bytes=decoded_mb * 1024 * 1024
+    )
+    decoded = _measure_mode(decoded_mdd, decoded_db, runs, warm=True)
 
     identity = _verdicts(serial, parallel, decoded)
     report = {

@@ -137,21 +137,20 @@ def run_prune_bench(
 ) -> dict:
     """Run the selectivity sweep and return the comparison dict."""
     data = generate_sales_data()
-    with obs.span("bench.prune", runs=runs):
-        database, mdd = _load_cube(data)
-        points = _thresholds(data)
-        modes: Dict[str, Dict[str, dict]] = {"full": {}, "pruned": {}}
-        for point, meta in points.items():
-            predicate = CellPredicate(">", meta["threshold"])
-            modes["full"][point] = _read_point(
-                mdd, predicate, prune=False, runs=runs
-            )
-            modes["pruned"][point] = _read_point(
-                mdd, predicate, prune=True, runs=runs
-            )
-        condensers = _condensers(mdd, data, runs)
-        tile_count = len(mdd.tile_entries())
-        database.close()
+    database, mdd = _load_cube(data)
+    points = _thresholds(data)
+    modes: Dict[str, Dict[str, dict]] = {"full": {}, "pruned": {}}
+    for point, meta in points.items():
+        predicate = CellPredicate(">", meta["threshold"])
+        modes["full"][point] = _read_point(
+            mdd, predicate, prune=False, runs=runs
+        )
+        modes["pruned"][point] = _read_point(
+            mdd, predicate, prune=True, runs=runs
+        )
+    condensers = _condensers(mdd, data, runs)
+    tile_count = len(mdd.tile_entries())
+    database.close()
     report = {
         "label": "prune",
         "created_unix": time.time(),

@@ -248,24 +248,23 @@ def run_query_bench(
 ) -> dict:
     """Run the aggregate/GROUP BY sweep and return the comparison dict."""
     data = generate_sales_data()
-    with obs.span("bench.query", runs=runs):
-        database, mdd = _load_cube(data)
-        engine = QueryEngine(database)
-        points = _thresholds(data)
-        configs = _configs(points)
-        modes: Dict[str, Dict[str, dict]] = {"v1": {}, "pushdown": {}}
-        for name, config in configs.items():
-            modes["v1"][name] = _measure(
-                lambda: _reference_run(mdd, config), runs
-            )
-            modes["pushdown"][name] = _measure(
-                lambda: _engine_run(engine, mdd, config), runs
-            )
-        tile_count = len(mdd.tile_entries())
-        tile_bytes = max(
-            entry.domain.cell_count for entry in mdd.tile_entries()
-        ) * mdd.mdd_type.base.dtype.itemsize
-        database.close()
+    database, mdd = _load_cube(data)
+    engine = QueryEngine(database)
+    points = _thresholds(data)
+    configs = _configs(points)
+    modes: Dict[str, Dict[str, dict]] = {"v1": {}, "pushdown": {}}
+    for name, config in configs.items():
+        modes["v1"][name] = _measure(
+            lambda: _reference_run(mdd, config), runs
+        )
+        modes["pushdown"][name] = _measure(
+            lambda: _engine_run(engine, mdd, config), runs
+        )
+    tile_count = len(mdd.tile_entries())
+    tile_bytes = max(
+        entry.domain.cell_count for entry in mdd.tile_entries()
+    ) * mdd.mdd_type.base.dtype.itemsize
+    database.close()
     report = {
         "label": "query",
         "created_unix": time.time(),

@@ -213,9 +213,8 @@ def run_serve_bench(
 ) -> dict:
     """Run the client-scaling curve and return the comparison dict."""
     modes: Dict[str, dict] = {}
-    with obs.span("bench.serve", runs=runs):
-        for clients in CLIENT_COUNTS:
-            modes[f"c{clients}"] = _run_mode(clients, runs)
+    for clients in CLIENT_COUNTS:
+        modes[f"c{clients}"] = _run_mode(clients, runs)
     report = {
         "label": "serve",
         "created_unix": time.time(),

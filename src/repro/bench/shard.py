@@ -256,24 +256,23 @@ def run_shard_bench(
     threshold = int(np.quantile(data, 1.0 - SELECTIVITY))
     configs = _configs(threshold)
     modes: Dict[str, Dict[str, dict]] = {}
-    with obs.span("bench.shard", runs=runs):
-        database, mdd = _load_single(data)
-        modes["single"] = {
-            name: _run_config(database, mdd, config, runs)
+    database, mdd = _load_single(data)
+    modes["single"] = {
+        name: _run_config(database, mdd, config, runs)
+        for name, config in configs.items()
+    }
+    tile_count = len(mdd.tile_entries())
+    database.close()
+    spreads: Dict[str, List[int]] = {}
+    for n_shards in SHARD_COUNTS:
+        sdb, smdd = _load_sharded(data, n_shards)
+        modes[f"shard{n_shards}"] = {
+            name: _run_config(sdb, smdd, config, runs)
             for name, config in configs.items()
         }
-        tile_count = len(mdd.tile_entries())
-        database.close()
-        spreads: Dict[str, List[int]] = {}
-        for n_shards in SHARD_COUNTS:
-            sdb, smdd = _load_sharded(data, n_shards)
-            modes[f"shard{n_shards}"] = {
-                name: _run_config(sdb, smdd, config, runs)
-                for name, config in configs.items()
-            }
-            spreads[f"shard{n_shards}"] = list(smdd.tiles_per_shard())
-            sdb.close()
-        failover = _failover_drill(data)
+        spreads[f"shard{n_shards}"] = list(smdd.tiles_per_shard())
+        sdb.close()
+    failover = _failover_drill(data)
     report = {
         "label": "shard",
         "created_unix": time.time(),

@@ -10,9 +10,8 @@ Usage::
     python -m repro figure8       # time components, animation queries
     python -m repro tables        # everything above
     python -m repro stats         # observability registry snapshot
-    python -m repro trace QUERY   # span trace of one sales-cube query
     python -m repro explain QUERY # EXPLAIN ANALYZE one sales-cube query
-    python -m repro serve-metrics # live /metrics, /healthz, /debug/spans
+    python -m repro serve-metrics # live /metrics and /healthz
     python -m repro serve         # REST tile server (slices, query, write)
     python -m repro bench pipeline  # serial vs parallel vs decoded cache
     python -m repro bench ingest    # serial vs batched vs parallel writes
@@ -329,44 +328,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Trace one sales-cube query: span tree plus timing breakdown."""
-    region = salescube.QUERIES[args.query]
-    schemes = salescube.build_schemes()
-    if args.scheme not in schemes:
-        print(f"unknown scheme {args.scheme!r}; known: "
-              f"{', '.join(sorted(schemes))}", file=sys.stderr)
-        return 2
-    obs.enable()
-    buffer_bytes = args.buffer_mb * 1024 * 1024
-    database = Database(buffer_bytes=buffer_bytes)
-    mdd = database.create_object(
-        "trace", salescube.sales_mdd_type(), args.scheme
-    )
-    print(f"Loading sales cube with {args.scheme}...", file=sys.stderr)
-    mdd.load_array(
-        salescube.generate_sales_data(), schemes[args.scheme], origin=(1, 1, 1)
-    )
-    engine = QueryEngine(database)
-    database.reset_clock()
-    obs.reset()  # trace the query, not the load
-    result = engine.range_query(mdd, region)
-    print(f"query {args.query}: {region} on scheme {args.scheme}")
-    print()
-    print("span tree:")
-    print(obs.format_span_tree(obs.tracer.finished()))
-    print()
-    print(f"timing: {result.timing}")
-    print()
-    print(_headline(obs.snapshot()))
-    if args.jsonl:
-        written = obs.export_jsonl(
-            args.jsonl, registry=obs.registry, tracer=obs.tracer
-        )
-        print(f"\nwrote {written} events to {args.jsonl}")
-    return 0
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     """EXPLAIN ANALYZE one sales-cube query: per-stage profile."""
     region = salescube.QUERIES[args.query]
@@ -406,7 +367,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Serve /metrics, /healthz and /debug/spans over HTTP."""
+    """Serve /metrics and /healthz over HTTP."""
     from repro.obs.server import MetricsServer
 
     obs.enable()
@@ -415,7 +376,7 @@ def cmd_serve_metrics(args: argparse.Namespace) -> int:
     server = MetricsServer(host=args.host, port=args.port)
     server.start()
     print(f"serving metrics on http://{args.host}:{server.port}/metrics "
-          f"(healthz, debug/spans)", file=sys.stderr)
+          f"(and /healthz)", file=sys.stderr)
     try:
         if args.duration is not None:
             import time as _time
@@ -606,7 +567,6 @@ _COMMANDS = {
     "figure8": cmd_figure8,
     "tables": cmd_tables,
     "stats": cmd_stats,
-    "trace": cmd_trace,
     "explain": cmd_explain,
     "serve-metrics": cmd_serve_metrics,
     "serve": cmd_serve,
@@ -710,25 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also recompute every zone-map synopsis from its decoded "
              "payload (reads all blobs twice)",
     )
-    trace = subparsers.add_parser(
-        "trace", help="span-trace one sales-cube query"
-    )
-    trace.add_argument(
-        "query", choices=sorted(salescube.QUERIES),
-        help="Table 3 query letter",
-    )
-    trace.add_argument(
-        "--scheme", default="Dir64K3P",
-        help="tiling scheme to load (default: Dir64K3P)",
-    )
-    trace.add_argument(
-        "--buffer-mb", type=int, default=0, metavar="M",
-        help="LRU buffer pool capacity in MiB (default: 0 = no pool)",
-    )
-    trace.add_argument(
-        "--jsonl", metavar="PATH",
-        help="also export metrics and spans to a JSONL event log",
-    )
     explain = subparsers.add_parser(
         "explain", help="EXPLAIN ANALYZE one sales-cube query"
     )
@@ -762,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve = subparsers.add_parser(
         "serve-metrics",
-        help="HTTP endpoint: /metrics, /healthz, /debug/spans",
+        help="HTTP endpoint: /metrics, /healthz",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",

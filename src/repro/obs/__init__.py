@@ -1,23 +1,24 @@
-"""Observability layer: process-wide metrics registry, tracer, exporters.
+"""Observability layer: process-wide metrics registry and its exporter.
 
 The storage stack (disk model, buffer pool, tile store, indexes, query
 engine, codecs) reports what it does through this package:
 
 * **metrics** — counters / gauges / fixed-bucket histograms in one
   process-wide :data:`registry` (:mod:`repro.obs.metrics`);
-* **spans** — nested wall-time spans via :data:`tracer`
-  (:mod:`repro.obs.trace`);
-* **exporters** — Prometheus text and JSON-lines event logs
-  (:mod:`repro.obs.export`).
+* **exporter** — Prometheus text (:mod:`repro.obs.export`), served live
+  by :mod:`repro.obs.server`;
+* **access ring** — the bounded log of reads and writes the rebalancer
+  and the tiling advisor fold (:mod:`repro.obs.accesslog`).
 
-Instrumented modules keep module-level handles::
+One query is explained by its :class:`~repro.query.timing.QueryTiming`
+record (``repro explain`` renders it); the registry aggregates across
+queries (``repro stats``).  Instrumented modules keep module-level
+handles::
 
     from repro import obs
     _READS = obs.counter("disk.blob_reads", "BLOBs fetched")
     ...
     _READS.inc()
-    with obs.span("tilestore.read", object=name):
-        ...
 
 Everything is togglable: :func:`disable` turns the whole layer into
 near-zero-overhead no-ops (one branch per call site), :func:`enable`
@@ -41,22 +42,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import (
-    NULL_SPAN,
-    NullSpan,
-    Span,
-    SpanContext,
-    Tracer,
-    format_span_tree,
-)
-from repro.obs.export import (
-    escape_label_value,
-    export_jsonl,
-    jsonl_records,
-    prometheus_name,
-    prometheus_text,
-    read_jsonl,
-)
+from repro.obs.export import escape_label_value, prometheus_name, prometheus_text
 from repro.obs.accesslog import AccessEvent, AccessRing
 
 __all__ = [
@@ -70,31 +56,19 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NullSpan",
-    "Span",
-    "SpanContext",
-    "Tracer",
     "counter",
-    "current_context",
     "disable",
     "disabled",
     "enable",
     "enabled",
     "escape_label_value",
-    "export_jsonl",
-    "format_span_tree",
     "gauge",
     "histogram",
-    "jsonl_records",
     "prometheus_name",
     "prometheus_text",
-    "read_jsonl",
     "registry",
     "reset",
     "snapshot",
-    "span",
-    "tracer",
 ]
 
 
@@ -103,9 +77,8 @@ def _env_enabled() -> bool:
     return value not in ("0", "off", "false", "no")
 
 
-#: The process-wide registry and tracer all instrumentation reports to.
+#: The process-wide registry all instrumentation reports to.
 registry = MetricsRegistry(enabled=_env_enabled())
-tracer = Tracer(enabled=registry.enabled)
 
 
 # -- instrument shortcuts (get-or-create on the default registry) ----------
@@ -127,32 +100,16 @@ def histogram(
     return registry.histogram(name, help, buckets=buckets)
 
 
-def span(name: str, *, parent: "SpanContext | None" = None, **attrs: object):
-    """A span on the default tracer (no-op when disabled).
-
-    ``parent`` adopts a :class:`SpanContext` captured on another thread
-    so worker spans join the coordinator's tree.
-    """
-    return tracer.span(name, parent=parent, **attrs)
-
-
-def current_context() -> "SpanContext | None":
-    """Cross-thread handle to the calling thread's innermost open span."""
-    return tracer.current_context()
-
-
 # -- global switches -------------------------------------------------------
 
 def enable() -> None:
-    """Turn metrics and tracing on."""
+    """Turn metrics on."""
     registry.enable()
-    tracer.enable()
 
 
 def disable() -> None:
     """Turn the whole layer into near-zero-overhead no-ops."""
     registry.disable()
-    tracer.disable()
 
 
 def enabled() -> bool:
@@ -163,19 +120,17 @@ def enabled() -> bool:
 @contextmanager
 def disabled() -> Iterator[None]:
     """Temporarily disable the layer (restores the previous state)."""
-    was_registry, was_tracer = registry.enabled, tracer.enabled
+    was_enabled = registry.enabled
     disable()
     try:
         yield
     finally:
-        registry.enabled = was_registry
-        tracer.enabled = was_tracer
+        registry.enabled = was_enabled
 
 
 def reset() -> None:
-    """Zero all metrics and drop all finished spans (measurement boundary)."""
+    """Zero all metrics (measurement boundary)."""
     registry.reset()
-    tracer.clear()
 
 
 def snapshot() -> dict:

@@ -1,33 +1,24 @@
-"""Exporters: Prometheus text format and JSON-lines event log.
+"""Exporter: the registry in the Prometheus text format.
 
-Both exporters read the registry's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-and the tracer's finished spans, so exporting never blocks or perturbs
-the instrumented hot paths.
-
-* :func:`prometheus_text` renders the registry in the Prometheus
-  exposition format (``# TYPE`` headers, cumulative histogram buckets
-  with ``le`` labels, ``_sum``/``_count`` series).  Metric names are
-  sanitised (``disk.blob_reads`` → ``repro_disk_blob_reads``); output
-  is sorted by series name, label values and help strings are escaped
-  per the exposition spec, and when two dotted names collapse to the
-  same sanitised series the ``HELP``/``TYPE`` header is emitted once
-  and later metrics are disambiguated with a ``name=`` label (or
-  skipped with a comment if their kinds conflict — one series cannot
-  carry two types).
-* :func:`export_jsonl` appends one JSON object per line — metrics first,
-  then spans — so a benchmark session produces a replayable event log.
-  :func:`read_jsonl` loads it back for analysis and round-trip tests.
+:func:`prometheus_text` reads the registry's
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, so exporting never
+blocks or perturbs the instrumented hot paths.  It renders the
+exposition format (``# TYPE`` headers, cumulative histogram buckets with
+``le`` labels, ``_sum``/``_count`` series).  Metric names are sanitised
+(``disk.blob_reads`` → ``repro_disk_blob_reads``); output is sorted by
+series name, label values and help strings are escaped per the
+exposition spec, and when two dotted names collapse to the same
+sanitised series the ``HELP``/``TYPE`` header is emitted once and later
+metrics are disambiguated with a ``name=`` label (or skipped with a
+comment if their kinds conflict — one series cannot carry two types).
 """
 
 from __future__ import annotations
 
-import json
 import re
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 _NAME_START_RE = re.compile(r"[a-zA-Z_:]")
@@ -105,58 +96,3 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "repro_") -> str:
         else:
             lines.append(f"{series}{label} {payload}")
     return "\n".join(lines) + "\n"
-
-
-def jsonl_records(
-    registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[dict]:
-    """Yield the JSON-able records the JSONL exporter writes."""
-    if registry is not None:
-        snapshot = registry.snapshot()
-        for name, value in snapshot["counters"].items():
-            yield {"type": "counter", "name": name, "value": value}
-        for name, value in snapshot["gauges"].items():
-            yield {"type": "gauge", "name": name, "value": value}
-        for name, hist in snapshot["histograms"].items():
-            yield {
-                "type": "histogram",
-                "name": name,
-                "count": hist["count"],
-                "sum": hist["sum"],
-                "p50": hist["p50"],
-                "p99": hist["p99"],
-                "buckets": hist["buckets"],
-            }
-    if tracer is not None:
-        for span in tracer.finished():
-            record = span.as_dict()
-            record["type"] = "span"
-            yield record
-
-
-def export_jsonl(
-    path: Union[str, Path],
-    registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-) -> int:
-    """Write metrics and spans to ``path`` as JSON lines; returns line count."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for record in jsonl_records(registry, tracer):
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            written += 1
-    return written
-
-
-def read_jsonl(path: Union[str, Path]) -> List[dict]:
-    """Load a JSONL event log back into a list of dicts."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

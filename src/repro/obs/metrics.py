@@ -1,8 +1,8 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
-The registry is the numeric half of the observability layer (the tracer in
-:mod:`repro.obs.trace` is the other).  It is deliberately dependency-free
-and cheap:
+The registry is the observability layer's cross-query account (one
+query's own account is its ``QueryTiming`` record).  It is deliberately
+dependency-free and cheap:
 
 * instruments are created once (module import time in the instrumented
   code) and looked up by name — creation is get-or-create, so two modules

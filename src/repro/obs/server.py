@@ -1,16 +1,15 @@
-"""Zero-dependency HTTP endpoint for live metrics and spans.
+"""Zero-dependency HTTP endpoint for live metrics.
 
 A tiny threaded HTTP server (standard library only, lifecycle via
 :class:`repro.httpd.HttpServerHandle`) exposing the process-wide
 observability state:
 
-* ``GET /metrics``      — Prometheus exposition text (version 0.0.4);
-* ``GET /healthz``      — liveness JSON (instrument and span counts);
-* ``GET /debug/spans``  — finished spans of the tracer ring as JSON.
+* ``GET /metrics``  — Prometheus exposition text (version 0.0.4);
+* ``GET /healthz``  — liveness JSON (enabled flag, instrument count).
 
-The server serves *reads* of the registry and tracer — it never mutates
-them — and runs on a daemon thread, so a process that exits does not
-hang on an open scrape.  Port ``0`` binds an ephemeral port; the bound
+The server serves *reads* of the registry — it never mutates it — and
+runs on a daemon thread, so a process that exits does not hang on an
+open scrape.  Port ``0`` binds an ephemeral port; the bound
 port is available as :attr:`MetricsServer.port` after :meth:`start`
 (the pattern tests and the CI smoke job rely on).
 
@@ -31,11 +30,11 @@ from http.server import BaseHTTPRequestHandler
 from typing import Optional
 
 from repro.httpd import HttpServerHandle
-from repro.obs import export, metrics, trace
+from repro.obs import export, metrics
 
 
 class MetricsServer:
-    """Threaded HTTP server over a registry/tracer pair (defaults: global).
+    """Threaded HTTP server over a registry (default: the global one).
 
     Socket lifecycle (ephemeral ports, ``SO_REUSEADDR``, graceful
     shutdown) is delegated to :class:`repro.httpd.HttpServerHandle`,
@@ -47,7 +46,6 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 9464,
         registry: Optional[metrics.MetricsRegistry] = None,
-        tracer: Optional[trace.Tracer] = None,
     ) -> None:
         # Late import keeps module load free of the obs package cycle
         # (obs/__init__ does not import this module).
@@ -55,9 +53,8 @@ class MetricsServer:
 
         self.host = host
         self.registry = registry if registry is not None else obs.registry
-        self.tracer = tracer if tracer is not None else obs.tracer
         self._handle = HttpServerHandle(
-            _make_handler(self.registry, self.tracer),
+            _make_handler(self.registry),
             host=host,
             port=port,
             thread_name="repro-metrics-server",
@@ -92,8 +89,8 @@ class MetricsServer:
         self.stop()
 
 
-def _make_handler(registry, tracer):
-    """Handler class closed over the registry/tracer to serve."""
+def _make_handler(registry):
+    """Handler class closed over the registry to serve."""
 
     class Handler(BaseHTTPRequestHandler):
         # Scrapes arrive every few seconds; stock stderr access logging
@@ -113,24 +110,16 @@ def _make_handler(registry, tracer):
                     "status": "ok",
                     "enabled": registry.enabled,
                     "instruments": len(registry.metrics()),
-                    "spans": len(tracer.finished()),
                 }
                 self._reply(
                     200,
                     json.dumps(payload).encode("utf-8"),
                     "application/json",
                 )
-            elif path == "/debug/spans":
-                spans = [span.as_dict() for span in tracer.finished()]
-                self._reply(
-                    200,
-                    json.dumps({"spans": spans}).encode("utf-8"),
-                    "application/json",
-                )
             else:
                 self._reply(
                     404,
-                    b"not found; try /metrics, /healthz, /debug/spans\n",
+                    b"not found; try /metrics, /healthz\n",
                     "text/plain; charset=utf-8",
                 )
 

@@ -78,11 +78,8 @@ class QueryEngine:
         self, obj: StoredMDD, region: MInterval
     ) -> QueryResult:
         """Access types (a)-(c): trim the object to a region."""
-        with obs.span(
-            "query.range", object=obj.name, region=str(region)
-        ):
-            data, timing = obj.read(region)
-            self._log(obj, region)
+        data, timing = obj.read(region)
+        self._log(obj, region)
         _RANGE_QUERIES.inc()
         return QueryResult(
             value=data,
@@ -104,14 +101,8 @@ class QueryEngine:
         zone-map pruning skips tiles that provably hold no matching cell
         before they are fetched (``prune=False`` verifies byte-identity).
         """
-        with obs.span(
-            "query.filtered_range",
-            object=obj.name,
-            region=str(region),
-            predicate=str(predicate),
-        ):
-            data, timing = obj.read(region, predicate=predicate, prune=prune)
-            self._log(obj, region)
+        data, timing = obj.read(region, predicate=predicate, prune=prune)
+        self._log(obj, region)
         _RANGE_QUERIES.inc()
         return QueryResult(
             value=data,
@@ -130,12 +121,9 @@ class QueryEngine:
         self, obj: StoredMDD, axis: int, coordinate: int
     ) -> QueryResult:
         """Access type (d): dimension-reducing slice."""
-        with obs.span(
-            "query.section", object=obj.name, axis=axis, coordinate=coordinate
-        ):
-            data, timing = obj.read_section(axis, coordinate)
-            if obj.current_domain is not None:
-                self._log(obj, obj.current_domain.section(axis, coordinate))
+        data, timing = obj.read_section(axis, coordinate)
+        if obj.current_domain is not None:
+            self._log(obj, obj.current_domain.section(axis, coordinate))
         _SECTION_QUERIES.inc()
         return QueryResult(
             value=data, timing=timing, region=None, object_name=obj.name
@@ -163,13 +151,10 @@ class QueryEngine:
         branch ran from the query's record.
         """
         check_aggregate(op, obj)
-        with obs.span(
-            "query.aggregate", object=obj.name, op=op, region=str(region)
-        ):
-            value, timing, pushed = obj.aggregate_push(
-                region, op, predicate=predicate, prune=prune
-            )
-            self._log(obj, region)
+        value, timing, pushed = obj.aggregate_push(
+            region, op, predicate=predicate, prune=prune
+        )
+        self._log(obj, region)
         _AGGREGATE_QUERIES.inc()
         resolved = obj.resolve_region(region)
         return QueryResult(
@@ -234,18 +219,11 @@ class QueryEngine:
                     )
                 clipped.append((max(int(lo), low), min(int(hi), high)))
             spans_per_axis.append(clipped)
-        with obs.span(
-            "query.group_by",
-            object=obj.name,
-            op=op,
-            region=str(region),
-            groups=int(np.prod([len(spans) for spans in spans_per_axis])),
-        ):
-            values, timing, all_pushed = obj.aggregate_push(
-                region, op, predicate=predicate, prune=prune,
-                groups=spans_per_axis,
-            )
-            self._log(obj, region)
+        values, timing, all_pushed = obj.aggregate_push(
+            region, op, predicate=predicate, prune=prune,
+            groups=spans_per_axis,
+        )
+        self._log(obj, region)
         _GROUP_BY_QUERIES.inc()
         return QueryResult(
             value=values,

@@ -12,7 +12,9 @@ A migration is crash- and reader-safe without any cross-shard
 transaction machinery:
 
 1. copy every moving tile into the destination shard as **one MVCC
-   commit** (readers pinned to the old epoch still read the source;
+   commit** — the destination's load step, closing its domain over the
+   source's, so (3) cannot shrink the object's domain (readers pinned
+   to the old epoch still read the source;
    new readers see the tile on both shards — reads compose the same
    bytes either way, and aggregation pushdown deduplicates by tile
    domain, so the dual-presence window is value-invisible);
@@ -140,17 +142,14 @@ class Rebalancer:
         if not moving or len(moving) == len(rows):
             return None
 
-        with self.sdb.fanout_commit(), obs.span(
-            "shard.rebalance",
-            source=hot,
-            dest=cold,
-            tiles=len(moving),
-        ):
-            # (1) Copy into the destination: one MVCC commit per object.
+        with self.sdb.fanout_commit():
+            # (1) Copy into the destination: one MVCC commit per object,
+            # the load's per-store step closing the destination's domain
+            # over the source's, so dropping the source copies (3) never
+            # shrinks the object's domain.
             per_obj: Dict[int, Tuple[ShardedMDD, List[object]]] = {}
             for _key, obj, entry in moving:
                 per_obj.setdefault(id(obj), (obj, []))[1].append(entry)
-            dst_db = self.sdb.shards[cold]
             src_db = self.sdb.shards[hot]
             for obj, entries in per_obj.values():
                 src_part = obj._parts[hot]
@@ -158,8 +157,7 @@ class Rebalancer:
                 for entry in entries:
                     data, _ = src_part.read(entry.domain)
                     tiles.append(Tile(entry.domain, data.copy()))
-                with dst_db.transaction():
-                    obj._parts[cold]._store_batch(tiles)
+                obj._parts[cold]._write(tiles, src_part.current_domain)
 
             # (2) Route new writes: split + reassign the upper span.
             rmap.split(split_at)

@@ -151,18 +151,15 @@ class ShardFollower:
                 f"checkpointed; re-bootstrap this follower"
             )
         shipped_txns = 0
-        with obs.span(
-            "shard.ship", shard=self.shard, watermark=self.applied_txns
-        ):
-            for batch in scan.batches:
-                if batch.txn <= self.applied_txns:
-                    continue
-                for record in batch.records:
-                    _apply_record(self.db, record)
-                shipped_txns += 1
-            if shipped_txns:
-                self.db.republish()
-                save_database(self.db, self.replica_dir)
+        for batch in scan.batches:
+            if batch.txn <= self.applied_txns:
+                continue
+            for record in batch.records:
+                _apply_record(self.db, record)
+            shipped_txns += 1
+        if shipped_txns:
+            self.db.republish()
+            save_database(self.db, self.replica_dir)
         shipped_bytes = max(0, scan.valid_bytes - self.applied_bytes)
         self.applied_txns += shipped_txns
         self.applied_bytes = scan.valid_bytes

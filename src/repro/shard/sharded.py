@@ -604,12 +604,7 @@ class ShardedMDD:
         guard = (
             self.sdb.fanout_commit() if len(groups) > 1 else nullcontext()
         )
-        with guard, obs.span(
-            "shard.write_tiles",
-            object=self.name,
-            tiles=len(tiles),
-            shards=len(groups),
-        ):
+        with guard:
             for owner in sorted(groups):
                 tile_ids.extend(self._parts[owner]._write(groups[owner], region))
         _TILES_ROUTED.inc(len(tiles))
@@ -825,26 +820,11 @@ class ShardedMDD:
                 view = pins.enter_context(part._reader_view(None))
                 query.select(part, view, condense=op is not None)
             pushed = op is not None and query.exact(op)
-            if pushed:
-                span = obs.span(
-                    "shard.aggregate_push",
-                    object=self.name,
-                    op=op,
-                    shards=sum(1 for sel in query.selections if sel.items),
-                )
-            else:
-                span = obs.span(
-                    "shard.read",
-                    object=self.name,
-                    region=str(query.region),
-                    shards=self.sdb.n_shards,
-                )
-            with span:
-                for selection in query.selections:
-                    query.fetch(selection, op=op if pushed else None)
-                result = query.combine(op) if pushed else query.compose()
-                if op is not None and not pushed:
-                    result = query.condense(op, result)
+            for selection in query.selections:
+                query.fetch(selection, op=op if pushed else None)
+            result = query.combine(op) if pushed else query.compose()
+            if op is not None and not pushed:
+                result = query.condense(op, result)
         query.finish(cells_returned=op is None)
         self.last_scatter = ScatterStats(
             [sel.model_ms for sel in query.selections],

@@ -136,12 +136,8 @@ def encode_tiles(
 
     def chunk_task(
         chunk: Sequence[Tile],
-        parent: Optional[obs.SpanContext] = None,
     ) -> list[tuple[bytes, str, bytes, Optional[TileSynopsis]]]:
-        # The coordinator's span context rides along so worker encode
-        # spans join the load's tree instead of rooting on pool threads.
-        with obs.span("ingest.encode_chunk", parent=parent, tiles=len(chunk)):
-            return [task(tile) for tile in chunk]
+        return [task(tile) for tile in chunk]
 
     executor = database.pipeline_executor() if len(tiles) > 1 else None
     if executor is None:
@@ -150,12 +146,9 @@ def encode_tiles(
         # one contiguous chunk per worker: future overhead stays O(workers),
         # and flattening in submission order keeps the output deterministic
         _PARALLEL_BATCHES.inc()
-        trace_ctx = obs.tracer.current_context()
         size = -(-len(tiles) // database.io_workers)
         futures = [
-            executor.submit(
-                chunk_task, tiles[start:start + size], parent=trace_ctx
-            )
+            executor.submit(chunk_task, tiles[start:start + size])
             for start in range(0, len(tiles), size)
         ]
         results = [item for future in futures for item in future.result()]

@@ -227,22 +227,11 @@ def _decode_task(
     shape,
     parts: Sequence["MInterval"],
     reduce: Optional[_Reducer],
-    parent: Optional[obs.SpanContext],
 ) -> None:
-    """Worker wrapper around :func:`_decode` tracking pool occupancy.
-
-    ``parent`` is the coordinator's span context, captured before the
-    submit; adopting it keeps the worker's span inside the query's tree
-    instead of starting an orphan root on the pool thread.
-    """
+    """Worker wrapper around :func:`_decode` tracking pool occupancy."""
     _WORKERS_BUSY.inc()
     try:
-        with obs.span(
-            "pipeline.decode" if reduce is None else "pipeline.partial_agg",
-            parent=parent,
-            bytes=len(payload),
-        ):
-            _decode(tile, payload, dtype, shape, parts, reduce)
+        _decode(tile, payload, dtype, shape, parts, reduce)
     finally:
         _WORKERS_BUSY.dec()
 
@@ -367,7 +356,6 @@ def _fetch(
     if records is None:
         records = database.store.records([entry.blob_id for entry in entries])
     executor = database.pipeline_executor() if len(entries) > 1 else None
-    trace_ctx = obs.tracer.current_context() if executor is not None else None
     fetched: list[FetchedTile] = [None] * len(entries)  # type: ignore
     misses: list[tuple[int, "TileEntry"]] = []
     hits: list = []
@@ -404,7 +392,7 @@ def _fetch(
         else:
             futures.append(
                 executor.submit(
-                    _decode_task, tile, payload, dtype, shape, tile_parts, reduce, trace_ctx
+                    _decode_task, tile, payload, dtype, shape, tile_parts, reduce
                 )
             )
 

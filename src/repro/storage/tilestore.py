@@ -221,7 +221,6 @@ class ReadExecutor:
         self.timing = QueryTiming(cells_result=sum(self.cell_counts))
         self.selections: list[_Selection] = []
         self._seen: Optional[set] = set() if merge else None
-        self._pruning = False
         # Cells of fetched tiles lying wholly inside / across the
         # region's border: the input of the modelled compose cost.
         self._aligned_cells = 0
@@ -244,17 +243,12 @@ class ReadExecutor:
         selecting = time.perf_counter()
         region, timing = self.region, self.timing
         disk = store.database.disk
-        with obs.span(
-            "index.search", index=type(view.index).__name__
-        ) as ix_span:
-            started = time.perf_counter()
-            result = view.index.search(region)
-            cpu_ix = (time.perf_counter() - started) * 1000.0
-            page_ix = sum(
-                disk.charge_index_node() for _ in range(result.nodes_visited)
-            )
-            ix_span.set_attr("nodes_visited", result.nodes_visited)
-            ix_span.set_attr("entries", len(result.entries))
+        started = time.perf_counter()
+        result = view.index.search(region)
+        cpu_ix = (time.perf_counter() - started) * 1000.0
+        page_ix = sum(
+            disk.charge_index_node() for _ in range(result.nodes_visited)
+        )
         timing.t_ix += cpu_ix + page_ix
         timing.t_ix_pages += page_ix
         timing.index_nodes += result.nodes_visited
@@ -309,7 +303,6 @@ class ReadExecutor:
                     continue
             selection.items.append((entry, part, routes))
         if pruner is not None:
-            self._pruning = True
             timing.tiles_pruned += pruner.pruned
         timing.select_ms += (time.perf_counter() - selecting) * 1000.0
         return selection
@@ -440,24 +433,23 @@ class ReadExecutor:
         decoded_before = (
             (decoded.hits, decoded.misses) if decoded is not None else None
         )
-        with obs.span("tilestore.fetch", tiles=len(items)):
-            fetched = run(database, items, records)
-            cost = 0.0
-            for (entry, part, _routes), record, tile in zip(items, records, fetched):
-                cost += tile.cost
-                timing.t_o += tile.cost
-                timing.tiles_read += 1
-                timing.bytes_read += tile.payload_bytes
-                timing.pages_read += record.pages.count
-                cells = entry.domain.cell_count
-                timing.cells_fetched += cells
-                if tile.decode_ms:
-                    timing.tiles_decoded += 1
-                    timing.decode_ms += tile.decode_ms
-                if part == entry.domain:
-                    self._aligned_cells += cells
-                else:
-                    self._border_cells += cells
+        fetched = run(database, items, records)
+        cost = 0.0
+        for (entry, part, _routes), record, tile in zip(items, records, fetched):
+            cost += tile.cost
+            timing.t_o += tile.cost
+            timing.tiles_read += 1
+            timing.bytes_read += tile.payload_bytes
+            timing.pages_read += record.pages.count
+            cells = entry.domain.cell_count
+            timing.cells_fetched += cells
+            if tile.decode_ms:
+                timing.tiles_decoded += 1
+                timing.decode_ms += tile.decode_ms
+            if part == entry.domain:
+                self._aligned_cells += cells
+            else:
+                self._border_cells += cells
         if pool_before is not None:
             timing.pool_hits += pool.hits - pool_before[0]
             timing.pool_misses += pool.misses - pool_before[1]
@@ -511,31 +503,30 @@ class ReadExecutor:
         (read-only) view of the decoded tile.
         """
         region, predicate, dtype = self.region, self.predicate, self.dtype
-        with obs.span("tilestore.compose"):
-            started = time.perf_counter()
-            out = None
-            if predicate is None and self.timing.tiles_read == 1:
-                entry, _part, _routes, tile = next(self._fetched())
-                if tile.array is not None and entry.domain.contains(region):
-                    out = tile.array[region.to_slices(entry.domain.lowest)]
-            if out is None:
-                out = np.zeros(region.shape, dtype=dtype)
-                if self.default != 0:
-                    out[...] = self.default
-                default_cell = np.asarray(self.default, dtype=dtype)
-                for entry, part, _routes, tile in self._fetched():
-                    if tile.array is None:
-                        # Synthesized tiles carry default cells; under
-                        # a predicate the masked value of a default
-                        # cell is the default either way.
-                        continue
-                    part_vals = tile.array[part.to_slices(entry.domain.lowest)]
-                    if predicate is not None:
-                        part_vals = np.where(
-                            predicate.mask(part_vals), part_vals, default_cell
-                        )
-                    out[part.to_slices(region.lowest)] = part_vals
-            self._charge_cpu(started)
+        started = time.perf_counter()
+        out = None
+        if predicate is None and self.timing.tiles_read == 1:
+            entry, _part, _routes, tile = next(self._fetched())
+            if tile.array is not None and entry.domain.contains(region):
+                out = tile.array[region.to_slices(entry.domain.lowest)]
+        if out is None:
+            out = np.zeros(region.shape, dtype=dtype)
+            if self.default != 0:
+                out[...] = self.default
+            default_cell = np.asarray(self.default, dtype=dtype)
+            for entry, part, _routes, tile in self._fetched():
+                if tile.array is None:
+                    # Synthesized tiles carry default cells; under
+                    # a predicate the masked value of a default
+                    # cell is the default either way.
+                    continue
+                part_vals = tile.array[part.to_slices(entry.domain.lowest)]
+                if predicate is not None:
+                    part_vals = np.where(
+                        predicate.mask(part_vals), part_vals, default_cell
+                    )
+                out[part.to_slices(region.lowest)] = part_vals
+        self._charge_cpu(started)
         return out
 
     def condense(self, op: str, out: np.ndarray):
@@ -588,39 +579,38 @@ class ReadExecutor:
         parts, and fetched virtual tiles (which carry neither an array
         nor a partial)."""
         timing = self.timing
-        with obs.span("tilestore.combine", parts=timing.tiles_read):
-            started = time.perf_counter()
-            contributions: list[list] = [[] for _ in self.cell_counts]
-            default_cells = list(self.cell_counts)
-            answered = decoded = 0
-            for sel in self.selections:
-                for cell, (pruned, covered) in enumerate(
-                    zip(sel.pruned_cells, sel.covered)
-                ):
-                    default_cells[cell] += pruned - covered
-                for entry, _part, routes, syn in sel.answered:
-                    answered += 1
-                    for cell, _ in routes:
-                        contributions[cell].append((self._key(entry), syn))
-            for entry, _part, routes, tile in self._fetched():
-                if entry.virtual:
-                    for cell, cell_part in routes:
-                        default_cells[cell] += cell_part.cell_count
-                decoded += bool(tile.partials)
-                for (cell, _), syn in zip(routes, tile.partials):
+        started = time.perf_counter()
+        contributions: list[list] = [[] for _ in self.cell_counts]
+        default_cells = list(self.cell_counts)
+        answered = decoded = 0
+        for sel in self.selections:
+            for cell, (pruned, covered) in enumerate(
+                zip(sel.pruned_cells, sel.covered)
+            ):
+                default_cells[cell] += pruned - covered
+            for entry, _part, routes, syn in sel.answered:
+                answered += 1
+                for cell, _ in routes:
                     contributions[cell].append((self._key(entry), syn))
-            timing.tiles_synopsis_answered = answered
-            timing.tiles_partial_agg = decoded
-            values = [
-                combine_aggregate(
-                    op, self.dtype, [syn for _, syn in sorted(parts, key=lambda p: p[0])],
-                    defaults, self.default, cells,
-                )
-                for parts, defaults, cells in zip(
-                    contributions, default_cells, self.cell_counts
-                )
-            ]
-            self._charge_cpu(started)
+        for entry, _part, routes, tile in self._fetched():
+            if entry.virtual:
+                for cell, cell_part in routes:
+                    default_cells[cell] += cell_part.cell_count
+            decoded += bool(tile.partials)
+            for (cell, _), syn in zip(routes, tile.partials):
+                contributions[cell].append((self._key(entry), syn))
+        timing.tiles_synopsis_answered = answered
+        timing.tiles_partial_agg = decoded
+        values = [
+            combine_aggregate(
+                op, self.dtype, [syn for _, syn in sorted(parts, key=lambda p: p[0])],
+                defaults, self.default, cells,
+            )
+            for parts, defaults, cells in zip(
+                contributions, default_cells, self.cell_counts
+            )
+        ]
+        self._charge_cpu(started)
         return self._shaped(values)
 
     def payloads(self, selection: _Selection) -> list[tuple[TileEntry, bytes]]:
@@ -635,13 +625,6 @@ class ReadExecutor:
         return tiles
 
     # -- account -----------------------------------------------------------
-
-    def annotate(self, span, *counters: str) -> None:
-        """Copy timing counters onto the query's root span."""
-        if self._pruning:
-            span.set_attr("tiles_pruned", self.timing.tiles_pruned)
-        for name in counters:
-            span.set_attr(name, getattr(self.timing, name))
 
     def finish(self, *, cells_returned: bool = False) -> None:
         """Emit the query's metrics and one access-ring record per store
@@ -911,9 +894,8 @@ class StoredMDD:
 
     def insert_tile(self, tile: Tile) -> int:
         """Store one tile (cells copied to a BLOB, domain indexed)."""
-        with obs.span("tilestore.insert_tile", object=self.name):
-            with self.database.transaction():
-                return self._store_batch([tile])[0]
+        with self.database.transaction():
+            return self._store_batch([tile])[0]
 
     def write_tiles(self, tiles: Sequence[Tile]) -> list[int]:
         """Bulk-insert many tiles as **one** transaction (group commit).
@@ -926,10 +908,7 @@ class StoredMDD:
         same order; only the transaction boundaries differ.  Returns the
         new tile ids in storage order.
         """
-        with obs.span(
-            "tilestore.write_tiles", object=self.name, tiles=len(tiles)
-        ):
-            return self._write(tiles, None)
+        return self._write(tiles, None)
 
     def _write(self, tiles: Sequence[Tile], region: Optional[MInterval]) -> list[int]:
         """One store's share of a write, as one transaction: the tiles in
@@ -1110,21 +1089,16 @@ class StoredMDD:
         cubes", important for sparse OLAP data).  Reads synthesise the
         default for the uncovered areas.
         """
-        with obs.span(
-            "tilestore.load_array",
-            object=self.name,
-            strategy=type(strategy).__name__,
-        ):
-            region, tiles, stats = self._plan_load(
-                array, strategy, origin, skip_default_tiles
-            )
-            # One batch, one commit: the whole load is a single WAL
-            # transaction (group commit) encoded through the ingest
-            # pipeline.
-            started = time.perf_counter()
-            self._write(tiles, region)
-            stats.store_ms = (time.perf_counter() - started) * 1000.0
-            stats.bytes_stored = self.stored_bytes()
+        region, tiles, stats = self._plan_load(
+            array, strategy, origin, skip_default_tiles
+        )
+        # One batch, one commit: the whole load is a single WAL
+        # transaction (group commit) encoded through the ingest
+        # pipeline.
+        started = time.perf_counter()
+        self._write(tiles, region)
+        stats.store_ms = (time.perf_counter() - started) * 1000.0
+        stats.bytes_stored = self.stored_bytes()
         return stats
 
     def _plan_load(
@@ -1250,12 +1224,8 @@ class StoredMDD:
                 predicate=predicate,
                 prune=prune,
             )
-            with obs.span(
-                "tilestore.read", object=self.name, region=str(query.region)
-            ) as span:
-                query.fetch(query.select(self, view))
-                out = query.compose()
-                query.annotate(span, "tiles_read", "bytes_read")
+            query.fetch(query.select(self, view))
+            out = query.compose()
         query.finish(cells_returned=True)
         return out, query.timing
 
@@ -1303,11 +1273,7 @@ class StoredMDD:
         like a :meth:`read` without a decoded cache."""
         with self._reader_view(version) as view:
             query = ReadExecutor(self.mdd_type, self._resolve_in(region, view.domain))
-            with obs.span(
-                "tilestore.read_stored", object=self.name, region=str(query.region)
-            ) as span:
-                tiles = query.payloads(query.select(self, view))
-                query.annotate(span, "tiles_read", "bytes_read")
+            tiles = query.payloads(query.select(self, view))
         query.finish()
         return tiles, query.timing
 
@@ -1387,27 +1353,14 @@ class StoredMDD:
                 prune=prune,
                 groups=groups,
             )
-            with obs.span(
-                "tilestore.aggregate",
-                object=self.name,
-                region=str(query.region),
-                op=op,
-                mode="pushdown",
-            ) as span:
-                selection = query.select(self, view, condense=True)
-                pushed = query.exact(op)
-                query.fetch(selection, op=op if pushed else None)
-                value = (
-                    query.combine(op)
-                    if pushed
-                    else query.condense(op, query.compose())
-                )
-                query.annotate(
-                    span,
-                    "tiles_read",
-                    "tiles_partial_agg",
-                    "tiles_synopsis_answered",
-                )
+            selection = query.select(self, view, condense=True)
+            pushed = query.exact(op)
+            query.fetch(selection, op=op if pushed else None)
+            value = (
+                query.combine(op)
+                if pushed
+                else query.condense(op, query.compose())
+            )
         query.finish()
         return value, query.timing, pushed
 

@@ -48,10 +48,10 @@ DEPLOYMENTS = ("single", 1, 2, 4)
 
 @pytest.fixture(autouse=True)
 def _obs_enabled():
-    was_registry, was_tracer = obs.registry.enabled, obs.tracer.enabled
+    was_registry = obs.registry.enabled
     obs.enable()
     yield
-    obs.registry.enabled, obs.tracer.enabled = was_registry, was_tracer
+    obs.registry.enabled = was_registry
 
 
 def _build(

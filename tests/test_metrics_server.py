@@ -20,13 +20,11 @@ from repro.obs.server import MetricsServer
 @pytest.fixture(autouse=True)
 def _obs_clean():
     was_registry = obs.registry.enabled
-    was_tracer = obs.tracer.enabled
     obs.enable()
     obs.reset()
     yield
     obs.reset()
     obs.registry.enabled = was_registry
-    obs.tracer.enabled = was_tracer
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +180,6 @@ def _get(url: str) -> tuple[int, bytes]:
 class TestMetricsServer:
     def test_endpoints(self):
         obs.counter("server.test.hits", "endpoint test").inc(7)
-        with obs.span("server.test.op"):
-            pass
         with MetricsServer(port=0) as server:
             base = f"http://127.0.0.1:{server.port}"
 
@@ -199,14 +195,10 @@ class TestMetricsServer:
             assert health["status"] == "ok"
             assert health["instruments"] > 0
 
-            status, body = _get(base + "/debug/spans")
-            assert status == 200
-            spans = json.loads(body)["spans"]
-            assert any(s["name"] == "server.test.op" for s in spans)
-
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(base + "/nothing-here")
-            assert excinfo.value.code == 404
+            for path in ("/nothing-here", "/debug/spans"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get(base + path)
+                assert excinfo.value.code == 404
 
     def test_scrape_reflects_live_updates(self):
         counter = obs.counter("server.live.count")

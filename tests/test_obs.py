@@ -1,16 +1,10 @@
-"""Unit tests for the observability layer: registry, tracer, exporters."""
+"""Unit tests for the observability layer: registry and exporter."""
 
 import pytest
 
 from repro import obs
+from repro.obs.export import prometheus_name, prometheus_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_SPAN, Tracer, format_span_tree
-from repro.obs.export import (
-    export_jsonl,
-    prometheus_name,
-    prometheus_text,
-    read_jsonl,
-)
 
 
 class TestRegistryArithmetic:
@@ -121,69 +115,6 @@ class TestHistogramBucketing:
         assert all(count == 0 for _b, count in h.bucket_counts())
 
 
-class TestSpans:
-    def test_nesting_parent_and_depth(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                assert tracer.current() is inner
-            assert tracer.current() is outer
-        spans = {s.name: s for s in tracer.finished()}
-        assert spans["inner"].parent_id == spans["outer"].span_id
-        assert spans["inner"].depth == 1
-        assert spans["outer"].depth == 0
-        assert spans["outer"].duration_ms >= spans["inner"].duration_ms
-
-    def test_attributes(self):
-        tracer = Tracer()
-        with tracer.span("s", tile_id=7) as span:
-            span.set_attr("bytes", 42)
-        finished = tracer.finished()[0]
-        assert finished.attrs == {"tile_id": 7, "bytes": 42}
-
-    def test_exception_recorded_and_propagated(self):
-        tracer = Tracer()
-        with pytest.raises(KeyError):
-            with tracer.span("outer"):
-                with tracer.span("inner"):
-                    raise KeyError("boom")
-        spans = {s.name: s for s in tracer.finished()}
-        assert spans["inner"].error == "KeyError"
-        assert spans["outer"].error == "KeyError"
-        assert tracer.current() is None  # stack fully unwound
-        # The tracer still works after the failure.
-        with tracer.span("after"):
-            pass
-        assert tracer.finished()[-1].name == "after"
-        assert tracer.finished()[-1].depth == 0
-
-    def test_disabled_tracer_returns_null_span(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("s") is NULL_SPAN
-        with tracer.span("s") as span:
-            span.set_attr("k", "v")  # no-op, must not raise
-        assert tracer.finished() == ()
-
-    def test_ring_buffer_bounds_memory(self):
-        tracer = Tracer(max_spans=3)
-        for index in range(5):
-            with tracer.span(f"s{index}"):
-                pass
-        assert [s.name for s in tracer.finished()] == ["s2", "s3", "s4"]
-
-    def test_format_span_tree(self):
-        tracer = Tracer()
-        with tracer.span("outer", object="o"):
-            with tracer.span("inner"):
-                pass
-        text = format_span_tree(tracer.finished())
-        lines = text.splitlines()
-        assert lines[0].startswith("outer")
-        assert lines[1].startswith("  inner")
-        assert "object=o" in lines[0]
-        assert format_span_tree(()) == "(no spans recorded)"
-
-
 class TestExporters:
     def _populated(self):
         reg = MetricsRegistry()
@@ -192,17 +123,14 @@ class TestExporters:
         h = reg.histogram("disk.blob_read_ms", buckets=(1.0, 10.0))
         h.observe(0.5)
         h.observe(20.0)
-        tracer = Tracer()
-        with tracer.span("tilestore.read", tile_id=1):
-            pass
-        return reg, tracer
+        return reg
 
     def test_prometheus_name_sanitised(self):
         assert prometheus_name("disk.blob_reads") == "repro_disk_blob_reads"
         assert prometheus_name("a-b c", prefix="x_") == "x_a_b_c"
 
     def test_prometheus_text(self):
-        reg, _tracer = self._populated()
+        reg = self._populated()
         text = prometheus_text(reg)
         assert "# TYPE repro_disk_blob_reads counter" in text
         assert "repro_disk_blob_reads 3" in text
@@ -212,27 +140,6 @@ class TestExporters:
         assert 'repro_disk_blob_read_ms_bucket{le="+Inf"} 2' in text
         assert "repro_disk_blob_read_ms_count 2" in text
 
-    def test_jsonl_round_trip(self, tmp_path):
-        reg, tracer = self._populated()
-        path = tmp_path / "events.jsonl"
-        written = export_jsonl(path, registry=reg, tracer=tracer)
-        records = read_jsonl(path)
-        assert len(records) == written == 4
-        by_type = {}
-        for record in records:
-            by_type.setdefault(record["type"], []).append(record)
-        assert by_type["counter"][0] == {
-            "type": "counter", "name": "disk.blob_reads", "value": 3
-        }
-        assert by_type["gauge"][0]["value"] == 512
-        hist = by_type["histogram"][0]
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(20.5)
-        span = by_type["span"][0]
-        assert span["name"] == "tilestore.read"
-        assert span["attrs"] == {"tile_id": 1}
-        assert span["duration_ms"] >= 0.0
-
 
 class TestGlobalToggles:
     def test_disabled_context_restores_state(self):
@@ -241,11 +148,9 @@ class TestGlobalToggles:
             obs.enable()
             with obs.disabled():
                 assert not obs.enabled()
-                assert obs.span("s") is NULL_SPAN
             assert obs.enabled()
         finally:
             obs.registry.enabled = was
-            obs.tracer.enabled = was
 
     def test_module_shortcuts_hit_default_registry(self):
         c = obs.counter("test.obs.shortcut")

@@ -9,7 +9,6 @@ from repro import obs
 from repro.bench.harness import run_benchmark
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
-from repro.query.engine import QueryEngine
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 
@@ -21,11 +20,9 @@ IMG = mdd_type("ObsImg", "char", str(DOMAIN))
 def _obs_enabled():
     """Run every test with the layer on, restoring the prior state."""
     was_registry = obs.registry.enabled
-    was_tracer = obs.tracer.enabled
     obs.enable()
     yield
     obs.registry.enabled = was_registry
-    obs.tracer.enabled = was_tracer
 
 
 def _load(buffer_bytes: int = 0) -> Database:
@@ -98,18 +95,6 @@ class TestCounterDeltas:
         assert np.array_equal(enabled_data, disabled_data)
         assert disabled_timing.t_o == pytest.approx(enabled_timing.t_o)
         assert disabled_timing.tiles_read == enabled_timing.tiles_read
-
-    def test_engine_spans_nest_over_storage(self):
-        database = _load()
-        engine = QueryEngine(database)
-        mdd = database.collection("obs")["img"]
-        obs.tracer.clear()
-        engine.range_query(mdd, MInterval.parse("[0:15,0:15]"))
-        spans = {s.name: s for s in obs.tracer.finished()}
-        assert {"query.range", "tilestore.read", "index.search",
-                "tilestore.fetch", "tilestore.compose"} <= set(spans)
-        assert spans["tilestore.read"].parent_id == spans["query.range"].span_id
-        assert spans["index.search"].parent_id == spans["tilestore.read"].span_id
 
 
 class TestBenchArtifacts:

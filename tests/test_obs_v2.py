@@ -1,7 +1,5 @@
-"""Observability v2: quantiles, trace propagation, contention telemetry,
-reset empty-equivalence, and the live access-log ring."""
-
-import threading
+"""Observability v2: quantiles, contention telemetry, reset
+empty-equivalence, and the live access-log ring."""
 
 import numpy as np
 import pytest
@@ -19,15 +17,13 @@ IMG = mdd_type("ObsV2Img", "char", str(DOMAIN))
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    """Every test starts enabled with a zeroed registry and tracer."""
+    """Every test starts enabled with a zeroed registry."""
     was_registry = obs.registry.enabled
-    was_tracer = obs.tracer.enabled
     obs.enable()
     obs.reset()
     yield
     obs.reset()
     obs.registry.enabled = was_registry
-    obs.tracer.enabled = was_tracer
 
 
 def _load(**kwargs) -> Database:
@@ -97,92 +93,6 @@ class TestHistogramQuantile:
         snap = obs.snapshot()
         assert "p50" in snap["histograms"]["quant.check.ms"]
         assert "p99" in snap["histograms"]["quant.check.ms"]
-
-
-# ----------------------------------------------------------------------
-# Tentpole 1: cross-thread trace propagation
-# ----------------------------------------------------------------------
-
-class TestSpanContextPropagation:
-    def test_no_open_span_no_context(self):
-        assert obs.current_context() is None
-
-    def test_worker_adopts_coordinator_context(self):
-        recorded = {}
-
-        def worker(ctx):
-            with obs.span("worker.op", parent=ctx) as span:
-                recorded["parent_id"] = span.parent_id
-                recorded["depth"] = span.depth
-
-        with obs.span("coordinator") as root:
-            ctx = obs.current_context()
-            thread = threading.Thread(target=worker, args=(ctx,))
-            thread.start()
-            thread.join()
-        assert recorded["parent_id"] == root.span_id
-        assert recorded["depth"] == root.depth + 1
-
-    def test_local_nesting_beats_adopted_parent(self):
-        recorded = {}
-
-        def worker(ctx):
-            with obs.span("worker.outer") as outer:
-                with obs.span("worker.inner", parent=ctx) as inner:
-                    recorded["parent_id"] = inner.parent_id
-                    recorded["outer_id"] = outer.span_id
-
-        with obs.span("coordinator"):
-            ctx = obs.current_context()
-            thread = threading.Thread(target=worker, args=(ctx,))
-            thread.start()
-            thread.join()
-        assert recorded["parent_id"] == recorded["outer_id"]
-
-    def _read_span_structure(self, database):
-        """(root count, edge multiset) of one 4-worker full read."""
-        mdd = database.collection("obsv2")["img"]
-        obs.reset()
-        mdd.read(DOMAIN)
-        spans = obs.tracer.finished()
-        by_id = {s.span_id: s for s in spans}
-        roots = [s for s in spans if s.parent_id is None]
-        edges = sorted(
-            (by_id[s.parent_id].name, s.name)
-            for s in spans
-            if s.parent_id is not None
-        )
-        return roots, edges
-
-    def test_four_worker_read_is_one_rooted_tree(self):
-        """Satellite: a 4-worker pipeline read yields a single rooted
-        span tree with deterministic structure — no orphan roots."""
-        database = _load(io_workers=4, compression=True)
-        roots, edges = self._read_span_structure(database)
-        assert len(roots) == 1
-        assert roots[0].name == "tilestore.read"
-        # Worker decode spans hang off the fetch span, never float free.
-        decode_edges = [e for e in edges if e[1] == "pipeline.decode"]
-        assert decode_edges  # parallel read really decoded on workers
-        assert all(parent == "tilestore.fetch" for parent, _ in decode_edges)
-        # Deterministic structure: the same read produces the same tree.
-        roots2, edges2 = self._read_span_structure(database)
-        assert len(roots2) == 1
-        assert edges2 == edges
-        database.close()
-
-    def test_parallel_ingest_spans_join_the_tree(self):
-        database = Database(io_workers=4, compression=True)
-        mdd = database.create_object("obsv2", IMG, "img")
-        data = (np.indices((64, 64)).sum(axis=0) % 251).astype(np.uint8)
-        obs.reset()
-        with obs.span("ingest.root"):
-            mdd.load_array(data, RegularTiling(1024))
-        spans = obs.tracer.finished()
-        encodes = [s for s in spans if s.name == "ingest.encode_chunk"]
-        assert encodes
-        assert all(s.parent_id is not None for s in encodes)
-        database.close()
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +228,6 @@ class TestResetEmptyEquivalence:
             h["p50"] == 0.0 and h["p99"] == 0.0
             for h in snap["histograms"].values()
         )
-        assert obs.tracer.finished() == ()
         assert len(database.access_ring) == 0
         assert database.access_ring.total_recorded == 0
         database.close()
@@ -338,7 +247,6 @@ class TestResetEmptyEquivalence:
         snap = obs.snapshot()
         assert all(v == 0 for v in snap["counters"].values())
         assert all(h["count"] == 0 for h in snap["histograms"].values())
-        assert obs.tracer.finished() == ()
         assert len(database.access_ring) == 0
         database.close()
 

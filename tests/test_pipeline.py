@@ -436,47 +436,3 @@ class TestReducedBatch:
                 assert tile.cost > 0.0 and not tile.decoded_hit
         finally:
             db.close()
-
-
-class TestWorkerSpans:
-    """(c) workers name their span by mode and stay in the query's tree."""
-
-    @pytest.fixture(autouse=True)
-    def _traced(self):
-        was = obs.registry.enabled, obs.tracer.enabled
-        obs.enable()
-        obs.reset()
-        yield
-        obs.reset()
-        obs.registry.enabled, obs.tracer.enabled = was
-
-    @staticmethod
-    def _roots_of(worker_name):
-        spans = {s.span_id: s for s in obs.tracer.finished()}
-        workers = [s for s in spans.values() if s.name == worker_name]
-        roots = set()
-        for span in workers:
-            while span.parent_id in spans:
-                span = spans[span.parent_id]
-            roots.add(span.name)
-        return len(workers), roots
-
-    def test_named_by_mode_under_the_query_root(self):
-        db = Database(compression=True, io_workers=2)
-        try:
-            obj = loaded(db)
-            obj.read(FULL)
-            assert self._roots_of("pipeline.decode") == (9, {"tilestore.read"})
-            assert self._roots_of("pipeline.partial_agg") == (0, set())
-            obs.reset()
-            _value, timing, pushed = obj.aggregate_push(
-                FULL, "count_cells", predicate=CellPredicate(">", 200)
-            )
-            assert pushed and timing.tiles_partial_agg == 9
-            assert self._roots_of("pipeline.partial_agg") == (
-                9,
-                {"tilestore.aggregate"},
-            )
-            assert self._roots_of("pipeline.decode") == (0, set())
-        finally:
-            db.close()

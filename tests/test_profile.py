@@ -22,13 +22,11 @@ IMG = mdd_type("ProfImg", "char", str(DOMAIN))
 @pytest.fixture(autouse=True)
 def _obs_clean():
     was_registry = obs.registry.enabled
-    was_tracer = obs.tracer.enabled
     obs.enable()
     obs.reset()
     yield
     obs.reset()
     obs.registry.enabled = was_registry
-    obs.tracer.enabled = was_tracer
 
 
 def _load(**kwargs) -> Database:

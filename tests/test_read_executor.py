@@ -57,10 +57,10 @@ ZONE_COUNTERS = (
 
 @pytest.fixture(autouse=True)
 def _obs_enabled():
-    was_registry, was_tracer = obs.registry.enabled, obs.tracer.enabled
+    was_registry = obs.registry.enabled
     obs.enable()
     yield
-    obs.registry.enabled, obs.tracer.enabled = was_registry, was_tracer
+    obs.registry.enabled = was_registry
 
 
 def _cells(base: BaseType) -> np.ndarray:

@@ -28,13 +28,11 @@ DOMAIN = MInterval.parse("[0:63,0:63]")
 @pytest.fixture(autouse=True)
 def _obs_clean():
     was_registry = obs.registry.enabled
-    was_tracer = obs.tracer.enabled
     obs.enable()
     obs.reset()
     yield
     obs.reset()
     obs.registry.enabled = was_registry
-    obs.tracer.enabled = was_tracer
 
 
 def _build_database(compression: bool = True) -> tuple[Database, np.ndarray]:
@@ -534,7 +532,7 @@ class TestWire:
 
 class TestHttpServerHandle:
     def _handler(self):
-        return make_metrics_handler(obs.registry, obs.tracer)
+        return make_metrics_handler(obs.registry)
 
     def test_ephemeral_port_and_restart(self):
         handle = HttpServerHandle(self._handler(), port=0)

@@ -54,12 +54,12 @@ OBJECTS = ("a", "v", "d")
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry, was_tracer = obs.registry.enabled, obs.tracer.enabled
+    was_registry = obs.registry.enabled
     obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled, obs.tracer.enabled = was_registry, was_tracer
+    obs.registry.enabled = was_registry
 
 
 def _build(**database_kwargs) -> Database:
