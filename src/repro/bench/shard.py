@@ -140,7 +140,6 @@ def _run_config(database, mdd, config: dict, runs: int) -> dict:
     walls: List[float] = []
     value = timing = None
     pushed = False
-    scatter_max = None
     for _ in range(max(1, runs)):
         started = time.perf_counter()
         if config["kind"] == "read":
@@ -161,9 +160,6 @@ def _run_config(database, mdd, config: dict, runs: int) -> dict:
             value, timing = result.value, result.timing
             pushed = bool(result.plan.pushed) if result.plan else False
         walls.append((time.perf_counter() - started) * 1000.0)
-        scatter = getattr(mdd, "last_scatter", None)
-        if scatter is not None:
-            scatter_max = scatter.max_ms
     return {
         "digest": digest(value),
         "value": (
@@ -173,7 +169,7 @@ def _run_config(database, mdd, config: dict, runs: int) -> dict:
         "wall_ms": float(np.mean(walls)),
         "wall_ms_min": float(np.min(walls)),
         "modelled_ms": timing.t_o + timing.t_ix_pages,
-        "scatter_max_ms": scatter_max,
+        "scatter_max_ms": mdd.last_scatter.max_ms,
         "tiles_read": timing.tiles_read,
         "tiles_pruned": timing.tiles_pruned,
         "tiles_synopsis_answered": timing.tiles_synopsis_answered,

@@ -10,17 +10,20 @@ scale-out is what production array stores do; the paper's arbitrary
 tiling makes the tile the natural distribution unit because each tile is
 already an independent BLOB.
 
-:class:`ShardedMDD` is the scatter-gather layer, and it owns no read
-path of its own: a query runs through the single
-:class:`~repro.storage.tilestore.ReadExecutor` (DESIGN §17), which
-selects on every shard's pinned view, fetches each shard's tiles through
-that shard's pipeline pool and feeds one sink.  Fragments are therefore
-reassembled by *the* compose code — per-cell masking and default fill
-included — and tiles are disjoint across shards, so copy order cannot
-change the result; aggregation pushdown combines per-tile partials with
-the order-insensitive :func:`~repro.index.zonemap.combine_aggregate`
-under one global exactness decision, so a pushed aggregate is
-bitwise-equal no matter how tiles are spread.
+:class:`ShardedMDD` is the scatter-gather layer, and it owns no query
+body of its own: its query entry points *are* :class:`StoredMDD`'s
+(aliased, DESIGN §17), which run over a list of pinned ``(store, view)``
+parts — one for a store, one per shard here.  The region resolves
+against the hull of the pinned views' domains; the single
+:class:`~repro.storage.tilestore.ReadExecutor` selects on every part,
+fetches each shard's tiles through that shard's pipeline pool and feeds
+one sink.  Fragments are therefore reassembled by *the* compose code —
+per-cell masking and default fill included — and tiles are disjoint
+across shards, so copy order cannot change the result; aggregation
+pushdown combines per-tile partials with the order-insensitive
+:func:`~repro.index.zonemap.combine_aggregate` under one global
+exactness decision, so a pushed aggregate is bitwise-equal no matter how
+tiles are spread.
 
 Writes route each tile batch to its owner shard as **one WAL transaction
 per shard**; a cross-shard batch is one commit on every shard it
@@ -28,25 +31,27 @@ touches.  The sharded-level write latch (``shard.writer``, rank 5 —
 below every per-shard latch) serializes sharded mutations so the
 rebalancer's two-commit migrations can never interleave with updates.
 
-Readers never take that latch.  Because a scatter read pins its
-per-shard MVCC views *sequentially*, a multi-shard commit sequence
+Readers do not hold that latch while they query.  Because a query pins
+its per-shard MVCC views *sequentially*, a multi-shard commit sequence
 completing between two pins could be observed half-done — worst case, a
 migration's copy lands after the reader viewed the destination shard and
 its delete before the reader views the source, hiding the moving tile
 from both views.  :attr:`ShardedDatabase.fanout_seq` is the seqlock that
-closes this: writers hold it odd across any commit sequence touching
-more than one shard, readers snapshot it before pinning and discard +
-retry any pass over the shards during which it moved
-(:meth:`ShardedMDD._with_stable_views`), escalating to the write latch
-after a few failed passes so a steady stream of writers cannot starve a
-read.
+validates the pins: writers hold it odd across any commit sequence
+touching more than one shard, and :meth:`ShardedMDD._pinned` snapshots
+it before the first pin and re-pins when it moved by the last — the
+query then runs once, on a consistent cut.  After a few lost races the
+pins are taken under the write latch (released before the query runs),
+so a steady stream of writers cannot starve a read.
 
-Duck-typing contract: ``ShardedMDD`` exposes the read/query surface of
-:class:`~repro.storage.tilestore.StoredMDD` (``read``, ``aggregate``,
-``aggregate_push``, ``read_section``, ``resolve_region``,
-``current_domain``, ``mdd_type``, ``name``), so the planned
+Aliasing contract: the store bodies ``ShardedMDD`` shares (``read``,
+``read_blocks``, ``read_stored``, ``tile_plan``, ``aggregate``,
+``aggregate_push``, ``read_section``, ``resolve_region`` and the write
+checks) read only ``name``, ``dim``, ``mdd_type``, the current domain,
+``_MERGE`` and ``_pinned``, so the planned
 :class:`~repro.query.engine.QueryEngine` runs GROUP BY roll-ups over a
-sharded object unchanged.
+sharded object unchanged; an explicit ``version=`` is rejected until
+one statement pin spans the shards.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import json
 import time
 from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,12 +70,8 @@ from repro.core.geometry import MInterval
 from repro.core.mdd import Tile
 from repro.core.mddtype import MDDType
 from repro.core.order import TileKey, shifted_key, tile_order
-from repro.index.zonemap import (
-    CellPredicate,
-    check_aggregate,
-    synopsis_can_match,  # noqa: F401  (a trace target, see below)
-)
-from repro.query.timing import LoadStats, QueryTiming
+from repro.index.zonemap import synopsis_can_match  # noqa: F401  (a trace target, see below)
+from repro.query.timing import LoadStats
 from repro.shard.ranges import RangeMap
 from repro.storage.latch import OrderedLatch
 
@@ -81,7 +82,8 @@ from repro.storage.latch import OrderedLatch
 from repro.storage.pipeline import fetch_tile_partials, fetch_tiles  # noqa: F401
 from repro.storage.tilestore import (
     Database,
-    ReadExecutor,
+    ReaderView,
+    ScatterStats,
     StoredMDD,
     TileEntry,
 )
@@ -98,23 +100,17 @@ DEFAULT_KEY_BITS = 21
 #: Metadata file for on-disk sharded deployments.
 META_NAME = "shards.json"
 
-_SCATTER_READS = obs.counter(
-    "shard.scatter_reads", "Scatter-gather reads over all shards"
-)
-_SCATTER_AGGS = obs.counter(
-    "shard.scatter_aggregates", "Scatter-gather pushdown aggregates"
-)
 _TILES_ROUTED = obs.counter(
     "shard.tiles_routed", "Tiles routed to an owner shard on write"
 )
 _READ_RETRIES = obs.counter(
     "shard.read_retries",
-    "Scatter passes discarded because a multi-shard commit raced them",
+    "Shard pin sets discarded because a multi-shard commit raced them",
 )
 
-#: Optimistic passes a scatter read makes before serializing with the
-#: sharded write latch (each pass only loses to a *completed* multi-shard
-#: commit sequence, so contention this deep is already pathological).
+#: Optimistic pin passes a query makes before pinning under the sharded
+#: write latch (each pass only loses to a multi-shard commit sequence
+#: overlapping it, so contention this deep is already pathological).
 STABLE_VIEW_RETRIES = 3
 
 
@@ -139,42 +135,6 @@ def _key_layout(mdd_type: MDDType) -> Tuple[Tuple[int, ...], int]:
     if not bounded:
         bits = DEFAULT_KEY_BITS
     return origin, bits
-
-
-class ScatterStats:
-    """Per-shard accounting of the last scatter-gather operation.
-
-    The modelled parallel completion time of a scatter is the **maximum**
-    per-shard time (each shard has its own disk head), while a single
-    store pays the sum — the bench's read-scaling verdict is
-    ``single_total / max(per_shard)``.
-    """
-
-    __slots__ = ("per_shard_ms", "per_shard_tiles")
-
-    def __init__(
-        self, per_shard_ms: Sequence[float], per_shard_tiles: Sequence[int]
-    ) -> None:
-        self.per_shard_ms = tuple(per_shard_ms)
-        self.per_shard_tiles = tuple(per_shard_tiles)
-
-    @property
-    def max_ms(self) -> float:
-        return max(self.per_shard_ms) if self.per_shard_ms else 0.0
-
-    @property
-    def total_ms(self) -> float:
-        return float(sum(self.per_shard_ms))
-
-    @property
-    def shards_hit(self) -> int:
-        return sum(1 for tiles in self.per_shard_tiles if tiles)
-
-    def __repr__(self) -> str:
-        return (
-            f"ScatterStats(ms={self.per_shard_ms}, "
-            f"tiles={self.per_shard_tiles})"
-        )
 
 
 class ShardedDatabase:
@@ -500,6 +460,7 @@ class ShardedMDD:
         self._key: TileKey = shifted_key(
             lambda point: base(point, bits), origin
         )
+        #: Per-shard account of the last finished query.
         self.last_scatter: Optional[ScatterStats] = None
 
     # -- state --------------------------------------------------------------
@@ -682,156 +643,67 @@ class ShardedMDD:
 
     # -- reads --------------------------------------------------------------
 
-    def _with_stable_views(self, action):
-        """Run ``action`` with the guarantee that no multi-shard commit
-        sequence overlapped its pass over the shards.
+    #: Parts number tiles independently and may both hold a tile while a
+    #: migration runs: hits dedup and combine by domain corner, 1 shard
+    #: included.
+    _MERGE = True
 
-        Per-shard reader views are pinned sequentially, so a migration
-        (or any cross-shard commit) landing between two pins could be
-        observed half-done — a moving tile hidden from both of the
-        reader's views, or half of a cross-shard batch.  The optimistic
-        path snapshots :attr:`ShardedDatabase.fanout_seq` around the
-        action and discards + retries on movement; after
-        ``STABLE_VIEW_RETRIES`` lost races it serializes with the
-        sharded write latch, which no commit sequence can bypass.
+    @contextmanager
+    def _pinned(self, version) -> Iterator[list[tuple[StoredMDD, ReaderView]]]:
+        """Every shard's view, pinned as one consistent cut.
+
+        Views are pinned one shard at a time, so a multi-shard commit
+        sequence landing between two pins could be seen half-done — a
+        migrating tile hidden from both views, or half a cross-shard
+        batch.  The pins form a cut when
+        :attr:`ShardedDatabase.fanout_seq` was even before the first and
+        is unchanged after the last; a lost race unpins and re-pins (the
+        query itself runs once), and after ``STABLE_VIEW_RETRIES`` lost
+        races the pins are taken under the sharded write latch, held
+        only while pinning.
         """
+        if version is not None:
+            raise QueryError(
+                "sharded objects do not support explicit version reads; "
+                "pin per-shard snapshots instead"
+            )
+        sdb = self.sdb
+
+        def pin(pins: ExitStack) -> list[tuple[StoredMDD, ReaderView]]:
+            return [(part, pins.enter_context(part._reader_view(None))) for part in self._parts]
+
         for _ in range(STABLE_VIEW_RETRIES):
-            seq = self.sdb.fanout_seq
-            if seq % 2 == 0:
-                result = action()
-                if self.sdb.fanout_seq == seq:
-                    return result
+            with ExitStack() as pins:
+                seq = sdb.fanout_seq
+                if seq % 2 == 0:
+                    parts = pin(pins)
+                    if sdb.fanout_seq == seq:
+                        yield parts
+                        return
             _READ_RETRIES.inc()
-        with self.sdb.writer:
-            return action()
+        with ExitStack() as pins:
+            with sdb.writer:
+                parts = pin(pins)
+            yield parts
 
-    def read(
-        self,
-        region: MInterval,
-        version=None,
-        *,
-        predicate: Optional[CellPredicate] = None,
-        prune: bool = True,
-    ) -> Tuple[np.ndarray, QueryTiming]:
-        """Scatter-gather range read, byte-identical to a single store.
-
-        The box is planned once; every shard runs its own index lookup,
-        zone-map prune, page-ordered fetch through its pipeline pool, and
-        the coordinator copies fragments into one result array with
-        exactly the single-store per-cell logic (masking included).
-        Tiles are disjoint across shards, so copy order is irrelevant —
-        and the :meth:`_with_stable_views` seqlock discards any pass a
-        concurrent migration or cross-shard commit raced.
-        """
-        self._reject_version(version)
-        return self._with_stable_views(
-            lambda: self._scatter(region, None, predicate, prune)[:2]
-        )
-
-    #: Access type (d), region resolution, write validation and load
-    #: planning read only ``name``, ``dim``, ``mdd_type``, the current
-    #: domain and ``read`` — the single-store bodies serve the sharded
+    #: The store's query entry points, region resolution, access type
+    #: (d), write validation and load planning read only ``name``,
+    #: ``dim``, ``mdd_type``, the current domain, :attr:`_MERGE` and
+    #: :meth:`_pinned` — the single-store bodies serve the sharded
     #: object unchanged.
+    read = StoredMDD.read
+    read_blocks = StoredMDD.read_blocks
+    read_stored = StoredMDD.read_stored
+    tile_plan = StoredMDD.tile_plan
+    aggregate = StoredMDD.aggregate
+    aggregate_push = StoredMDD.aggregate_push
+    _select = StoredMDD._select
     read_section = StoredMDD.read_section
     resolve_region = StoredMDD.resolve_region
     _resolve_in = StoredMDD._resolve_in
     _check_update = StoredMDD._check_update
     _check_delete = StoredMDD._check_delete
     _plan_load = StoredMDD._plan_load
-
-    def aggregate(
-        self,
-        region: MInterval,
-        op: str,
-        version=None,
-        prune: bool = True,
-    ) -> Tuple[Union[int, float, bool], QueryTiming]:
-        """The two-tuple short form of :meth:`aggregate_push`
-        (unpredicated; ``pushed`` dropped) — bitwise what a single
-        store's :meth:`StoredMDD.aggregate` returns, charge for charge."""
-        return self.aggregate_push(region, op, version, prune=prune)[:2]
-
-    def aggregate_push(
-        self,
-        region: MInterval,
-        op: str,
-        version=None,
-        *,
-        predicate: Optional[CellPredicate] = None,
-        prune: bool = True,
-        groups: Optional[Sequence[Sequence[Tuple[int, int]]]] = None,
-    ) -> Tuple[Union[int, float, bool, np.ndarray], QueryTiming, bool]:
-        """Distributed aggregation pushdown over all shards.
-
-        Every shard reduces its tiles to per-tile partials on its own
-        pipeline workers (:func:`fetch_tile_partials`); fully-covered
-        tiles answer from stored synopses with zero decode; the
-        coordinator combines everything with the order-insensitive
-        :func:`combine_aggregate` under the same
-        :func:`partial_aggregate_eligible` guards as a single store —
-        so the pushed value is bitwise-equal however tiles are spread.
-        Contributions are deduplicated by tile domain, so a migration's
-        transient dual-presence can never double-count.  Returns
-        ``(value, timing, pushed)``; ineligible combinations (float
-        add/avg, unbounded integer ranges) fall back to the materialized
-        scatter-gather read, reduced on the coordinator.  ``groups``
-        makes it a GROUP BY exactly as :meth:`StoredMDD.aggregate_push`
-        — still one pass over the shards under one stable set of views.
-        """
-        self._reject_version(version)
-        check_aggregate(op, self)
-        return self._with_stable_views(
-            lambda: self._scatter(region, op, predicate, prune, groups)
-        )
-
-    @staticmethod
-    def _reject_version(version) -> None:
-        if version is not None:
-            raise QueryError(
-                "sharded objects do not support explicit version reads; "
-                "pin per-shard snapshots instead"
-            )
-
-    def _scatter(
-        self,
-        region: MInterval,
-        op: Optional[str],
-        predicate: Optional[CellPredicate],
-        prune: bool,
-        groups=None,
-    ) -> tuple:
-        """One pass over the shards through the read executor
-        (DESIGN §17): select on every shard's pinned view, take one
-        global exactness decision, run each shard's part on its own
-        pipeline pool, feed one sink.  ``op`` is ``None`` for a read;
-        an aggregate that may not be combined exactly shares the read's
-        slab sink and reduces the slab.
-        """
-        query = ReadExecutor(
-            self.mdd_type,
-            self.resolve_region(region),
-            predicate=predicate,
-            prune=prune,
-            merge=True,
-            groups=groups,
-        )
-        with ExitStack() as pins:
-            for part in self._parts:
-                view = pins.enter_context(part._reader_view(None))
-                query.select(part, view, condense=op is not None)
-            pushed = op is not None and query.exact(op)
-            for selection in query.selections:
-                query.fetch(selection, op=op if pushed else None)
-            result = query.combine(op) if pushed else query.compose()
-            if op is not None and not pushed:
-                result = query.condense(op, result)
-        query.finish(cells_returned=op is None)
-        self.last_scatter = ScatterStats(
-            [sel.model_ms for sel in query.selections],
-            [len(sel.fetched) for sel in query.selections],
-        )
-        (_SCATTER_AGGS if pushed else _SCATTER_READS).inc()
-        return result, query.timing, pushed
 
     def __repr__(self) -> str:
         return (

@@ -81,11 +81,6 @@ _WAITS = obs.counter("latch.waits", "Latch acquisitions that had to wait")
 _WAIT_MS = obs.histogram(
     "latch.wait_ms", "Milliseconds spent waiting for contended latches"
 )
-_HOLD_MS = obs.histogram(
-    "latch.hold_ms",
-    "Milliseconds latches were held (all latches)",
-    buckets=obs.FINE_BUCKETS,
-)
 
 _schedule_hook: Optional[Callable[[str], None]] = None
 
@@ -150,8 +145,6 @@ class OrderedLatch:
         "_lock",
         "_waits",
         "_wait_ms",
-        "_hold_ms",
-        "_hold_local",
     )
 
     def __init__(self, name: str, rank: int, reentrant: bool = False) -> None:
@@ -174,28 +167,12 @@ class OrderedLatch:
             f"Wait time for contended acquisitions of latch {name!r} (ms)",
             buckets=obs.FINE_BUCKETS,
         )
-        self._hold_ms = obs.histogram(
-            f"latch.{name}.hold_ms",
-            f"Time latch {name!r} was held, acquire to release (ms)",
-            buckets=obs.FINE_BUCKETS,
-        )
-        self._hold_local = threading.local()
-
-    def _note_acquired(self) -> None:
-        """Start the hold clock (None placeholder keeps the per-thread
-        stack balanced when obs is toggled between acquire and release)."""
-        holds = getattr(self._hold_local, "stack", None)
-        if holds is None:
-            holds = []
-            self._hold_local.stack = holds
-        holds.append(time.perf_counter() if obs.registry.enabled else None)
 
     def acquire(self) -> None:
         stack = _held.stack
         if self.reentrant and any(latch is self for latch in stack):
             self._lock.acquire()  # re-entry: order already established
             stack.append(self)
-            self._note_acquired()
             return
         if stack and stack[-1].rank >= self.rank:
             raise StorageError(
@@ -226,7 +203,6 @@ class OrderedLatch:
             self._wait_ms.observe(waited_ms)
         _ACQUIRES.inc()
         stack.append(self)
-        self._note_acquired()
 
     def release(self) -> None:
         stack = _held.stack
@@ -238,13 +214,6 @@ class OrderedLatch:
             raise StorageError(
                 f"latch {self.name!r} released by a thread not holding it"
             )
-        holds = getattr(self._hold_local, "stack", None)
-        if holds:
-            started = holds.pop()
-            if started is not None:
-                held_ms = (time.perf_counter() - started) * 1000.0
-                _HOLD_MS.observe(held_ms)
-                self._hold_ms.observe(held_ms)
         self._lock.release()
 
     def held(self) -> bool:

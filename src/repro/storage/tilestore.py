@@ -159,6 +159,32 @@ class _Selection:
     records: list = field(default_factory=list)
 
 
+class ScatterStats(NamedTuple):
+    """Per-part accounting of an object's last query (one entry per
+    pinned part: a store's query is a one-part scatter).
+
+    The modelled parallel completion time of a scatter is the **maximum**
+    per-part time (each shard has its own disk head), while a single
+    store pays the sum — the bench's read-scaling verdict is
+    ``single_total / max(per_shard)``.
+    """
+
+    per_shard_ms: tuple[float, ...]
+    per_shard_tiles: tuple[int, ...]
+
+    @property
+    def max_ms(self) -> float:
+        return max(self.per_shard_ms, default=0.0)
+
+    @property
+    def total_ms(self) -> float:
+        return float(sum(self.per_shard_ms))
+
+    @property
+    def shards_hit(self) -> int:
+        return sum(1 for tiles in self.per_shard_tiles if tiles)
+
+
 class ReadExecutor:
     """One read query, staged: select → run → sink (DESIGN §17).
 
@@ -177,12 +203,14 @@ class ReadExecutor:
     per axis; the region searched is their hull; a plain query is one
     cell): each hit is routed to the cells it meets and fetched once.
 
-    A single store selects once; a sharded object selects on every
-    shard's view (``merge=True`` deduplicates hits by domain corner, so
-    a migration's dual presence counts once), takes one :meth:`exact`
-    decision over all selections and feeds one sink.  Charges land in
-    :attr:`timing` in selection order then page order, which keeps
-    ``t_o`` bit-identical however tiles are spread.
+    A query runs over pinned *parts* — ``(store, view)`` pairs; a store
+    is the one-part case, a sharded object has one part per shard
+    (``merge=True`` deduplicates hits by domain corner, so a migration's
+    dual presence counts once).  Every part is selected, one
+    :meth:`exact` decision covers all selections, and every sink walks
+    the selections in order.  Charges land in :attr:`timing` in
+    selection order then page order, which keeps ``t_o`` bit-identical
+    however tiles are spread.
     """
 
     def __init__(
@@ -550,27 +578,26 @@ class ReadExecutor:
         self.timing.sink_ms += measured_ms
         return self._shaped(values)
 
-    def blocks(
-        self, selection: _Selection
-    ) -> Iterator[tuple[MInterval, np.ndarray, QueryTiming]]:
-        """Streaming sink: fetch and yield one tile at a time in page
-        order, each with the timing charged for it (the index lookup
-        rides on the first)."""
-        self._page_order(selection)
-        for at, (entry, part, _routes) in enumerate(selection.items):
-            (tile,) = self._fetch(selection, self._decoded, at)
-            started = time.perf_counter()
-            if tile.array is None:
-                data = np.zeros(part.shape, dtype=self.dtype)
-                if self.default != 0:
-                    data[...] = self.default
-            else:
-                data = tile.array[part.to_slices(entry.domain.lowest)].copy()
-            timing = self.timing
-            timing.cells_result = part.cell_count
-            self._charge_cpu(started)
-            self.timing = QueryTiming()
-            yield part, data, timing
+    def blocks(self) -> Iterator[tuple[MInterval, np.ndarray, QueryTiming]]:
+        """Streaming sink: fetch and yield one tile at a time, selection
+        by selection in page order, each with the timing charged for it
+        (the index lookups ride on the first)."""
+        for selection in self.selections:
+            self._page_order(selection)
+            for at, (entry, part, _routes) in enumerate(selection.items):
+                (tile,) = self._fetch(selection, self._decoded, at)
+                started = time.perf_counter()
+                if tile.array is None:
+                    data = np.zeros(part.shape, dtype=self.dtype)
+                    if self.default != 0:
+                        data[...] = self.default
+                else:
+                    data = tile.array[part.to_slices(entry.domain.lowest)].copy()
+                timing = self.timing
+                timing.cells_result = part.cell_count
+                self._charge_cpu(started)
+                self.timing = QueryTiming()
+                yield part, data, timing
 
     def combine(self, op: str):
         """Pushdown sink: merge the per-tile partials (worker-reduced
@@ -613,22 +640,31 @@ class ReadExecutor:
         self._charge_cpu(started)
         return self._shaped(values)
 
-    def payloads(self, selection: _Selection) -> list[tuple[TileEntry, bytes]]:
+    def payloads(self) -> list[tuple[TileEntry, bytes]]:
         """Stored-tile sink (served tile frames): every hit with its payload
-        as stored, in page order.  Nothing is decoded and the decoded cache
-        is never touched, so the charges are a :meth:`compose` read's on a
-        database without that cache."""
-        fetched = self._fetch(selection, self._payloads)
+        as stored, selection by selection in page order.  Nothing is
+        decoded and the decoded cache is never touched, so the charges are
+        a :meth:`compose` read's on a database without that cache."""
+        for selection in self.selections:
+            selection.fetched = self._fetch(selection, self._payloads)
         started = time.perf_counter()
-        tiles = [(tile.entry, tile.payload) for tile in fetched]
+        tiles = [(tile.entry, tile.payload) for sel in self.selections for tile in sel.fetched]
         self.timing.sink_ms += (time.perf_counter() - started) * 1000.0
         return tiles
 
+    def plan(self) -> list[TileEntry]:
+        """The tiles :meth:`fetch` would fetch, in its order: every
+        selection page-ordered, nothing fetched."""
+        for selection in self.selections:
+            self._page_order(selection)
+        return [entry for sel in self.selections for entry, _part, _routes in sel.items]
+
     # -- account -----------------------------------------------------------
 
-    def finish(self, *, cells_returned: bool = False) -> None:
+    def finish(self, *, cells_returned: bool = False) -> ScatterStats:
         """Emit the query's metrics and one access-ring record per store
-        (what the rebalancer folds into per-shard load)."""
+        (what the rebalancer folds into per-shard load); returns the
+        per-part account."""
         timing = self.timing
         note_tiles_pruned(timing.tiles_pruned)
         note_synopsis_answered(timing.tiles_synopsis_answered)
@@ -650,10 +686,19 @@ class ReadExecutor:
                 cost_ms=selection.model_ms,
                 cells=timing.cells_result,
             )
+        return ScatterStats(
+            tuple(sel.model_ms for sel in self.selections),
+            tuple(len(sel.fetched) for sel in self.selections),
+        )
 
 
 class StoredMDD:
     """A persistent MDD object backed by BLOB tiles and a spatial index."""
+
+    #: Deduplicate and order hits by domain corner across parts
+    #: (:class:`ReadExecutor` ``merge``): off for one store, whose tile
+    #: ids order its partials.
+    _MERGE = False
 
     def __init__(
         self,
@@ -686,6 +731,8 @@ class StoredMDD:
             epoch=0,
             zones=self._zones,
         )
+        #: Per-part account of the last finished query (one part here).
+        self.last_scatter: Optional[ScatterStats] = None
 
     # -- MVCC plumbing (DESIGN §11) ------------------------------------
 
@@ -1156,8 +1203,34 @@ class StoredMDD:
         return stats
 
     # ------------------------------------------------------------------
-    # Reads — thin drivers over the ReadExecutor (DESIGN §17)
+    # Reads — one body over pinned parts, driving the ReadExecutor
+    # (DESIGN §17); a sharded object runs these same methods
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def _pinned(
+        self, version: Optional[ObjectVersion]
+    ) -> Iterator[list[tuple["StoredMDD", ReaderView]]]:
+        """The parts one query runs over, pinned: this store, alone."""
+        with self._reader_view(version) as view:
+            yield [(self, view)]
+
+    def _select(
+        self, parts: list, region: MInterval, *, condense: bool = False, **options
+    ) -> ReadExecutor:
+        """Plan one query over pinned ``parts``: ``region`` resolves
+        against the hull of their domains, then every part is selected.
+        The one place a :class:`ReadExecutor` is built."""
+        domains = [view.domain for _store, view in parts if view.domain is not None]
+        query = ReadExecutor(
+            self.mdd_type,
+            self._resolve_in(region, MInterval.hull_of(domains) if domains else None),
+            merge=self._MERGE,
+            **options,
+        )
+        for store, view in parts:
+            query.select(store, view, condense=condense)
+        return query
 
     def resolve_region(self, region: MInterval) -> MInterval:
         """Resolve open bounds against the current domain and clip."""
@@ -1207,7 +1280,9 @@ class StoredMDD:
         without one, a thread inside its own transaction sees its working
         state and every other thread reads the published version under an
         epoch pin — a concurrently committing writer can never make this
-        read observe half a transaction.
+        read observe half a transaction.  A sharded object runs this body
+        over every shard's pinned view, taken as one consistent cut; it
+        rejects ``version``.
 
         With a ``predicate``, the result is the masked read
         ``np.where(predicate.mask(full), full, default)`` — cells failing
@@ -1217,16 +1292,12 @@ class StoredMDD:
         fetched (``prune=False`` disables pruning for byte-identity
         verification); the result is byte-identical either way.
         """
-        with self._reader_view(version) as view:
-            query = ReadExecutor(
-                self.mdd_type,
-                self._resolve_in(region, view.domain),
-                predicate=predicate,
-                prune=prune,
-            )
-            query.fetch(query.select(self, view))
+        with self._pinned(version) as parts:
+            query = self._select(parts, region, predicate=predicate, prune=prune)
+            for selection in query.selections:
+                query.fetch(selection)
             out = query.compose()
-        query.finish(cells_returned=True)
+        self.last_scatter = query.finish(cells_returned=True)
         return out, query.timing
 
     def read_blocks(
@@ -1242,28 +1313,22 @@ class StoredMDD:
         the first fragment).  Fragments of uncovered areas are not
         yielded — callers wanting defaults should track coverage or use
         :meth:`read`.  The union of parts plus uncovered space equals the
-        resolved region; fragments arrive in page order.
+        resolved region; fragments arrive part by part in page order.
 
-        The epoch pin (taken when the generator starts, for readers
-        outside a transaction) is held until the generator is exhausted
+        The epoch pins (taken when the generator starts, for readers
+        outside a transaction) are held until the generator is exhausted
         or closed, so the streamed version stays fetchable throughout.
         """
-        with self._reader_view(version) as view:
-            query = ReadExecutor(
-                self.mdd_type, self._resolve_in(region, view.domain)
-            )
-            yield from query.blocks(query.select(self, view))
+        with self._pinned(version) as parts:
+            yield from self._select(parts, region).blocks()
 
     def tile_plan(
         self, region: MInterval, version: Optional[ObjectVersion] = None
     ) -> list[TileEntry]:
         """The tiles a :meth:`read` of ``region`` fetches, in its order:
         select and page order, no fetch — only ``t_ix`` is charged."""
-        with self._reader_view(version) as view:
-            query = ReadExecutor(self.mdd_type, self._resolve_in(region, view.domain))
-            selection = query.select(self, view)
-            query._page_order(selection)  # under the pin: blobs stay placed
-        return [entry for entry, _part, _routes in selection.items]
+        with self._pinned(version) as parts:
+            return self._select(parts, region).plan()  # under the pins: blobs stay placed
 
     def read_stored(
         self, region: MInterval, version: Optional[ObjectVersion] = None
@@ -1271,10 +1336,10 @@ class StoredMDD:
         """:meth:`read` with the stored-tile sink: the tiles meeting
         ``region`` with their payloads as stored, in page order, charged
         like a :meth:`read` without a decoded cache."""
-        with self._reader_view(version) as view:
-            query = ReadExecutor(self.mdd_type, self._resolve_in(region, view.domain))
-            tiles = query.payloads(query.select(self, view))
-        query.finish()
+        with self._pinned(version) as parts:
+            query = self._select(parts, region)
+            tiles = query.payloads()
+        self.last_scatter = query.finish()
         return tiles, query.timing
 
     def read_section(
@@ -1345,23 +1410,15 @@ class StoredMDD:
         cell combined partials.
         """
         check_aggregate(op, self)
-        with self._reader_view(version) as view:
-            query = ReadExecutor(
-                self.mdd_type,
-                self._resolve_in(region, view.domain),
-                predicate=predicate,
-                prune=prune,
-                groups=groups,
+        with self._pinned(version) as parts:
+            query = self._select(
+                parts, region, condense=True, predicate=predicate, prune=prune, groups=groups
             )
-            selection = query.select(self, view, condense=True)
             pushed = query.exact(op)
-            query.fetch(selection, op=op if pushed else None)
-            value = (
-                query.combine(op)
-                if pushed
-                else query.condense(op, query.compose())
-            )
-        query.finish()
+            for selection in query.selections:
+                query.fetch(selection, op=op if pushed else None)
+            value = query.combine(op) if pushed else query.condense(op, query.compose())
+        self.last_scatter = query.finish()
         return value, query.timing, pushed
 
     # ------------------------------------------------------------------

@@ -100,31 +100,6 @@ class TestHistogramQuantile:
 # ----------------------------------------------------------------------
 
 class TestContentionTelemetry:
-    def test_latch_hold_histograms_move(self):
-        database = _load()
-        mdd = database.collection("obsv2")["img"]
-        obs.reset()
-        mdd.read(MInterval.parse("[0:31,0:31]"))
-        global_hold = obs.registry.get("latch.hold_ms")
-        store_hold = obs.registry.get("latch.store.hold_ms")
-        assert global_hold is not None and global_hold.count > 0
-        assert store_hold is not None and store_hold.count > 0
-
-    def test_latch_hold_survives_mid_hold_toggle(self):
-        """Disabling obs while a latch is held must not corrupt the
-        per-thread hold stack (release pops a None placeholder)."""
-        from repro.storage.latch import OrderedLatch
-
-        latch = OrderedLatch("toggletest", 99)
-        obs.disable()
-        latch.acquire()
-        obs.enable()
-        latch.release()  # pushed None while disabled: no observation
-        latch.acquire()
-        latch.release()  # normal path still works afterwards
-        hist = obs.registry.get("latch.toggletest.hold_ms")
-        assert hist is not None and hist.count == 1
-
     def test_wal_fsync_leader_metrics(self, tmp_path):
         from repro.storage.catalog import create_database
 

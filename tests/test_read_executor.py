@@ -16,7 +16,9 @@ from repro.core.mdd import Tile
 from repro.core.mddtype import mdd_type
 from repro.index.zonemap import AGG_FUNCS, CellPredicate
 from repro.query.engine import QueryEngine
+from repro.query.timing import QueryTiming
 from repro.shard import Rebalancer, ShardedDatabase
+from repro.storage.compression import decompress
 from repro.storage.tilestore import Database
 from repro.tiling.base import grid_partition
 
@@ -136,6 +138,39 @@ def _read_blocks(root, obj, mirror, default):
     return got, _box(mirror), total
 
 
+def _read_stored(root, obj, mirror, default):
+    got = np.full(BOX.shape, default, dtype=mirror.dtype)
+    tiles, timing = obj.read_stored(BOX)
+    for entry, payload in tiles:
+        if entry.virtual:
+            continue  # synthesized default cells, as the fill already holds
+        cells = np.frombuffer(decompress(payload, entry.codec), dtype=mirror.dtype)
+        part = entry.domain.intersection(BOX)
+        got[part.to_slices(BOX.lowest)] = cells.reshape(entry.domain.shape)[
+            part.to_slices(entry.domain.lowest)
+        ]
+    return got, _box(mirror), timing
+
+
+def _clock(root) -> float:
+    return sum(db.disk.counters.time_ms for db in getattr(root, "shards", [root]))
+
+
+def _tile_plan(root, obj, mirror, default):
+    """The plan is the tiles a read fetches, and costs its index lookup
+    alone; the timing returned is that read's plus the plan's pages."""
+    before = _clock(root)
+    plan = obj.tile_plan(BOX)
+    planned_ms = _clock(root) - before
+    _out, timing = obj.read(BOX)
+    assert planned_ms == pytest.approx(timing.t_ix_pages, rel=0, abs=1e-6)
+    assert len(plan) == timing.tiles_read
+    want = sorted(str(e.domain) for e in obj.tile_entries() if e.domain.intersects(BOX))
+    return sorted(str(e.domain) for e in plan), want, timing.add(
+        QueryTiming(t_ix_pages=planned_ms)
+    )
+
+
 def _aggregate(root, obj, mirror, default):
     got, timing = obj.aggregate(BOX, "add_cells")
     return got, AGG_FUNCS["add_cells"](_box(mirror)), timing
@@ -170,6 +205,8 @@ ENTRY_POINTS = {
     "read": _read,
     "masked-read": _masked_read,
     "read_blocks": _read_blocks,
+    "read_stored": _read_stored,
+    "tile_plan": _tile_plan,
     "aggregate": _aggregate,
     "push-max": _push("max_cells"),
     "push-add": _push("add_cells"),  # the float fallback on float64
@@ -181,14 +218,14 @@ ENTRY_POINTS = {
 def _run(entry: str, variant: str, deployment):
     """Run one cell of the matrix; returns what the parity checks need."""
     root, stores, obj, mirror = _build(variant, deployment)
-    clock = sum(db.disk.counters.time_ms for db in stores)
+    clock = _clock(root)
     before = obs.snapshot()["counters"]
     got, want, timing = ENTRY_POINTS[entry](
         root, obj, mirror, VARIANTS[variant][0].default
     )
     after = obs.snapshot()["counters"]
     assert _same(got, want), f"{entry} differs from the numpy mirror"
-    charged = sum(db.disk.counters.time_ms for db in stores) - clock
+    charged = _clock(root) - clock
     assert charged == pytest.approx(
         timing.t_o + timing.t_ix_pages, rel=0, abs=1e-6
     ), "the disk clock advanced by more than the timing reports"
@@ -205,8 +242,6 @@ def _run(entry: str, variant: str, deployment):
 @pytest.mark.parametrize("deployment", DEPLOYMENTS)
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_matrix(entry, deployment, variant):
-    if entry == "read_blocks" and deployment != "single":
-        pytest.skip("sharded objects do not stream blocks")
     timing, zone = _run(entry, variant, deployment)
     if deployment == "single":
         return

@@ -1,9 +1,12 @@
 """Sharded multi-store: placement, scatter-gather identity, replication,
 failover, and rebalancing — every distributed claim tested directly."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.errors import (
     DomainError,
     GeometryError,
@@ -275,6 +278,74 @@ class TestScatterGatherIdentity:
         _sdb, obj = _sharded(_data(), 2)
         with pytest.raises(QueryError):
             obj.read(DOMAIN, version=1)
+
+
+# ----------------------------------------------------------------------
+# Pinned cuts: the seqlock validates pins, the query runs on them once
+# ----------------------------------------------------------------------
+
+def _racing(part, commit):
+    """Make ``commit`` run inside ``part``'s first view pin, before the
+    view is taken."""
+    original = part._reader_view
+    pending = [commit]
+
+    @contextmanager
+    def view(version):
+        if pending:
+            pending.pop()()
+        with original(version) as pinned:
+            yield pinned
+
+    part._reader_view = view
+
+
+@pytest.fixture
+def _obs_on():
+    was = obs.registry.enabled
+    obs.enable()
+    yield
+    obs.registry.enabled = was
+
+
+class TestPinnedCut:
+    def test_open_bounds_resolve_against_the_pinned_views(self):
+        """A single-shard commit between resolving ``[0:*,0:*]`` and
+        pinning is no fan-out, so only resolving against the pinned
+        views keeps the result one committed state."""
+        data = _data()
+        sdb = ShardedDatabase(2, io_workers=2)
+        obj = sdb.create_object("c", mdd_type("open", "long", "[0:*,0:*]"), "open")
+        obj.write_tiles(_tiles(data))
+        doomed = MInterval.parse("[48:63,0:63]")
+        victims = [t.domain for t in _tiles(data) if doomed.contains(t.domain)]
+        assert {obj.shard_of(box.lowest) for box in victims} == {1}
+        _racing(obj._parts[0], lambda: obj.delete_region(doomed))
+        got, _timing = obj.read(MInterval.parse("[0:*,0:*]"))
+        assert obj.current_domain == MInterval.parse("[0:47,0:63]")
+        assert got.shape == (48, 64)
+        assert got.tobytes() == data[:48].tobytes()
+        assert all(db.epoch.active_pins == 0 for db in sdb.shards)
+
+    def test_lost_seqlock_race_repins_without_requerying(self, _obs_on):
+        data = _data()
+        holes = [
+            Tile(box, data[box.to_slices((0, 0))].copy())
+            for box in (MInterval.parse("[0:15,0:15]"), MInterval.parse("[48:63,48:63]"))
+        ]
+        sdb = ShardedDatabase(2, io_workers=2)
+        obj = sdb.create_object("c", _cube_type(), "cube")
+        obj.write_tiles([t for t in _tiles(data) if t.domain not in [h.domain for h in holes]])
+        assert len({obj.shard_of(t.domain.lowest) for t in holes}) == 2  # a fan-out
+        _racing(obj._parts[0], lambda: obj.write_tiles(holes))
+        before = obs.snapshot()["counters"]
+        got, timing = obj.read(DOMAIN)
+        after = obs.snapshot()["counters"]
+        assert after["shard.read_retries"] - before.get("shard.read_retries", 0) >= 1
+        loaded = after["tilestore.tiles_loaded"] - before["tilestore.tiles_loaded"]
+        assert loaded == timing.tiles_read == 16
+        assert got.tobytes() == data.tobytes()
+        assert all(db.epoch.active_pins == 0 for db in sdb.shards)
 
 
 # ----------------------------------------------------------------------
