@@ -337,11 +337,12 @@ class BlobStore(abc.ABC):
             return self._read_payload(record)
 
     def get_run(self, blob_ids: Sequence[int]) -> list[bytes]:
-        """Fetch several page-adjacent BLOBs; backends may coalesce.
+        """Fetch several BLOBs, in the given order; backends may coalesce.
 
-        The base implementation is a plain loop; ``FileBlobStore``
-        overrides it with one contiguous read.  Callers guarantee the
-        blobs are real, flushed, and page-adjacent in the given order.
+        The base implementation is a plain loop of :meth:`get`;
+        ``FileBlobStore`` overrides it with one read per page run of the
+        page-ordered list (its blobs need not be adjacent) and one CRC
+        pass over them all.
         """
         return [self.get(blob_id) for blob_id in blob_ids]
 

@@ -8,23 +8,21 @@ Benchmarks run cold by default (the paper's ``t_o`` is dominated by actual
 retrieval), but the ablation benches use the pool to show how caching
 changes the regular-vs-arbitrary comparison.
 
-The pool keeps local ``hits`` / ``misses`` / ``evictions`` counters (read
-into :class:`~repro.query.timing.QueryTiming` per query) and mirrors them
-into the process-wide :mod:`repro.obs` registry.
+Each lookup returns its own outcome (:class:`PoolRead`), which the read
+pipeline sums into the query's record and the registry; the pool keeps
+local ``hits`` / ``misses`` / ``evictions`` tallies for reports.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import NamedTuple, Optional
 
 from repro import obs
 from repro.core.errors import StorageError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.latch import OrderedLatch
 
-_HITS = obs.counter("pool.hits", "Buffer-pool hits (no disk charge)")
-_MISSES = obs.counter("pool.misses", "Buffer-pool misses (read through disk)")
-_EVICTIONS = obs.counter("pool.evictions", "LRU evictions from the pool")
 _BYTES_ADMITTED = obs.counter("pool.bytes_admitted", "Payload bytes admitted")
 _BYTES_EVICTED = obs.counter("pool.bytes_evicted", "Payload bytes evicted")
 # Delta-maintained on every mutation (admit / evict / invalidate / clear)
@@ -38,6 +36,14 @@ _ADMITTED_SIZE = obs.histogram(
     "Payload size per pool admission",
     buckets=obs.BYTE_BUCKETS,
 )
+
+
+class PoolRead(NamedTuple):
+    """One blob read's charge and pool outcome."""
+
+    cost: float  # modelled disk milliseconds (0.0 on a hit)
+    hit: Optional[bool] = None  # None: no pool in front of the disk
+    evicted: int = 0  # entries this read's admission evicted
 
 
 class BufferPool:
@@ -69,8 +75,8 @@ class BufferPool:
 
     def read_blob(
         self, blob_id: int, verified: bytes | None = None
-    ) -> tuple[bytes, float]:
-        """BLOB payload and charged disk milliseconds (0.0 on a hit).
+    ) -> tuple[bytes, PoolRead]:
+        """BLOB payload and this lookup's :class:`PoolRead`.
 
         ``verified`` is handed to the disk on a miss
         (:meth:`SimulatedDisk.read_blob`)."""
@@ -79,32 +85,31 @@ class BufferPool:
             if cached is not None:
                 self._entries.move_to_end(blob_id)
                 self.hits += 1
-                _HITS.inc()
-                return cached, 0.0
+                return cached, PoolRead(0.0, True)
             # The latch is held across the miss read: the disk latch
             # ranks above the pool latch, and a serialized miss+admit is
             # what keeps the LRU trajectory and the charges deterministic.
             payload, cost = self.disk.read_blob(blob_id, verified)
             self.misses += 1
-            _MISSES.inc()
-            self._admit(blob_id, payload)
-            return payload, cost
+            return payload, PoolRead(cost, False, self._admit(blob_id, payload))
 
-    def _admit(self, blob_id: int, payload: bytes) -> None:
+    def _admit(self, blob_id: int, payload: bytes) -> int:
+        """Admit a payload, evicting LRU entries to fit; returns how many."""
         if len(payload) > self.capacity_bytes:
-            return
+            return 0
+        before = self.evictions
         while self._used + len(payload) > self.capacity_bytes and self._entries:
             _victim, evicted = self._entries.popitem(last=False)
             self._used -= len(evicted)
             _USED_BYTES.dec(len(evicted))
             self.evictions += 1
-            _EVICTIONS.inc()
             _BYTES_EVICTED.inc(len(evicted))
         self._entries[blob_id] = payload
         self._used += len(payload)
         _BYTES_ADMITTED.inc(len(payload))
         _ADMITTED_SIZE.observe(len(payload))
         _USED_BYTES.inc(len(payload))
+        return self.evictions - before
 
     def invalidate(self, blob_id: int) -> None:
         """Drop one entry (called on BLOB update/delete)."""

@@ -15,16 +15,11 @@ callers compose results by copying out of them (or serve them zero-copy
 on the single-tile fast path), so a cached tile can never be corrupted by
 a consumer.
 
-Admission can be split in two for the parallel read pipeline: the
-coordinator thread decides evictions in deterministic page order while
-worker threads are still decoding, because the decoded size of a tile is
-known from its domain and dtype before its bytes exist.  The plain
-:meth:`put` covers the serial paths.
-
-All activity is mirrored into the process-wide :mod:`repro.obs` registry
-under ``cache.decoded.*``; the ``used_bytes`` gauge is delta-maintained,
-so several caches (one per :class:`~repro.storage.tilestore.Database`)
-sum instead of overwriting each other.
+Admissions happen after a fetch batch, in page order (:meth:`put`).
+Activity is mirrored into the :mod:`repro.obs` registry under
+``cache.decoded.*`` — hits and misses by the read pipeline, per batch;
+the ``used_bytes`` gauge is delta-maintained, so several caches (one per
+:class:`~repro.storage.tilestore.Database`) sum instead of overwriting.
 """
 
 from __future__ import annotations
@@ -38,8 +33,6 @@ from repro import obs
 from repro.core.errors import StorageError
 from repro.storage.latch import OrderedLatch
 
-_HITS = obs.counter("cache.decoded.hits", "Decoded-tile cache hits")
-_MISSES = obs.counter("cache.decoded.misses", "Decoded-tile cache misses")
 _EVICTIONS = obs.counter(
     "cache.decoded.evictions", "LRU evictions of decoded tiles"
 )
@@ -89,7 +82,7 @@ class DecodedTileCache:
 
     def get_many(self, blob_ids: Sequence[int]) -> list[Optional[np.ndarray]]:
         """:meth:`get` for a batch under one latch acquisition: per id, in
-        order, a hit (promoted to most recently used) or a miss, counted."""
+        order, a hit (promoted to most recently used) or a miss, tallied."""
         found: list[Optional[np.ndarray]] = []
         with self._latch:
             entries = self._entries
@@ -101,8 +94,6 @@ class DecodedTileCache:
             hits = sum(array is not None for array in found)
             self.hits += hits
             self.misses += len(found) - hits
-            _HITS.inc(hits)
-            _MISSES.inc(len(found) - hits)
         return found
 
     def peek(self, blob_id: int) -> Optional[np.ndarray]:

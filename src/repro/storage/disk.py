@@ -165,9 +165,8 @@ class SimulatedDisk:
         # One latch serializes head movement and counter updates: the
         # positioning regime depends on the previous access, so charges
         # must be atomic for the cost model to stay coherent under
-        # concurrent readers.  Reentrant because read_blob/read_blob_run
-        # layer over charge_pages.
-        self._latch = OrderedLatch("disk", 50, reentrant=True)
+        # concurrent readers.
+        self._latch = OrderedLatch("disk", 50)
 
     # -- timing primitives -------------------------------------------------
 
@@ -289,10 +288,10 @@ class SimulatedDisk:
         a reader is charged for are the pages whose bytes it gets even
         while a writer commits concurrently (the store latch ranks above
         the disk latch, see :mod:`repro.storage.latch`).  ``verified`` is
-        the payload when the caller's read-ahead already fetched and
-        checksummed it (:func:`repro.storage.pipeline.fetch_tiles`, under
-        a pinned view, where blobs are immutable): only the charge is
-        left to do.
+        the payload when the fetch path's read-ahead already fetched and
+        checksummed it (:func:`repro.storage.pipeline._read_runs`, under a
+        pinned view, where blobs are immutable): only the charge, which
+        is the same either way, is left to do.
         """
         with self._latch:
             record = self.store.record(blob_id)
@@ -308,36 +307,6 @@ class SimulatedDisk:
         _BLOB_READ_MS.observe(cost)
         self._realtime_wait(cost)
         return payload, cost
-
-    def read_blob_run(
-        self, blob_ids: list[int]
-    ) -> list[tuple[bytes, float]]:
-        """Fetch a run of page-adjacent BLOBs with one backend call.
-
-        The charges are **identical** to calling :meth:`read_blob` per
-        blob: each blob is charged in page order, and because every blob
-        after the first continues exactly at the head, they land in the
-        sequential regime — the merged run costs what the per-blob
-        charges already sum to.  Only the backend byte fetch coalesces
-        (``store.get_run``), collapsing N syscalls into one.
-        """
-        with self._latch:
-            costs: list[float] = []
-            for blob_id in blob_ids:
-                record = self.store.record(blob_id)
-                cost = self._charge_pages_locked(record.pages)
-                cost += self.parameters.blob_overhead_ms
-                self.counters.time_ms += self.parameters.blob_overhead_ms
-                self.counters.blob_reads += 1
-                self.counters.bytes_read += record.byte_size
-                _BLOB_READS.inc()
-                _BYTES_READ.inc(record.byte_size)
-                _MODEL_MS.inc(self.parameters.blob_overhead_ms)
-                _BLOB_READ_MS.observe(cost)
-                costs.append(cost)
-            payloads = self.store.get_run(blob_ids)
-        self._realtime_wait(sum(costs))
-        return list(zip(payloads, costs))
 
     def _realtime_wait(self, model_ms: float) -> None:
         """Sleep the scaled modelled time, outside the latch (see

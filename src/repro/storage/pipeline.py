@@ -9,7 +9,8 @@ This module turns that per-tile chain into a small pipeline:
   pool lookups/admissions, and the simulated disk charges, whose
   seek/settle/sequential regimes depend on head position.  Costs are
   therefore charged page-ordered and are bit-identical whether the
-  pipeline runs serial or parallel;
+  pipeline runs serial or parallel (the bytes are read ahead per chunk
+  of misses, :func:`_read_runs`);
 * **workers** (an optional :class:`~concurrent.futures.ThreadPoolExecutor`
   owned by the :class:`~repro.storage.tilestore.Database`) run the
   order-free CPU work — ``decompress`` + ``frombuffer``, then on the
@@ -24,6 +25,8 @@ degrades to the straight-line serial loop, keeping historical timings
 reproducible.  All of it is one function, :func:`_fetch`; the public
 ``fetch_tiles`` / ``fetch_tile`` / ``fetch_tile_partials`` are its entry
 points; ``fetch_payloads`` (served tile frames) is its read walk alone.
+Each tile carries its own cache outcomes, counted once per batch
+(:func:`_count`).
 """
 
 from __future__ import annotations
@@ -57,17 +60,11 @@ _TILES_DECODED = obs.counter(
 _DECODE_MS = obs.histogram(
     "pipeline.decode_ms", "Wall milliseconds per tile decode task"
 )
-_READ_RUNS = obs.counter(
-    "io.coalesced.read_runs", "Fetches that merged adjacent blobs into one read"
-)
-_READ_BLOBS = obs.counter(
-    "io.coalesced.read_blobs", "Blobs fetched as part of a coalesced run"
-)
-_READ_RUN_LEN = obs.histogram(
-    "io.coalesced.read_run_length",
-    "Blobs per backend read issued by the fetch path (1 = not coalesced)",
-    buckets=obs.COUNT_BUCKETS,
-)
+_POOL_HITS = obs.counter("pool.hits", "Buffer-pool hits (no disk charge)")
+_POOL_MISSES = obs.counter("pool.misses", "Buffer-pool misses (read through disk)")
+_POOL_EVICTIONS = obs.counter("pool.evictions", "LRU evictions from the pool")
+_DECODED_HITS = obs.counter("cache.decoded.hits", "Decoded-tile cache hits")
+_DECODED_MISSES = obs.counter("cache.decoded.misses", "Decoded-tile cache misses")
 _PARTIAL_AGGS = obs.counter(
     "pipeline.partial_aggregates",
     "Partial aggregates (one per tile part) computed on the pushdown path",
@@ -94,7 +91,9 @@ class FetchedTile:
     (:func:`~repro.index.zonemap.op_partials`).  A virtual tile has
     neither: its clipped cells are all defaults, and the caller accounts
     them as default fill.  From :func:`fetch_payloads` only ``payload``
-    is set: the stored bytes, undecoded.
+    is set: the stored bytes, undecoded.  The ``decoded_*`` / ``pool_*``
+    outcomes are this fetch's own lookups' (none made: both ``False`` /
+    ``pool_hit`` ``None``).
     """
 
     entry: "TileEntry"
@@ -102,6 +101,9 @@ class FetchedTile:
     payload_bytes: int
     array: Optional[np.ndarray] = None
     decoded_hit: bool = False
+    decoded_miss: bool = False
+    pool_hit: Optional[bool] = None
+    pool_evicted: int = 0  # entries the pool admission evicted
     partials: tuple[TileSynopsis, ...] = ()
     payload: bytes = b""
     #: Wall ms of this tile's :func:`_decode` (decode, then reduce);
@@ -217,7 +219,6 @@ def _decode(
         tile.partials = reduce(array, entry, parts)
     tile.decode_ms = (time.perf_counter() - started) * 1000.0
     _DECODE_MS.observe(tile.decode_ms)
-    _TILES_DECODED.inc()
 
 
 def _decode_task(
@@ -236,89 +237,51 @@ def _decode_task(
         _WORKERS_BUSY.dec()
 
 
-def _coalesce_runs(
-    database: "Database",
-    items: Sequence[tuple[int, "TileEntry"]],
-    records: Sequence["BlobRecord"],
-) -> list[list[tuple[int, "TileEntry"]]]:
-    """Group page-adjacent cache misses into contiguous read runs.
-
-    Coalescing applies only without a buffer pool (pool lookups and
-    admissions are inherently per-blob) and never spans virtual or
-    still-pending blobs.  Order is preserved, so the per-blob disk
-    charges are issued in exactly the per-item sequence.
-    """
-    store = database.store
-    if database.pool is not None:
-        return [[item] for item in items]
-    runs: list[list[tuple[int, "TileEntry"]]] = []
-    prev_end: Optional[int] = None
-    for item in items:
-        position, entry = item
-        if entry.virtual or store.is_pending(entry.blob_id):
-            runs.append([item])
-            prev_end = None
-            continue
-        pages = records[position].pages
-        if prev_end is not None and pages.start == prev_end:
-            runs[-1].append(item)
-        else:
-            runs.append([item])
-        prev_end = pages.end
-    return runs
-
-
-# Runs per verified read-ahead: enough pages to fill a CRC kernel pass,
+# Blobs per verified read-ahead: enough pages to fill a CRC kernel pass,
 # few enough that the decode workers start long before the I/O ends.
 _READ_AHEAD_RUNS = 32
 
 
 def _read_runs(
-    database: "Database",
-    items: Sequence[tuple[int, "TileEntry"]],
-    records: Sequence["BlobRecord"],
-) -> Iterator[tuple[int, "TileEntry", bytes, float]]:
-    """Read the cache misses in order: ``(position, entry, payload, cost)``
-    (``records``: the batch's catalog snapshot, indexed by position).
+    database: "Database", items: Sequence[tuple[int, "TileEntry"]]
+) -> Iterator[tuple[int, FetchedTile, bytes]]:
+    """Read the cache misses in order: ``(position, tile, payload)``, the
+    tile carrying the blob's charge and pool outcome.
 
-    Charges, pool lookups and admissions happen blob by blob, in item
-    order.  With a pool, each chunk of runs first has the store fetch
-    the blobs the pool lacks — one read per page run, one CRC pass per
-    chunk, outside the pool and disk latches (``FileBlobStore.get_run``)
-    — and hands every verified payload to its ``read_blob``; a blob
-    cached at the peek but evicted before its turn takes the per-blob
-    read.  Safe because the caller's pinned view keeps blobs immutable.
+    Each chunk of ``_READ_AHEAD_RUNS`` blobs first has the store fetch
+    the real ones the pool lacks (all, without a pool) — one read per
+    page run, one CRC pass per chunk, outside the pool and disk latches
+    (``FileBlobStore.get_run``).  Then charges, pool lookups and
+    admissions happen blob by blob, in item order, each handed its
+    verified payload (:meth:`Database.lookup_blob`); a blob cached at the
+    peek but evicted before its turn takes the per-blob read.  Safe
+    because the caller's pinned view keeps blobs immutable.
     """
     pool = database.pool
-    runs = _coalesce_runs(database, items, records)
-    for start in range(0, len(runs), _READ_AHEAD_RUNS):
-        chunk = runs[start : start + _READ_AHEAD_RUNS]
-        ahead: dict[int, bytes] = {}
-        if pool is not None:
-            absent = [
-                entry.blob_id
-                for run in chunk
-                for _, entry in run
-                if entry.blob_id not in pool
-            ]
-            ahead = dict(zip(absent, database.store.get_run(absent)))
-        for run in chunk:
-            _READ_RUN_LEN.observe(len(run))
-            if len(run) == 1:
-                position, entry = run[0]
-                yield (
-                    position,
-                    entry,
-                    *database.read_blob(entry.blob_id, ahead.get(entry.blob_id)),
-                )
-            else:
-                _READ_RUNS.inc()
-                _READ_BLOBS.inc(len(run))
-                results = database.disk.read_blob_run(
-                    [entry.blob_id for _, entry in run]
-                )
-                for (position, entry), result in zip(run, results):
-                    yield (position, entry, *result)
+    for start in range(0, len(items), _READ_AHEAD_RUNS):
+        chunk = items[start : start + _READ_AHEAD_RUNS]
+        absent = [
+            entry.blob_id
+            for _, entry in chunk
+            if not entry.virtual and (pool is None or entry.blob_id not in pool)
+        ]
+        ahead = dict(zip(absent, database.store.get_run(absent)))
+        for position, entry in chunk:
+            payload, read = database.lookup_blob(entry.blob_id, ahead.get(entry.blob_id))
+            tile = FetchedTile(
+                entry, read.cost, len(payload), pool_hit=read.hit, pool_evicted=read.evicted
+            )
+            yield position, tile, payload
+
+
+def _count(fetched: Sequence[FetchedTile]) -> None:
+    """One registry increment per outcome: what the records sum, per batch."""
+    _POOL_HITS.inc(sum(tile.pool_hit is True for tile in fetched))
+    _POOL_MISSES.inc(sum(tile.pool_hit is False for tile in fetched))
+    _POOL_EVICTIONS.inc(sum(tile.pool_evicted for tile in fetched))
+    _DECODED_HITS.inc(sum(tile.decoded_hit for tile in fetched))
+    _DECODED_MISSES.inc(sum(tile.decoded_miss for tile in fetched))
+    _TILES_DECODED.inc(sum(tile.decode_ms > 0.0 for tile in fetched))
 
 
 def _fetch(
@@ -336,14 +299,10 @@ def _fetch(
     batch), then disk and pool interactions, happen on the calling thread
     in entry order; only the order-free step of each miss — decode, then
     ``reduce(array, entry, parts[i])`` when a reducer is given — is
-    (optionally) offloaded.  Page-adjacent misses merge into one backend
-    read (:meth:`SimulatedDisk.read_blob_run`) whose per-blob charges
-    equal the serial ones — adjacent follow-on reads are in the
-    sequential regime either way — so the result (arrays or partials,
-    costs, cache counters) is identical for any ``io_workers`` setting
-    and with coalescing on or off.  ``records`` is the batch's catalog
-    snapshot (hit sizes, run coalescing); one :meth:`BlobStore.records`
-    call takes it when the caller has none.
+    (optionally) offloaded, so the result (arrays or partials, costs,
+    cache outcomes) is identical for any ``io_workers`` setting.
+    ``records`` is the batch's catalog snapshot (hit sizes); one
+    :meth:`BlobStore.records` call takes it when the caller has none.
 
     With a reducer the decoded arrays are dropped, never admitted to
     the decoded cache: a retain-all admission pass would defeat the
@@ -381,12 +340,13 @@ def _fetch(
     if reduce is not None:
         reduce.hits(hits, max(1, database.io_workers))
 
-    for position, entry, payload, cost in _read_runs(database, misses, records):
-        tile = fetched[position] = FetchedTile(entry, cost, len(payload))
-        if entry.virtual:
+    for position, tile, payload in _read_runs(database, misses):
+        fetched[position] = tile
+        if tile.entry.virtual:
             continue
+        tile.decoded_miss = cache is not None
         tile_parts = () if reduce is None else parts[position]
-        shape = entry.domain.shape  # here, not on the workers: they are the wall
+        shape = tile.entry.domain.shape  # here, not on the workers: they are the wall
         if executor is None:
             _decode(tile, payload, dtype, shape, tile_parts, reduce)
         else:
@@ -408,6 +368,7 @@ def _fetch(
         for tile in fetched:
             if tile.array is not None and not tile.decoded_hit:
                 tile.array = cache.put(tile.entry.blob_id, tile.array)
+    _count(fetched)
     return fetched
 
 
@@ -422,17 +383,17 @@ def fetch_tiles(
 
 
 def fetch_payloads(
-    database: "Database", entries: Sequence["TileEntry"], records: Sequence["BlobRecord"]
+    database: "Database", entries: Sequence["TileEntry"]
 ) -> list[FetchedTile]:
     """Stored payloads of a page-ordered batch (served tile frames):
     :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
-    decoded cache (``records``: the batch's catalog snapshot)."""
-    return [
-        FetchedTile(entry, cost, len(payload), payload=payload)
-        for _, entry, payload, cost in _read_runs(
-            database, list(enumerate(entries)), records
-        )
-    ]
+    decoded cache."""
+    fetched = []
+    for _, tile, payload in _read_runs(database, list(enumerate(entries))):
+        tile.payload = payload
+        fetched.append(tile)
+    _count(fetched)
+    return fetched
 
 
 def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:

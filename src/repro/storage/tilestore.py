@@ -58,7 +58,7 @@ from repro.index.zonemap import (
 from repro.query.timing import LoadStats, QueryTiming
 from repro.storage.backends import MemoryBlobStore
 from repro.storage.blob import BlobStore
-from repro.storage.bufferpool import BufferPool
+from repro.storage.bufferpool import BufferPool, PoolRead
 from repro.storage.decodedcache import DecodedTileCache
 from repro.storage.disk import CpuParameters, DiskParameters, SimulatedDisk
 from repro.storage.faults import FaultInjector
@@ -437,31 +437,23 @@ class ReadExecutor:
         return fetched
 
     def _payloads(self, database: "Database", items, records) -> list:
-        return fetch_payloads(database, [item[0] for item in items], records)
+        return fetch_payloads(database, [item[0] for item in items])
 
     def _fetch(self, selection: _Selection, run: Callable, at: Optional[int] = None) -> list:
         """Fetch the whole selection, page-ordered first (or only item
         ``at`` of an ordered one) with ``run`` — decoded tiles,
         worker-reduced partials or stored payloads — and account for
         every tile: the one place ``t_o``, tiles / bytes / pages / cells,
-        decodes, the cache deltas and ``fetch_ms`` are charged."""
+        decodes, the tiles' own cache outcomes and ``fetch_ms`` are
+        charged."""
         started = time.perf_counter()
         if at is None:
             self._page_order(selection)
             items, records = selection.items, selection.records
         else:
             items, records = selection.items[at : at + 1], selection.records[at : at + 1]
-        database = selection.store.database
-        pool = database.pool
-        decoded = database.decoded_cache
         timing = self.timing
-        pool_before = (
-            (pool.hits, pool.misses, pool.evictions) if pool else None
-        )
-        decoded_before = (
-            (decoded.hits, decoded.misses) if decoded is not None else None
-        )
-        fetched = run(database, items, records)
+        fetched = run(selection.store.database, items, records)
         cost = 0.0
         for (entry, part, _routes), record, tile in zip(items, records, fetched):
             cost += tile.cost
@@ -474,17 +466,15 @@ class ReadExecutor:
             if tile.decode_ms:
                 timing.tiles_decoded += 1
                 timing.decode_ms += tile.decode_ms
+            timing.pool_hits += tile.pool_hit is True
+            timing.pool_misses += tile.pool_hit is False
+            timing.pool_evictions += tile.pool_evicted
+            timing.decoded_hits += tile.decoded_hit
+            timing.decoded_misses += tile.decoded_miss
             if part == entry.domain:
                 self._aligned_cells += cells
             else:
                 self._border_cells += cells
-        if pool_before is not None:
-            timing.pool_hits += pool.hits - pool_before[0]
-            timing.pool_misses += pool.misses - pool_before[1]
-            timing.pool_evictions += pool.evictions - pool_before[2]
-        if decoded_before is not None:
-            timing.decoded_hits += decoded.hits - decoded_before[0]
-            timing.decoded_misses += decoded.misses - decoded_before[1]
         selection.model_ms += cost
         timing.fetch_ms += (time.perf_counter() - started) * 1000.0
         return fetched
@@ -1689,9 +1679,17 @@ class Database:
     ) -> tuple[bytes, float]:
         """BLOB payload and charged milliseconds, via the pool if any
         (``verified``: see :meth:`SimulatedDisk.read_blob`)."""
+        payload, read = self.lookup_blob(blob_id, verified)
+        return payload, read.cost
+
+    def lookup_blob(
+        self, blob_id: int, verified: Optional[bytes] = None
+    ) -> tuple[bytes, PoolRead]:
+        """:meth:`read_blob` with the pool's outcome of this lookup."""
         if self.pool is not None:
             return self.pool.read_blob(blob_id, verified)
-        return self.disk.read_blob(blob_id, verified)
+        payload, cost = self.disk.read_blob(blob_id, verified)
+        return payload, PoolRead(cost)
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
         """Lazy decode worker pool; ``None`` in serial mode (default)."""

@@ -18,11 +18,11 @@ class TestHitsAndMisses:
     def test_first_read_misses_then_hits(self):
         store, disk, pool = make_pool(10_000)
         blob_id = store.put(b"x" * 100)
-        payload1, cost1 = pool.read_blob(blob_id)
-        payload2, cost2 = pool.read_blob(blob_id)
+        payload1, read1 = pool.read_blob(blob_id)
+        payload2, read2 = pool.read_blob(blob_id)
         assert payload1 == payload2 == b"x" * 100
-        assert cost1 > 0
-        assert cost2 == 0.0
+        assert read1.cost > 0
+        assert read2.cost == 0.0
         assert pool.hits == 1 and pool.misses == 1
         assert disk.counters.blob_reads == 1
 
@@ -49,16 +49,24 @@ class TestEviction:
         pool.read_blob(b)
         pool.read_blob(a)  # a becomes most recent
         pool.read_blob(c)  # evicts b
-        assert pool.read_blob(b)[1] > 0.0   # miss
+        assert pool.read_blob(b)[1].cost > 0.0   # miss
         assert pool.used_bytes <= 250
+
+    def test_each_read_reports_its_own_outcome(self):
+        store, disk, pool = make_pool(250)
+        a, b, c = (store.put(bytes([n]) * 100) for n in range(3))
+        outcomes = [pool.read_blob(blob_id)[1] for blob_id in (a, b, a, c, b)]
+        assert [read.hit for read in outcomes] == [False, False, True, False, False]
+        assert [read.evicted for read in outcomes] == [0, 0, 0, 1, 1]
+        assert [read.cost > 0.0 for read in outcomes] == [True, True, False, True, True]
+        assert (pool.hits, pool.misses, pool.evictions) == (1, 4, 2)
 
     def test_oversized_payload_not_cached(self):
         store, _disk, pool = make_pool(50)
         blob_id = store.put(b"z" * 100)
         pool.read_blob(blob_id)
         assert pool.used_bytes == 0
-        _payload, cost = pool.read_blob(blob_id)
-        assert cost > 0  # still a miss
+        assert pool.read_blob(blob_id)[1].cost > 0  # still a miss
 
     def test_invalidate(self):
         store, _disk, pool = make_pool(1000)
@@ -66,8 +74,7 @@ class TestEviction:
         pool.read_blob(blob_id)
         pool.invalidate(blob_id)
         assert pool.used_bytes == 0
-        _payload, cost = pool.read_blob(blob_id)
-        assert cost > 0
+        assert pool.read_blob(blob_id)[1].cost > 0
 
     def test_clear(self):
         store, _disk, pool = make_pool(1000)

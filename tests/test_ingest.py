@@ -200,12 +200,11 @@ class TestCoalescedWrites:
 
 class TestCoalescedReads:
     def test_charges_match_uncoalesced_pool_path(self):
-        # No pool: adjacent misses merge into one backend read.  A pool
-        # (even one too small to admit anything) forces the per-blob
-        # path.  The modelled charges must be identical either way.
+        # No pool: every miss is read ahead in page runs.  A pool too
+        # small to admit anything reads the same misses through its
+        # per-blob lookups.  The modelled charges must be identical.
         coalesced_db = Database(compression=True)
         per_blob_db = Database(compression=True, buffer_bytes=1)
-        runs = obs.counter("io.coalesced.read_runs")
         results = {}
         for name, database in (
             ("coalesced", coalesced_db), ("per_blob", per_blob_db)
@@ -213,18 +212,15 @@ class TestCoalescedReads:
             obj = database.create_object("ingest", CUBE, "cube")
             obj.load_array(cube_data(), RegularTiling(TILE_BYTES))
             database.reset_clock()
-            before = runs.value
             array, timing = obj.read(REGION)
-            results[name] = (array.tobytes(), timing, runs.value - before)
-        a, ta, coalesced_runs = results["coalesced"]
-        b, tb, per_blob_runs = results["per_blob"]
+            results[name] = (array.tobytes(), timing)
+        a, ta = results["coalesced"]
+        b, tb = results["per_blob"]
         assert a == b
         assert ta.t_o == tb.t_o
         assert ta.bytes_read == tb.bytes_read
         assert ta.pages_read == tb.pages_read
         assert ta.tiles_read == tb.tiles_read
-        assert coalesced_runs >= 1
-        assert per_blob_runs == 0
 
     def test_coalesced_read_detects_corruption(self, tmp_path):
         from repro.core.errors import ChecksumError

@@ -136,14 +136,6 @@ class TestContentionTelemetry:
             assert obs.registry.value("mvcc.epoch") > pinned
         del snap
 
-    def test_coalesced_read_run_length_histogram(self):
-        database = _load()  # no pool: coalescing active
-        mdd = database.collection("obsv2")["img"]
-        obs.reset()
-        mdd.read(DOMAIN)
-        hist = obs.registry.get("io.coalesced.read_run_length")
-        assert hist is not None and hist.count > 0
-
     def test_coalesced_write_run_length_histogram(self, tmp_path):
         from repro.storage.catalog import create_database
 

@@ -17,6 +17,7 @@ from repro.index.zonemap import CellPredicate
 from repro.query.engine import QueryEngine
 from repro.serve import TileServer
 from repro.shard import ShardedDatabase
+from repro.storage.catalog import create_database
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 from repro.tiling.base import grid_partition
@@ -276,3 +277,99 @@ def test_plans_render_as_before():
             **EXPECTED_COUNTERS[name],
         }, name
         assert list(plan.as_dict())[:5] == ["kind", "op", "object", "region", "stages"]
+
+
+# ----------------------------------------------------------------------
+# the registry's fetch counters are the sum of the records
+# ----------------------------------------------------------------------
+
+FOLDED = {  # registry counter -> the record field it sums
+    "pool.hits": "pool_hits",
+    "pool.misses": "pool_misses",
+    "pool.evictions": "pool_evictions",
+    "cache.decoded.hits": "decoded_hits",
+    "cache.decoded.misses": "decoded_misses",
+    "pipeline.tiles_decoded": "tiles_decoded",
+}
+FLOATS = mdd_type("FoldedCube", "double", str(DOMAIN))
+UPDATE_BOX = MInterval.parse("[0:20,0:20]")
+
+
+def _counters() -> dict:
+    return {name: obs.counter(name).value for name in FOLDED}
+
+
+def _folded_db(tmp_path, store, **kwargs):
+    kwargs["compression"] = True
+    database = (
+        create_database(tmp_path / "db", **kwargs) if store == "file" else Database(**kwargs)
+    )
+    obj = database.create_object("c", FLOATS, "o")
+    obj.load_array((np.indices((64, 64)).sum(axis=0) % 17).astype(np.float64), RegularTiling(1024))
+    database.reset_clock()  # the load wrote its tiles through the cache
+    return database, obj
+
+
+def _query_records(obj) -> list:
+    """The records of a query-only sequence over every read entry point;
+    the repeated small read hits the caches the big ones evict from."""
+    region, small = MInterval.parse("[3:60,5:58]"), MInterval.parse("[0:15,0:15]")
+    above = CellPredicate(">", 8)
+    pushed = obj.aggregate_push(region, "max_cells", predicate=above)
+    fallen = obj.aggregate_push(region, "add_cells")  # float sums materialize
+    grouped = obj.aggregate_push(
+        region, "count_cells", predicate=above, groups=[[(3, 30), (31, 60)], [(5, 58)]]
+    )
+    assert pushed[2] and not fallen[2] and grouped[2]
+    return [
+        obj.read(small)[1],
+        obj.read(small)[1],
+        obj.read(region)[1],
+        obj.read(region, predicate=above)[1],
+        pushed[1],
+        fallen[1],
+        grouped[1],
+        *(timing for _, _, timing in obj.read_blocks(region)),
+        obj.read_stored(region)[1],
+    ]
+
+
+@pytest.mark.parametrize("store", ["memory", "file"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("decoded", [0, 8192], ids=["nodecoded", "decoded"])
+@pytest.mark.parametrize("pool", [0, 4096], ids=["nopool", "pool"])
+def test_registry_fetch_counters_are_the_records_summed(tmp_path, store, workers, decoded, pool):
+    database, obj = _folded_db(
+        tmp_path, store, io_workers=workers, buffer_bytes=pool, decoded_cache_bytes=decoded
+    )
+    records = []
+    before = _counters()
+    for _ in range(2):  # cold, then warm
+        records += _query_records(obj)
+    after = _counters()
+    for name, field in FOLDED.items():
+        assert after[name] - before[name] == sum(getattr(t, field) for t in records), name
+    lookups = sum(t.tiles_read for t in records)
+    pool_lookups = sum(t.pool_hits + t.pool_misses for t in records)
+    decoded_lookups = sum(t.decoded_hits + t.decoded_misses for t in records)
+    assert 0 < pool_lookups <= lookups if pool else pool_lookups == 0
+    assert 0 < decoded_lookups < lookups if decoded else decoded_lookups == 0
+    if pool:
+        assert sum(t.pool_hits for t in records) > 0
+        assert sum(t.pool_evictions for t in records) > 0
+    database.close()
+
+
+@pytest.mark.parametrize("pool", [0, 1 << 20], ids=["nopool", "pool"])
+def test_update_fetch_counts_in_the_registry(tmp_path, pool):
+    database, obj = _folded_db(
+        tmp_path, "memory", buffer_bytes=pool, decoded_cache_bytes=1 << 20
+    )
+    tiles = len(obj.index.search(UPDATE_BOX).entries)
+    before = _counters()
+    obj.update(UPDATE_BOX, np.full(UPDATE_BOX.shape, 5.0))
+    delta = {name: value - before[name] for name, value in _counters().items()}
+    assert delta["cache.decoded.misses"] == delta["pipeline.tiles_decoded"] == tiles
+    assert delta["pool.misses"] == (tiles if pool else 0)
+    assert delta["pool.hits"] == delta["cache.decoded.hits"] == 0
+    database.close()

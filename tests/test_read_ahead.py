@@ -20,6 +20,7 @@ from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.index.zonemap import CellPredicate
 from repro.storage import pipeline
+from repro.storage.backends import FileBlobStore
 from repro.storage.blob import BlobStore
 from repro.storage.catalog import create_database, open_database, save_database
 from repro.tiling.aligned import RegularTiling
@@ -174,6 +175,68 @@ class TestPinnedToPerBlobBehaviour:
         assert real[0][1][1].tiles_partial_agg >= 100
         assert one[1:4] == real[1:4]
         assert real[4] > 0
+
+
+    @pytest.mark.parametrize("io_workers", [1, 2])
+    def test_pool_less_read_is_identical(self, stored, io_workers, monkeypatch):
+        above = CellPredicate(">", 2**31)
+
+        def trajectory(chunk):
+            if chunk is not None:
+                monkeypatch.setattr(pipeline, "_READ_AHEAD_RUNS", chunk)
+            db = open_database(stored, io_workers=io_workers)
+            obj = db.collection("cubes")["c"]
+            try:
+                reads = [obj.read(region) for region in (LEFT, FULL)]
+                pushed = obj.aggregate_push(FULL, "count_cells", predicate=above)
+                return reads, pushed[:2], dataclasses.asdict(db.disk.counters)
+            finally:
+                monkeypatch.undo()
+                shut(db)
+
+        one, real = trajectory(1), trajectory(None)
+        for (a, ta), (b, tb), region in zip(one[0], real[0], (LEFT, FULL)):
+            assert a.tobytes() == b.tobytes()
+            assert np.array_equal(b, DATA[region.to_slices((0, 0))])
+            assert modelled(ta) == modelled(tb)
+            assert tb.pool_hits + tb.pool_misses == 0
+        (va, ta), (vb, tb) = one[1], real[1]
+        assert va == vb == (DATA > 2**31).sum()
+        ma, mb = modelled(ta), modelled(tb)
+        assert ma.pop("peak_partial_bytes") <= io_workers * TILE_BYTES
+        assert mb.pop("peak_partial_bytes") <= io_workers * TILE_BYTES
+        assert ma == mb
+        assert one[2] == real[2]
+
+    def test_pool_less_read_takes_one_get_run_per_chunk(self, stored, monkeypatch):
+        db = open_database(stored)
+        obj = db.collection("cubes")["c"]
+        runs, per_blob = [], []
+        real_run, real_get = FileBlobStore.get_run, BlobStore.get
+
+        def spy_run(store, blob_ids):
+            runs.append(len(blob_ids))
+            return real_run(store, blob_ids)
+
+        def spy_get(store, blob_id):
+            per_blob.append(blob_id)
+            return real_get(store, blob_id)
+
+        monkeypatch.setattr(FileBlobStore, "get_run", spy_run)
+        monkeypatch.setattr(BlobStore, "get", spy_get)
+        try:
+            array, timing = obj.read(FULL)
+        finally:
+            monkeypatch.undo()
+            shut(db)
+        assert np.array_equal(array, DATA)
+        chunk = pipeline._READ_AHEAD_RUNS
+        assert timing.tiles_read > 3 * chunk
+        assert runs == [
+            min(chunk, timing.tiles_read - start)
+            for start in range(0, timing.tiles_read, chunk)
+        ]
+        assert per_blob == []
 
 
 class TestCorruptPage:
