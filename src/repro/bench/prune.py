@@ -8,8 +8,10 @@ point:
 
 * ``full``   — the masked read with pruning disabled (``prune=False``):
   every intersected tile is fetched and decoded, the pre-zone-map cost;
-* ``pruned`` — the same read with the :class:`~repro.index.zonemap.
-  TilePruner` consulted between ``index.search()`` and ``fetch_tiles``.
+* ``pruned`` — the same read with the zone map consulted between
+  ``index.search()`` and the fetch: one columnar
+  :class:`~repro.index.zonemap.TilePruner` mask over the selection's
+  synopsis columns.
 
 The acceptance verdicts are deterministic and live in ``identity``
 (gated in CI): the pruned result must be **byte-identical** to the full

@@ -98,6 +98,14 @@ class MInterval:
     # ------------------------------------------------------------------
 
     @classmethod
+    def bounded(cls, lower: Sequence[int], upper: Sequence[int]) -> "MInterval":
+        """Build from bounds already known valid — plain ints, ``lower <=
+        upper`` per axis, e.g. a tile clipped to a query box — unchecked."""
+        box = cls.__new__(cls)
+        box._lo, box._hi = tuple(lower), tuple(upper)
+        return box
+
+    @classmethod
     def of(cls, *bounds: Tuple[Optional[int], Optional[int]]) -> "MInterval":
         """Build from per-axis ``(lower, upper)`` pairs.
 
@@ -205,7 +213,7 @@ class MInterval:
     @property
     def is_bounded(self) -> bool:
         """True when no bound is open."""
-        return all(v is not None for v in self._lo + self._hi)
+        return None not in self._lo and None not in self._hi
 
     def _require_bounded(self, op: str) -> None:
         if not self.is_bounded:

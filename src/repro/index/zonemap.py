@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "CellPredicate",
     "TilePruner",
     "TileSynopsis",
+    "ZoneColumns",
     "check_aggregate",
     "combine_aggregate",
     "compute_synopsis",
@@ -486,47 +488,88 @@ def synopsis_can_match(
     if predicate.op in ("<", "<=", ">", ">="):
         # Monotone in the cell value: satisfiable iff an extreme matches.
         return edge_match
-    # "=": an extreme matches, or the probe sits strictly inside the
-    # range — then only an occupied bin can hold an equal cell.
-    if edge_match:
-        return True
-    if not (syn.vmin < predicate.value < syn.vmax):
+    return edge_match or _may_equal_inside(syn, predicate.value)
+
+
+def _may_equal_inside(syn: TileSynopsis, value: Union[int, float]) -> bool:
+    """``=`` on a tile neither extreme of which matches: only a probe
+    strictly inside the range can, and then only into an occupied bin."""
+    if not (syn.vmin < value < syn.vmax):  # type: ignore[operator]
         return False
-    bin_index = _probe_bin(syn, predicate.value)
+    bin_index = _probe_bin(syn, value)
     if bin_index is None:
         return True
     return bool((syn.bins >> bin_index) & 1)
 
 
+class ZoneColumns:
+    """The synopsis half of a tile table: row ``i`` summarises a tile by
+    ``syns[i]`` (``None``: it has none), its fields laid out as columns."""
+
+    def __init__(self, syns: Sequence[Optional[TileSynopsis]], dtype: np.dtype) -> None:
+        self.syns = list(syns)
+        self.dtype = dtype
+        self.has = np.array([syn is not None for syn in self.syns], dtype=bool)
+        self.cells = np.array([syn.cell_count if syn else 0 for syn in self.syns], dtype=np.int64)
+        self.nans = np.array([syn.nan_count if syn else 0 for syn in self.syns], dtype=np.int64)
+        self.comparable = np.array([syn and syn.vmin is not None for syn in self.syns], dtype=bool)
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``vmin`` / ``vmax`` cast to the cell type as :func:`synopsis_can_match`
+        casts them (0 where there is none), on the first predicated read."""
+        lows = [0 if syn is None or syn.vmin is None else syn.vmin for syn in self.syns]
+        highs = [0 if syn is None or syn.vmax is None else syn.vmax for syn in self.syns]
+        return np.asarray(lows, dtype=self.dtype), np.asarray(highs, dtype=self.dtype)
+
+
 class TilePruner:
     """Partition index hits into fetchable and provably-irrelevant tiles.
 
-    Sits between ``index.search()`` and ``fetch_tiles``: given the
-    reader's zone-map view (published at the same epoch as the tile
-    table, so synopsis and tile can never disagree), answers per tile
-    whether it may hold a matching cell.  Tiles without a synopsis are
-    always fetched.
+    Sits between ``index.search()`` and the fetch: one :meth:`can_match`
+    call decides a whole selection over the reader's zone-map columns
+    (published at the same epoch as the tile table, so synopsis and tile
+    never disagree) with :func:`synopsis_can_match`'s decisions, bit for
+    bit.  Tiles without a synopsis are always fetched.
     """
 
     def __init__(
-        self,
-        predicate: CellPredicate,
-        zones: "dict[int, TileSynopsis]",
-        dtype: np.dtype,
+        self, predicate: CellPredicate, zones: "ZoneColumns | Mapping", dtype: np.dtype
     ) -> None:
         self.predicate = predicate
         self.zones = zones
         self.dtype = dtype
         self.pruned = 0
 
-    def can_match(self, tile_id: int) -> bool:
-        syn = self.zones.get(tile_id)
-        if syn is None:
-            return True
-        if synopsis_can_match(syn, self.predicate, self.dtype):
-            return True
-        self.pruned += 1
-        return False
+    def can_match(self, rows: Sequence[int] | np.ndarray | int) -> np.ndarray | bool:
+        """Per table row of ``rows``: may that tile hold a matching cell?
+        One ``index.zone.prune_checks`` increment counts every synopsis
+        consulted.  Over a tile id → synopsis mapping, ``rows`` is one id."""
+        zones = self.zones
+        if not isinstance(zones, ZoneColumns):  # one tile at a time
+            one = TilePruner(self.predicate, ZoneColumns([zones.get(rows)], self.dtype), self.dtype)
+            keep = bool(one.can_match([0])[0])
+            self.pruned += one.pruned
+            return keep
+        rows = np.asarray(rows, dtype=np.intp)
+        has = zones.has[rows]
+        checked = int(has.sum())
+        _PRUNE_CHECKS.inc(checked)
+        predicate = self.predicate
+        live = has & (zones.cells[rows] > 0)
+        comparable = live & zones.comparable[rows]
+        low, high = (column[rows] for column in zones.bounds)
+        if predicate.op == "!=":  # NaN != x holds; a constant row is its one value
+            constant = comparable & (low == high)
+            hit = (live & (zones.nans[rows] > 0)) | (comparable & ~constant)
+            hit |= constant & predicate.mask(low)
+        else:  # monotone relops and "=": an extreme matches; "=" then probes bins
+            hit = comparable & (predicate.mask(low) | predicate.mask(high))
+            if predicate.op == "=":
+                for at in np.flatnonzero(comparable & ~hit).tolist():
+                    hit[at] = _may_equal_inside(zones.syns[rows[at]], predicate.value)
+        self.pruned += checked - int(np.count_nonzero(hit))
+        return hit | ~has
 
 
 # ---------------------------------------------------------------------------

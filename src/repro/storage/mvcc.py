@@ -25,17 +25,20 @@ degenerates to "delete at commit".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
+from repro.index.zonemap import ZoneColumns
 from repro.storage.latch import OrderedLatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import numpy as np
-
-    from repro.index.base import SpatialIndex
+    from repro.core.mddtype import MDDType
+    from repro.index.base import IndexEntry, SpatialIndex
     from repro.index.zonemap import TileSynopsis
     from repro.query.timing import QueryTiming
     from repro.storage.tilestore import Database, StoredMDD, TileEntry
@@ -94,9 +97,48 @@ class ObjectVersion:
     #: reader can never pair a tile with a synopsis from another epoch.
     zones: Mapping[int, "TileSynopsis"] = None  # type: ignore[assignment]
 
+    #: The object's type: the tile table's dimensionality and cell type.
+    mdd_type: Optional["MDDType"] = None
+
     def __post_init__(self) -> None:
         if self.zones is None:
             object.__setattr__(self, "zones", {})
+
+    @cached_property
+    def table(self) -> "TileTable":
+        """``tiles`` and ``zones`` as columns, derived on first use (a
+        race derives it twice, identically)."""
+        assert self.mdd_type is not None
+        return TileTable(self.tiles, self.zones, self.mdd_type)
+
+
+class TileTable:
+    """One object version's tile table as arrays (DESIGN §17).
+
+    Row ``i`` is the tile ``entries[i]`` (in ``tiles`` order), of domain
+    ``domains[i]``: ``lo`` / ``hi`` are its bounds (``int64[n, d]``),
+    ``cells`` its cell count, ``ids`` its tile id and ``zones`` its
+    synopsis columns.  Derived from a version, whose containers never
+    change once published, it needs no upkeep of its own.
+    """
+
+    def __init__(self, tiles: Mapping, zones: Mapping, mdd_type: "MDDType") -> None:
+        self.entries = list(tiles.values())
+        self.domains = [entry.domain for entry in self.entries]
+        self.ids = np.fromiter(tiles, dtype=np.int64, count=len(tiles))
+        bounds = np.array(
+            [entry.domain.lower + entry.domain.upper for entry in self.entries], dtype=np.int64
+        ).reshape(len(self.entries), 2, mdd_type.dim)
+        self.lo, self.hi = bounds[:, 0], bounds[:, 1]
+        self.cells = np.prod(self.hi - self.lo + 1, axis=1)
+        self.zones = ZoneColumns([zones.get(tile_id) for tile_id in tiles], mdd_type.base.dtype)
+        self._by_id = np.argsort(self.ids, kind="stable")  # ids only grow: no id-sized map
+        self._sorted_ids = self.ids[self._by_id]
+
+    def rows(self, hits: Sequence["IndexEntry"]) -> np.ndarray:
+        """The rows of index hits, in hit order."""
+        ids = np.fromiter((hit.tile_id for hit in hits), dtype=np.int64, count=len(hits))
+        return self._by_id[np.searchsorted(self._sorted_ids, ids)]
 
 
 class EpochManager:

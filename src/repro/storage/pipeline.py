@@ -171,13 +171,12 @@ class _Reducer:
         chunk: int,
     ) -> None:
         """Reduce decoded-cache hits on the calling thread.  With an op,
-        hits whose one part is the whole tile (the entry's own domain
-        object, as ``select`` routes it) are grouped by shape and reduced
-        in stacks of at most ``chunk`` tiles; the rest take the per-part
-        path."""
+        hits whose one part is the whole tile (equal to the entry's
+        domain) are grouped by shape and reduced in stacks of at most
+        ``chunk`` tiles; the rest take the per-part path."""
         shapes: dict[tuple, list] = {}
         for tile, array, parts in tiles:
-            if self.op is not None and len(parts) == 1 and parts[0] is tile.entry.domain:
+            if self.op is not None and len(parts) == 1 and parts[0] == tile.entry.domain:
                 shapes.setdefault(array.shape, []).append((tile, array))
             else:
                 tile.partials = self(array, tile.entry, parts)

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from itertools import chain, product, repeat
+from itertools import chain, product
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -73,6 +73,7 @@ from repro.storage.mvcc import (
     EpochManager,
     ObjectVersion,
     Snapshot,
+    TileTable,
     note_live_versions,
 )
 from repro.storage.pipeline import fetch_payloads, fetch_tile, fetch_tile_partials, fetch_tiles  # noqa: F401
@@ -114,19 +115,20 @@ class TileEntry:
 
 
 class ReaderView(NamedTuple):
-    """The containers of one object version, as one reader sees them.
+    """One object version, as one reader sees it.
 
-    ``zones`` comes from the same version as ``tiles``, so a synopsis
-    can never be stale relative to the tile it describes; ``epoch`` is
-    the commit epoch the view was served at (the pinned one for readers
-    outside a transaction).
+    ``version`` is the version read — inside a transaction, one of the
+    working state — whose tiles, synopses and tile table (derived by its
+    first select) all come from one epoch, so a synopsis can never be
+    stale relative to the tile it describes; ``epoch`` is the commit
+    epoch the view was served at (the pinned one for readers outside a
+    transaction).
     """
 
-    tiles: dict
     index: SpatialIndex
     domain: Optional[MInterval]
-    zones: dict
     epoch: int
+    version: ObjectVersion
 
 
 @dataclass(slots=True)
@@ -157,6 +159,10 @@ class _Selection:
     #: ordered: one snapshot feeds the order, the fetch and the accounting
     #: (blobs stay immutable under the pinned view).
     records: list = field(default_factory=list)
+    #: The view's tile table and the rows of ``items`` / ``answered`` in it.
+    table: Optional[TileTable] = None
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    answered_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 class ScatterStats(NamedTuple):
@@ -190,11 +196,12 @@ class ReadExecutor:
 
     The paper's three stages — index lookup (``t_ix``), page-ordered
     tile retrieval (``t_o``), composition (``t_cpu``) — written once.
-    :meth:`select` searches one store view, prunes by zone map and
-    classifies every hit as pruned, synopsis-answered or to-decode,
-    with no I/O; :meth:`fetch` page-orders a selection, fetches it and
-    does all the ``t_o`` / tiles / bytes / pages / cells and cache-delta
-    accounting; a *sink* — :meth:`compose`, :meth:`blocks` or
+    :meth:`select` searches one store view, then prunes by zone map
+    and classifies every hit as pruned, synopsis-answered or to-decode
+    with masks over the view's tile table, with no I/O; :meth:`fetch`
+    page-orders a selection, fetches it and does all the ``t_o`` /
+    tiles / bytes / pages / cells accounting and counts each tile's own
+    pool and decoded-cache outcomes; a *sink* — :meth:`compose`, :meth:`blocks` or
     :meth:`combine` — is the only stage that differs between ``read``,
     ``read_blocks`` and ``aggregate_push``.  Materialize-then-reduce is
     :meth:`compose` followed by :meth:`condense`, not a path of its own.
@@ -267,6 +274,8 @@ class ReadExecutor:
         every cell it meets is set aside as *answered* instead, and
         coverage is tallied per cell so pruned parts and uncovered space
         count as default cells.  A hit in a gap between cells is dropped.
+        The hits are rows of the view's tile table, and each of these
+        steps is a mask or a sum over its columns (DESIGN §17).
         """
         selecting = time.perf_counter()
         region, timing = self.region, self.timing
@@ -282,95 +291,105 @@ class ReadExecutor:
         timing.index_nodes += result.nodes_visited
 
         cells = len(self.cell_counts)
+        table = view.version.table
+        rows = table.rows(result.entries)
+        if self._seen is not None:  # migration dual-presence: each corner counts once
+            corners = list(map(tuple, table.lo[rows].tolist()))
+            rows = rows[np.array([corner not in self._seen for corner in corners], dtype=bool)]
+            self._seen.update(corners)
+        lo, hi = table.lo.take(rows, axis=0), table.hi.take(rows, axis=0)
+        low, high = np.array(region.lowest), np.array(region.highest)
+        inside = reduce(np.logical_and, ((lo >= low) & (hi <= high)).T)  # per axis: short rows
         selection = _Selection(
-            store, view.epoch, page_ix, [0] * cells, [0] * cells, [[] for _ in range(cells)]
+            store, view.epoch, page_ix, [0] * cells, [0] * cells, [], table=table
         )
         self.selections.append(selection)
-        zones = view.zones or {}
-        pruner = (
-            TilePruner(self.predicate, zones, self.dtype)
-            if self.predicate is not None and self.prune and zones
-            else None
-        )
-        answer = condense and self.predicate is None and self.prune
-        seen = self._seen
-        entries = []
-        for hit in result.entries:
-            entry = view.tiles[hit.tile_id]
-            if seen is not None:
-                corner = entry.domain.lowest
-                if corner in seen:
-                    continue  # migration dual-presence: count once
-                seen.add(corner)
-            entries.append(entry)
-        routed = self._route(entries) if condense and cells > 1 else repeat(None)
-        for entry, routes in zip(entries, routed):
-            # An interior tile is its own part: no new interval to build
-            # (or to keep alive until the sink runs).
-            inside = region.contains(entry.domain)
-            part = entry.domain if inside else entry.domain.intersection(region)
-            assert part is not None
-            if routes is None:
-                routes = [(0, part)] if condense else ()
-            elif not routes:
-                continue
-            for cell, cell_part in routes:
-                selection.covered[cell] += cell_part.cell_count
-            if pruner is not None and not pruner.can_match(entry.tile_id):
-                # Provably only failing cells: the masked box would
-                # hold defaults there, and so does the aggregate.
-                for cell, cell_part in routes:
-                    selection.pruned_cells[cell] += cell_part.cell_count
-                continue
-            if condense:
-                syn = zones.get(entry.tile_id)
-                for cell, _ in routes:
-                    selection.syns[cell].append(syn)
-                if answer and syn is not None and all(p == entry.domain for _, p in routes):
-                    selection.answered.append((entry, part, routes, syn))
-                    continue
-            selection.items.append((entry, part, routes))
-        if pruner is not None:
+        can = np.ones(len(rows), dtype=bool)
+        if condense:  # every (hit, cell) pair; a hit in a gap between cells is dropped
+            met, cell, part_lo, part_hi, part_cells = self._route(lo, hi)
+            per_hit = np.bincount(met, minlength=len(rows))
+            can = per_hit > 0
+        if self.predicate is not None and self.prune and table.zones.has.any():
+            pruner = TilePruner(self.predicate, table.zones, self.dtype)
+            can[can] = pruner.can_match(rows[can])
             timing.tiles_pruned += pruner.pruned
+        entries, domains, syns = table.entries, table.domains, table.zones.syns
+        # intervals only for fetched parts that are not a whole tile: a whole
+        # part is the tile's own domain (nothing new kept alive until the sink)
+        kept = np.flatnonzero(can)
+        border = kept[~inside[kept]]
+        clip = np.maximum(lo[border], low).tolist(), np.minimum(hi[border], high).tolist()
+        clipped = dict(zip(border.tolist(), map(MInterval.bounded, *clip)))
+        if not condense:
+            selection.syns = [[] for _ in range(cells)]
+            selection.rows = rows[kept]
+            selection.items = [
+                (entries[row], clipped.get(at, domains[row]), ())
+                for at, row in zip(kept.tolist(), selection.rows.tolist())
+            ]
+        else:
+            live = can[met]
+            selection.covered = np.bincount(cell, part_cells, cells).astype(np.int64).tolist()
+            selection.pruned_cells = np.bincount(
+                cell[~live], part_cells[~live], cells
+            ).astype(np.int64).tolist()
+            # per cell, the synopsis of every non-pruned hit meeting it, in hit order
+            by_cell = rows[met[live][np.argsort(cell[live], kind="stable")]].tolist()
+            flat = [syns[row] for row in by_cell]
+            ends = np.cumsum(np.bincount(cell[live], minlength=cells)).tolist()
+            selection.syns = [flat[start:end] for start, end in zip([0, *ends], ends)]
+            whole = part_cells == table.cells[rows][met]  # a part lies inside its tile
+            all_whole = np.bincount(met[~whole], minlength=len(rows)) == 0
+            answerable = self.predicate is None and self.prune  # else every hit is fetched
+            answered = can & all_whole & table.zones.has[rows] & answerable
+            parts = list(map(domains.__getitem__, rows[met].tolist()))
+            split = np.flatnonzero(live & ~whole)  # one cell is the region: the clipped tile
+            bounded = clipped if cells == 1 else dict(zip(split.tolist(), map(
+                MInterval.bounded, part_lo[split].tolist(), part_hi[split].tolist()
+            )))
+            for pair, part in bounded.items():
+                parts[pair] = part
+            pairs, bounds = list(zip(cell.tolist(), parts)), [0, *np.cumsum(per_hit).tolist()]
+            fetch, answer = np.flatnonzero(can & ~answered), np.flatnonzero(answered)
+            selection.rows, selection.answered_rows = rows[fetch], rows[answer]
+            selection.items = [  # a hit's routes: pairs[bounds[at] : bounds[at + 1]]
+                (entries[row], clipped.get(at, domains[row]), pairs[bounds[at] : bounds[at + 1]])
+                for at, row in zip(fetch.tolist(), selection.rows.tolist())
+            ]
+            selection.answered = [
+                (entries[row], domains[row], pairs[bounds[at] : bounds[at + 1]], syns[row])
+                for at, row in zip(answer.tolist(), selection.answered_rows.tolist())
+            ]
         timing.select_ms += (time.perf_counter() - selecting) * 1000.0
         return selection
 
-    def _route(self, entries: list) -> list:
-        """Per entry, ``(cell, part)`` of every group cell it meets (``part``
-        is the entry's own domain inside the cell): one numpy overlap pass
-        per axis; only the spans a tile meets reach Python."""
-        if not entries:
-            return []
-        lows = np.array([entry.domain.lower for entry in entries])
-        highs = np.array([entry.domain.upper for entry in entries])
-        per_axis: list = []
-        stride = 1
-        for axis in reversed(range(len(self.groups))):
-            span_lo, span_hi = np.array(self.groups[axis]).T
-            rows, spans = np.nonzero(
-                (span_lo <= highs[:, axis, None]) & (span_hi >= lows[:, axis, None])
-            )
-            met: list = [[] for _ in entries]
-            for row, span, lo, hi in zip(
-                rows.tolist(),
-                (spans * stride).tolist(),
-                np.maximum(span_lo[spans], lows[rows, axis]).tolist(),
-                np.minimum(span_hi[spans], highs[rows, axis]).tolist(),
-            ):
-                met[row].append((span, lo, hi))
-            per_axis.insert(0, met)
-            stride *= len(span_lo)
-        routed = []
-        for entry, *met in zip(entries, *per_axis):
-            routes = []
-            for combo in product(*met):
-                cells, low, high = zip(*combo)
-                whole = low == entry.domain.lower and high == entry.domain.upper
-                routes.append(
-                    (sum(cells), entry.domain if whole else MInterval(low, high))
-                )
-            routed.append(routes)
-        return routed
+    def _route(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every pair of a hit (``lo`` / ``hi`` rows) and a query cell it
+        meets, hit by hit in cell order: ``(hit, cell, low, high, cells)``
+        arrays, ``low`` / ``high`` bounding the hit's part inside the cell.
+        Per axis, one overlap pass finds the spans each hit meets; then
+        each hit's span combinations are numbered in mixed radix (DESIGN
+        §15)."""
+        axes = []
+        for axis, spans in enumerate(self.groups):
+            span_lo, span_hi = np.array(spans, dtype=np.int64).T
+            met, span = np.divmod(np.flatnonzero(
+                (span_lo <= hi[:, axis, None]) & (span_hi >= lo[:, axis, None])
+            ), len(spans))
+            counts = np.bincount(met, minlength=len(lo))
+            axes.append((span_lo, span_hi, span, counts, np.cumsum(counts) - counts))
+        fan = np.prod([counts for _lo, _hi, _span, counts, _first in axes], axis=0)
+        hit = np.repeat(np.arange(len(lo)), fan)
+        digits = np.arange(len(hit)) - np.repeat(np.cumsum(fan) - fan, fan)
+        picked = [np.empty(0, dtype=np.intp)] * len(axes)
+        for axis in reversed(range(len(axes))):  # the last axis varies fastest
+            _lo, _hi, span, counts, first = axes[axis]
+            digits, digit = np.divmod(digits, counts[hit])
+            picked[axis] = span[first[hit] + digit]
+        low = np.maximum(np.column_stack([a[0][at] for a, at in zip(axes, picked)]), lo[hit])
+        high = np.minimum(np.column_stack([a[1][at] for a, at in zip(axes, picked)]), hi[hit])
+        cell = np.ravel_multi_index(picked, [len(spans) for spans in self.groups])
+        return hit, cell, low, high, reduce(np.multiply, (high - low + 1).T)
 
     def exact(self, op: str) -> bool:
         """May ``op`` be combined from synopses and per-tile partials?
@@ -398,7 +417,8 @@ class ReadExecutor:
         if not exact:
             for selection in self.selections:
                 selection.items.extend(item[:3] for item in selection.answered)
-                selection.answered = []
+                selection.rows = np.concatenate([selection.rows, selection.answered_rows])
+                selection.answered, selection.answered_rows = [], selection.answered_rows[:0]
         return exact
 
     # -- run ---------------------------------------------------------------
@@ -421,9 +441,10 @@ class ReadExecutor:
         records = selection.store.database.store.records(
             [entry.blob_id for entry, _part, _routes in selection.items]
         )
-        ordered = sorted(zip(records, selection.items), key=lambda pair: pair[0].pages.start)
-        selection.records = [record for record, _item in ordered]
-        selection.items[:] = [item for _record, item in ordered]
+        order = np.argsort([record.pages.start for record in records], kind="stable")
+        selection.records = [records[at] for at in order.tolist()]
+        selection.items[:] = [selection.items[at] for at in order.tolist()]
+        selection.rows = selection.rows[order]
 
     def _decoded(self, database: "Database", items, records) -> list:
         return fetch_tiles(database, [item[0] for item in items], self.dtype, records)
@@ -449,20 +470,28 @@ class ReadExecutor:
         started = time.perf_counter()
         if at is None:
             self._page_order(selection)
-            items, records = selection.items, selection.records
+            items, records, rows = selection.items, selection.records, selection.rows
         else:
             items, records = selection.items[at : at + 1], selection.records[at : at + 1]
+            rows = selection.rows[at : at + 1]
         timing = self.timing
         fetched = run(selection.store.database, items, records)
-        cost = 0.0
-        for (entry, part, _routes), record, tile in zip(items, records, fetched):
+        table = selection.table
+        assert table is not None
+        cells, lo, hi = table.cells[rows], table.lo.take(rows, axis=0), table.hi.take(rows, axis=0)
+        region = self.region
+        inside = reduce(np.logical_and, ((lo >= region.lowest) & (hi <= region.highest)).T)
+        aligned = int(cells[inside].sum())
+        timing.cells_fetched += int(cells.sum())
+        self._aligned_cells += aligned
+        self._border_cells += int(cells.sum()) - aligned
+        timing.tiles_read += len(fetched)
+        cost = 0.0  # page order, one tile at a time: t_o's bits depend on it
+        for record, tile in zip(records, fetched):
             cost += tile.cost
             timing.t_o += tile.cost
-            timing.tiles_read += 1
             timing.bytes_read += tile.payload_bytes
             timing.pages_read += record.pages.count
-            cells = entry.domain.cell_count
-            timing.cells_fetched += cells
             if tile.decode_ms:
                 timing.tiles_decoded += 1
                 timing.decode_ms += tile.decode_ms
@@ -471,10 +500,6 @@ class ReadExecutor:
             timing.pool_evictions += tile.pool_evicted
             timing.decoded_hits += tile.decoded_hit
             timing.decoded_misses += tile.decoded_miss
-            if part == entry.domain:
-                self._aligned_cells += cells
-            else:
-                self._border_cells += cells
         selection.model_ms += cost
         timing.fetch_ms += (time.perf_counter() - started) * 1000.0
         return fetched
@@ -498,11 +523,6 @@ class ReadExecutor:
         for selection in self.selections:
             for item, tile in zip(selection.items, selection.fetched):
                 yield (*item, tile)
-
-    def _key(self, entry: TileEntry):
-        """Deterministic combine order: tile id within one store, domain
-        corner across stores (tile ids are per store)."""
-        return entry.tile_id if self._seen is None else entry.domain.lowest
 
     def _shaped(self, values: list):
         """The sinks' result: a plain query's scalar, a GROUP BY's cube."""
@@ -597,34 +617,46 @@ class ReadExecutor:
         nor a partial)."""
         timing = self.timing
         started = time.perf_counter()
-        contributions: list[list] = [[] for _ in self.cell_counts]
         default_cells = list(self.cell_counts)
+        cells: list[int] = []
+        syns: list = []
+        keys = []
         answered = decoded = 0
         for sel in self.selections:
-            for cell, (pruned, covered) in enumerate(
-                zip(sel.pruned_cells, sel.covered)
-            ):
+            for cell, (pruned, covered) in enumerate(zip(sel.pruned_cells, sel.covered)):
                 default_cells[cell] += pruned - covered
-            for entry, _part, routes, syn in sel.answered:
-                answered += 1
+            rows = []
+            answered += len(sel.answered)
+            for (_entry, _part, routes, syn), row in zip(sel.answered, sel.answered_rows.tolist()):
                 for cell, _ in routes:
-                    contributions[cell].append((self._key(entry), syn))
-        for entry, _part, routes, tile in self._fetched():
-            if entry.virtual:
-                for cell, cell_part in routes:
-                    default_cells[cell] += cell_part.cell_count
-            decoded += bool(tile.partials)
-            for (cell, _), syn in zip(routes, tile.partials):
-                contributions[cell].append((self._key(entry), syn))
+                    cells.append(cell)
+                    syns.append(syn)
+                    rows.append(row)
+            for (entry, _part, routes), row, tile in zip(sel.items, sel.rows.tolist(), sel.fetched):
+                if entry.virtual:
+                    for cell, cell_part in routes:
+                        default_cells[cell] += cell_part.cell_count
+                decoded += bool(tile.partials)
+                for (cell, _), syn in zip(routes, tile.partials):
+                    cells.append(cell)
+                    syns.append(syn)
+                    rows.append(row)
+            # combine order: tile id within one store, domain corner across
+            # stores (tile ids are per store)
+            picked, table = np.array(rows, dtype=np.intp), sel.table
+            assert table is not None
+            keys.append(table.ids[picked, None] if self._seen is None else table.lo[picked])
         timing.tiles_synopsis_answered = answered
         timing.tiles_partial_agg = decoded
+        # one stable sort by (cell, key): each cell's partials in key order
+        by_cell = np.array(cells, dtype=np.int64)
+        order = np.lexsort((*np.concatenate(keys).T[::-1], by_cell))
+        ordered = [syns[at] for at in order.tolist()]
+        ends = np.cumsum(np.bincount(by_cell, minlength=len(self.cell_counts))).tolist()
         values = [
-            combine_aggregate(
-                op, self.dtype, [syn for _, syn in sorted(parts, key=lambda p: p[0])],
-                defaults, self.default, cells,
-            )
-            for parts, defaults, cells in zip(
-                contributions, default_cells, self.cell_counts
+            combine_aggregate(op, self.dtype, ordered[start:end], defaults, self.default, count)
+            for start, end, defaults, count in zip(
+                [0, *ends], ends, default_cells, self.cell_counts
             )
         ]
         self._charge_cpu(started)
@@ -720,7 +752,11 @@ class StoredMDD:
             domain=None,
             epoch=0,
             zones=self._zones,
+            mdd_type=mdd_type,
         )
+        #: The working state as a version, for reads inside a transaction;
+        #: built by the first such read, dropped by the next mutation.
+        self._working: Optional[ObjectVersion] = None
         #: Per-part account of the last finished query (one part here).
         self.last_scatter: Optional[ScatterStats] = None
 
@@ -735,6 +771,7 @@ class StoredMDD:
         state.  Outside a transaction (catalog reload, recovery replay)
         this is a no-op — those paths republish explicitly when done.
         """
+        self._working = None
         txn = self.database._current_txn()
         if txn is None or self in txn.dirtied:
             return
@@ -748,12 +785,14 @@ class StoredMDD:
 
     def _publish(self, epoch: int) -> None:
         """Freeze the working state as the readable version (at commit)."""
+        self._working = None
         self._published = ObjectVersion(
             tiles=self._tiles,
             index=self.index,
             domain=self._current_domain,
             epoch=epoch,
             zones=self._zones,
+            mdd_type=self.mdd_type,
         )
 
     def _restore_version(
@@ -766,6 +805,7 @@ class StoredMDD:
         self._current_domain = version.domain
         self._next_tile_id = next_tile_id
         self._published = version
+        self._working = None
 
     @contextmanager
     def _reader_view(
@@ -775,39 +815,31 @@ class StoredMDD:
 
         An explicit ``version`` (snapshot read) is used as-is — the
         snapshot holds the pin.  A thread inside its own transaction
-        reads the working state (read-your-own-writes).  Anyone else
-        pins the current epoch and reads the published version; the pin
-        is released when the block exits.
+        reads the working state (read-your-own-writes), as one version
+        kept until its next mutation.  Anyone else pins the current epoch
+        and reads the published version; the pin is released when the
+        block exits.
         """
         pin = None
-        if version is not None:
-            view = ReaderView(
-                version.tiles,
-                version.index,
-                version.domain,
-                version.zones,
-                version.epoch,
-            )
-        elif self.database._current_txn() is not None:
-            view = ReaderView(
-                self._tiles,
-                self.index,
-                self._current_domain,
-                self._zones,
-                self.database.epoch._current,
-            )
-        else:
+        if version is None and self.database._current_txn() is not None:
+            if self._working is None:
+                self._working = ObjectVersion(
+                    self._tiles,
+                    self.index,
+                    self._current_domain,
+                    self.database.epoch._current,
+                    self._zones,
+                    self.mdd_type,
+                )
+            version = self._working
+        elif version is None:
             epoch = self.database.epoch
             with epoch.latch:
                 pin = epoch.pin_locked()
-                published = self._published
-            view = ReaderView(
-                published.tiles,
-                published.index,
-                published.domain,
-                published.zones,
-                pin,
-            )
+                version = self._published
+        view = ReaderView(
+            version.index, version.domain, version.epoch if pin is None else pin, version
+        )
         try:
             yield view
         finally:
@@ -1027,22 +1059,19 @@ class StoredMDD:
         self, domain: MInterval, blob_id: int, codec: str = "none"
     ) -> int:
         """Register an existing BLOB as a tile: no data is copied — only
-        the tile table and the index grow.  Outside a transaction the
-        attached tile is visible to readers at once."""
+        the tile table and the index grow.  It commits as its own
+        transaction (or joins the caller's), so a published version, and
+        any snapshot holding it, never sees the new tile."""
         record = self.database.store.record(blob_id)  # raises when missing
-        self._admit_domain(domain)
-        expected = domain.cell_count * self.mdd_type.cell_size
-        if codec == "none" and record.byte_size != expected:
-            raise StorageError(
-                f"blob {blob_id} holds {record.byte_size} bytes, tile "
-                f"{domain} needs {expected}"
-            )
-        registered = self._register(domain, blob_id, codec, record.virtual, None)
-        if self.database._current_txn() is None:
-            epoch_mgr = self.database.epoch
-            with epoch_mgr.latch:
-                self._publish(epoch_mgr._current)
-        return registered
+        with self.database.transaction():
+            self._admit_domain(domain)
+            expected = domain.cell_count * self.mdd_type.cell_size
+            if codec == "none" and record.byte_size != expected:
+                raise StorageError(
+                    f"blob {blob_id} holds {record.byte_size} bytes, tile "
+                    f"{domain} needs {expected}"
+                )
+            return self._register(domain, blob_id, codec, record.virtual, None)
 
     def insert_virtual_tile(self, domain: MInterval) -> int:
         """Register a tile with synthesized content (benchmark-scale data).
@@ -1276,10 +1305,11 @@ class StoredMDD:
 
         With a ``predicate``, the result is the masked read
         ``np.where(predicate.mask(full), full, default)`` — cells failing
-        the predicate (and uncovered space) carry the default value.  A
-        :class:`~repro.index.zonemap.TilePruner` then drops intersected
-        tiles whose synopsis proves no cell can match *before* they are
-        fetched (``prune=False`` disables pruning for byte-identity
+        the predicate (and uncovered space) carry the default value.  One
+        :class:`~repro.index.zonemap.TilePruner` mask over the tile
+        table's synopsis columns then drops the intersected tiles whose
+        synopsis proves no cell can match *before* they are fetched
+        (``prune=False`` disables pruning for byte-identity
         verification); the result is byte-identical either way.
         """
         with self._pinned(version) as parts:
