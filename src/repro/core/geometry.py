@@ -20,6 +20,8 @@ import itertools
 import re
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.errors import (
     DimensionMismatchError,
     GeometryError,
@@ -531,25 +533,83 @@ def total_cells(intervals: Iterable[MInterval]) -> int:
 
 
 def pairwise_disjoint(intervals: Sequence[MInterval]) -> bool:
-    """True if no two intervals in the sequence intersect.
-
-    Quadratic; used for validation and tests, not hot paths.
-    """
-    for i, a in enumerate(intervals):
-        for b in intervals[i + 1:]:
-            if a.intersects(b):
-                return False
-    return True
+    """True if no two intervals in the sequence intersect, by one
+    :func:`overlapping_pairs` sweep over their packed bounds."""
+    return len(intervals) < 2 or not len(
+        overlapping_pairs(pack_bounds(intervals, intervals[0].dim))
+    )
 
 
 def covers_exactly(parts: Sequence[MInterval], whole: MInterval) -> bool:
-    """True if ``parts`` are disjoint and tile ``whole`` with no gap.
+    """True if ``parts`` are disjoint and tile ``whole`` with no gap."""
+    return pairwise_disjoint(parts) and fills(parts, whole)
 
-    Verified by cell-count accounting plus containment, which is exact for
-    disjoint boxes: equal total volume inside the region implies full cover.
-    """
-    if not pairwise_disjoint(parts):
-        return False
+
+def fills(parts: Sequence[MInterval], whole: MInterval) -> bool:
+    """True if ``parts`` lie inside ``whole`` and their cells sum to its
+    own — an exact cover when the parts are disjoint, since equal total
+    volume inside the region implies full cover."""
     if not all(whole.contains(p) for p in parts):
         return False
     return total_cells(parts) == whole.cell_count
+
+
+#: Int64 stand-ins for open bounds in packed arrays.
+NEG_INF = np.iinfo(np.int64).min
+POS_INF = np.iinfo(np.int64).max
+
+
+def pack_bounds(boxes: Sequence[Optional[MInterval]], dim: int) -> np.ndarray:
+    """Pack intervals into an ``(n, 2, dim)`` int64 array of bounds.
+
+    ``[:, 0, :]`` holds lower bounds, ``[:, 1, :]`` upper bounds.  Open
+    bounds become int64 ±infinity sentinels so comparisons still work; a
+    ``None`` box (an empty node) packs to an inverted interval that
+    intersects nothing.
+    """
+    rows: list[tuple] = []
+    for box in boxes:
+        if box is None:
+            rows.append((POS_INF,) * dim + (NEG_INF,) * dim)
+            continue
+        if box.dim != dim:
+            raise DimensionMismatchError(f"cannot pack {box} as {dim}-d")
+        row = box._lo + box._hi
+        if None in row:
+            row = tuple(NEG_INF if v is None else v for v in box._lo) + tuple(
+                POS_INF if v is None else v for v in box._hi
+            )
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(boxes), 2, dim)
+
+
+def overlapping_pairs(packed: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+    """Every intersecting pair of packed boxes as an ``(m, 2)`` array of
+    rows ``(i, j)``, ``i < j``, in sorted order.
+
+    A sort-and-sweep: sorted by the lower bound on the axis with the
+    most distinct ones, box ``k``'s candidates are the boxes after it
+    whose lower bound does not pass ``k``'s upper bound there (one
+    ``searchsorted``).  Candidates are tested on every axis, at most
+    ``chunk`` pairs at a time, so memory beyond the result stays
+    O(n + chunk) even when most boxes share the sweep axis.
+    """
+    n = len(packed)
+    lower, upper = packed[:, 0, :], packed[:, 1, :]
+    axis = max(range(packed.shape[2]), key=lambda a: len(np.unique(lower[:, a])))
+    order = np.argsort(lower[:, axis], kind="stable")
+    lower, upper = lower[order], upper[order]
+    ends = np.searchsorted(lower[:, axis], upper[:, axis], side="right")
+    counts = np.maximum(ends - np.arange(1, n + 1), 0)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    found = [np.empty((2, 0), np.int64)]
+    first = 0
+    while first < n:
+        last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + chunk, "right")) - 1)
+        left = np.repeat(np.arange(first, last), counts[first:last])
+        right = left + 1 + np.arange(offsets[first], offsets[last]) - offsets[left]
+        meet = ((lower[right] <= upper[left]) & (lower[left] <= upper[right])).all(axis=1)
+        found.append(np.sort(order[np.stack((left, right))[:, meet]], axis=0))
+        first = last
+    pairs = np.concatenate(found, axis=1)
+    return pairs.T[np.lexsort(pairs[::-1])]

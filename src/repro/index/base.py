@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.geometry import MInterval
-
-#: Substitutes for open bounds when packing intervals into int64 arrays.
-_NEG_INF = np.iinfo(np.int64).min
-_POS_INF = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -77,38 +73,6 @@ def entry_bytes(dim: int) -> int:
 # ----------------------------------------------------------------------
 # Vectorized bound arithmetic (the search hot path)
 # ----------------------------------------------------------------------
-
-def pack_bounds(
-    boxes: Sequence[Optional[MInterval]], dim: int
-) -> np.ndarray:
-    """Pack intervals into an ``(n, 2, dim)`` int64 array of bounds.
-
-    ``[:, 0, :]`` holds lower bounds, ``[:, 1, :]`` upper bounds.  Open
-    bounds become int64 ±infinity sentinels so comparisons still work; a
-    ``None`` box (an empty node) packs to an inverted interval that
-    intersects nothing.
-    """
-    packed = np.empty((len(boxes), 2, dim), dtype=np.int64)
-    for row, box in enumerate(boxes):
-        if box is None:
-            packed[row, 0, :] = _POS_INF
-            packed[row, 1, :] = _NEG_INF
-            continue
-        packed[row, 0, :] = [_NEG_INF if v is None else v for v in box.lower]
-        packed[row, 1, :] = [_POS_INF if v is None else v for v in box.upper]
-    return packed
-
-
-def region_bounds(region: MInterval) -> tuple[np.ndarray, np.ndarray]:
-    """A query region as ``(lower, upper)`` int64 vectors (open → ±inf)."""
-    lower = np.asarray(
-        [_NEG_INF if v is None else v for v in region.lower], dtype=np.int64
-    )
-    upper = np.asarray(
-        [_POS_INF if v is None else v for v in region.upper], dtype=np.int64
-    )
-    return lower, upper
-
 
 def intersecting_mask(
     packed: np.ndarray, lower: np.ndarray, upper: np.ndarray

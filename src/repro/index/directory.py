@@ -19,15 +19,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.geometry import MInterval
+from repro.core.geometry import MInterval, pack_bounds
 from repro.index.base import (
     IndexEntry,
     SearchResult,
     SpatialIndex,
     entry_bytes,
     intersecting_mask,
-    pack_bounds,
-    region_bounds,
 )
 from repro.storage.pages import DEFAULT_PAGE_SIZE, pages_needed
 
@@ -75,7 +73,7 @@ class DirectoryIndex(SpatialIndex):
                     [e.domain for e in self._entries],
                     self._entries[0].domain.dim,
                 )
-            lower, upper = region_bounds(region)
+            lower, upper = pack_bounds([region], region.dim)[0]
             mask = intersecting_mask(self._packed, lower, upper)
             hits = [self._entries[i] for i in np.flatnonzero(mask)]
         else:

@@ -28,15 +28,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.errors import IndexError_
-from repro.core.geometry import MInterval
+from repro.core.geometry import MInterval, pack_bounds
 from repro.index.base import (
     IndexEntry,
     SearchResult,
     SpatialIndex,
     entry_bytes,
     intersecting_mask,
-    pack_bounds,
-    region_bounds,
 )
 from repro.storage.pages import DEFAULT_PAGE_SIZE
 
@@ -298,7 +296,7 @@ class RPlusTreeIndex(SpatialIndex):
     def search(self, region: MInterval) -> SearchResult:
         hits: dict[int, IndexEntry] = {}
         visited = 0
-        lower, upper = region_bounds(region)
+        lower, upper = pack_bounds([region], region.dim)[0]
         stack = [self._root]
         while stack:
             node = stack.pop()

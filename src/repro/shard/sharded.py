@@ -65,7 +65,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.errors import DomainError, QueryError, StorageError
+from repro.core.errors import QueryError, StorageError
 from repro.core.geometry import MInterval
 from repro.core.mdd import Tile
 from repro.core.mddtype import MDDType
@@ -503,35 +503,6 @@ class ShardedMDD:
 
     # -- writes -------------------------------------------------------------
 
-    def _check_cross_shard_overlap(
-        self, groups: Dict[int, List[Tile]]
-    ) -> None:
-        """Overlaps a single shard's index cannot see: a new tile against
-        tiles stored on *other* shards, and same-batch tiles routed to
-        different owners."""
-        for owner, tiles in groups.items():
-            for tile in tiles:
-                for other, part in enumerate(self._parts):
-                    if other == owner:
-                        continue  # that shard's own _admit_domain checks
-                    hits = part.index.search(tile.domain)
-                    if hits.entries:
-                        raise DomainError(
-                            f"tile {tile.domain} overlaps stored tile "
-                            f"{hits.entries[0].domain} of {self.name!r} "
-                            f"on shard {other}"
-                        )
-        owners = sorted(groups)
-        for i, left in enumerate(owners):
-            for right in owners[i + 1 :]:
-                for a in groups[left]:
-                    for b in groups[right]:
-                        if a.domain.intersects(b.domain):
-                            raise DomainError(
-                                f"tile {a.domain} overlaps tile {b.domain} "
-                                f"in the same batch for {self.name!r}"
-                            )
-
     def write_tiles(self, tiles: Sequence[Tile]) -> List[int]:
         """Bulk insert: one WAL transaction on every owner shard.
 
@@ -549,6 +520,11 @@ class ShardedMDD:
         """Group ``tiles`` by owner shard and run each group as that
         shard's :meth:`StoredMDD._write` — for a load (``region`` given)
         every owner's transaction carries the domain closure."""
+        # Every shard admits the whole batch before any shard writes, so a
+        # tile stored on another shard, or one bound for another owner,
+        # refuses it too; each owner admits its share again as it stores.
+        for part in self._parts:
+            part._admit(tiles)
         # First batch for this curve layout pre-splits the ownership map
         # at the batch keys' quantiles (see ShardedDatabase.range_map).
         rmap = self.sdb.range_map(
@@ -560,7 +536,6 @@ class ShardedMDD:
         for tile in tiles:
             groups.setdefault(rmap.owner(self._key(tile.domain.lowest)), [])\
                 .append(tile)
-        self._check_cross_shard_overlap(groups)
         tile_ids: List[int] = []
         guard = (
             self.sdb.fanout_commit() if len(groups) > 1 else nullcontext()

@@ -304,20 +304,6 @@ class BlobStore(abc.ABC):
             self._pending.pop(blob_id, None)
         return written
 
-    def discard_pending(self) -> tuple[int, ...]:
-        """Drop buffered payloads (transaction abort); returns their ids.
-
-        The catalog entries stay — the in-memory database that issued the
-        aborted transaction is considered dead (crash semantics) and must
-        be reopened from the durable state.
-        """
-        with self._latch:
-            dropped = tuple(self._pending)
-            self._pending.clear()
-            for blob_id in dropped:
-                self._crc_stash.pop(blob_id, None)
-            return dropped
-
     def is_pending(self, blob_id: int) -> bool:
         """Whether the payload is still buffered (not on the backend)."""
         with self._latch:

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.errors import ChecksumError, ReproError
-from repro.core.geometry import MInterval
+from repro.core.geometry import MInterval, overlapping_pairs, pack_bounds
 from repro.index.zonemap import (
     TileSynopsis,
     compute_synopsis,
@@ -198,14 +198,16 @@ def _check_objects(
                         f"{expected} bytes, blob {blob_id} holds "
                         f"{record.byte_size}",
                     )
-                for other, other_id in domains:
-                    if domain.intersection(other) is not None:
-                        report.error(
-                            "tile-overlap",
-                            f"{name} tiles {other_id} and {tile_id} overlap "
-                            f"({other} vs {domain})",
-                        )
                 domains.append((domain, tile_id))
+            # Each overlapping pair once, by later tile then earlier tile.
+            pairs = overlapping_pairs(pack_bounds([d for d, _ in domains], mdd_type.dim))
+            for first, later in pairs[np.lexsort(pairs.T)]:
+                (other, other_id), (domain, tile_id) = domains[first], domains[later]
+                report.error(
+                    "tile-overlap",
+                    f"{name} tiles {other_id} and {tile_id} overlap "
+                    f"({other} vs {domain})",
+                )
             declared = payload.get("domain")
             if declared is not None and domains:
                 hull = MInterval.hull_of(d for d, _ in domains)

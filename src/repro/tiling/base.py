@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.errors import TilingError
 from repro.core.geometry import MInterval, covers_exactly
@@ -185,8 +185,3 @@ def blocks_from_axis_breaks(
         hi = [span[1] for span in combo]
         blocks.append(MInterval(lo, hi))
     return blocks
-
-
-def partition_cells(tiles: Iterable[MInterval], cell_size: int) -> int:
-    """Total bytes across a set of tile domains."""
-    return sum(t.cell_count for t in tiles) * cell_size

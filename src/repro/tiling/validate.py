@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.errors import TilingError
-from repro.core.geometry import MInterval, covers_exactly, pairwise_disjoint
+from repro.core.geometry import MInterval, fills, pairwise_disjoint
 
 
 def check_partition(domain: MInterval, tiles: Sequence[MInterval]) -> None:
@@ -20,9 +20,9 @@ def check_partition(domain: MInterval, tiles: Sequence[MInterval]) -> None:
     ``domain`` (disjoint, contained, gap-free)."""
     if not tiles:
         raise TilingError("no tiles")
-    if not pairwise_disjoint(list(tiles)):
+    if not pairwise_disjoint(tiles):
         raise TilingError("tiles overlap")
-    if not covers_exactly(list(tiles), domain):
+    if not fills(tiles, domain):
         raise TilingError(f"tiles do not exactly cover {domain}")
 
 
