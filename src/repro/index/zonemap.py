@@ -13,7 +13,7 @@ the same epoch as the tile it describes.  Two read-side consumers:
 * **Short-circuiting** — the condensers (``count_cells`` / ``min_cells``
   / ``max_cells`` / ``add_cells`` / ``avg_cells``) over fully-covered
   tiles are answered from the synopsis with zero decode, via
-  :func:`partial_aggregate_eligible` / :func:`combine_aggregate`.
+  :func:`cells_eligible` / :func:`combine_cells`.
 
 Every decision here is **conservative and exact**: a pruned tile
 provably contains no matching cell (the monotone relops are decided by
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -43,15 +43,14 @@ __all__ = [
     "TilePruner",
     "TileSynopsis",
     "ZoneColumns",
+    "cells_eligible",
     "check_aggregate",
-    "combine_aggregate",
+    "combine_cells",
     "compute_synopsis",
     "constant_synopsis",
     "note_synopsis_answered",
     "note_tiles_pruned",
-    "op_partials",
     "parse_predicate",
-    "partial_aggregate_eligible",
     "partial_synopsis",
     "synopsis_can_match",
 ]
@@ -329,7 +328,7 @@ def partial_synopsis(array: np.ndarray) -> TileSynopsis:
     ingest-side counter — this is a query-time partial aggregate, not a
     stored synopsis.  Feeding these into :func:`combine_aggregate` as
     ``syn_parts`` reproduces every condenser bitwise under the
-    :func:`partial_aggregate_eligible` guards, because ``nonzero`` /
+    :func:`cells_eligible` guards, because ``nonzero`` /
     ``vmin`` / ``vmax`` / ``vsum`` / ``nan_count`` are exact properties
     of the actual cells.
     """
@@ -338,37 +337,6 @@ def partial_synopsis(array: np.ndarray) -> TileSynopsis:
     if syn is None:  # callers pre-check the dtype; keep the guard anyway
         raise ValueError(f"cannot summarise dtype {a.dtype}")
     return syn
-
-
-def op_partials(stack: np.ndarray, op: Optional[str] = None) -> list[TileSynopsis]:
-    """One partial per leading-axis slice of ``stack`` (a batch of tile
-    parts), each field reduced for the whole batch in one numpy call.
-
-    Fills only what :func:`combine_aggregate` reads for ``op``, the other
-    fields staying neutral: ``count_cells`` → ``nonzero``; ``add_cells``
-    / ``avg_cells`` → ``vsum``; ``min_cells`` / ``max_cells`` → the
-    NaN-ignoring extreme in ``vmin`` and ``vmax`` (``None`` exactly when
-    no comparable cell exists) and ``nan_count``.  ``op=None`` (and float
-    sums, which never push) gets the full :func:`partial_synopsis`.
-    """
-    if op is None or (stack.dtype.kind == "f" and op in ("add_cells", "avg_cells")):
-        return [partial_synopsis(part) for part in stack]
-    cells = stack[0].size
-    axes = tuple(range(1, stack.ndim))
-    if op == "count_cells":  # per part: count_nonzero has no fast path along axes
-        return [TileSynopsis(cells, int(np.count_nonzero(part)), None, None, 0) for part in stack]
-    if op in ("add_cells", "avg_cells"):
-        return [TileSynopsis(cells, 0, None, None, s) for s in stack.sum(axis=axes).tolist()]
-    if op not in ("min_cells", "max_cells"):
-        raise KeyError(f"unknown aggregate {op!r}")
-    # fmin / fmax skip NaN: only an all-NaN part reduces to NaN
-    extremes = (np.fmin if op == "min_cells" else np.fmax).reduce(stack, axis=axes).tolist()
-    nans = np.isnan(stack).sum(axis=axes).tolist() if stack.dtype.kind == "f" else [0] * len(stack)
-    partials = []
-    for extreme, nan_count in zip(extremes, nans):
-        value = None if nan_count == cells else extreme
-        partials.append(TileSynopsis(cells, 0, value, value, 0, nan_count))
-    return partials
 
 
 def constant_synopsis(
@@ -432,14 +400,31 @@ class CellPredicate:
             )
 
     def mask(self, array: np.ndarray) -> np.ndarray:
-        """Boolean mask of cells satisfying the predicate."""
-        # np.asarray gives the constant a concrete dtype, so comparison
-        # follows ordinary promotion (no out-of-range surprises against
-        # unsigned arrays).
-        return _PRED_OPS[self.op](array, np.asarray(self.value))
+        """Boolean mask of cells satisfying the predicate: numpy's promoted
+        comparison, cell for cell, with the constant in the cell dtype
+        whenever that gives the same answer (:func:`_operand`)."""
+        return _PRED_OPS[self.op](array, _operand(self.value, array.dtype))
 
     def __str__(self) -> str:
         return f"cell {self.op} {self.value}"
+
+
+@lru_cache(maxsize=256, typed=True)
+def _operand(value: Union[int, float], dtype: np.dtype) -> object:
+    """The constant a ``dtype`` array is compared against, fixed once per
+    (constant, dtype): in ``dtype`` itself — no promotion of every cell —
+    when that is the promoted comparison, i.e. the constant is exact in
+    ``dtype`` and the promoted type holds every cell exactly (not int64
+    cells against a float); else ``np.asarray(value)``."""
+    promoted = np.asarray(value)
+    wide_int = dtype.kind in "iu" and dtype.itemsize > 4
+    if dtype.kind not in "biuf" or (wide_int and np.result_type(dtype, promoted).kind == "f"):
+        return promoted
+    try:
+        native = dtype.type(value)
+    except (OverflowError, ValueError):  # past the dtype's range
+        return promoted
+    return native if native.item() == value else promoted
 
 
 def parse_predicate(text: str) -> CellPredicate:
@@ -522,6 +507,16 @@ class ZoneColumns:
         highs = [0 if syn is None or syn.vmax is None else syn.vmax for syn in self.syns]
         return np.asarray(lows, dtype=self.dtype), np.asarray(highs, dtype=self.dtype)
 
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """``max(|vmin|, |vmax|)`` per row of an integer cube as uint64,
+        exact at the int64 extremes (0 where a row bounds no cell), on
+        the first sum or average that must be bounded."""
+        return np.array([
+            0 if syn is None or syn.vmin is None else max(abs(syn.vmin), abs(syn.vmax or 0))
+            for syn in self.syns
+        ], dtype=np.uint64)
+
 
 class TilePruner:
     """Partition index hits into fetchable and provably-irrelevant tiles.
@@ -577,102 +572,100 @@ class TilePruner:
 # ---------------------------------------------------------------------------
 
 
-def partial_aggregate_eligible(
-    op: str,
-    dtype: np.dtype,
-    synopses: Iterable[Optional[TileSynopsis]],
-    uncovered: int,
-    default: object,
-    region_cells: int,
-    masked: bool = False,
+def cells_eligible(
+    op: str, dtype: np.dtype, routed: Iterable[tuple[ZoneColumns, np.ndarray, np.ndarray]],
+    uncovered: Sequence[int], default: object, counts: Sequence[int], masked: bool = False,
 ) -> bool:
-    """May ``op`` be computed as per-tile partials combined at the top?
+    """May ``op`` be combined from per-tile partials in every query cell?
 
-    ``synopses`` covers **every** intersecting tile (``None`` when a tile
-    has no synopsis).  Each contributes either its stored synopsis (fully
-    covered: zero decode) or a :func:`partial_synopsis` of its decoded
-    (clipped, optionally masked) cells, and the coordinator combines them
-    in tile-id order.  ``count``/``min``/``max`` partials are exact
-    selections and counts for every numeric dtype, so they are always
-    eligible — the per-tile combination never re-associates a float sum.
-    Integer ``add``/``avg`` need a synopsis-backed bound on every cell
-    magnitude (tiles *and* the uncovered default): the *materialized*
-    reduction this path must reproduce uses the wrapping int64/uint64
-    accumulator and the float64 mean, which the exact Python-int partial
-    combination only matches below those bounds; float ``add``/``avg``
-    are never eligible and must fall back to materialize-then-reduce.
-
-    ``masked`` marks a cell-predicate query: failing cells then carry
-    the default value *inside* tiles, so ``|default|`` always enters the
-    magnitude bound, not only when the region has uncovered space.
+    ``routed`` holds, per selection, its zone columns and the ``(row,
+    cell)`` pairs of every non-pruned hit meeting a cell; ``uncovered``
+    and ``counts`` are per cell.  ``count``/``min``/``max`` partials are
+    exact for every numeric dtype.  Integer ``add``/``avg`` must match the
+    wrapping int64/uint64 accumulator and the float64 mean of the
+    materialized cells, so every routed hit needs a synopsis and
+    ``cells * max|v|`` stays below ``_SUM_BOUND`` / ``_AVG_BOUND``: one
+    grouped max of the rows' magnitudes per cell, compared in uint64 with
+    ``(bound - 1) // cells``.  ``|default|`` enters the cells with
+    uncovered space — every cell when ``masked`` (a cell predicate puts
+    the default inside tiles).  Float ``add``/``avg`` never qualify.
     """
     if dtype.fields is not None or dtype.kind not in "biuf":
         return False
     if op in ("count_cells", "min_cells", "max_cells"):
         return True
-    if op not in ("add_cells", "avg_cells"):
+    if op not in ("add_cells", "avg_cells") or dtype.kind == "f":
         return False
-    if dtype.kind == "f":
-        return False
-    max_abs = abs(default) if (uncovered or masked) else 0  # type: ignore[arg-type]
-    for syn in synopses:
-        if syn is None:
-            return False
-        if syn.cell_count == 0:
-            continue
-        if syn.vmin is None:
-            return False
-        max_abs = max(max_abs, abs(syn.vmin), abs(syn.vmax))
     bound = _SUM_BOUND if op == "add_cells" else _AVG_BOUND
-    return region_cells * max_abs < bound
+    sizes = np.asarray(counts, dtype=np.uint64)
+    peak = np.zeros(len(sizes), dtype=np.uint64)
+    for zones, rows, cells in routed:
+        live = zones.cells[rows] > 0  # an empty tile bounds nothing
+        if not (zones.has[rows].all() and zones.comparable[rows[live]].all()):
+            return False
+        np.maximum.at(peak, cells, zones.magnitude[rows])
+    if not (peak <= (bound - 1) // sizes).all():  # cells * peak < bound; cells >= 1
+        return False
+    needs = np.ones(len(sizes), dtype=bool) if masked else np.asarray(uncovered) != 0
+    magnitude = abs(default)  # type: ignore[arg-type]
+    return all(size * magnitude < bound for size in set(sizes[needs].tolist()))
 
 
-def combine_aggregate(
-    op: str,
-    dtype: np.dtype,
-    syn_parts: Sequence[TileSynopsis],
-    default_cells: int,
-    default: object,
-    region_cells: int,
-) -> Union[int, float, bool]:
-    """Exact aggregate from per-tile synopses + default fill.
+def combine_cells(
+    op: str, dtype: np.dtype, cells: np.ndarray, parts: Sequence[TileSynopsis],
+    keys: np.ndarray, default_cells: Sequence[int], default: object, counts: Sequence[int],
+) -> list:
+    """Every query cell's exact aggregate from its partials, as column passes.
 
-    ``syn_parts`` are the stored synopses of fully-covered tiles
-    answered without decode and the :func:`partial_synopsis` of every
-    decoded fragment; ``default_cells`` counts cells carrying the
-    default value (uncovered space and virtual fragments).  Under
-    :func:`partial_aggregate_eligible`'s guards the result equals
-    ``AGG_FUNCS[op]`` applied to the composed region bitwise.
+    ``parts`` are answered tiles' synopses and decoded fragments'
+    partials; ``cells`` and ``keys`` (int64 rows, compared
+    lexicographically) give each one's query cell and combine order, and
+    ``default_cells`` the cells per query cell holding the default.
+    Counts and integer sums add in int64 and an average divides in
+    float64, exact under :func:`cells_eligible`'s guards; an extreme is
+    the first in key order of the smallest (largest) value, the default
+    last, and NaN propagates in a float cube.  Per cell the value is
+    ``AGG_FUNCS[op]`` of the composed cell, bitwise.
     """
     # the dtype's scalar, exactly what a default-filled fragment holds (a
     # default of 7 is True in a bool cube; 0.0 in a float one, not 0)
     default = dtype.type(default).item()
-    if op == "count_cells":
-        total = sum(s.nonzero for s in syn_parts)
-        if default_cells and default != 0:  # NaN default: != 0 is True
-            total += default_cells
-        return total
-    if op in ("min_cells", "max_cells"):
-        pick = min if op == "min_cells" else max
-        saw_nan = False
-        values: list = []
-        for syn in syn_parts:
-            if syn.nan_count:
-                saw_nan = True
-            if syn.vmin is not None:
-                values.append(syn.vmin if op == "min_cells" else syn.vmax)
-        if default_cells:
-            if isinstance(default, float) and math.isnan(default):
-                saw_nan = True
-            else:
-                values.append(default)
-        if saw_nan and dtype.kind == "f":
-            return float("nan")  # np.min/np.max propagate NaN
-        return pick(values)
-    if op in ("add_cells", "avg_cells"):
-        total = sum(int(s.vsum) for s in syn_parts)
-        total += int(default) * default_cells  # type: ignore[call-overload]
-        if op == "add_cells":
-            return total
-        return total / region_cells
-    raise KeyError(f"unknown aggregate {op!r}")
+    cells = np.asarray(cells, dtype=np.intp)
+    fill = np.asarray(default_cells, dtype=np.int64)
+    if op in ("count_cells", "add_cells", "avg_cells"):
+        fields = [syn.nonzero if op == "count_cells" else int(syn.vsum) for syn in parts]
+        totals = np.zeros(len(fill), dtype=np.int64)
+        np.add.at(totals, cells, np.array(fields, dtype=np.int64))
+        if op == "count_cells":
+            totals += fill * (default != 0)  # NaN default: != 0 is True
+        elif default and fill.any():
+            totals += int(default) * fill  # type: ignore[call-overload]
+        if op == "avg_cells":
+            return (totals / np.asarray(counts, dtype=np.int64)).tolist()
+        return totals.tolist()
+    if op not in ("min_cells", "max_cells"):
+        raise KeyError(f"unknown aggregate {op!r}")
+    nan = np.zeros(len(fill), dtype=bool)
+    nan[cells[[syn.nan_count > 0 for syn in parts]]] = True
+    has = np.array([syn.vmin is not None for syn in parts], dtype=bool)
+    pick = "vmin" if op == "min_cells" else "vmax"
+    extremes = [getattr(syn, pick) for syn in parts if syn.vmin is not None]
+    filled = np.flatnonzero(fill)
+    if isinstance(default, float) and math.isnan(default):
+        nan[filled] = True
+        filled = filled[:0]
+    last = np.full((len(filled), keys.shape[1]), np.iinfo(np.int64).max)  # the default
+    values = np.array(extremes + [default] * len(filled), dtype=dtype)
+    owner = np.concatenate([cells[has], filled])
+    # per cell, the smallest (largest: sort reversed, keys negated) value,
+    # then the first in key order: the first-met of equal extremes wins
+    sign = 1 if op == "min_cells" else -1
+    order = sign * np.concatenate([keys[has], last])
+    sort = np.lexsort((*order.T[::-1], values, owner))[::sign]
+    picked = sort[np.flatnonzero(np.diff(owner[sort], prepend=-1))]
+    out: list = [None] * len(fill)
+    for cell, value in zip(owner[picked].tolist(), values[picked].tolist()):
+        out[cell] = value
+    for cell in np.flatnonzero(nan).tolist() if dtype.kind == "f" else ():
+        out[cell] = float("nan")  # np.min/np.max propagate NaN
+    return out

@@ -19,8 +19,8 @@ Determinism rules the plan encodes (see DESIGN §15):
 * partials are combined in **tile-id order**, never completion order, so
   repeated runs and the materialized path agree bitwise;
 * pushdown of ``add_cells``/``avg_cells`` is taken only when
-  :func:`~repro.index.zonemap.partial_aggregate_eligible` proves the
-  exact Python-int combination reproduces the numpy accumulator — float
+  :func:`~repro.index.zonemap.cells_eligible` proves the
+  exact integer combination reproduces the numpy accumulator — float
   sums re-associate, so they always run the materialize fallback;
 * pruned tiles and uncovered space contribute default-valued cells,
   exactly as the masked materialized box would.

@@ -21,7 +21,7 @@ one sink.  Fragments are therefore reassembled by *the* compose code —
 per-cell masking and default fill included — and tiles are disjoint
 across shards, so copy order cannot change the result; aggregation
 pushdown combines per-tile partials with the order-insensitive
-:func:`~repro.index.zonemap.combine_aggregate` under one global
+:func:`~repro.index.zonemap.combine_cells` under one global
 exactness decision, so a pushed aggregate is bitwise-equal no matter how
 tiles are spread.
 

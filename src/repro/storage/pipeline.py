@@ -14,8 +14,10 @@ This module turns that per-tile chain into a small pipeline:
 * **workers** (an optional :class:`~concurrent.futures.ThreadPoolExecutor`
   owned by the :class:`~repro.storage.tilestore.Database`) run the
   order-free CPU work — ``decompress`` + ``frombuffer``, then on the
-  aggregation pushdown clip → mask → reduce — concurrently.  ``zlib``
-  releases the GIL, so compressed tiles genuinely overlap;
+  aggregation pushdown the per-tile kernel (:class:`_Reducer`) —
+  concurrently; decoded-cache hits run the same kernel in place on the
+  calling thread.  ``zlib`` releases the GIL, so compressed tiles
+  genuinely overlap;
 * **decoded-cache admissions** happen after the whole batch, in page
   order, in *both* modes, so the LRU evolves identically and a tiny cache
   cannot make serial and parallel disagree on later hits.
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.index.zonemap import CellPredicate, TileSynopsis, op_partials
+from repro.index.zonemap import CellPredicate, TileSynopsis, partial_synopsis
 from repro.storage.compression import decompress
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids a cycle)
@@ -87,10 +89,9 @@ class FetchedTile:
 
     On the pushdown path (:func:`fetch_tile_partials`) ``array`` stays
     ``None`` and ``partials`` summarises the predicate-masked cells of
-    each of the tile's parts, in order
-    (:func:`~repro.index.zonemap.op_partials`).  A virtual tile has
-    neither: its clipped cells are all defaults, and the caller accounts
-    them as default fill.  From :func:`fetch_payloads` only ``payload``
+    each of the tile's parts, in order (:class:`_Reducer`).  A virtual
+    tile has neither: its clipped cells are all defaults, and the caller
+    accounts them as default fill.  From :func:`fetch_payloads` only ``payload``
     is set: the stored bytes, undecoded.  The ``decoded_*`` / ``pool_*``
     outcomes are this fetch's own lookups' (none made: both ``False`` /
     ``pool_hit`` ``None``).
@@ -112,25 +113,34 @@ class FetchedTile:
 
 
 class _Reducer:
-    """The pushdown's per-tile step: clip → mask → summarise, once per
-    part (a tile straddling GROUP BY cells has one part per cell it
-    meets) from one decoded array.  Given the query's ``op`` it fills only
-    what that op's combine reads (:func:`~repro.index.zonemap.op_partials`).
+    """The pushdown's per-tile kernel: mask → reduce each part of one
+    decoded tile as a view of it (a tile straddling GROUP BY cells has
+    one part per cell it meets).  Given the query's ``op`` it fills only
+    what that op's combine reads: ``count_cells`` → ``nonzero``;
+    ``add_cells`` / ``avg_cells`` → ``vsum``; ``min_cells`` /
+    ``max_cells`` → the NaN-ignoring extreme in ``vmin`` and ``vmax``
+    (``None`` exactly when no comparable cell exists) and ``nan_count``.
+    ``op=None`` (and float sums, which never push) gets the full
+    :func:`~repro.index.zonemap.partial_synopsis`.  Fixed once per query:
+    a multiply mask for a zero default on an integer cube, and whether
+    the predicate rejects 0 — then a part's ``nonzero`` counts its mask.
 
     Also tracks the decoded bytes concurrently alive inside it and their
-    high-water mark (``peak``), under its own lock: workers reduce in
-    parallel.
+    high-water mark (``peak``), under its own lock: each reducing thread
+    holds one tile's temporaries at a time.
     """
 
     def __init__(
-        self,
-        predicate: Optional[CellPredicate],
-        default_cell: np.ndarray,
-        op: Optional[str] = None,
+        self, predicate: Optional[CellPredicate], default_cell: np.ndarray, op: Optional[str] = None
     ) -> None:
         self.predicate = predicate
         self.default_cell = default_cell
         self.op = op
+        dtype = default_cell.dtype
+        self.full = op is None or (dtype.kind == "f" and op in ("add_cells", "avg_cells"))
+        self.multiply = dtype.kind in "biu" and not default_cell
+        self.mask_counts = predicate is not None and not predicate.mask(np.zeros((), dtype))
+        self.extreme = np.fmin if op == "min_cells" else np.fmax  # skip NaN, as _summarize
         self._latch = threading.Lock()
         self._live = 0
         self.peak = 0
@@ -149,52 +159,56 @@ class _Reducer:
                 self._live -= nbytes
             _PARTIAL_LIVE_BYTES.dec(nbytes)
 
-    def _summaries(self, stack: np.ndarray) -> list[TileSynopsis]:
-        """Mask a stack of parts once and reduce it to one partial each."""
-        if self.predicate is not None:
-            stack = np.where(self.predicate.mask(stack), stack, self.default_cell)
-        return op_partials(stack, self.op)
+    def reduce(self, values: np.ndarray) -> TileSynopsis:
+        """The kernel: one part's partial, from a view of its cells."""
+        predicate, op, cells = self.predicate, self.op, values.size
+        if predicate is not None:
+            mask = predicate.mask(values)
+            if op == "count_cells" and self.mask_counts:  # passing cells are nonzero
+                passed = int(np.count_nonzero(mask))
+                failed = cells - passed if self.default_cell != 0 else 0  # NaN != 0
+                return TileSynopsis(cells, passed + failed, None, None, 0)
+            if self.multiply:  # the same cells as np.where with a 0 default
+                values = values * mask
+            else:
+                values = np.where(mask, values, self.default_cell)
+        if self.full:
+            return partial_synopsis(values)
+        if op == "count_cells":
+            return TileSynopsis(cells, int(np.count_nonzero(values)), None, None, 0)
+        if op in ("add_cells", "avg_cells"):
+            return TileSynopsis(cells, 0, None, None, int(values.sum()))
+        if op not in ("min_cells", "max_cells"):
+            raise KeyError(f"unknown aggregate {op!r}")
+        nans = int(np.isnan(values).sum()) if values.dtype.kind == "f" else 0
+        # only an all-NaN part has no extreme
+        extreme = None if nans == cells else self.extreme.reduce(values, axis=None).item()
+        return TileSynopsis(cells, 0, extreme, extreme, 0, nans)
+
+    def parts(
+        self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
+    ) -> tuple[TileSynopsis, ...]:
+        """One tile's partials, one per part, in order."""
+        if len(parts) == 1 and parts[0] == entry.domain:
+            return (self.reduce(array),)
+        origin = entry.domain.lowest
+        return tuple(self.reduce(array[part.to_slices(origin)]) for part in parts)
 
     def __call__(
         self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
     ) -> tuple[TileSynopsis, ...]:
+        """A worker's reduce of one decoded miss."""
         with self._holding(array.nbytes):
-            _PARTIAL_AGGS.inc(len(parts))
-            return tuple(
-                self._summaries(array[part.to_slices(entry.domain.lowest)][None])[0]
-                for part in parts
-            )
+            return self.parts(array, entry, parts)
 
-    def hits(
-        self,
-        tiles: Sequence[tuple[FetchedTile, np.ndarray, Sequence["MInterval"]]],
-        chunk: int,
-    ) -> None:
-        """Reduce decoded-cache hits on the calling thread.  With an op,
-        hits whose one part is the whole tile (equal to the entry's
-        domain) are grouped by shape and reduced in stacks of at most
-        ``chunk`` tiles; the rest take the per-part path."""
-        shapes: dict[tuple, list] = {}
-        for tile, array, parts in tiles:
-            if self.op is not None and len(parts) == 1 and parts[0] == tile.entry.domain:
-                shapes.setdefault(array.shape, []).append((tile, array))
-            else:
-                tile.partials = self(array, tile.entry, parts)
-        batches = [
-            group[start : start + chunk]
-            for group in shapes.values()
-            for start in range(0, len(group), chunk)
-        ]
-        if not batches:
+    def hits(self, tiles: Sequence[tuple[FetchedTile, np.ndarray, Sequence["MInterval"]]]) -> None:
+        """Reduce decoded-cache hits on the calling thread, one tile at a
+        time, each in place (no copy): the largest is all it holds."""
+        if not tiles:
             return
-        _PARTIAL_AGGS.inc(sum(map(len, batches)))
-        # one stack at a time: the largest is all that is ever alive
-        with self._holding(max(len(batch) * batch[0][1].nbytes for batch in batches)):
-            for batch in batches:
-                arrays = [array for _, array in batch]
-                stack = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-                for (tile, _), partial in zip(batch, self._summaries(stack)):
-                    tile.partials = (partial,)
+        with self._holding(max(array.nbytes for _, array, _ in tiles)):
+            for tile, array, parts in tiles:
+                tile.partials = self.parts(array, tile.entry, parts)
 
 
 def _decode(
@@ -305,10 +319,11 @@ def _fetch(
 
     With a reducer the decoded arrays are dropped, never admitted to
     the decoded cache: a retain-all admission pass would defeat the
-    one-tile-per-worker memory bound.  Cache hits are still consulted,
-    and reduced on the calling thread before any miss is read
-    (:meth:`_Reducer.hits`: same-shape whole tiles in stacks of at most
-    ``io_workers``, so the peak stays within ``io_workers`` tiles).
+    one-tile-per-thread memory bound.  Cache hits are still consulted,
+    and reduced in place on the calling thread, one tile at a time,
+    before any miss is read (:meth:`_Reducer.hits`); each worker then
+    holds one decoded miss at a time, so at most ``io_workers`` tiles
+    are alive at once, and one when every tile is a hit.
     """
     cache = database.decoded_cache
     if records is None:
@@ -337,7 +352,7 @@ def _fetch(
         else:
             hits.append((tile, array, parts[position]))
     if reduce is not None:
-        reduce.hits(hits, max(1, database.io_workers))
+        reduce.hits(hits)
 
     for position, tile, payload in _read_runs(database, misses):
         fetched[position] = tile
@@ -422,10 +437,11 @@ def fetch_tile_partials(
     ``predicate`` and reduced to one
     :class:`~repro.index.zonemap.TileSynopsis` per part instead of being
     returned — a tile is decoded once however many parts it has — so
-    the query box is never materialized and peak memory stays at
-    ``io_workers`` decoded tiles plus the partials table.  With ``op``
-    a partial carries only the fields that op's combine reads
-    (:func:`~repro.index.zonemap.op_partials`); without, the full
+    the query box is never materialized.  Each reducing thread holds
+    one tile's temporaries: the calling thread one cached tile, the
+    workers at most ``io_workers`` decoded misses.  With ``op`` a
+    partial carries only the fields that op's combine reads
+    (:class:`_Reducer`); without, the full
     :func:`~repro.index.zonemap.partial_synopsis`.
 
     Returns the tiles in ``items`` order plus the observed peak of
@@ -440,4 +456,5 @@ def fetch_tile_partials(
         reducer,
         records,
     )
+    _PARTIAL_AGGS.inc(sum(len(tile.partials) for tile in fetched))
     return fetched, reducer.peak

@@ -24,9 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from itertools import chain, product
+from itertools import chain, compress, product
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,12 +48,12 @@ from repro.index.zonemap import (
     CellPredicate,
     TilePruner,
     TileSynopsis,
+    cells_eligible,
     check_aggregate,
-    combine_aggregate,
+    combine_cells,
     constant_synopsis,
     note_synopsis_answered,
     note_tiles_pruned,
-    partial_aggregate_eligible,
 )
 from repro.query.timing import LoadStats, QueryTiming
 from repro.storage.backends import MemoryBlobStore
@@ -145,9 +145,6 @@ class _Selection:
     #: Per cell: cells of the hits meeting it, and of the pruned ones.
     covered: list
     pruned_cells: list
-    #: Per cell: synopsis (or ``None``) of every non-pruned hit meeting
-    #: it — what that cell's exactness decision bounds magnitudes with.
-    syns: list
     #: ``(entry, part, routes)`` of every tile still to fetch (``part``:
     #: the tile clipped to the query region).
     items: list = field(default_factory=list)
@@ -300,9 +297,7 @@ class ReadExecutor:
         lo, hi = table.lo.take(rows, axis=0), table.hi.take(rows, axis=0)
         low, high = np.array(region.lowest), np.array(region.highest)
         inside = reduce(np.logical_and, ((lo >= low) & (hi <= high)).T)  # per axis: short rows
-        selection = _Selection(
-            store, view.epoch, page_ix, [0] * cells, [0] * cells, [], table=table
-        )
+        selection = _Selection(store, view.epoch, page_ix, [0] * cells, [0] * cells, table=table)
         self.selections.append(selection)
         can = np.ones(len(rows), dtype=bool)
         if condense:  # every (hit, cell) pair; a hit in a gap between cells is dropped
@@ -321,7 +316,6 @@ class ReadExecutor:
         clip = np.maximum(lo[border], low).tolist(), np.minimum(hi[border], high).tolist()
         clipped = dict(zip(border.tolist(), map(MInterval.bounded, *clip)))
         if not condense:
-            selection.syns = [[] for _ in range(cells)]
             selection.rows = rows[kept]
             selection.items = [
                 (entries[row], clipped.get(at, domains[row]), ())
@@ -333,11 +327,6 @@ class ReadExecutor:
             selection.pruned_cells = np.bincount(
                 cell[~live], part_cells[~live], cells
             ).astype(np.int64).tolist()
-            # per cell, the synopsis of every non-pruned hit meeting it, in hit order
-            by_cell = rows[met[live][np.argsort(cell[live], kind="stable")]].tolist()
-            flat = [syns[row] for row in by_cell]
-            ends = np.cumsum(np.bincount(cell[live], minlength=cells)).tolist()
-            selection.syns = [flat[start:end] for start, end in zip([0, *ends], ends)]
             whole = part_cells == table.cells[rows][met]  # a part lies inside its tile
             all_whole = np.bincount(met[~whole], minlength=len(rows)) == 0
             answerable = self.predicate is None and self.prune  # else every hit is fetched
@@ -394,25 +383,27 @@ class ReadExecutor:
     def exact(self, op: str) -> bool:
         """May ``op`` be combined from synopses and per-tile partials?
 
-        One :func:`~repro.index.zonemap.partial_aggregate_eligible`
-        decision per cell over every selection, with exactly the inputs
-        that cell alone would pass: the combination must equal
+        One :func:`~repro.index.zonemap.cells_eligible` decision over
+        every cell at once, each cell with exactly the inputs it alone
+        would have: the ``(row, cell)`` pairs routing its non-pruned hits
+        in every selection, over that selection's zone columns, and its
+        uncovered cells.  The combination must equal
         materialize-then-reduce bitwise in every cell.  When it may not
         in some cell, the synopsis shortcut is off the table too — the
         answered tiles rejoin the fetch items, so every non-pruned tile
         is fetched and the region materialized.
         """
-        exact = all(
-            partial_aggregate_eligible(
-                op,
-                self.dtype,
-                chain.from_iterable(sel.syns[cell] for sel in self.selections),
-                cells - sum(sel.covered[cell] for sel in self.selections),
-                self.default,
-                cells,
-                masked=self.predicate is not None,
-            )
-            for cell, cells in enumerate(self.cell_counts)
+        routed = (  # read only by integer sums and averages
+            (sel.table.zones, *self._pairs(
+                np.concatenate([sel.rows, sel.answered_rows]), chain(sel.items, sel.answered)
+            ))
+            for sel in self.selections
+            if sel.table is not None
+        )
+        covered = np.sum([sel.covered for sel in self.selections], axis=0)
+        exact = cells_eligible(
+            op, self.dtype, routed, np.subtract(self.cell_counts, covered), self.default,
+            self.cell_counts, masked=self.predicate is not None,
         )
         if not exact:
             for selection in self.selections:
@@ -420,6 +411,14 @@ class ReadExecutor:
                 selection.rows = np.concatenate([selection.rows, selection.answered_rows])
                 selection.answered, selection.answered_rows = [], selection.answered_rows[:0]
         return exact
+
+    @staticmethod
+    def _pairs(rows: np.ndarray, items: Iterable) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(row, cell)`` pairs of hits routed to cells, in route
+        order: ``rows`` are the hits' table rows, ``items`` the hits."""
+        routes = [item[2] for item in items]
+        cells = np.array([cell for r in routes for cell, _ in r], dtype=np.intp)
+        return np.repeat(rows, [len(r) for r in routes]), cells
 
     # -- run ---------------------------------------------------------------
 
@@ -611,54 +610,41 @@ class ReadExecutor:
 
     def combine(self, op: str):
         """Pushdown sink: merge the per-tile partials (worker-reduced
-        and synopsis-answered alike) per cell, in deterministic key
-        order, with each cell's default cells: uncovered space, pruned
-        parts, and fetched virtual tiles (which carry neither an array
-        nor a partial)."""
+        and synopsis-answered alike) of every cell in column passes
+        (:func:`~repro.index.zonemap.combine_cells`), in deterministic
+        key order, with each cell's default cells: uncovered space,
+        pruned parts, and fetched virtual tiles (which carry neither an
+        array nor a partial)."""
         timing = self.timing
         started = time.perf_counter()
-        default_cells = list(self.cell_counts)
-        cells: list[int] = []
+        default_cells = np.array(self.cell_counts, dtype=np.int64)
+        cells: list = []
         syns: list = []
-        keys = []
-        answered = decoded = 0
+        keys: list = []
         for sel in self.selections:
-            for cell, (pruned, covered) in enumerate(zip(sel.pruned_cells, sel.covered)):
-                default_cells[cell] += pruned - covered
-            rows = []
-            answered += len(sel.answered)
-            for (_entry, _part, routes, syn), row in zip(sel.answered, sel.answered_rows.tolist()):
-                for cell, _ in routes:
-                    cells.append(cell)
-                    syns.append(syn)
-                    rows.append(row)
-            for (entry, _part, routes), row, tile in zip(sel.items, sel.rows.tolist(), sel.fetched):
-                if entry.virtual:
-                    for cell, cell_part in routes:
-                        default_cells[cell] += cell_part.cell_count
-                decoded += bool(tile.partials)
-                for (cell, _), syn in zip(routes, tile.partials):
-                    cells.append(cell)
-                    syns.append(syn)
-                    rows.append(row)
+            default_cells += np.subtract(sel.pruned_cells, sel.covered, dtype=np.int64)
+            real = np.array([not entry.virtual for entry, _part, _routes in sel.items], dtype=bool)
+            for _entry, _part, routes in compress(sel.items, ~real):
+                for cell, cell_part in routes:
+                    default_cells[cell] += cell_part.cell_count
+            rows, routed = self._pairs(
+                np.concatenate([sel.answered_rows, sel.rows[real]]),
+                chain(sel.answered, compress(sel.items, real)),
+            )
+            cells.append(routed)
+            syns += [item[3] for item in sel.answered for _ in item[2]]
+            syns += [syn for tile in compress(sel.fetched, real) for syn in tile.partials]
+            timing.tiles_synopsis_answered += len(sel.answered)
+            timing.tiles_partial_agg += int(real.sum())
             # combine order: tile id within one store, domain corner across
             # stores (tile ids are per store)
-            picked, table = np.array(rows, dtype=np.intp), sel.table
+            table = sel.table
             assert table is not None
-            keys.append(table.ids[picked, None] if self._seen is None else table.lo[picked])
-        timing.tiles_synopsis_answered = answered
-        timing.tiles_partial_agg = decoded
-        # one stable sort by (cell, key): each cell's partials in key order
-        by_cell = np.array(cells, dtype=np.int64)
-        order = np.lexsort((*np.concatenate(keys).T[::-1], by_cell))
-        ordered = [syns[at] for at in order.tolist()]
-        ends = np.cumsum(np.bincount(by_cell, minlength=len(self.cell_counts))).tolist()
-        values = [
-            combine_aggregate(op, self.dtype, ordered[start:end], defaults, self.default, count)
-            for start, end, defaults, count in zip(
-                [0, *ends], ends, default_cells, self.cell_counts
-            )
-        ]
+            keys.append(table.ids[rows, None] if self._seen is None else table.lo[rows])
+        values = combine_cells(
+            op, self.dtype, np.concatenate(cells), syns, np.concatenate(keys),
+            default_cells, self.default, self.cell_counts,
+        )
         self._charge_cpu(started)
         return self._shaped(values)
 
@@ -1429,15 +1415,16 @@ class StoredMDD:
         masked materialized box would), (2) answered straight from the
         stored synopsis with zero decode when fully covered and
         unpredicated, or (3) decoded on the pipeline workers, clipped,
-        masked, and reduced to a
-        :func:`~repro.index.zonemap.partial_synopsis` **on the worker** —
-        the decoded array is dropped immediately, so peak memory stays at
-        one tile per worker (reported in ``timing.peak_partial_bytes``)
-        and the query box is never materialized.  The coordinator then
+        masked, and reduced to a partial by the per-tile kernel **on the
+        worker** (cached tiles in place, on the calling thread) — the
+        decoded array is dropped immediately, so peak memory stays at one
+        tile per reducing thread (reported in
+        ``timing.peak_partial_bytes``) and the query box is never
+        materialized.  The coordinator then
         combines all partials in deterministic tile-id order.
 
         The combination is only taken when
-        :func:`~repro.index.zonemap.partial_aggregate_eligible` proves it
+        :func:`~repro.index.zonemap.cells_eligible` proves it
         bitwise-equal to materialize-then-reduce; otherwise (float
         sums/averages, unbounded integer ranges) this method falls back
         to the materialized reduction *inline* — the charges of a read of

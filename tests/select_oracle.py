@@ -72,9 +72,7 @@ def select(self, store, view, *, condense: bool = False) -> _Selection:
     timing.index_nodes += result.nodes_visited
 
     cells = len(self.cell_counts)
-    selection = _Selection(
-        store, view.epoch, page_ix, [0] * cells, [0] * cells, [[] for _ in range(cells)]
-    )
+    selection = _Selection(store, view.epoch, page_ix, [0] * cells, [0] * cells)
     self.selections.append(selection)
     zones = view.version.zones or {}
     pruner = (
@@ -114,8 +112,6 @@ def select(self, store, view, *, condense: bool = False) -> _Selection:
             continue
         if condense:
             syn = zones.get(entry.tile_id)
-            for cell, _ in routes:
-                selection.syns[cell].append(syn)
             if answer and syn is not None and all(p == entry.domain for _, p in routes):
                 selection.answered.append((entry, part, routes, syn))
                 continue

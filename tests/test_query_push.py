@@ -24,13 +24,13 @@ from repro.index.zonemap import (
     AGG_FUNCS,
     CellPredicate,
     compute_synopsis,
-    partial_aggregate_eligible,
 )
 from repro.query import rasql
 from repro.query.engine import QueryEngine
 from repro.shard import ShardedDatabase
 from repro.storage.tilestore import Database
 from repro.tiling.base import grid_partition
+from tests.reduce_oracle import partial_aggregate_eligible
 
 OPS = tuple(sorted(AGG_FUNCS))
 

@@ -193,9 +193,6 @@ def _same_selection(new, old):
     assert new.model_ms == old.model_ms
     assert new.covered == old.covered
     assert new.pruned_cells == old.pruned_cells
-    assert [[id(syn) for syn in cell] for cell in new.syns] == [
-        [id(syn) for syn in cell] for cell in old.syns
-    ]
     assert len(new.items) == len(old.items)
     for (entry, part, routes), (want_entry, want_part, want_routes) in zip(new.items, old.items):
         assert entry is want_entry
@@ -282,10 +279,10 @@ def test_the_pruner_decides_a_selection_in_one_call():
     root.close()
 
 
-def test_a_whole_part_equal_to_the_domain_is_stack_reduced(monkeypatch):
-    """A cached tile whose one part is the whole tile is stack-reduced —
-    recognised by the part being equal to the tile's domain, never by it
-    being the domain object itself."""
+def test_a_whole_part_equal_to_the_domain_is_reduced_as_the_whole_tile(monkeypatch):
+    """A cached tile whose one part is the whole tile is reduced as the
+    tile itself, with no slicing — recognised by the part being equal to
+    the tile's domain, never by it being the domain object itself."""
     data = np.arange(64, dtype=np.int32).reshape(8, 8)
     root = Database(io_workers=2, decoded_cache_bytes=1 << 20)
     obj = root.create_object("c", mdd_type("W", "long", "[0:7,0:7]"), "o")
@@ -294,29 +291,30 @@ def test_a_whole_part_equal_to_the_domain_is_stack_reduced(monkeypatch):
     ])
     obj.read(MInterval([0, 0], [7, 7]))  # every tile cached
     entries = sorted(obj.tile_entries(), key=root.first_page)
-    stacks = []
-    real = pipeline._Reducer._summaries
+    cached = {id(root.decoded_cache.peek(entry.blob_id)) for entry in entries}
+    calls = []
+    real = pipeline._Reducer.reduce
 
-    def counted(self, stack):
-        stacks.append(len(stack))
-        return real(self, stack)
+    def counted(self, values):
+        calls.append(id(values) in cached)  # the cached tile itself: a whole-tile call
+        return real(self, values)
 
-    monkeypatch.setattr(pipeline._Reducer, "_summaries", counted)
+    monkeypatch.setattr(pipeline._Reducer, "reduce", counted)
 
     def reduced(items):
-        stacks.clear()
+        calls.clear()
         fetched, _peak = pipeline.fetch_tile_partials(root, items, np.dtype(np.int32), op="add_cells")
         assert [tile.partials[0].vsum for tile in fetched] == [
             int(data[e.domain.to_slices((0, 0))].sum()) for e in entries
         ]
-        return list(stacks)
+        return list(calls)
 
     def equal(entry):
         return MInterval(entry.domain.lower, entry.domain.upper)  # a distinct object
 
-    assert reduced([(e, [equal(e)]) for e in entries]) == [2, 2]
+    assert reduced([(e, [equal(e)]) for e in entries]) == [True] * 4
     # the executor routes every whole tile of a predicated roll-up whole
-    stacks.clear()
+    calls.clear()
     obj.aggregate_push(MInterval([0, 0], [7, 7]), "add_cells", predicate=CellPredicate(">", 3))
-    assert stacks == [2, 2]
+    assert calls == [True] * 4
     root.close()

@@ -13,15 +13,14 @@ from repro.index.zonemap import (
     CellPredicate,
     TilePruner,
     TileSynopsis,
-    combine_aggregate,
     compute_synopsis,
     constant_synopsis,
     parse_predicate,
-    partial_aggregate_eligible,
     partial_synopsis,
     synopsis_can_match,
 )
 from repro.storage.tilestore import Database
+from tests.reduce_oracle import combine_aggregate, partial_aggregate_eligible
 
 
 class TestComputeSynopsis:
