@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Statistic tiling: let the access log choose the storage layout.
 
-A session of queries runs against a default-tiled image; the query engine
-records every access.  The tiling advisor then clusters the log
+A session of queries runs against a default-tiled image; the database's
+access log records every one.  The tiling advisor then clusters the log
 (DistanceThreshold / FrequencyThreshold), derives areas of interest, and
 proposes a new tiling.  Re-tiled, the hot queries read exactly the bytes
 they need.
@@ -13,7 +13,6 @@ Run:  python examples/statistic_autotiling.py
 import numpy as np
 
 from repro import (
-    AccessLog,
     AlignedTiling,
     Database,
     MInterval,
@@ -35,8 +34,7 @@ def main() -> None:
     database = Database()
     scene = database.create_object("scenes", image_type, "scene-042")
     scene.load_array(image, AlignedTiling(None, 16 * 1024))
-    log = AccessLog()
-    engine = QueryEngine(database, access_log=log)
+    engine = QueryEngine(database)
 
     harbour = MInterval.parse("[80:159,300:419]")
     airport = MInterval.parse("[400:459,60:139]")
@@ -48,12 +46,13 @@ def main() -> None:
     for region in workload:
         result = engine.range_query(scene, region)
         wasted += result.timing.cells_fetched - result.timing.cells_result
-    print(f"Session 1 (default tiling): {log.count('scene-042')} accesses "
+    accesses = database.access_log.accesses("scene-042")
+    print(f"Session 1 (default tiling): {len(accesses)} accesses "
           f"logged, {wasted * 2 / 1024:.0f} KB of foreign bytes fetched")
 
     # --- Advice from the log ----------------------------------------------
     advice = advise(
-        log.accesses("scene-042"),
+        accesses,
         frequency_threshold=3,
         distance_threshold=10,
         max_tile_size=16 * 1024,

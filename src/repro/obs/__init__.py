@@ -6,9 +6,7 @@ engine, codecs) reports what it does through this package:
 * **metrics** — counters / gauges / fixed-bucket histograms in one
   process-wide :data:`registry` (:mod:`repro.obs.metrics`);
 * **exporter** — Prometheus text (:mod:`repro.obs.export`), served live
-  by :mod:`repro.obs.server`;
-* **access ring** — the bounded log of reads and writes the rebalancer
-  and the tiling advisor fold (:mod:`repro.obs.accesslog`).
+  by :mod:`repro.obs.server`.
 
 One query is explained by its :class:`~repro.query.timing.QueryTiming`
 record (``repro explain`` renders it); the registry aggregates across
@@ -43,11 +41,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.export import escape_label_value, prometheus_name, prometheus_text
-from repro.obs.accesslog import AccessEvent, AccessRing
 
 __all__ = [
-    "AccessEvent",
-    "AccessRing",
     "BYTE_BUCKETS",
     "COUNT_BUCKETS",
     "DEFAULT_BUCKETS",

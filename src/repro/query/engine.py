@@ -1,10 +1,10 @@
 """Query engine: executes range queries and aggregates over stored MDDs.
 
 The engine is the RasDaMan-evaluator stand-in: it resolves query regions,
-drives the index → disk → compose pipeline of :class:`StoredMDD`, applies
-aggregation operations, and (optionally) records every access into an
-:class:`~repro.stats.log.AccessLog` so statistic tiling can learn from a
-session's history.
+drives the index → disk → compose pipeline of :class:`StoredMDD` and
+applies aggregation operations.  Every query it runs lands in the
+database's :class:`~repro.stats.log.AccessLog` (the storage layer
+records it), so statistic tiling can learn from a session's history.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro import obs
 from repro.core.errors import QueryError
 from repro.core.geometry import MInterval
 from repro.index.zonemap import AGG_FUNCS, CellPredicate, check_aggregate
-from repro.query.access import Access, classify
 from repro.query.plan import QueryPlan
 from repro.query.result import QueryResult
 
@@ -45,9 +44,8 @@ AGGREGATES: dict[str, AggFunc] = AGG_FUNCS
 class QueryEngine:
     """Evaluates region and aggregate queries against a database."""
 
-    def __init__(self, database: Database, access_log=None) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.access_log = access_log
 
     # ------------------------------------------------------------------
     # Object resolution
@@ -79,7 +77,6 @@ class QueryEngine:
     ) -> QueryResult:
         """Access types (a)-(c): trim the object to a region."""
         data, timing = obj.read(region)
-        self._log(obj, region)
         _RANGE_QUERIES.inc()
         return QueryResult(
             value=data,
@@ -102,7 +99,6 @@ class QueryEngine:
         before they are fetched (``prune=False`` verifies byte-identity).
         """
         data, timing = obj.read(region, predicate=predicate, prune=prune)
-        self._log(obj, region)
         _RANGE_QUERIES.inc()
         return QueryResult(
             value=data,
@@ -122,8 +118,6 @@ class QueryEngine:
     ) -> QueryResult:
         """Access type (d): dimension-reducing slice."""
         data, timing = obj.read_section(axis, coordinate)
-        if obj.current_domain is not None:
-            self._log(obj, obj.current_domain.section(axis, coordinate))
         _SECTION_QUERIES.inc()
         return QueryResult(
             value=data, timing=timing, region=None, object_name=obj.name
@@ -154,7 +148,6 @@ class QueryEngine:
         value, timing, pushed = obj.aggregate_push(
             region, op, predicate=predicate, prune=prune
         )
-        self._log(obj, region)
         _AGGREGATE_QUERIES.inc()
         resolved = obj.resolve_region(region)
         return QueryResult(
@@ -223,7 +216,6 @@ class QueryEngine:
             region, op, predicate=predicate, prune=prune,
             groups=spans_per_axis,
         )
-        self._log(obj, region)
         _GROUP_BY_QUERIES.inc()
         return QueryResult(
             value=values,
@@ -235,16 +227,4 @@ class QueryEngine:
                 {axis: spans_per_axis[axis] for axis in group_spec},
             ),
             groups=tuple(tuple(spans) for spans in spans_per_axis),
-        )
-
-    # ------------------------------------------------------------------
-    # Statistics hook
-    # ------------------------------------------------------------------
-
-    def _log(self, obj: StoredMDD, region: MInterval) -> None:
-        if self.access_log is None or obj.current_domain is None:
-            return
-        resolved = obj.resolve_region(region)
-        self.access_log.record(
-            obj.name, Access(resolved, classify(region, obj.current_domain))
         )

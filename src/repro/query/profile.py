@@ -17,7 +17,7 @@ the call:
 * **Wall time** is approximate: the wall clock measured around the
   whole call, less the three coordinator stages, must stay within
   :data:`WALL_TOLERANCE_MS` — the remainder is Python bookkeeping
-  between the stages (view pin, metrics, access ring).  Worker decode
+  between the stages (view pin, metrics, access log).  Worker decode
   overlaps the fetch stage, so it is not part of the sum.
 
 The stage walls are the query's own record, measured whether

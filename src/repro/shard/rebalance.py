@@ -1,6 +1,7 @@
 """Key-range rebalancing driven by the observed access load.
 
-The PR 6 access-log ring records every read with its modelled cost; the
+Each shard's access log (:mod:`repro.stats.log`) records every read with
+its modelled cost, whatever the observability switch says; the
 :class:`Rebalancer` folds those per-shard, and when one shard is
 carrying at least ``ratio`` times the load of the coldest, it carves the
 hot shard's busiest key span at the median stored key and hands the
@@ -75,17 +76,11 @@ class Rebalancer:
         self.sdb = sdb
 
     def shard_loads(self) -> List[float]:
-        """Modelled read cost per shard from each store's access ring."""
-        loads = []
-        for db in self.sdb.shards:
-            loads.append(
-                sum(
-                    event.cost_ms
-                    for event in db.access_ring.events()
-                    if event.kind == "read"
-                )
-            )
-        return loads
+        """Modelled read cost per shard from each store's access log."""
+        return [
+            sum(event.cost_ms for event in db.access_log.events() if event.op == "read")
+            for db in self.sdb.shards
+        ]
 
     def rebalance_once(self, ratio: float = 1.5) -> Optional[MoveReport]:
         """One cycle: move the hot shard's upper median key span to the
@@ -174,7 +169,7 @@ class Rebalancer:
         # Start the next measurement window fresh: the moved tiles' past
         # reads must not keep indicting the source shard.
         for db in self.sdb.shards:
-            db.access_ring.clear()
+            db.access_log.clear()
         _MOVES.inc(len(moving))
         return MoveReport(
             source=hot,

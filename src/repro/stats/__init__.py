@@ -1,4 +1,4 @@
-"""Access statistics: logs and the automatic tiling advisor."""
+"""Access statistics: the access log and the automatic tiling advisor."""
 
 from repro.stats.advisor import Advice, advise
 from repro.stats.log import AccessLog

@@ -55,7 +55,9 @@ from repro.index.zonemap import (
     note_synopsis_answered,
     note_tiles_pruned,
 )
+from repro.query.access import AccessKind, classify
 from repro.query.timing import LoadStats, QueryTiming
+from repro.stats.log import AccessLog
 from repro.storage.backends import MemoryBlobStore
 from repro.storage.blob import BlobStore
 from repro.storage.bufferpool import BufferPool, PoolRead
@@ -226,6 +228,7 @@ class ReadExecutor:
         prune: bool = True,
         merge: bool = False,
         groups: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
+        kind: Optional[AccessKind] = None,
     ) -> None:
         self.grouped = groups is not None
         if groups is None:
@@ -245,6 +248,8 @@ class ReadExecutor:
             extents = [np.array([hi - lo + 1 for lo, hi in s]) for s in self.groups]
             self.cell_counts = reduce(np.multiply.outer, extents).ravel().tolist()
         self.region = region
+        #: The access type of the region as asked, logged by :meth:`finish`.
+        self.kind = kind
         self.predicate = predicate
         self.prune = prune
         self.dtype = mdd_type.base.dtype
@@ -670,9 +675,9 @@ class ReadExecutor:
     # -- account -----------------------------------------------------------
 
     def finish(self, *, cells_returned: bool = False) -> ScatterStats:
-        """Emit the query's metrics and one access-ring record per store
-        (what the rebalancer folds into per-shard load); returns the
-        per-part account."""
+        """Emit the query's metrics and one access-log ``read`` per store
+        (what the rebalancer folds into per-shard load, and the advisor
+        into a tiling); returns the per-part account."""
         timing = self.timing
         note_tiles_pruned(timing.tiles_pruned)
         note_synopsis_answered(timing.tiles_synopsis_answered)
@@ -682,17 +687,11 @@ class ReadExecutor:
         if cells_returned:
             _CELLS_RETURNED.inc(timing.cells_result)
         _READ_MS.observe(timing.t_totalcpu)
-        region = str(self.region)
         for selection in self.selections:
             store = selection.store
-            store.database.access_ring.record(
-                "read",
-                store.collection,
-                store.name,
-                region,
-                selection.epoch,
-                cost_ms=selection.model_ms,
-                cells=timing.cells_result,
+            store.database.access_log.record(
+                "read", store.collection, store.name, self.region, selection.epoch,
+                cost_ms=selection.model_ms, cells=timing.cells_result, kind=self.kind,
             )
         return ScatterStats(
             tuple(sel.model_ms for sel in self.selections),
@@ -903,15 +902,14 @@ class StoredMDD:
             return None
         return MInterval.hull_of(entry.domain for entry in self._tiles.values())
 
-    def _note_access(self, kind: str, region: MInterval, cells: int) -> None:
-        """Record a ``write`` / ``delete`` on the live access ring (read
-        records are the executor's, :meth:`ReadExecutor.finish`)."""
-        ring = self.database.access_ring
-        if ring.capacity and obs.registry.enabled:
-            ring.record(
-                kind, self.collection, self.name, str(region),
-                self.database.epoch._current, cells=cells,
-            )
+    def _note_access(self, op: str, region: MInterval, cells: int) -> None:
+        """Buffer a ``write`` / ``delete`` on this thread's transaction:
+        the access log gets it at the outermost commit, with the epoch
+        that commit publishes, and never after a rollback (read records
+        are the executor's, :meth:`ReadExecutor.finish`)."""
+        txn = self.database._current_txn()
+        assert txn is not None, "writes run inside a transaction"
+        txn.accesses.append((op, self.collection, self.name, region, cells))
 
     # ------------------------------------------------------------------
     # State
@@ -1245,14 +1243,15 @@ class StoredMDD:
         self, parts: list, region: MInterval, *, condense: bool = False, **options
     ) -> ReadExecutor:
         """Plan one query over pinned ``parts``: ``region`` resolves
-        against the hull of their domains, then every part is selected.
-        The one place a :class:`ReadExecutor` is built."""
+        against the hull of their domains, and is classified against it
+        as asked (one store and N shards log the same kind), then every
+        part is selected.  The one place a :class:`ReadExecutor` is built."""
         domains = [view.domain for _store, view in parts if view.domain is not None]
+        hull = MInterval.hull_of(domains) if domains else None
+        resolved = self._resolve_in(region, hull)
+        assert hull is not None
         query = ReadExecutor(
-            self.mdd_type,
-            self._resolve_in(region, MInterval.hull_of(domains) if domains else None),
-            merge=self._MERGE,
-            **options,
+            self.mdd_type, resolved, merge=self._MERGE, kind=classify(region, hull), **options
         )
         for store, view in parts:
             query.select(store, view, condense=condense)
@@ -1521,7 +1520,7 @@ class StoredMDD:
                 )
                 self._apply_rebind(entry.tile_id, blob_id, item.codec, synopsis)
                 self._admit_write_through(blob_id, item.raw, entry.domain.shape)
-        self._note_access("write", region, written)
+            self._note_access("write", region, written)
         return written
 
     def _check_delete(self, region: MInterval) -> None:
@@ -1551,10 +1550,9 @@ class StoredMDD:
             victims = self._victims(region)
             if victims:
                 self._drop_tiles(victims)
-        if victims:
-            self._note_access(
-                "delete", region, sum(entry.domain.cell_count for entry in victims)
-            )
+                self._note_access(
+                    "delete", region, sum(entry.domain.cell_count for entry in victims)
+                )
         return len(victims)
 
     def _drop_tiles(self, victims: Sequence[TileEntry]) -> None:
@@ -1620,7 +1618,9 @@ class _TxnState:
     ``dirtied`` maps each copy-on-write-cloned object to the
     ``(published version, next_tile_id)`` pair restored on abort;
     ``retired`` collects superseded blob ids handed to the epoch manager
-    at commit; the ``created_*`` lists are what a rollback unwinds.
+    at commit; the ``created_*`` lists are what a rollback unwinds;
+    ``accesses`` are the writes and deletes the commit appends to the
+    access log (a rollback drops them).
     """
 
     depth: int = 1
@@ -1629,6 +1629,7 @@ class _TxnState:
     created_blobs: list = field(default_factory=list)
     created_collections: list = field(default_factory=list)
     created_objects: list = field(default_factory=list)
+    accesses: list = field(default_factory=list)
 
 
 class Database:
@@ -1659,7 +1660,6 @@ class Database:
         durability: str = "none",
         wal_path: Optional[Union[str, Path]] = None,
         injector: Optional[FaultInjector] = None,
-        access_log_capacity: int = 1024,
         zone_maps: bool = True,
     ) -> None:
         self.store = store if store is not None else MemoryBlobStore()
@@ -1691,9 +1691,9 @@ class Database:
         self.durability = "none"
         self.last_recovery = None
         self.epoch = EpochManager(self._reclaim_blob)
-        # Live access log: every read/write region lands here (bounded,
-        # obs-gated); capacity 0 disables recording entirely.
-        self.access_ring = obs.AccessRing(access_log_capacity)
+        # Every read query and committed write lands here, obs switch or
+        # not: the advisor's and the rebalancer's input (stats.log).
+        self.access_log = AccessLog()
         # One writer transaction at a time; reentrant so nested
         # transaction() scopes on the owning thread are free.
         self._writer_latch = OrderedLatch("txn.writer", 10, reentrant=True)
@@ -1868,6 +1868,8 @@ class Database:
                 # wrote with the exact epoch readers will see it under
                 # (the concurrency checker keys its history on this).
                 self._txn_local.last_commit_epoch = next_epoch
+            for op, collection, name, region, cells in txn.accesses:
+                self.access_log.record(op, collection, name, region, next_epoch, cells=cells)
             if self.wal is not None:
                 pending = self.store.take_pending()
         finally:
@@ -2086,7 +2088,7 @@ class Database:
             self.decoded_cache.reset_stats()
         if self.wal is not None:
             self.wal.stats.reset()
-        self.access_ring.clear()
+        self.access_log.clear()
 
     def profile(
         self,

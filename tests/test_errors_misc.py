@@ -136,14 +136,12 @@ class TestEngineEdgeCases:
         from repro.core.mddtype import mdd_type
         from repro.query.access import AccessKind
         from repro.query.engine import QueryEngine
-        from repro.stats.log import AccessLog
         from repro.storage.tilestore import Database
         from repro.tiling.aligned import RegularTiling
 
         db = Database()
         obj = db.create_object("c", mdd_type("T", "char", "[0:9,0:9]"), "x")
         obj.load_array(np.zeros((10, 10), np.uint8), RegularTiling(64))
-        log = AccessLog()
-        engine = QueryEngine(db, access_log=log)
+        engine = QueryEngine(db)
         engine.section_query(obj, 0, 5)
-        assert log.accesses("x")[0].kind == AccessKind.SECTION
+        assert db.access_log.accesses("x")[0].kind == AccessKind.SECTION

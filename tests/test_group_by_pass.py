@@ -7,7 +7,7 @@ returns, for every group cell, bitwise the value the per-group loop
 (:func:`repro.bench.query.reference_group_by`) return, with the loop's
 ``pushed`` flag; while decoding each tile at most once per statement,
 keeping the partial-aggregate working set at workers x one tile, and
-leaving one access-ring record and one read per store.
+leaving one access-log record and one read per store.
 """
 
 import itertools
@@ -279,14 +279,14 @@ def test_float_fallback_composes_the_hull_once():
 def test_one_ring_record_and_one_read_per_store(deployment):
     root, obj, _ = _cube(deployment)
     stores = _stores(root)
-    rings = [len(db.access_ring) for db in stores]
+    rings = [len(db.access_log) for db in stores]
     reads = _counter("tilestore.reads")
     read_ms = obs.snapshot()["histograms"]["tilestore.read_ms"]["count"]
     engine = QueryEngine(root)
     result = engine.group_by_query(obj, DOMAIN, "add_cells", dict(enumerate(SPANS)))
-    assert [len(db.access_ring) for db in stores] == [r + 1 for r in rings]
-    events = [db.access_ring.events()[-1] for db in stores]
-    assert {(event.kind, event.region) for event in events} == {("read", str(HULL))}
+    assert [len(db.access_log) for db in stores] == [r + 1 for r in rings]
+    events = [db.access_log.events()[-1] for db in stores]
+    assert {(event.op, event.region) for event in events} == {("read", HULL)}
     assert sum(event.cost_ms for event in events) == pytest.approx(
         result.timing.t_o + result.timing.t_ix_pages, rel=0, abs=1e-9
     )

@@ -13,7 +13,6 @@ from repro.core.mddtype import mdd_type
 from repro.query.engine import QueryEngine
 from repro.query.rasql import execute
 from repro.stats.advisor import advise
-from repro.stats.log import AccessLog
 from repro.storage.backends import FileBlobStore
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import AlignedTiling, RegularTiling
@@ -75,18 +74,18 @@ class TestStatisticRetiling:
         data = (np.indices((100, 100)).sum(axis=0) % 251).astype(np.uint8)
         hotspot = MInterval.parse("[20:39,60:79]")
 
-        # Session one: default tiling, engine logs accesses.
+        # Session one: default tiling, the database logs accesses.
         db1 = Database()
         obj1 = db1.create_object("imgs", img_type, "img")
         obj1.load_array(data, AlignedTiling(None, 1024))
-        log = AccessLog()
-        engine = QueryEngine(db1, access_log=log)
+        engine = QueryEngine(db1)
         for _ in range(5):
             result = engine.range_query(obj1, hotspot)
             assert (result.array == data[20:40, 60:80]).all()
 
         # Advice from the log must pick statistic tiling.
-        advice = advise(log.accesses("img"), max_tile_size=1024)
+        advice = advise(db1.access_log.accesses("img"), max_tile_size=1024)
+        assert "statistic tiling over the log" in advice.reason
         spec = advice.strategy.tile(MInterval.parse(domain_text), 1)
 
         # Session two: re-tiled object answers the hotspot exactly.

@@ -1,5 +1,5 @@
 """Observability v2: quantiles, contention telemetry, reset
-empty-equivalence, and the live access-log ring."""
+empty-equivalence, and the database's access log."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from repro import obs
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.obs.metrics import MetricsRegistry
+from repro.query.access import AccessKind
+from repro.stats.log import AccessLog
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 
@@ -195,8 +197,8 @@ class TestResetEmptyEquivalence:
             h["p50"] == 0.0 and h["p99"] == 0.0
             for h in snap["histograms"].values()
         )
-        assert len(database.access_ring) == 0
-        assert database.access_ring.total_recorded == 0
+        assert len(database.access_log) == 0
+        assert database.access_log.total_recorded == 0
         database.close()
 
     def test_disable_freezes_every_instrument(self, tmp_path):
@@ -214,68 +216,61 @@ class TestResetEmptyEquivalence:
         snap = obs.snapshot()
         assert all(v == 0 for v in snap["counters"].values())
         assert all(h["count"] == 0 for h in snap["histograms"].values())
-        assert len(database.access_ring) == 0
+        # The switch freezes the registry only: the access log is an
+        # input of the advisor and the rebalancer, and it records.
+        assert [e.op for e in database.access_log.events()] == ["read", "write"]
         database.close()
 
 
 # ----------------------------------------------------------------------
-# Tentpole 4: the access-log ring feeding the tuner
+# The access log feeding the tuner and the advisor
 # ----------------------------------------------------------------------
 
 class TestAccessRing:
     def test_reads_and_writes_recorded(self):
         database = _load()
         mdd = database.collection("obsv2")["img"]
-        database.access_ring.clear()
+        database.access_log.clear()
         region = MInterval.parse("[0:15,0:15]")
         mdd.read(region)
         with database.transaction():
             mdd.update(region, np.ones((16, 16), dtype=np.uint8))
-        kinds = [e.kind for e in database.access_ring.events()]
-        assert "read" in kinds and "write" in kinds
-        read = next(
-            e for e in database.access_ring.events() if e.kind == "read"
-        )
+        ops = [e.op for e in database.access_log.events()]
+        assert ops == ["read", "write"]
+        read = database.access_log.events()[0]
         assert read.collection == "obsv2"
         assert read.object == "img"
-        assert read.region == str(region)
+        assert read.region == region
+        assert read.kind is AccessKind.SUBARRAY
         assert read.cells == region.cell_count
         assert read.cost_ms > 0
 
     def test_load_records_write_hull(self):
         database = _load()
-        events = [
-            e for e in database.access_ring.events() if e.kind == "write"
-        ]
+        events = [e for e in database.access_log.events() if e.op == "write"]
         assert events
-        assert MInterval.parse(events[-1].region) == DOMAIN
+        assert events[-1].region == DOMAIN
+        assert events[-1].kind is None
 
     def test_delete_region_recorded(self):
         database = _load()
         mdd = database.collection("obsv2")["img"]
-        database.access_ring.clear()
+        database.access_log.clear()
         # Region must fully contain at least one 32x32 tile to drop it.
         dropped = mdd.delete_region(MInterval.parse("[0:31,0:31]"))
         assert dropped > 0
-        assert any(
-            e.kind == "delete" for e in database.access_ring.events()
-        )
+        assert any(e.op == "delete" for e in database.access_log.events())
 
     def test_ring_is_bounded_and_counts_drops(self):
-        database = _load(access_log_capacity=4)
+        database = _load()
+        database.access_log = AccessLog(4)
         mdd = database.collection("obsv2")["img"]
-        database.access_ring.clear()
         for _ in range(6):
             mdd.read(MInterval.parse("[0:3,0:3]"))
-        assert len(database.access_ring) == 4
-        assert database.access_ring.dropped == 2
-        assert database.access_ring.total_recorded == 6
-
-    def test_capacity_zero_disables_recording(self):
-        database = _load(access_log_capacity=0)
-        mdd = database.collection("obsv2")["img"]
-        mdd.read(DOMAIN)
-        assert len(database.access_ring) == 0
+        assert len(database.access_log) == 4
+        assert database.access_log.dropped == 2
+        assert database.access_log.total_recorded == 6
+        assert [e.seq for e in database.access_log.events()] == [3, 4, 5, 6]
 
     def test_epoch_attribution_snapshot_vs_live(self):
         database = _load()
@@ -286,36 +281,35 @@ class TestAccessRing:
                     MInterval.parse("[0:3,0:3]"),
                     np.ones((4, 4), dtype=np.uint8),
                 )
-            database.access_ring.clear()
+            database.access_log.clear()
             snap.read("obsv2", "img", MInterval.parse("[0:3,0:3]"))
             mdd.read(MInterval.parse("[0:3,0:3]"))
-        events = database.access_ring.events()
+        events = database.access_log.events()
         snap_epoch, live_epoch = events[0].epoch, events[1].epoch
         # The snapshot pinned the pre-update epoch; the live read sees
         # the committed one.
         assert live_epoch > snap_epoch
 
     def test_flush_jsonl_round_trip(self, tmp_path):
-        from repro.obs.accesslog import AccessRing
-
         database = _load()
+        mdd = database.collection("obsv2")["img"]
+        mdd.read(MInterval.parse("[0:3,*:*]"))
+        before = database.access_log.events()
         path = tmp_path / "access.jsonl"
-        written = database.access_ring.flush_jsonl(path, clear=True)
-        assert written > 0
-        assert len(database.access_ring) == 0
-        events = AccessRing.read_jsonl(path)
-        assert len(events) == written
-        assert events[0].kind in ("read", "write", "delete")
+        written = database.access_log.flush_jsonl(path, clear=True)
+        assert written == len(before) > 0
+        assert len(database.access_log) == 0
+        assert AccessLog.load(path).events() == before
 
     def test_workload_feeds_tuner_directly(self):
         from repro.stats.tuner import choose_max_tile_size
 
         database = _load()
         mdd = database.collection("obsv2")["img"]
-        database.access_ring.clear()
+        database.access_log.clear()
         for spec in ("[0:15,0:63]", "[16:31,0:63]", "[32:47,0:63]"):
             mdd.read(MInterval.parse(spec))
-        workload = database.access_ring.workload(object_name="img")
+        workload = database.access_log.regions("img")
         assert len(workload) == 3
         assert all(isinstance(r, MInterval) for r in workload)
         result = choose_max_tile_size(
@@ -327,14 +321,15 @@ class TestAccessRing:
         )
         assert result.best_size in (256, 1024, 4096)
 
-    def test_to_access_log_conversion(self):
+    def test_reads_carry_their_access_kind(self):
         database = _load()
         mdd = database.collection("obsv2")["img"]
-        database.access_ring.clear()
+        database.access_log.clear()
         mdd.read(MInterval.parse("[0:15,0:15]"))
         mdd.read(MInterval.parse("[3:3,0:63]"))  # degenerate axis
-        log = database.access_ring.to_access_log()
-        regions = log.regions("img")
-        assert len(regions) == 2
-        kinds = log.kind_histogram("img")
-        assert sum(kinds.values()) == 2
+        mdd.read(MInterval.parse("[0:15,*:*]"))
+        mdd.read(DOMAIN)
+        assert [a.kind for a in database.access_log.accesses("img")] == [
+            AccessKind.SUBARRAY, AccessKind.SECTION, AccessKind.PARTIAL, AccessKind.WHOLE,
+        ]
+        assert database.access_log.regions("img")[2] == MInterval.parse("[0:15,0:63]")

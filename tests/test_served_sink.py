@@ -154,7 +154,7 @@ def test_plan_charges_exactly_its_index_nodes(served):
     for box in BOXES:
         region = _region(db, "a", box)
         before = dataclasses.replace(db.disk.counters)
-        ring = len(db.access_ring)
+        ring = len(db.access_log)
         status, _headers, body = _get(_url(server, "a", "tiles", box))
         assert status == 200
         nodes = obj.index.search(region).nodes_visited
@@ -164,7 +164,7 @@ def test_plan_charges_exactly_its_index_nodes(served):
         assert db.disk.counters.time_ms == expected
         assert db.disk.counters.pages_read - before.pages_read == nodes
         assert db.disk.counters.blob_reads == before.blob_reads
-        assert len(db.access_ring) == ring  # a plan is not a read
+        assert len(db.access_log) == ring  # a plan is not a read
         # the same tiles in the same order as the per-blob walk
         hits = obj.index.search(region).entries
         listed = sorted((obj._published.tiles[hit.tile_id] for hit in hits), key=db.first_page)
@@ -175,13 +175,13 @@ def test_each_frame_read_records_one_ring_read_and_one_tilestore_read(served):
     db, server = served
     for name in OBJECTS:
         for box in BOXES:
-            ring = len(db.access_ring)
+            ring = len(db.access_log)
             reads = obs.registry.value("tilestore.reads")
             assert _frames(server, name, box)[0] == 200
-            assert len(db.access_ring) == ring + 1
-            event = db.access_ring.events()[-1]
-            assert (event.kind, event.object, event.region) == (
-                "read", name, str(_region(db, name, box))
+            assert len(db.access_log) == ring + 1
+            event = db.access_log.events()[-1]
+            assert (event.op, event.object, event.region) == (
+                "read", name, _region(db, name, box)
             )
             assert obs.registry.value("tilestore.reads") - reads == 1
 

@@ -715,6 +715,26 @@ class TestRebalance:
         ]
         assert owners == [obj.shard_of(domain.lowest)]
 
+    def test_loads_and_moves_ignore_the_obs_switch(self):
+        """The access log is the rebalancer's input, not telemetry: the
+        same reads give the same loads and the same move with the
+        observability registry off."""
+        outcomes = []
+        was_enabled = obs.registry.enabled
+        try:
+            for enabled in (True, False):
+                obs.registry.enabled = enabled
+                sdb, obj = _sharded(_data(), 2)
+                self._hot_workload(obj)
+                loads = Rebalancer(sdb).shard_loads()
+                report = Rebalancer(sdb).rebalance_once()
+                outcomes.append((loads, report, obj.tiles_per_shard()))
+        finally:
+            obs.registry.enabled = was_enabled
+        (on_loads, on_report, on_tiles), off = outcomes
+        assert on_report is not None and max(on_loads) > 0
+        assert off == (on_loads, on_report, on_tiles)
+
     def test_single_shard_never_rebalances(self):
         sdb, obj = _sharded(_data(), 1)
         self._hot_workload(obj)

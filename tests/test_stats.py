@@ -1,5 +1,7 @@
 """Unit tests for access logs and the tiling advisor."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,54 +26,89 @@ def access(text, kind=AccessKind.SUBARRAY):
 class TestAccessLog:
     def test_record_and_query(self):
         log = AccessLog()
-        log.record("obj", access("[0:9,0:9]"))
-        log.record("obj", access("[5:9,0:9]"))
-        log.record("other", access("[0:1,0:1]"))
-        assert log.count("obj") == 2
-        assert log.objects() == ("obj", "other")
+        log.record("read", "c", "obj", MInterval.parse("[0:9,0:9]"), 1, kind=AccessKind.SUBARRAY)
+        log.record("write", "c", "obj", MInterval.parse("[0:9,0:9]"), 2)
+        log.record("read", "c", "obj", MInterval.parse("[5:9,0:9]"), 2, kind=AccessKind.SUBARRAY)
+        log.record("read", "c", "other", MInterval.parse("[0:1,0:1]"), 2, kind=AccessKind.SUBARRAY)
+        assert log.accesses("obj") == [access("[0:9,0:9]"), access("[5:9,0:9]")]
         assert log.regions("obj") == [
             MInterval.parse("[0:9,0:9]"),
             MInterval.parse("[5:9,0:9]"),
         ]
-
-    def test_kind_histogram(self):
-        log = AccessLog()
-        log.record("obj", access("[0:9,0:9]", AccessKind.WHOLE))
-        log.record("obj", access("[0:9,0:9]", AccessKind.WHOLE))
-        log.record("obj", access("[0:9,0:9]", AccessKind.SECTION))
-        histogram = log.kind_histogram("obj")
-        assert histogram[AccessKind.WHOLE] == 2
-        assert histogram[AccessKind.SECTION] == 1
-        assert histogram[AccessKind.PARTIAL] == 0
+        assert log.regions("nobody") == []
 
     def test_clear(self):
         log = AccessLog()
-        log.record("a", access("[0:1,0:1]"))
-        log.record("b", access("[0:1,0:1]"))
-        log.clear("a")
-        assert log.count("a") == 0
-        assert log.count("b") == 1
+        log.record("read", "c", "a", MInterval.parse("[0:1,0:1]"), 1, kind=AccessKind.WHOLE)
+        log.record("read", "c", "b", MInterval.parse("[0:1,0:1]"), 1, kind=AccessKind.WHOLE)
         log.clear()
-        assert log.objects() == ()
+        assert log.events() == ()
+        assert log.total_recorded == 0
+        log.record("read", "c", "a", MInterval.parse("[0:1,0:1]"), 1, kind=AccessKind.WHOLE)
+        assert [e.seq for e in log.events()] == [1]
 
     def test_save_load_roundtrip(self, tmp_path):
         log = AccessLog()
-        log.record("obj", access("[0:9,0:9]", AccessKind.PARTIAL))
-        log.record("obj", access("[5:5,0:9]", AccessKind.SECTION))
+        log.record("read", "c", "obj", MInterval.parse("[0:9,0:9]"), 3,
+                   cost_ms=1.5, cells=100, kind=AccessKind.PARTIAL)
+        log.record("read", "c", "obj", MInterval.parse("[5:5,0:9]"), 3, kind=AccessKind.SECTION)
+        log.record("delete", "c", "obj", MInterval.parse("[0:4,0:9]"), 4, cells=50)
         path = tmp_path / "accesses.jsonl"
-        log.save(path)
+        assert log.flush_jsonl(path) == 3
         loaded = AccessLog.load(path)
+        assert loaded.events() == log.events()
         assert loaded.accesses("obj") == log.accesses("obj")
+        assert loaded.total_recorded == 3
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ReproError):
             AccessLog.load(tmp_path / "nope.jsonl")
 
     def test_load_corrupt_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"object": "x"}\n')
-        with pytest.raises(ReproError):
-            AccessLog.load(path)
+        good = AccessLog()
+        good.record("read", "c", "x", MInterval.parse("[0:9]"), 1, kind=AccessKind.WHOLE)
+        entry = good.events()[0].as_dict()
+        corrupt = [
+            '{"object": "x"}',
+            "not json",
+            "[1, 2]",
+            json.dumps({**entry, "region": "[0:9"}),
+            json.dumps({**entry, "kind": "diagonal"}),
+            json.dumps({**entry, "epoch": "late"}),
+        ]
+        for number, line in enumerate(corrupt):
+            path = tmp_path / f"bad{number}.jsonl"
+            good.flush_jsonl(path)
+            with open(path, "a") as handle:
+                handle.write(line + "\n")
+            with pytest.raises(ReproError, match=f"{path}:2: corrupt log entry"):
+                AccessLog.load(path)
+
+    def test_drained_flush_loses_nothing_and_keeps_counting(self, tmp_path, monkeypatch):
+        """An event recorded while a draining flush writes stays in the
+        log (or lands in the file), and two drains to one file carry
+        strictly increasing sequence numbers."""
+        log = AccessLog()
+        region = MInterval.parse("[0:9]")
+        log.record("read", "c", "x", region, 1, kind=AccessKind.WHOLE)
+        log.record("read", "c", "x", region, 1, kind=AccessKind.WHOLE)
+        path = tmp_path / "access.jsonl"
+        opened = type(path).open
+
+        def open_and_record(self, *args, **kwargs):
+            # a concurrent query finishing while the file is written
+            log.record("read", "c", "x", region, 2, kind=AccessKind.WHOLE)
+            return opened(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "open", open_and_record)
+        assert log.flush_jsonl(path, clear=True) == 2
+        monkeypatch.undo()
+        assert [e.seq for e in log.events()] == [3]
+        log.record("read", "c", "x", region, 2, kind=AccessKind.WHOLE)
+        assert log.flush_jsonl(path, clear=True) == 2
+        seqs = [e.seq for e in AccessLog.load(path).events()]
+        assert seqs == [1, 2, 3, 4]
+        assert len(log) == 0 and log.dropped == 0
 
 
 class TestEngineLogging:
@@ -80,13 +117,14 @@ class TestEngineLogging:
         t = mdd_type("Img", "char", "[0:99,0:99]")
         obj = db.create_object("imgs", t, "img")
         obj.load_array(np.zeros((100, 100), np.uint8), RegularTiling(2048))
-        log = AccessLog()
-        engine = QueryEngine(db, access_log=log)
+        engine = QueryEngine(db)
         engine.range_query(obj, MInterval.parse("[0:9,*:*]"))
         engine.section_query(obj, 0, 5)
-        assert log.count("img") == 2
-        kinds = [a.kind for a in log.accesses("img")]
-        assert kinds == [AccessKind.PARTIAL, AccessKind.SECTION]
+        accesses = db.access_log.accesses("img")
+        assert [a.kind for a in accesses] == [AccessKind.PARTIAL, AccessKind.SECTION]
+        assert [a.region for a in accesses] == [
+            MInterval.parse("[0:9,0:99]"), MInterval.parse("[5:5,0:99]"),
+        ]
 
 
 class TestAdvisor:

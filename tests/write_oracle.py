@@ -41,7 +41,7 @@ def update(obj, region, values) -> int:
             if raw == fetched.array.tobytes(order="C"):
                 continue
             _replace_payload(obj, entry, raw)
-    obj._note_access("write", region, written)
+        obj._note_access("write", region, written)
     return written
 
 
