@@ -14,7 +14,14 @@ from conftest import write_result
 from repro.bench.report import format_table
 from repro.storage.backends import FileBlobStore, MemoryBlobStore
 from repro.storage.compression import compress, decompress
-from repro.storage.disk import DiskParameters, SimulatedDisk
+from repro.storage.disk import (
+    RANDOM,
+    SEQUENTIAL,
+    SHORT_SKIP,
+    DiskParameters,
+    SimulatedDisk,
+    price,
+)
 from repro.storage.pages import PageAllocator, PageRange
 
 PAYLOAD = np.arange(65536, dtype=np.uint32).tobytes()
@@ -47,15 +54,14 @@ def test_bench_file_store_put_get(benchmark, tmp_path):
 
 def test_disk_model_regimes(benchmark):
     """One table showing the three positioning regimes' charged costs."""
-    store = MemoryBlobStore(page_size=8192)
-    disk = SimulatedDisk(store, DiskParameters(page_size=8192))
-    sequential = disk.charge_pages(PageRange(0, 10))
-    continuation = disk.charge_pages(PageRange(10, 10))
-    skip = disk.charge_pages(PageRange(30, 10))
-    random = disk.charge_pages(PageRange(100_000, 10))
+    params = DiskParameters(page_size=8192)
+    runs = [PageRange(0, 10), PageRange(10, 10), PageRange(30, 10), PageRange(100_000, 10)]
+    priced, _head = price(params, None, runs)
+    sequential, continuation, skip, random = (cost for cost, _regime in priced)
+    assert [regime for _cost, regime in priced] == [RANDOM, SEQUENTIAL, SHORT_SKIP, RANDOM]
     assert continuation < skip < random
     assert sequential == random  # first access is random too
-    benchmark(lambda: disk.charge_pages(PageRange(0, 10)))
+    benchmark(lambda: price(params, None, runs))
     write_result(
         "disk_regimes.txt",
         format_table(
@@ -72,20 +78,22 @@ def test_sequential_vs_random_blob_pattern(benchmark):
     """Reading N adjacent BLOBs in layout order vs shuffled order —
     the effect tile clustering buys."""
     store = MemoryBlobStore(page_size=8192)
-    disk = SimulatedDisk(store, DiskParameters(page_size=8192))
+    disk = SimulatedDisk(DiskParameters(page_size=8192))
     ids = [store.put(b"x" * 32768) for _ in range(64)]
-
-    def ordered():
-        disk.reset()
-        return sum(disk.read_blob(i)[1] for i in ids)
 
     rng = np.random.default_rng(3)
     shuffled = list(ids)
     rng.shuffle(shuffled)
 
-    def scattered():
+    def charged(order):
         disk.reset()
-        return sum(disk.read_blob(i)[1] for i in shuffled)
+        return sum(disk.charge_reads(store.records(order)))
+
+    def ordered():
+        return charged(ids)
+
+    def scattered():
+        return charged(shuffled)
 
     ordered_ms = ordered()
     scattered_ms = scattered()

@@ -1,8 +1,8 @@
 """LRU buffer pool over the simulated disk.
 
 A byte-budgeted cache of BLOB payloads.  A hit returns the payload without
-charging disk time; a miss reads through :class:`SimulatedDisk` and admits
-the payload, evicting least-recently-used entries until the budget holds.
+charging disk time; a miss is charged on the :class:`SimulatedDisk` and
+admitted, evicting least-recently-used entries until the budget holds.
 
 Benchmarks run cold by default (the paper's ``t_o`` is dominated by actual
 retrieval), but the ablation benches use the pool to show how caching
@@ -16,10 +16,11 @@ local ``hits`` / ``misses`` / ``evictions`` tallies for reports.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro import obs
 from repro.core.errors import StorageError
+from repro.storage.blob import BlobRecord, BlobStore
 from repro.storage.disk import SimulatedDisk
 from repro.storage.latch import OrderedLatch
 
@@ -46,12 +47,16 @@ class PoolRead(NamedTuple):
     evicted: int = 0  # entries this read's admission evicted
 
 
+HIT = PoolRead(0.0, True)
+
+
 class BufferPool:
     """Byte-budgeted LRU cache of BLOB payloads."""
 
-    def __init__(self, disk: SimulatedDisk, capacity_bytes: int) -> None:
+    def __init__(self, store: BlobStore, disk: SimulatedDisk, capacity_bytes: int) -> None:
         if capacity_bytes < 0:
             raise StorageError(f"negative capacity {capacity_bytes}")
+        self.store = store
         self.disk = disk
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[int, bytes]" = OrderedDict()
@@ -68,30 +73,47 @@ class BufferPool:
     def used_bytes(self) -> int:
         return self._used
 
+    def cached(self, blob_ids: Sequence[int]) -> list[bool]:
+        """Whether each payload is cached — a peek: no LRU touch, no tally."""
+        with self._latch:
+            return [blob_id in self._entries for blob_id in blob_ids]
+
     def __contains__(self, blob_id: int) -> bool:
-        """Whether a payload is cached — a peek: no LRU touch, no tally."""
-        with self._latch:
-            return blob_id in self._entries
+        return self.cached([blob_id])[0]
 
-    def read_blob(
-        self, blob_id: int, verified: bytes | None = None
-    ) -> tuple[bytes, PoolRead]:
-        """BLOB payload and this lookup's :class:`PoolRead`.
-
-        ``verified`` is handed to the disk on a miss
-        (:meth:`SimulatedDisk.read_blob`)."""
+    def read_blobs(
+        self, records: Sequence[BlobRecord], load: Callable[[int], bytes]
+    ) -> list[tuple[bytes, PoolRead]]:
+        """Each blob's payload and :class:`PoolRead`, walked in order under
+        one latch hold: a hit is touched, a miss admitted with its
+        ``load(blob_id)`` payload — then one disk charge prices the misses
+        (none for a batch of hits)."""
+        payloads: list[bytes] = []
+        evictions: list[Optional[int]] = []  # None: a hit
+        missed: list[BlobRecord] = []
         with self._latch:
-            cached = self._entries.get(blob_id)
-            if cached is not None:
-                self._entries.move_to_end(blob_id)
-                self.hits += 1
-                return cached, PoolRead(0.0, True)
-            # The latch is held across the miss read: the disk latch
-            # ranks above the pool latch, and a serialized miss+admit is
-            # what keeps the LRU trajectory and the charges deterministic.
-            payload, cost = self.disk.read_blob(blob_id, verified)
-            self.misses += 1
-            return payload, PoolRead(cost, False, self._admit(blob_id, payload))
+            for record in records:
+                blob_id = record.blob_id
+                payload = self._entries.get(blob_id)
+                if payload is not None:
+                    self._entries.move_to_end(blob_id)
+                    self.hits += 1
+                    evictions.append(None)
+                else:
+                    payload = load(blob_id)
+                    self.misses += 1
+                    missed.append(record)
+                    evictions.append(self._admit(blob_id, payload))
+                payloads.append(payload)
+            costs = iter(self.disk.charge_reads(missed))
+        return [
+            (payload, HIT if evicted is None else PoolRead(next(costs), False, evicted))
+            for payload, evicted in zip(payloads, evictions)
+        ]
+
+    def read_blob(self, blob_id: int) -> tuple[bytes, PoolRead]:
+        """One blob's :meth:`read_blobs`, a miss read from the store."""
+        return self.read_blobs(self.store.records([blob_id]), self.store.get)[0]
 
     def _admit(self, blob_id: int, payload: bytes) -> int:
         """Admit a payload, evicting LRU entries to fit; returns how many."""

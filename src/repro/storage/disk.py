@@ -3,28 +3,28 @@
 The paper measures ``t_o`` — the time to retrieve the intersected tiles
 from disk — on a 1996 workstation disk through the O2 store.  That
 hardware cannot be reproduced, and Python wall-clock I/O timing is too
-noisy to be meaningful, so this module *models* the disk: every BLOB read
-is charged
-
-* a seek plus half a rotation when its first page does not follow the
-  previously read page (random access), and
-* a transfer cost per page read.
-
-What the model preserves is exactly what the tiling strategies optimise:
-the number of pages fetched and the random-vs-sequential access pattern.
-Defaults approximate the paper's era: 8 ms seek, 7200 rpm, 5 MB/s
-effective transfer through the object store, a 2 ms settle for short
-forward skips, and a 1 ms per-BLOB dereference overhead on 8 KiB pages.
+noisy to be meaningful, so this module *models* the disk: one pure
+function, :func:`price`, charges each page run a seek plus half a
+rotation when it does not start near the head (random access), a settle
+for a short forward skip, and a transfer cost per page.  Reads, data
+writes and index-node visits all call it.  What the model preserves is
+exactly what the tiling strategies optimise: the number of pages fetched
+and the random-vs-sequential access pattern.  Defaults approximate the
+paper's era: 8 ms seek, 7200 rpm, 5 MB/s effective transfer through the
+object store, a 2 ms settle for short forward skips, and a 1 ms per-BLOB
+dereference overhead on 8 KiB pages.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.errors import StorageError
-from repro.storage.blob import BlobStore
+from repro.storage.blob import BlobRecord
 from repro.storage.latch import OrderedLatch
 from repro.storage.pages import DEFAULT_PAGE_SIZE, PageRange, pages_needed
 
@@ -36,7 +36,6 @@ _SHORT_SKIPS = obs.counter("disk.short_skips", "Settle-only forward skips")
 _SEQUENTIAL_READS = obs.counter("disk.sequential_reads", "Reads continuing at the head")
 _INDEX_NODE_READS = obs.counter("disk.index_node_reads", "Index node pages charged")
 _MODEL_MS = obs.counter("disk.model_ms", "Modelled disk milliseconds charged")
-_BLOB_READ_MS = obs.histogram("disk.blob_read_ms", "Modelled milliseconds per BLOB read")
 _WAL_APPENDS = obs.counter("disk.wal_appends", "Write-ahead-log append charges")
 _WAL_PAGES = obs.counter("disk.wal_pages_written", "Pages charged for WAL appends")
 _WAL_MS = obs.counter("disk.wal_ms", "Modelled WAL milliseconds charged")
@@ -46,6 +45,12 @@ _DATA_WRITE_MS = obs.counter("disk.data_write_ms", "Modelled data-write millisec
 _REALTIME_WAIT_MS = obs.counter(
     "disk.realtime_wait_ms", "Real milliseconds slept in realtime mode"
 )
+
+#: Positioning regimes :func:`price` assigns.
+SEQUENTIAL, SHORT_SKIP, RANDOM = "sequential", "short_skip", "random"
+#: A :func:`price` item that is an index-node visit, not a page run: one
+#: random page, after which the head position is unknown.
+INDEX_NODE = None
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,19 @@ class DiskParameters:
     settle_ms: float = 2.0
     short_skip_pages: int = 256
     page_size: int = DEFAULT_PAGE_SIZE
-    #: When > 0, BLOB reads additionally *sleep* this fraction of their
-    #: modelled milliseconds in real time.  The wait happens outside the
-    #: disk latch — the modelled device admits concurrent in-flight
-    #: requests (command queuing), so snapshot readers overlap their
-    #: latency while the positioning charges stay serialized and
-    #: deterministic.  Off (0.0) everywhere except concurrency
-    #: benchmarks, which need read waits to exist in wall-clock time.
+    #: When > 0, a read batch also *sleeps* this fraction of its modelled
+    #: milliseconds, with no latch held: the device admits concurrent
+    #: requests (command queuing), so readers overlap their latency while
+    #: the charges stay serialized and deterministic.  Off (0.0) except in
+    #: concurrency benchmarks, which need read waits in wall-clock time.
     realtime_scale: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # the whole input of price()
+            positive = name in ("page_size", "transfer_mb_per_s")
+            if not (value > 0 if positive else value >= 0):  # NaN fails too
+                kind = "positive" if positive else "non-negative"
+                raise StorageError(f"disk parameter {name} must be {kind}, got {value!r}")
 
     def transfer_ms_per_page(self) -> float:
         """Milliseconds to stream one page off the platter."""
@@ -86,6 +96,37 @@ class DiskParameters:
     def short_skip_ms(self) -> float:
         """Positioning cost of a short forward skip (track-to-track)."""
         return self.settle_ms
+
+
+def price(
+    parameters: DiskParameters, head: Optional[int], runs: Sequence[Optional[PageRange]]
+) -> tuple[list[tuple[float, str]], Optional[int]]:
+    """Each item's ``(cost, regime)`` from head position ``head``, and the
+    head after the last item.
+
+    The one positioning rule: a run starting exactly at the head is
+    sequential (transfer only); a forward skip of at most
+    ``short_skip_pages`` pays a settle; anything else — backwards, far,
+    or from an unknown head (``None``) — pays a full random access.  An
+    :data:`INDEX_NODE` item is one random page that leaves the head
+    unknown.
+    """
+    transfer, random = parameters.transfer_ms_per_page(), parameters.random_access_ms()
+    priced = []
+    for run in runs:
+        if run is None:  # INDEX_NODE
+            priced.append((random + transfer, RANDOM))
+            head = None
+            continue
+        cost, regime = run.count * transfer, SEQUENTIAL
+        if head != run.start:
+            if head is not None and 0 < run.start - head <= parameters.short_skip_pages:
+                cost, regime = cost + parameters.short_skip_ms(), SHORT_SKIP
+            else:
+                cost, regime = cost + random, RANDOM
+        priced.append((cost, regime))
+        head = run.end
+    return priced, head
 
 
 @dataclass(frozen=True)
@@ -140,87 +181,82 @@ class DiskCounters:
 
 
 class SimulatedDisk:
-    """Charges deterministic time for page accesses against a BLOB store.
-
-    The disk remembers the last page it touched: a read whose first page
-    directly follows is sequential and skips the positioning cost, so tile
-    clustering order influences ``t_o`` exactly as it would on a real
-    spindle.
+    """The disk's state: the head (the last page touched, shared by reads
+    and writes as on a real spindle), the counters and the latch.  Every
+    charge is one latch hold around one :func:`price` call over a batch.
     """
 
-    def __init__(
-        self,
-        store: BlobStore,
-        parameters: DiskParameters | None = None,
-    ) -> None:
-        self.store = store
-        self.parameters = parameters or DiskParameters(page_size=store.page_size)
-        if self.parameters.page_size != store.page_size:
-            raise StorageError(
-                f"disk page size {self.parameters.page_size} differs from "
-                f"store page size {store.page_size}"
-            )
+    def __init__(self, parameters: DiskParameters | None = None) -> None:
+        self.parameters = parameters or DiskParameters()
         self.counters = DiskCounters()
-        self._head_position: int | None = None
-        # One latch serializes head movement and counter updates: the
-        # positioning regime depends on the previous access, so charges
-        # must be atomic for the cost model to stay coherent under
-        # concurrent readers.
+        self._head: Optional[int] = None
         self._latch = OrderedLatch("disk", 50)
 
-    # -- timing primitives -------------------------------------------------
-
-    def charge_pages(self, page_range: PageRange) -> float:
-        """Charge the cost of reading one contiguous page range.
-
-        Three positioning regimes: a read continuing exactly where the
-        head sits is sequential (no positioning); a short forward skip
-        pays only a settle; anything else is a full random access.
-        """
-        with self._latch:
-            return self._charge_pages_locked(page_range)
-
-    def _charge_pages_locked(self, page_range: PageRange) -> float:
-        cost = page_range.count * self.parameters.transfer_ms_per_page()
-        if self._head_position == page_range.start:
-            self.counters.sequential_reads += 1
-            _SEQUENTIAL_READS.inc()
-        elif (
-            self._head_position is not None
-            and 0
-            < page_range.start - self._head_position
-            <= self.parameters.short_skip_pages
-        ):
-            cost += self.parameters.short_skip_ms()
-            self.counters.short_skips += 1
-            _SHORT_SKIPS.inc()
-        else:
-            cost += self.parameters.random_access_ms()
-            self.counters.random_accesses += 1
-            _RANDOM_ACCESSES.inc()
-        self._head_position = page_range.end
-        self.counters.pages_read += page_range.count
-        self.counters.time_ms += cost
-        _PAGES_READ.inc(page_range.count)
-        _MODEL_MS.inc(cost)
-        return cost
-
-    def charge_index_node(self) -> float:
-        """Charge one random page access for a spatial-index node visit."""
-        cost = (
-            self.parameters.random_access_ms()
-            + self.parameters.transfer_ms_per_page()
+    def charge_reads(self, records: Sequence[BlobRecord]) -> list[float]:
+        """Charge a batch of BLOB reads, in the given (page) order; a
+        blob's cost is its run's price plus ``blob_overhead_ms``."""
+        return self._read(
+            [record.pages for record in records],
+            self.parameters.blob_overhead_ms,
+            len(records),
+            sum(record.byte_size for record in records),
         )
+
+    def charge_index(self, nodes: int) -> float:
+        """Charge ``nodes`` spatial-index node visits; their summed cost."""
+        _INDEX_NODE_READS.inc(nodes)
+        return sum(self._read([INDEX_NODE] * nodes))
+
+    def _read(
+        self, runs: Sequence[Optional[PageRange]], overhead=0.0, blobs=0, byte_size=0
+    ) -> list[float]:
+        """One latch hold pricing read-side items into the read counters;
+        an empty batch (a chunk of pool hits) takes no latch."""
+        if not runs:
+            return []
+        pages = sum(1 if run is None else run.count for run in runs)
+        counters = self.counters
         with self._latch:
-            self.counters.pages_read += 1
-            self.counters.random_accesses += 1
-            self.counters.time_ms += cost
-            self._head_position = None
-        _INDEX_NODE_READS.inc()
-        _PAGES_READ.inc()
-        _RANDOM_ACCESSES.inc()
-        _MODEL_MS.inc(cost)
-        return cost
+            priced, self._head = price(self.parameters, self._head, runs)
+            for cost, _regime in priced:
+                counters.time_ms += cost  # then the overhead (0.0 for index nodes:
+                counters.time_ms += overhead  # no bit changes): t_o's bits depend on it
+            regimes = Counter(regime for _cost, regime in priced)
+            counters.sequential_reads += regimes[SEQUENTIAL]
+            counters.short_skips += regimes[SHORT_SKIP]
+            counters.random_accesses += regimes[RANDOM]
+            counters.pages_read += pages
+            counters.blob_reads += blobs
+            counters.bytes_read += byte_size
+        costs = [cost + overhead for cost, _regime in priced]
+        _SEQUENTIAL_READS.inc(regimes[SEQUENTIAL])
+        _SHORT_SKIPS.inc(regimes[SHORT_SKIP])
+        _RANDOM_ACCESSES.inc(regimes[RANDOM])
+        _PAGES_READ.inc(pages)
+        _BLOB_READS.inc(blobs)
+        _BYTES_READ.inc(byte_size)
+        _MODEL_MS.inc(sum(costs))
+        return costs
+
+    def charge_writes(self, runs: Sequence[PageRange]) -> list[float]:
+        """Charge coalesced page-file write runs, in order: they move the
+        shared head, but land in the ``data_write`` counters (regimes not
+        counted) — write-path overhead must not inflate the paper's
+        ``t_o``.  A run of coalesced blobs pays one positioning."""
+        if not runs:
+            return []
+        pages = sum(run.count for run in runs)
+        with self._latch:
+            priced, self._head = price(self.parameters, self._head, runs)
+            for cost, _regime in priced:
+                self.counters.data_write_ms += cost
+            self.counters.data_writes += len(runs)
+            self.counters.pages_written += pages
+        costs = [cost for cost, _regime in priced]
+        _DATA_WRITES.inc(len(runs))
+        _PAGES_WRITTEN.inc(pages)
+        _DATA_WRITE_MS.inc(sum(costs))
+        return costs
 
     def charge_log_append(self, byte_count: int, fsync: bool = False) -> float:
         """Charge a sequential write-ahead-log append.
@@ -245,78 +281,13 @@ class SimulatedDisk:
         _WAL_MS.inc(cost)
         return cost
 
-    def charge_data_write(self, page_range: PageRange) -> float:
-        """Charge one coalesced page-file write run.
-
-        Positioning follows the same three regimes as reads (the head is
-        shared between reads and writes on a real spindle) but the cost
-        lands in the separate ``data_write`` counters: page-file flushes,
-        like WAL appends, are write-path overhead that must not inflate
-        the paper's ``t_o``.  A run of many coalesced blobs pays one
-        positioning, which is the point of coalescing.
-        """
-        with self._latch:
-            cost = page_range.count * self.parameters.transfer_ms_per_page()
-            if self._head_position == page_range.start:
-                pass
-            elif (
-                self._head_position is not None
-                and 0
-                < page_range.start - self._head_position
-                <= self.parameters.short_skip_pages
-            ):
-                cost += self.parameters.short_skip_ms()
-            else:
-                cost += self.parameters.random_access_ms()
-            self._head_position = page_range.end
-            self.counters.data_writes += 1
-            self.counters.pages_written += page_range.count
-            self.counters.data_write_ms += cost
-        _DATA_WRITES.inc()
-        _PAGES_WRITTEN.inc(page_range.count)
-        _DATA_WRITE_MS.inc(cost)
-        return cost
-
-    # -- blob interface ------------------------------------------------------
-
-    def read_blob(
-        self, blob_id: int, verified: bytes | None = None
-    ) -> tuple[bytes, float]:
-        """Fetch a BLOB's bytes and the charged time in milliseconds.
-
-        Charge and byte fetch happen under the disk latch, so the pages
-        a reader is charged for are the pages whose bytes it gets even
-        while a writer commits concurrently (the store latch ranks above
-        the disk latch, see :mod:`repro.storage.latch`).  ``verified`` is
-        the payload when the fetch path's read-ahead already fetched and
-        checksummed it (:func:`repro.storage.pipeline._read_runs`, under a
-        pinned view, where blobs are immutable): only the charge, which
-        is the same either way, is left to do.
-        """
-        with self._latch:
-            record = self.store.record(blob_id)
-            cost = self._charge_pages_locked(record.pages)
-            cost += self.parameters.blob_overhead_ms
-            self.counters.time_ms += self.parameters.blob_overhead_ms
-            payload = self.store.get(blob_id) if verified is None else verified
-            self.counters.blob_reads += 1
-            self.counters.bytes_read += record.byte_size
-        _BLOB_READS.inc()
-        _BYTES_READ.inc(record.byte_size)
-        _MODEL_MS.inc(self.parameters.blob_overhead_ms)
-        _BLOB_READ_MS.observe(cost)
-        self._realtime_wait(cost)
-        return payload, cost
-
-    def _realtime_wait(self, model_ms: float) -> None:
-        """Sleep the scaled modelled time, outside the latch (see
-        :attr:`DiskParameters.realtime_scale`)."""
+    def wait(self, model_ms: float) -> None:
+        """Sleep the scaled modelled time of a read batch
+        (:attr:`DiskParameters.realtime_scale`); callers hold no latch."""
         scale = self.parameters.realtime_scale
         if scale > 0.0 and model_ms > 0.0:
             time.sleep(model_ms * scale / 1000.0)
             _REALTIME_WAIT_MS.inc(model_ms * scale)
-
-    # -- bookkeeping -----------------------------------------------------------
 
     def reset(self) -> DiskCounters:
         """Zero the counters and forget head position; returns the old
@@ -324,5 +295,5 @@ class SimulatedDisk:
         with self._latch:
             old = self.counters
             self.counters = DiskCounters()
-            self._head_position = None
+            self._head = None
         return old

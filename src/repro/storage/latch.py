@@ -24,10 +24,10 @@ rank   latch               protects
 70     ``cache.decoded``   decoded-tile LRU table and byte accounting
 =====  ==================  ================================================
 
-The one *call-graph* subtlety the ranks encode: ``SimulatedDisk.read_blob``
-(rank 50) calls into ``BlobStore.get`` (rank 60), and ``BufferPool.read_blob``
-(rank 45) calls into the disk — so pool < disk < store, even though the
-store feels "lower level" than the disk model that charges for it.
+The one *call-graph* subtlety the ranks encode: ``BufferPool.read_blobs``
+(rank 45) charges a chunk's misses with ``SimulatedDisk.charge_reads``
+(rank 50) and reads an evicted blob with ``BlobStore.get`` (rank 60)
+inside its hold — so pool < disk < store; the disk never takes the store.
 
 Deterministic scheduling hook
 -----------------------------

@@ -256,31 +256,28 @@ _READ_AHEAD_RUNS = 32
 
 
 def _read_runs(
-    database: "Database", items: Sequence[tuple[int, "TileEntry"]]
+    database: "Database", items: Sequence[tuple[int, "TileEntry"]], records: Sequence["BlobRecord"]
 ) -> Iterator[tuple[int, FetchedTile, bytes]]:
     """Read the cache misses in order: ``(position, tile, payload)``, the
-    tile carrying the blob's charge and pool outcome.
+    tile carrying the blob's charge and pool outcome (``records`` by
+    position: the batch's catalog snapshot).
 
-    Each chunk of ``_READ_AHEAD_RUNS`` blobs first has the store fetch
-    the real ones the pool lacks (all, without a pool) — one read per
-    page run, one CRC pass per chunk, outside the pool and disk latches
-    (``FileBlobStore.get_run``).  Then charges, pool lookups and
-    admissions happen blob by blob, in item order, each handed its
-    verified payload (:meth:`Database.lookup_blob`); a blob cached at the
-    peek but evicted before its turn takes the per-blob read.  Safe
-    because the caller's pinned view keeps blobs immutable.
+    Per chunk of ``_READ_AHEAD_RUNS`` blobs: one pool peek; one
+    ``store.get_run`` of the real blobs the pool lacks (all, without a
+    pool) — one read per page run, one CRC pass, outside the pool and disk
+    latches; then one :meth:`Database.read_blobs` — one pool pass, one
+    disk charge — handed the verified payloads.  Safe because the
+    caller's pinned view keeps blobs immutable.
     """
     pool = database.pool
     for start in range(0, len(items), _READ_AHEAD_RUNS):
         chunk = items[start : start + _READ_AHEAD_RUNS]
-        absent = [
-            entry.blob_id
-            for _, entry in chunk
-            if not entry.virtual and (pool is None or entry.blob_id not in pool)
-        ]
+        ids = [entry.blob_id for _, entry in chunk]
+        cached = pool.cached(ids) if pool is not None else [False] * len(ids)
+        absent = [i for i, (_, e), hit in zip(ids, chunk, cached) if not (e.virtual or hit)]
         ahead = dict(zip(absent, database.store.get_run(absent)))
-        for position, entry in chunk:
-            payload, read = database.lookup_blob(entry.blob_id, ahead.get(entry.blob_id))
+        reads = database.read_blobs([records[position] for position, _ in chunk], ahead)
+        for (position, entry), (payload, read) in zip(chunk, reads):
             tile = FetchedTile(
                 entry, read.cost, len(payload), pool_hit=read.hit, pool_evicted=read.evicted
             )
@@ -354,7 +351,7 @@ def _fetch(
     if reduce is not None:
         reduce.hits(hits)
 
-    for position, tile, payload in _read_runs(database, misses):
+    for position, tile, payload in _read_runs(database, misses, records):
         fetched[position] = tile
         if tile.entry.virtual:
             continue
@@ -397,13 +394,13 @@ def fetch_tiles(
 
 
 def fetch_payloads(
-    database: "Database", entries: Sequence["TileEntry"]
+    database: "Database", entries: Sequence["TileEntry"], records: Sequence["BlobRecord"]
 ) -> list[FetchedTile]:
     """Stored payloads of a page-ordered batch (served tile frames):
     :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
     decoded cache."""
     fetched = []
-    for _, tile, payload in _read_runs(database, list(enumerate(entries))):
+    for _, tile, payload in _read_runs(database, list(enumerate(entries)), records):
         tile.payload = payload
         fetched.append(tile)
     _count(fetched)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import chain, compress, product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro.query.access import AccessKind, classify
 from repro.query.timing import LoadStats, QueryTiming
 from repro.stats.log import AccessLog
 from repro.storage.backends import MemoryBlobStore
-from repro.storage.blob import BlobStore
+from repro.storage.blob import BlobRecord, BlobStore
 from repro.storage.bufferpool import BufferPool, PoolRead
 from repro.storage.decodedcache import DecodedTileCache
 from repro.storage.disk import CpuParameters, DiskParameters, SimulatedDisk
@@ -281,13 +281,10 @@ class ReadExecutor:
         """
         selecting = time.perf_counter()
         region, timing = self.region, self.timing
-        disk = store.database.disk
         started = time.perf_counter()
         result = view.index.search(region)
         cpu_ix = (time.perf_counter() - started) * 1000.0
-        page_ix = sum(
-            disk.charge_index_node() for _ in range(result.nodes_visited)
-        )
+        page_ix = store.database.disk.charge_index(result.nodes_visited)
         timing.t_ix += cpu_ix + page_ix
         timing.t_ix_pages += page_ix
         timing.index_nodes += result.nodes_visited
@@ -462,7 +459,7 @@ class ReadExecutor:
         return fetched
 
     def _payloads(self, database: "Database", items, records) -> list:
-        return fetch_payloads(database, [item[0] for item in items])
+        return fetch_payloads(database, [item[0] for item in items], records)
 
     def _fetch(self, selection: _Selection, run: Callable, at: Optional[int] = None) -> list:
         """Fetch the whole selection, page-ordered first (or only item
@@ -1665,10 +1662,15 @@ class Database:
         self.store = store if store is not None else MemoryBlobStore()
         if disk_parameters is None:
             disk_parameters = DiskParameters(page_size=self.store.page_size)
-        self.disk = SimulatedDisk(self.store, disk_parameters)
+        if disk_parameters.page_size != self.store.page_size:
+            raise StorageError(
+                f"disk page size {disk_parameters.page_size} differs from "
+                f"store page size {self.store.page_size}"
+            )
+        self.disk = SimulatedDisk(disk_parameters)
         self.cpu_parameters = CpuParameters()
         self.pool = (
-            BufferPool(self.disk, buffer_bytes) if buffer_bytes > 0 else None
+            BufferPool(self.store, self.disk, buffer_bytes) if buffer_bytes > 0 else None
         )
         self.decoded_cache = (
             DecodedTileCache(decoded_cache_bytes)
@@ -1712,22 +1714,29 @@ class Database:
         key turns them into sequential page runs."""
         return self.store.record(entry.blob_id).pages.start
 
-    def read_blob(
-        self, blob_id: int, verified: Optional[bytes] = None
-    ) -> tuple[bytes, float]:
-        """BLOB payload and charged milliseconds, via the pool if any
-        (``verified``: see :meth:`SimulatedDisk.read_blob`)."""
-        payload, read = self.lookup_blob(blob_id, verified)
-        return payload, read.cost
+    def read_blobs(
+        self, records: Sequence[BlobRecord], fetched: Mapping[int, bytes]
+    ) -> list[tuple[bytes, PoolRead]]:
+        """Each blob's payload and :class:`PoolRead`, charged in order, via
+        the pool if any; a payload comes from ``fetched`` (already read and
+        verified), else — virtual, or evicted since the caller's peek —
+        from the store.  The batch's realtime wait runs with no latch held."""
+        def load(blob_id: int) -> bytes:
+            payload = fetched.get(blob_id)
+            return self.store.get(blob_id) if payload is None else payload
 
-    def lookup_blob(
-        self, blob_id: int, verified: Optional[bytes] = None
-    ) -> tuple[bytes, PoolRead]:
-        """:meth:`read_blob` with the pool's outcome of this lookup."""
         if self.pool is not None:
-            return self.pool.read_blob(blob_id, verified)
-        payload, cost = self.disk.read_blob(blob_id, verified)
-        return payload, PoolRead(cost)
+            reads = self.pool.read_blobs(records, load)
+        else:
+            costs = self.disk.charge_reads(records)
+            reads = [(load(r.blob_id), PoolRead(cost)) for r, cost in zip(records, costs)]
+        self.disk.wait(sum(read.cost for _, read in reads))
+        return reads
+
+    def read_blob(self, blob_id: int) -> tuple[bytes, float]:
+        """One blob's payload and charged milliseconds (:meth:`read_blobs`)."""
+        payload, read = self.read_blobs(self.store.records([blob_id]), {})[0]
+        return payload, read.cost
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
         """Lazy decode worker pool; ``None`` in serial mode (default)."""
@@ -1885,8 +1894,7 @@ class Database:
             # positioned write on the modelled disk (write counters, not
             # t_o).  Readers keep hitting the pending buffer until the
             # backend write completes, so bytes are always available.
-            for run in self.store.flush_ids(pending):
-                self.disk.charge_data_write(run)
+            self.disk.charge_writes(self.store.flush_ids(pending))
 
     def _rollback(self, txn: _TxnState) -> None:
         """Restore working state to the last published versions."""

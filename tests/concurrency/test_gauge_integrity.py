@@ -53,9 +53,9 @@ class TestPoolGauge:
             store.put(bytes([i]) * (64 + i)): 64 + i for i in range(32)
         }
         blob_ids = list(payloads)
-        disk = SimulatedDisk(store, DiskParameters(page_size=64))
+        disk = SimulatedDisk(DiskParameters(page_size=64))
         # capacity forces constant eviction: ~6 entries fit out of 32
-        pool = BufferPool(disk, capacity_bytes=400)
+        pool = BufferPool(store, disk, capacity_bytes=400)
         before = _gauge("pool.used_bytes")
 
         def worker(k):
@@ -81,8 +81,8 @@ class TestPoolGauge:
     def test_concurrent_invalidate_against_admit(self):
         store = MemoryBlobStore(page_size=64)
         blob_ids = [store.put(bytes([i]) * 100) for i in range(16)]
-        disk = SimulatedDisk(store, DiskParameters(page_size=64))
-        pool = BufferPool(disk, capacity_bytes=100 * 8)
+        disk = SimulatedDisk(DiskParameters(page_size=64))
+        pool = BufferPool(store, disk, capacity_bytes=100 * 8)
         before = _gauge("pool.used_bytes")
 
         def reader(k):

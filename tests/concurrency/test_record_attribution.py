@@ -85,7 +85,7 @@ def _race(obj, owner, method: str, monkeypatch):
 
 def test_pool_outcomes_are_the_querys_own(monkeypatch):
     database, obj = _warm(buffer_bytes=1 << 20)
-    for timing in _race(obj, database.pool, "read_blob", monkeypatch):
+    for timing in _race(obj, database.pool, "read_blobs", monkeypatch):
         assert timing.tiles_read == TILES
         assert timing.pool_hits + timing.pool_misses == timing.tiles_read
         assert timing.pool_hits == TILES and timing.pool_evictions == 0

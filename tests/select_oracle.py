@@ -64,9 +64,7 @@ def select(self, store, view, *, condense: bool = False) -> _Selection:
     started = time.perf_counter()
     result = view.index.search(region)
     cpu_ix = (time.perf_counter() - started) * 1000.0
-    page_ix = sum(
-        disk.charge_index_node() for _ in range(result.nodes_visited)
-    )
+    page_ix = disk.charge_index(result.nodes_visited)
     timing.t_ix += cpu_ix + page_ix
     timing.t_ix_pages += page_ix
     timing.index_nodes += result.nodes_visited

@@ -10,8 +10,8 @@ from repro.storage.disk import DiskParameters, SimulatedDisk
 
 def make_pool(capacity, page_size=1024):
     store = MemoryBlobStore(page_size=page_size)
-    disk = SimulatedDisk(store, DiskParameters(page_size=page_size))
-    return store, disk, BufferPool(disk, capacity)
+    disk = SimulatedDisk(DiskParameters(page_size=page_size))
+    return store, disk, BufferPool(store, disk, capacity)
 
 
 class TestHitsAndMisses:
@@ -61,6 +61,24 @@ class TestEviction:
         assert [read.cost > 0.0 for read in outcomes] == [True, True, False, True, True]
         assert (pool.hits, pool.misses, pool.evictions) == (1, 4, 2)
 
+    def test_a_batch_walks_like_single_reads(self):
+        # one pool pass and one disk charge give the payloads, outcomes,
+        # charges and LRU order of the same lookups made one at a time;
+        # b misses twice (c's admission evicts it) and, not read ahead,
+        # comes from the store both times
+        (store, disk, pool), (twin_store, twin_disk, twin) = make_pool(250), make_pool(250)
+        for n in range(3):
+            store.put(bytes([n]) * 100)
+            twin_store.put(bytes([n]) * 100)
+        a, b, c = store.blob_ids()
+        order = (a, b, a, c, b)
+        fetched = {blob_id: store.get(blob_id) for blob_id in (a, c)}
+        batch = pool.read_blobs(store.records(order), lambda i: fetched[i] if i in fetched else store.get(i))
+        assert batch == [twin.read_blob(blob_id) for blob_id in order]
+        assert vars(disk.counters) == vars(twin_disk.counters)
+        assert list(pool._entries) == list(twin._entries)
+        assert (pool.hits, pool.misses, pool.evictions) == (1, 4, 2)
+
     def test_oversized_payload_not_cached(self):
         store, _disk, pool = make_pool(50)
         blob_id = store.put(b"z" * 100)
@@ -85,9 +103,8 @@ class TestEviction:
 
     def test_negative_capacity_rejected(self):
         store = MemoryBlobStore()
-        disk = SimulatedDisk(store)
         with pytest.raises(StorageError):
-            BufferPool(disk, -1)
+            BufferPool(store, SimulatedDisk(), -1)
 
 
 class TestObsGauge:

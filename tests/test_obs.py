@@ -120,7 +120,7 @@ class TestExporters:
         reg = MetricsRegistry()
         reg.counter("disk.blob_reads", "help text").inc(3)
         reg.gauge("pool.used_bytes").set(512)
-        h = reg.histogram("disk.blob_read_ms", buckets=(1.0, 10.0))
+        h = reg.histogram("pipeline.decode_ms", buckets=(1.0, 10.0))
         h.observe(0.5)
         h.observe(20.0)
         return reg
@@ -136,9 +136,9 @@ class TestExporters:
         assert "repro_disk_blob_reads 3" in text
         assert "# HELP repro_disk_blob_reads help text" in text
         assert "# TYPE repro_pool_used_bytes gauge" in text
-        assert '# TYPE repro_disk_blob_read_ms histogram' in text
-        assert 'repro_disk_blob_read_ms_bucket{le="+Inf"} 2' in text
-        assert "repro_disk_blob_read_ms_count 2" in text
+        assert '# TYPE repro_pipeline_decode_ms histogram' in text
+        assert 'repro_pipeline_decode_ms_bucket{le="+Inf"} 2' in text
+        assert "repro_pipeline_decode_ms_count 2" in text
 
 
 class TestGlobalToggles:

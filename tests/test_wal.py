@@ -7,7 +7,6 @@ import pytest
 from repro.core.errors import WalError
 from repro.storage.blob import BlobRecord
 from repro.storage.disk import SimulatedDisk
-from repro.storage.backends import MemoryBlobStore
 from repro.storage.pages import PageRange
 from repro.storage.wal import (
     MAGIC,
@@ -124,7 +123,7 @@ class TestWriteAheadLog:
         wal.close()
 
     def test_commit_charges_modelled_disk(self, tmp_path):
-        disk = SimulatedDisk(MemoryBlobStore())
+        disk = SimulatedDisk()
         wal = WriteAheadLog(tmp_path / "wal.log", fsync=False, disk=disk)
         wal.log_meta({"op": "x"})
         wal.commit()
