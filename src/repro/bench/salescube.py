@@ -156,6 +156,10 @@ QUERY_SELECTS: Dict[str, str] = {
 QUERIES_2P_FAVOURED = ("b", "e", "f", "h", "i")
 
 
+#: Days (axis-0 rows) per Poisson draw of :func:`generate_sales_data`.
+_BLOCK_DAYS = 16
+
+
 def generate_sales_data(
     domain: MInterval = SALES_DOMAIN, seed: int = 20260706
 ) -> np.ndarray:
@@ -173,8 +177,13 @@ def generate_sales_data(
     day_factor = (weekly * seasonal)[:, None, None]
     product_pop = rng.gamma(2.0, 2.0, size=(1, products, 1))
     store_size = rng.gamma(3.0, 1.5, size=(1, 1, stores))
-    lam = 2.0 * day_factor * product_pop * store_size
-    return rng.poisson(lam).astype(np.uint32)
+    # Poisson draws take the stream in C order: blocks of days drawn in
+    # order equal one whole-cube draw, without its float64/int64 copies.
+    cube = np.empty(domain.shape, dtype=np.uint32)
+    for start in range(0, days, _BLOCK_DAYS):
+        days_block = day_factor[start : start + _BLOCK_DAYS]
+        cube[start : start + _BLOCK_DAYS] = rng.poisson(2.0 * days_block * product_pop * store_size)
+    return cube
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,23 @@
 """Parallel HTTP client of the tile service (standard library only).
 
-:class:`Client` talks to a :class:`repro.serve.TileServer` over a pool
-of keep-alive connections (one per worker thread) and reassembles range
-reads **byte-identically** to a direct :meth:`Database.read`:
+:class:`Client` talks to a :class:`repro.serve.TileServer` over
+keep-alive connections (one per thread) and returns range reads
+**byte-identical** to a direct :meth:`Database.read`:
 
-* **parallel reads** (the default) first fetch the tile *plan* of the
-  box — the stored tiles intersecting it at one pinned epoch, in page
-  order — then split its tiles into at most ``workers`` page-contiguous
-  chunks and fetch each chunk's hull with one request over the worker
-  pool, in the tile-frame format (compressed exactly as stored; the
-  client decodes), composing with :func:`repro.serve.wire.assemble`, the
-  same rule the storage layer uses.  Every chunk fetch carries
-  ``X-Repro-Expect-Etag``; if a writer publishes a new epoch mid-read
-  the server answers 409 and the client retries the whole read at the
-  new epoch, so an assembled array is always one snapshot, never a torn
-  mix of epochs.
-* **ETag caching**: responses are cached keyed on the epoch-keyed ETag;
-  repeat reads revalidate with ``If-None-Match`` and an unchanged
-  object answers **304** with no body — the cached array is returned
-  and :attr:`ClientStats.not_modified` counts the round trip saved.
+* **parallel reads** (the default) cut the box into at most ``workers``
+  equal slabs along its longest axis and fetch every slab as one raw
+  slice, concurrently: the server composes only the cells asked for and
+  the client stacks the slabs.  A box with open bounds (or no box) is
+  first resolved through the ``/tiles`` plan.  The slabs are accepted
+  only if every response (the plan's too) carries the same ETag, i.e.
+  one object version; if a writer published in between, the client
+  retries the whole read, so an array is always one snapshot, never a
+  torn mix of versions.
+* **ETag caching**: results are cached, read-only, with their ETag; a
+  repeat read in either mode revalidates with one ``If-None-Match``
+  request for the whole box, an unchanged object answers **304** with
+  no body, the caller gets its own copy of the cached array and
+  :attr:`ClientStats.not_modified` counts the round trip saved.
 
 Usage::
 
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPResponse, RemoteDisconnected
@@ -101,8 +101,9 @@ class _Response:
 class Client:
     """Connection-pooled client of one tile server.
 
-    ``workers`` bounds both the thread pool and the number of live
-    keep-alive connections (each worker thread owns one, lazily).
+    ``workers`` bounds the slabs of a parallel read and the thread pool
+    that fetches them; every thread that sends a request (pool workers
+    and callers) owns one keep-alive connection, opened lazily.
     """
 
     def __init__(
@@ -125,13 +126,21 @@ class Client:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-client"
         )
-        # ETag cache: (collection, name, box text) -> (etag, array copy).
+        # ETag cache: (collection, name, box text) -> (etag, read-only array).
         self._cache: dict[tuple[str, str, str], tuple[str, np.ndarray]] = {}
-        self._cache_latch = threading.Lock()
+        # Every live connection, for close(); a thread's goes with the thread.
+        self._connections: weakref.WeakSet[HTTPConnection] = weakref.WeakSet()
+        self._latch = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
+        """Close every connection this client opened, then stop the workers
+        (so no worker's connection is left to the garbage collector)."""
+        with self._latch:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "Client":
@@ -161,15 +170,15 @@ class Client:
     ) -> np.ndarray:
         """A range read, byte-identical to the server reading directly.
 
-        ``parallel=True`` fetches the tile plan and fans at most
-        ``workers`` chunk fetches out over the worker pool;
-        ``parallel=False`` issues one raw-format request.  Both
-        revalidate through the ETag cache.
+        ``parallel=True`` fetches at most ``workers`` slabs of the box
+        concurrently; ``parallel=False`` issues one raw-format request.
+        A cached box revalidates with one conditional request either way.
         """
         box_text = str(box) if box is not None else ""
         for attempt in range(self.max_retries + 1):
             try:
-                if parallel:
+                # a cached box revalidates as one conditional request
+                if parallel and (collection, name, box_text) not in self._cache:
                     return self._read_parallel(collection, name, box_text)
                 return self._read_serial(collection, name, box_text)
             except StaleReadError:
@@ -232,70 +241,53 @@ class Client:
         self, collection: str, name: str, box_text: str
     ) -> np.ndarray:
         key = (collection, name, box_text)
-        response, cached = self._revalidate(
-            key, self._path(collection, name, "slice", box_text), {"Accept": wire.FORMAT_RAW}
-        )
+        headers = {"Accept": wire.FORMAT_RAW}
+        with self._latch:
+            cached = self._cache.get(key)
         if cached is not None:
-            return cached
-        shape = tuple(
-            int(side)
-            for side in response.headers["x-repro-shape"].split(",")
+            headers["If-None-Match"] = cached[0]
+        response = self._request(
+            "GET", self._path(collection, name, "slice", box_text), headers
         )
-        dtype = np.dtype(response.headers["x-repro-dtype"])
-        array = np.frombuffer(response.body, dtype=dtype).reshape(shape)
+        if response.status == 304:
+            assert cached is not None
+            return cached[1].copy()
+        self._raise_for_status(response)
+        array = _raw_array(response)
         self._remember(key, response.headers.get("etag"), array)
         return array.copy()
 
     def _read_parallel(
         self, collection: str, name: str, box_text: str
     ) -> np.ndarray:
-        key = (collection, name, box_text)
-        response, cached = self._revalidate(
-            key, self._path(collection, name, "tiles", box_text), {}
-        )
-        if cached is not None:
-            return cached
-        plan = self._json(response)
-        etag = plan["etag"]
-        box = MInterval.parse(plan["box"])
-        dtype = np.dtype(plan["dtype"])
-        default = plan["default"]
-
-        # The plan is in page order, so consecutive tiles are neighbours
-        # on disk and (along the clustering curve) in space: one chunk of
-        # them per worker, one request per chunk.
-        real = [MInterval.parse(t["domain"]) for t in plan["tiles"] if not t["virtual"]]
-        size = max(1, -(-len(real) // self.workers))
-        futures = [
-            self._pool.submit(
-                self._fetch_chunk, collection, name, real[start : start + size], box, etag
+        etags: set[str] = set()
+        box = _bounded(box_text)
+        if box is None:
+            plan = self._json(
+                self._request("GET", self._path(collection, name, "tiles", box_text))
             )
-            for start in range(0, len(real), size)
-        ]
-        frames = [frame for future in futures for frame in future.result()]
-        array = wire.assemble(box, dtype, default, frames)
-        self._remember(key, etag, array)
-        return array.copy()
-
-    def _fetch_chunk(
-        self, collection: str, name: str, tiles: list, box: MInterval, etag: str
-    ) -> list[wire.TileFrame]:
-        """One chunk's frames: one request for the chunk's hull inside the
-        box, pinned to the plan's epoch via the ETag."""
-        hull = MInterval.hull_of(tiles).intersection(box)
-        response = self._request(
-            "GET",
-            self._path(collection, name, "slice", str(hull)),
-            {"Accept": wire.FORMAT_TILES, "X-Repro-Expect-Etag": etag},
-        )
-        if response.status == 409:
+            etags.add(plan["etag"])
+            box = MInterval.parse(plan["box"])
+        axis, slabs = _slabs(box, self.workers)
+        raw = {"Accept": wire.FORMAT_RAW}
+        paths = [self._path(collection, name, "slice", str(slab)) for slab in slabs]
+        futures = [self._pool.submit(self._request, "GET", path, raw) for path in paths[1:]]
+        responses = [self._request("GET", paths[0], raw)]
+        responses += [future.result() for future in futures]
+        if any(
+            response.status != 200 or response.headers.get("x-repro-box") != str(slab)
+            for response, slab in zip(responses, slabs)
+        ):
+            # The server clips a box reaching past the object's current
+            # domain (or refuses it): read it whole, as a serial read would.
+            return self._read_serial(collection, name, box_text)
+        etags.update(response.headers.get("etag") for response in responses)
+        if len(etags) != 1:
             raise StaleReadError(409, f"{collection}/{name} changed mid-read")
-        self._raise_for_status(response)
-        _header, frames = wire.decode_frames(response.body)
-        # The hull may meet other chunks' tiles too; keep only this
-        # chunk's, so the final assemble sees each tile exactly once.
-        wanted = set(tiles)
-        return [frame for frame in frames if frame.domain in wanted]
+        parts = [_raw_array(response) for response in responses]
+        array = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+        self._remember((collection, name, box_text), etags.pop(), array)
+        return array.copy()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -303,38 +295,27 @@ class Client:
         path = f"/v1/{quote(collection)}/{quote(name)}/{action}"
         return f"{path}?box={quote(box_text)}" if box_text else path
 
-    def _revalidate(
-        self, key: tuple[str, str, str], path: str, headers: dict
-    ) -> tuple[_Response, Optional[np.ndarray]]:
-        """GET ``path``, revalidating the cached copy of ``key``: the
-        response, and a copy of the cached array if it answered 304."""
-        with self._cache_latch:
-            cached = self._cache.get(key)
-        if cached is not None:
-            headers["If-None-Match"] = cached[0]
-        response = self._request("GET", path, headers)
-        if response.status == 304:
-            assert cached is not None
-            return response, cached[1].copy()
-        self._raise_for_status(response)
-        return response, None
-
     def _remember(
         self,
         key: tuple[str, str, str],
         etag: Optional[str],
         array: np.ndarray,
     ) -> None:
+        """Cache ``array`` itself, made read-only: callers only ever get
+        copies of it."""
         if etag is None:
             return
-        with self._cache_latch:
-            self._cache[key] = (etag, array.copy())
+        array.flags.writeable = False
+        with self._latch:
+            self._cache[key] = (etag, array)
 
     def _connection(self) -> HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
             self._local.conn = conn
+            with self._latch:
+                self._connections.add(conn)
         return conn
 
     def _request(
@@ -358,7 +339,6 @@ class Client:
                 payload = raw.read()
             except (RemoteDisconnected, BrokenPipeError, ConnectionError) as exc:
                 conn.close()
-                self._local.conn = None
                 last_error = exc
                 continue
             response = _Response(
@@ -382,3 +362,34 @@ class Client:
     def _json(self, response: _Response) -> dict:
         self._raise_for_status(response)
         return json.loads(response.body.decode("utf-8"))
+
+
+def _raw_array(response: _Response) -> np.ndarray:
+    """A raw-format body as an array: a read-only view of the bytes."""
+    shape = tuple(int(side) for side in response.headers["x-repro-shape"].split(","))
+    dtype = np.dtype(response.headers["x-repro-dtype"])
+    return np.frombuffer(response.body, dtype=dtype).reshape(shape)
+
+
+def _bounded(box_text: str) -> Optional[MInterval]:
+    """The box, if it is one the client can cut without the server:
+    parseable and with no open bound."""
+    try:
+        box = wire.parse_box(box_text)
+    except wire.WireError:
+        return None  # no box, or a malformed one the plan request refuses
+    return box if box.is_bounded else None
+
+
+def _slabs(box: MInterval, count: int) -> tuple[int, list[MInterval]]:
+    """At most ``count`` slabs of near-equal thickness tiling ``box``
+    along its longest axis, in order: ``(axis, slabs)``."""
+    axis = int(np.argmax(box.shape))
+    low, extent = box.lowest[axis], box.shape[axis]
+    count = min(count, extent)
+    slabs: list[MInterval] = []
+    rest = box
+    for k in range(1, count):
+        slab, rest = rest.split(axis, low + extent * k // count)
+        slabs.append(slab)
+    return axis, slabs + [rest]

@@ -16,9 +16,9 @@ The contract:
 * request handlers run on daemon threads and the accept loop runs on a
   daemon thread, so a process that exits never hangs on an open
   connection;
-* ``TCP_NODELAY`` is set on every accepted connection: a handler sends
-  headers and body as two writes, and under Nagle the second waits
-  ~40 ms for the client's delayed ACK;
+* ``TCP_NODELAY`` is set on every accepted connection: a response in
+  two writes (the metrics server's headers and body, or a partial send)
+  would wait ~40 ms under Nagle for the client's delayed ACK;
 * :meth:`stop` is idempotent and a stopped handle can be started again
   (a fresh socket is bound each time).
 """

@@ -10,7 +10,7 @@ metrics endpoint via :class:`repro.httpd.HttpServerHandle`) exposing one
 * ``GET  /v1/collections``              — catalog listing with ETags;
 * ``GET  /v1/{coll}/{obj}``             — object metadata;
 * ``GET  /v1/{coll}/{obj}/tiles?box=``  — tile plan (domains, codecs) of a
-  box at one pinned epoch, for parallel clients;
+  box at one pinned epoch (the client resolves open boxes with it);
 * ``GET  /v1/{coll}/{obj}/slice?box=``  — range read; content negotiation
   picks raw numpy bytes, compressed tile frames, or JSON
   (:mod:`repro.serve.wire`);
@@ -28,9 +28,11 @@ executor, so a served read is charged and recorded like a local one.
 **ETags.**  Responses carry a strong epoch-keyed ETag
 (:func:`repro.serve.wire.etag_for`); ``If-None-Match`` revalidation
 answers 304 with no body while the object's published epoch is
-unchanged, and ``X-Repro-Expect-Etag`` lets a parallel client demand one
-epoch across many tile fetches (mismatch answers 409, the client
-retries its whole read at the new epoch).
+unchanged, and ``X-Repro-Expect-Etag`` lets a client demand one epoch
+across many requests (a mismatch answers 409).
+
+Every response goes out as one ``sendmsg`` loop over the header block
+and the body; a raw slice's body is the composed array's own buffer.
 
 Errors are JSON bodies ``{"error": ..., "status": ...}`` with the
 matching 4xx/5xx status.
@@ -39,6 +41,7 @@ matching 4xx/5xx status.
 from __future__ import annotations
 
 import json
+import socket
 import time
 from http.server import BaseHTTPRequestHandler
 from typing import Optional
@@ -67,12 +70,13 @@ from repro.storage.tilestore import Database, StoredMDD
 from repro.tiling.aligned import RegularTiling
 
 _REQUESTS = obs.counter("serve.requests", "HTTP requests received")
-_STATUS_2XX = obs.counter("serve.status_2xx", "Successful responses")
-_STATUS_304 = obs.counter(
-    "serve.status_304", "Conditional reads answered not-modified"
-)
-_STATUS_4XX = obs.counter("serve.status_4xx", "Client-error responses")
-_STATUS_5XX = obs.counter("serve.status_5xx", "Server-error responses")
+#: Responses by status class (the first digit); the only 3xx sent is 304.
+_STATUS_CLASS = {
+    2: obs.counter("serve.status_2xx", "Successful responses"),
+    3: obs.counter("serve.status_304", "Conditional reads answered not-modified"),
+    4: obs.counter("serve.status_4xx", "Client-error responses"),
+    5: obs.counter("serve.status_5xx", "Server-error responses"),
+}
 _BYTES_OUT = obs.counter("serve.bytes_out", "Response body bytes sent")
 _BYTES_IN = obs.counter("serve.bytes_in", "Request body bytes received")
 _ENDPOINT_MS = {
@@ -348,24 +352,20 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
                 # tile frames take the stored-tile sink, raw / json compose.
                 if fmt == wire.FORMAT_TILES:
                     tiles, timing = obj.read_stored(region, version)
-                    body = wire.encode_frames(
-                        region,
-                        dtype,
-                        obj.mdd_type.base.default,
-                        [
-                            wire.TileFrame(entry.domain, entry.codec, stored, entry.virtual)
-                            for entry, stored in tiles
-                        ],
-                    )
+                    frames = [
+                        wire.TileFrame(entry.domain, entry.codec, stored, entry.virtual)
+                        for entry, stored in tiles
+                    ]
+                    default = obj.mdd_type.base.default
+                    body = memoryview(wire.encode_frames(region, dtype, default, frames))
                 else:
                     array, timing = obj.read(region, version=version)
+                    # raw bytes are the composed array's own buffer, not a copy
+                    body = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
                 headers["X-Repro-T-O"] = f"{timing.t_o:.6f}"
                 headers["X-Repro-Tiles-Read"] = str(timing.tiles_read)
                 if fmt == wire.FORMAT_RAW:
-                    headers["X-Repro-Shape"] = ",".join(
-                        str(side) for side in array.shape
-                    )
-                    body = np.ascontiguousarray(array).tobytes(order="C")
+                    headers["X-Repro-Shape"] = ",".join(str(side) for side in array.shape)
                 if fmt != wire.FORMAT_JSON:
                     self._reply(200, body, fmt, headers=headers)
                 else:
@@ -549,11 +549,7 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
 
         def _not_modified(self, etag: str) -> bool:
             if wire.etag_matches(etag, self.headers.get("If-None-Match")):
-                _STATUS_304.inc()
-                self.send_response(304)
-                self.send_header("ETag", etag)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
+                self._reply(304, b"", None, headers={"ETag": etag})
                 return True
             return False
 
@@ -604,28 +600,40 @@ def _make_handler(database: Database) -> type[BaseHTTPRequestHandler]:
         def _reply(
             self,
             status: int,
-            body: bytes,
-            content_type: str,
+            body,
+            content_type: Optional[str],
             headers: Optional[dict] = None,
         ) -> None:
-            if 200 <= status < 300:
-                _STATUS_2XX.inc()
-            elif 400 <= status < 500:
-                _STATUS_4XX.inc()
-            elif status >= 500:
-                _STATUS_5XX.inc()
-            _BYTES_OUT.inc(len(body))
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            """Status line, headers and ``body`` (a 1-D byte buffer) in one :func:`_send_all`."""
+            if status // 100 in _STATUS_CLASS:
+                _STATUS_CLASS[status // 100].inc()
+            body = memoryview(body)
+            _BYTES_OUT.inc(body.nbytes)
+            fields = {
+                "Server": self.version_string(),
+                "Date": self.date_time_string(),
+                "Content-Type": content_type,
+                "Content-Length": body.nbytes,
+                **(headers or {}),
+                "Connection": "close" if self.close_connection else None,
+            }
+            lines = [f"{self.protocol_version} {status} {self.responses[status][0]}"]
+            lines += [f"{key}: {value}" for key, value in fields.items() if value is not None]
+            head = "\r\n".join(lines) + "\r\n\r\n"
+            _send_all(self.connection, [memoryview(head.encode("latin-1")), body])
 
     return Handler
+
+
+def _send_all(sock: socket.socket, buffers: list[memoryview]) -> None:
+    """Send ``buffers`` in order with ``sendmsg``, resuming after the
+    partial sends a full socket buffer gives."""
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= buffers[0].nbytes:
+            sent -= buffers.pop(0).nbytes
+        if buffers:
+            buffers[0] = buffers[0][sent:]
 
 
 def _tile_rows(entries) -> list[dict]:

@@ -67,6 +67,33 @@ class TestSalesCubeSpec:
         assert a.dtype == np.uint32
         assert a.shape == (730, 60, 100)
 
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            salescube.SALES_DOMAIN,
+            # a partial last block, and whole blocks only
+            MInterval.parse(f"[1:{2 * salescube._BLOCK_DAYS + 5},1:6,1:9]"),
+            MInterval.parse(f"[1:{2 * salescube._BLOCK_DAYS},1:4,1:5]"),
+        ],
+    )
+    def test_blocked_generator_matches_the_one_shot_draw(self, domain):
+        # The formula drawn in one call, as the generator once did: the
+        # blocked draw must reproduce it bit for bit.
+        seed = 20260706
+        rng = np.random.default_rng(seed)
+        days, products, stores = domain.shape
+        day_index = np.arange(days, dtype=np.float64)
+        weekly = 1.0 + 0.4 * np.sin(2 * np.pi * day_index / 7.0)
+        seasonal = 1.0 + 0.3 * np.sin(2 * np.pi * day_index / 365.0)
+        day_factor = (weekly * seasonal)[:, None, None]
+        product_pop = rng.gamma(2.0, 2.0, size=(1, products, 1))
+        store_size = rng.gamma(3.0, 1.5, size=(1, 1, stores))
+        lam = 2.0 * day_factor * product_pop * store_size
+        expected = rng.poisson(lam).astype(np.uint32)
+        out = salescube.generate_sales_data(domain, seed)
+        assert out.dtype == np.uint32
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestSalesCubeQueries:
     """Table 3 of the paper: the query regions and their data sizes."""
