@@ -1,7 +1,7 @@
 """Micro-benchmarks of the spatial index substrate.
 
 Measures real Python time (pytest-benchmark) for R+-tree construction and
-search against the flat directory, plus node-visit scaling — the quantity
+search, plus node-visit scaling against a flat directory — the quantity
 ``t_ix`` charges for.
 """
 
@@ -13,9 +13,9 @@ from conftest import write_result
 
 from repro.bench.report import format_table
 from repro.core.geometry import MInterval
-from repro.index.base import IndexEntry
-from repro.index.directory import DirectoryIndex
+from repro.index.base import IndexEntry, entry_bytes
 from repro.index.rplustree import RPlusTreeIndex
+from repro.storage.pages import pages_needed
 from repro.tiling.aligned import RegularTiling
 
 
@@ -58,41 +58,19 @@ def test_bench_rplustree_search(benchmark):
     assert {e.tile_id for e in result.entries} == want
 
 
-def test_bench_directory_search(benchmark):
-    index = DirectoryIndex()
-    index.bulk_load(ENTRIES)
-    result = benchmark(lambda: index.search(QUERY))
-    want = {e.tile_id for e in ENTRIES if e.domain.intersects(QUERY)}
-    assert {e.tile_id for e in result.entries} == want
-
-
-def test_bench_grid_index_search(benchmark):
-    """The computed index answers aligned-grid lookups in one page."""
-    from repro.index.grid import GridIndex
-
-    domain = MInterval.from_shape((512, 512))
-    index = GridIndex(domain, (16, 16))
-    for entry in grid_entries(512, 256):
-        index.insert(entry)
-    result = benchmark(lambda: index.search(QUERY))
-    want = {e.tile_id for e in ENTRIES if e.domain.intersects(QUERY)}
-    assert {e.tile_id for e in result.entries} == want
-    assert result.nodes_visited == 1
-
-
 def test_node_visit_scaling(benchmark):
     """R+-tree page visits grow ~logarithmically with tile count while
-    the directory's grow linearly (the paper's extended-cube effect)."""
+    the directory's grow linearly (the paper's extended-cube effect): a
+    flat directory scans all of its pages, its entries' bytes in whole
+    pages, per lookup."""
     rows = []
     point = MInterval.parse("[9:9,9:9]")
     for extent, max_tile in ((128, 256), (256, 256), (512, 256), (1024, 256)):
         entries = grid_entries(extent, max_tile)
         tree = RPlusTreeIndex(dim=2, page_size=2048)
         tree.bulk_load(entries)
-        directory = DirectoryIndex(page_size=2048)
-        directory.bulk_load(entries)
         tree_visits = tree.search(point).nodes_visited
-        flat_visits = directory.search(point).nodes_visited
+        flat_visits = pages_needed(len(entries) * entry_bytes(2), 2048)
         rows.append([len(entries), tree_visits, flat_visits])
     assert rows[-1][1] < rows[-1][2]
     first, last = rows[0], rows[-1]

@@ -31,7 +31,6 @@ Quickstart::
 
 from repro.core import (
     BaseType,
-    MDDObject,
     MDDType,
     MInterval,
     OPEN,
@@ -40,7 +39,7 @@ from repro.core import (
     base_type,
     mdd_type,
 )
-from repro.index import DirectoryIndex, IndexEntry, RPlusTreeIndex, SpatialIndex
+from repro.index import IndexEntry, RPlusTreeIndex
 from repro.query import (
     AccessKind,
     AccessPattern,
@@ -86,11 +85,9 @@ __all__ = [
     "CutsTiling",
     "Database",
     "DirectionalTiling",
-    "DirectoryIndex",
     "DiskParameters",
     "FileBlobStore",
     "IndexEntry",
-    "MDDObject",
     "MDDType",
     "MInterval",
     "MemoryBlobStore",
@@ -102,7 +99,6 @@ __all__ = [
     "RegularTiling",
     "ReproError",
     "SingleTileTiling",
-    "SpatialIndex",
     "StatisticTiling",
     "StoredMDD",
     "Tile",

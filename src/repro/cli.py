@@ -277,10 +277,6 @@ def _headline(snapshot: dict) -> str:
     hits, misses = value("pool.hits"), value("pool.misses")
     lookups = hits + misses
     hit_rate = f"{hits / lookups * 100:.1f}%" if lookups else "n/a"
-    node_visits = sum(
-        v for name, v in counters.items()
-        if name.startswith("index.") and name.endswith(".nodes_visited")
-    )
     encode = histograms.get("codec.encode_ms", {})
     decode = histograms.get("codec.decode_ms", {})
     lines = [
@@ -289,8 +285,8 @@ def _headline(snapshot: dict) -> str:
         f"{value('disk.bytes_read') / (1024 * 1024):.2f} MB",
         f"buffer pool : {hits:g} hits / {misses:g} misses "
         f"({hit_rate} hit rate), {value('pool.evictions'):g} evictions",
-        f"index       : {node_visits:g} node visits "
-        f"across {value('index.grid.searches') + value('index.rplustree.searches') + value('index.directory.searches'):g} searches",
+        f"index       : {value('index.rplustree.nodes_visited'):g} node visits "
+        f"across {value('index.rplustree.searches'):g} searches",
         f"codec time  : {encode.get('sum', 0.0):.2f} ms encode "
         f"({encode.get('count', 0)} ops), "
         f"{decode.get('sum', 0.0):.2f} ms decode ({decode.get('count', 0)} ops)",

@@ -91,6 +91,15 @@ class ClientStats:
             self.tiles_decoded += decoded
 
 
+class _Connection(HTTPConnection):
+    """One thread's keep-alive connection, closed when the thread-local
+    holding it is dropped (its thread ended, or the client went away), so
+    no socket is left for the garbage collector to close."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 @dataclass(frozen=True)
 class _Response:
     status: int
@@ -128,7 +137,7 @@ class Client:
         )
         # ETag cache: (collection, name, box text) -> (etag, read-only array).
         self._cache: dict[tuple[str, str, str], tuple[str, np.ndarray]] = {}
-        # Every live connection, for close(); a thread's goes with the thread.
+        # Every live connection, for close(); a thread's closes with the thread.
         self._connections: weakref.WeakSet[HTTPConnection] = weakref.WeakSet()
         self._latch = threading.Lock()
 
@@ -312,7 +321,7 @@ class Client:
     def _connection(self) -> HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+            conn = _Connection(self.host, self.port, timeout=self.timeout)
             self._local.conn = conn
             with self._latch:
                 self._connections.add(conn)

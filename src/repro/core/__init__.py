@@ -1,4 +1,4 @@
-"""Core MDD model: geometry, cell types, MDD types and in-memory objects."""
+"""Core MDD model: geometry, cell types, MDD types and tiles."""
 
 from repro.core.cells import BaseType, base_type, known_base_types
 from repro.core.errors import (
@@ -20,7 +20,7 @@ from repro.core.geometry import (
     point_lower_than,
     total_cells,
 )
-from repro.core.mdd import MDDObject, Tile
+from repro.core.mdd import Tile
 from repro.core.mddtype import MDDType, mdd_type
 from repro.core.order import (
     column_major_key,
@@ -35,7 +35,6 @@ __all__ = [
     "DimensionMismatchError",
     "DomainError",
     "GeometryError",
-    "MDDObject",
     "MDDType",
     "MInterval",
     "OPEN",

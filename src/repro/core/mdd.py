@@ -1,28 +1,17 @@
-"""In-memory MDD objects: sets of disjoint tiles plus a current domain.
+"""The tile: one multidimensional sub-array of an MDD object.
 
-This module implements the logical MDD model of the paper (Sections 3-4):
-
-* an object is a set of disjoint :class:`Tile` instances;
-* inserting a tile updates the *current domain* by a closure (hull)
-  operation;
-* tiles need not cover the current domain — uncovered cells read as the
-  base type's default value (partial coverage, used for sparse OLAP data);
-* reads are range queries composing tile fragments into a result array;
-* sections (access type (d)) reduce dimensionality.
-
-Persistence, timing and indexing live in :mod:`repro.storage.tilestore`;
-this module is the pure in-memory semantics those layers must preserve.
+An MDD object is a set of disjoint tiles plus a current domain (the
+paper's logical model, Sections 3-4).  The one engine holding such
+objects is :class:`~repro.storage.tilestore.StoredMDD`; a :class:`Tile`
+is the unit it writes, one tile per BLOB.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
-
 import numpy as np
 
-from repro.core.errors import DomainError, QueryError
-from repro.core.geometry import MInterval, pairwise_disjoint
-from repro.core.mddtype import MDDType
+from repro.core.errors import DomainError
+from repro.core.geometry import MInterval
 
 
 class Tile:
@@ -61,252 +50,9 @@ class Tile:
         """Tile payload size in bytes (cells × cell size)."""
         return int(self.data.nbytes)
 
-    def extract(self, region: MInterval) -> np.ndarray:
-        """View of the cells in ``region`` (must intersect the tile)."""
-        part = self.domain.intersection(region)
-        if part is None:
-            raise QueryError(f"region {region} does not touch tile {self.domain}")
-        return self.data[part.to_slices(self.domain.lowest)]
-
     def to_bytes(self) -> bytes:
         """Row-major serialisation used for BLOB storage."""
         return self.data.tobytes(order="C")
 
-    @classmethod
-    def from_bytes(
-        cls, domain: MInterval, raw: bytes, dtype: np.dtype
-    ) -> "Tile":
-        """Inverse of :meth:`to_bytes`."""
-        expected = domain.cell_count * dtype.itemsize
-        if len(raw) != expected:
-            raise DomainError(
-                f"blob of {len(raw)} bytes cannot fill domain {domain} "
-                f"({expected} bytes expected)"
-            )
-        data = np.frombuffer(raw, dtype=dtype).reshape(domain.shape)
-        return cls(domain, data.copy())
-
     def __repr__(self) -> str:
         return f"Tile({self.domain}, {self.data.dtype}, {self.byte_size}B)"
-
-
-class MDDObject:
-    """A multidimensional discrete data object: typed set of disjoint tiles."""
-
-    def __init__(self, mdd_type: MDDType, name: str = "") -> None:
-        self.mdd_type = mdd_type
-        self.name = name
-        self._tiles: list[Tile] = []
-        self._current_domain: Optional[MInterval] = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_array(
-        cls,
-        mdd_type: MDDType,
-        array: np.ndarray,
-        origin: Optional[Sequence[int]] = None,
-        tiling: Optional[Iterable[MInterval]] = None,
-        name: str = "",
-    ) -> "MDDObject":
-        """Build an object from a dense array, optionally pre-tiled.
-
-        ``origin`` places ``array[0, ..., 0]`` in coordinate space (defaults
-        to the definition domain's lower corner when bounded, else zeros).
-        ``tiling`` is an iterable of disjoint domains covering (a subset of)
-        the array's region; when omitted a single tile holds everything.
-        """
-        if array.dtype != mdd_type.base.dtype:
-            array = array.astype(mdd_type.base.dtype)
-        if origin is None:
-            dd = mdd_type.definition_domain
-            origin = tuple(0 if l is None else l for l in dd.lower)
-        region = MInterval.from_shape(array.shape, origin)
-        obj = cls(mdd_type, name=name)
-        if tiling is None:
-            obj.insert_tile(Tile(region, array))
-            return obj
-        for tile_domain in tiling:
-            if not region.contains(tile_domain):
-                raise DomainError(
-                    f"tiling element {tile_domain} escapes array region {region}"
-                )
-            obj.insert_tile(
-                Tile(tile_domain, array[tile_domain.to_slices(origin)])
-            )
-        return obj
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-
-    @property
-    def tiles(self) -> tuple[Tile, ...]:
-        """The object's tiles (insertion order)."""
-        return tuple(self._tiles)
-
-    @property
-    def tile_count(self) -> int:
-        return len(self._tiles)
-
-    @property
-    def current_domain(self) -> Optional[MInterval]:
-        """Minimal interval covering all inserted tiles; None when empty."""
-        return self._current_domain
-
-    @property
-    def dim(self) -> int:
-        return self.mdd_type.dim
-
-    @property
-    def byte_size(self) -> int:
-        """Total bytes held in tiles (not counting default-value areas)."""
-        return sum(t.byte_size for t in self._tiles)
-
-    def covered_cells(self) -> int:
-        """Number of cells actually materialised in tiles."""
-        return sum(t.domain.cell_count for t in self._tiles)
-
-    def coverage(self) -> float:
-        """Fraction of the current domain covered by tiles (1.0 = dense)."""
-        if self._current_domain is None:
-            return 0.0
-        return self.covered_cells() / self._current_domain.cell_count
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-
-    def insert_tile(self, tile: Tile) -> None:
-        """Insert one tile; grows the current domain by hull (paper §4).
-
-        Raises :class:`DomainError` when the tile escapes the definition
-        domain or overlaps an existing tile.
-        """
-        self.mdd_type.validate_domain(tile.domain, what="tile domain")
-        if tile.data.dtype != self.mdd_type.base.dtype:
-            raise DomainError(
-                f"tile dtype {tile.data.dtype} does not match type "
-                f"{self.mdd_type.base.dtype}"
-            )
-        for existing in self._tiles:
-            if existing.domain.intersects(tile.domain):
-                raise DomainError(
-                    f"tile {tile.domain} overlaps existing {existing.domain}"
-                )
-        self._tiles.append(tile)
-        if self._current_domain is None:
-            self._current_domain = tile.domain
-        else:
-            self._current_domain = self._current_domain.hull(tile.domain)
-
-    def update(self, region: MInterval, values: np.ndarray) -> int:
-        """Overwrite cells of an already-covered region in place.
-
-        Returns the number of cells written.  Cells of ``region`` that fall
-        outside all tiles are ignored (they stay at the default value);
-        use :meth:`insert_tile` to materialise new areas.
-        """
-        self.mdd_type.validate_domain(region, what="update region")
-        if tuple(values.shape) != region.shape:
-            raise DomainError(
-                f"update values shape {tuple(values.shape)} does not match "
-                f"region {region}"
-            )
-        written = 0
-        for tile in self._tiles:
-            part = tile.domain.intersection(region)
-            if part is None:
-                continue
-            tile.data[part.to_slices(tile.domain.lowest)] = values[
-                part.to_slices(region.lowest)
-            ]
-            written += part.cell_count
-        return written
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-
-    def intersecting_tiles(self, region: MInterval) -> Iterator[Tile]:
-        """Tiles whose domain touches ``region`` (linear scan)."""
-        for tile in self._tiles:
-            if tile.domain.intersects(region):
-                yield tile
-
-    def read(self, region: MInterval) -> np.ndarray:
-        """Range query (access type (b)): dense array over ``region``.
-
-        ``region`` may use ``*`` bounds, resolved against the current
-        domain.  Uncovered cells carry the base type's default value.
-        """
-        region = self.resolve_region(region)
-        result = np.zeros(region.shape, dtype=self.mdd_type.base.dtype)
-        default = self.mdd_type.base.default
-        if default != 0:
-            result[...] = default
-        for tile in self.intersecting_tiles(region):
-            part = tile.domain.intersection(region)
-            assert part is not None
-            result[part.to_slices(region.lowest)] = tile.data[
-                part.to_slices(tile.domain.lowest)
-            ]
-        return result
-
-    def read_all(self) -> np.ndarray:
-        """The whole object (access type (a))."""
-        if self._current_domain is None:
-            raise QueryError(f"object {self.name!r} holds no cells yet")
-        return self.read(self._current_domain)
-
-    def section(self, axis: int, coordinate: int) -> np.ndarray:
-        """Access type (d): fix one coordinate, drop that axis."""
-        if self._current_domain is None:
-            raise QueryError(f"object {self.name!r} holds no cells yet")
-        slab = self._current_domain.section(axis, coordinate)
-        return self.read(slab).squeeze(axis=axis)
-
-    def resolve_region(self, region: MInterval) -> MInterval:
-        """Clamp a (possibly open) query region against the current domain."""
-        if self._current_domain is None:
-            raise QueryError(f"object {self.name!r} holds no cells yet")
-        if region.dim != self.dim:
-            raise QueryError(
-                f"query dim {region.dim} does not match object dim {self.dim}"
-            )
-        resolved = region.resolve(self._current_domain)
-        clipped = resolved.intersection(self._current_domain)
-        if clipped is None:
-            raise QueryError(
-                f"region {region} lies outside current domain "
-                f"{self._current_domain}"
-            )
-        return clipped
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-
-    def check_consistency(self) -> None:
-        """Assert the object's invariants (used by tests and loaders)."""
-        domains = [t.domain for t in self._tiles]
-        if not pairwise_disjoint(domains):
-            raise DomainError(f"object {self.name!r} has overlapping tiles")
-        if domains:
-            hull = MInterval.hull_of(domains)
-            if hull != self._current_domain:
-                raise DomainError(
-                    f"current domain {self._current_domain} is not the hull "
-                    f"{hull} of the tiles"
-                )
-        elif self._current_domain is not None:
-            raise DomainError("empty object must have no current domain")
-
-    def __repr__(self) -> str:
-        return (
-            f"MDDObject({self.name!r}, type={self.mdd_type.name}, "
-            f"tiles={self.tile_count}, domain={self._current_domain})"
-        )

@@ -1,14 +1,7 @@
-"""Spatial indexes on tiles — R+-tree-like tree, flat directory — plus
-per-tile value synopses (zone maps) for predicate pruning."""
+"""The spatial index on tiles (an R+-tree-like tree) plus per-tile value
+synopses (zone maps) for predicate pruning."""
 
-from repro.index.base import (
-    IndexEntry,
-    SearchResult,
-    SpatialIndex,
-    entry_bytes,
-)
-from repro.index.directory import DirectoryIndex
-from repro.index.grid import GridIndex, grid_index_factory
+from repro.index.base import IndexEntry, SearchResult, entry_bytes
 from repro.index.rplustree import RPlusTreeIndex
 from repro.index.zonemap import (
     CellPredicate,
@@ -22,18 +15,14 @@ from repro.index.zonemap import (
 
 __all__ = [
     "CellPredicate",
-    "DirectoryIndex",
-    "GridIndex",
     "IndexEntry",
     "RPlusTreeIndex",
     "SearchResult",
-    "SpatialIndex",
     "TilePruner",
     "TileSynopsis",
     "compute_synopsis",
     "constant_synopsis",
     "entry_bytes",
-    "grid_index_factory",
     "parse_predicate",
     "synopsis_can_match",
 ]

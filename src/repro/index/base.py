@@ -1,16 +1,15 @@
-"""Spatial index interface for tile lookup.
+"""What the spatial index on tiles stores and returns.
 
-For each access to a multidimensional subinterval, the index returns the
-tiles intersected by the query region (Section 5).  Implementations report
-how many index *node pages* a search touched so the engine can charge
-``t_ix`` on the simulated disk.
+For each access to a multidimensional subinterval, the index
+(:class:`~repro.index.rplustree.RPlusTreeIndex`) returns the tiles
+intersected by the query region (Section 5), and how many index *node
+pages* the search touched, so the engine can charge ``t_ix`` on the
+simulated disk.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,38 +30,6 @@ class SearchResult:
 
     entries: list[IndexEntry]
     nodes_visited: int
-
-
-class SpatialIndex(abc.ABC):
-    """Maps query regions to the tiles they intersect."""
-
-    @abc.abstractmethod
-    def insert(self, entry: IndexEntry) -> None:
-        """Add one tile entry."""
-
-    @abc.abstractmethod
-    def remove(self, tile_id: int) -> bool:
-        """Drop a tile entry by id; returns False when absent."""
-
-    @abc.abstractmethod
-    def search(self, region: MInterval) -> SearchResult:
-        """All entries whose domain intersects ``region``."""
-
-    @abc.abstractmethod
-    def entries(self) -> Iterator[IndexEntry]:
-        """Iterate every stored entry (unspecified order)."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of stored entries."""
-
-    def bulk_load(self, entries: Iterable[IndexEntry]) -> None:
-        """Load many entries at once; default is repeated insert.
-
-        Tree indexes override this with a packing build.
-        """
-        for entry in entries:
-            self.insert(entry)
 
 
 def entry_bytes(dim: int) -> int:

@@ -29,13 +29,7 @@ import numpy as np
 from repro import obs
 from repro.core.errors import IndexError_
 from repro.core.geometry import MInterval, pack_bounds
-from repro.index.base import (
-    IndexEntry,
-    SearchResult,
-    SpatialIndex,
-    entry_bytes,
-    intersecting_mask,
-)
+from repro.index.base import IndexEntry, SearchResult, entry_bytes, intersecting_mask
 from repro.storage.pages import DEFAULT_PAGE_SIZE
 
 _SEARCHES = obs.counter("index.rplustree.searches", "R+-tree lookups")
@@ -99,7 +93,7 @@ def _enlargement(mbr: Optional[MInterval], box: MInterval) -> int:
     return mbr.hull(box).cell_count - mbr.cell_count
 
 
-class RPlusTreeIndex(SpatialIndex):
+class RPlusTreeIndex:
     """Paged R+-tree-like index over disjoint tile domains."""
 
     def __init__(
@@ -149,6 +143,7 @@ class RPlusTreeIndex(SpatialIndex):
         return count
 
     def entries(self) -> Iterator[IndexEntry]:
+        """Every stored entry once (unspecified order)."""
         seen: set[int] = set()
         stack = [self._root]
         while stack:
@@ -294,6 +289,7 @@ class RPlusTreeIndex(SpatialIndex):
     # ------------------------------------------------------------------
 
     def search(self, region: MInterval) -> SearchResult:
+        """Every entry whose domain intersects ``region``, once each."""
         hits: dict[int, IndexEntry] = {}
         visited = 0
         lower, upper = pack_bounds([region], region.dim)[0]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -529,23 +529,18 @@ class TilePruner:
     """
 
     def __init__(
-        self, predicate: CellPredicate, zones: "ZoneColumns | Mapping", dtype: np.dtype
+        self, predicate: CellPredicate, zones: ZoneColumns, dtype: np.dtype
     ) -> None:
         self.predicate = predicate
         self.zones = zones
         self.dtype = dtype
         self.pruned = 0
 
-    def can_match(self, rows: Sequence[int] | np.ndarray | int) -> np.ndarray | bool:
+    def can_match(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
         """Per table row of ``rows``: may that tile hold a matching cell?
         One ``index.zone.prune_checks`` increment counts every synopsis
-        consulted.  Over a tile id → synopsis mapping, ``rows`` is one id."""
+        consulted."""
         zones = self.zones
-        if not isinstance(zones, ZoneColumns):  # one tile at a time
-            one = TilePruner(self.predicate, ZoneColumns([zones.get(rows)], self.dtype), self.dtype)
-            keep = bool(one.can_match([0])[0])
-            self.pruned += one.pruned
-            return keep
         rows = np.asarray(rows, dtype=np.intp)
         has = zones.has[rows]
         checked = int(has.sum())

@@ -46,7 +46,6 @@ from repro.storage.tilestore import (
     Database,
     StoredMDD,
     TileEntry,
-    default_index_factory,
 )
 from repro.storage.wal import WalScan, WriteAheadLog, scan_wal
 
@@ -82,7 +81,6 @@ __all__ = [
     "crc32c",
     "create_database",
     "decompress",
-    "default_index_factory",
     "fetch_tile",
     "fetch_tiles",
     "fsck_database",

@@ -17,7 +17,6 @@ dereference overhead on 8 KiB pages.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,9 +41,6 @@ _WAL_MS = obs.counter("disk.wal_ms", "Modelled WAL milliseconds charged")
 _DATA_WRITES = obs.counter("disk.data_writes", "Page-file write runs charged")
 _PAGES_WRITTEN = obs.counter("disk.pages_written", "Pages charged for data writes")
 _DATA_WRITE_MS = obs.counter("disk.data_write_ms", "Modelled data-write milliseconds")
-_REALTIME_WAIT_MS = obs.counter(
-    "disk.realtime_wait_ms", "Real milliseconds slept in realtime mode"
-)
 
 #: Positioning regimes :func:`price` assigns.
 SEQUENTIAL, SHORT_SKIP, RANDOM = "sequential", "short_skip", "random"
@@ -71,12 +67,6 @@ class DiskParameters:
     settle_ms: float = 2.0
     short_skip_pages: int = 256
     page_size: int = DEFAULT_PAGE_SIZE
-    #: When > 0, a read batch also *sleeps* this fraction of its modelled
-    #: milliseconds, with no latch held: the device admits concurrent
-    #: requests (command queuing), so readers overlap their latency while
-    #: the charges stay serialized and deterministic.  Off (0.0) except in
-    #: concurrency benchmarks, which need read waits in wall-clock time.
-    realtime_scale: float = 0.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():  # the whole input of price()
@@ -280,14 +270,6 @@ class SimulatedDisk:
         _WAL_PAGES.inc(pages)
         _WAL_MS.inc(cost)
         return cost
-
-    def wait(self, model_ms: float) -> None:
-        """Sleep the scaled modelled time of a read batch
-        (:attr:`DiskParameters.realtime_scale`); callers hold no latch."""
-        scale = self.parameters.realtime_scale
-        if scale > 0.0 and model_ms > 0.0:
-            time.sleep(model_ms * scale / 1000.0)
-            _REALTIME_WAIT_MS.inc(model_ms * scale)
 
     def reset(self) -> DiskCounters:
         """Zero the counters and forget head position; returns the old

@@ -38,7 +38,8 @@ from repro.storage.latch import OrderedLatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mddtype import MDDType
-    from repro.index.base import IndexEntry, SpatialIndex
+    from repro.index.base import IndexEntry
+    from repro.index.rplustree import RPlusTreeIndex
     from repro.index.zonemap import TileSynopsis
     from repro.query.timing import QueryTiming
     from repro.storage.tilestore import Database, StoredMDD, TileEntry
@@ -90,7 +91,7 @@ class ObjectVersion:
     """
 
     tiles: Mapping[int, "TileEntry"]
-    index: "SpatialIndex"
+    index: "RPlusTreeIndex"
     domain: Optional[MInterval]
     epoch: int
     #: Per-tile value synopses, published atomically with ``tiles`` — a

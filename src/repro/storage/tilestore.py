@@ -6,7 +6,8 @@ stored in a separate BLOB.  :class:`StoredMDD` binds together
 
 * an :class:`~repro.core.mddtype.MDDType`,
 * a tile table (stable tile id → domain, BLOB id, codec),
-* a :class:`~repro.index.base.SpatialIndex` on the tile domains, and
+* an R+-tree-like :class:`~repro.index.rplustree.RPlusTreeIndex` on the
+  tile domains, and
 * the shared :class:`~repro.storage.disk.SimulatedDisk` /
   :class:`~repro.storage.bufferpool.BufferPool` of the owning
   :class:`Database`.
@@ -41,8 +42,10 @@ from repro.core.geometry import MInterval, overlapping_pairs, pack_bounds
 from repro.core.mdd import Tile
 from repro.core.mddtype import MDDType
 from repro.core.order import row_major_key
-from repro.index.base import IndexEntry, SpatialIndex
-from repro.index.rplustree import RPlusTreeIndex
+# The module, not the class: rplustree imports this package, so this line
+# may run while rplustree is still loading.
+from repro.index import rplustree
+from repro.index.base import IndexEntry
 from repro.index.zonemap import (
     AGG_FUNCS,
     CellPredicate,
@@ -81,8 +84,6 @@ from repro.storage.mvcc import (
 from repro.storage.pipeline import fetch_payloads, fetch_tile, fetch_tile_partials, fetch_tiles  # noqa: F401
 from repro.storage.wal import WriteAheadLog
 
-IndexFactory = Callable[[int, int], SpatialIndex]
-
 #: Durability modes: no log, logged, logged + synchronous commits.
 DURABILITY_MODES = ("none", "wal", "wal+fsync")
 
@@ -98,11 +99,6 @@ _CELLS_RETURNED = obs.counter("tilestore.cells_returned", "Cells in query result
 _READ_MS = obs.histogram(
     "tilestore.read_ms", "Modelled t_totalcpu milliseconds per range read"
 )
-
-
-def default_index_factory(dim: int, page_size: int) -> SpatialIndex:
-    """The system default: an R+-tree-like index."""
-    return RPlusTreeIndex(dim, page_size=page_size)
 
 
 @dataclass
@@ -127,7 +123,7 @@ class ReaderView(NamedTuple):
     transaction).
     """
 
-    index: SpatialIndex
+    index: rplustree.RPlusTreeIndex
     domain: Optional[MInterval]
     epoch: int
     version: ObjectVersion
@@ -709,16 +705,13 @@ class StoredMDD:
         database: "Database",
         mdd_type: MDDType,
         name: str,
-        index: Optional[SpatialIndex] = None,
         collection: str = "",
     ) -> None:
         self.database = database
         self.mdd_type = mdd_type
         self.name = name
         self.collection = collection
-        self.index = index if index is not None else database.make_index(
-            mdd_type.dim
-        )
+        self.index = database.make_index(mdd_type.dim)
         self._tiles: dict[int, TileEntry] = {}
         self._zones: dict[int, TileSynopsis] = {}
         self._next_tile_id = 1
@@ -1080,10 +1073,14 @@ class StoredMDD:
 
     def _admit(self, tiles: Sequence[Tile]) -> None:
         """Admit a batch before any of it is encoded or written: each
-        tile against the stored tiles — on an index no registration of
+        tile's cells against the cell type and its domain against the
+        stored tiles — on an index no registration of
         the batch has touched yet, so its packed leaves stay cached —
         then the batch against itself in one sweep."""
+        dtype = self.mdd_type.base.dtype
         for tile in tiles:
+            if tile.data.dtype != dtype:
+                raise DomainError(f"tile dtype {tile.data.dtype} does not match type {dtype}")
             self._admit_domain(tile.domain)
         domains = [tile.domain for tile in tiles]
         pairs = overlapping_pairs(pack_bounds(domains, self.dim))
@@ -1648,7 +1645,6 @@ class Database:
         store: Optional[BlobStore] = None,
         disk_parameters: Optional[DiskParameters] = None,
         buffer_bytes: int = 0,
-        index_factory: IndexFactory = default_index_factory,
         tile_key=row_major_key,
         compression: bool = False,
         codecs: tuple[str, ...] = ("zlib",),
@@ -1681,7 +1677,6 @@ class Database:
             raise StorageError(f"io_workers must be >= 1, got {io_workers}")
         self.io_workers = io_workers
         self._io_executor: Optional[ThreadPoolExecutor] = None
-        self._index_factory = index_factory
         self.tile_key = tile_key
         self.compression = compression
         self.codecs = codecs
@@ -1705,9 +1700,9 @@ class Database:
 
     # -- plumbing shared by objects ---------------------------------------
 
-    def make_index(self, dim: int) -> SpatialIndex:
-        """New spatial index from the configured factory."""
-        return self._index_factory(dim, self.store.page_size)
+    def make_index(self, dim: int) -> rplustree.RPlusTreeIndex:
+        """New, empty spatial index on this database's pages."""
+        return rplustree.RPlusTreeIndex(dim, page_size=self.store.page_size)
 
     def first_page(self, entry: TileEntry) -> int:
         """Where a tile's BLOB starts: sorting a batch of fetches by this
@@ -1720,23 +1715,15 @@ class Database:
         """Each blob's payload and :class:`PoolRead`, charged in order, via
         the pool if any; a payload comes from ``fetched`` (already read and
         verified), else — virtual, or evicted since the caller's peek —
-        from the store.  The batch's realtime wait runs with no latch held."""
+        from the store."""
         def load(blob_id: int) -> bytes:
             payload = fetched.get(blob_id)
             return self.store.get(blob_id) if payload is None else payload
 
         if self.pool is not None:
-            reads = self.pool.read_blobs(records, load)
-        else:
-            costs = self.disk.charge_reads(records)
-            reads = [(load(r.blob_id), PoolRead(cost)) for r, cost in zip(records, costs)]
-        self.disk.wait(sum(read.cost for _, read in reads))
-        return reads
-
-    def read_blob(self, blob_id: int) -> tuple[bytes, float]:
-        """One blob's payload and charged milliseconds (:meth:`read_blobs`)."""
-        payload, read = self.read_blobs(self.store.records([blob_id]), {})[0]
-        return payload, read.cost
+            return self.pool.read_blobs(records, load)
+        costs = self.disk.charge_reads(records)
+        return [(load(r.blob_id), PoolRead(cost)) for r, cost in zip(records, costs)]
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
         """Lazy decode worker pool; ``None`` in serial mode (default)."""

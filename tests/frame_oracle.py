@@ -1,6 +1,6 @@
 """The tile server's per-blob tile-frame walk, kept as a test oracle.
 
-Index search, page-order sort, then one ``read_blob`` per real tile —
+Index search, page-order sort, then one blob read per real tile —
 the served RTF1 body as the server built it before tile frames became an
 executor sink.  The sink must reproduce its bodies byte for byte.
 """
@@ -22,7 +22,7 @@ def tile_frames(database, obj, version, region) -> bytes:
         if entry.virtual:
             frames.append(wire.TileFrame(entry.domain, "none", b"", virtual=True))
             continue
-        payload, _cost = database.read_blob(entry.blob_id)
+        [(payload, _read)] = database.read_blobs(database.store.records([entry.blob_id]), {})
         frames.append(wire.TileFrame(entry.domain, entry.codec, payload))
     return wire.encode_frames(
         region, obj.mdd_type.base.dtype, obj.mdd_type.base.default, frames

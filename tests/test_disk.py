@@ -135,9 +135,9 @@ class TestBlobReads:
     def test_read_blob_returns_payload_and_cost(self):
         db = Database(store=MemoryBlobStore(page_size=1024))
         blob_id = db.store.put(b"abc" * 1000)
-        payload, cost = db.read_blob(blob_id)
+        [(payload, read)] = db.read_blobs(db.store.records([blob_id]), {})
         assert payload == b"abc" * 1000
-        assert cost > 0
+        assert read.cost > 0
         assert db.disk.counters.blob_reads == 1
         assert db.disk.counters.bytes_read == 3000
 

@@ -1,17 +1,15 @@
-"""The disk is charged per read-ahead chunk, never while a latch sleeps,
-and only with parameters it can price.
+"""The disk is charged per read-ahead chunk, and only with parameters it
+can price.
 
 A cold read of a page-file store, with and without a 1 MiB pool (the
 wall-clock benchmark's ``range_cold`` shape): each chunk of
 ``pipeline._READ_AHEAD_RUNS`` blobs takes a bounded number of latch
-acquisitions, whatever its size; the realtime wait of
-``DiskParameters.realtime_scale`` runs with no latch held; and a
-``DiskParameters`` that cannot be priced is refused where it is made.
+acquisitions, whatever its size; and a ``DiskParameters`` that cannot be
+priced is refused where it is made.
 """
 
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ import pytest
 from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
-from repro.storage import disk, latch, pipeline
+from repro.storage import latch, pipeline
 from repro.storage.catalog import create_database
 from repro.storage.disk import DiskParameters
 from repro.tiling.aligned import RegularTiling
@@ -30,8 +28,8 @@ MIB = 1 << 20
 POOLS = pytest.mark.parametrize("buffer_bytes", [0, MIB], ids=["nopool", "pool"])
 
 
-def _cold(tmp_path, buffer_bytes, **kwargs):
-    db = create_database(tmp_path / "db", buffer_bytes=buffer_bytes, **kwargs)
+def _cold(tmp_path, buffer_bytes):
+    db = create_database(tmp_path / "db", buffer_bytes=buffer_bytes)
     obj = db.create_object("cubes", CUBE, "c")
     data = np.random.default_rng(5).integers(0, 2**32, size=(512, 512), dtype=np.uint32)
     obj.load_array(data, RegularTiling(4096))  # 256 tiles: 8 chunks
@@ -87,23 +85,6 @@ def test_a_chunk_of_pool_hits_leaves_the_disk_alone(tmp_path):
     assert acquired["disk"] == 1  # the index charge only
 
 
-@POOLS
-def test_realtime_sleep_holds_no_latch(tmp_path, buffer_bytes, monkeypatch):
-    db, obj, _data = _cold(
-        tmp_path, buffer_bytes, disk_parameters=DiskParameters(realtime_scale=0.01)
-    )
-    held = []
-    monkeypatch.setattr(
-        disk, "time", SimpleNamespace(sleep=lambda _s: held.append(latch.held_ranks()))
-    )
-    try:
-        for region in ("[0:511,0:511]", "[0:99,0:511]", "[200:511,7:300]", "[0:511,0:511]"):
-            obj.read(MInterval.parse(region))
-    finally:
-        _shut(db)
-    assert held and all(ranks == () for ranks in held)
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -115,7 +96,6 @@ def test_realtime_sleep_holds_no_latch(tmp_path, buffer_bytes, monkeypatch):
         ("blob_overhead_ms", -0.5),
         ("settle_ms", -2.0),
         ("short_skip_pages", -1),
-        ("realtime_scale", -0.01),
     ],
 )
 def test_bad_disk_parameters_are_refused(field, value):

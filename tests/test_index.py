@@ -1,4 +1,4 @@
-"""Unit tests for the spatial indexes (directory and R+-tree)."""
+"""Unit tests for the spatial index (the R+-tree)."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from repro.core.errors import IndexError_
 from repro.core.geometry import MInterval
 from repro.index.base import IndexEntry, entry_bytes
-from repro.index.directory import DirectoryIndex
 from repro.index.rplustree import RPlusTreeIndex
+from repro.storage.pages import pages_needed
 from repro.tiling.aligned import RegularTiling
 
 
@@ -25,37 +25,6 @@ class TestEntryBytes:
     def test_grows_with_dim(self):
         assert entry_bytes(1) == 12
         assert entry_bytes(3) == 28
-
-
-class TestDirectoryIndex:
-    def test_search_matches_brute_force(self):
-        entries = grid_entries()
-        index = DirectoryIndex()
-        for entry in entries:
-            index.insert(entry)
-        region = MInterval.parse("[13:37,40:80]")
-        result = index.search(region)
-        assert {e.tile_id for e in result.entries} == brute_force(entries, region)
-
-    def test_pages_scale_with_entries(self):
-        index = DirectoryIndex(page_size=64)
-        assert index.pages() == 1
-        for entry in grid_entries():
-            index.insert(entry)
-        assert index.pages() > 1
-        assert index.search(MInterval.parse("[0:0,0:0]")).nodes_visited == index.pages()
-
-    def test_remove(self):
-        index = DirectoryIndex()
-        index.insert(IndexEntry(MInterval.parse("[0:9]"), 7))
-        assert index.remove(7)
-        assert not index.remove(7)
-        assert len(index) == 0
-
-    def test_bulk_load(self):
-        index = DirectoryIndex()
-        index.bulk_load(grid_entries())
-        assert len(index) == len(grid_entries())
 
 
 class TestRPlusTreeStructure:
@@ -151,16 +120,13 @@ class TestRPlusTreeSearch:
             assert got == brute_force(entries, region)
 
     def test_nodes_visited_less_than_directory_pages(self):
+        # A flat directory scans every page of its entries per search.
         entries = grid_entries(max_tile=64)  # many tiles
         tree = RPlusTreeIndex(dim=2, page_size=512)
         tree.bulk_load(entries)
-        directory = DirectoryIndex(page_size=512)
-        directory.bulk_load(entries)
+        directory_pages = pages_needed(len(entries) * entry_bytes(2), 512)
         small_query = MInterval.parse("[5:6,5:6]")
-        assert (
-            tree.search(small_query).nodes_visited
-            < directory.search(small_query).nodes_visited
-        )
+        assert tree.search(small_query).nodes_visited < directory_pages
 
     def test_search_empty_tree(self):
         index = RPlusTreeIndex(dim=2)

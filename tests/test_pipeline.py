@@ -250,14 +250,15 @@ FULL = MInterval.parse("[0:127,0:127]")
 
 def _per_blob(db, entry, dtype):
     """Reference single-tile route, spelled out: decoded cache, then one
-    ``read_blob``, decode, immediate admission."""
+    one-blob ``read_blobs``, decode, immediate admission."""
     cache = db.decoded_cache
     if cache is not None and not entry.virtual:
         array = cache.get(entry.blob_id)
         if array is not None:
             size = db.store.record(entry.blob_id).byte_size
             return array.tobytes(), 0.0, size, True
-    payload, cost = db.read_blob(entry.blob_id)
+    payload, read = db.read_blobs(db.store.records([entry.blob_id]), {})[0]
+    cost = read.cost
     if entry.virtual:
         return None, cost, len(payload), False
     raw = decompress(payload, entry.codec)

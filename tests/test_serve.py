@@ -60,7 +60,8 @@ def _get(url: str, headers=None):
         with urllib.request.urlopen(request) as response:
             return response.status, dict(response.headers), response.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, dict(exc.headers), exc.read()
+        with exc:  # an error response holds its socket until closed
+            return exc.code, dict(exc.headers), exc.read()
 
 
 def _box(text: str) -> str:
@@ -171,8 +172,9 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert "error" in json.loads(excinfo.value.read())
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "error" in json.loads(error.read())
 
     def test_non_json_query_body_is_400(self, served):
         _db, _data, server = served
@@ -181,7 +183,8 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_write_with_wrong_byte_count_is_400(self, served):
         _db, _data, server = served
@@ -193,8 +196,9 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert "bytes" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "bytes" in json.loads(error.read())["error"]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.core.errors import DomainError, QueryError, StorageError
 from repro.core.geometry import MInterval
 from repro.core.mdd import Tile
 from repro.core.mddtype import mdd_type
-from repro.index.directory import DirectoryIndex
+from repro.index.rplustree import RPlusTreeIndex
 from repro.storage.backends import FileBlobStore
 from repro.query.timing import QueryTiming
 from repro.storage.tilestore import Database
@@ -293,11 +293,12 @@ class TestDatabase:
         db.create_object("c", IMG, "y")
         assert {o.name for o in db.objects("c")} == {"x", "y"}
 
-    def test_custom_index_factory(self):
-        db = Database(index_factory=lambda dim, page: DirectoryIndex(page))
+    def test_index_is_an_rplustree_on_the_store_pages(self):
+        db = Database()
         obj = db.create_object("c", IMG, "x")
         obj.load_array(checkerboard((100, 100)), RegularTiling(1024))
-        assert isinstance(obj.index, DirectoryIndex)
+        assert isinstance(obj.index, RPlusTreeIndex)
+        assert obj.index.page_size == db.store.page_size
         out, _ = obj.read(MInterval.parse("[0:9,0:9]"))
         assert out.shape == (10, 10)
 

@@ -13,6 +13,7 @@ from repro.index.zonemap import (
     CellPredicate,
     TilePruner,
     TileSynopsis,
+    ZoneColumns,
     compute_synopsis,
     constant_synopsis,
     parse_predicate,
@@ -203,14 +204,16 @@ class TestSynopsisCanMatch:
 class TestTilePruner:
     def test_partition_and_counter(self):
         dt = np.dtype(np.int32)
-        zones = {
-            1: compute_synopsis(np.array([1, 2], dtype=dt)),
-            2: compute_synopsis(np.array([50, 60], dtype=dt)),
-        }
+        zones = ZoneColumns(
+            [
+                compute_synopsis(np.array([1, 2], dtype=dt)),
+                compute_synopsis(np.array([50, 60], dtype=dt)),
+                None,  # no synopsis -> always fetched
+            ],
+            dt,
+        )
         pruner = TilePruner(CellPredicate(">", 10), zones, dt)
-        assert not pruner.can_match(1)
-        assert pruner.can_match(2)
-        assert pruner.can_match(3)  # no synopsis -> always fetched
+        assert pruner.can_match([0, 1, 2]).tolist() == [False, True, True]
         assert pruner.pruned == 1
 
 
