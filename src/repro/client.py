@@ -13,11 +13,13 @@ keep-alive connections (one per thread) and returns range reads
   one object version; if a writer published in between, the client
   retries the whole read, so an array is always one snapshot, never a
   torn mix of versions.
-* **ETag caching**: results are cached, read-only, with their ETag; a
-  repeat read in either mode revalidates with one ``If-None-Match``
-  request for the whole box, an unchanged object answers **304** with
-  no body, the caller gets its own copy of the cached array and
-  :attr:`ClientStats.not_modified` counts the round trip saved.
+* **ETag caching**: results are cached, read-only, with their ETag, in
+  an LRU bounded to :attr:`Client.CACHE_BYTES` of cells; a repeat read
+  in either mode revalidates with one ``If-None-Match`` request for the
+  whole box, an unchanged object answers **304** with no body, the
+  caller gets its own copy of the cached array and
+  :attr:`ClientStats.not_modified` counts the round trip saved.  An
+  evicted box is read afresh.
 
 Usage::
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import threading
 import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPResponse, RemoteDisconnected
@@ -113,7 +116,13 @@ class Client:
     ``workers`` bounds the slabs of a parallel read and the thread pool
     that fetches them; every thread that sends a request (pool workers
     and callers) owns one keep-alive connection, opened lazily.
+    :attr:`CACHE_BYTES` bounds the cells the ETag cache holds; the least
+    recently read box goes first, and a box larger than the whole budget
+    is not cached.
     """
+
+    #: Byte budget of the ETag cache.
+    CACHE_BYTES = 256 << 20
 
     def __init__(
         self,
@@ -135,8 +144,12 @@ class Client:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-client"
         )
-        # ETag cache: (collection, name, box text) -> (etag, read-only array).
-        self._cache: dict[tuple[str, str, str], tuple[str, np.ndarray]] = {}
+        # ETag cache, least recently read first:
+        # (collection, name, box text) -> (etag, read-only array).
+        self.cached_bytes = 0
+        self._cache: OrderedDict[tuple[str, str, str], tuple[str, np.ndarray]] = (
+            OrderedDict()
+        )
         # Every live connection, for close(); a thread's closes with the thread.
         self._connections: weakref.WeakSet[HTTPConnection] = weakref.WeakSet()
         self._latch = threading.Lock()
@@ -253,6 +266,8 @@ class Client:
         headers = {"Accept": wire.FORMAT_RAW}
         with self._latch:
             cached = self._cache.get(key)
+            if cached is not None:
+                self._cache.move_to_end(key)
         if cached is not None:
             headers["If-None-Match"] = cached[0]
         response = self._request(
@@ -311,12 +326,22 @@ class Client:
         array: np.ndarray,
     ) -> None:
         """Cache ``array`` itself, made read-only: callers only ever get
-        copies of it."""
+        copies of it.  Evicts least recently read boxes to stay within
+        :attr:`CACHE_BYTES`."""
         if etag is None:
             return
         array.flags.writeable = False
         with self._latch:
+            previous = self._cache.pop(key, None)
+            if previous is not None:
+                self.cached_bytes -= previous[1].nbytes
+            if array.nbytes > self.CACHE_BYTES:
+                return
+            while self.cached_bytes + array.nbytes > self.CACHE_BYTES:
+                _key, (_etag, evicted) = self._cache.popitem(last=False)
+                self.cached_bytes -= evicted.nbytes
             self._cache[key] = (etag, array)
+            self.cached_bytes += array.nbytes
 
     def _connection(self) -> HTTPConnection:
         conn = getattr(self._local, "conn", None)

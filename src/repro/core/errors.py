@@ -45,7 +45,7 @@ class PageError(StorageError):
 
 
 class ChecksumError(PageError):
-    """Stored bytes do not match their recorded CRC32C checksum."""
+    """Stored bytes do not match their recorded CRC-32 checksum."""
 
 
 class WalError(StorageError):

@@ -9,7 +9,7 @@ from repro.storage.catalog import (
     open_database,
     save_database,
 )
-from repro.storage.checksum import crc32c, page_checksums, verify_page_checksums
+from repro.storage.checksum import page_checksums, verify_page_checksums
 from repro.storage.bufferpool import BufferPool
 from repro.storage.compression import (
     compress,
@@ -78,7 +78,6 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "compress",
-    "crc32c",
     "create_database",
     "decompress",
     "fetch_tile",

@@ -9,7 +9,7 @@ page offsets, with a JSON catalog sidecar, so databases survive process
 restarts.  It demonstrates that the page placement the disk model charges
 for is the placement actually used on disk.
 
-Durability hardening: every payload write records a CRC32C per storage
+Durability hardening: every payload write records a CRC-32 per storage
 page (persisted in the sidecar) and every read verifies them, so a torn
 page or a flipped bit surfaces as a
 :class:`~repro.core.errors.ChecksumError` instead of silently corrupt
@@ -36,10 +36,10 @@ from repro.storage.faults import FaultInjector, fsync_file
 from repro.storage.pages import DEFAULT_PAGE_SIZE, PageRange
 
 _PAGES_VERIFIED = obs.counter(
-    "checksum.pages_verified", "Storage pages whose CRC32C was checked on read"
+    "checksum.pages_verified", "Storage pages whose CRC-32 was checked on read"
 )
 _PAGE_FAILURES = obs.counter(
-    "checksum.page_failures", "Storage pages failing CRC32C verification"
+    "checksum.page_failures", "Storage pages failing CRC-32 verification"
 )
 
 
@@ -49,7 +49,7 @@ def _report_pages(record: BlobRecord, pages: int, bad: list[int]) -> None:
     if bad:
         _PAGE_FAILURES.inc(len(bad))
         raise ChecksumError(
-            f"blob {record.blob_id}: CRC32C mismatch on page(s) "
+            f"blob {record.blob_id}: CRC-32 mismatch on page(s) "
             f"{bad} of {record.pages}"
         )
 
@@ -84,12 +84,14 @@ class FileBlobStore(BlobStore):
     catalog.  Call :meth:`sync` (or use as a context manager) to persist
     the catalog; :meth:`open` reloads an existing store.
 
-    A CRC32C is recorded per page of every real payload and verified on
+    A CRC-32 is recorded per page of every real payload and verified on
     read; ``injector`` routes page-file writes through a
     :class:`~repro.storage.faults.FaultInjector` for crash testing.
     """
 
     CATALOG_SUFFIX = ".catalog.json"
+    #: Sidecar format; version 1 sidecars hold CRC32C page checksums.
+    SIDECAR_VERSION = 2
     #: Page CRCs are always on (the ingest pipeline computes them once
     #: for every store that keeps them).
     checksums = True
@@ -125,6 +127,7 @@ class FileBlobStore(BlobStore):
         self.flush_pending()
         fsync_file(self._file)
         payload = {
+            "version": self.SIDECAR_VERSION,
             "page_size": self.page_size,
             "next_id": self._next_id,
             "high_water": self._allocator.high_water,
@@ -161,6 +164,13 @@ class FileBlobStore(BlobStore):
         if not catalog_path.exists():
             raise StorageError(f"no catalog at {catalog_path}")
         meta = json.loads(catalog_path.read_text())
+        version = meta.get("version", 1)
+        if version != cls.SIDECAR_VERSION:
+            raise StorageError(
+                f"unsupported blob sidecar version {version} in "
+                f"{catalog_path} (this build reads version "
+                f"{cls.SIDECAR_VERSION} only)"
+            )
         store = cls(path, page_size=meta["page_size"], injector=injector)
         store._next_id = meta["next_id"]
         store._allocator._next_page = meta["high_water"]
@@ -286,8 +296,8 @@ class FileBlobStore(BlobStore):
         """Verified payloads of a page-ordered list of BLOBs.
 
         Page-adjacent neighbours share one seek+read, and every page of
-        every blob is checked against the sidecar CRCs in one kernel pass
-        after the store latch is released — the same guarantees as
+        every blob is checked against the sidecar CRCs in one pass after
+        the store latch is released — the same guarantees as
         per-blob :meth:`get`.  Falls back to the per-blob loop if any
         blob is virtual or still buffered.
         """

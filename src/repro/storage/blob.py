@@ -145,7 +145,7 @@ class BlobStore(abc.ABC):
     ) -> int:
         """Store a real payload, returning the new BLOB id.
 
-        ``page_crcs`` (one CRC32C per storage page of ``payload``) lets
+        ``page_crcs`` (one CRC-32 per storage page of ``payload``) lets
         a caller that already checksummed the payload spare the backend
         a recomputation; backends without checksums ignore it.
         """

@@ -47,7 +47,7 @@ CATALOG_NAME = "catalog.json"
 PAGES_NAME = "blobs.pages"
 WAL_NAME = "wal.log"
 ZONES_NAME = "zones.json"
-CATALOG_VERSION = 1
+CATALOG_VERSION = 2  # version 1 stores carry CRC32C page checksums
 
 _RECOVERIES = obs.counter("recovery.runs", "Recovery passes executed on open")
 _TXNS_REPLAYED = obs.counter(
@@ -252,7 +252,8 @@ def open_database(
     catalog = json.loads(catalog_path.read_text())
     if catalog.get("version") != CATALOG_VERSION:
         raise StorageError(
-            f"unsupported catalog version {catalog.get('version')!r}"
+            f"unsupported catalog version {catalog.get('version')!r} in "
+            f"{catalog_path} (this build reads version {CATALOG_VERSION} only)"
         )
 
     wal_path = directory / WAL_NAME

@@ -8,7 +8,7 @@ the write-ahead log, without mutating any of them:
 * BLOB page ranges stay below the high-water mark, never overlap each
   other, and never overlap the allocator's free list;
 * every real payload is readable at its recorded size and passes its
-  per-page CRC32C verification;
+  per-page CRC-32 verification;
 * every tile references an existing BLOB whose size matches the tile's
   domain (uncompressed tiles), tiles of one object never overlap, and
   the object's current domain contains all of them;
@@ -393,7 +393,8 @@ def fsck_database(
     if catalog.get("version") != CATALOG_VERSION:
         report.error(
             "catalog-version",
-            f"unsupported catalog version {catalog.get('version')!r}",
+            f"unsupported catalog version {catalog.get('version')!r} "
+            f"(this build reads version {CATALOG_VERSION} only)",
         )
         return report
     pages_path = directory / PAGES_NAME

@@ -12,11 +12,9 @@ batch:
   submission order, so stored bytes, blob ids, and page placements are
   byte-identical to the serial loop regardless of worker count.
 * **Batch checksumming** — the page CRCs every durable write needs (for
-  the WAL record *and* the store's page sidecar — computed once, shared)
-  come from one block-parallel
-  :func:`~repro.storage.checksum.page_checksums_many` pass over every
-  page of the batch, instead of a Python-level CRC loop per tile.  This
-  is the CPU dividend of group commit: a batch fills whole kernel calls.
+  the WAL record *and* the store's page sidecar) are computed once per
+  batch by :func:`~repro.storage.checksum.page_checksums_many` and
+  shared by both.
 
 The transactional half — one WAL commit per batch, coalesced page-file
 flush — lives in :meth:`Database.transaction` and
@@ -115,7 +113,7 @@ def encode_tiles(
     selection); results are gathered in submission order, so the output
     list — and everything the coordinator derives from it — is identical
     to a serial encode.  Page CRCs for the whole batch come from one
-    block-parallel pass.
+    pass.
     """
     if not tiles:
         return []

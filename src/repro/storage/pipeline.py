@@ -250,8 +250,9 @@ def _decode_task(
         _WORKERS_BUSY.dec()
 
 
-# Blobs per verified read-ahead: enough pages to fill a CRC kernel pass,
-# few enough that the decode workers start long before the I/O ends.
+# Blobs per verified read-ahead: enough to share one pool pass and one
+# disk charge, few enough that the decode workers start long before the
+# I/O ends.
 _READ_AHEAD_RUNS = 32
 
 

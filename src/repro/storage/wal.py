@@ -12,35 +12,32 @@ Log layout (all integers little-endian)::
 
     file   := header record*
     header := magic "REPROWAL" | u32 version | u32 page_size
-    record := u32 payload_len | u32 crc32c | u8 type | u64 lsn | payload
+    record := u32 payload_len | u32 crc32 | u8 type | u64 lsn | payload
 
-The framing CRC32C covers ``type || lsn || payload`` (for ``BLOB_PUT2``:
+The framing CRC-32 covers ``type || lsn || payload`` (for ``BLOB_PUT2``:
 ``type || lsn || meta``), so any torn or bit-flipped record fails
 verification and scanning stops there — everything after an invalid
-record is discarded (records are only meaningful in log order).
+record is discarded (records are only meaningful in log order).  The
+CRC is chained over the header bytes and then the covered bytes, so no
+record is copied to be checksummed.  Logs of an older version (v1 and
+v2 framed with CRC32C) are refused with a :class:`WalError`.
 
 Record types:
 
 ===============  ======================================================
 ``META (1)``     JSON logical operation (``{"op": ...}``): catalog and
                  tile-table mutations, object domain updates.
-``BLOB_PUT (2)`` ``u32 meta_len | meta JSON | raw payload``.  The JSON
-                 carries id, sizes, page placement, codec, virtual
-                 flag; the raw bytes are the exact stored payload.
-                 Legacy (v1 logs): still decoded, no longer written.
 ``COMMIT (3)``   JSON ``{"txn": n, "records": k}`` sealing the ``k``
                  preceding records as transaction ``n``.
-``BLOB_PUT2(4)`` Same layout as ``BLOB_PUT``, but the meta JSON also
-                 carries ``"crcs"``: one CRC32C per storage page of the
-                 raw payload, and the framing CRC covers only
-                 ``type || lsn || meta`` — the raw tail is verified
-                 against the page CRCs instead.  Detection strength is
-                 unchanged (every raw byte is still CRC-guarded; a torn
-                 tail fails the length framing), but the page CRCs are
-                 now computed **once** — shared with the store's page
-                 sidecar and, on the batched ingest path, produced by
-                 one block-parallel pass over the whole batch —
-                 instead of CRC-ing every payload twice per tile.
+``BLOB_PUT2(4)`` ``u32 meta_len | meta JSON | raw payload``.  The JSON
+                 carries id, sizes, page placement, codec, virtual
+                 flag and ``"crcs"``: one CRC-32 per storage page of
+                 the raw payload, the exact stored bytes.  The framing
+                 CRC covers only ``type || lsn || meta``; the raw tail
+                 is verified against the page CRCs instead, so every
+                 raw byte is still CRC-guarded (a torn tail fails the
+                 length framing) while the page CRCs are computed
+                 **once**, shared with the store's page sidecar.
 ===============  ======================================================
 
 Group commit: records buffer in memory while a transaction runs and hit
@@ -57,6 +54,7 @@ import json
 import struct
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -64,23 +62,22 @@ from typing import Iterator, Optional, Union
 from repro import obs
 from repro.core.errors import WalError
 from repro.storage.blob import BlobRecord
-from repro.storage.checksum import crc32c, page_checksums, verify_page_checksums
+from repro.storage.checksum import page_checksums, verify_page_checksums
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultInjector, fsync_file
 from repro.storage.latch import OrderedLatch, schedule_point
 from repro.storage.pages import DEFAULT_PAGE_SIZE, PageRange
 
 MAGIC = b"REPROWAL"
-VERSION = 2  # v2 adds BLOB_PUT2; v1 logs are still scanned
-_SUPPORTED_VERSIONS = (1, 2)
+VERSION = 3  # v3: CRC-32 frames and page CRCs (v1 and v2 used CRC32C)
 _HEADER = struct.Struct("<8sII")
 _RECORD = struct.Struct("<IIBQ")
+_TYPE_LSN = struct.Struct("<BQ")
 _U32 = struct.Struct("<I")
 
 META = 1
-BLOB_PUT = 2
 COMMIT = 3
-BLOB_PUT2 = 4
+BLOB_PUT2 = 4  # type 2 was the v1 BLOB_PUT, which carried no page CRCs
 
 _RECORDS = obs.counter("wal.records", "Redo records appended (buffered)")
 _COMMITS = obs.counter("wal.commits", "Transactions committed to the log")
@@ -157,9 +154,14 @@ class WalScan:
         )
 
 
+def _frame_crc(rtype: int, lsn: int, covered: bytes) -> int:
+    """CRC-32 of ``type || lsn || covered``, chained rather than joined."""
+    return zlib.crc32(covered, zlib.crc32(_TYPE_LSN.pack(rtype, lsn)))
+
+
 def encode_record(rtype: int, lsn: int, payload: bytes) -> bytes:
-    """Frame one record: length, CRC32C, type, LSN, payload."""
-    crc = crc32c(bytes([rtype]) + lsn.to_bytes(8, "little") + payload)
+    """Frame one record: length, CRC-32, type, LSN, payload."""
+    crc = _frame_crc(rtype, lsn, payload)
     return _RECORD.pack(len(payload), crc, rtype, lsn) + payload
 
 
@@ -186,35 +188,6 @@ def _blob_record(meta: dict) -> BlobRecord:
     )
 
 
-def _split_blob_payload(payload: bytes, kind: str) -> tuple[dict, bytes]:
-    if len(payload) < _U32.size:
-        raise WalError(f"{kind} record too short for its meta length")
-    (meta_len,) = _U32.unpack_from(payload)
-    meta_end = _U32.size + meta_len
-    if len(payload) < meta_end:
-        raise WalError(f"{kind} record too short for its meta JSON")
-    meta = json.loads(payload[_U32.size : meta_end].decode("utf-8"))
-    return meta, payload[meta_end:]
-
-
-def encode_blob_put(record: BlobRecord, payload: bytes) -> bytes:
-    """The BLOB_PUT payload: placement JSON plus the raw stored bytes."""
-    meta = json.dumps(_blob_meta(record), separators=(",", ":")).encode("utf-8")
-    return _U32.pack(len(meta)) + meta + payload
-
-
-def decode_blob_put(payload: bytes) -> tuple[BlobRecord, bytes]:
-    """Inverse of :func:`encode_blob_put`."""
-    meta, raw = _split_blob_payload(payload, "BLOB_PUT")
-    record = _blob_record(meta)
-    if not record.virtual and len(raw) != record.stored_size:
-        raise WalError(
-            f"BLOB_PUT for blob {record.blob_id} carries {len(raw)} bytes, "
-            f"meta says {record.stored_size}"
-        )
-    return record, raw
-
-
 def encode_blob_put2(
     lsn: int, record: BlobRecord, payload: bytes, page_crcs: list[int]
 ) -> bytes:
@@ -229,12 +202,12 @@ def encode_blob_put2(
     blob_meta["crcs"] = list(page_crcs)
     meta = json.dumps(blob_meta, separators=(",", ":")).encode("utf-8")
     prefix = _U32.pack(len(meta)) + meta
-    crc = crc32c(bytes([BLOB_PUT2]) + lsn.to_bytes(8, "little") + prefix)
+    crc = _frame_crc(BLOB_PUT2, lsn, prefix)
     return _RECORD.pack(len(prefix) + len(payload), crc, BLOB_PUT2, lsn) + prefix + payload
 
 
 def decode_blob_put2(
-    payload: bytes, page_size: int
+    payload: Union[bytes, memoryview], page_size: int
 ) -> tuple[BlobRecord, bytes]:
     """Inverse of :func:`encode_blob_put2`; verifies the raw tail.
 
@@ -242,7 +215,14 @@ def decode_blob_put2(
     checked here — a corrupt tail raises :class:`WalError` and the scan
     stops at this record, exactly as a framing-CRC failure would.
     """
-    meta, raw = _split_blob_payload(payload, "BLOB_PUT2")
+    if len(payload) < _U32.size:
+        raise WalError("BLOB_PUT2 record too short for its meta length")
+    (meta_len,) = _U32.unpack_from(payload)
+    meta_end = _U32.size + meta_len
+    if len(payload) < meta_end:
+        raise WalError("BLOB_PUT2 record too short for its meta JSON")
+    meta = json.loads(str(payload[_U32.size : meta_end], "utf-8"))
+    raw = bytes(payload[meta_end:])
     record = _blob_record(meta)
     if not record.virtual:
         if len(raw) != record.stored_size:
@@ -488,37 +468,34 @@ class WriteAheadLog:
 # Scanning (recovery read path)
 # ----------------------------------------------------------------------
 
-def _iter_records(data: bytes) -> Iterator[tuple[int, int, int, bytes]]:
+def _iter_records(data: memoryview) -> Iterator[tuple[int, int, int, memoryview]]:
     """Yield ``(offset, type, lsn, payload)`` until the first invalid or
     torn record; the caller computes the discarded tail from the last
-    good offset."""
+    good offset.  Payloads are views into ``data``, not copies."""
     offset = 0
     end = len(data)
     while offset + _RECORD.size <= end:
         length, crc, rtype, lsn = _RECORD.unpack_from(data, offset)
         payload_start = offset + _RECORD.size
-        if payload_start + length > end:
+        payload_end = payload_start + length
+        if payload_end > end:
             return  # torn: payload runs past EOF
-        if rtype not in (META, BLOB_PUT, COMMIT, BLOB_PUT2):
+        if rtype not in (META, COMMIT, BLOB_PUT2):
             return  # unknown type: stop, everything after is untrusted
-        payload = data[payload_start : payload_start + length]
+        covered_end = payload_end
         if rtype == BLOB_PUT2:
             # the framing CRC covers only the meta prefix; the raw tail
             # is checked against the page CRCs by decode_blob_put2
             if length < _U32.size:
                 return
-            (meta_len,) = _U32.unpack_from(payload)
-            covered_end = _U32.size + meta_len
-            if covered_end > length:
+            (meta_len,) = _U32.unpack_from(data, payload_start)
+            covered_end = payload_start + _U32.size + meta_len
+            if covered_end > payload_end:
                 return  # meta length itself is implausible: torn/corrupt
-            covered = payload[:covered_end]
-        else:
-            covered = payload
-        expected = crc32c(bytes([rtype]) + lsn.to_bytes(8, "little") + covered)
-        if crc != expected:
+        if crc != _frame_crc(rtype, lsn, data[payload_start:covered_end]):
             return  # corrupt record: stop, everything after is untrusted
-        yield offset, rtype, lsn, payload
-        offset = payload_start + length
+        yield offset, rtype, lsn, data[payload_start:payload_end]
+        offset = payload_end
 
 
 def scan_wal(path: Union[str, Path]) -> WalScan:
@@ -539,14 +516,17 @@ def scan_wal(path: Union[str, Path]) -> WalScan:
     magic, version, page_size = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise WalError(f"{path} is not a write-ahead log (bad magic)")
-    if version not in _SUPPORTED_VERSIONS:
-        raise WalError(f"unsupported WAL version {version} in {path}")
-    body = data[_HEADER.size :]
+    if version != VERSION:
+        raise WalError(
+            f"unsupported WAL version {version} in {path} "
+            f"(this build reads version {VERSION} only)"
+        )
+    body = memoryview(data)[_HEADER.size :]
     open_records: list = []
     consumed = 0
     for offset, rtype, _lsn, payload in _iter_records(body):
         if rtype == COMMIT:
-            seal = json.loads(payload.decode("utf-8"))
+            seal = json.loads(str(payload, "utf-8"))
             if seal.get("records") != len(open_records):
                 break  # commit does not seal what precedes it: stop
             scan.batches.append(WalBatch(seal["txn"], open_records))
@@ -554,13 +534,10 @@ def scan_wal(path: Union[str, Path]) -> WalScan:
             open_records = []
             consumed = offset + _RECORD.size + len(payload)
         elif rtype == META:
-            open_records.append(("meta", json.loads(payload.decode("utf-8"))))
+            open_records.append(("meta", json.loads(str(payload, "utf-8"))))
         else:
             try:
-                if rtype == BLOB_PUT2:
-                    record, raw = decode_blob_put2(payload, page_size)
-                else:
-                    record, raw = decode_blob_put(payload)
+                record, raw = decode_blob_put2(payload, page_size)
             except WalError:
                 break  # framing valid but content malformed: stop here
             open_records.append(("blob_put", record, raw))

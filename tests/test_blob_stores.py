@@ -1,5 +1,7 @@
 """Unit tests for the BLOB store backends (memory and page file)."""
 
+import json
+
 import pytest
 
 from repro.core.errors import BlobNotFoundError, StorageError
@@ -92,6 +94,17 @@ class TestFileStore:
     def test_open_without_catalog_raises(self, tmp_path):
         with pytest.raises(StorageError):
             FileBlobStore.open(tmp_path / "missing.pages")
+
+    def test_crc32c_era_sidecar_refused_by_version(self, tmp_path):
+        # a version-1 sidecar (no "version" key) holds CRC32C page CRCs
+        path = tmp_path / "old.pages"
+        with FileBlobStore(path, page_size=256) as store:
+            store.put(b"payload")
+        sidecar = json.loads(store.catalog_path.read_text())
+        del sidecar["version"]
+        store.catalog_path.write_text(json.dumps(sidecar))
+        with pytest.raises(StorageError, match="sidecar version 1 "):
+            FileBlobStore.open(path)
 
     def test_delete_then_reuse(self, tmp_path):
         with FileBlobStore(tmp_path / "d.pages", page_size=256) as store:

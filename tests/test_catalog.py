@@ -103,10 +103,12 @@ class TestRoundtrip:
         populate(db)
         save_database(db, directory)
         catalog = json.loads((directory / CATALOG_NAME).read_text())
-        catalog["version"] = 99
-        (directory / CATALOG_NAME).write_text(json.dumps(catalog))
-        with pytest.raises(StorageError):
-            open_database(directory)
+        # version 1 catalogs carry CRC32C page checksums
+        for version in (1, 99):
+            catalog["version"] = version
+            (directory / CATALOG_NAME).write_text(json.dumps(catalog))
+            with pytest.raises(StorageError, match=f"catalog version {version} "):
+                open_database(directory)
 
     def test_types_restored(self, tmp_path):
         db = Database()

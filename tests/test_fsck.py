@@ -47,6 +47,18 @@ class TestFsckDetects:
         assert not report.ok
         assert "missing-catalog" in _codes(report)
 
+    def test_crc32c_era_catalog_version(self, tmp_path):
+        directory = _build(tmp_path / "db")
+        catalog_path = directory / "catalog.json"
+        catalog = json.loads(catalog_path.read_text())
+        catalog["version"] = 1
+        catalog_path.write_text(json.dumps(catalog))
+        report = fsck_database(directory)
+        assert not report.ok
+        (issue,) = report.issues
+        assert issue.code == "catalog-version"
+        assert "version 1 " in issue.message
+
     def test_corrupt_payload_byte(self, tmp_path):
         directory = _build(tmp_path / "db")
         pages = directory / "blobs.pages"

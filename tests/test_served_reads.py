@@ -17,6 +17,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.client import Client, ClientError
@@ -159,6 +161,54 @@ def test_cached_arrays_are_read_only_and_every_caller_gets_a_copy(served, parall
         third = client.read("imgs", "a", box, parallel=not parallel)
         assert client.stats.not_modified == 2
     assert third.tobytes() == expected.tobytes()
+
+
+def test_an_evicted_box_is_fetched_again_with_a_200(served, monkeypatch):
+    _db, server = served
+    first, second = "[0:31,0:63]", "[32:63,0:63]"  # 8 KiB of cells each
+    monkeypatch.setattr(Client, "CACHE_BYTES", 12 << 10)
+    with Client(server.url) as client:
+        client.read("imgs", "a", first, parallel=False)
+        client.read("imgs", "a", second, parallel=False)  # evicts ``first``
+        assert list(client._cache) == [("imgs", "a", second)]
+        again = client.read("imgs", "a", first, parallel=False)
+        assert client.stats.not_modified == 0
+        client.read("imgs", "a", first, parallel=False)
+        assert client.stats.not_modified == 1
+    assert again.tobytes() == _local(_db, "a", first).tobytes()
+
+
+def test_a_box_larger_than_the_budget_is_not_cached(served, monkeypatch):
+    _db, server = served
+    monkeypatch.setattr(Client, "CACHE_BYTES", 1 << 10)
+    with Client(server.url) as client:
+        client.read("imgs", "a", "[0:9,0:9]", parallel=False)
+        client.read("imgs", "a", None, parallel=False)
+        assert list(client._cache) == [("imgs", "a", "[0:9,0:9]")]
+        assert client.cached_bytes == 400
+
+
+@given(
+    reads=st.lists(
+        st.tuples(st.sampled_from(READS), st.booleans()), min_size=1, max_size=12
+    ),
+    budget=st.integers(0, 40 << 10),
+)
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_the_cache_never_holds_more_than_its_budget(
+    served, monkeypatch, reads, budget
+):
+    _db, server = served
+    monkeypatch.setattr(Client, "CACHE_BYTES", budget)
+    with Client(server.url, workers=2) as client:
+        for (name, box), parallel in reads:
+            client.read(_collection(name), name, box, parallel=parallel)
+            held = sum(array.nbytes for _etag, array in client._cache.values())
+            assert held == client.cached_bytes <= budget
 
 
 def _commit_after_first(client: Client, marker: str, commit) -> list:

@@ -6,13 +6,16 @@ import pytest
 
 from repro.core.errors import WalError
 from repro.storage.blob import BlobRecord
+from repro.storage.checksum import page_checksums
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pages import PageRange
 from repro.storage.wal import (
+    _HEADER,
+    _RECORD,
     MAGIC,
     WriteAheadLog,
-    decode_blob_put,
-    encode_blob_put,
+    decode_blob_put2,
+    encode_blob_put2,
     scan_wal,
 )
 
@@ -27,10 +30,17 @@ def _record(blob_id=1, start=0, count=1, payload=b"abcd", virtual=False):
     )
 
 
+def _blob_put(record, payload):
+    """The payload of a BLOB_PUT2 record (its frame header stripped)."""
+    crcs = [] if record.virtual else page_checksums(payload, 4)
+    return encode_blob_put2(1, record, payload, crcs)[_RECORD.size :]
+
+
 class TestBlobPutCodec:
     def test_roundtrip(self):
         record = _record(blob_id=7, start=3, count=2, payload=b"x" * 9)
-        decoded, raw = decode_blob_put(encode_blob_put(record, b"x" * 9))
+        record.stored_size = 9
+        decoded, raw = decode_blob_put2(_blob_put(record, b"x" * 9), 4)
         assert decoded.blob_id == 7
         assert decoded.pages == PageRange(3, 2)
         assert raw == b"x" * 9
@@ -39,15 +49,24 @@ class TestBlobPutCodec:
         record = _record(blob_id=2, virtual=True, payload=b"")
         record.byte_size = 4096
         record.stored_size = 4096
-        decoded, raw = decode_blob_put(encode_blob_put(record, b""))
+        decoded, raw = decode_blob_put2(_blob_put(record, b""), 4)
         assert decoded.virtual
         assert raw == b""
 
     def test_size_mismatch_rejected(self):
         record = _record(payload=b"abcd")
-        encoded = encode_blob_put(record, b"abcd")
+        record.stored_size = 4
+        encoded = _blob_put(record, b"abcd")
         with pytest.raises(WalError):
-            decode_blob_put(encoded[:-1])
+            decode_blob_put2(encoded[:-1], 4)
+
+    def test_corrupt_raw_page_rejected(self):
+        record = _record(payload=b"abcdefgh")
+        record.stored_size = 8
+        encoded = bytearray(_blob_put(record, b"abcdefgh"))
+        encoded[-1] ^= 0x01  # the last byte of the second page
+        with pytest.raises(WalError, match=r"page\(s\) \[1\]"):
+            decode_blob_put2(bytes(encoded), 4)
 
 
 class TestWriteAheadLog:
@@ -143,6 +162,20 @@ class TestScan:
         path = tmp_path / "wal.log"
         path.write_bytes(b"NOTAWAL!" + bytes(8))
         with pytest.raises(WalError):
+            scan_wal(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_other_versions_refused_by_number(self, tmp_path, version):
+        # v1 and v2 logs frame their records with CRC32C
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        wal.log_meta({"op": "x"})
+        wal.commit()
+        wal.close()
+        data = bytearray(path.read_bytes())
+        _HEADER.pack_into(data, 0, MAGIC, version, 4096)
+        path.write_bytes(bytes(data))
+        with pytest.raises(WalError, match=f"unsupported WAL version {version} "):
             scan_wal(path)
 
     def test_torn_tail_discarded(self, tmp_path):
