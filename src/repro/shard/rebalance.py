@@ -20,7 +20,8 @@ transaction machinery:
    bytes either way, and aggregation pushdown deduplicates by tile
    domain, so the dual-presence window is value-invisible);
 2. update the ownership map (new writes route to the destination);
-3. drop the source copies as **one MVCC commit** per object.
+3. drop the source copies as **one MVCC commit** per object — one
+   write step, logging one domain shrink.
 
 A crash between (1) and (3) leaves duplicate tiles, never missing or
 torn ones; re-running the move is idempotent on the destination side.
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.mdd import Tile
 from repro.shard.sharded import ShardedDatabase, ShardedMDD
+from repro.storage.tilestore import TileEntry
 
 _MOVES = obs.counter("shard.rebalance.moves", "Tiles moved between shards")
 _SPLITS = obs.counter("shard.rebalance.splits", "Key-range splits performed")
@@ -103,7 +105,7 @@ class Rebalancer:
         # Gather the hot shard's stored keys per curve layout; rebalance
         # the layout carrying the most tiles this cycle.
         by_layout: Dict[
-            Tuple[int, int], List[Tuple[int, ShardedMDD, object]]
+            Tuple[int, int], List[Tuple[int, ShardedMDD, TileEntry]]
         ] = {}
         for coll in self.sdb.collections.values():
             for obj in coll.values():
@@ -139,10 +141,10 @@ class Rebalancer:
 
         with self.sdb.fanout_commit():
             # (1) Copy into the destination: one MVCC commit per object,
-            # the load's per-store step closing the destination's domain
+            # the write body on the destination part closing its domain
             # over the source's, so dropping the source copies (3) never
             # shrinks the object's domain.
-            per_obj: Dict[int, Tuple[ShardedMDD, List[object]]] = {}
+            per_obj: Dict[int, Tuple[ShardedMDD, List[TileEntry]]] = {}
             for _key, obj, entry in moving:
                 per_obj.setdefault(id(obj), (obj, []))[1].append(entry)
             src_db = self.sdb.shards[hot]
@@ -160,12 +162,11 @@ class Rebalancer:
             rmap.reassign(split_at, span.hi, cold)
             self.sdb.save_meta()
 
-            # (3) Drop the source copies: one MVCC commit per object.
+            # (3) Drop the source copies: one MVCC commit per object, one
+            # write step (and one logged domain shrink) for all its tiles.
             for obj, entries in per_obj.values():
-                src_part = obj._parts[hot]
                 with src_db.transaction():
-                    for entry in entries:
-                        src_part.delete_region(entry.domain)
+                    obj._parts[hot]._drop_tiles(entries)
         # Start the next measurement window fresh: the moved tiles' past
         # reads must not keep indicting the source shard.
         for db in self.sdb.shards:

@@ -11,10 +11,11 @@ tiling makes the tile the natural distribution unit because each tile is
 already an independent BLOB.
 
 :class:`ShardedMDD` is the scatter-gather layer, and it owns no query
-body of its own: its query entry points *are* :class:`StoredMDD`'s
-(aliased, DESIGN §17), which run over a list of pinned ``(store, view)``
-parts — one for a store, one per shard here.  The region resolves
-against the hull of the pinned views' domains; the single
+or write body of its own: its entry points *are* :class:`StoredMDD`'s
+(aliased, DESIGN §16–17), which run over its parts — one for a store,
+one per shard here.  A query runs over the parts' pinned ``(store,
+view)`` pairs: the region resolves against the hull of the pinned
+views' domains; the single
 :class:`~repro.storage.tilestore.ReadExecutor` selects on every part,
 fetches each shard's tiles through that shard's pipeline pool and feeds
 one sink.  Fragments are therefore reassembled by *the* compose code —
@@ -25,11 +26,13 @@ pushdown combines per-tile partials with the order-insensitive
 exactness decision, so a pushed aggregate is bitwise-equal no matter how
 tiles are spread.
 
-Writes route each tile batch to its owner shard as **one WAL transaction
-per shard**; a cross-shard batch is one commit on every shard it
-touches.  The sharded-level write latch (``shard.writer``, rank 5 —
-below every per-shard latch) serializes sharded mutations so the
-rebalancer's two-commit migrations can never interleave with updates.
+A write admits its batch once against every shard's index and routes it
+to the owner shards (:meth:`ShardedMDD._owners`) as **one WAL
+transaction per shard**; a cross-shard batch, update or delete is one
+commit on every shard it touches.  The sharded-level write latch
+(``shard.writer``, rank 5 — below every per-shard latch) scopes every
+write body (:meth:`ShardedMDD._write_scope`), so the rebalancer's
+two-commit migrations can never interleave with updates.
 
 Readers do not hold that latch while they query.  Because a query pins
 its per-shard MVCC views *sequentially*, a multi-shard commit sequence
@@ -44,11 +47,16 @@ query then runs once, on a consistent cut.  After a few lost races the
 pins are taken under the write latch (released before the query runs),
 so a steady stream of writers cannot starve a read.
 
-Aliasing contract: the store bodies ``ShardedMDD`` shares (``read``,
-``read_blocks``, ``read_stored``, ``tile_plan``, ``aggregate``,
-``aggregate_push``, ``read_section``, ``resolve_region`` and the write
-checks) read only ``name``, ``dim``, ``mdd_type``, the current domain,
-``_MERGE`` and ``_pinned``, so the planned
+Aliasing contract: the store bodies ``ShardedMDD`` shares — the query
+entry points (``read``, ``read_blocks``, ``read_stored``, ``tile_plan``,
+``aggregate``, ``aggregate_push``, ``read_section``,
+``resolve_region``), the write entry points (``write_tiles``,
+``insert_tile``, ``load_array``, ``update``, ``delete_region``), their
+validation, admission and load planning — read only ``name``, ``dim``,
+``mdd_type``, the current domain, ``_MERGE`` and ``_parts``, and call
+three hooks: ``_pinned`` (the parts' views as one cut), ``_owners``
+(route a batch to its owner parts) and ``_write_scope`` (the latch and
+the fan-out guard around the parts' commits).  So the planned
 :class:`~repro.query.engine.QueryEngine` runs GROUP BY roll-ups over a
 sharded object unchanged; an explicit ``version=`` is rejected until
 one statement pin spans the shards.
@@ -57,12 +65,9 @@ one statement pin spans the shards.
 from __future__ import annotations
 
 import json
-import time
 from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro import obs
 from repro.core.errors import QueryError, StorageError
@@ -71,7 +76,6 @@ from repro.core.mdd import Tile
 from repro.core.mddtype import MDDType
 from repro.core.order import TileKey, shifted_key, tile_order
 from repro.index.zonemap import synopsis_can_match  # noqa: F401  (a trace target, see below)
-from repro.query.timing import LoadStats
 from repro.shard.ranges import RangeMap
 from repro.storage.latch import OrderedLatch
 
@@ -80,13 +84,7 @@ from repro.storage.latch import OrderedLatch
 # benchmarks/e2e/tracing.py wraps them as attributes of this module and
 # refuses to run if one is unbound (its TARGETS change in a benchmark PR).
 from repro.storage.pipeline import fetch_tile_partials, fetch_tiles  # noqa: F401
-from repro.storage.tilestore import (
-    Database,
-    ReaderView,
-    ScatterStats,
-    StoredMDD,
-    TileEntry,
-)
+from repro.storage.tilestore import Database, ReaderView, ScatterStats, StoredMDD
 
 #: The sharded write latch ranks below every per-shard latch
 #: (``txn.writer`` is rank 10), so it may be held across per-shard
@@ -391,11 +389,9 @@ class ShardedDatabase:
         self._collections[name] = {}
         return self._collections[name]
 
-    def collection(self, name: str) -> Dict[str, "ShardedMDD"]:
-        try:
-            return self._collections[name]
-        except KeyError:
-            raise StorageError(f"no collection {name!r}") from None
+    #: Catalog lookups read only :attr:`collections`: the store's serve.
+    collection = Database.collection
+    objects = Database.objects
 
     def create_object(
         self, collection: str, mdd_type: MDDType, name: str
@@ -413,9 +409,6 @@ class ShardedDatabase:
         obj = ShardedMDD(self, mdd_type, name, collection, parts)
         coll[name] = obj
         return obj
-
-    def objects(self, collection: str) -> Tuple["ShardedMDD", ...]:
-        return tuple(self.collection(collection).values())
 
     @property
     def collections(self) -> Dict[str, Dict[str, "ShardedMDD"]]:
@@ -482,17 +475,6 @@ class ShardedMDD:
 
     _current_domain = current_domain
 
-    @property
-    def tile_count(self) -> int:
-        return sum(part.tile_count for part in self._parts)
-
-    def tile_entries(self) -> Tuple[TileEntry, ...]:
-        """All tile rows, shard by shard (disjoint outside a migration)."""
-        entries: List[TileEntry] = []
-        for part in self._parts:
-            entries.extend(part.tile_entries())
-        return tuple(entries)
-
     def shard_of(self, point: Sequence[int]) -> int:
         """Owner shard of a tile whose lowest vertex is ``point``."""
         rmap = self.sdb.range_map(self.dim, self._bits)
@@ -501,120 +483,29 @@ class ShardedMDD:
     def tiles_per_shard(self) -> Tuple[int, ...]:
         return tuple(part.tile_count for part in self._parts)
 
-    # -- writes -------------------------------------------------------------
+    # -- the write hooks ----------------------------------------------------
 
-    def write_tiles(self, tiles: Sequence[Tile]) -> List[int]:
-        """Bulk insert: one WAL transaction on every owner shard.
-
-        Tiles are grouped by owner; each group is the shard's own
-        :meth:`StoredMDD.write_tiles` step (``_write``) — one group
-        commit (and one fsync in ``wal+fsync`` mode) per shard touched,
-        in ascending shard order.
-        """
-        with self.sdb.writer:
-            return self._route(tiles, None)
-
-    def _route(
-        self, tiles: Sequence[Tile], region: Optional[MInterval]
-    ) -> List[int]:
-        """Group ``tiles`` by owner shard and run each group as that
-        shard's :meth:`StoredMDD._write` — for a load (``region`` given)
-        every owner's transaction carries the domain closure."""
-        # Every shard admits the whole batch before any shard writes, so a
-        # tile stored on another shard, or one bound for another owner,
-        # refuses it too; each owner admits its share again as it stores.
-        for part in self._parts:
-            part._admit(tiles)
-        # First batch for this curve layout pre-splits the ownership map
-        # at the batch keys' quantiles (see ShardedDatabase.range_map).
-        rmap = self.sdb.range_map(
-            self.dim,
-            self._bits,
-            sample_keys=[self._key(t.domain.lowest) for t in tiles],
-        )
+    def _owners(self, tiles: Sequence[Tile]) -> List[Tuple[StoredMDD, Sequence[Tile]]]:
+        """Route an admitted batch to its owner shards by curve key, in
+        ascending shard order.  The first batch for this curve layout
+        pre-splits the ownership map at the batch keys' quantiles (see
+        :meth:`ShardedDatabase.range_map`)."""
+        keys = [self._key(tile.domain.lowest) for tile in tiles]
+        rmap = self.sdb.range_map(self.dim, self._bits, sample_keys=keys)
         groups: Dict[int, List[Tile]] = {}
-        for tile in tiles:
-            groups.setdefault(rmap.owner(self._key(tile.domain.lowest)), [])\
-                .append(tile)
-        tile_ids: List[int] = []
-        guard = (
-            self.sdb.fanout_commit() if len(groups) > 1 else nullcontext()
-        )
-        with guard:
-            for owner in sorted(groups):
-                tile_ids.extend(self._parts[owner]._write(groups[owner], region))
+        for key, tile in zip(keys, tiles):
+            groups.setdefault(rmap.owner(key), []).append(tile)
         _TILES_ROUTED.inc(len(tiles))
-        return tile_ids
+        return [(self._parts[owner], groups[owner]) for owner in sorted(groups)]
 
-    def insert_tile(self, tile: Tile) -> int:
-        return self.write_tiles([tile])[0]
-
-    def load_array(
-        self,
-        array: np.ndarray,
-        strategy,
-        origin: Optional[Sequence[int]] = None,
-        skip_default_tiles: bool = False,
-    ) -> LoadStats:
-        """Tile and store a dense array: the strategy plans **once**
-        (:meth:`StoredMDD._plan_load`), the tile batches commit once per
-        owner shard, each closing that shard's domain over the loaded
-        region — so partial coverage reopens with the domain it loaded."""
-        region, tiles, stats = self._plan_load(
-            array, strategy, origin, skip_default_tiles
-        )
-        started = time.perf_counter()
-        with self.sdb.writer:
-            self._route(tiles, region)
-        stats.store_ms = (time.perf_counter() - started) * 1000.0
-        stats.bytes_stored = sum(
-            part.stored_bytes() for part in self._parts
-        )
-        return stats
-
-    def update(self, region: MInterval, values: np.ndarray) -> int:
-        """Overwrite the covered parts of ``region``; returns covered
-        cells.  Every shard holding a tile that meets ``region`` updates
-        it in its own transaction, with ``region`` and ``values`` as the
-        caller gave them."""
-        self._check_update(region, values)
-        with self.sdb.writer:
-            parts = [
-                part for part in self._parts if part.index.search(region).entries
-            ]
-            guard = self.sdb.fanout_commit() if len(parts) > 1 else nullcontext()
-            with guard:
-                return sum(part.update(region, values) for part in parts)
-
-    def delete_region(self, region: MInterval) -> int:
-        """Drop tiles fully inside ``region``; returns tiles dropped.
-
-        Single-store semantics (:meth:`StoredMDD.delete_region`): a
-        delete that drops nothing changes nothing; otherwise the domain
-        shrinks to the hull of the remaining tiles — so every shard whose
-        domain is not already its own tiles' hull (a load's closure)
-        commits that shrink, victims or not.
-        """
-        self._check_delete(region)
-        with self.sdb.writer:
-            plans = [(part, part._victims(region)) for part in self._parts]
-            dropped = sum(len(victims) for _part, victims in plans)
-            if not dropped:
-                return 0
-            plans = [
-                (part, victims)
-                for part, victims in plans
-                if victims or part.current_domain != part._tile_hull()
-            ]
-            guard = self.sdb.fanout_commit() if len(plans) > 1 else nullcontext()
-            with guard:
-                for part, victims in plans:
-                    if victims:
-                        part.delete_region(region)
-                    else:
-                        with part.database.transaction():
-                            part._drop_tiles(())  # the shrink alone
-            return dropped
+    @contextmanager
+    def _write_scope(self):
+        """Scope one write body: the sharded write latch, held across the
+        shards' transactions.  Commits on more than one shard run inside
+        :meth:`ShardedDatabase.fanout_commit`, the readers' seqlock."""
+        sdb = self.sdb
+        with sdb.writer:
+            yield lambda n: sdb.fanout_commit() if n > 1 else nullcontext()
 
     # -- reads --------------------------------------------------------------
 
@@ -661,11 +552,12 @@ class ShardedMDD:
                 parts = pin(pins)
             yield parts
 
-    #: The store's query entry points, region resolution, access type
-    #: (d), write validation and load planning read only ``name``,
-    #: ``dim``, ``mdd_type``, the current domain, :attr:`_MERGE` and
-    #: :meth:`_pinned` — the single-store bodies serve the sharded
-    #: object unchanged.
+    #: The store's query and write entry points, its tile-table totals,
+    #: region resolution, access type (d), admission, write validation and
+    #: load planning read only ``name``, ``dim``, ``mdd_type``, the current domain,
+    #: :attr:`_MERGE`, ``_parts`` and the hooks :meth:`_pinned`,
+    #: :meth:`_owners` and :meth:`_write_scope` — the single-store bodies
+    #: serve the sharded object unchanged.
     read = StoredMDD.read
     read_blocks = StoredMDD.read_blocks
     read_stored = StoredMDD.read_stored
@@ -679,6 +571,17 @@ class ShardedMDD:
     _check_update = StoredMDD._check_update
     _check_delete = StoredMDD._check_delete
     _plan_load = StoredMDD._plan_load
+    tile_count = StoredMDD.tile_count
+    tile_entries = StoredMDD.tile_entries
+    stored_bytes = StoredMDD.stored_bytes
+    write_tiles = StoredMDD.write_tiles
+    insert_tile = StoredMDD.insert_tile
+    load_array = StoredMDD.load_array
+    update = StoredMDD.update
+    delete_region = StoredMDD.delete_region
+    _write = StoredMDD._write
+    _admit = StoredMDD._admit
+    _admit_domain = StoredMDD._admit_domain
 
     def __repr__(self) -> str:
         return (

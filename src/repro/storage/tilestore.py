@@ -22,7 +22,7 @@ import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import chain, compress, product
@@ -911,20 +911,24 @@ class StoredMDD:
 
     @property
     def tile_count(self) -> int:
-        return len(self._tiles)
+        return sum(len(part._tiles) for part in self._parts)
 
     @property
     def dim(self) -> int:
         return self.mdd_type.dim
 
     def tile_entries(self) -> tuple[TileEntry, ...]:
-        """Tile-table rows in insertion order."""
-        return tuple(self._tiles.values())
+        """Tile-table rows in insertion order, part by part (disjoint
+        outside a migration)."""
+        return tuple(chain.from_iterable(part._tiles.values() for part in self._parts))
 
     def stored_bytes(self) -> int:
         """Bytes on disk across all tiles (after compression)."""
-        store = self.database.store
-        return sum(store.record(t.blob_id).byte_size for t in self._tiles.values())
+        return sum(
+            part.database.store.record(t.blob_id).byte_size
+            for part in self._parts
+            for t in part._tiles.values()
+        )
 
     def logical_bytes(self) -> int:
         """Uncompressed cell bytes across all tiles."""
@@ -932,13 +936,30 @@ class StoredMDD:
         return sum(t.domain.cell_count * cell for t in self._tiles.values())
 
     # ------------------------------------------------------------------
-    # Loading (phase two of tiling)
+    # Writes — one body over parts (DESIGN §16); a sharded object runs
+    # these same methods through its own hooks _owners and _write_scope
     # ------------------------------------------------------------------
+
+    @property
+    def _parts(self) -> list["StoredMDD"]:
+        """The stores this object's tiles live on: this store, alone."""
+        return [self]
+
+    def _owners(self, tiles: Sequence[Tile]) -> list[tuple["StoredMDD", Sequence[Tile]]]:
+        """Route an admitted batch to the parts that store it: all here."""
+        return [(self, tiles)]
+
+    @contextmanager
+    def _write_scope(self) -> Iterator[Callable[[int], AbstractContextManager]]:
+        """One write body's scope — this store's transaction, which the
+        per-part step joins — yielding the guard for commits on ``n``
+        parts: none, one store commits one part."""
+        with self.database.transaction():
+            yield lambda n: nullcontext()
 
     def insert_tile(self, tile: Tile) -> int:
         """Store one tile (cells copied to a BLOB, domain indexed)."""
-        with self.database.transaction():
-            return self._store_batch([tile])[0]
+        return self.write_tiles([tile])[0]
 
     def write_tiles(self, tiles: Sequence[Tile]) -> list[int]:
         """Bulk-insert many tiles as **one** transaction (group commit).
@@ -948,61 +969,64 @@ class StoredMDD:
         WAL write (one fsync in ``wal+fsync`` mode) and coalesced
         page-file flushes.  Stored bytes, blob ids, and page placements
         are byte-identical to calling :meth:`insert_tile` per tile in the
-        same order; only the transaction boundaries differ.  Returns the
-        new tile ids in storage order.
+        same order; only the transaction boundaries differ (a sharded
+        object commits once per owner shard).  Returns the new tile ids
+        in storage order.
         """
         return self._write(tiles, None)
 
     def _write(self, tiles: Sequence[Tile], region: Optional[MInterval]) -> list[int]:
-        """One store's share of a write, as one transaction: the tiles in
-        the database's clustering order through :meth:`_store_batch`.
-        Given a load's ``region``, the current domain then closes over it
-        — partial coverage must not shrink it below what the user loaded
-        — and the closure is logged with the tiles (``object_domain``),
-        so recovery reopens the same domain."""
-        ordered = sorted(
-            tiles, key=lambda t: self.database.tile_key(t.domain.lowest)
-        )
+        """The one write body: the batch in clustering order (the parts
+        share one) is admitted once — cell types, every part's stored
+        tiles, then itself — and routed to its owner parts, each of which
+        stores its share as one transaction (:meth:`_store`).  Given a
+        load's ``region``, every owner's transaction closes its domain
+        over it."""
+        tile_key = self._parts[0].database.tile_key
+        ordered = sorted(tiles, key=lambda t: tile_key(t.domain.lowest))
+        dtype = self.mdd_type.base.dtype
+        with self._write_scope() as fanout:
+            for tile in ordered:
+                if tile.data.dtype != dtype:
+                    raise DomainError(f"tile dtype {tile.data.dtype} does not match type {dtype}")
+            self._admit([tile.domain for tile in ordered])
+            owners = self._owners(ordered)
+            with fanout(len(owners)):
+                return [tile_id for part, share in owners for tile_id in part._store(share, region)]
+
+    def _store(self, tiles: Sequence[Tile], region: Optional[MInterval]) -> list[int]:
+        """One part's share of a write, admitted and in clustering order,
+        as one transaction: the coordinator half of the ingest pipeline.
+        Page allocation, WAL records and registration happen here tile by
+        tile, so the on-disk outcome never depends on worker scheduling;
+        decoded write-through admissions follow, in page order.  Given a
+        load's ``region``, the current domain then closes over it —
+        partial coverage must not shrink it below what the user loaded —
+        and the closure is logged (``object_domain``), so recovery
+        reopens the same domain."""
         with self.database.transaction():
-            tile_ids = self._store_batch(ordered)
+            encoded = encode_tiles(self.database, tiles)
+            tile_ids: list[int] = []
+            blob_ids: list[int] = []
+            for item in encoded:
+                blob_id = self._put(item)
+                _TILES_STORED.inc()
+                tile_ids.append(
+                    self._register(item.tile.domain, blob_id, item.codec, False, item.synopsis)
+                )
+                blob_ids.append(blob_id)
+            if self.database.decoded_cache is not None:
+                for item, blob_id in zip(encoded, blob_ids):
+                    self._admit_write_through(blob_id, item.raw, item.tile.domain.shape)
+            if tiles:
+                self._note_access(
+                    "write",
+                    MInterval.hull_of(t.domain for t in tiles),
+                    sum(t.domain.cell_count for t in tiles),
+                )
             if region is not None:
                 assert self._current_domain is not None
                 self._log_domain(self._current_domain.hull(region))
-        return tile_ids
-
-    def _store_batch(self, tiles: Sequence[Tile]) -> list[int]:
-        """Coordinator half of the ingest pipeline (inside a transaction).
-
-        The whole batch is admitted first (:meth:`_admit`), so a rejected
-        batch encodes and writes nothing.  Order-sensitive work — page
-        allocation, WAL records, tile registration — happens here, tile
-        by tile in the given order, so the on-disk outcome never depends
-        on worker scheduling.  Decoded write-through admissions are
-        deferred to the end of the batch, in page order, mirroring the
-        read pipeline's deferred admissions.
-        """
-        self._admit(tiles)
-        encoded = encode_tiles(self.database, tiles)
-        tile_ids: list[int] = []
-        blob_ids: list[int] = []
-        for item in encoded:
-            blob_id = self._put(item)
-            _TILES_STORED.inc()
-            tile_ids.append(
-                self._register(
-                    item.tile.domain, blob_id, item.codec, False, item.synopsis
-                )
-            )
-            blob_ids.append(blob_id)
-        if self.database.decoded_cache is not None:
-            for item, blob_id in zip(encoded, blob_ids):
-                self._admit_write_through(blob_id, item.raw, item.tile.domain.shape)
-        if tiles:
-            self._note_access(
-                "write",
-                MInterval.hull_of(t.domain for t in tiles),
-                sum(t.domain.cell_count for t in tiles),
-            )
         return tile_ids
 
     def _put(self, item: EncodedTile) -> int:
@@ -1049,40 +1073,36 @@ class StoredMDD:
             return self._register(domain, blob_id, codec, record.virtual, None)
 
     def insert_virtual_tile(self, domain: MInterval) -> int:
-        """Register a tile with synthesized content (benchmark-scale data).
+        """Register a tile with synthesized content (benchmark-scale data):
+        the one-tile :meth:`load_virtual`.
 
         The BLOB has the right size and page placement but no real bytes;
         reads return default-valued cells.
         """
         with self.database.transaction():
             self._admit_domain(domain)
-            blob_id = self.database.store.put_virtual(
-                domain.cell_count * self.mdd_type.cell_size
-            )
-            self.database._note_created_blob(blob_id)
-            self.database._log_blob_put(blob_id, b"")
-            synopsis = (
-                constant_synopsis(
-                    domain.cell_count, self.mdd_type.base.default
-                )
-                if self.database.zone_maps
-                and self.mdd_type.base.dtype.fields is None
-                else None
-            )
-            return self._register(domain, blob_id, "none", True, synopsis)
+            return self._put_virtual(domain)
 
-    def _admit(self, tiles: Sequence[Tile]) -> None:
+    def _put_virtual(self, domain: MInterval) -> int:
+        """Store and register one admitted virtual tile (in a transaction)."""
+        blob_id = self.database.store.put_virtual(domain.cell_count * self.mdd_type.cell_size)
+        self.database._note_created_blob(blob_id)
+        self.database._log_blob_put(blob_id, b"")
+        synopsis = (
+            constant_synopsis(domain.cell_count, self.mdd_type.base.default)
+            if self.database.zone_maps and self.mdd_type.base.dtype.fields is None
+            else None
+        )
+        return self._register(domain, blob_id, "none", True, synopsis)
+
+    def _admit(self, domains: Sequence[MInterval]) -> None:
         """Admit a batch before any of it is encoded or written: each
-        tile's cells against the cell type and its domain against the
-        stored tiles — on an index no registration of
-        the batch has touched yet, so its packed leaves stay cached —
-        then the batch against itself in one sweep."""
-        dtype = self.mdd_type.base.dtype
-        for tile in tiles:
-            if tile.data.dtype != dtype:
-                raise DomainError(f"tile dtype {tile.data.dtype} does not match type {dtype}")
-            self._admit_domain(tile.domain)
-        domains = [tile.domain for tile in tiles]
+        domain against the definition domain and every part's stored
+        tiles — on indexes no registration of the batch has touched yet,
+        so their packed leaves stay cached — then the batch against
+        itself in one sweep."""
+        for domain in domains:
+            self._admit_domain(domain)
         pairs = overlapping_pairs(pack_bounds(domains, self.dim))
         if len(pairs):  # name the pair whose later tile is put first
             first, later = pairs[np.argmin(pairs[:, 1])]
@@ -1093,12 +1113,13 @@ class StoredMDD:
 
     def _admit_domain(self, domain: MInterval) -> None:
         self.mdd_type.validate_domain(domain, what="tile domain")
-        hits = self.index.search(domain)
-        if hits.entries:
-            raise DomainError(
-                f"tile {domain} overlaps stored tile "
-                f"{hits.entries[0].domain} of {self.name!r}"
-            )
+        for part in self._parts:
+            hits = part.index.search(domain)
+            if hits.entries:
+                raise DomainError(
+                    f"tile {domain} overlaps stored tile "
+                    f"{hits.entries[0].domain} of {self.name!r}"
+                )
 
     def _register(
         self,
@@ -1154,14 +1175,9 @@ class StoredMDD:
         cubes", important for sparse OLAP data).  Reads synthesise the
         default for the uncovered areas.
         """
-        region, tiles, stats = self._plan_load(
-            array, strategy, origin, skip_default_tiles
-        )
-        # One batch, one commit: the whole load is a single WAL
-        # transaction (group commit) encoded through the ingest
-        # pipeline.
+        region, tiles, stats = self._plan_load(array, strategy, origin, skip_default_tiles)
         started = time.perf_counter()
-        self._write(tiles, region)
+        self._write(tiles, region)  # one batch: a commit per owner part
         stats.store_ms = (time.perf_counter() - started) * 1000.0
         stats.bytes_stored = self.stored_bytes()
         return stats
@@ -1203,18 +1219,19 @@ class StoredMDD:
         return region, tiles, stats
 
     def load_virtual(self, domain: MInterval, strategy) -> LoadStats:
-        """Like :meth:`load_array` but with synthesized tile contents."""
+        """Like :meth:`load_array` but with synthesized tile contents: the
+        planned tiles are admitted as one batch, then stored and
+        registered in clustering order, in one transaction."""
         stats = LoadStats()
         started = time.perf_counter()
         spec = strategy.tile(domain, self.mdd_type.cell_size)
         stats.tiling_ms = (time.perf_counter() - started) * 1000.0
-        ordered = sorted(
-            spec.tiles, key=lambda t: self.database.tile_key(t.lowest)
-        )
+        ordered = sorted(spec.tiles, key=lambda t: self.database.tile_key(t.lowest))
         started = time.perf_counter()
         with self.database.transaction():
+            self._admit(ordered)
             for tile_domain in ordered:
-                self.insert_virtual_tile(tile_domain)
+                self._put_virtual(tile_domain)
         stats.store_ms = (time.perf_counter() - started) * 1000.0
         stats.tile_count = len(ordered)
         stats.bytes_stored = self.stored_bytes()
@@ -1459,24 +1476,36 @@ class StoredMDD:
     def update(self, region: MInterval, values: np.ndarray) -> int:
         """Overwrite covered cells of ``region`` (read-modify-write tiles).
 
-        Returns the number of cells the update covered.  One batch: the
-        hit tiles are fetched in one :func:`fetch_tiles` call (in index
+        Returns the number of cells the update covered.  Every part
+        holding a tile that meets ``region`` rewrites it in its own
+        transaction (:meth:`_rewrite`); one meeting no tile commits on the
+        first part, so every update publishes a new version (and ETag).
+        A virtual tile in the region fails the update before any I/O.
+        """
+        self._check_update(region, values)
+        with self._write_scope() as fanout:
+            plans = [(part, part._hits(region)) for part in self._parts]
+            for entry in chain.from_iterable(entries for _part, entries in plans):
+                if entry.virtual:
+                    raise StorageError(f"cannot update virtual tile {entry.domain}")
+            plans = [plan for plan in plans if plan[1]] or plans[:1]
+            with fanout(len(plans)):
+                return sum(part._rewrite(entries, region, values) for part, entries in plans)
+
+    def _hits(self, region: MInterval) -> list[TileEntry]:
+        """The tiles meeting ``region``, in index order."""
+        return [self._tiles[hit.tile_id] for hit in self.index.search(region).entries]
+
+    def _rewrite(self, entries: Sequence[TileEntry], region: MInterval, values: np.ndarray) -> int:
+        """One part's share of an update, as one transaction: the hit
+        tiles are fetched in one :func:`fetch_tiles` call (in index
         order), patched, and the changed ones encoded in one
         :func:`encode_tiles` call; then each is rebound to its new BLOB.
         A tile whose cells did not change is *not* rewritten — its BLOB,
         page placement, and cache entries all stay untouched (a no-op
-        write must not evict hot cache state).  A virtual tile in the
-        region fails the update before any I/O.
-        """
-        self._check_update(region, values)
+        write must not evict hot cache state)."""
         with self.database.transaction():
-            entries = [self._tiles[hit.tile_id] for hit in self.index.search(region).entries]
-            for entry in entries:
-                if entry.virtual:
-                    raise StorageError(f"cannot update virtual tile {entry.domain}")
-            # Every committed update publishes a new version (and so a new
-            # ETag), whether or not a cell changed.
-            self._touch()
+            self._touch()  # a committed update publishes, changed or not
             written = 0
             changed: list[TileEntry] = []
             patched: list[Tile] = []
@@ -1525,8 +1554,7 @@ class StoredMDD:
 
     def _victims(self, region: MInterval) -> list[TileEntry]:
         """The tiles lying wholly inside ``region``, in tile-id order."""
-        hits = self.index.search(region).entries
-        victims = [self._tiles[hit.tile_id] for hit in hits if region.contains(hit.domain)]
+        victims = [entry for entry in self._hits(region) if region.contains(entry.domain)]
         return sorted(victims, key=lambda entry: entry.tile_id)
 
     def delete_region(self, region: MInterval) -> int:
@@ -1537,17 +1565,25 @@ class StoredMDD:
         tile (callers wanting finer removal can :meth:`update` cells to
         the default value instead).  The current domain shrinks to the
         hull of the remaining tiles; a delete that drops nothing changes
-        nothing.  Returns the number of tiles dropped.
+        nothing.  Otherwise every part with victims, or whose domain is
+        not its tiles' hull (a load's closure), commits the drop or the
+        shrink.  Returns the number of tiles dropped.
         """
         self._check_delete(region)
-        with self.database.transaction():
-            victims = self._victims(region)
-            if victims:
-                self._drop_tiles(victims)
-                self._note_access(
-                    "delete", region, sum(entry.domain.cell_count for entry in victims)
-                )
-        return len(victims)
+        with self._write_scope() as fanout:
+            plans = [(part, part._victims(region)) for part in self._parts]
+            dropped = sum(len(victims) for _part, victims in plans)
+            if not dropped:
+                return 0
+            plans = [(p, v) for p, v in plans if v or p.current_domain != p._tile_hull()]
+            with fanout(len(plans)):
+                for part, victims in plans:
+                    with part.database.transaction():
+                        part._drop_tiles(victims)
+                        if victims:
+                            cells = sum(entry.domain.cell_count for entry in victims)
+                            part._note_access("delete", region, cells)
+        return dropped
 
     def _drop_tiles(self, victims: Sequence[TileEntry]) -> None:
         """Remove ``victims`` and shrink the current domain to the hull of

@@ -65,10 +65,9 @@ def owner(obj, region: MInterval):
 
 def holders(obj, region: MInterval) -> set:
     """Shards (``None`` on one store) holding a stored tile ``region`` meets."""
-    parts = getattr(obj, "_parts", None)
-    if parts is None:
+    if not hasattr(obj, "shard_of"):  # a store's one part is itself
         return {None} if obj.index.search(region).entries else set()
-    return {k for k, part in enumerate(parts) if part.index.search(region).entries}
+    return {k for k, part in enumerate(obj._parts) if part.index.search(region).entries}
 
 
 def probe(test) -> MInterval:
