@@ -234,7 +234,7 @@ def run_concurrent_bench(
             "reader_counts": list(READER_COUNTS),
             "payload_variants": PAYLOAD_VARIANTS,
             "runs": runs,
-            "compression": "zlib",
+            "compression": "selective zlib+planes",
         },
         "modes": modes,
         "identity": _verdicts(modes),

@@ -226,7 +226,7 @@ def run_serve_bench(
             "client_counts": list(CLIENT_COUNTS),
             "client_workers": CLIENT_WORKERS,
             "runs": runs,
-            "compression": "zlib",
+            "compression": "selective zlib+planes",
         },
         "modes": modes,
         "identity": _verdicts(modes),

@@ -16,7 +16,8 @@ the write-ahead log, without mutating any of them:
   names a live tile, every audited tile of a zone-mapped object carries
   an entry, cell counts match the tile domain, and ranges are ordered;
   under ``deep=True`` every synopsis is recomputed from the decoded
-  payload and compared field by field;
+  payload and compared field by field, and a payload that does not
+  decode to its tile's cells is reported;
 * a leftover write-ahead log is reported: committed-but-unreplayed
   transactions mean recovery has not run, a torn tail is informational.
 
@@ -34,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.errors import ChecksumError, ReproError
+from repro.core.errors import ChecksumError, ReproError, StorageError
 from repro.core.geometry import MInterval, overlapping_pairs, pack_bounds
 from repro.index.zonemap import (
     TileSynopsis,
@@ -313,9 +314,16 @@ def _check_zones(
                     )
                 else:
                     try:
-                        raw = decompress(store.get(blob_id), tile["codec"])
+                        stored = store.get(blob_id)
                     except ReproError:
-                        continue  # payload issues reported elsewhere
+                        continue  # reported by _check_payloads
+                    try:
+                        raw = decompress(stored, tile["codec"])
+                        if len(raw) != domain.cell_count * base.dtype.itemsize:
+                            raise StorageError(f"decodes to {len(raw)} bytes")
+                    except ReproError as exc:
+                        report.error("tile-undecodable", f"{name} tile {tile_id}: {exc}")
+                        continue
                     cells = np.frombuffer(raw, dtype=base.dtype)
                     expected = compute_synopsis(
                         cells, syn.nbins if syn.nbins >= 2 else 0

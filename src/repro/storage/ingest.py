@@ -80,22 +80,22 @@ def _wants_crcs(database: "Database") -> bool:
     )
 
 
-def _encode(raw: bytes, compression: bool, codecs) -> tuple[str, bytes]:
+def _encode(raw: bytes, compression: bool, codecs, dtype) -> tuple[str, bytes]:
     if compression:
-        return select_codec(raw, codecs)
+        return select_codec(raw, codecs, dtype=dtype)
     return "none", raw
 
 
 def encode_payload(
-    database: "Database", raw: bytes
+    database: "Database", raw: bytes, dtype
 ) -> tuple[str, bytes, Optional[list[int]]]:
-    """Encode one raw payload: codec selection plus (shared) page CRCs.
+    """Encode one payload of ``dtype`` cells: codec choice plus (shared) page CRCs.
 
     Same outputs as one :func:`encode_tiles` element, without the batch
     machinery.  No caller in the package since ``update`` encodes in one
     batch; tests and the wall-clock benchmark's tracer still bind it.
     """
-    codec, payload = _encode(raw, database.compression, database.codecs)
+    codec, payload = _encode(raw, database.compression, database.codecs, dtype)
     crcs = (
         page_checksums(payload, database.store.page_size)
         if _wants_crcs(database)
@@ -126,7 +126,7 @@ def encode_tiles(
         tile: Tile,
     ) -> tuple[bytes, str, bytes, Optional[TileSynopsis]]:
         raw = tile.to_bytes()
-        codec, payload = _encode(raw, compression, codecs)
+        codec, payload = _encode(raw, compression, codecs, tile.data.dtype)
         # The synopsis piggybacks on the worker that already holds the
         # cells: one extra vectorized pass, amortized with the codec cost.
         synopsis = compute_synopsis(tile.data) if zone_maps else None

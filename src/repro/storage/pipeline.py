@@ -16,8 +16,9 @@ This module turns that per-tile chain into a small pipeline:
   order-free CPU work — ``decompress`` + ``frombuffer``, then on the
   aggregation pushdown the per-tile kernel (:class:`_Reducer`) —
   concurrently; decoded-cache hits run the same kernel in place on the
-  calling thread.  ``zlib`` releases the GIL, so compressed tiles
-  genuinely overlap;
+  calling thread.  Only ``zlib`` tiles (``OFFLOADED_CODECS``) go to the
+  workers: inflate releases the GIL, so they overlap; other codecs' few
+  short numpy passes run faster on the calling thread;
 * **decoded-cache admissions** happen after the whole batch, in page
   order, in *both* modes, so the LRU evolves identically and a tiny cache
   cannot make serial and parallel disagree on later hits.
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.index.zonemap import CellPredicate, TileSynopsis, partial_synopsis
-from repro.storage.compression import decompress
+from repro.storage.compression import OFFLOADED_CODECS, decompress
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids a cycle)
     from repro.core.geometry import MInterval
@@ -308,8 +309,8 @@ def _fetch(
     Returns one :class:`FetchedTile` per entry, in the given order.
     Decoded-cache lookups (one :meth:`DecodedTileCache.get_many` for the
     batch), then disk and pool interactions, happen on the calling thread
-    in entry order; only the order-free step of each miss — decode, then
-    ``reduce(array, entry, parts[i])`` when a reducer is given — is
+    in entry order; only the order-free step of each ``zlib`` miss —
+    decode, then ``reduce(array, entry, parts[i])`` with a reducer — is
     (optionally) offloaded, so the result (arrays or partials, costs,
     cache outcomes) is identical for any ``io_workers`` setting.
     ``records`` is the batch's catalog snapshot (hit sizes); one
@@ -359,7 +360,7 @@ def _fetch(
         tile.decoded_miss = cache is not None
         tile_parts = () if reduce is None else parts[position]
         shape = tile.entry.domain.shape  # here, not on the workers: they are the wall
-        if executor is None:
+        if executor is None or tile.entry.codec not in OFFLOADED_CODECS:
             _decode(tile, payload, dtype, shape, tile_parts, reduce)
         else:
             futures.append(

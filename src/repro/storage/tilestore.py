@@ -1683,7 +1683,7 @@ class Database:
         buffer_bytes: int = 0,
         tile_key=row_major_key,
         compression: bool = False,
-        codecs: tuple[str, ...] = ("zlib",),
+        codecs: tuple[str, ...] = ("zlib", "planes"),
         decoded_cache_bytes: int = 0,
         io_workers: int = 1,
         durability: str = "none",

@@ -106,6 +106,7 @@ class TestNegotiation:
         )
         assert status == 200
         header, frames = wire.decode_frames(body)
+        assert {frame.codec for frame in frames} == {"planes"}  # the default store
         out = wire.assemble(
             MInterval.parse(header["box"]),
             np.dtype(header["dtype"]),

@@ -49,7 +49,7 @@ def _replace_payload(obj, entry, raw: bytes) -> None:
     database = obj.database
     database.retire_blob(entry.blob_id)
     obj._log_meta({"op": "blob_delete", "blob": entry.blob_id})
-    codec, payload, page_crcs = encode_payload(database, raw)
+    codec, payload, page_crcs = encode_payload(database, raw, obj.mdd_type.base.dtype)
     blob_id = database.store.put(payload, codec=codec, page_crcs=page_crcs)
     database._note_created_blob(blob_id)
     database._log_blob_put(blob_id, payload, page_crcs=page_crcs)
