@@ -269,9 +269,8 @@ def test_ablation_compression_sparse(benchmark):
     timings = {}
     for label, db in (
         ("raw", Database(compression=False)),
-        ("selective zlib+rle", Database(compression=True, codecs=("rle", "zlib"))),
-        ("selective zlib+rle+planes",
-         Database(compression=True, codecs=("rle", "zlib", "planes"))),
+        ("selective zlib", Database(compression=True, codecs=("zlib",))),
+        ("selective zlib+planes", Database(compression=True, codecs=("zlib", "planes"))),
     ):
         obj = db.create_object("c", cube_type, label)
         obj.load_array(sparse, RegularTiling(64 * KB))
@@ -285,7 +284,8 @@ def test_ablation_compression_sparse(benchmark):
              f"{timing.t_o:.0f}",
              ", ".join(f"{codec} {n}" for codec, n in sorted(wins.items()))]
         )
-    assert timings["selective zlib+rle"].t_o < timings["raw"].t_o
+    assert timings["selective zlib"].t_o < timings["raw"].t_o
+    assert timings["selective zlib+planes"].t_o < timings["raw"].t_o
     benchmark(lambda: obj.read(MInterval.parse("[0:20,0:20,0:20]")))
     write_result(
         "ablation_compression.txt",

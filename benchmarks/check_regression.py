@@ -36,10 +36,10 @@ fails the build.  The artifact's ``label`` picks the comparison:
 * ``query`` — per-strategy/config result digests and modelled charges
   (including ``tiles_partial_agg``), same shape as ``pipeline``.
   Bitwise identity of the pushdown vs materialize strategies and the
-  worker-bounded peak-memory verdict are hard-gated via identity;
-  ``peak_partial_bytes`` itself depends on thread scheduling and is
-  never compared field-for-field, and the modelled speedups live in
-  ``performance`` and stay soft.
+  one-tile peak-memory verdict are hard-gated via identity;
+  ``peak_partial_bytes`` itself (deterministic: the largest tile
+  reduced) is not compared field-for-field, and the modelled speedups
+  live in ``performance`` and stay soft.
 * ``shard`` — per-deployment/query result digests and modelled charges,
   same shape as ``pipeline`` (deployments: single store and 1/2/4
   shards).  Bitwise identity of scatter-gather reads and distributed

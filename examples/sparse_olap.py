@@ -30,8 +30,8 @@ def main() -> None:
 
     variants = [
         ("dense, raw", Database(), {}),
-        ("dense, compressed", Database(compression=True, codecs=("rle", "zlib")), {}),
-        ("partial cover", Database(compression=True, codecs=("rle", "zlib")),
+        ("dense, compressed", Database(compression=True), {}),
+        ("partial cover", Database(compression=True),
          {"skip_default_tiles": True}),
     ]
     print(f"{'Variant':22s} {'tiles':>5s} {'stored MB':>9s} {'scan t_o (ms)':>13s}")

@@ -6,11 +6,12 @@ loads one compressed cube three times and reads the same query set under
 three configurations:
 
 * ``serial`` — the baseline single-threaded read path, cold caches;
-* ``parallel`` — ``io_workers > 1`` so decompression overlaps across a
-  query's tiles.  Results must stay **bit-for-bit identical** to serial
-  and the modelled charges (``t_o``, index pages behind ``t_ix``) must
-  match exactly, because only order-free decode work leaves the
-  coordinator thread;
+* ``parallel`` — the same reads of a cube loaded with ``io_workers > 1``,
+  so its tiles were encoded by that many workers (reads decode where
+  they fetch, on the calling thread).  Results must stay **bit-for-bit
+  identical** to serial and the modelled charges (``t_o``, index pages
+  behind ``t_ix``) must match exactly: the encode pool changes neither
+  the stored bytes nor their placement;
 * ``decoded`` — a decoded-tile cache sized to hold the cube, measured on
   warm repeats.  Repeat reads must decode **zero** tiles (every tile is a
   decoded-cache hit, ``t_o == 0``) and run measurably faster than the

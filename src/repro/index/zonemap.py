@@ -322,7 +322,7 @@ def _summarize(a: np.ndarray, nbins: int) -> Optional[TileSynopsis]:
 def partial_synopsis(array: np.ndarray) -> TileSynopsis:
     """Exact value summary of one tile *fragment* (the pushdown partial).
 
-    Computed on the pipeline workers from the decoded, region-clipped
+    Computed in the read pipeline from the decoded, region-clipped
     (and predicate-masked) cells of a tile: the same reductions as
     :func:`compute_synopsis` but with no histogram bitmap and no
     ingest-side counter — this is a query-time partial aggregate, not a

@@ -135,9 +135,9 @@ class QueryEngine:
 
         Routes through :meth:`StoredMDD.aggregate_push`: zone maps
         prune, stored synopses answer fully-covered tiles with zero
-        decode, and the remaining tiles are reduced to partials **on the
-        pipeline workers** — the query box is never materialized, and
-        the coordinator combines partials in tile-id order.  The storage
+        decode, and the remaining tiles are reduced to partials as they
+        are fetched — the query box is never materialized, and the
+        partials are combined in tile-id order.  The storage
         layer falls back to materialize-then-reduce whenever the
         exactness guards reject pushdown, so the result is
         bitwise-identical either way; the

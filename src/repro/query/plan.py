@@ -8,7 +8,7 @@ rendering of one executed aggregate or GROUP BY statement: its shape
 whether the exactness guards let pushdown run (``pushed``) or forced
 the materialize-then-reduce fallback.  The stage text — tiles pruned
 by zone maps, answered straight from stored synopses, decoded into
-worker-side partials, the peak of concurrently-live decoded bytes — is
+per-tile partials, the peak of decoded bytes alive at once — is
 computed from that record whenever the plan is rendered.
 
 ``EXPLAIN`` renders the plan above the per-stage walls of the same
@@ -86,7 +86,7 @@ class QueryPlan:
         if self.pushed:
             stages.append((
                 "partial-aggregate",
-                "per-tile partials on the pipeline workers "
+                "per-tile partials as tiles are fetched "
                 "(decode, clip, mask, reduce; box never materialized)"
                 f" — {timing.tiles_partial_agg} tiles decoded, "
                 f"{timing.tiles_synopsis_answered} synopsis-answered "

@@ -17,8 +17,8 @@ the call:
 * **Wall time** is approximate: the wall clock measured around the
   whole call, less the three coordinator stages, must stay within
   :data:`WALL_TOLERANCE_MS` — the remainder is Python bookkeeping
-  between the stages (view pin, metrics, access log).  Worker decode
-  overlaps the fetch stage, so it is not part of the sum.
+  between the stages (view pin, metrics, access log).  Decode runs
+  inside the fetch stage, so it is not part of the sum.
 
 The stage walls are the query's own record, measured whether
 observability is on or off, so queries on other threads never leak into
@@ -230,7 +230,7 @@ def _stages(
             },
         )
     )
-    # Worker CPU overlaps the fetch model's t_o: no modelled share.
+    # Decode CPU runs inside the fetch, whose model is t_o: no modelled share.
     if pushed and timing.tiles_partial_agg:
         stages.append(
             StageProfile(

@@ -54,12 +54,12 @@ class QueryTiming:
     #: Fully-covered tiles an aggregate answered from the synopsis
     #: without decoding.
     tiles_synopsis_answered: int = 0
-    #: Tiles whose partial aggregate was computed from decoded cells on
-    #: the pipeline workers (the pushdown path; zero on materialize).
+    #: Tiles whose partial aggregate was computed from decoded cells
+    #: (the pushdown path; zero on materialize).
     tiles_partial_agg: int = 0
-    #: Peak bytes of decoded tile arrays concurrently alive during the
-    #: pushdown partial-aggregate phase — bounded by workers x one tile,
-    #: never by the query box (zero outside the pushdown path).
+    #: Peak bytes of decoded tile arrays alive at once during the
+    #: pushdown partial-aggregate phase: the largest tile reduced, never
+    #: the query box (zero outside the pushdown path).
     peak_partial_bytes: int = 0
     #: Tiles actually decompressed for this query (decoded-cache hits,
     #: virtual tiles and stored-payload reads decode nothing).
@@ -71,8 +71,8 @@ class QueryTiming:
     select_ms: float = 0.0
     fetch_ms: float = 0.0
     sink_ms: float = 0.0
-    #: Summed wall ms of the per-tile decode (+ partial reduce) steps;
-    #: on workers these overlap ``fetch_ms``.
+    #: Summed wall ms of the per-tile decode (+ partial reduce) steps,
+    #: part of ``fetch_ms``.
     decode_ms: float = 0.0
 
     @property

@@ -1,7 +1,7 @@
 """Sharded multi-store: tiles partitioned across N independent stores.
 
 A :class:`ShardedDatabase` owns N :class:`~repro.storage.tilestore.Database`
-shards — each with its own page file, WAL, buffer pool, pipeline pool and
+shards — each with its own page file, WAL, buffer pool, encode pool and
 MVCC epochs — and places every tile on exactly one shard by the
 space-filling-curve key of its lowest vertex (:mod:`repro.core.order`),
 looked up in a contiguous :class:`~repro.shard.ranges.RangeMap`.  The
@@ -17,8 +17,8 @@ one per shard here.  A query runs over the parts' pinned ``(store,
 view)`` pairs: the region resolves against the hull of the pinned
 views' domains; the single
 :class:`~repro.storage.tilestore.ReadExecutor` selects on every part,
-fetches each shard's tiles through that shard's pipeline pool and feeds
-one sink.  Fragments are therefore reassembled by *the* compose code —
+fetches and decodes each shard's tiles from that shard's pool and disk
+on the calling thread, and feeds one sink.  Fragments are therefore reassembled by *the* compose code —
 per-cell masking and default fill included — and tiles are disjoint
 across shards, so copy order cannot change the result; aggregation
 pushdown combines per-tile partials with the order-insensitive

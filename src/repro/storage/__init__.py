@@ -15,8 +15,6 @@ from repro.storage.compression import (
     compress,
     decompress,
     known_codecs,
-    rle_decode,
-    rle_encode,
     select_codec,
 )
 from repro.storage.decodedcache import DecodedTileCache
@@ -87,8 +85,6 @@ __all__ = [
     "known_codecs",
     "page_checksums",
     "pages_needed",
-    "rle_decode",
-    "rle_encode",
     "open_database",
     "save_database",
     "scan_wal",

@@ -2,11 +2,9 @@
 
 The RasDaMan storage manager supports *selective compression of blocks* —
 important for sparse data, where many tiles are mostly default values.
-Four codecs are provided:
+Three codecs are provided:
 
 * ``none``   — identity;
-* ``rle``    — byte-level run-length encoding, ideal for constant runs of
-  default cells (the chunk-offset-style case of sparse OLAP tiles);
 * ``zlib``   — DEFLATE via the standard library;
 * ``planes`` — a header, each cell's low byte, then one ``np.packbits``
   plane per higher bit of the cell minus the tile minimum (modular, so
@@ -38,73 +36,6 @@ _ENCODE_BYTES_IN = obs.counter("codec.encode_bytes_in", "Raw bytes given to enco
 _ENCODE_BYTES_OUT = obs.counter("codec.encode_bytes_out", "Encoded bytes produced")
 _ENCODE_MS = obs.histogram("codec.encode_ms", "Wall milliseconds per encode")
 _DECODE_MS = obs.histogram("codec.decode_ms", "Wall milliseconds per decode")
-
-
-def _rle_encode_scalar(payload: bytes) -> bytes:
-    """Reference byte-loop encoder (kept for equality tests)."""
-    out = bytearray()
-    n = len(payload)
-    i = 0
-    while i < n:
-        value = payload[i]
-        run = 1
-        while i + run < n and run < 256 and payload[i + run] == value:
-            run += 1
-        out.append(run - 1)
-        out.append(value)
-        i += run
-    return bytes(out)
-
-
-def _rle_decode_scalar(payload: bytes) -> bytes:
-    """Reference byte-loop decoder (kept for equality tests)."""
-    if len(payload) % 2:
-        raise StorageError("corrupt RLE payload (odd length)")
-    out = bytearray()
-    for i in range(0, len(payload), 2):
-        out.extend(payload[i + 1 : i + 2] * (payload[i] + 1))
-    return bytes(out)
-
-
-def rle_encode(payload: bytes) -> bytes:
-    """Byte run-length encoding: pairs ``(count - 1, value)``, runs <= 256.
-
-    Vectorised: run boundaries come from one inequality over adjacent
-    bytes, and runs longer than 256 split into ceil(len/256) chunks —
-    all 255 except a final remainder — exactly as the byte-loop encoder
-    emitted them, so the wire format is unchanged.
-    """
-    n = len(payload)
-    if n == 0:
-        return b""
-    data = np.frombuffer(payload, dtype=np.uint8)
-    boundaries = np.flatnonzero(data[1:] != data[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    run_lens = np.diff(np.concatenate((starts, [n])))
-    full, remainder = np.divmod(run_lens, 256)
-    chunks = full + (remainder > 0)
-    total = int(chunks.sum())
-    counts = np.full(total, 255, dtype=np.uint8)
-    last_chunk = np.cumsum(chunks) - 1
-    has_remainder = remainder > 0
-    counts[last_chunk[has_remainder]] = (
-        remainder[has_remainder] - 1
-    ).astype(np.uint8)
-    out = np.empty(total * 2, dtype=np.uint8)
-    out[0::2] = counts
-    out[1::2] = np.repeat(data[starts], chunks)
-    return out.tobytes()
-
-
-def rle_decode(payload: bytes) -> bytes:
-    """Inverse of :func:`rle_encode` (vectorised ``np.repeat``)."""
-    if len(payload) % 2:
-        raise StorageError("corrupt RLE payload (odd length)")
-    if not payload:
-        return b""
-    data = np.frombuffer(payload, dtype=np.uint8)
-    counts = data[0::2].astype(np.intp) + 1
-    return np.repeat(data[1::2], counts).tobytes()
 
 
 #: ``planes`` header: cell kind, item size, bit width, minimum (as unsigned), cell count.
@@ -181,17 +112,18 @@ def planes_decode(payload: bytes) -> memoryview:
 #: unaffected by later retuning.
 ZLIB_LEVEL = 2
 
-#: Codecs whose decode is one GIL-releasing C call, worth a worker; the
-#: others' few short numpy passes decode faster on the calling thread.
-OFFLOADED_CODECS = frozenset({"zlib"})
+
+def _inflate(payload: bytes) -> bytes:
+    """``zlib`` decode; a payload DEFLATE rejects is a :class:`StorageError`."""
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise StorageError(f"corrupt zlib payload ({exc})") from None
+
 
 _CODECS: dict[str, Codec] = {
     "none": (lambda b, _dtype: b, lambda b: b),
-    "rle": (lambda b, _dtype: rle_encode(b), rle_decode),
-    "zlib": (
-        lambda b, _dtype: zlib.compress(b, level=ZLIB_LEVEL),
-        zlib.decompress,
-    ),
+    "zlib": (lambda b, _dtype: zlib.compress(b, level=ZLIB_LEVEL), _inflate),
     "planes": (planes_encode, planes_decode),
 }
 

@@ -16,8 +16,10 @@ the write-ahead log, without mutating any of them:
   names a live tile, every audited tile of a zone-mapped object carries
   an entry, cell counts match the tile domain, and ranges are ordered;
   under ``deep=True`` every synopsis is recomputed from the decoded
-  payload and compared field by field, and a payload that does not
-  decode to its tile's cells is reported;
+  payload and compared field by field;
+* under ``deep=True`` every real compressed tile is decoded, once, and a
+  payload that does not decode to its tile's cells is reported, whatever
+  its object's cell type or zone maps;
 * a leftover write-ahead log is reported: committed-but-unreplayed
   transactions mean recovery has not run, a torn tail is informational.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -220,12 +222,56 @@ def _check_objects(
                     )
 
 
+def _decode_tile(
+    report: FsckReport, name: str, tile: dict, store: FileBlobStore, cell_size: int
+) -> "Optional[bytes | memoryview]":
+    """One real tile's decoded cells, or ``None`` when its payload is
+    unreadable (reported by ``_check_payloads``) or does not decode to
+    the tile's cells (reported here as ``tile-undecodable``)."""
+    try:
+        stored = store.get(tile["blob"])
+    except ReproError:
+        return None
+    try:
+        raw = decompress(stored, tile["codec"])
+        if len(raw) != MInterval.parse(tile["domain"]).cell_count * cell_size:
+            raise StorageError(f"decodes to {len(raw)} bytes")
+    except ReproError as exc:
+        report.error("tile-undecodable", f"{name} tile {tile.get('id', '?')}: {exc}")
+        return None
+    return raw
+
+
+def _check_decodes(
+    report: FsckReport, catalog: dict, store: FileBlobStore, decoded: set[int]
+) -> None:
+    """Decode every real compressed tile whose blob is not in ``decoded``
+    (the zone audit's), so each is decoded once per run."""
+    for coll_name, objects in catalog.get("collections", {}).items():
+        for payload in objects:
+            try:
+                cell_size = _deserialise_type(payload["type"]).cell_size
+            except ReproError:
+                continue  # already reported by _check_objects
+            name = f"{coll_name}/{payload.get('name')}"
+            for tile in payload.get("tiles", []):
+                blob_id = tile["blob"]
+                if (
+                    tile["codec"] == "none" or blob_id in decoded
+                    or blob_id not in store or store.record(blob_id).virtual
+                ):
+                    continue
+                decoded.add(blob_id)
+                _decode_tile(report, name, tile, store, cell_size)
+
+
 def _check_zones(
     report: FsckReport,
     catalog: dict,
     store: FileBlobStore,
     zones_path: Path,
     deep: bool,
+    decoded: set[int],
 ) -> None:
     """Audit the zone-map sidecar against the catalog (DESIGN §13).
 
@@ -234,7 +280,8 @@ def _check_zones(
     that carries *any* synopses must have one (an object with none is a
     zone-maps-disabled load, not an inconsistency), and every entry must
     name a live tile with a matching cell count and an ordered range.
-    ``deep`` decodes each payload and recomputes the synopsis.
+    ``deep`` decodes each payload, adding its blob to ``decoded``, and
+    recomputes the synopsis.
     """
     has_tiles = any(
         payload.get("tiles")
@@ -313,16 +360,9 @@ def _check_zones(
                         domain.cell_count, base.default
                     )
                 else:
-                    try:
-                        stored = store.get(blob_id)
-                    except ReproError:
-                        continue  # reported by _check_payloads
-                    try:
-                        raw = decompress(stored, tile["codec"])
-                        if len(raw) != domain.cell_count * base.dtype.itemsize:
-                            raise StorageError(f"decodes to {len(raw)} bytes")
-                    except ReproError as exc:
-                        report.error("tile-undecodable", f"{name} tile {tile_id}: {exc}")
+                    decoded.add(blob_id)
+                    raw = _decode_tile(report, name, tile, store, base.dtype.itemsize)
+                    if raw is None:
                         continue
                     cells = np.frombuffer(raw, dtype=base.dtype)
                     expected = compute_synopsis(
@@ -383,9 +423,10 @@ def fsck_database(
 ) -> FsckReport:
     """Check a database directory; never mutates it.
 
-    ``deep`` additionally recomputes every zone-map synopsis from its
-    decoded payload (reads every blob twice — use on small databases or
-    when staleness is suspected).
+    ``deep`` additionally decodes every compressed tile once and
+    recomputes every zone-map synopsis from its decoded payload (reads
+    every blob twice — use on small databases or when staleness is
+    suspected).
     """
     directory = Path(directory)
     report = FsckReport(directory=directory)
@@ -415,7 +456,10 @@ def fsck_database(
         _check_placement(report, store)
         _check_payloads(report, store)
         _check_objects(report, catalog, store)
-        _check_zones(report, catalog, store, directory / ZONES_NAME, deep)
+        decoded: set[int] = set()
+        _check_zones(report, catalog, store, directory / ZONES_NAME, deep, decoded)
+        if deep:
+            _check_decodes(report, catalog, store, decoded)
     finally:
         # close() would sync (a write); release the handle only.
         store._file.close()

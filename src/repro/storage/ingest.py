@@ -7,8 +7,8 @@ work so :meth:`StoredMDD.write_tiles`/`load_array` pay it once per
 batch:
 
 * **Parallel encode** — serialisation and codec selection are order-free
-  per-tile work, so a batch fans out over the database's shared worker
-  pool (:meth:`Database.pipeline_executor`).  Results are gathered in
+  per-tile work, so a batch fans out over the database's encode pool
+  (:meth:`Database.pipeline_executor`).  Results are gathered in
   submission order, so stored bytes, blob ids, and page placements are
   byte-identical to the serial loop regardless of worker count.
 * **Batch checksumming** — the page CRCs every durable write needs (for
@@ -39,9 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _TILES = obs.counter("ingest.tiles", "Tiles encoded by the ingest pipeline")
 _BATCHES = obs.counter("ingest.batches", "Encode batches processed")
-_PARALLEL_BATCHES = obs.counter(
-    "ingest.parallel_batches", "Encode batches fanned out to workers"
-)
+_POOL_BATCHES = obs.counter("ingest.pool_batches", "Encode batches fanned out to the encode pool")
 _ENCODE_MS = obs.histogram(
     "ingest.encode_ms", "Wall milliseconds per encode batch"
 )
@@ -143,7 +141,7 @@ def encode_tiles(
     else:
         # one contiguous chunk per worker: future overhead stays O(workers),
         # and flattening in submission order keeps the output deterministic
-        _PARALLEL_BATCHES.inc()
+        _POOL_BATCHES.inc()
         size = -(-len(tiles) // database.io_workers)
         futures = [
             executor.submit(chunk_task, tiles[start:start + size])

@@ -1,42 +1,33 @@
-"""Parallel read pipeline: overlap fetch and decode across a query's tiles.
+"""Read pipeline: fetch and decode a query's tiles in page order.
 
 The hot path of a range read is, per intersected tile: BLOB retrieval
 (buffer pool, then simulated disk), ``decompress``, ``np.frombuffer``.
-This module turns that per-tile chain into a small pipeline:
+This module is that per-tile chain, run on the calling thread:
 
-* the **coordinator** (calling thread) walks the tiles in page order and
-  does everything whose *order matters* — decoded-cache lookups, buffer
-  pool lookups/admissions, and the simulated disk charges, whose
-  seek/settle/sequential regimes depend on head position.  Costs are
-  therefore charged page-ordered and are bit-identical whether the
-  pipeline runs serial or parallel (the bytes are read ahead per chunk
-  of misses, :func:`_read_runs`);
-* **workers** (an optional :class:`~concurrent.futures.ThreadPoolExecutor`
-  owned by the :class:`~repro.storage.tilestore.Database`) run the
-  order-free CPU work — ``decompress`` + ``frombuffer``, then on the
-  aggregation pushdown the per-tile kernel (:class:`_Reducer`) —
-  concurrently; decoded-cache hits run the same kernel in place on the
-  calling thread.  Only ``zlib`` tiles (``OFFLOADED_CODECS``) go to the
-  workers: inflate releases the GIL, so they overlap; other codecs' few
-  short numpy passes run faster on the calling thread;
-* **decoded-cache admissions** happen after the whole batch, in page
-  order, in *both* modes, so the LRU evolves identically and a tiny cache
-  cannot make serial and parallel disagree on later hits.
+* decoded-cache lookups first, one pass for the batch; on the
+  aggregation pushdown the hits are reduced in place
+  (:class:`_Reducer`);
+* then the misses in page order: buffer-pool lookups/admissions and the
+  simulated disk charges, whose seek/settle/sequential regimes depend
+  on head position, read ahead per chunk of misses
+  (:func:`_read_runs`); each miss is decoded where it is fetched —
+  ``decompress`` + ``frombuffer``, then on the pushdown the per-tile
+  kernel; the batch's decoded misses are then admitted to the decoded
+  cache in page order.
 
-With ``io_workers=1`` (the default) no executor exists and the pipeline
-degrades to the straight-line serial loop, keeping historical timings
-reproducible.  All of it is one function, :func:`_fetch`; the public
-``fetch_tiles`` / ``fetch_tile`` / ``fetch_tile_partials`` are its entry
-points; ``fetch_payloads`` (served tile frames) is its read walk alone.
-Each tile carries its own cache outcomes, counted once per batch
-(:func:`_count`).
+The stored codecs decode in a few numpy passes (``planes``) or one C
+call (``zlib``), so there is no decode worker pool: the
+:class:`~repro.storage.tilestore.Database`'s ``io_workers`` pool encodes
+only (:mod:`repro.storage.ingest`).  All of it is one function,
+:func:`_fetch`; the public ``fetch_tiles`` / ``fetch_tile`` /
+``fetch_tile_partials`` are its entry points; ``fetch_payloads`` (served
+tile frames) is its read walk alone.  Each tile carries its own cache
+outcomes, counted once per batch (:func:`_count`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -44,25 +35,15 @@ import numpy as np
 
 from repro import obs
 from repro.index.zonemap import CellPredicate, TileSynopsis, partial_synopsis
-from repro.storage.compression import OFFLOADED_CODECS, decompress
+from repro.storage.compression import decompress
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids a cycle)
     from repro.core.geometry import MInterval
     from repro.storage.blob import BlobRecord
     from repro.storage.tilestore import Database, TileEntry
 
-_WORKERS_BUSY = obs.gauge(
-    "pipeline.workers_busy", "Decode tasks currently running on workers"
-)
-_PARALLEL_BATCHES = obs.counter(
-    "pipeline.parallel_batches", "Tile batches fetched through the worker pool"
-)
-_TILES_DECODED = obs.counter(
-    "pipeline.tiles_decoded", "Tiles decompressed + reshaped (any mode)"
-)
-_DECODE_MS = obs.histogram(
-    "pipeline.decode_ms", "Wall milliseconds per tile decode task"
-)
+_TILES_DECODED = obs.counter("pipeline.tiles_decoded", "Tiles decompressed + reshaped")
+_DECODE_MS = obs.histogram("pipeline.decode_ms", "Wall milliseconds per tile decode")
 _POOL_HITS = obs.counter("pool.hits", "Buffer-pool hits (no disk charge)")
 _POOL_MISSES = obs.counter("pool.misses", "Buffer-pool misses (read through disk)")
 _POOL_EVICTIONS = obs.counter("pool.evictions", "LRU evictions from the pool")
@@ -71,10 +52,6 @@ _DECODED_MISSES = obs.counter("cache.decoded.misses", "Decoded-tile cache misses
 _PARTIAL_AGGS = obs.counter(
     "pipeline.partial_aggregates",
     "Partial aggregates (one per tile part) computed on the pushdown path",
-)
-_PARTIAL_LIVE_BYTES = obs.gauge(
-    "pipeline.partial_live_bytes",
-    "Decoded tile bytes currently alive in the partial-aggregate phase",
 )
 
 
@@ -126,9 +103,8 @@ class _Reducer:
     a multiply mask for a zero default on an integer cube, and whether
     the predicate rejects 0 — then a part's ``nonzero`` counts its mask.
 
-    Also tracks the decoded bytes concurrently alive inside it and their
-    high-water mark (``peak``), under its own lock: each reducing thread
-    holds one tile's temporaries at a time.
+    It reduces one tile at a time, so ``peak`` — the largest tile it
+    reduced, in bytes — is all the decoded memory it ever holds.
     """
 
     def __init__(
@@ -142,23 +118,7 @@ class _Reducer:
         self.multiply = dtype.kind in "biu" and not default_cell
         self.mask_counts = predicate is not None and not predicate.mask(np.zeros((), dtype))
         self.extreme = np.fmin if op == "min_cells" else np.fmax  # skip NaN, as _summarize
-        self._latch = threading.Lock()
-        self._live = 0
         self.peak = 0
-
-    @contextmanager
-    def _holding(self, nbytes: int) -> Iterator[None]:
-        with self._latch:
-            self._live += nbytes
-            if self._live > self.peak:
-                self.peak = self._live
-        _PARTIAL_LIVE_BYTES.inc(nbytes)
-        try:
-            yield
-        finally:
-            with self._latch:
-                self._live -= nbytes
-            _PARTIAL_LIVE_BYTES.dec(nbytes)
 
     def reduce(self, values: np.ndarray) -> TileSynopsis:
         """The kernel: one part's partial, from a view of its cells."""
@@ -186,47 +146,32 @@ class _Reducer:
         extreme = None if nans == cells else self.extreme.reduce(values, axis=None).item()
         return TileSynopsis(cells, 0, extreme, extreme, 0, nans)
 
-    def parts(
+    def __call__(
         self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
     ) -> tuple[TileSynopsis, ...]:
-        """One tile's partials, one per part, in order."""
+        """One tile's partials, one per part, in order, each reduced as a
+        view of the tile (no copy)."""
+        self.peak = max(self.peak, array.nbytes)
         if len(parts) == 1 and parts[0] == entry.domain:
             return (self.reduce(array),)
         origin = entry.domain.lowest
         return tuple(self.reduce(array[part.to_slices(origin)]) for part in parts)
-
-    def __call__(
-        self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
-    ) -> tuple[TileSynopsis, ...]:
-        """A worker's reduce of one decoded miss."""
-        with self._holding(array.nbytes):
-            return self.parts(array, entry, parts)
-
-    def hits(self, tiles: Sequence[tuple[FetchedTile, np.ndarray, Sequence["MInterval"]]]) -> None:
-        """Reduce decoded-cache hits on the calling thread, one tile at a
-        time, each in place (no copy): the largest is all it holds."""
-        if not tiles:
-            return
-        with self._holding(max(array.nbytes for _, array, _ in tiles)):
-            for tile, array, parts in tiles:
-                tile.partials = self.parts(array, tile.entry, parts)
 
 
 def _decode(
     tile: FetchedTile,
     payload: bytes,
     dtype,
-    shape,
     parts: Sequence["MInterval"],
     reduce: Optional[_Reducer],
 ) -> None:
-    """The order-free CPU half of one miss: decompress and shape the
-    tile's cells, then hand them over — or, given a reducer, reduce them
-    to ``tile.partials`` and drop them."""
+    """The CPU half of one miss: decompress and shape the tile's cells,
+    then hand them over — or, given a reducer, reduce them to
+    ``tile.partials`` and drop them."""
     entry = tile.entry
     started = time.perf_counter()
     raw = decompress(payload, entry.codec)
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    array = np.frombuffer(raw, dtype=dtype).reshape(entry.domain.shape)
     if reduce is None:
         tile.array = array
     else:
@@ -235,25 +180,8 @@ def _decode(
     _DECODE_MS.observe(tile.decode_ms)
 
 
-def _decode_task(
-    tile: FetchedTile,
-    payload: bytes,
-    dtype,
-    shape,
-    parts: Sequence["MInterval"],
-    reduce: Optional[_Reducer],
-) -> None:
-    """Worker wrapper around :func:`_decode` tracking pool occupancy."""
-    _WORKERS_BUSY.inc()
-    try:
-        _decode(tile, payload, dtype, shape, parts, reduce)
-    finally:
-        _WORKERS_BUSY.dec()
-
-
 # Blobs per verified read-ahead: enough to share one pool pass and one
-# disk charge, few enough that the decode workers start long before the
-# I/O ends.
+# disk charge, few enough that decoding starts long before the I/O ends.
 _READ_AHEAD_RUNS = 32
 
 
@@ -308,30 +236,21 @@ def _fetch(
 
     Returns one :class:`FetchedTile` per entry, in the given order.
     Decoded-cache lookups (one :meth:`DecodedTileCache.get_many` for the
-    batch), then disk and pool interactions, happen on the calling thread
-    in entry order; only the order-free step of each ``zlib`` miss —
-    decode, then ``reduce(array, entry, parts[i])`` with a reducer — is
-    (optionally) offloaded, so the result (arrays or partials, costs,
-    cache outcomes) is identical for any ``io_workers`` setting.
-    ``records`` is the batch's catalog snapshot (hit sizes); one
-    :meth:`BlobStore.records` call takes it when the caller has none.
+    batch), then disk and pool interactions in entry order, each miss
+    decoded as it arrives — then ``reduce(array, entry, parts[i])`` with
+    a reducer.  ``records`` is the batch's catalog snapshot (hit sizes);
+    one :meth:`BlobStore.records` call takes it when the caller has none.
 
-    With a reducer the decoded arrays are dropped, never admitted to
-    the decoded cache: a retain-all admission pass would defeat the
-    one-tile-per-thread memory bound.  Cache hits are still consulted,
-    and reduced in place on the calling thread, one tile at a time,
-    before any miss is read (:meth:`_Reducer.hits`); each worker then
-    holds one decoded miss at a time, so at most ``io_workers`` tiles
-    are alive at once, and one when every tile is a hit.
+    With a reducer the decoded arrays are dropped, never admitted to the
+    decoded cache: the reduce holds one tile at a time, the hits first,
+    in place, before any miss is read.  Without one, the decoded misses
+    are admitted in page order once the whole batch is read.
     """
     cache = database.decoded_cache
     if records is None:
         records = database.store.records([entry.blob_id for entry in entries])
-    executor = database.pipeline_executor() if len(entries) > 1 else None
     fetched: list[FetchedTile] = [None] * len(entries)  # type: ignore
     misses: list[tuple[int, "TileEntry"]] = []
-    hits: list = []
-    futures = []
 
     cached = iter(
         cache.get_many([entry.blob_id for entry in entries if not entry.virtual])
@@ -349,34 +268,17 @@ def _fetch(
         if reduce is None:
             tile.array = array
         else:
-            hits.append((tile, array, parts[position]))
-    if reduce is not None:
-        reduce.hits(hits)
+            tile.partials = reduce(array, entry, parts[position])
 
     for position, tile, payload in _read_runs(database, misses, records):
         fetched[position] = tile
         if tile.entry.virtual:
             continue
         tile.decoded_miss = cache is not None
-        tile_parts = () if reduce is None else parts[position]
-        shape = tile.entry.domain.shape  # here, not on the workers: they are the wall
-        if executor is None or tile.entry.codec not in OFFLOADED_CODECS:
-            _decode(tile, payload, dtype, shape, tile_parts, reduce)
-        else:
-            futures.append(
-                executor.submit(
-                    _decode_task, tile, payload, dtype, shape, tile_parts, reduce
-                )
-            )
+        _decode(tile, payload, dtype, () if reduce is None else parts[position], reduce)
 
-    if futures:
-        _PARALLEL_BATCHES.inc()
-        for future in futures:
-            future.result()  # the worker filled its tile; re-raise failures
-
-    # Deferred admissions, page-ordered in every mode: admitting only after
-    # the batch's lookups keeps the LRU trajectory independent of worker
-    # completion order (and of the serial/parallel choice).
+    # Admissions after the whole batch, in page order: a batch that fails
+    # midway (a page CRC mismatch) leaves nothing in the decoded cache.
     if cache is not None and reduce is None:
         for tile in fetched:
             if tile.array is not None and not tile.decoded_hit:
@@ -412,10 +314,8 @@ def fetch_payloads(
 def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
     """Single-tile fetch: a batch of one.
 
-    One tile has nothing to overlap, so the worker pool is never used
-    and the decoded cache is fed at once.  No caller in the package since
-    ``update`` fetches in one batch; tests and the wall-clock benchmark's
-    tracer still bind it.
+    No caller in the package since ``update`` fetches in one batch; tests
+    and the wall-clock benchmark's tracer still bind it.
     """
     return _fetch(database, [entry], dtype)[0]
 
@@ -429,22 +329,21 @@ def fetch_tile_partials(
     op: Optional[str] = None,
     records: Optional[Sequence["BlobRecord"]] = None,
 ) -> tuple[list[FetchedTile], int]:
-    """Fetch tiles and reduce each to partial aggregates on the workers.
+    """Fetch tiles and reduce each to partial aggregates.
 
     The charging protocol is that of :func:`fetch_tiles`, but every
     decoded tile is clipped to each of its item's parts, masked by
     ``predicate`` and reduced to one
     :class:`~repro.index.zonemap.TileSynopsis` per part instead of being
     returned — a tile is decoded once however many parts it has — so
-    the query box is never materialized.  Each reducing thread holds
-    one tile's temporaries: the calling thread one cached tile, the
-    workers at most ``io_workers`` decoded misses.  With ``op`` a
+    the query box is never materialized.  One tile's temporaries are
+    alive at a time, a cached tile's or a decoded miss's.  With ``op`` a
     partial carries only the fields that op's combine reads
     (:class:`_Reducer`); without, the full
     :func:`~repro.index.zonemap.partial_synopsis`.
 
-    Returns the tiles in ``items`` order plus the observed peak of
-    concurrently-live decoded bytes.
+    Returns the tiles in ``items`` order plus the peak of decoded bytes
+    alive at once: the largest tile reduced.
     """
     reducer = _Reducer(predicate, np.asarray(default, dtype=dtype), op)
     fetched = _fetch(

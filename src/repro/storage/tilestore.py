@@ -64,6 +64,7 @@ from repro.stats.log import AccessLog
 from repro.storage.backends import MemoryBlobStore
 from repro.storage.blob import BlobRecord, BlobStore
 from repro.storage.bufferpool import BufferPool, PoolRead
+from repro.storage.compression import known_codecs
 from repro.storage.decodedcache import DecodedTileCache
 from repro.storage.disk import CpuParameters, DiskParameters, SimulatedDisk
 from repro.storage.faults import FaultInjector
@@ -459,8 +460,8 @@ class ReadExecutor:
 
     def _fetch(self, selection: _Selection, run: Callable, at: Optional[int] = None) -> list:
         """Fetch the whole selection, page-ordered first (or only item
-        ``at`` of an ordered one) with ``run`` — decoded tiles,
-        worker-reduced partials or stored payloads — and account for
+        ``at`` of an ordered one) with ``run`` — decoded tiles, reduced
+        partials or stored payloads — and account for
         every tile: the one place ``t_o``, tiles / bytes / pages / cells,
         decodes, the tiles' own cache outcomes and ``fetch_ms`` are
         charged."""
@@ -607,8 +608,8 @@ class ReadExecutor:
                 yield part, data, timing
 
     def combine(self, op: str):
-        """Pushdown sink: merge the per-tile partials (worker-reduced
-        and synopsis-answered alike) of every cell in column passes
+        """Pushdown sink: merge the per-tile partials (reduced and
+        synopsis-answered alike) of every cell in column passes
         (:func:`~repro.index.zonemap.combine_cells`), in deterministic
         key order, with each cell's default cells: uncovered space,
         pruned parts, and fetched virtual tiles (which carry neither an
@@ -1303,8 +1304,8 @@ class StoredMDD:
         (2) BLOB retrieval of every intersected tile, sorted by page
         position, charging ``t_o`` — fetch and decode run through
         :func:`~repro.storage.pipeline.fetch_tiles`, which consults the
-        decoded-tile cache and may overlap decoding on workers while the
-        modelled disk charges stay strictly page-ordered; (3) composition
+        decoded-tile cache and decodes each miss as it is fetched, the
+        modelled disk charges strictly page-ordered; (3) composition
         of tile fragments into the result array, measured as ``t_cpu``.
 
         When a single stored tile fully covers the region, composition is
@@ -1424,14 +1425,12 @@ class StoredMDD:
         match (the pruned part contributes default cells, exactly as the
         masked materialized box would), (2) answered straight from the
         stored synopsis with zero decode when fully covered and
-        unpredicated, or (3) decoded on the pipeline workers, clipped,
-        masked, and reduced to a partial by the per-tile kernel **on the
-        worker** (cached tiles in place, on the calling thread) — the
-        decoded array is dropped immediately, so peak memory stays at one
-        tile per reducing thread (reported in
-        ``timing.peak_partial_bytes``) and the query box is never
-        materialized.  The coordinator then
-        combines all partials in deterministic tile-id order.
+        unpredicated, or (3) decoded where it is fetched, clipped, masked,
+        and reduced to a partial by the per-tile kernel (cached tiles in
+        place) — the decoded array is dropped immediately, so peak memory
+        stays at one tile (reported in ``timing.peak_partial_bytes``) and
+        the query box is never materialized.  All partials are then
+        combined in deterministic tile-id order.
 
         The combination is only taken when
         :func:`~repro.index.zonemap.cells_eligible` proves it
@@ -1715,6 +1714,9 @@ class Database:
         self._io_executor: Optional[ThreadPoolExecutor] = None
         self.tile_key = tile_key
         self.compression = compression
+        unknown = sorted(set(codecs) - set(known_codecs()))
+        if unknown:
+            raise StorageError(f"unknown codecs {unknown}, known: {list(known_codecs())}")
         self.codecs = codecs
         # Zone maps: per-tile value synopses for predicate pruning and
         # aggregate short-circuiting (DESIGN §13).
@@ -1762,7 +1764,10 @@ class Database:
         return [(load(r.blob_id), PoolRead(cost)) for r, cost in zip(records, costs)]
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
-        """Lazy decode worker pool; ``None`` in serial mode (default)."""
+        """Lazy encode pool of ``io_workers`` threads for
+        :func:`~repro.storage.ingest.encode_tiles`; ``None`` in serial
+        mode (default).  Reads never use it: they decode where they
+        fetch."""
         if self.io_workers <= 1:
             return None
         if self._io_executor is None:
@@ -1772,7 +1777,7 @@ class Database:
         return self._io_executor
 
     def close(self) -> None:
-        """Shut down the decode worker pool and the WAL, and empty the
+        """Shut down the encode pool and the WAL, and empty the
         caches (idempotent): a closed database's cached tiles are freed
         now, not whenever the collector reaches its reference cycles."""
         if self._io_executor is not None:

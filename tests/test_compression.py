@@ -14,6 +14,7 @@ from repro.core.cells import base_type
 from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
+from repro.serve.wire import TileFrame, assemble
 from repro.storage.catalog import (
     CATALOG_NAME,
     create_database,
@@ -21,73 +22,16 @@ from repro.storage.catalog import (
     save_database,
 )
 from repro.storage.compression import (
-    _rle_decode_scalar,
-    _rle_encode_scalar,
     compress,
     decompress,
     known_codecs,
     planes_decode,
-    rle_decode,
-    rle_encode,
     select_codec,
 )
 from repro.storage.fsck import fsck_database
 from repro.storage.pipeline import fetch_tile
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
-
-
-class TestRLE:
-    def test_constant_run_compresses_hard(self):
-        raw = b"\x00" * 10_000
-        encoded = rle_encode(raw)
-        assert len(encoded) < 100
-        assert rle_decode(encoded) == raw
-
-    def test_alternating_bytes_expand(self):
-        raw = bytes([i % 2 for i in range(100)])
-        encoded = rle_encode(raw)
-        assert len(encoded) == 200  # RLE worst case doubles
-        assert rle_decode(encoded) == raw
-
-    def test_run_longer_than_256_split(self):
-        raw = b"\x07" * 300
-        assert rle_decode(rle_encode(raw)) == raw
-
-    def test_empty(self):
-        assert rle_encode(b"") == b""
-        assert rle_decode(b"") == b""
-
-    def test_corrupt_odd_length_rejected(self):
-        with pytest.raises(StorageError):
-            rle_decode(b"\x01")
-
-    @given(st.binary(max_size=2000))
-    def test_roundtrip_property(self, raw):
-        assert rle_decode(rle_encode(raw)) == raw
-
-
-class TestRLEVectorisedEquivalence:
-    """The numpy codec must emit the byte-loop codec's exact wire format."""
-
-    def test_long_run_chunking_matches_reference(self):
-        # 700-byte run: chunks of 255, 255, 190 — byte-for-byte identical
-        raw = b"\x07" * 700 + b"\x01" + b"\x07" * 256
-        assert rle_encode(raw) == _rle_encode_scalar(raw)
-
-    def test_exact_256_boundary(self):
-        for n in (255, 256, 257, 511, 512, 513):
-            raw = b"\x42" * n
-            assert rle_encode(raw) == _rle_encode_scalar(raw)
-
-    @given(st.binary(max_size=3000))
-    def test_encode_matches_reference(self, raw):
-        assert rle_encode(raw) == _rle_encode_scalar(raw)
-
-    @given(st.binary(max_size=600))
-    def test_decode_matches_reference(self, raw):
-        encoded = _rle_encode_scalar(raw)
-        assert rle_decode(encoded) == _rle_decode_scalar(encoded) == raw
 
 
 class TestZlib:
@@ -101,10 +45,23 @@ class TestZlib:
     def test_roundtrip_property(self, raw):
         assert decompress(compress(raw, "zlib"), "zlib") == raw
 
+    def test_garbled_payload_raises_storage_error(self):
+        with pytest.raises(StorageError, match="corrupt zlib payload"):
+            decompress(b"not deflate", "zlib")
+        truncated = compress(b"multidimensional " * 100, "zlib")[:-4]
+        with pytest.raises(StorageError, match="corrupt zlib payload"):
+            decompress(truncated, "zlib")
+
+    def test_client_assembly_of_a_garbled_frame_is_typed(self):
+        box = MInterval.parse("[0:3,0:3]")
+        frame = TileFrame(box, "zlib", b"not deflate")
+        with pytest.raises(StorageError, match="corrupt zlib payload"):
+            assemble(box, np.dtype("<u4"), 0, [frame])
+
 
 class TestRegistry:
     def test_known_codecs(self):
-        assert set(known_codecs()) >= {"none", "rle", "zlib", "planes"}
+        assert known_codecs() == ("none", "planes", "zlib")
 
     def test_none_is_identity(self):
         assert compress(b"abc", "none") == b"abc"
@@ -116,12 +73,16 @@ class TestRegistry:
         with pytest.raises(StorageError):
             decompress(b"x", "lzma")
 
+    def test_database_rejects_unknown_candidates_at_construction(self):
+        with pytest.raises(StorageError, match="rle"):
+            Database(compression=True, codecs=("rle", "zlib"))
+
 
 class TestSelective:
     def test_compressible_payload_selected(self):
         raw = b"\x00" * 8192
-        codec, encoded = select_codec(raw, candidates=("rle", "zlib"))
-        assert codec in ("rle", "zlib")
+        codec, encoded = select_codec(raw, candidates=("zlib", "planes"), dtype=np.dtype("u1"))
+        assert codec in ("zlib", "planes")
         assert len(encoded) < len(raw)
         assert decompress(encoded, codec) == raw
 
@@ -129,7 +90,7 @@ class TestSelective:
         import os
 
         raw = os.urandom(4096)
-        codec, encoded = select_codec(raw, candidates=("rle", "zlib"))
+        codec, encoded = select_codec(raw, candidates=("zlib",))
         assert codec == "none"
         assert encoded == raw
 
@@ -137,9 +98,9 @@ class TestSelective:
         assert select_codec(b"") == ("none", b"")
 
     def test_min_ratio_respected(self):
-        # Payload compressing to ~95% must be rejected at min_ratio=0.9.
+        # zlib shrinks this payload, but not below 1% of its size.
         raw = bytes(range(256)) * 16
-        codec, _ = select_codec(raw, candidates=("rle",), min_ratio=0.01)
+        codec, _ = select_codec(raw, candidates=("zlib",), min_ratio=0.01)
         assert codec == "none"
 
 
@@ -383,3 +344,34 @@ class TestPlanesDecodeSites:
         assert main(["info"]) == 0
         codecs = [line for line in capsys.readouterr().out.splitlines() if "codecs" in line]
         assert codecs and "planes" in codecs[0]
+
+
+class TestDeepDecode:
+    """``fsck --deep`` decodes every real compressed tile, once: objects
+    without synopses included (struct cells, zone maps off)."""
+
+    DOMAIN = MInterval.parse("[0:31,0:31]")
+
+    @pytest.mark.parametrize("cells, zone_maps", [("rgb", True), ("long", False)])
+    def test_reports_a_garbled_zlib_tile(self, tmp_path, cells, zone_maps):
+        db = create_database(tmp_path, compression=True, codecs=("zlib",), zone_maps=zone_maps)
+        mdd_type = MDDType("t", base_type(cells), self.DOMAIN)
+        obj = db.create_object("c", mdd_type, "o")
+        ramp = (np.arange(32 * 32 * mdd_type.cell_size) % 7).astype(np.uint8)
+        obj.load_array(ramp.view(mdd_type.base.dtype).reshape(32, 32), RegularTiling(1024))
+        entries = obj.tile_entries()
+        assert len(entries) > 1 and {entry.codec for entry in entries} == {"zlib"}
+        bad_blob = db.store.put(b"not deflate" * 8, codec="zlib")  # CRCs match
+        save_database(db, tmp_path)
+        db.close()
+        catalog_path = tmp_path / CATALOG_NAME
+        catalog = json.loads(catalog_path.read_text())
+        tile = catalog["collections"]["c"][0]["tiles"][0]
+        tile["blob"] = bad_blob
+        catalog_path.write_text(json.dumps(catalog))
+        assert fsck_database(tmp_path).ok  # shallow checks never decode
+        report = fsck_database(tmp_path, deep=True)
+        (issue,) = report.issues
+        assert issue.code == "tile-undecodable"
+        assert f"tile {tile['id']}:" in issue.message
+        assert "corrupt zlib payload" in issue.message

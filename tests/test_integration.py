@@ -131,7 +131,7 @@ class TestPersistence:
 
 class TestSparseAndCompression:
     def test_sparse_object_with_selective_compression(self):
-        db = Database(compression=True, codecs=("rle", "zlib"))
+        db = Database(compression=True)
         cube_type = mdd_type("Sparse", "ulong", "[0:99,0:99]")
         obj = db.create_object("c", cube_type, "sparse")
         data = np.zeros((100, 100), dtype=np.uint32)

@@ -172,8 +172,8 @@ def _full_workload(tmp_path):
         )
     with database.snapshot():
         mdd.read(MInterval.parse("[0:7,0:7]"))
-    # pushdown aggregate: touches pipeline.partial_aggregates and the
-    # pipeline.partial_live_bytes gauge (predicate forces per-tile decode)
+    # pushdown aggregate: touches pipeline.partial_aggregates (the
+    # predicate forces per-tile decode)
     from repro.index.zonemap import CellPredicate
 
     mdd.aggregate_push(DOMAIN, "add_cells", predicate=CellPredicate(">", 3))

@@ -1,9 +1,10 @@
-"""Tests for the parallel read pipeline and the decoded-tile cache wiring.
+"""Tests for the read pipeline and the decoded-tile cache wiring.
 
 The contract under test: any ``io_workers`` setting produces byte-identical
 result arrays with identical *modelled* charges (``t_o`` exactly; ``t_ix``
-via the index-page count — its measured CPU share naturally jitters), and
-the decoded-tile cache turns repeat reads into zero-disk, zero-decode hits
+via the index-page count — its measured CPU share naturally jitters),
+reads decode where they fetch and never start the encode pool, and the
+decoded-tile cache turns repeat reads into zero-disk, zero-decode hits
 that are invalidated by updates.
 """
 
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.bench import pipeline as pipeline_bench
 from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.index.zonemap import CellPredicate, partial_synopsis
+from repro.storage.catalog import create_database, open_database, save_database
 from repro.storage.compression import decompress
 from repro.storage.pipeline import fetch_tile, fetch_tile_partials, fetch_tiles
 from repro.storage.tilestore import Database
@@ -129,6 +132,42 @@ class TestParallelDeterminism:
         db.close()
         db.close()  # idempotent
         assert Database().pipeline_executor() is None
+
+
+class TestDecodeWhereFetched:
+    def test_reads_of_zlib_tiles_never_start_the_pool(self, tmp_path):
+        # The pipeline bench's smooth cube: every tile stored as zlib.
+        side = pipeline_bench.SIDE
+        data = pipeline_bench._cube_data()
+        db = create_database(tmp_path, compression=True)
+        cube = mdd_type("PipeCube", "long", f"[0:{side - 1},0:{side - 1}]")
+        obj = db.create_object("pipebench", cube, "cube")
+        obj.load_array(data, RegularTiling(pipeline_bench.TILE_BYTES))
+        save_database(db, tmp_path)
+        db.close()
+
+        db = open_database(tmp_path, io_workers=4)
+        try:
+            obj = db.collection("pipebench")["cube"]
+            entries = obj.tile_entries()
+            assert len(entries) > 1 and {e.codec for e in entries} == {"zlib"}
+            full = MInterval.parse(f"[0:{side - 1},0:{side - 1}]")
+            out, timing = obj.read(full)
+            assert out.tobytes() == data.tobytes()
+            assert timing.tiles_decoded == len(entries)
+            above = CellPredicate(">", 300)
+            value, timing, pushed = obj.aggregate_push(full, "add_cells", predicate=above)
+            assert pushed and timing.tiles_partial_agg == len(entries)
+            assert value == int(data[data > 300].sum())
+            halves = [(0, side // 2 - 1), (side // 2, side - 1)]
+            counts, _timing, pushed = obj.aggregate_push(
+                full, "count_cells", predicate=above, groups=[halves, [(0, side - 1)]]
+            )
+            want = [np.count_nonzero(data[lo : hi + 1] > 300) for lo, hi in halves]
+            assert pushed and counts.ravel().tolist() == want
+            assert db._io_executor is None
+        finally:
+            db.close()
 
 
 class TestDecodedCache:
@@ -417,10 +456,7 @@ class TestReducedBatch:
             assert sorted(cache._entries) == sorted(cached)
             assert cache.hits - hits == len(cached)
             largest = max(e.domain.cell_count for e, _ in items) * DTYPE.itemsize
-            if io_workers == 1:
-                assert peak == largest  # exactly one tile alive at a time
-            else:
-                assert 0 < peak <= io_workers * largest
+            assert peak == largest  # exactly one tile alive at a time
         finally:
             db.close()
 

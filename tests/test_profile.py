@@ -72,8 +72,8 @@ class TestProfileRead:
         assert fetch.detail["tiles"] == profile.timing.tiles_read
 
     def test_parallel_read_profile_keeps_one_tree(self):
-        """A parallel read's worker decodes land in its one record: the
-        decode stage is the summed worker wall of every decoded tile."""
+        """An ``io_workers=4`` read's decodes land in its one record: the
+        decode stage is the summed wall of every decoded tile."""
         database = _load(io_workers=4, compression=True)
         database.reset_clock()
         profile = database.profile("prof", "img", DOMAIN)

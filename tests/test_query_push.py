@@ -303,7 +303,7 @@ class TestPartialEligibility:
 
 
 # ----------------------------------------------------------------------
-# Peak working memory: workers x one tile, never the box
+# Peak working memory: one tile, never the box
 # ----------------------------------------------------------------------
 
 class TestPeakMemoryBound:
@@ -321,8 +321,7 @@ class TestPeakMemoryBound:
         box_bytes = composed.nbytes
         assert result.plan.pushed
         assert timing.tiles_partial_agg == 64
-        assert timing.peak_partial_bytes > 0
-        assert timing.peak_partial_bytes <= 4 * tile_bytes
+        assert timing.peak_partial_bytes == tile_bytes
         assert timing.peak_partial_bytes < box_bytes / 8
         assert _same(result.value, _brute(composed, "add_cells", predicate))
 
@@ -347,7 +346,7 @@ class TestPeakMemoryBound:
         )
         # adds sum tiles_partial_agg, max peak_partial_bytes
         assert result.timing.tiles_partial_agg > 0
-        assert result.timing.peak_partial_bytes <= 2 * 8 * 8 * 4
+        assert result.timing.peak_partial_bytes == 8 * 8 * 4
 
 
 # ----------------------------------------------------------------------

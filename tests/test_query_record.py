@@ -195,7 +195,7 @@ def _plans() -> dict:
 
 
 PARTIALS = (
-    "per-tile partials on the pipeline workers (decode, clip, mask, reduce; "
+    "per-tile partials as tiles are fetched (decode, clip, mask, reduce; "
     "box never materialized)"
 )
 

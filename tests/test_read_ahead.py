@@ -168,9 +168,7 @@ class TestPinnedToPerBlobBehaviour:
         for (a, ta), (b, tb), region in zip(one[0], real[0], (LEFT, FULL, LEFT)):
             assert a == b == (DATA[region.to_slices((0, 0))] > 2**31).sum()
             ma, mb = modelled(ta), modelled(tb)
-            if io_workers > 1:  # scheduling decides how many tiles overlap
-                assert ma.pop("peak_partial_bytes") <= io_workers * TILE_BYTES
-                assert mb.pop("peak_partial_bytes") <= io_workers * TILE_BYTES
+            assert 0 < ma["peak_partial_bytes"] <= TILE_BYTES  # one tile at a time
             assert ma == mb
         assert real[0][1][1].tiles_partial_agg >= 100
         assert one[1:4] == real[1:4]
@@ -203,8 +201,7 @@ class TestPinnedToPerBlobBehaviour:
         (va, ta), (vb, tb) = one[1], real[1]
         assert va == vb == (DATA > 2**31).sum()
         ma, mb = modelled(ta), modelled(tb)
-        assert ma.pop("peak_partial_bytes") <= io_workers * TILE_BYTES
-        assert mb.pop("peak_partial_bytes") <= io_workers * TILE_BYTES
+        assert 0 < ma["peak_partial_bytes"] <= TILE_BYTES  # one tile at a time
         assert ma == mb
         assert one[2] == real[2]
 

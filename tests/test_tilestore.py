@@ -303,7 +303,7 @@ class TestDatabase:
         assert out.shape == (10, 10)
 
     def test_compression_enabled_roundtrip(self):
-        db = Database(compression=True, codecs=("rle", "zlib"))
+        db = Database(compression=True)
         obj = db.create_object("c", IMG, "x")
         data = np.zeros((100, 100), dtype=np.uint8)  # highly compressible
         obj.load_array(data, RegularTiling(1024))

@@ -96,7 +96,7 @@ def test_compressed_reads_equal(case):
     mask = rng.random(domain.shape) < 0.1
     data[mask] = rng.integers(1, 255, size=int(mask.sum()), dtype=np.uint16)
     mdd = mdd_type("P", "ushort", str(domain))
-    db = Database(compression=True, codecs=("rle", "zlib"))
+    db = Database(compression=True)
     obj = db.create_object("objs", mdd, "p")
     obj.load_array(data, strategy)
     out, _ = obj.read(query)
