@@ -19,7 +19,8 @@ fails the build.  The artifact's ``label`` picks the comparison:
   boolean identity verdicts.
 * ``obs`` — per-mode/query result digests and modelled charges, same
   shape as ``pipeline``.  The overhead gate itself
-  (``disabled_overhead_ok``) is a boolean identity verdict, so a
+  (``enabled_overhead_ok``: the always-on registry within 5% of the
+  no-op instrument floor) is a boolean identity verdict, so a
   baseline where it held keeps it held; the raw overhead percentages
   stay in ``performance`` and are never compared across machines.
 * ``prune`` — per-mode/selectivity result digests and modelled charges

@@ -1,218 +1,158 @@
-"""Observability-overhead benchmark: enabled vs disabled vs no-obs floor.
+"""Observability-overhead benchmark: the always-on registry vs its floor.
 
-The obs layer's contract is that a *disabled* registry costs one branch
-per instrument call.  This bench puts a number on that claim.  It loads
-the read-pipeline cube three times and runs the same query set under
-three observability states:
+The metrics registry is always on, so its cost is paid by every read.
+This bench puts a number on it: it loads the read-pipeline cube once
+and reads the same query set in two modes:
 
-* ``enabled``  — metrics on (the default);
-* ``disabled`` — ``obs.disable()``: every instrument call hits its
-  enabled-flag check and returns;
-* ``noop``     — the no-obs-build floor: obs disabled **and** every
-  instrument method (``Counter.inc``, ``Gauge.set/inc/dec``,
-  ``Histogram.observe``) monkeypatched to an empty body.  This is the closest a Python build can get to compiling the
-  instrumentation out, so ``disabled - noop`` isolates the cost of the
-  flag checks themselves.
+* ``enabled`` — the build as shipped;
+* ``noop``    — the no-obs floor: every instrument method
+  (``Counter.inc``, ``Gauge.set/inc/dec``, ``Histogram.observe`` and
+  ``observe_many``) patched to an empty body
+  (:func:`noop_instruments`).  This is the closest a Python build can
+  get to compiling the instrumentation out.
 
-Modes are interleaved run by run (mode A run 1, mode B run 1, ... then
-run 2) so machine drift hits all three equally, and per-query walls are
-min-of-runs.  The gated verdict is ``disabled_overhead_ok``: the
-disabled walls must stay within ``OVERHEAD_PCT`` of the noop floor
-(with a small absolute floor — on a quiet query set, percent-of-almost-
-nothing is all noise).  Byte identity across all three modes and
-equality of the modelled charges are gated too: observability must
-never change results.  The enabled overhead is reported but not gated —
-recording metrics does real work.
+Each ``--runs`` unit is ``ROUNDS`` rounds.  A round reads every query
+``PASSES`` times back to back in each mode, alternating which mode goes
+first, and pairs the two modes' totals.  The overhead is the median of
+the rounds' paired ratios, so drift in machine speed between rounds
+cancels.  The gated verdict is ``enabled_overhead_ok``: that median
+stays within ``OVERHEAD_PCT``.  A round's floor total is tens of
+milliseconds, so the percent gate needs no absolute slack.  Byte
+identity and equality of the modelled charges across both modes are
+gated too: observability must never change results.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-import numpy as np
 
 from repro import obs
 from repro.bench.pipeline import QUERIES, _load_cube
 from repro.bench.report import digest, format_table, write_report
 from repro.core.geometry import MInterval
+from repro.obs import metrics
 
-#: Gated ceiling on (disabled - noop) / noop, in percent.
-OVERHEAD_PCT = 2.0
-#: Absolute slack (ms, on the summed query set) under which the percent
-#: gate does not bind — jitter floor for fast runs.
-OVERHEAD_ABS_MS = 5.0
+#: Gated ceiling on the median of enabled / noop - 1, in percent.
+OVERHEAD_PCT = 5.0
+#: Rounds per ``--runs`` unit, and cold reads per query and mode in one
+#: round.
+ROUNDS = 20
+PASSES = 10
 
-MODES = ("enabled", "disabled", "noop")
+MODES = ("enabled", "noop")
+
+_INSTRUMENTS = (
+    (metrics.Counter, "inc"),
+    (metrics.Gauge, "set"),
+    (metrics.Gauge, "inc"),
+    (metrics.Gauge, "dec"),
+    (metrics.Histogram, "observe"),
+    (metrics.Histogram, "observe_many"),
+)
 
 
 @contextmanager
-def _noop_instruments():
+def noop_instruments():
     """Patch every instrument method to an empty body (no-obs floor)."""
-    from repro.obs import metrics as m
-
-    saved = (
-        m.Counter.inc,
-        m.Gauge.set,
-        m.Gauge.inc,
-        m.Gauge.dec,
-        m.Histogram.observe,
-    )
+    saved = [vars(cls)[name] for cls, name in _INSTRUMENTS]
 
     def _noop(self, *args, **kwargs):
         pass
 
-    m.Counter.inc = _noop
-    m.Gauge.set = _noop
-    m.Gauge.inc = _noop
-    m.Gauge.dec = _noop
-    m.Histogram.observe = _noop
+    for cls, name in _INSTRUMENTS:
+        setattr(cls, name, _noop)
     try:
         yield
     finally:
-        (
-            m.Counter.inc,
-            m.Gauge.set,
-            m.Gauge.inc,
-            m.Gauge.dec,
-            m.Histogram.observe,
-        ) = saved
-
-
-@contextmanager
-def _mode_state(mode: str):
-    """Observability state for one measured burst, restored afterwards."""
-    was_enabled = obs.enabled()
-    try:
-        if mode == "enabled":
-            obs.enable()
-            yield
-        elif mode == "disabled":
-            obs.disable()
-            yield
-        elif mode == "noop":
-            obs.disable()
-            with _noop_instruments():
-                yield
-        else:  # pragma: no cover - caller bug
-            raise ValueError(f"unknown mode {mode!r}")
-    finally:
-        if was_enabled:
-            obs.enable()
-        else:
-            obs.disable()
+        for (cls, name), method in zip(_INSTRUMENTS, saved):
+            setattr(cls, name, method)
 
 
 def run_obs_bench(
     runs: int = 3,
     artifact_dir: Optional[Union[str, Path]] = None,
 ) -> dict:
-    """Measure the three observability states and return the report."""
-    cubes = {mode: _load_cube(io_workers=1) for mode in MODES}
+    """Measure both modes and return the report."""
+    database, mdd = _load_cube(io_workers=1)
     regions = {name: MInterval.parse(spec) for name, spec in QUERIES.items()}
 
-    walls: Dict[str, Dict[str, List[float]]] = {
+    bursts: Dict[str, Dict[str, List[float]]] = {
         mode: {query: [] for query in QUERIES} for mode in MODES
     }
     samples: Dict[str, Dict[str, dict]] = {mode: {} for mode in MODES}
 
-    for _ in range(max(1, runs)):
-        for mode in MODES:
-            database, mdd = cubes[mode]
-            with _mode_state(mode):
-                for query, region in regions.items():
-                    database.reset_clock()
-                    started = time.perf_counter()
-                    array, timing = mdd.read(region)
-                    elapsed = (time.perf_counter() - started) * 1000.0
-                    walls[mode][query].append(elapsed)
-                    samples[mode][query] = {
-                        "digest": digest(array),
-                        "timing": timing.as_dict(),
-                    }
+    rounds = max(1, runs) * ROUNDS
+    for round_ in range(rounds):
+        for turn, (query, region) in enumerate(regions.items()):
+            for mode in MODES if (round_ + turn) % 2 == 0 else MODES[::-1]:
+                with noop_instruments() if mode == "noop" else nullcontext():
+                    wall = 0.0
+                    for _ in range(PASSES):
+                        database.reset_clock()
+                        started = time.perf_counter()
+                        array, timing = mdd.read(region)
+                        wall += time.perf_counter() - started
+                bursts[mode][query].append(wall * 1000.0)
+                samples[mode][query] = {"digest": digest(array), "timing": timing.as_dict()}
+    database.close()
 
-    modes_report: Dict[str, Dict[str, dict]] = {}
-    for mode in MODES:
-        modes_report[mode] = {}
-        for query in QUERIES:
-            series = walls[mode][query]
-            modes_report[mode][query] = {
-                "wall_ms_min": float(np.min(series)),
-                "wall_ms_mean": float(np.mean(series)),
-                **samples[mode][query],
-            }
-
-    def total_min_wall(mode: str) -> float:
-        return sum(modes_report[mode][q]["wall_ms_min"] for q in QUERIES)
-
-    totals = {mode: total_min_wall(mode) for mode in MODES}
-    noop_total = totals["noop"]
-
-    def overhead_pct(mode: str) -> float:
-        if noop_total <= 0.0:
-            return 0.0
-        return (totals[mode] - noop_total) / noop_total * 100.0
-
-    disabled_ok = totals["disabled"] <= max(
-        noop_total * (1.0 + OVERHEAD_PCT / 100.0),
-        noop_total + OVERHEAD_ABS_MS,
-    )
-    byte_identical = all(
-        modes_report["enabled"][q]["digest"]
-        == modes_report["disabled"][q]["digest"]
-        == modes_report["noop"][q]["digest"]
-        for q in QUERIES
-    )
-    charges_equal = all(
-        modes_report["enabled"][q]["timing"][field]
-        == modes_report["disabled"][q]["timing"][field]
-        == modes_report["noop"][q]["timing"][field]
-        for q in QUERIES
-        for field in ("t_o", "tiles_read", "pages_read", "index_nodes")
-    )
-
-    # The quantile satellite's consumer: per-histogram p50/p99 straight
-    # from the live registry (the enabled runs populated it).
-    obs.enable()
-    snapshot = obs.snapshot()
-    quantiles = {
-        name: {"p50": data.get("p50"), "p99": data.get("p99")}
-        for name, data in snapshot.get("histograms", {}).items()
-        if data.get("count")
+    modes_report = {
+        mode: {
+            query: {"burst_ms_median": statistics.median(bursts[mode][query]), **samples[mode][query]}
+            for query in QUERIES
+        }
+        for mode in MODES
     }
-
+    round_totals = {
+        mode: [sum(walls) for walls in zip(*bursts[mode].values())] for mode in MODES
+    }
+    totals = {mode: statistics.median(round_totals[mode]) for mode in MODES}
+    overhead_pct = 100.0 * (
+        statistics.median(e / n for e, n in zip(round_totals["enabled"], round_totals["noop"])) - 1.0
+    )
+    enabled, noop = modes_report["enabled"], modes_report["noop"]
+    snapshot = obs.snapshot()
     report = {
         "label": "obs",
         "created_unix": time.time(),
-        "config": {"runs": runs, "queries": dict(QUERIES)},
+        "config": {
+            "runs": runs, "rounds": rounds, "passes": PASSES,
+            "queries": dict(QUERIES),
+        },
         "modes": modes_report,
         "identity": {
-            "byte_identical": byte_identical,
-            "modelled_charges_equal": charges_equal,
-            "disabled_overhead_ok": disabled_ok,
+            "byte_identical": all(enabled[q]["digest"] == noop[q]["digest"] for q in QUERIES),
+            "modelled_charges_equal": all(
+                enabled[q]["timing"][field] == noop[q]["timing"][field]
+                for q in QUERIES
+                for field in ("t_o", "tiles_read", "pages_read", "index_nodes")
+            ),
+            "enabled_overhead_ok": overhead_pct <= OVERHEAD_PCT,
         },
         "performance": {
             "enabled_total_ms": totals["enabled"],
-            "disabled_total_ms": totals["disabled"],
-            "noop_total_ms": noop_total,
-            "enabled_overhead_pct": overhead_pct("enabled"),
-            "disabled_overhead_pct": overhead_pct("disabled"),
+            "noop_total_ms": totals["noop"],
+            "enabled_overhead_pct": overhead_pct,
             "gate_pct": OVERHEAD_PCT,
-            "gate_abs_ms": OVERHEAD_ABS_MS,
         },
-        "latency_quantiles": quantiles,
+        # Per-histogram p50/p99 straight from the live registry.
+        "latency_quantiles": {
+            name: {"p50": data["p50"], "p99": data["p99"]}
+            for name, data in snapshot["histograms"].items()
+            if data["count"]
+        },
         "registry": snapshot,
     }
-    for database, _mdd in cubes.values():
-        database.close()
     return write_report(report, artifact_dir)
 
 
 def comparison_table(report: dict) -> str:
     """Fixed-width mode comparison for the CLI."""
-    headers = ["query", "mode", "wall ms min", "wall ms mean", "t_o"]
+    headers = ["query", "mode", f"ms per {PASSES} reads (median)", "t_o"]
     rows = []
     for query in report["config"]["queries"]:
         for mode in MODES:
@@ -220,16 +160,11 @@ def comparison_table(report: dict) -> str:
             rows.append([
                 query if mode == MODES[0] else "",
                 mode,
-                f"{entry['wall_ms_min']:.2f}",
-                f"{entry['wall_ms_mean']:.2f}",
+                f"{entry['burst_ms_median']:.2f}",
                 f"{entry['timing']['t_o']:.2f}",
             ])
     perf = report["performance"]
-    rows.append([
-        "total", "", "", "",
-        f"dis +{perf['disabled_overhead_pct']:.2f}% "
-        f"en +{perf['enabled_overhead_pct']:.2f}%",
-    ])
+    rows.append(["total", "", "", f"en +{perf['enabled_overhead_pct']:.2f}%"])
     return format_table(
-        headers, rows, title="observability overhead (min over runs)"
+        headers, rows, title="observability overhead (median over rounds)"
     )

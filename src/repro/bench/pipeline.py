@@ -1,23 +1,20 @@
-"""Read-pipeline benchmark: serial vs parallel vs decoded-cache warm.
+"""Read-pipeline benchmark: cold reads vs decoded-cache warm repeats.
 
 Unlike the paper-table benchmarks (which reproduce published numbers from
 the *modelled* disk), this bench measures the implementation itself.  It
-loads one compressed cube three times and reads the same query set under
-three configurations:
+loads one compressed cube twice and reads the same query set under two
+configurations:
 
-* ``serial`` — the baseline single-threaded read path, cold caches;
-* ``parallel`` — the same reads of a cube loaded with ``io_workers > 1``,
-  so its tiles were encoded by that many workers (reads decode where
-  they fetch, on the calling thread).  Results must stay **bit-for-bit
-  identical** to serial and the modelled charges (``t_o``, index pages
-  behind ``t_ix``) must match exactly: the encode pool changes neither
-  the stored bytes nor their placement;
+* ``serial`` — the read path with cold caches;
 * ``decoded`` — a decoded-tile cache sized to hold the cube, measured on
   warm repeats.  Repeat reads must decode **zero** tiles (every tile is a
   decoded-cache hit, ``t_o == 0``) and run measurably faster than the
   cold serial path.
 
-The verdicts — byte identity, modelled-charge equality, repeat-decode
+Whether the encode pool (``io_workers``) changes stored bytes is
+``bench ingest``'s to check (``pages_byte_identical``,
+``read_back_identical``): reads decode on the calling thread whatever
+the pool's size.  The verdicts — byte identity, repeat-decode
 elimination — are embedded in the ``BENCH_pipeline.json`` artifact so CI
 can track them alongside the wall-clock numbers.
 """
@@ -102,24 +99,19 @@ def _measure_mode(
 
 def run_pipeline_bench(
     runs: int = 3,
-    io_workers: int = 4,
     decoded_mb: int = 16,
     artifact_dir: Optional[Union[str, Path]] = None,
 ) -> dict:
-    """Run the three configurations and return the comparison dict."""
+    """Run both configurations and return the comparison dict."""
     serial_db, serial_mdd = _load_cube(io_workers=1)
     serial = _measure_mode(serial_mdd, serial_db, runs, warm=False)
-
-    parallel_db, parallel_mdd = _load_cube(io_workers=io_workers)
-    parallel = _measure_mode(parallel_mdd, parallel_db, runs, warm=False)
-    parallel_db.close()
 
     decoded_db, decoded_mdd = _load_cube(
         io_workers=1, decoded_cache_bytes=decoded_mb * 1024 * 1024
     )
     decoded = _measure_mode(decoded_mdd, decoded_db, runs, warm=True)
 
-    identity = _verdicts(serial, parallel, decoded)
+    identity = _verdicts(serial, decoded)
     report = {
         "label": "pipeline",
         "created_unix": time.time(),
@@ -127,13 +119,11 @@ def run_pipeline_bench(
             "side": SIDE,
             "tile_bytes": TILE_BYTES,
             "runs": runs,
-            "io_workers": io_workers,
             "decoded_cache_bytes": decoded_mb * 1024 * 1024,
         },
         "queries": dict(QUERIES),
         "modes": {
             "serial": serial,
-            "parallel": parallel,
             "decoded": decoded,
         },
         "identity": identity,
@@ -142,20 +132,8 @@ def run_pipeline_bench(
     return write_report(report, artifact_dir)
 
 
-def _verdicts(serial: dict, parallel: dict, decoded: dict) -> dict:
+def _verdicts(serial: dict, decoded: dict) -> dict:
     """The acceptance checks, embedded in the artifact."""
-    byte_identical = all(
-        serial[q]["digest"] == parallel[q]["digest"] for q in QUERIES
-    )
-    t_o_equal = all(
-        serial[q]["timing"]["t_o"] == parallel[q]["timing"]["t_o"]
-        for q in QUERIES
-    )
-    index_pages_equal = all(
-        serial[q]["timing"]["index_nodes"]
-        == parallel[q]["timing"]["index_nodes"]
-        for q in QUERIES
-    )
     warm_decodes = sum(
         count
         for q in QUERIES
@@ -171,9 +149,6 @@ def _verdicts(serial: dict, parallel: dict, decoded: dict) -> dict:
         serial[q]["digest"] == decoded[q]["digest"] for q in QUERIES
     )
     return {
-        "parallel_byte_identical": byte_identical,
-        "parallel_t_o_equal": t_o_equal,
-        "parallel_index_pages_equal": index_pages_equal,
         "decoded_byte_identical": decoded_identical,
         "warm_repeat_decodes": warm_decodes,
         "warm_t_o_zero": warm_t_o_zero,
@@ -188,7 +163,7 @@ def comparison_table(report: dict) -> str:
     ]
     rows = []
     for query in report["queries"]:
-        for mode in ("serial", "parallel", "decoded"):
+        for mode in ("serial", "decoded"):
             entry = report["modes"][mode][query]
             timing = entry["timing"]
             rows.append([

@@ -20,9 +20,9 @@ the paper's category partitions (2P and 3P).
 The acceptance verdicts are deterministic and live in ``identity``
 (gated in CI): every configuration must produce a **bitwise-identical**
 result under both strategies, every pushdown run must report peak
-working memory of at most one tile (the box is never materialized; the
-verdict keeps its name, ``peak_bounded_by_worker_tiles``), and the
-full-cube condensers must be answered from synopses with zero decode.  Modelled-time speedups (``t_o +
+working memory of at most one tile (the box is never materialized:
+``peak_bounded_by_one_tile``), and the full-cube condensers must be
+answered from synopses with zero decode.  Modelled-time speedups (``t_o +
 t_ix_pages``, deterministic) live in ``performance`` and are reported
 but never gated on; the headline figure is the speedup at <= 1%
 selectivity, where pruning plus pushdown drop nearly all fetch work.
@@ -304,7 +304,7 @@ def _verdicts(modes: Dict[str, Dict[str, dict]], tile_bytes: int) -> dict:
         "v1_never_pushes": all(
             not entry["pushed"] for entry in modes["v1"].values()
         ),
-        "peak_bounded_by_worker_tiles": all(
+        "peak_bounded_by_one_tile": all(
             entry["peak_partial_bytes"] <= tile_bytes
             for entry in push.values()
         ),

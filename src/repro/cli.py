@@ -11,9 +11,8 @@ Usage::
     python -m repro tables        # everything above
     python -m repro stats         # observability registry snapshot
     python -m repro explain QUERY # EXPLAIN ANALYZE one sales-cube query
-    python -m repro serve-metrics # live /metrics and /healthz
-    python -m repro serve         # REST tile server (slices, query, write)
-    python -m repro bench pipeline  # serial vs parallel vs decoded cache
+    python -m repro serve         # REST tile server; also /metrics, /healthz
+    python -m repro bench pipeline  # cold reads vs decoded-cache warm repeats
     python -m repro bench ingest    # serial vs batched vs parallel writes
     python -m repro bench concurrent  # snapshot readers scaling under a writer
     python -m repro recover DIR   # replay the write-ahead log of a database
@@ -132,8 +131,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
           f"border {cpu.border_mb_per_s} MB/s")
     print("strategies : aligned, regular, single-tile, cuts, directional, "
           "areas-of-interest, statistic")
-    print(f"observability: {'enabled' if obs.enabled() else 'disabled'} "
-          f"({len(obs.registry.metrics())} instruments registered)")
+    print(f"observability: {len(obs.registry.metrics())} instruments registered")
     return 0
 
 
@@ -309,7 +307,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         print("No BENCH_*.json artifacts found; "
               "running the built-in demo workload...", file=sys.stderr)
-        obs.enable()
         obs.reset()
         _demo_workload()
         snapshot = obs.snapshot()
@@ -362,31 +359,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Serve /metrics and /healthz over HTTP."""
-    from repro.obs.server import MetricsServer
-
-    obs.enable()
-    if args.demo:
-        _demo_workload()
-    server = MetricsServer(host=args.host, port=args.port)
-    server.start()
-    print(f"serving metrics on http://{args.host}:{server.port}/metrics "
-          f"(and /healthz)", file=sys.stderr)
-    try:
-        if args.duration is not None:
-            import time as _time
-
-            _time.sleep(args.duration)
-        else:
-            server.join()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _demo_database() -> "Database":
     """A small deterministic database for ``repro serve --demo``."""
     database = Database(buffer_bytes=256 * 1024, compression=True)
@@ -409,7 +381,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a database over REST: slices, tile frames, query, write."""
     from repro.serve import TileServer
 
-    obs.enable()
     if args.db is not None:
         from repro.storage.catalog import open_database
 
@@ -453,11 +424,15 @@ class _Bench(NamedTuple):
     performance: Optional[str] = "performance (not gated):"
 
 
+#: The mode-specific ``repro bench`` flags; a mode whose ``extra`` lacks
+#: one refuses it.
+_BENCH_FLAGS = ("io_workers", "decoded_mb")
+
 _BENCHES: Dict[str, _Bench] = {
     "pipeline": _Bench(
         "repro.bench.pipeline", "run_pipeline_bench",
-        "serial vs parallel vs decoded-cache reads",
-        extra=("io_workers", "decoded_mb"),
+        "cold reads vs decoded-cache warm repeats",
+        extra=("decoded_mb",),
         verdicts="verdicts:", performance=None,
     ),
     "ingest": _Bench(
@@ -471,7 +446,7 @@ _BENCHES: Dict[str, _Bench] = {
     ),
     "obs": _Bench(
         "repro.bench.obsbench", "run_obs_bench",
-        "observability overhead, enabled vs disabled vs no-obs",
+        "always-on observability overhead vs the no-op instrument floor",
         performance="performance (overhead gate in identity):",
     ),
     "prune": _Bench(
@@ -497,11 +472,19 @@ _BENCHES: Dict[str, _Bench] = {
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run one implementation benchmark; exit 1 on a failed verdict."""
     bench = _BENCHES[args.mode]
+    unused = [
+        "--" + name.replace("_", "-")
+        for name in _BENCH_FLAGS
+        if getattr(args, name) is not None and name not in bench.extra
+    ]
+    if unused:
+        print(f"repro bench {args.mode} takes no {', '.join(unused)}", file=sys.stderr)
+        return 2
     module = importlib.import_module(bench.module)
     report = getattr(module, bench.run)(
         runs=args.runs,
         artifact_dir=_artifact_dir(args),
-        **{name: getattr(args, name) for name in bench.extra},
+        **{name: getattr(args, name) for name in bench.extra if getattr(args, name) is not None},
     )
     print(module.comparison_table(report))
     print()
@@ -564,7 +547,6 @@ _COMMANDS = {
     "tables": cmd_tables,
     "stats": cmd_stats,
     "explain": cmd_explain,
-    "serve-metrics": cmd_serve_metrics,
     "serve": cmd_serve,
     "bench": cmd_bench,
     "recover": cmd_recover,
@@ -645,12 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="measured repeats per query and mode (default: 3)",
     )
     bench.add_argument(
-        "--io-workers", type=int, default=4, metavar="W",
-        help="worker threads for the parallel mode (default: 4)",
+        "--io-workers", type=int, default=None, metavar="W",
+        help="ingest only: encode-pool workers for the parallel mode (default: 4)",
     )
     bench.add_argument(
-        "--decoded-mb", type=int, default=16, metavar="M",
-        help="decoded-tile cache capacity in MiB (default: 16)",
+        "--decoded-mb", type=int, default=None, metavar="M",
+        help="pipeline only: decoded-tile cache capacity in MiB (default: 16)",
     )
     _add_artifact_options(bench)
     recover = subparsers.add_parser(
@@ -697,29 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
              "partial-aggregate pushdown stages "
              f"(one of: {', '.join(sorted(AGG_FUNCS))})",
     )
-    serve = subparsers.add_parser(
-        "serve-metrics",
-        help="HTTP endpoint: /metrics, /healthz",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=9464,
-        help="TCP port; 0 picks a free one (default: 9464)",
-    )
-    serve.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="serve for a fixed time then exit (default: until Ctrl-C)",
-    )
-    serve.add_argument(
-        "--demo", action="store_true",
-        help="run a small query workload first so /metrics has data",
-    )
     tiles = subparsers.add_parser(
         "serve",
-        help="REST tile server: slices, tile frames, RaSQL, ingest",
+        help="REST tile server: slices, tile frames, RaSQL, ingest, /metrics",
     )
     tiles.add_argument(
         "--host", default="127.0.0.1",

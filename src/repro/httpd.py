@@ -1,10 +1,9 @@
 """Shared threaded HTTP server lifecycle (standard library only).
 
-Both HTTP surfaces of the system — the observability endpoint
-(``repro serve-metrics``, :mod:`repro.obs.server`) and the tile service
-(``repro serve``, :mod:`repro.serve.server`) — run on this one helper,
-so ephemeral-port selection, ``SO_REUSEADDR``, daemon threading, and
-graceful shutdown live in exactly one place and cannot drift apart.
+The tile service (``repro serve``, :mod:`repro.serve.server`), which
+also serves ``/metrics`` and ``/healthz``, runs on this helper, so
+ephemeral-port selection, ``SO_REUSEADDR``, daemon threading, and
+graceful shutdown live in one place.
 
 The contract:
 
@@ -17,7 +16,7 @@ The contract:
   daemon thread, so a process that exits never hangs on an open
   connection;
 * ``TCP_NODELAY`` is set on every accepted connection: a response in
-  two writes (the metrics server's headers and body, or a partial send)
+  two writes (headers and body, or a partial send)
   would wait ~40 ms under Nagle for the client's delayed ACK;
 * :meth:`stop` is idempotent and a stopped handle can be started again
   (a fresh socket is bound each time).
@@ -125,19 +124,3 @@ class HttpServerHandle:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.stop()
 
-
-def run_http_server(
-    handler: type[BaseHTTPRequestHandler],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    thread_name: str = "repro-httpd",
-) -> HttpServerHandle:
-    """Bind, activate, and serve ``handler`` on a daemon thread.
-
-    Returns the started :class:`HttpServerHandle`; read ``handle.port``
-    for the bound (possibly ephemeral) port and call ``handle.stop()``
-    to shut down.
-    """
-    return HttpServerHandle(
-        handler, host=host, port=port, thread_name=thread_name
-    ).start()

@@ -5,8 +5,8 @@ engine, codecs) reports what it does through this package:
 
 * **metrics** — counters / gauges / fixed-bucket histograms in one
   process-wide :data:`registry` (:mod:`repro.obs.metrics`);
-* **exporter** — Prometheus text (:mod:`repro.obs.export`), served live
-  by :mod:`repro.obs.server`.
+* **exporter** — Prometheus text (:mod:`repro.obs.export`), served on
+  the tile server's ``/metrics`` (``repro serve``).
 
 One query is explained by its :class:`~repro.query.timing.QueryTiming`
 record (``repro explain`` renders it); the registry aggregates across
@@ -18,17 +18,15 @@ handles::
     ...
     _READS.inc()
 
-Everything is togglable: :func:`disable` turns the whole layer into
-near-zero-overhead no-ops (one branch per call site), :func:`enable`
-turns it back on.  The layer starts enabled unless the environment sets
-``REPRO_OBS=0`` (also accepted: ``off``, ``false``, ``no``).
+The layer is always on.  It stays cheap because the read path updates
+each instrument once per fetch batch or read-ahead chunk, not once per
+tile; ``repro bench obs`` measures what it costs against a build whose
+instrument methods are empty.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.obs.metrics import (
     BYTE_BUCKETS,
@@ -52,10 +50,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "counter",
-    "disable",
-    "disabled",
-    "enable",
-    "enabled",
     "escape_label_value",
     "gauge",
     "histogram",
@@ -67,13 +61,8 @@ __all__ = [
 ]
 
 
-def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_OBS", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
 #: The process-wide registry all instrumentation reports to.
-registry = MetricsRegistry(enabled=_env_enabled())
+registry = MetricsRegistry()
 
 
 # -- instrument shortcuts (get-or-create on the default registry) ----------
@@ -93,34 +82,6 @@ def histogram(
 ) -> Histogram:
     """Get-or-create a fixed-bucket histogram on the default registry."""
     return registry.histogram(name, help, buckets=buckets)
-
-
-# -- global switches -------------------------------------------------------
-
-def enable() -> None:
-    """Turn metrics on."""
-    registry.enable()
-
-
-def disable() -> None:
-    """Turn the whole layer into near-zero-overhead no-ops."""
-    registry.disable()
-
-
-def enabled() -> bool:
-    """Whether the observability layer is currently recording."""
-    return registry.enabled
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Temporarily disable the layer (restores the previous state)."""
-    was_enabled = registry.enabled
-    disable()
-    try:
-        yield
-    finally:
-        registry.enabled = was_enabled
 
 
 def reset() -> None:

@@ -7,9 +7,9 @@ dependency-free and cheap:
 * instruments are created once (module import time in the instrumented
   code) and looked up by name — creation is get-or-create, so two modules
   asking for ``disk.blob_reads`` share one counter;
-* every mutation first checks the registry's ``enabled`` flag, so a
-  disabled registry costs one attribute read and one branch per call
-  site (``obs.disable()`` → near-zero overhead);
+* it is always on: a mutation is one lock hold, so the hot paths
+  update each instrument once per batch, not once per tile (a
+  histogram takes a batch's values in one :meth:`Histogram.observe_many`);
 * mutations are lock-protected so instrumented code may run from any
   thread.
 
@@ -75,8 +75,6 @@ class Counter(Metric):
         self._value: float = 0
 
     def inc(self, amount: float = 1) -> None:
-        if not self._registry.enabled:
-            return
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease by {amount}")
         with self._registry._lock:
@@ -102,14 +100,10 @@ class Gauge(Metric):
         self._value: float = 0
 
     def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         with self._registry._lock:
             self._value = value
 
     def inc(self, amount: float = 1) -> None:
-        if not self._registry.enabled:
-            return
         with self._registry._lock:
             self._value += amount
 
@@ -150,13 +144,21 @@ class Histogram(Metric):
         self._count: int = 0
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         index = bisect_left(self.buckets, value)
         with self._registry._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """One :meth:`observe` per value under one lock hold: the same
+        count, sum and buckets."""
+        indexes = [bisect_left(self.buckets, value) for value in values]
+        with self._registry._lock:
+            for index, value in zip(indexes, values):
+                self._counts[index] += 1
+                self._sum += value
+            self._count += len(indexes)
 
     @property
     def count(self) -> int:
@@ -221,18 +223,11 @@ class Histogram(Metric):
 class MetricsRegistry:
     """Named home of all instruments; one process-wide default in ``obs``."""
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: Dict[str, Metric] = {}
-        self.enabled = enabled
 
     # -- lifecycle ---------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def reset(self) -> None:
         """Zero every instrument; registrations are kept."""

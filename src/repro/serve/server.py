@@ -1,8 +1,9 @@
 """The tile server: a database behind REST (DESIGN §14).
 
-A zero-dependency threaded HTTP server (lifecycle shared with the
-metrics endpoint via :class:`repro.httpd.HttpServerHandle`) exposing one
-:class:`~repro.storage.tilestore.Database`:
+A zero-dependency threaded HTTP server (lifecycle in
+:class:`repro.httpd.HttpServerHandle`) exposing one
+:class:`~repro.storage.tilestore.Database`, and the process's one
+metrics endpoint:
 
 * ``GET  /healthz``                     — liveness JSON (epoch, objects);
 * ``GET  /metrics``                     — Prometheus exposition, including

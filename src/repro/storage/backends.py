@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro import obs
 from repro.core.errors import ChecksumError, StorageError
@@ -43,15 +43,21 @@ _PAGE_FAILURES = obs.counter(
 )
 
 
-def _report_pages(record: BlobRecord, pages: int, bad: list[int]) -> None:
-    """Count one blob's verified pages; a bad one is a ChecksumError."""
+def _report_pages(checked: Iterable[tuple[BlobRecord, int, list[int]]]) -> None:
+    """Count the verified pages of ``(record, pages, bad pages)`` in one
+    update, up to and including the first blob with a bad page, which is
+    a ChecksumError."""
+    pages = 0
+    for record, count, bad in checked:
+        pages += count
+        if bad:
+            _PAGES_VERIFIED.inc(pages)
+            _PAGE_FAILURES.inc(len(bad))
+            raise ChecksumError(
+                f"blob {record.blob_id}: CRC-32 mismatch on page(s) "
+                f"{bad} of {record.pages}"
+            )
     _PAGES_VERIFIED.inc(pages)
-    if bad:
-        _PAGE_FAILURES.inc(len(bad))
-        raise ChecksumError(
-            f"blob {record.blob_id}: CRC-32 mismatch on page(s) "
-            f"{bad} of {record.pages}"
-        )
 
 
 class MemoryBlobStore(BlobStore):
@@ -262,7 +268,7 @@ class FileBlobStore(BlobStore):
         expected = self._page_crcs.get(record.blob_id)
         if expected is not None:
             bad = verify_page_checksums(raw, self.page_size, expected)
-            _report_pages(record, len(expected), bad)
+            _report_pages([(record, len(expected), bad)])
 
     def _read_payload(self, record: BlobRecord) -> bytes:
         raw = self._read_span([record])[0]
@@ -318,10 +324,10 @@ class FileBlobStore(BlobStore):
         actual = page_checksums_many(
             [raw for _, raw, _ in checked], self.page_size
         )
-        for (record, _, expected), crcs in zip(checked, actual):
-            _report_pages(
-                record, len(expected), mismatched_pages(crcs, expected)
-            )
+        _report_pages(
+            (record, len(expected), mismatched_pages(crcs, expected))
+            for (record, _, expected), crcs in zip(checked, actual)
+        )
         return payloads
 
     def _delete_payload(self, record: BlobRecord) -> None:

@@ -325,12 +325,14 @@ class BlobStore(abc.ABC):
     def get_run(self, blob_ids: Sequence[int]) -> list[bytes]:
         """Fetch several BLOBs, in the given order; backends may coalesce.
 
-        The base implementation is a plain loop of :meth:`get`;
+        The base implementation is a loop of :meth:`get` under one
+        latch hold (one acquisition, not one per blob);
         ``FileBlobStore`` overrides it with one read per page run of the
         page-ordered list (its blobs need not be adjacent) and one CRC
         pass over them all.
         """
-        return [self.get(blob_id) for blob_id in blob_ids]
+        with self._latch:
+            return [self.get(blob_id) for blob_id in blob_ids]
 
     # -- backend hooks -----------------------------------------------------
 

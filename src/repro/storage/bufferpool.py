@@ -10,7 +10,10 @@ changes the regular-vs-arbitrary comparison.
 
 Each lookup returns its own outcome (:class:`PoolRead`), which the read
 pipeline sums into the query's record and the registry; the pool keeps
-local ``hits`` / ``misses`` / ``evictions`` tallies for reports.
+local ``hits`` / ``misses`` / ``evictions`` tallies for reports.  The
+``pool.bytes_*`` counters, the admitted-size histogram and the
+``pool.used_bytes`` gauge take one update per :meth:`read_blobs` batch,
+inside its latch hold.
 """
 
 from __future__ import annotations
@@ -91,20 +94,30 @@ class BufferPool:
         payloads: list[bytes] = []
         evictions: list[Optional[int]] = []  # None: a hit
         missed: list[BlobRecord] = []
+        admitted: list[int] = []
+        evicted: list[int] = []
         with self._latch:
-            for record in records:
-                blob_id = record.blob_id
-                payload = self._entries.get(blob_id)
-                if payload is not None:
-                    self._entries.move_to_end(blob_id)
-                    self.hits += 1
-                    evictions.append(None)
-                else:
-                    payload = load(blob_id)
-                    self.misses += 1
-                    missed.append(record)
-                    evictions.append(self._admit(blob_id, payload))
-                payloads.append(payload)
+            used = self._used
+            try:
+                for record in records:
+                    blob_id = record.blob_id
+                    payload = self._entries.get(blob_id)
+                    if payload is not None:
+                        self._entries.move_to_end(blob_id)
+                        self.hits += 1
+                        evictions.append(None)
+                    else:
+                        payload = load(blob_id)
+                        self.misses += 1
+                        missed.append(record)
+                        evictions.append(self._admit(blob_id, payload, admitted, evicted))
+                    payloads.append(payload)
+            finally:  # one update per instrument, inside the latch hold
+                if missed:
+                    _BYTES_ADMITTED.inc(sum(admitted))
+                    _ADMITTED_SIZE.observe_many(admitted)
+                    _BYTES_EVICTED.inc(sum(evicted))
+                    _USED_BYTES.inc(self._used - used)
             costs = iter(self.disk.charge_reads(missed))
         return [
             (payload, HIT if evicted is None else PoolRead(next(costs), False, evicted))
@@ -115,22 +128,20 @@ class BufferPool:
         """One blob's :meth:`read_blobs`, a miss read from the store."""
         return self.read_blobs(self.store.records([blob_id]), self.store.get)[0]
 
-    def _admit(self, blob_id: int, payload: bytes) -> int:
-        """Admit a payload, evicting LRU entries to fit; returns how many."""
+    def _admit(self, blob_id: int, payload: bytes, admitted: list[int], evicted: list[int]) -> int:
+        """Admit a payload, evicting LRU entries to fit; returns how many.
+        The admitted and evicted sizes are appended for the caller to count."""
         if len(payload) > self.capacity_bytes:
             return 0
         before = self.evictions
         while self._used + len(payload) > self.capacity_bytes and self._entries:
-            _victim, evicted = self._entries.popitem(last=False)
-            self._used -= len(evicted)
-            _USED_BYTES.dec(len(evicted))
+            _victim, victim = self._entries.popitem(last=False)
+            self._used -= len(victim)
             self.evictions += 1
-            _BYTES_EVICTED.inc(len(evicted))
+            evicted.append(len(victim))
         self._entries[blob_id] = payload
         self._used += len(payload)
-        _BYTES_ADMITTED.inc(len(payload))
-        _ADMITTED_SIZE.observe(len(payload))
-        _USED_BYTES.inc(len(payload))
+        admitted.append(len(payload))
         return self.evictions - before
 
     def invalidate(self, blob_id: int) -> None:

@@ -31,11 +31,9 @@ from repro.core.errors import StorageError
 Codec = tuple[Callable[[bytes, Optional[np.dtype]], bytes], Callable[[bytes], "bytes | memoryview"]]
 
 _ENCODES = obs.counter("codec.encodes", "Payloads encoded (all codecs)")
-_DECODES = obs.counter("codec.decodes", "Payloads decoded (all codecs)")
 _ENCODE_BYTES_IN = obs.counter("codec.encode_bytes_in", "Raw bytes given to encoders")
 _ENCODE_BYTES_OUT = obs.counter("codec.encode_bytes_out", "Encoded bytes produced")
 _ENCODE_MS = obs.histogram("codec.encode_ms", "Wall milliseconds per encode")
-_DECODE_MS = obs.histogram("codec.decode_ms", "Wall milliseconds per decode")
 
 
 #: ``planes`` header: cell kind, item size, bit width, minimum (as unsigned), cell count.
@@ -139,8 +137,6 @@ def compress(payload: bytes, codec: str, dtype: Optional[np.dtype] = None) -> by
         encode, _decode = _CODECS[codec]
     except KeyError:
         raise StorageError(f"unknown codec {codec!r}") from None
-    if not obs.enabled():
-        return encode(payload, dtype)
     started = time.perf_counter()
     encoded = encode(payload, dtype)
     _ENCODE_MS.observe((time.perf_counter() - started) * 1000.0)
@@ -151,18 +147,13 @@ def compress(payload: bytes, codec: str, dtype: Optional[np.dtype] = None) -> by
 
 
 def decompress(payload: bytes, codec: str) -> "bytes | memoryview":
-    """Decode ``payload`` with the named codec."""
+    """Decode ``payload`` with the named codec.  Uncounted: the read
+    pipeline counts ``codec.*`` decodes once per fetch batch."""
     try:
         _encode, decode = _CODECS[codec]
     except KeyError:
         raise StorageError(f"unknown codec {codec!r}") from None
-    if not obs.enabled():
-        return decode(payload)
-    started = time.perf_counter()
-    decoded = decode(payload)
-    _DECODE_MS.observe((time.perf_counter() - started) * 1000.0)
-    _DECODES.inc()
-    return decoded
+    return decode(payload)
 
 
 def select_codec(

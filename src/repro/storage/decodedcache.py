@@ -15,10 +15,11 @@ callers compose results by copying out of them (or serve them zero-copy
 on the single-tile fast path), so a cached tile can never be corrupted by
 a consumer.
 
-Admissions happen after a fetch batch, in page order (:meth:`put`).
-Activity is mirrored into the :mod:`repro.obs` registry under
-``cache.decoded.*`` — hits and misses by the read pipeline, per batch;
-the ``used_bytes`` gauge is delta-maintained, so several caches (one per
+Admissions happen after a fetch batch, in page order, in one
+:meth:`put_many`.  Activity is mirrored into the :mod:`repro.obs`
+registry under ``cache.decoded.*``, once per batch — hits and misses by
+the read pipeline, admissions and evictions by :meth:`put_many`; the
+``used_bytes`` gauge is delta-maintained, so several caches (one per
 :class:`~repro.storage.tilestore.Database`) sum instead of overwriting.
 """
 
@@ -102,27 +103,45 @@ class DecodedTileCache:
             return self._entries.get(blob_id)
 
     def put(self, blob_id: int, array: np.ndarray) -> np.ndarray:
-        """Admit a decoded tile; returns the (read-only) cached array.
+        """Admit a decoded tile; returns the (read-only) cached array."""
+        return self.put_many([(blob_id, array)])[0]
+
+    def put_many(self, items: Sequence[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+        """Admit ``(blob_id, array)`` pairs in order under one latch hold;
+        returns the (read-only) cached arrays.
 
         A tile larger than the whole budget is not admitted (mirroring the
         buffer pool); the read-only view is returned regardless, so
-        callers can always use the result of ``put``.
+        callers can always use the result.  Each instrument takes one
+        update per batch, inside the latch hold.
         """
-        array = self._readonly(array)
-        size = array.nbytes
-        if size > self.capacity_bytes:
-            return array
+        arrays = [self._readonly(array) for _, array in items]
+        admitted: list[int] = []
+        evicted: list[int] = []
         with self._latch:
-            previous = self._entries.pop(blob_id, None)
-            if previous is not None:
-                self._discard_bytes(previous.nbytes)
-            self._evict_down_to(self.capacity_bytes - size)
-            self._entries[blob_id] = array
-            self._used += size
-            _BYTES_ADMITTED.inc(size)
-            _ADMITTED_SIZE.observe(size)
-            _USED_BYTES.inc(size)
-        return array
+            used = self._used
+            for (blob_id, _), array in zip(items, arrays):
+                size = array.nbytes
+                if size > self.capacity_bytes:
+                    continue
+                previous = self._entries.pop(blob_id, None)
+                if previous is not None:
+                    self._used -= previous.nbytes
+                while self._used > self.capacity_bytes - size and self._entries:
+                    _victim, victim = self._entries.popitem(last=False)
+                    self._used -= victim.nbytes
+                    evicted.append(victim.nbytes)
+                self._entries[blob_id] = array
+                self._used += size
+                admitted.append(size)
+            if admitted:
+                self.evictions += len(evicted)
+                _EVICTIONS.inc(len(evicted))
+                _BYTES_EVICTED.inc(sum(evicted))
+                _BYTES_ADMITTED.inc(sum(admitted))
+                _ADMITTED_SIZE.observe_many(admitted)
+                _USED_BYTES.inc(self._used - used)
+        return arrays
 
     @staticmethod
     def _readonly(array: np.ndarray) -> np.ndarray:
@@ -130,14 +149,6 @@ class DecodedTileCache:
             array = array.view()
             array.flags.writeable = False
         return array
-
-    def _evict_down_to(self, budget: int) -> None:
-        while self._used > budget and self._entries:
-            _victim, evicted = self._entries.popitem(last=False)
-            self._discard_bytes(evicted.nbytes)
-            self.evictions += 1
-            _EVICTIONS.inc()
-            _BYTES_EVICTED.inc(evicted.nbytes)
 
     def _discard_bytes(self, size: int) -> None:
         self._used -= size

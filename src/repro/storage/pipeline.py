@@ -13,7 +13,7 @@ This module is that per-tile chain, run on the calling thread:
   (:func:`_read_runs`); each miss is decoded where it is fetched —
   ``decompress`` + ``frombuffer``, then on the pushdown the per-tile
   kernel; the batch's decoded misses are then admitted to the decoded
-  cache in page order.
+  cache in page order, under one latch hold.
 
 The stored codecs decode in a few numpy passes (``planes``) or one C
 call (``zlib``), so there is no decode worker pool: the
@@ -22,7 +22,9 @@ only (:mod:`repro.storage.ingest`).  All of it is one function,
 :func:`_fetch`; the public ``fetch_tiles`` / ``fetch_tile`` /
 ``fetch_tile_partials`` are its entry points; ``fetch_payloads`` (served
 tile frames) is its read walk alone.  Each tile carries its own cache
-outcomes, counted once per batch (:func:`_count`).
+outcomes and decode wall, counted once per batch (:func:`_count`): the
+registry takes one update per instrument per fetch batch, never one
+per tile.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids a cycle)
     from repro.storage.tilestore import Database, TileEntry
 
 _TILES_DECODED = obs.counter("pipeline.tiles_decoded", "Tiles decompressed + reshaped")
-_DECODE_MS = obs.histogram("pipeline.decode_ms", "Wall milliseconds per tile decode")
+_DECODES = obs.counter("codec.decodes", "Payloads decoded by reads (all codecs)")
+_DECODE_MS = obs.histogram(
+    "codec.decode_ms", "Wall milliseconds per tile decode (then reduce, on the pushdown)"
+)
 _POOL_HITS = obs.counter("pool.hits", "Buffer-pool hits (no disk charge)")
 _POOL_MISSES = obs.counter("pool.misses", "Buffer-pool misses (read through disk)")
 _POOL_EVICTIONS = obs.counter("pool.evictions", "LRU evictions from the pool")
@@ -177,7 +182,6 @@ def _decode(
     else:
         tile.partials = reduce(array, entry, parts)
     tile.decode_ms = (time.perf_counter() - started) * 1000.0
-    _DECODE_MS.observe(tile.decode_ms)
 
 
 # Blobs per verified read-ahead: enough to share one pool pass and one
@@ -215,13 +219,16 @@ def _read_runs(
 
 
 def _count(fetched: Sequence[FetchedTile]) -> None:
-    """One registry increment per outcome: what the records sum, per batch."""
+    """One registry update per outcome: what the records sum, per batch."""
     _POOL_HITS.inc(sum(tile.pool_hit is True for tile in fetched))
     _POOL_MISSES.inc(sum(tile.pool_hit is False for tile in fetched))
     _POOL_EVICTIONS.inc(sum(tile.pool_evicted for tile in fetched))
     _DECODED_HITS.inc(sum(tile.decoded_hit for tile in fetched))
     _DECODED_MISSES.inc(sum(tile.decoded_miss for tile in fetched))
-    _TILES_DECODED.inc(sum(tile.decode_ms > 0.0 for tile in fetched))
+    decodes = [tile.decode_ms for tile in fetched if tile.decode_ms > 0.0]
+    _TILES_DECODED.inc(len(decodes))
+    _DECODES.inc(len(decodes))
+    _DECODE_MS.observe_many(decodes)
 
 
 def _fetch(
@@ -280,9 +287,10 @@ def _fetch(
     # Admissions after the whole batch, in page order: a batch that fails
     # midway (a page CRC mismatch) leaves nothing in the decoded cache.
     if cache is not None and reduce is None:
-        for tile in fetched:
-            if tile.array is not None and not tile.decoded_hit:
-                tile.array = cache.put(tile.entry.blob_id, tile.array)
+        decoded = [tile for tile in fetched if tile.array is not None and not tile.decoded_hit]
+        admitted = cache.put_many([(tile.entry.blob_id, tile.array) for tile in decoded])
+        for tile, array in zip(decoded, admitted):
+            tile.array = array
     _count(fetched)
     return fetched
 

@@ -118,8 +118,6 @@ def test_concurrent_records_account_their_own_tiles_and_sum_to_the_registry():
         except Exception as exc:  # noqa: BLE001 - reported after join
             errors.append(exc)
 
-    was_enabled = obs.registry.enabled
-    obs.enable()
     before = {name: obs.counter(name).value for name in OUTCOMES}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -132,7 +130,6 @@ def test_concurrent_records_account_their_own_tiles_and_sum_to_the_registry():
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        obs.registry.enabled = was_enabled
     assert not errors, errors
     assert len(records) == 48
     for timing in records:

@@ -135,19 +135,24 @@ def _noise(size: int, seed: int = 0) -> bytes:
 
 class TestCrc32cMany:
     """The batch entry point, :func:`page_checksums_many` (it replaced
-    the batched CRC32C kernel), equals one :func:`zlib.crc32` per page."""
+    the batched CRC32C kernel), equals one :func:`zlib.crc32` per page,
+    and one :func:`page_checksums` per payload."""
 
     def test_mixed_sizes_match_scalar(self):
         sizes = [0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256,
                  257, 1000, 4096, 8192, 0, 5]
         payloads = [bytes((i * 7 + j) % 256 for j in range(n))
                     for i, n in enumerate(sizes)]
-        assert page_checksums_many(payloads, 256) == [
-            _per_page(p, 256) for p in payloads
-        ]
+        # repeated payloads, and page sizes other than the store's
+        payloads += [b"a" * 100, bytes(range(256)) * 3, bytes(i % 7 for i in range(515))] * 4
+        for page_size in (128, 256):
+            assert page_checksums_many(payloads, page_size) == [
+                _per_page(p, page_size) for p in payloads
+            ] == [page_checksums(p, page_size) for p in payloads]
 
     def test_empty_batch(self):
         assert page_checksums_many([], 4096) == []
+        assert page_checksums_many([], 256) == []
         assert page_checksums_many([b""], 4096) == [[]]
 
     @pytest.mark.parametrize("size", EDGE_SIZES)
@@ -209,23 +214,6 @@ class TestCrc32cMany:
         assert page_checksums_many(payloads, 4096) == [
             _per_page(p, 4096) for p in payloads
         ]
-
-
-class TestPageChecksumsMany:
-    def test_matches_per_payload(self):
-        payloads = [
-            b"",
-            b"a" * 100,
-            bytes(range(256)) * 3,
-            b"z" * 1000,
-            bytes(i % 7 for i in range(515)),
-        ] * 4
-        assert page_checksums_many(payloads, 256) == [
-            page_checksums(p, 256) for p in payloads
-        ]
-
-    def test_empty_list(self):
-        assert page_checksums_many([], 256) == []
 
     @given(st.lists(st.binary(max_size=700), max_size=20))
     def test_matches_per_payload_property(self, payloads):

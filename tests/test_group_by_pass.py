@@ -46,14 +46,6 @@ BASES = {
 DEPLOYMENTS = ("single", 1, 2, 4)
 
 
-@pytest.fixture(autouse=True)
-def _obs_enabled():
-    was_registry = obs.registry.enabled
-    obs.enable()
-    yield
-    obs.registry.enabled = was_registry
-
-
 def _build(
     data, base, tile_shape, deployment, gap=-1, gap_kind="hole", io_workers=2, bare=0
 ):
@@ -253,7 +245,7 @@ def test_exactness_is_decided_per_cell(deployment):
 
 
 @pytest.mark.parametrize("io_workers", (1, 2, 4))
-def test_peak_bounded_by_workers_times_tile(io_workers):
+def test_peak_bounded_by_one_tile(io_workers):
     data = (np.arange(64 * 64) % 97).reshape(64, 64)
     root, obj, _ = _build(data, base_type("long"), (16, 16), "single", io_workers=io_workers)
     _values, timing, _pushed = obj.aggregate_push(

@@ -1,4 +1,7 @@
-"""Metrics endpoint, Prometheus exporter hardening, and the format checker."""
+"""Metrics endpoint, Prometheus exporter hardening, and the format checker.
+
+The process's one metrics endpoint is the tile server's ``/metrics`` and
+``/healthz`` (``repro serve``)."""
 
 import json
 import urllib.error
@@ -14,17 +17,15 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promcheck import validate
-from repro.obs.server import MetricsServer
+from repro.serve import TileServer
+from repro.storage.tilestore import Database
 
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry = obs.registry.enabled
-    obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +170,7 @@ class TestPromcheck:
 
 
 # ----------------------------------------------------------------------
-# Tentpole 5: the metrics endpoint
+# The metrics endpoint, on the tile server
 # ----------------------------------------------------------------------
 
 def _get(url: str) -> tuple[int, bytes]:
@@ -177,10 +178,15 @@ def _get(url: str) -> tuple[int, bytes]:
         return response.status, response.read()
 
 
-class TestMetricsServer:
+def _endpoint(port: int = 0) -> TileServer:
+    """A tile server over an empty database: its metrics endpoint."""
+    return TileServer(Database(), port=port)
+
+
+class TestMetricsEndpoint:
     def test_endpoints(self):
         obs.counter("server.test.hits", "endpoint test").inc(7)
-        with MetricsServer(port=0) as server:
+        with _endpoint(port=0) as server:
             base = f"http://127.0.0.1:{server.port}"
 
             status, body = _get(base + "/metrics")
@@ -193,7 +199,7 @@ class TestMetricsServer:
             assert status == 200
             health = json.loads(body)
             assert health["status"] == "ok"
-            assert health["instruments"] > 0
+            assert health["objects"] == 0
 
             for path in ("/nothing-here", "/debug/spans"):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -202,7 +208,7 @@ class TestMetricsServer:
 
     def test_scrape_reflects_live_updates(self):
         counter = obs.counter("server.live.count")
-        with MetricsServer(port=0) as server:
+        with _endpoint(port=0) as server:
             base = f"http://127.0.0.1:{server.port}"
             _, body = _get(base + "/metrics")
             assert "server_live_count 0" in body.decode()
@@ -211,7 +217,7 @@ class TestMetricsServer:
             assert "server_live_count 5" in body.decode()
 
     def test_stop_is_idempotent_and_restartable(self):
-        server = MetricsServer(port=0)
+        server = _endpoint(port=0)
         server.start()
         with pytest.raises(RuntimeError):
             server.start()

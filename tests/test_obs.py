@@ -3,6 +3,8 @@
 import pytest
 
 from repro import obs
+from repro.bench import obsbench
+from repro.bench.obsbench import noop_instruments
 from repro.obs.export import prometheus_name, prometheus_text
 from repro.obs.metrics import MetricsRegistry
 
@@ -48,18 +50,35 @@ class TestRegistryArithmetic:
         assert reg.get("c") is c
 
     def test_disable_stops_mutations(self):
+        """``bench obs``'s floor empties every mutating method, and only
+        while it is entered."""
         reg = MetricsRegistry()
         c = reg.counter("c")
         g = reg.gauge("g")
         h = reg.histogram("h", buckets=(1.0,))
-        reg.disable()
-        c.inc()
-        g.set(5)
-        h.observe(0.5)
+        with noop_instruments():
+            c.inc()
+            g.set(5)
+            g.inc()
+            g.dec(2)
+            h.observe(0.5)
+            h.observe_many([0.5, 2.0])
         assert c.value == 0 and g.value == 0 and h.count == 0
-        reg.enable()
         c.inc()
-        assert c.value == 1
+        h.observe_many([0.5, 2.0])
+        assert c.value == 1 and h.count == 2
+
+    def test_observe_many_equals_one_observe_per_value(self):
+        values = [0.05, 0.1, 0.3, 1.0, 7.5, 40.0, 1e6, 0.1]
+        reg = MetricsRegistry()
+        one, many = reg.histogram("one"), reg.histogram("many")
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        many.observe_many([])
+        assert many.count == one.count == len(values)
+        assert many.sum == one.sum
+        assert many.bucket_counts() == one.bucket_counts()
 
     def test_value_lookup_defaults_to_zero(self):
         reg = MetricsRegistry()
@@ -120,7 +139,7 @@ class TestExporters:
         reg = MetricsRegistry()
         reg.counter("disk.blob_reads", "help text").inc(3)
         reg.gauge("pool.used_bytes").set(512)
-        h = reg.histogram("pipeline.decode_ms", buckets=(1.0, 10.0))
+        h = reg.histogram("codec.decode_ms", buckets=(1.0, 10.0))
         h.observe(0.5)
         h.observe(20.0)
         return reg
@@ -136,21 +155,23 @@ class TestExporters:
         assert "repro_disk_blob_reads 3" in text
         assert "# HELP repro_disk_blob_reads help text" in text
         assert "# TYPE repro_pool_used_bytes gauge" in text
-        assert '# TYPE repro_pipeline_decode_ms histogram' in text
-        assert 'repro_pipeline_decode_ms_bucket{le="+Inf"} 2' in text
-        assert "repro_pipeline_decode_ms_count 2" in text
+        assert '# TYPE repro_codec_decode_ms histogram' in text
+        assert 'repro_codec_decode_ms_bucket{le="+Inf"} 2' in text
+        assert "repro_codec_decode_ms_count 2" in text
 
 
 class TestGlobalToggles:
     def test_disabled_context_restores_state(self):
-        was = obs.enabled()
-        try:
-            obs.enable()
-            with obs.disabled():
-                assert not obs.enabled()
-            assert obs.enabled()
-        finally:
-            obs.registry.enabled = was
+        """The no-op floor puts every method back, even on an error."""
+        def methods():
+            return [vars(cls)[name] for cls, name in obsbench._INSTRUMENTS]
+
+        live = methods()
+        with pytest.raises(RuntimeError):
+            with noop_instruments():
+                assert methods() != live
+                raise RuntimeError("inside the floor")
+        assert methods() == live
 
     def test_module_shortcuts_hit_default_registry(self):
         c = obs.counter("test.obs.shortcut")

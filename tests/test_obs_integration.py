@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.bench.obsbench import noop_instruments
 from repro.bench.harness import run_benchmark
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
@@ -14,15 +15,6 @@ from repro.tiling.aligned import RegularTiling
 
 DOMAIN = MInterval.parse("[0:63,0:63]")
 IMG = mdd_type("ObsImg", "char", str(DOMAIN))
-
-
-@pytest.fixture(autouse=True)
-def _obs_enabled():
-    """Run every test with the layer on, restoring the prior state."""
-    was_registry = obs.registry.enabled
-    obs.enable()
-    yield
-    obs.registry.enabled = was_registry
 
 
 def _load(buffer_bytes: int = 0) -> Database:
@@ -87,7 +79,7 @@ class TestCounterDeltas:
         database.reset_clock()
         enabled_data, enabled_timing = mdd.read(region)
         before = _counters()
-        with obs.disabled():
+        with noop_instruments():
             database.reset_clock()
             disabled_data, disabled_timing = mdd.read(region)
         after = _counters()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.bench.obsbench import noop_instruments
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.obs.metrics import MetricsRegistry
@@ -19,13 +20,10 @@ IMG = mdd_type("ObsV2Img", "char", str(DOMAIN))
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    """Every test starts enabled with a zeroed registry."""
-    was_registry = obs.registry.enabled
-    obs.enable()
+    """Every test starts with a zeroed registry."""
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 def _load(**kwargs) -> Database:
@@ -152,7 +150,7 @@ class TestContentionTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Satellite: disable()/reset() cover every new instrument
+# reset() and the no-op floor cover every instrument
 # ----------------------------------------------------------------------
 
 def _full_workload(tmp_path):
@@ -205,18 +203,21 @@ class TestResetEmptyEquivalence:
         database = _full_workload(tmp_path)
         database.reset_clock()
         obs.reset()
-        obs.disable()
         mdd = database.collection("obsv2")["img"]
-        mdd.read(DOMAIN)
-        with database.transaction():
-            mdd.update(
-                MInterval.parse("[0:3,0:3]"),
-                np.ones((4, 4), dtype=np.uint8),
-            )
+        # bench obs's floor is a floor only if every instrument mutates
+        # through the methods it empties
+        with noop_instruments():
+            mdd.read(DOMAIN)
+            with database.transaction():
+                mdd.update(
+                    MInterval.parse("[0:3,0:3]"),
+                    np.ones((4, 4), dtype=np.uint8),
+                )
         snap = obs.snapshot()
         assert all(v == 0 for v in snap["counters"].values())
+        assert all(v == 0 for v in snap["gauges"].values())
         assert all(h["count"] == 0 for h in snap["histograms"].values())
-        # The switch freezes the registry only: the access log is an
+        # The floor freezes the registry only: the access log is an
         # input of the advisor and the rebalancer, and it records.
         assert [e.op for e in database.access_log.events()] == ["read", "write"]
         database.close()

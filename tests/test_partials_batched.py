@@ -50,14 +50,6 @@ BASES = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _obs_enabled():
-    was_registry = obs.registry.enabled
-    obs.enable()
-    yield
-    obs.registry.enabled = was_registry
-
-
 def _counter(name):
     return obs.registry.value(name)
 

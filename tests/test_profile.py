@@ -2,13 +2,17 @@
 
 A profile is a rendering of the query's own :class:`QueryTiming`: its
 stage walls are the executor's timers, so they exist (and reconcile)
-with observability off and are untouched by queries on other threads.
+with every registry instrument patched to a no-op and are untouched by
+queries on other threads.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.bench.obsbench import noop_instruments
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.query.profile import profile_read
@@ -21,12 +25,9 @@ IMG = mdd_type("ProfImg", "char", str(DOMAIN))
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry = obs.registry.enabled
-    obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 def _load(**kwargs) -> Database:
@@ -127,8 +128,8 @@ class TestProfileRead:
 
     def test_profile_with_obs_disabled_still_reconciles_model(self):
         database = _load()
-        obs.disable()
-        profile = database.profile("prof", "img", DOMAIN)
+        with noop_instruments():  # bench obs's floor: the registry records nothing
+            profile = database.profile("prof", "img", DOMAIN)
         assert profile.modelled_reconciles
         assert profile.wall_reconciles() is True
         assert all(stage.wall_ms is not None for stage in profile.stages)
@@ -168,7 +169,8 @@ def _shape(profile) -> list:
 
 
 class TestObsIndependence:
-    """Observability on or off, the profile is the same rendering."""
+    """With the registry live or patched to no-ops (``bench obs``'s
+    floor), the profile is the same rendering: it reads no metric."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -186,11 +188,11 @@ class TestObsIndependence:
         if "predicate" in kwargs:
             kwargs = dict(kwargs, predicate=parse_predicate(kwargs["predicate"]))
         profiles = []
-        for enabled in (True, False):
-            obs.enable() if enabled else obs.disable()
-            database = _load(compression=True)
-            database.reset_clock()
-            profiles.append(database.profile("prof", "img", DOMAIN, **kwargs))
+        for floor in (contextlib.nullcontext(), noop_instruments()):
+            with floor:
+                database = _load(compression=True)
+                database.reset_clock()
+                profiles.append(database.profile("prof", "img", DOMAIN, **kwargs))
         on, off = profiles
         assert _shape(off) == _shape(on)
         assert _counters(off) == _counters(on)

@@ -307,7 +307,7 @@ class TestPartialEligibility:
 # ----------------------------------------------------------------------
 
 class TestPeakMemoryBound:
-    def test_peak_bounded_by_workers_times_tile(self):
+    def test_peak_bounded_by_one_tile(self):
         data = (np.arange(64 * 64, dtype=np.int32) % 101).reshape(64, 64)
         db, obj, composed = _build(data, "long", (8, 8), io_workers=4)
         engine = QueryEngine(db)

@@ -28,12 +28,9 @@ CUBE = mdd_type("RecordCube", "long", str(DOMAIN))
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry = obs.registry.enabled
-    obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 # ----------------------------------------------------------------------

@@ -47,12 +47,9 @@ DATA = cube_data()
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry = obs.registry.enabled
-    obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 @pytest.fixture()

@@ -57,14 +57,6 @@ ZONE_COUNTERS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _obs_enabled():
-    was_registry = obs.registry.enabled
-    obs.enable()
-    yield
-    obs.registry.enabled = was_registry
-
-
 def _cells(base: BaseType) -> np.ndarray:
     rng = np.random.default_rng(11)
     data = rng.integers(0, 100, size=DOMAIN.shape)

@@ -47,14 +47,6 @@ ZONE_COUNTERS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _obs_enabled():
-    was_registry = obs.registry.enabled
-    obs.enable()
-    yield
-    obs.registry.enabled = was_registry
-
-
 def _spans(draw, lo, hi):
     """Closed spans inside ``[lo, hi]``, gaps between them allowed; maybe
     one more overlapping the others, maybe out of order (the routing's

@@ -17,8 +17,8 @@ from repro.core.cells import base_type
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
 from repro.httpd import HttpServerHandle
-from repro.obs.server import _make_handler as make_metrics_handler
 from repro.serve import TileServer, wire
+from repro.serve.server import _make_handler
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 
@@ -27,12 +27,9 @@ DOMAIN = MInterval.parse("[0:63,0:63]")
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry = obs.registry.enabled
-    obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 def _build_database(compression: bool = True) -> tuple[Database, np.ndarray]:
@@ -532,12 +529,12 @@ class TestWire:
 
 
 # ----------------------------------------------------------------------
-# Satellite: the shared HTTP lifecycle helper
+# The HTTP lifecycle helper
 # ----------------------------------------------------------------------
 
 class TestHttpServerHandle:
     def _handler(self):
-        return make_metrics_handler(obs.registry)
+        return _make_handler(Database())
 
     def test_ephemeral_port_and_restart(self):
         handle = HttpServerHandle(self._handler(), port=0)
@@ -578,17 +575,3 @@ class TestHttpServerHandle:
                 laps.append(time.perf_counter() - started)
                 assert results[0]["value"] == np.count_nonzero(data)
         assert statistics.median(laps) < 0.020
-
-    def test_both_servers_share_the_helper(self, served):
-        # the tile server and the metrics server both delegate their
-        # socket lifecycle to HttpServerHandle
-        from repro.obs.server import MetricsServer
-
-        _db, _data, server = served
-        assert isinstance(server._handle, HttpServerHandle)
-        with MetricsServer(port=0) as metrics:
-            assert isinstance(metrics._handle, HttpServerHandle)
-            status, _headers, _body = _get(
-                f"http://127.0.0.1:{metrics.port}/healthz"
-            )
-            assert status == 200

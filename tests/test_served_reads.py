@@ -51,12 +51,9 @@ READS = (
 
 @pytest.fixture(autouse=True)
 def _obs_clean():
-    was_registry = obs.registry.enabled
-    obs.enable()
     obs.reset()
     yield
     obs.reset()
-    obs.registry.enabled = was_registry
 
 
 def _build() -> Database:

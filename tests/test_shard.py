@@ -1,12 +1,13 @@
 """Sharded multi-store: placement, scatter-gather identity, replication,
 failover, and rebalancing — every distributed claim tested directly."""
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.bench.obsbench import noop_instruments
 from repro.core.errors import (
     DomainError,
     GeometryError,
@@ -300,14 +301,6 @@ def _racing(part, commit):
     part._reader_view = view
 
 
-@pytest.fixture
-def _obs_on():
-    was = obs.registry.enabled
-    obs.enable()
-    yield
-    obs.registry.enabled = was
-
-
 class TestPinnedCut:
     def test_open_bounds_resolve_against_the_pinned_views(self):
         """A single-shard commit between resolving ``[0:*,0:*]`` and
@@ -327,7 +320,7 @@ class TestPinnedCut:
         assert got.tobytes() == data[:48].tobytes()
         assert all(db.epoch.active_pins == 0 for db in sdb.shards)
 
-    def test_lost_seqlock_race_repins_without_requerying(self, _obs_on):
+    def test_lost_seqlock_race_repins_without_requerying(self):
         data = _data()
         holes = [
             Tile(box, data[box.to_slices((0, 0))].copy())
@@ -717,20 +710,16 @@ class TestRebalance:
 
     def test_loads_and_moves_ignore_the_obs_switch(self):
         """The access log is the rebalancer's input, not telemetry: the
-        same reads give the same loads and the same move with the
-        observability registry off."""
+        same reads give the same loads and the same move with every
+        registry instrument patched to a no-op (``bench obs``'s floor)."""
         outcomes = []
-        was_enabled = obs.registry.enabled
-        try:
-            for enabled in (True, False):
-                obs.registry.enabled = enabled
+        for floor in (nullcontext(), noop_instruments()):
+            with floor:
                 sdb, obj = _sharded(_data(), 2)
                 self._hot_workload(obj)
                 loads = Rebalancer(sdb).shard_loads()
                 report = Rebalancer(sdb).rebalance_once()
                 outcomes.append((loads, report, obj.tiles_per_shard()))
-        finally:
-            obs.registry.enabled = was_enabled
         (on_loads, on_report, on_tiles), off = outcomes
         assert on_report is not None and max(on_loads) > 0
         assert off == (on_loads, on_report, on_tiles)
