@@ -1,7 +1,7 @@
 """Benchmark harness: build schemes, run query sets, compute speedups.
 
 Reproduces the measurement protocol of Section 6: each tiling scheme gets
-its own database; every query runs cold (disk counters reset, pool
+its own database; every query runs cold (disk clock reset, pool
 cleared) and is repeated ``runs`` times with time components averaged —
 the paper used five runs per query.  With ``warm=True`` only the first
 run of each query is cold, so a buffer pool (``database_factory`` with
@@ -9,9 +9,9 @@ run of each query is cold, so a buffer pool (``database_factory`` with
 
 Every benchmark can emit a machine-readable ``BENCH_<label>.json``
 artifact — per-scheme load stats, per-query timing components, pool
-activity, and a snapshot of the :mod:`repro.obs` metrics registry — by
-passing ``artifact_dir`` (the CLI does) or setting the
-``REPRO_BENCH_ARTIFACTS`` environment variable.
+activity summed from those records, and a snapshot of the
+:mod:`repro.obs` metrics registry — by passing ``artifact_dir`` (the CLI
+does) or setting the ``REPRO_BENCH_ARTIFACTS`` environment variable.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ class SchemeRun:
     mdd: StoredMDD
     load: LoadStats
     timings: Dict[str, QueryTiming] = field(default_factory=dict)
+
+    def total(self) -> QueryTiming:
+        """The query set's records summed: one per-run average of each
+        query, so pool counts are those of one pass over the set."""
+        total = QueryTiming()
+        for timing in self.timings.values():
+            total.add(timing)
+        return total
 
     def average(self, component: str, queries: Sequence[str]) -> float:
         """Mean of one time component over a query subset."""
@@ -153,7 +161,7 @@ def _measure(
 ) -> QueryTiming:
     """Run a query ``runs`` times and average times *and* counters.
 
-    Cold protocol: every run starts from reset disk counters and an empty
+    Cold protocol: every run starts from a reset disk clock and an empty
     pool.  Warm protocol: only the first run is cold, so later runs hit
     the pool and the averaged counters show the cache effect.
     """
@@ -175,7 +183,7 @@ def write_artifact(
     """Write ``BENCH_<label>.json``: timings, pool stats, registry snapshot."""
     schemes = {}
     for name, run in results.runs.items():
-        pool = run.database.pool
+        pool, total = run.database.pool, run.total()
         schemes[name] = {
             "load": run.load.as_dict(),
             "tile_count": run.mdd.tile_count,
@@ -187,10 +195,10 @@ def write_artifact(
             "pool": (
                 {
                     "capacity_bytes": pool.capacity_bytes,
-                    "hits": pool.hits,
-                    "misses": pool.misses,
-                    "evictions": pool.evictions,
-                    "hit_rate": pool.hit_rate,
+                    "hits": total.pool_hits,
+                    "misses": total.pool_misses,
+                    "evictions": total.pool_evictions,
+                    "hit_rate": total.pool_hit_rate,
                 }
                 if pool is not None
                 else None

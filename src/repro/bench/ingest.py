@@ -67,6 +67,14 @@ def _sorted_tiles(database, data: np.ndarray) -> List[Tile]:
     return [Tile(d, data[d.to_slices(origin)]) for d in ordered]
 
 
+def _wal_counts() -> tuple[int, ...]:
+    """The registry's WAL fsync, commit and byte counters, now."""
+    return tuple(
+        int(obs.registry.value(name))
+        for name in ("wal.fsyncs", "wal.commits", "wal.bytes_written")
+    )
+
+
 def _ingest_once(
     directory: Path, mode: str, io_workers: int, data: np.ndarray
 ) -> dict:
@@ -80,7 +88,7 @@ def _ingest_once(
     )
     mdd = database.create_object("bench", sales_mdd_type(), "sales")
     tiles = _sorted_tiles(database, data)
-    database.wal.stats.reset()  # measure the ingest, not the setup
+    before = _wal_counts()  # measure the ingest, not the setup
     started = time.perf_counter()
     if mode == "serial":
         for tile in tiles:
@@ -88,9 +96,9 @@ def _ingest_once(
     else:
         mdd.write_tiles(tiles)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    stats = database.wal.stats
-    # snapshot the tallies now: reset_clock() zeroes the WAL stats too
-    fsyncs, commits, wal_bytes = stats.fsyncs, stats.commits, stats.bytes_written
+    fsyncs, commits, wal_bytes = (
+        after - start for after, start in zip(_wal_counts(), before)
+    )
     database.reset_clock()
     array, _timing = mdd.read(SALES_DOMAIN)
     result = {

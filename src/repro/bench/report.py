@@ -127,9 +127,8 @@ def activity_rows(
 ) -> str:
     """Per-query storage activity: tiles, pages, bytes, pool behaviour.
 
-    The buffer-pool columns report the counters the pool has always kept
-    but the reports never showed; without a pool they are all zero and
-    the hit rate reads 0%.
+    The buffer-pool columns are each query's own pool outcomes; without
+    a pool they are all zero and the hit rate reads 0%.
     """
     headers = [
         "query", "tiles", "pages", "KB", "pool hit", "pool miss",
@@ -152,7 +151,8 @@ def activity_rows(
 
 
 def pool_summary_rows(runs: Mapping[str, object]) -> str:
-    """Per-scheme buffer-pool totals (``runs`` maps name → SchemeRun)."""
+    """Per-scheme buffer-pool totals over the query set, summed from the
+    scheme's per-query records (``runs`` maps name → SchemeRun)."""
     headers = ["scheme", "capacity KB", "hits", "misses", "evict", "hit%"]
     rows = []
     for name, run in runs.items():
@@ -160,14 +160,15 @@ def pool_summary_rows(runs: Mapping[str, object]) -> str:
         if pool is None:
             rows.append([name, "-", "0", "0", "0", "-"])
         else:
+            total = run.total()  # type: ignore[attr-defined]
             rows.append(
                 [
                     name,
                     f"{pool.capacity_bytes / 1024:.0f}",
-                    str(pool.hits),
-                    str(pool.misses),
-                    str(pool.evictions),
-                    f"{pool.hit_rate * 100:.0f}",
+                    str(total.pool_hits),
+                    str(total.pool_misses),
+                    str(total.pool_evictions),
+                    f"{total.pool_hit_rate * 100:.0f}",
                 ]
             )
     return format_table(headers, rows, title="Buffer pool activity")

@@ -281,14 +281,14 @@ def profile_read(
     leads the ``format()`` output.
     """
     obj = database.collection(collection)[name]
-    disk_before = database.disk.counters.time_ms
+    disk_before = database.disk.time_ms
     started = time.perf_counter()
     if op is None:
         timing, pushed = obj.read(region, predicate=predicate)[1], False
     else:
         _value, timing, pushed = obj.aggregate_push(region, op, predicate=predicate)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    disk_delta = database.disk.counters.time_ms - disk_before
+    disk_delta = database.disk.time_ms - disk_before
     plan = None
     if op is not None:
         plan = QueryPlan(

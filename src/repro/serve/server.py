@@ -1,7 +1,6 @@
 """The tile server: a database behind REST (DESIGN §14).
 
-A zero-dependency threaded HTTP server (lifecycle in
-:class:`repro.httpd.HttpServerHandle`) exposing one
+A zero-dependency threaded HTTP server exposing one
 :class:`~repro.storage.tilestore.Database`, and the process's one
 metrics endpoint:
 
@@ -43,8 +42,9 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, unquote, urlparse
 
@@ -60,7 +60,6 @@ from repro.core.errors import (
 )
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
-from repro.httpd import HttpServerHandle
 from repro.obs import export
 from repro.query.engine import QueryEngine
 from repro.query.rasql import execute as rasql_execute
@@ -121,8 +120,31 @@ def _timing_dict(timing: QueryTiming) -> dict:
     return {key: record[key] for key in _WIRE_TIMING}
 
 
+class _NoDelayServer(ThreadingHTTPServer):
+    def get_request(self):
+        connection, address = super().get_request()
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection, address
+
+
 class TileServer:
-    """The database behind REST; start/stop or use as a context manager."""
+    """The database behind REST; start/stop or use as a context manager.
+
+    The server owns its socket and accept loop:
+
+    * ``port=0`` binds an ephemeral port, readable from :attr:`port`
+      as soon as :meth:`start` returns;
+    * ``SO_REUSEADDR`` is set before binding, so a restart on a
+      just-closed port does not fail with ``EADDRINUSE`` in
+      ``TIME_WAIT``;
+    * the accept loop and every request handler run on daemon threads,
+      so a process that exits never hangs on an open connection;
+    * ``TCP_NODELAY`` is set on every accepted connection: a response in
+      two writes (headers and body, or a partial send) would wait ~40 ms
+      under Nagle for the client's delayed ACK;
+    * :meth:`stop` is idempotent, and a stopped server can be started
+      again (a fresh socket is bound each time).
+    """
 
     def __init__(
         self,
@@ -131,34 +153,64 @@ class TileServer:
         port: int = 8765,
     ) -> None:
         self.database = database
-        self._handle = HttpServerHandle(
-            _make_handler(database),
-            host=host,
-            port=port,
-            thread_name="repro-tile-server",
-        )
+        self.host = host
+        self._requested_port = port
+        self._handler = _make_handler(database)
+        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._thread: Optional[threading.Thread] = None
 
     @property
     def port(self) -> int:
-        return self._handle.port
+        """The bound TCP port (the requested one before :meth:`start`)."""
+        if self._httpd is not None:
+            return self._httpd.server_address[1]
+        return self._requested_port
 
     @property
     def url(self) -> str:
-        return f"http://{self._handle.host}:{self.port}"
+        return f"http://{self.host}:{self.port}"
 
     @property
     def running(self) -> bool:
-        return self._handle.running
+        return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> "TileServer":
-        self._handle.start()
+        if self._httpd is not None:
+            raise RuntimeError("server already started")
+        # Bind here, not in the constructor, so SO_REUSEADDR is set
+        # before bind() and a failed bind leaves no half-open server.
+        httpd = _NoDelayServer(
+            (self.host, self._requested_port), self._handler, bind_and_activate=False
+        )
+        httpd.allow_reuse_address = True
+        httpd.daemon_threads = True
+        try:
+            httpd.server_bind()
+            httpd.server_activate()
+        except OSError:
+            httpd.server_close()
+            raise
+        self._httpd = httpd
+        self._thread = threading.Thread(
+            target=httpd.serve_forever, name="repro-tile-server", daemon=True
+        )
+        self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._handle.stop()
+        """Shut the accept loop down and close the socket (idempotent)."""
+        if self._httpd is None:
+            return
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        self._httpd = self._thread = None
 
     def join(self) -> None:
-        self._handle.join()
+        """Block until the accept loop exits (Ctrl-C to stop)."""
+        if self._thread is not None:
+            self._thread.join()
 
     def __enter__(self) -> "TileServer":
         return self.start()

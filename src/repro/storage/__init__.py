@@ -20,7 +20,6 @@ from repro.storage.compression import (
 from repro.storage.decodedcache import DecodedTileCache
 from repro.storage.disk import (
     CpuParameters,
-    DiskCounters,
     DiskParameters,
     SimulatedDisk,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "DURABILITY_MODES",
     "CpuParameters",
     "DecodedTileCache",
-    "DiskCounters",
     "DiskParameters",
     "FaultInjector",
     "FaultPlan",

@@ -9,9 +9,9 @@ retrieval), but the ablation benches use the pool to show how caching
 changes the regular-vs-arbitrary comparison.
 
 Each lookup returns its own outcome (:class:`PoolRead`), which the read
-pipeline sums into the query's record and the registry; the pool keeps
-local ``hits`` / ``misses`` / ``evictions`` tallies for reports.  The
-``pool.bytes_*`` counters, the admitted-size histogram and the
+pipeline sums into the query's record and the registry's ``pool.hits`` /
+``pool.misses`` / ``pool.evictions``; the pool keeps no tallies of its
+own.  The ``pool.bytes_*`` counters, the admitted-size histogram and the
 ``pool.used_bytes`` gauge take one update per :meth:`read_blobs` batch,
 inside its latch hold.
 """
@@ -64,12 +64,9 @@ class BufferPool:
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[int, bytes]" = OrderedDict()
         self._used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # Guards the LRU table, the local tallies, and the used-byte
-        # accounting (both self._used and its delta into the gauge), so
-        # concurrent admit/evict keeps gauge sums exact (DESIGN §11).
+        # Guards the LRU table and the used-byte accounting (both
+        # self._used and its delta into the gauge), so concurrent
+        # admit/evict keeps gauge sums exact (DESIGN §11).
         self._latch = OrderedLatch("pool", 45)
 
     @property
@@ -77,7 +74,7 @@ class BufferPool:
         return self._used
 
     def cached(self, blob_ids: Sequence[int]) -> list[bool]:
-        """Whether each payload is cached — a peek: no LRU touch, no tally."""
+        """Whether each payload is cached — a peek: no LRU touch, nothing counted."""
         with self._latch:
             return [blob_id in self._entries for blob_id in blob_ids]
 
@@ -104,11 +101,9 @@ class BufferPool:
                     payload = self._entries.get(blob_id)
                     if payload is not None:
                         self._entries.move_to_end(blob_id)
-                        self.hits += 1
                         evictions.append(None)
                     else:
                         payload = load(blob_id)
-                        self.misses += 1
                         missed.append(record)
                         evictions.append(self._admit(blob_id, payload, admitted, evicted))
                     payloads.append(payload)
@@ -133,16 +128,15 @@ class BufferPool:
         The admitted and evicted sizes are appended for the caller to count."""
         if len(payload) > self.capacity_bytes:
             return 0
-        before = self.evictions
+        before = len(evicted)
         while self._used + len(payload) > self.capacity_bytes and self._entries:
             _victim, victim = self._entries.popitem(last=False)
             self._used -= len(victim)
-            self.evictions += 1
             evicted.append(len(victim))
         self._entries[blob_id] = payload
         self._used += len(payload)
         admitted.append(len(payload))
-        return self.evictions - before
+        return len(evicted) - before
 
     def invalidate(self, blob_id: int) -> None:
         """Drop one entry (called on BLOB update/delete)."""
@@ -158,18 +152,3 @@ class BufferPool:
             self._entries.clear()
             _USED_BYTES.dec(self._used)
             self._used = 0
-
-    def reset_stats(self) -> None:
-        """Zero the local hit/miss/eviction tallies (measurement boundary).
-
-        Contents are untouched — clearing data and clearing counters are
-        different decisions; ``Database.reset_clock`` does both."""
-        with self._latch:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

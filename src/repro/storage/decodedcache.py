@@ -16,9 +16,10 @@ on the single-tile fast path), so a cached tile can never be corrupted by
 a consumer.
 
 Admissions happen after a fetch batch, in page order, in one
-:meth:`put_many`.  Activity is mirrored into the :mod:`repro.obs`
-registry under ``cache.decoded.*``, once per batch — hits and misses by
-the read pipeline, admissions and evictions by :meth:`put_many`; the
+:meth:`put_many`.  The cache keeps no tallies: activity is counted once,
+in the :mod:`repro.obs` registry under ``cache.decoded.*``, once per
+batch — hits and misses by the read pipeline (which also puts them in
+the query's record), admissions and evictions by :meth:`put_many`; the
 ``used_bytes`` gauge is delta-maintained, so several caches (one per
 :class:`~repro.storage.tilestore.Database`) sum instead of overwriting.
 """
@@ -66,11 +67,8 @@ class DecodedTileCache:
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # Guards the LRU table, tallies, and used-byte accounting (local
-        # count + gauge delta move together) — see DESIGN §11.
+        # Guards the LRU table and used-byte accounting (local count +
+        # gauge delta move together) — see DESIGN §11.
         self._latch = OrderedLatch("cache.decoded", 70)
 
     # ------------------------------------------------------------------
@@ -78,12 +76,12 @@ class DecodedTileCache:
     # ------------------------------------------------------------------
 
     def get(self, blob_id: int) -> Optional[np.ndarray]:
-        """The decoded tile, or ``None`` on a miss (counted either way)."""
+        """The decoded tile, or ``None`` on a miss."""
         return self.get_many((blob_id,))[0]
 
     def get_many(self, blob_ids: Sequence[int]) -> list[Optional[np.ndarray]]:
         """:meth:`get` for a batch under one latch acquisition: per id, in
-        order, a hit (promoted to most recently used) or a miss, tallied."""
+        order, a hit (promoted to most recently used) or a miss."""
         found: list[Optional[np.ndarray]] = []
         with self._latch:
             entries = self._entries
@@ -92,13 +90,10 @@ class DecodedTileCache:
                 if array is not None:
                     entries.move_to_end(blob_id)
                 found.append(array)
-            hits = sum(array is not None for array in found)
-            self.hits += hits
-            self.misses += len(found) - hits
         return found
 
     def peek(self, blob_id: int) -> Optional[np.ndarray]:
-        """Like :meth:`get` but without counters or LRU promotion."""
+        """Like :meth:`get` but without LRU promotion."""
         with self._latch:
             return self._entries.get(blob_id)
 
@@ -135,7 +130,6 @@ class DecodedTileCache:
                 self._used += size
                 admitted.append(size)
             if admitted:
-                self.evictions += len(evicted)
                 _EVICTIONS.inc(len(evicted))
                 _BYTES_EVICTED.inc(sum(evicted))
                 _BYTES_ADMITTED.inc(sum(admitted))
@@ -172,16 +166,6 @@ class DecodedTileCache:
             self._discard_bytes(self._used)
             self._entries.clear()
 
-    def reset_stats(self) -> None:
-        """Zero the local hit/miss/eviction tallies (measurement boundary).
-
-        Contents are untouched — clearing data and clearing counters are
-        different decisions; ``Database.reset_clock`` does both."""
-        with self._latch:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -196,14 +180,8 @@ class DecodedTileCache:
     def __contains__(self, blob_id: object) -> bool:
         return blob_id in self._entries
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:
         return (
             f"DecodedTileCache(used={self._used}/{self.capacity_bytes} B, "
-            f"entries={len(self._entries)}, hits={self.hits}, "
-            f"misses={self.misses})"
+            f"entries={len(self._entries)})"
         )

@@ -13,6 +13,11 @@ and the random-vs-sequential access pattern.  Defaults approximate the
 paper's era: 8 ms seek, 7200 rpm, 5 MB/s effective transfer through the
 object store, a 2 ms settle for short forward skips, and a 1 ms per-BLOB
 dereference overhead on 8 KiB pages.
+
+The disk keeps only simulator state: the head and the modelled read
+clock.  Its activity is counted once per event, in the registry's
+``disk.*`` counters across the process and in the caller's
+:class:`~repro.query.timing.QueryTiming` for one query.
 """
 
 from __future__ import annotations
@@ -145,40 +150,20 @@ class CpuParameters:
         ) * 1000.0
 
 
-@dataclass
-class DiskCounters:
-    """Accumulated activity since the last reset."""
-
-    blob_reads: int = 0
-    pages_read: int = 0
-    random_accesses: int = 0
-    short_skips: int = 0
-    sequential_reads: int = 0
-    bytes_read: int = 0
-    time_ms: float = 0.0
-    # WAL appends and page-file data writes are accounted separately from
-    # time_ms: write-path cost must not pollute the paper's t_o, which
-    # measures retrieval only.
-    wal_appends: int = 0
-    wal_pages: int = 0
-    wal_ms: float = 0.0
-    data_writes: int = 0
-    pages_written: int = 0
-    data_write_ms: float = 0.0
-
-    def snapshot(self) -> "DiskCounters":
-        return DiskCounters(**vars(self))
-
-
 class SimulatedDisk:
     """The disk's state: the head (the last page touched, shared by reads
-    and writes as on a real spindle), the counters and the latch.  Every
-    charge is one latch hold around one :func:`price` call over a batch.
+    and writes as on a real spindle) and the modelled read clock
+    ``time_ms``.  Every charge is one :func:`price` call over a batch, the
+    head-moving ones under the latch; its activity is counted in the
+    registry (``disk.*``) and in the caller's query record.
     """
 
     def __init__(self, parameters: DiskParameters | None = None) -> None:
         self.parameters = parameters or DiskParameters()
-        self.counters = DiskCounters()
+        #: Modelled read milliseconds since the last :meth:`reset` — the
+        #: clock ``profile_read`` reconciles against ``t_o + t_ix_pages``.
+        #: Writes and log appends never advance it.
+        self.time_ms = 0.0
         self._head: Optional[int] = None
         self._latch = OrderedLatch("disk", 50)
 
@@ -200,29 +185,21 @@ class SimulatedDisk:
     def _read(
         self, runs: Sequence[Optional[PageRange]], overhead=0.0, blobs=0, byte_size=0
     ) -> list[float]:
-        """One latch hold pricing read-side items into the read counters;
-        an empty batch (a chunk of pool hits) takes no latch."""
+        """One latch hold pricing read-side items onto the clock; an empty
+        batch (a chunk of pool hits) takes no latch."""
         if not runs:
             return []
-        pages = sum(1 if run is None else run.count for run in runs)
-        counters = self.counters
         with self._latch:
             priced, self._head = price(self.parameters, self._head, runs)
             for cost, _regime in priced:
-                counters.time_ms += cost  # then the overhead (0.0 for index nodes:
-                counters.time_ms += overhead  # no bit changes): t_o's bits depend on it
-            regimes = Counter(regime for _cost, regime in priced)
-            counters.sequential_reads += regimes[SEQUENTIAL]
-            counters.short_skips += regimes[SHORT_SKIP]
-            counters.random_accesses += regimes[RANDOM]
-            counters.pages_read += pages
-            counters.blob_reads += blobs
-            counters.bytes_read += byte_size
+                self.time_ms += cost  # then the overhead (0.0 for index nodes:
+                self.time_ms += overhead  # no bit changes): t_o's bits depend on it
         costs = [cost + overhead for cost, _regime in priced]
+        regimes = Counter(regime for _cost, regime in priced)
         _SEQUENTIAL_READS.inc(regimes[SEQUENTIAL])
         _SHORT_SKIPS.inc(regimes[SHORT_SKIP])
         _RANDOM_ACCESSES.inc(regimes[RANDOM])
-        _PAGES_READ.inc(pages)
+        _PAGES_READ.inc(sum(1 if run is None else run.count for run in runs))
         _BLOB_READS.inc(blobs)
         _BYTES_READ.inc(byte_size)
         _MODEL_MS.inc(sum(costs))
@@ -230,21 +207,16 @@ class SimulatedDisk:
 
     def charge_writes(self, runs: Sequence[PageRange]) -> list[float]:
         """Charge coalesced page-file write runs, in order: they move the
-        shared head, but land in the ``data_write`` counters (regimes not
-        counted) — write-path overhead must not inflate the paper's
-        ``t_o``.  A run of coalesced blobs pays one positioning."""
+        shared head, but not the read clock (regimes not counted) —
+        write-path overhead must not inflate the paper's ``t_o``.  A run
+        of coalesced blobs pays one positioning."""
         if not runs:
             return []
-        pages = sum(run.count for run in runs)
         with self._latch:
             priced, self._head = price(self.parameters, self._head, runs)
-            for cost, _regime in priced:
-                self.counters.data_write_ms += cost
-            self.counters.data_writes += len(runs)
-            self.counters.pages_written += pages
         costs = [cost for cost, _regime in priced]
         _DATA_WRITES.inc(len(runs))
-        _PAGES_WRITTEN.inc(pages)
+        _PAGES_WRITTEN.inc(sum(run.count for run in runs))
         _DATA_WRITE_MS.inc(sum(costs))
         return costs
 
@@ -254,28 +226,21 @@ class SimulatedDisk:
         The log is the one strictly sequential write stream in the
         system, so an append pays only transfer time for its pages; a
         synchronous commit (``fsync``) additionally waits half a rotation
-        for the platter.  Charged into the separate ``wal_*`` counters —
-        durability overhead is reported next to, not inside, the paper's
-        ``t_o``.
+        for the platter.  Counted under ``disk.wal_*``, off the read clock
+        and the head — durability overhead is reported next to, not
+        inside, the paper's ``t_o``.
         """
         pages = pages_needed(byte_count, self.parameters.page_size)
         cost = pages * self.parameters.transfer_ms_per_page()
         if fsync:
             cost += self.parameters.rotation_ms / 2.0
-        with self._latch:
-            self.counters.wal_appends += 1
-            self.counters.wal_pages += pages
-            self.counters.wal_ms += cost
         _WAL_APPENDS.inc()
         _WAL_PAGES.inc(pages)
         _WAL_MS.inc(cost)
         return cost
 
-    def reset(self) -> DiskCounters:
-        """Zero the counters and forget head position; returns the old
-        counters for inspection."""
+    def reset(self) -> None:
+        """Zero the read clock and forget the head position."""
         with self._latch:
-            old = self.counters
-            self.counters = DiskCounters()
+            self.time_ms = 0.0
             self._head = None
-        return old

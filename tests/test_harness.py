@@ -1,11 +1,16 @@
 """Unit tests for the benchmark harness on a small synthetic workload."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.bench.harness import geometric_mean, run_benchmark
+from repro.bench.report import pool_summary_rows
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
+from repro.storage.tilestore import Database
 from repro.tiling.aligned import AlignedTiling, RegularTiling
 from repro.tiling.interest import AreasOfInterestTiling
 
@@ -80,6 +85,36 @@ class TestRunBenchmark:
         timing = results.runs["Reg"].timings["hot"]
         assert timing.t_o > 0
         assert timing.bytes_read > 0
+
+
+class TestPoolSummary:
+    """The "Buffer pool activity" table and the artifact's ``pool`` block
+    cover the whole query set: they are summed from the scheme's records,
+    which a cold boundary between runs cannot zero."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pool_totals_sum_the_records(self, tmp_path, warm):
+        data = (np.indices((64, 64)).sum(axis=0) % 200).astype(np.uint8)
+        results = run_benchmark(
+            {"Reg": RegularTiling(256)}, IMG, data, QUERIES, runs=3, warm=warm,
+            database_factory=lambda: Database(buffer_bytes=2048),
+            label="pool", artifact_dir=tmp_path,
+        )
+        timings = list(results.runs["Reg"].timings.values())
+        hits = sum(timing.pool_hits for timing in timings)
+        misses = sum(timing.pool_misses for timing in timings)
+        evictions = sum(timing.pool_evictions for timing in timings)
+        assert misses > max(timing.pool_misses for timing in timings) > 0
+        assert (hits > 0) == warm
+
+        block = json.loads(Path(results.artifact_path).read_text())["schemes"]["Reg"]["pool"]
+        assert (block["hits"], block["misses"], block["evictions"]) == (hits, misses, evictions)
+        assert block["hit_rate"] == pytest.approx(hits / (hits + misses))
+        *_, row = pool_summary_rows(results.runs).splitlines()
+        assert row.split() == [
+            "Reg", "2", str(hits), str(misses), str(evictions),
+            f"{hits / (hits + misses) * 100:.0f}",
+        ]
 
 
 class TestGeometricMean:

@@ -30,6 +30,7 @@ from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.storage.fsck import fsck_database
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
+from tests.counted import counted
 
 CUBE = mdd_type("IngestCube", "long", "[0:127,0:127]")
 REGION = MInterval.parse("[0:127,0:127]")
@@ -123,10 +124,10 @@ class TestGroupCommit:
         )
         obj = database.create_object("ingest", CUBE, "cube")
         tiles = tile_batch(database)
-        database.wal.stats.reset()
-        obj.write_tiles(tiles)
-        assert database.wal.stats.commits == 1
-        assert database.wal.stats.fsyncs == 1
+        with counted() as delta:
+            obj.write_tiles(tiles)
+        assert delta["wal.commits"] == 1
+        assert delta["wal.fsyncs"] == 1
         database.close()
 
     def test_serial_commits_once_per_tile(self, tmp_path):
@@ -135,11 +136,11 @@ class TestGroupCommit:
         )
         obj = database.create_object("ingest", CUBE, "cube")
         tiles = tile_batch(database)
-        database.wal.stats.reset()
-        for tile in tiles:
-            obj.insert_tile(tile)
-        assert database.wal.stats.commits == len(tiles)
-        assert database.wal.stats.fsyncs == len(tiles)
+        with counted() as delta:
+            for tile in tiles:
+                obj.insert_tile(tile)
+        assert delta["wal.commits"] == len(tiles)
+        assert delta["wal.fsyncs"] == len(tiles)
         database.close()
 
     def test_load_array_is_one_transaction(self, tmp_path):
@@ -147,11 +148,11 @@ class TestGroupCommit:
             tmp_path / "load", durability="wal+fsync", compression=True
         )
         obj = database.create_object("ingest", CUBE, "cube")
-        database.wal.stats.reset()
-        obj.load_array(cube_data(), RegularTiling(TILE_BYTES))
+        with counted() as delta:
+            obj.load_array(cube_data(), RegularTiling(TILE_BYTES))
         # one commit for the tiles + object_domain meta record together
-        assert database.wal.stats.commits == 1
-        assert database.wal.stats.fsyncs == 1
+        assert delta["wal.commits"] == 1
+        assert delta["wal.fsyncs"] == 1
         database.close()
 
 
@@ -189,12 +190,12 @@ class TestCoalescedWrites:
         )
         obj = database.create_object("ingest", CUBE, "cube")
         database.reset_clock()
-        obj.write_tiles(tile_batch(database))
-        counters = database.disk.counters
-        assert counters.data_writes >= 1
-        assert counters.pages_written > 0
-        assert counters.data_write_ms > 0.0
-        assert counters.time_ms == 0.0  # write cost never pollutes t_o
+        with counted() as delta:
+            obj.write_tiles(tile_batch(database))
+        assert delta["disk.data_writes"] >= 1
+        assert delta["disk.pages_written"] > 0
+        assert delta["disk.data_write_ms"] > 0.0
+        assert delta["disk.model_ms"] == database.disk.time_ms == 0.0  # never t_o
         database.close()
 
 

@@ -10,8 +10,10 @@ from repro.bench.obsbench import noop_instruments
 from repro.bench.harness import run_benchmark
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
+from repro.storage.catalog import create_database
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
+from tests.counted import counted
 
 DOMAIN = MInterval.parse("[0:63,0:63]")
 IMG = mdd_type("ObsImg", "char", str(DOMAIN))
@@ -43,6 +45,32 @@ class TestCounterDeltas:
         assert delta("disk.blob_reads") == delta("pool.misses")
         assert delta("pool.misses") == timing.tiles_read  # cold first read
         assert delta("pool.hits") == timing.tiles_read  # warm second read
+
+    def test_registry_is_the_disk_clock_and_the_pool_misses(self, tmp_path):
+        """The registry is the one account of the disk's activity: over a
+        mixed sequence on a file store with a pool, ``disk.model_ms``
+        moves with the disk's own clock, and every disk BLOB read is a
+        pool miss."""
+        database = create_database(tmp_path / "db", buffer_bytes=2048)
+        mdd = database.create_object("obs", IMG, "img")
+        data = (np.indices((64, 64)).sum(axis=0) % 251).astype(np.uint8)
+        mdd.load_array(data, RegularTiling(1024))
+        database.reset_clock()
+        left, box = MInterval.parse("[0:63,0:31]"), MInterval.parse("[8:40,8:40]")
+        clock = database.disk.time_ms
+        with counted() as delta:
+            mdd.read(left)  # cold
+            mdd.read(left)  # warm
+            mdd.read(DOMAIN)  # half warm, and evicting
+            mdd.aggregate_push(DOMAIN, "add_cells")
+            mdd.update(box, np.zeros(box.shape, dtype=np.uint8))
+            mdd.read(box)
+        assert delta["disk.model_ms"] == pytest.approx(
+            database.disk.time_ms - clock, rel=0, abs=1e-6
+        )
+        assert delta["disk.blob_reads"] == delta["pool.misses"] > 0
+        assert delta["pool.hits"] > 0 and delta["pool.evictions"] > 0
+        database.close()
 
     def test_query_timing_reports_pool_activity(self):
         database = _load(buffer_bytes=64 * 1024)

@@ -8,7 +8,6 @@ decoded-tile cache turns repeat reads into zero-disk, zero-decode hits
 that are invalidated by updates.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.storage.pipeline import fetch_tile, fetch_tile_partials, fetch_tiles
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 from repro.tiling.directional import DirectionalTiling
+from tests.counted import counted
 
 CUBE = mdd_type("Cube", "long", "[0:127,0:127]")
 
@@ -295,21 +295,24 @@ def _per_blob(db, entry, dtype):
         array = cache.get(entry.blob_id)
         if array is not None:
             size = db.store.record(entry.blob_id).byte_size
-            return array.tobytes(), 0.0, size, True
+            return array.tobytes(), 0.0, size, True, None, 0
     payload, read = db.read_blobs(db.store.records([entry.blob_id]), {})[0]
-    cost = read.cost
+    pool = read.hit, read.evicted
     if entry.virtual:
-        return None, cost, len(payload), False
+        return None, read.cost, len(payload), False, *pool
     raw = decompress(payload, entry.codec)
     array = np.frombuffer(raw, dtype=dtype).reshape(entry.domain.shape)
     if cache is not None:
         cache.put(entry.blob_id, array)
-    return array.tobytes(), cost, len(payload), False
+    return array.tobytes(), read.cost, len(payload), False, *pool
 
 
 def _outcome(tile):
     cells = None if tile.array is None else tile.array.tobytes()
-    return cells, tile.cost, tile.payload_bytes, tile.decoded_hit
+    return (
+        cells, tile.cost, tile.payload_bytes, tile.decoded_hit,
+        tile.pool_hit, tile.pool_evicted,
+    )
 
 
 ROUTES = {
@@ -320,19 +323,14 @@ ROUTES = {
 
 
 def _cache_state(db):
+    """The disk's clock and head, and both caches' LRU contents."""
     pool, decoded = db.pool, db.decoded_cache
     return (
-        dataclasses.asdict(db.disk.counters),
-        None
-        if pool is None
-        else (pool.hits, pool.misses, pool.evictions, list(pool._entries)),
+        (db.disk.time_ms, db.disk._head),
+        None if pool is None else list(pool._entries),
         None
         if decoded is None
-        else (
-            decoded.hits,
-            decoded.misses,
-            [(k, a.tobytes()) for k, a in decoded._entries.items()],
-        ),
+        else [(k, a.tobytes()) for k, a in decoded._entries.items()],
     )
 
 
@@ -368,14 +366,15 @@ class TestSingleTileFetch:
         }
         outcomes, state = walks["per_blob"]
         assert walks["fetch_tile"] == walks["fetch_tiles"] == (outcomes, state)
-        for visit, (cells, cost, _size, hit) in zip(self.VISITS, outcomes):
+        for visit, (cells, cost, _size, hit, *_pool) in zip(self.VISITS, outcomes):
             assert (cells is None) == (visit == 9)  # the virtual tile
             assert hit or cost > 0.0 or bool(buffer_bytes)
-        assert any(hit for *_, hit in outcomes) == bool(decoded_cache_bytes)
-        if buffer_bytes:
-            assert state[1][0] > 0 and state[1][2] > 0  # hits and evictions
+        assert any(outcome[3] for outcome in outcomes) == bool(decoded_cache_bytes)
+        if buffer_bytes:  # hits and evictions
+            assert any(outcome[4] for outcome in outcomes)
+            assert sum(outcome[5] for outcome in outcomes) > 0
         if decoded_cache_bytes:
-            assert 0 < len(state[2][2]) < 9  # admitted, and evicting
+            assert 0 < len(state[2]) < 9  # admitted, and evicting
 
     def test_routes_agree_on_a_pending_blob(self, tmp_path):
         def walk(name, route):
@@ -434,14 +433,14 @@ class TestReducedBatch:
                 obj.read(MInterval.parse("[0:50,0:127]"))
             cache = db.decoded_cache
             cached = list(cache._entries)
-            hits = cache.hits
             items = _page_ordered_items(db, obj, self.REGION)
             assert len(items) == 9
             assert 0 < len(cached) < 9 if warm else not cached
 
-            fetched, peak = fetch_tile_partials(
-                db, items, DTYPE, predicate=predicate, default=0
-            )
+            with counted() as delta:
+                fetched, peak = fetch_tile_partials(
+                    db, items, DTYPE, predicate=predicate, default=0
+                )
 
             mirror = cube_data()
             for (entry, (part,)), tile in zip(items, fetched):
@@ -454,7 +453,7 @@ class TestReducedBatch:
                 assert tile.decoded_hit == (entry.blob_id in cached)
             # consulted, answered from, never admitted to
             assert sorted(cache._entries) == sorted(cached)
-            assert cache.hits - hits == len(cached)
+            assert delta["cache.decoded.hits"] == len(cached)
             largest = max(e.domain.cell_count for e, _ in items) * DTYPE.itemsize
             assert peak == largest  # exactly one tile alive at a time
         finally:

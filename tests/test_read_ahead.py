@@ -24,6 +24,7 @@ from repro.storage.backends import FileBlobStore
 from repro.storage.blob import BlobStore
 from repro.storage.catalog import create_database, open_database, save_database
 from repro.tiling.aligned import RegularTiling
+from tests.counted import counted, counts
 
 CUBE = mdd_type("Cube", "ulong", "[0:767,0:767]")
 FULL = MInterval.parse("[0:767,0:767]")
@@ -119,11 +120,12 @@ class TestPinnedToPerBlobBehaviour:
 
         monkeypatch.setattr(BlobStore, "get", spy)
         try:
-            results = run(obj)
+            with counted() as delta:
+                results = run(obj)
             return (
                 results,
-                dataclasses.asdict(db.disk.counters),
-                (db.pool.hits, db.pool.misses, db.pool.evictions),
+                (db.disk.time_ms, counts(delta, "disk.")),
+                counts(delta, "pool."),
                 list(db.pool._entries),
                 len(per_blob_reads),
             )
@@ -182,9 +184,10 @@ class TestPinnedToPerBlobBehaviour:
             db = open_database(stored, io_workers=io_workers)
             obj = db.collection("cubes")["c"]
             try:
-                reads = [obj.read(region) for region in (LEFT, FULL)]
-                pushed = obj.aggregate_push(FULL, "count_cells", predicate=above)
-                return reads, pushed[:2], dataclasses.asdict(db.disk.counters)
+                with counted() as delta:
+                    reads = [obj.read(region) for region in (LEFT, FULL)]
+                    pushed = obj.aggregate_push(FULL, "count_cells", predicate=above)
+                return reads, pushed[:2], (db.disk.time_ms, counts(delta, "disk."))
             finally:
                 monkeypatch.undo()
                 shut(db)

@@ -145,7 +145,7 @@ def _read_stored(root, obj, mirror, default):
 
 
 def _clock(root) -> float:
-    return sum(db.disk.counters.time_ms for db in getattr(root, "shards", [root]))
+    return sum(db.disk.time_ms for db in getattr(root, "shards", [root]))
 
 
 def _tile_plan(root, obj, mirror, default):

@@ -1,4 +1,4 @@
-"""Tile server, wire formats, parallel client, and the shared HTTP helper."""
+"""Tile server, wire formats, parallel client, and the server's HTTP lifecycle."""
 
 import json
 import statistics
@@ -16,9 +16,7 @@ from repro.client import Client, ClientError
 from repro.core.cells import base_type
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
-from repro.httpd import HttpServerHandle
 from repro.serve import TileServer, wire
-from repro.serve.server import _make_handler
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 
@@ -529,39 +527,36 @@ class TestWire:
 
 
 # ----------------------------------------------------------------------
-# The HTTP lifecycle helper
+# The server's HTTP lifecycle
 # ----------------------------------------------------------------------
 
-class TestHttpServerHandle:
-    def _handler(self):
-        return _make_handler(Database())
-
+class TestTileServerLifecycle:
     def test_ephemeral_port_and_restart(self):
-        handle = HttpServerHandle(self._handler(), port=0)
-        handle.start()
-        first_port = handle.port
+        server = TileServer(Database(), port=0)
+        server.start()
+        first_port = server.port
         assert first_port != 0
-        assert handle.running
-        handle.stop()
-        assert not handle.running
-        handle.start()
-        assert handle.running
-        handle.stop()
+        assert server.running
+        server.stop()
+        assert not server.running
+        server.start()
+        assert server.running
+        server.stop()
 
     def test_start_twice_raises(self):
-        handle = HttpServerHandle(self._handler(), port=0)
-        handle.start()
+        server = TileServer(Database(), port=0)
+        server.start()
         try:
             with pytest.raises(RuntimeError):
-                handle.start()
+                server.start()
         finally:
-            handle.stop()
+            server.stop()
 
     def test_stop_is_idempotent(self):
-        handle = HttpServerHandle(self._handler(), port=0)
-        handle.start()
-        handle.stop()
-        handle.stop()  # no error
+        server = TileServer(Database(), port=0)
+        server.start()
+        server.stop()
+        server.stop()  # no error
 
     def test_response_body_does_not_wait_for_delayed_ack(self, served):
         # headers and body are two sends; without TCP_NODELAY on the

@@ -18,6 +18,7 @@ from repro.storage.wal import (
     encode_blob_put2,
     scan_wal,
 )
+from tests.counted import counted
 
 
 def _record(blob_id=1, start=0, count=1, payload=b"abcd", virtual=False):
@@ -144,14 +145,15 @@ class TestWriteAheadLog:
     def test_commit_charges_modelled_disk(self, tmp_path):
         disk = SimulatedDisk()
         wal = WriteAheadLog(tmp_path / "wal.log", fsync=False, disk=disk)
-        wal.log_meta({"op": "x"})
-        wal.commit()
+        with counted() as delta:
+            wal.log_meta({"op": "x"})
+            wal.commit()
         wal.close()
-        assert disk.counters.wal_appends == 1
-        assert disk.counters.wal_pages >= 1
-        assert disk.counters.wal_ms > 0.0
+        assert delta["disk.wal_appends"] == delta["wal.commits"] == 1
+        assert delta["disk.wal_pages_written"] >= 1
+        assert delta["disk.wal_ms"] > 0.0
         # durability cost must never leak into the paper's t_o clock
-        assert disk.counters.time_ms == 0.0
+        assert delta["disk.model_ms"] == disk.time_ms == 0.0
 
 
 class TestScan:

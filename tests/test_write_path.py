@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.errors import DomainError, StorageError
 from repro.core.geometry import MInterval
 from repro.core.mdd import Tile
@@ -33,6 +34,7 @@ from repro.storage.catalog import create_database, open_database, save_database
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 from tests import write_oracle
+from tests.counted import counted
 
 CUBE = mdd_type("WriteCube", "long", "[0:127,0:127]")
 DEFINITION = MInterval.parse("[0:127,0:127]")
@@ -115,10 +117,9 @@ def close(store) -> None:
         db.store.close()
 
 
-def delta(before, after) -> dict:
-    return {
-        name: value - getattr(before, name) for name, value in vars(after).items()
-    }
+def disk_charges(delta) -> dict:
+    """The ``disk.*`` entries of a registry delta."""
+    return {name: value for name, value in delta.items() if name.startswith("disk.")}
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +149,11 @@ def test_batch_update_matches_per_tile_oracle(tmp_path, durability, compression,
     for (step, left_write), (_, right_write) in zip(left, right):
         charges = []
         for db, write in ((left_db, left_write), (right_db, right_write)):
-            before = db.disk.counters.snapshot()
-            write()
-            charges.append(delta(before, db.disk.counters))
-        assert charges[0] == charges[1], step
+            with counted() as charged:
+                write()
+            charges.append(disk_charges(charged))
+        assert charges[0] == pytest.approx(charges[1]), step
+        assert left_db.disk.time_ms == right_db.disk.time_ms, step
         for name in ("wal.log", "blobs.pages"):
             assert (left_dir / name).read_bytes() == (right_dir / name).read_bytes(), (step, name)
         assert sorted(left_db.store.blob_ids()) == sorted(right_db.store.blob_ids()), step
@@ -202,9 +204,13 @@ def test_random_updates_match_per_tile_oracle(boxes, seed, compression):
                 right.read(region)  # keeps the twins' disk charges paired
                 half = region.shape[0] // 2
                 values[:half] = stored[:half]
-            assert left.update(region, values) == write_oracle.update(right, region, values)
+            with counted() as left_charges:
+                written = left.update(region, values)
+            with counted() as right_charges:
+                assert written == write_oracle.update(right, region, values)
             assert object_state(left) == object_state(right)
-            assert vars(left_db.disk.counters) == vars(right_db.disk.counters)
+            assert disk_charges(left_charges) == pytest.approx(disk_charges(right_charges))
+            assert left_db.disk.time_ms == right_db.disk.time_ms
         for db, _obj in twins:
             db.close()
         assert (Path(scratch) / "batch.log").read_bytes() == (
@@ -302,7 +308,8 @@ def test_update_over_a_virtual_tile_changes_nothing(tmp_path):
             db.wal._next_lsn,
             db.epoch.active_pins,
             db.epoch.current,
-            vars(db.disk.counters).copy(),
+            db.disk.time_ms,
+            disk_charges(obs.snapshot()["counters"]),
             object_state(obj),
             (tmp_path / "db" / "wal.log").read_bytes(),
         )
