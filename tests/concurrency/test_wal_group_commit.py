@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.storage.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.storage.wal import WriteAheadLog, scan_wal
 from tests.concurrency.vsched import VirtualScheduler
