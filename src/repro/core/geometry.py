@@ -167,30 +167,22 @@ class MInterval:
     def hull_of(cls, intervals: Iterable["MInterval"]) -> "MInterval":
         """Minimal bounded interval covering all inputs (closure operation).
 
-        Folds in a single pass over mutable bound lists instead of
-        materialising one intermediate interval per step — this sits on
-        the index's MBR-maintenance hot path.  Raises
-        :class:`GeometryError` on an empty iterable.
+        One ``min`` / ``max`` per axis over the inputs' bound columns
+        instead of one intermediate interval per step — this sits on the
+        index's MBR-maintenance hot path.  Raises :class:`GeometryError`
+        on an empty iterable.
         """
-        lo: Optional[list[Optional[int]]] = None
-        hi: list[Optional[int]] = []
-        dim = 0
-        for iv in intervals:
-            if lo is None:
-                lo, hi = list(iv._lo), list(iv._hi)
-                dim = iv.dim
-                continue
+        boxes = list(intervals)
+        if not boxes:
+            raise GeometryError("hull_of needs at least one interval")
+        dim = boxes[0].dim
+        for iv in boxes:
             if iv.dim != dim:
                 raise DimensionMismatchError(
                     f"cannot hull intervals of dims {dim} and {iv.dim}"
                 )
-            for axis in range(dim):
-                l, u = iv._lo[axis], iv._hi[axis]
-                cl, cu = lo[axis], hi[axis]
-                lo[axis] = None if l is None or cl is None else min(l, cl)
-                hi[axis] = None if u is None or cu is None else max(u, cu)
-        if lo is None:
-            raise GeometryError("hull_of needs at least one interval")
+        lo = [None if None in axis else min(axis) for axis in zip(*[iv._lo for iv in boxes])]
+        hi = [None if None in axis else max(axis) for axis in zip(*[iv._hi for iv in boxes])]
         return cls(lo, hi)
 
     # ------------------------------------------------------------------
@@ -339,12 +331,12 @@ class MInterval:
     def hull(self, other: "MInterval") -> "MInterval":
         """Minimal interval containing both (the paper's closure operation)."""
         self._check_dim(other)
-        lo: list[Optional[int]] = []
-        hi: list[Optional[int]] = []
-        for sl, su, ol, ou in zip(self._lo, self._hi, other._lo, other._hi):
-            lo.append(None if sl is None or ol is None else min(sl, ol))
-            hi.append(None if su is None or ou is None else max(su, ou))
-        return MInterval(lo, hi)
+        if self.is_bounded and other.is_bounded:  # both already validated
+            return MInterval.bounded(
+                tuple(map(min, self._lo, other._lo)),  # type: ignore
+                tuple(map(max, self._hi, other._hi)),  # type: ignore
+            )
+        return MInterval.hull_of((self, other))
 
     def translate(self, offset: Sequence[int]) -> "MInterval":
         """Shift the interval by an integer vector (open bounds stay open)."""

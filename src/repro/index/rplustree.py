@@ -59,12 +59,13 @@ class _Node:
         self._packed: Optional[np.ndarray] = None
         self.recompute_mbr()
 
+    def boxes(self) -> list:
+        """The items' boxes: entry domains in a leaf, child MBRs above."""
+        return [item.domain if self.leaf else item.mbr for item in self.items]
+
     def recompute_mbr(self) -> None:
         self._packed = None
-        boxes = [
-            item.domain if self.leaf else item.mbr for item in self.items
-        ]
-        boxes = [b for b in boxes if b is not None]
+        boxes = [b for b in self.boxes() if b is not None]
         self.mbr = MInterval.hull_of(boxes) if boxes else None
 
     def extend_mbr(self, box: MInterval) -> None:
@@ -79,18 +80,20 @@ class _Node:
     def packed_bounds(self, dim: int) -> np.ndarray:
         """Packed item bounds (entry domains / child MBRs), cached."""
         if self._packed is None or len(self._packed) != len(self.items):
-            boxes = [
-                item.domain if self.leaf else item.mbr for item in self.items
-            ]
-            self._packed = pack_bounds(boxes, dim)
+            self._packed = pack_bounds(self.boxes(), dim)
         return self._packed
 
 
-def _enlargement(mbr: Optional[MInterval], box: MInterval) -> int:
-    """Extra cells the MBR gains by absorbing ``box``."""
+def _enlargement(mbr: Optional[MInterval], box: MInterval) -> tuple[int, int]:
+    """Choose-leaf key, from the bound tuples: the cells the MBR gains by
+    absorbing ``box``, then its own cells (an empty child's: 0)."""
     if mbr is None:
-        return box.cell_count
-    return mbr.hull(box).cell_count - mbr.cell_count
+        return box.cell_count, 0
+    cells = grown = 1
+    for lo, hi, box_lo, box_hi in zip(mbr.lower, mbr.upper, box.lower, box.upper):
+        cells *= hi - lo + 1  # type: ignore[operator]
+        grown *= max(hi, box_hi) - min(lo, box_lo) + 1  # type: ignore
+    return grown - cells, cells
 
 
 class RPlusTreeIndex:
@@ -250,11 +253,7 @@ class RPlusTreeIndex:
                 return self._split(node)
             node.extend_mbr(entry.domain)
             return None
-        child = min(
-            node.items,
-            key=lambda c: (_enlargement(c.mbr, entry.domain), c.mbr.cell_count
-                           if c.mbr is not None else 0),
-        )
+        child = min(node.items, key=lambda c: _enlargement(c.mbr, entry.domain))
         overflow = self._insert_into(child, entry)
         if overflow is not None:
             node.items.append(overflow)

@@ -215,6 +215,11 @@ def _build_bitmap(
     arithmetic, so a cell and an equality probe for its value always land
     in the same bin.  Skipped (returns 0) when magnitudes are large
     enough for float64 to alias distinct integers.
+
+    Integer and bool cells spanning fewer values than they have cells
+    bin each offset ``0..span`` once and look the cells' offsets up:
+    below the bound ``float64(v) - float64(vmin)`` is the exact offset,
+    so the table holds exactly the bins the per-cell formula gives.
     """
     if nbins < 2 or values.size == 0 or vmin >= vmax:
         return 0
@@ -225,12 +230,24 @@ def _build_bitmap(
     ):
         return 0
     width = np.float64(vmax) - np.float64(vmin)
-    idx = np.floor(
-        (values.astype(np.float64) - np.float64(vmin)) * nbins / width
-    ).astype(np.int64)
-    np.clip(idx, 0, nbins - 1, out=idx)
+    span = int(vmax) - int(vmin)
+    if values.dtype.kind in "biu" and span < values.size and nbins < 64:
+        table = _bin_of(np.arange(span + 1, dtype=np.float64), nbins, width)
+        masks = np.left_shift(1, table).astype(np.min_scalar_type((1 << nbins) - 1))
+        # ``values - vmin`` in the unsigned view wraps to the exact offset
+        unsigned = np.dtype(f"{values.dtype.byteorder}u{values.dtype.itemsize}")
+        offsets = values.view(unsigned) - np.array(vmin, values.dtype).view(unsigned)
+        return int(np.bitwise_or.reduce(masks.take(offsets)))
+    idx = _bin_of(values.astype(np.float64) - np.float64(vmin), nbins, width)
     occupied = np.bincount(idx, minlength=nbins) > 0
     return int(sum(1 << i for i in np.flatnonzero(occupied)))
+
+
+def _bin_of(offsets: np.ndarray, nbins: int, width: np.float64) -> np.ndarray:
+    """The clamped bin of each float64 offset from ``vmin``.  Offsets
+    are >= 0 below the guard, so only ``vmax``'s bin ``nbins`` clamps."""
+    idx = np.floor(offsets * nbins / width).astype(np.int64)
+    return np.minimum(idx, nbins - 1, out=idx)
 
 
 def _probe_bin(

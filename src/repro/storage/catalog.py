@@ -169,7 +169,9 @@ def save_database(database: Database, directory: Union[str, Path]) -> Path:
         },
     }
     tmp = directory / (CATALOG_NAME + ".tmp")
-    tmp.write_text(json.dumps(catalog, indent=1))
+    # Compact JSON: ``indent`` would force json's pure-Python encoder.
+    # The values are what an indented checkpoint holds, so either opens.
+    tmp.write_text(json.dumps(catalog, separators=(",", ":")))
     tmp.replace(directory / CATALOG_NAME)
     # Zone-map sidecar, next to the catalog it describes.  Written before
     # the WAL truncates: between checkpoints the synopses live in the
@@ -189,7 +191,7 @@ def save_database(database: Database, directory: Union[str, Path]) -> Path:
         },
     }
     tmp = directory / (ZONES_NAME + ".tmp")
-    tmp.write_text(json.dumps(zones, indent=1))
+    tmp.write_text(json.dumps(zones, separators=(",", ":")))
     tmp.replace(directory / ZONES_NAME)
     if (
         database.wal is not None

@@ -1011,14 +1011,12 @@ class StoredMDD:
             blob_ids: list[int] = []
             for item in encoded:
                 blob_id = self._put(item)
-                _TILES_STORED.inc()
                 tile_ids.append(
                     self._register(item.tile.domain, blob_id, item.codec, False, item.synopsis)
                 )
                 blob_ids.append(blob_id)
-            if self.database.decoded_cache is not None:
-                for item, blob_id in zip(encoded, blob_ids):
-                    self._admit_write_through(blob_id, item.raw, item.tile.domain.shape)
+            _TILES_STORED.inc(len(encoded))
+            self._write_through(blob_ids, encoded)
             if tiles:
                 self._note_access(
                     "write",
@@ -1037,23 +1035,21 @@ class StoredMDD:
         self.database._log_blob_put(blob_id, item.payload, page_crcs=item.page_crcs)
         return blob_id
 
-    def _admit_write_through(
-        self, blob_id: int, raw: bytes, shape: tuple[int, ...]
-    ) -> None:
-        """Admit a just-written tile's decoded cells into the cache.
-
-        Read-after-write then scores a ``decoded_hit`` instead of a
-        fetch+decode miss.  The admitted array is built from the
-        serialised bytes — never a view of the caller's array — and the
-        cache enforces its own byte budget (an oversized tile is simply
-        not admitted).
-        """
+    def _write_through(self, blob_ids: Sequence[int], encoded: Sequence[EncodedTile]) -> None:
+        """Admit a batch's just-written decoded cells to the cache in one
+        call, in write order, so read-after-write is a ``decoded_hit``.
+        The arrays are built from the serialised bytes, never views of the
+        caller's; the cache enforces its byte budget (an oversized tile is
+        simply not admitted)."""
         cache = self.database.decoded_cache
-        if cache is None:
+        if cache is None or not encoded:
             return
-        array = np.frombuffer(raw, dtype=self.mdd_type.base.dtype).reshape(shape)
-        cache.put(blob_id, array)
-        _WRITE_THROUGH.inc()
+        dtype = self.mdd_type.base.dtype
+        cache.put_many([
+            (blob_id, np.frombuffer(item.raw, dtype=dtype).reshape(item.tile.domain.shape))
+            for blob_id, item in zip(blob_ids, encoded)
+        ])
+        _WRITE_THROUGH.inc(len(encoded))
 
     def attach_tile(
         self, domain: MInterval, blob_id: int, codec: str = "none"
@@ -1115,6 +1111,8 @@ class StoredMDD:
     def _admit_domain(self, domain: MInterval) -> None:
         self.mdd_type.validate_domain(domain, what="tile domain")
         for part in self._parts:
+            if not len(part.index):  # a fresh part holds nothing to overlap
+                continue
             hits = part.index.search(domain)
             if hits.entries:
                 raise DomainError(
@@ -1130,22 +1128,16 @@ class StoredMDD:
         virtual: bool,
         synopsis: Optional[TileSynopsis],
     ) -> int:
-        """Log and apply ``tile_register`` under the next tile id."""
+        """Log (with a WAL) and apply ``tile_register`` under the next
+        tile id."""
         tile_id = self._next_tile_id
-        record = {
-            "op": "tile_register",
-            "tile_id": tile_id,
-            "domain": str(domain),
-            "blob": blob_id,
-            "codec": codec,
-            "virtual": virtual,
-        }
-        if synopsis is not None:
+        if self.database.wal is not None:
             # The synopsis rides in the same redo record as the tile it
             # describes, so replay can never resurrect one without the
             # other (crash-safe sidecar, WAL-logged).
-            record["zone"] = synopsis.to_dict()
-        self._log_meta(record)
+            zone = {} if synopsis is None else {"zone": synopsis.to_dict()}
+            self._log_meta({"op": "tile_register", "tile_id": tile_id, "domain": str(domain),
+                            "blob": blob_id, "codec": codec, "virtual": virtual, **zone})
         self._apply_register(
             TileEntry(tile_id, domain, blob_id, codec, virtual), synopsis
         )
@@ -1166,9 +1158,9 @@ class StoredMDD:
         time from data-insertion time.  The paper notes tiling cost is
         negligible against insert cost; ``tiling_ms`` holds that since
         validation is one sweep instead of a loop over every pair of
-        tiles — the 730×60×100 sales cube, median of 5 loads on a 2-core
-        VM: Dir64K3P (744 tiles) 144–270 → 12–15 ms against a ~0.5 s
-        ``store_ms``, Reg32K (648 tiles) 115–219 → 7–9 ms against ~0.4 s.
+        tiles — the 730×60×100 sales cube, compressed, median of 5 loads
+        on a 2-vCPU VM: Dir64K3P (744 tiles) 9 ms against a ~140 ms
+        ``store_ms``, Reg32K (648 tiles) 7 ms against ~115 ms.
 
         With ``skip_default_tiles`` the object only partially covers its
         domain: tiles consisting entirely of the base type's default
@@ -1519,7 +1511,9 @@ class StoredMDD:
                 if data[cells].tobytes() != tile.array[cells].tobytes():
                     changed.append(entry)
                     patched.append(Tile(entry.domain, data))
-            for entry, item in zip(changed, encode_tiles(self.database, patched)):
+            encoded = encode_tiles(self.database, patched)
+            blob_ids: list[int] = []
+            for entry, item in zip(changed, encoded):
                 # The superseded blob is retired, not deleted: a reader
                 # pinned on an older version may still fetch it.  Epoch
                 # reclamation deletes it once no pin can reach it
@@ -1531,17 +1525,13 @@ class StoredMDD:
                 # cells rides in the rebind's redo record — an updated
                 # tile and a stale synopsis can never publish together.
                 synopsis = item.synopsis
-                self._log_meta(
-                    {
-                        "op": "tile_rebind",
-                        "tile_id": entry.tile_id,
-                        "blob": blob_id,
-                        "codec": item.codec,
-                        "zone": None if synopsis is None else synopsis.to_dict(),
-                    }
-                )
+                if self.database.wal is not None:
+                    zone = None if synopsis is None else synopsis.to_dict()
+                    self._log_meta({"op": "tile_rebind", "tile_id": entry.tile_id,
+                                    "blob": blob_id, "codec": item.codec, "zone": zone})
                 self._apply_rebind(entry.tile_id, blob_id, item.codec, synopsis)
-                self._admit_write_through(blob_id, item.raw, entry.domain.shape)
+                blob_ids.append(blob_id)
+            self._write_through(blob_ids, encoded)
             self._note_access("write", region, written)
         return written
 

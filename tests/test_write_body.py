@@ -128,9 +128,10 @@ def test_a_virtual_tile_on_any_shard_fails_an_update_before_any_commit():
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_a_batch_is_admitted_once_and_each_shard_index_searched_once(monkeypatch, n_shards):
-    """The cell types and the in-batch sweep run once per batch, every
-    tile meets every shard's index once, and an update searches each
-    shard's index once."""
+    """The cell types and the in-batch sweep run once per batch, a load
+    into empty shards searches no index, every tile of a later batch
+    meets every populated shard's index once, and an update searches
+    each shard's index once."""
     sdb = ShardedDatabase(n_shards)
     obj = sdb.create_object("c", CUBE, "o")
     calls = {"search": 0, "sweep": 0}
@@ -146,7 +147,11 @@ def test_a_batch_is_admitted_once_and_each_shard_index_searched_once(monkeypatch
 
     monkeypatch.setattr(RPlusTreeIndex, "search", counted_search)
     monkeypatch.setattr(tilestore, "overlapping_pairs", counted_sweep)
-    batch = tiles(grid())
+    first, batch = tiles(grid()[::2]), tiles(grid()[1::2], seed=1)
+    obj.write_tiles(first)
+    assert calls == {"search": 0, "sweep": 1}
+    assert all(len(part.index) for part in obj._parts)
+    calls.update(search=0, sweep=0)
     obj.write_tiles(batch)
     assert calls == {"search": len(batch) * n_shards, "sweep": 1}
     calls.update(search=0, sweep=0)

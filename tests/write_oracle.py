@@ -70,4 +70,6 @@ def _replace_payload(obj, entry, raw: bytes) -> None:
         }
     )
     obj._apply_rebind(entry.tile_id, blob_id, codec, synopsis)
-    obj._admit_write_through(blob_id, raw, entry.domain.shape)
+    if database.decoded_cache is not None:
+        array = np.frombuffer(raw, dtype=obj.mdd_type.base.dtype)
+        database.decoded_cache.put(blob_id, array.reshape(entry.domain.shape))
