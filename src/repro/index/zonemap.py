@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.core.errors import QueryError
+from repro.core.errors import IndexError_, QueryError, StorageError
 
 __all__ = [
     "AGG_FUNCS",
@@ -57,6 +57,13 @@ __all__ = [
 
 #: Default number of equi-width histogram bins per tile.
 DEFAULT_BINS = 8
+
+#: Most bins a bitmap may have: bit ``nbins - 1`` must fit the int64 the
+#: per-cell path sums in, so the mask stays a non-negative int64.
+MAX_BINS = 63
+
+#: What a stored ``min`` / ``max`` may be (``None``: no comparable cell).
+_BOUND_TYPES = {int, float, bool, type(None)}
 
 #: Integer-sum short-circuit bound: with ``cells * max|v| < 2**63`` the
 #: int64/uint64 accumulators numpy uses for ``a.sum()`` cannot wrap, so
@@ -167,16 +174,31 @@ class TileSynopsis:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TileSynopsis":
-        return cls(
-            cell_count=payload["count"],
-            nonzero=payload["nonzero"],
-            vmin=payload["min"],
-            vmax=payload["max"],
-            vsum=payload["sum"],
-            nan_count=payload.get("nan", 0),
-            nbins=payload.get("nbins", 0),
-            bins=payload.get("bins", 0),
-        )
+        """Parse :meth:`to_dict`'s form (``nan``, ``nbins`` and ``bins``
+        default to 0, as in records written before bitmaps); a zone with
+        a missing or mistyped field, or a bitmap wider than its ``nbins``,
+        raises :class:`StorageError`."""
+        try:
+            counts = (
+                payload["count"], payload["nonzero"], payload.get("nan", 0),
+                payload.get("nbins", 0), payload.get("bins", 0),
+            )
+            vmin, vmax, vsum = payload["min"], payload["max"], payload["sum"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise StorageError(f"malformed zone {payload!r}: {type(exc).__name__} {exc}") from None
+        count, nonzero, nan_count, nbins, bins = counts
+        if not (
+            type(count) is type(nonzero) is type(nan_count) is type(nbins) is type(bins) is int
+            and min(counts) >= 0
+        ):
+            problem = "a count is not a non-negative integer"
+        elif type(vsum) not in (int, float) or not {type(vmin), type(vmax)} <= _BOUND_TYPES:
+            problem = "min, max or sum is not a number"
+        elif not _bins_allowed(nbins) or bins >= 1 << nbins:
+            problem = f"bins {bins} do not fit nbins {nbins} (0 or 2..{MAX_BINS})"
+        else:
+            return cls(count, nonzero, vmin, vmax, vsum, nan_count, nbins, bins)
+        raise StorageError(f"malformed zone {payload!r}: {problem}")
 
     def same_as(self, other: "TileSynopsis") -> bool:
         """Field equality with NaN treated as equal to NaN (fsck deep)."""
@@ -201,6 +223,11 @@ class TileSynopsis:
             and self.nbins == other.nbins
             and self.bins == other.bins
         )
+
+
+def _bins_allowed(nbins: int) -> bool:
+    """No bitmap (0), or 2..:data:`MAX_BINS` bins."""
+    return nbins == 0 or 2 <= nbins <= MAX_BINS
 
 
 def _build_bitmap(
@@ -231,7 +258,7 @@ def _build_bitmap(
         return 0
     width = np.float64(vmax) - np.float64(vmin)
     span = int(vmax) - int(vmin)
-    if values.dtype.kind in "biu" and span < values.size and nbins < 64:
+    if values.dtype.kind in "biu" and span < values.size:
         table = _bin_of(np.arange(span + 1, dtype=np.float64), nbins, width)
         masks = np.left_shift(1, table).astype(np.min_scalar_type((1 << nbins) - 1))
         # ``values - vmin`` in the unsigned view wraps to the exact offset
@@ -288,8 +315,10 @@ def compute_synopsis(
     ``vmin``/``vmax`` are the NaN-ignoring extremes (``None`` when no
     comparable value exists), ``nan_count == isnan(a).sum()``, ``vsum``
     is the numpy-accumulator sum (ints/bools) or the NaN-ignoring sum
-    (floats).
+    (floats).  ``nbins`` is 0 (no bitmap) or 2..:data:`MAX_BINS`.
     """
+    if not _bins_allowed(nbins):
+        raise IndexError_(f"nbins must be 0 or 2..{MAX_BINS}, got {nbins}")
     syn = _summarize(np.asarray(array), nbins)
     if syn is not None:
         _SYNOPSES_BUILT.inc()
@@ -319,7 +348,7 @@ def _summarize(a: np.ndarray, nbins: int) -> Optional[TileSynopsis]:
             vmax,
             float(values.sum()),
             nan_count,
-            nbins if nbins >= 2 else 0,
+            nbins,
             _build_bitmap(values, vmin, vmax, nbins),
         )
     vmin = a.min().item()
@@ -331,7 +360,7 @@ def _summarize(a: np.ndarray, nbins: int) -> Optional[TileSynopsis]:
         vmax,
         int(a.sum()),
         0,
-        nbins if nbins >= 2 else 0,
+        nbins,
         _build_bitmap(a.ravel(), vmin, vmax, nbins),
     )
 
@@ -356,9 +385,7 @@ def partial_synopsis(array: np.ndarray) -> TileSynopsis:
     return syn
 
 
-def constant_synopsis(
-    cell_count: int, value: object, nbins: int = 0
-) -> TileSynopsis:
+def constant_synopsis(cell_count: int, value: object) -> TileSynopsis:
     """Analytic synopsis of a constant-valued (virtual) tile."""
     value = value.item() if hasattr(value, "item") else value
     if isinstance(value, float) and math.isnan(value):

@@ -46,7 +46,6 @@ from repro.storage.catalog import (
     CATALOG_NAME,
     PAGES_NAME,
     WAL_NAME,
-    ZONES_NAME,
     _apply_record,
     open_database,
     save_database,
@@ -109,7 +108,7 @@ class ShardFollower:
         self.promoted = False
 
     def _bootstrap(self) -> None:
-        """Copy the primary's last checkpoint (catalog + pages + zones).
+        """Copy the primary's last checkpoint (catalog + pages).
 
         Bootstrap must run against a quiescent checkpoint — right after
         ``create`` or an explicit ``save_database`` — so the copy is a
@@ -122,7 +121,7 @@ class ShardFollower:
                 f"bootstrap from"
             )
         page_sidecar = f"{PAGES_NAME}.catalog.json"
-        for name in (CATALOG_NAME, PAGES_NAME, page_sidecar, ZONES_NAME):
+        for name in (CATALOG_NAME, PAGES_NAME, page_sidecar):
             source = self.primary_dir / name
             if source.exists():
                 shutil.copyfile(source, self.replica_dir / name)

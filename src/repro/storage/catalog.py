@@ -5,7 +5,9 @@ database directory plays that role:
 
     <dir>/blobs.pages               page file with every BLOB
     <dir>/blobs.pages.catalog.json  BLOB placement (FileBlobStore sidecar)
-    <dir>/catalog.json              collections, objects, types, tile tables
+    <dir>/catalog.json              the checkpoint: per object, its redo
+                                    records (create_object, tile_register
+                                    with the zone inline, object_domain)
     <dir>/wal.log                   write-ahead log (durable databases)
 
 ``save_database`` works from any store: with a :class:`FileBlobStore` the
@@ -16,7 +18,8 @@ durable database's home directory is a **checkpoint**: the log is
 truncated once the catalogs are down.
 
 ``open_database`` rebuilds objects by re-attaching BLOBs — no cell data
-is copied — and repopulates each object's spatial index.  Before that it
+is copied — feeding the checkpoint's records through the appliers WAL
+replay calls, so each record kind has one writer and one parser.  It
 runs **recovery**: the write-ahead log is scanned, committed batches are
 replayed idempotently onto the checkpoint, the torn tail is discarded,
 and a fresh checkpoint is cut — so a database crashed at any write offset
@@ -40,14 +43,21 @@ from repro.index.zonemap import TileSynopsis
 from repro.storage.backends import FileBlobStore, MemoryBlobStore
 from repro.storage.disk import DiskParameters
 from repro.storage.faults import FaultInjector
-from repro.storage.tilestore import Database, StoredMDD, TileEntry
-from repro.storage.wal import scan_wal
+from repro.storage.tilestore import (
+    Database,
+    StoredMDD,
+    TileEntry,
+    register_record,
+    type_spec,
+)
+from repro.storage.wal import WalScan, scan_wal
 
 CATALOG_NAME = "catalog.json"
 PAGES_NAME = "blobs.pages"
 WAL_NAME = "wal.log"
-ZONES_NAME = "zones.json"
-CATALOG_VERSION = 2  # version 1 stores carry CRC32C page checksums
+# Version 1 stores carry CRC32C page checksums; version 2 kept the zones
+# in a sidecar and tile rows in a format of their own.
+CATALOG_VERSION = 3
 
 _RECOVERIES = obs.counter("recovery.runs", "Recovery passes executed on open")
 _TXNS_REPLAYED = obs.counter(
@@ -84,41 +94,24 @@ class RecoveryReport:
         )
 
 
-def _serialise_type(mdd_type: MDDType) -> dict:
+def _object_record(obj: StoredMDD) -> dict:
+    """One object of a checkpoint: its ``create_object`` record (the
+    collection it sits under names ``coll``), the ``object_domain``
+    record's domain, the tile-id counter, and one ``tile_register``
+    record per tile (less ``op``/``coll``/``obj``), zone inline."""
+    zones = obj._zones
     return {
-        "name": mdd_type.name,
-        "base": mdd_type.base.name,
-        "definition_domain": str(mdd_type.definition_domain),
-    }
-
-
-def _deserialise_type(payload: dict) -> MDDType:
-    return MDDType(
-        payload["name"],
-        base_type(payload["base"]),
-        MInterval.parse(payload["definition_domain"]),
-    )
-
-
-def _serialise_object(obj: StoredMDD) -> dict:
-    return {
-        "name": obj.name,
-        "type": _serialise_type(obj.mdd_type),
-        # Tile ids and the id counter are persisted so WAL records written
-        # after this checkpoint keep resolving against the reloaded tables;
-        # the domain survives partial covers whose hull exceeds the tiles.
+        "obj": obj.name,
+        "type": type_spec(obj.mdd_type),
+        # The id counter is persisted so WAL records written after this
+        # checkpoint keep resolving against the reloaded tables; the
+        # domain survives partial covers whose hull exceeds the tiles.
         "next_tile_id": obj._next_tile_id,
         "domain": (
             str(obj.current_domain) if obj.current_domain is not None else None
         ),
         "tiles": [
-            {
-                "id": entry.tile_id,
-                "domain": str(entry.domain),
-                "blob": entry.blob_id,
-                "codec": entry.codec,
-                "virtual": entry.virtual,
-            }
+            register_record(entry, zones.get(entry.tile_id))
             for entry in obj.tile_entries()
         ],
     }
@@ -132,9 +125,9 @@ def save_database(database: Database, directory: Union[str, Path]) -> Path:
     is already backed by it.
 
     For a durable database saving into its own directory this is the
-    checkpoint operation: once payloads, sidecar, and catalog are on
-    disk the write-ahead log is truncated — everything it redid is now
-    in the checkpoint.  Checkpointing inside an open transaction is an
+    checkpoint operation: once payloads and catalog are on disk the
+    write-ahead log is truncated — everything it redid is now in the
+    checkpoint.  Checkpointing inside an open transaction is an
     error (the log would lose uncommitted buffered records).
     """
     directory = Path(directory)
@@ -162,37 +155,16 @@ def save_database(database: Database, directory: Union[str, Path]) -> Path:
     catalog = {
         "version": CATALOG_VERSION,
         "collections": {
-            coll_name: [
-                _serialise_object(obj) for obj in objects.values()
-            ]
+            coll_name: [_object_record(obj) for obj in objects.values()]
             for coll_name, objects in database.collections.items()
         },
     }
+    # One file, one replace: no crash can pair a tile row with another
+    # checkpoint's synopsis.  Compact JSON: ``indent`` would force json's
+    # pure-Python encoder; an indented file holds the same values.
     tmp = directory / (CATALOG_NAME + ".tmp")
-    # Compact JSON: ``indent`` would force json's pure-Python encoder.
-    # The values are what an indented checkpoint holds, so either opens.
     tmp.write_text(json.dumps(catalog, separators=(",", ":")))
     tmp.replace(directory / CATALOG_NAME)
-    # Zone-map sidecar, next to the catalog it describes.  Written before
-    # the WAL truncates: between checkpoints the synopses live in the
-    # tile_register/tile_rebind redo records, so a crash at any point
-    # rebuilds them along with the tiles they describe.
-    zones = {
-        "version": 1,
-        "collections": {
-            coll_name: {
-                obj.name: {
-                    str(tile_id): synopsis.to_dict()
-                    for tile_id, synopsis in obj._zones.items()
-                }
-                for obj in objects.values()
-            }
-            for coll_name, objects in database.collections.items()
-        },
-    }
-    tmp = directory / (ZONES_NAME + ".tmp")
-    tmp.write_text(json.dumps(zones, separators=(",", ":")))
-    tmp.replace(directory / ZONES_NAME)
     if (
         database.wal is not None
         and isinstance(store, FileBlobStore)
@@ -262,44 +234,41 @@ def open_database(
     scan = scan_wal(wal_path)  # read the log before any writer touches it
 
     store = FileBlobStore.open(directory / PAGES_NAME, injector=injector)
-    database = Database(
-        store=store,
-        disk_parameters=disk_parameters,
-        buffer_bytes=buffer_bytes,
-        **database_kwargs,
-    )
-    zones_path = directory / ZONES_NAME
-    zone_payload: dict = {}
-    if zones_path.exists():
-        # Absent for pre-zone-map checkpoints: the objects reopen with no
-        # synopses (reads fall back to full decode) and fsck warns.
-        zone_payload = json.loads(zones_path.read_text()).get(
-            "collections", {}
+    try:
+        database = Database(
+            store=store,
+            disk_parameters=disk_parameters,
+            buffer_bytes=buffer_bytes,
+            **database_kwargs,
         )
-    for coll_name, objects in catalog["collections"].items():
-        database.create_collection(coll_name)
-        for payload in objects:
-            mdd_type = _deserialise_type(payload["type"])
-            obj = database.create_object(coll_name, mdd_type, payload["name"])
-            obj_zones = zone_payload.get(coll_name, {}).get(
-                payload["name"], {}
-            )
-            # The checkpoint is a set of tile_register records and one
-            # object_domain record: the same appliers replay them.
-            for tile in payload["tiles"]:
-                obj._apply_register(
-                    TileEntry(
-                        tile["id"],
-                        MInterval.parse(tile["domain"]),
-                        tile["blob"],
-                        tile["codec"],
-                        tile["virtual"],
-                    ),
-                    _synopsis(obj_zones.get(str(tile["id"]))),
-                )
-            obj._apply_domain(_domain(payload["domain"]))
+        report = _recover(database, catalog, scan, directory)
+    except BaseException:
+        store._file.close()  # release only: close() would sync, a write
+        raise
+    # Reload and replay mutated working state outside any transaction;
+    # freeze the final state as what concurrent readers will see.
+    database.republish()
+    database.last_recovery = report
+    if durability != "none":
+        database.arm_durability(
+            durability, wal_path=wal_path, injector=injector
+        )
+    return database
+
+
+def _recover(database: Database, catalog: dict, scan: WalScan, directory: Path) -> RecoveryReport:
+    """Load the checkpoint, replay the log's committed batches onto it
+    and, when there were any, cut a fresh checkpoint and retire the log."""
+    # The checkpoint is the log's records, compacted: replay them.
+    for coll_name, records in catalog["collections"].items():
+        database.collections.setdefault(coll_name, {})
+        for record in records:
+            obj = _create_object(database, coll_name, record)
+            for row in record["tiles"]:
+                _apply_object_op(obj, "tile_register", row)
+            _apply_object_op(obj, "object_domain", record)
             # The id counter outlives deleted tiles: ids are never reused.
-            obj._next_tile_id = max(obj._next_tile_id, payload["next_tile_id"])
+            obj._next_tile_id = max(obj._next_tile_id, record["next_tile_id"])
 
     report = RecoveryReport(
         records_discarded=scan.uncommitted_records,
@@ -320,16 +289,8 @@ def open_database(
         # Cut a fresh checkpoint with the replayed state, then retire the
         # log: replaying it again would be idempotent but pointless.
         save_database(database, directory)
-        wal_path.unlink(missing_ok=True)
-    # Reload and replay mutated working state outside any transaction;
-    # freeze the final state as what concurrent readers will see.
-    database.republish()
-    database.last_recovery = report
-    if durability != "none":
-        database.arm_durability(
-            durability, wal_path=wal_path, injector=injector
-        )
-    return database
+        (directory / WAL_NAME).unlink(missing_ok=True)
+    return report
 
 
 def create_database(
@@ -378,37 +339,45 @@ def _apply_record(database: Database, record: tuple) -> str:
     op = operation.get("op")
     if op == "create_collection":
         database.collections.setdefault(operation["coll"], {})
-        return kind
-    if op == "blob_delete":
+    elif op == "blob_delete":
         if operation["blob"] in store:
             store.delete(operation["blob"])
-        return kind
-    coll = database.collections.setdefault(operation.get("coll", ""), {})
-    if op == "create_object":
-        if operation["obj"] not in coll:
-            spec = operation["type"]
-            mdd_type = MDDType(
-                spec["name"],
-                base_type(spec["base"]),
-                MInterval.parse(spec["dd"]),
+    elif op == "create_object":
+        _create_object(database, operation["coll"], operation)
+    else:
+        obj = database.collections.get(operation.get("coll"), {}).get(operation.get("obj"))
+        if obj is None:
+            raise RecoveryError(
+                f"log names unknown object {operation.get('obj')!r} in "
+                f"collection {operation.get('coll')!r} (op {op!r})"
             )
-            coll[operation["obj"]] = StoredMDD(
-                database, mdd_type, operation["obj"],
-                collection=operation["coll"],
-            )
-        return kind
-    obj = coll.get(operation.get("obj", ""))
+        _apply_object_op(obj, op, operation)
+    return kind
+
+
+def object_type(spec: dict) -> MDDType:
+    """The type a ``create_object`` record's ``type`` spec names."""
+    return MDDType(spec["name"], base_type(spec["base"]), MInterval.parse(spec["dd"]))
+
+
+def _create_object(database: Database, coll_name: str, record: dict) -> StoredMDD:
+    """``create_object`` (a WAL record, or a checkpoint's object entry):
+    the named object, made from the record's type spec when absent."""
+    coll = database.collections.setdefault(coll_name, {})
+    obj = coll.get(record["obj"])
     if obj is None:
-        raise RecoveryError(
-            f"log names unknown object {operation.get('obj')!r} in "
-            f"collection {operation.get('coll')!r} (op {op!r})"
+        obj = coll[record["obj"]] = StoredMDD(
+            database, object_type(record["type"]), record["obj"], collection=coll_name
         )
-    # The object ops: parse, guard for idempotence, call the applier the
-    # live write called (StoredMDD._apply_*).
+    return obj
+
+
+def _apply_object_op(obj: StoredMDD, op: str, operation: dict) -> None:
+    """Replay one object redo record: parse, guard for idempotence, call
+    the applier the live write called (``StoredMDD._apply_*``)."""
     tile_id = operation.get("tile_id")
     entry = obj._tiles.get(tile_id)
     if op == "tile_register":
-        synopsis = _synopsis(operation.get("zone"))
         if entry is None:
             obj._apply_register(
                 TileEntry(
@@ -418,12 +387,8 @@ def _apply_record(database: Database, record: tuple) -> str:
                     operation["codec"],
                     operation["virtual"],
                 ),
-                synopsis,
+                _synopsis(operation.get("zone")),
             )
-        elif synopsis is not None:
-            # Tile already in the checkpoint: re-apply the synopsis too,
-            # so tile and zone entry stay paired under double replay.
-            obj._apply_rebind(tile_id, entry.blob_id, entry.codec, synopsis)
     elif op == "tile_remove":
         if entry is not None:
             obj._apply_remove(tile_id)
@@ -433,13 +398,7 @@ def _apply_record(database: Database, record: tuple) -> str:
                 f"log rebinds unknown tile {tile_id} of {obj.name!r}"
             )
         obj._apply_rebind(
-            tile_id,
-            operation["blob"],
-            operation["codec"],
-            # A record without a zone key leaves the synopsis as it is.
-            _synopsis(operation["zone"])
-            if "zone" in operation
-            else obj._zones.get(tile_id),
+            tile_id, operation["blob"], operation["codec"], _synopsis(operation["zone"])
         )
     elif op == "object_domain":
         obj._apply_domain(_domain(operation["domain"]))
@@ -447,7 +406,6 @@ def _apply_record(database: Database, record: tuple) -> str:
         obj._apply_clear()
     else:
         raise RecoveryError(f"unknown redo operation {op!r}")
-    return kind
 
 
 def _synopsis(zone: Optional[dict]) -> Optional[TileSynopsis]:

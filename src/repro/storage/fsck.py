@@ -12,14 +12,13 @@ the write-ahead log, without mutating any of them:
 * every tile references an existing BLOB whose size matches the tile's
   domain (uncompressed tiles), tiles of one object never overlap, and
   the object's current domain contains all of them;
-* the zone-map sidecar stays consistent with the catalog: every entry
-  names a live tile, every audited tile of a zone-mapped object carries
-  an entry, cell counts match the tile domain, and ranges are ordered;
-  under ``deep=True`` every synopsis is recomputed from the decoded
-  payload and compared field by field;
-* under ``deep=True`` every real compressed tile is decoded, once, and a
-  payload that does not decode to its tile's cells is reported, whatever
-  its object's cell type or zone maps;
+* every tile row's inline zone parses, counts the tile's cells and has
+  an ordered range (a row without one is legal: that tile is not
+  pruned); under ``deep=True`` every synopsis is recomputed from the
+  decoded payload and compared field by field;
+* under ``deep=True`` every real compressed or zoned tile is decoded,
+  once, and a payload that does not decode to its tile's cells is
+  reported, whatever its object's cell type;
 * a leftover write-ahead log is reported: committed-but-unreplayed
   transactions mean recovery has not run, a torn tail is informational.
 
@@ -37,6 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.cells import BaseType
 from repro.core.errors import ChecksumError, ReproError, StorageError
 from repro.core.geometry import MInterval, overlapping_pairs, pack_bounds
 from repro.index.zonemap import (
@@ -50,8 +50,7 @@ from repro.storage.catalog import (
     CATALOG_VERSION,
     PAGES_NAME,
     WAL_NAME,
-    ZONES_NAME,
-    _deserialise_type,
+    object_type,
 )
 from repro.storage.compression import decompress
 from repro.storage.wal import scan_wal
@@ -168,23 +167,23 @@ def _check_payloads(report: FsckReport, store: FileBlobStore) -> None:
 
 
 def _check_objects(
-    report: FsckReport, catalog: dict, store: FileBlobStore
+    report: FsckReport, catalog: dict, store: FileBlobStore, deep: bool
 ) -> None:
     for coll_name, objects in catalog.get("collections", {}).items():
-        for payload in objects:
+        for record in objects:
             report.objects_checked += 1
-            name = f"{coll_name}/{payload.get('name')}"
+            name = f"{coll_name}/{record.get('obj')}"
             try:
-                mdd_type = _deserialise_type(payload["type"])
-            except ReproError as exc:
+                mdd_type = object_type(record["type"])
+            except (ReproError, KeyError, TypeError) as exc:
                 report.error("object-type", f"{name}: bad type: {exc}")
                 continue
             domains: list[tuple[MInterval, int]] = []
-            for tile in payload.get("tiles", []):
+            for row in record.get("tiles", []):
                 report.tiles_checked += 1
-                tile_id = tile.get("id", "?")
-                domain = MInterval.parse(tile["domain"])
-                blob_id = tile["blob"]
+                tile_id = row.get("tile_id", "?")
+                domain = MInterval.parse(row["domain"])
+                blob_id = row["blob"]
                 if blob_id not in store:
                     report.error(
                         "tile-dangling-blob",
@@ -192,16 +191,21 @@ def _check_objects(
                         f"{blob_id}",
                     )
                     continue
-                record = store.record(blob_id)
+                blob = store.record(blob_id)
                 expected = domain.cell_count * mdd_type.cell_size
-                if tile["codec"] == "none" and record.byte_size != expected:
+                if row["codec"] == "none" and blob.byte_size != expected:
                     report.error(
                         "tile-size-mismatch",
                         f"{name} tile {tile_id} domain {domain} needs "
                         f"{expected} bytes, blob {blob_id} holds "
-                        f"{record.byte_size}",
+                        f"{blob.byte_size}",
                     )
                 domains.append((domain, tile_id))
+                raw = None
+                if deep and not blob.virtual and (row["codec"] != "none" or "zone" in row):
+                    raw = _decode_tile(report, name, row, store, expected)
+                if "zone" in row:
+                    _check_zone(report, name, row, domain, mdd_type.base, blob.virtual, raw, deep)
             # Each overlapping pair once, by later tile then earlier tile.
             pairs = overlapping_pairs(pack_bounds([d for d, _ in domains], mdd_type.dim))
             for first, later in pairs[np.lexsort(pairs.T)]:
@@ -211,7 +215,7 @@ def _check_objects(
                     f"{name} tiles {other_id} and {tile_id} overlap "
                     f"({other} vs {domain})",
                 )
-            declared = payload.get("domain")
+            declared = record.get("domain")
             if declared is not None and domains:
                 hull = MInterval.hull_of(d for d, _ in domains)
                 if not MInterval.parse(declared).contains(hull):
@@ -223,176 +227,73 @@ def _check_objects(
 
 
 def _decode_tile(
-    report: FsckReport, name: str, tile: dict, store: FileBlobStore, cell_size: int
+    report: FsckReport, name: str, row: dict, store: FileBlobStore, size: int
 ) -> "Optional[bytes | memoryview]":
     """One real tile's decoded cells, or ``None`` when its payload is
     unreadable (reported by ``_check_payloads``) or does not decode to
-    the tile's cells (reported here as ``tile-undecodable``)."""
+    the tile's ``size`` bytes (reported here as ``tile-undecodable``)."""
     try:
-        stored = store.get(tile["blob"])
+        stored = store.get(row["blob"])
     except ReproError:
         return None
     try:
-        raw = decompress(stored, tile["codec"])
-        if len(raw) != MInterval.parse(tile["domain"]).cell_count * cell_size:
+        raw = decompress(stored, row["codec"])
+        if len(raw) != size:
             raise StorageError(f"decodes to {len(raw)} bytes")
     except ReproError as exc:
-        report.error("tile-undecodable", f"{name} tile {tile.get('id', '?')}: {exc}")
+        report.error("tile-undecodable", f"{name} tile {row.get('tile_id', '?')}: {exc}")
         return None
     return raw
 
 
-def _check_decodes(
-    report: FsckReport, catalog: dict, store: FileBlobStore, decoded: set[int]
-) -> None:
-    """Decode every real compressed tile whose blob is not in ``decoded``
-    (the zone audit's), so each is decoded once per run."""
-    for coll_name, objects in catalog.get("collections", {}).items():
-        for payload in objects:
-            try:
-                cell_size = _deserialise_type(payload["type"]).cell_size
-            except ReproError:
-                continue  # already reported by _check_objects
-            name = f"{coll_name}/{payload.get('name')}"
-            for tile in payload.get("tiles", []):
-                blob_id = tile["blob"]
-                if (
-                    tile["codec"] == "none" or blob_id in decoded
-                    or blob_id not in store or store.record(blob_id).virtual
-                ):
-                    continue
-                decoded.add(blob_id)
-                _decode_tile(report, name, tile, store, cell_size)
-
-
-def _check_zones(
+def _check_zone(
     report: FsckReport,
-    catalog: dict,
-    store: FileBlobStore,
-    zones_path: Path,
+    name: str,
+    row: dict,
+    domain: MInterval,
+    base: BaseType,
+    virtual: bool,
+    raw: "Optional[bytes | memoryview]",
     deep: bool,
-    decoded: set[int],
 ) -> None:
-    """Audit the zone-map sidecar against the catalog (DESIGN §13).
-
-    A checkpoint that predates zone maps (no ``zones.json``) is only a
-    warning; with the sidecar present, every audited tile of an object
-    that carries *any* synopses must have one (an object with none is a
-    zone-maps-disabled load, not an inconsistency), and every entry must
-    name a live tile with a matching cell count and an ordered range.
-    ``deep`` decodes each payload, adding its blob to ``decoded``, and
-    recomputes the synopsis.
-    """
-    has_tiles = any(
-        payload.get("tiles")
-        for objects in catalog.get("collections", {}).values()
-        for payload in objects
-    )
-    if not zones_path.exists():
-        if has_tiles:
-            report.warning(
-                "zone-sidecar-absent",
-                f"no {ZONES_NAME} beside the catalog; zone-map pruning "
-                f"starts cold until the next checkpoint",
-            )
-        return
+    """Audit one tile row's inline zone (DESIGN §13): it parses, counts
+    the domain's cells and has an ordered range; ``deep`` recomputes it
+    from the decoded payload ``raw`` (virtual tiles: from the default)."""
+    tile_id = row.get("tile_id", "?")
     try:
-        sidecar = json.loads(zones_path.read_text())
-    except json.JSONDecodeError as exc:
-        report.error("zone-sidecar-corrupt", f"{zones_path}: {exc}")
+        syn = TileSynopsis.from_dict(row["zone"])
+    except StorageError as exc:
+        report.error("zone-malformed", f"{name} tile {tile_id}: {exc}")
         return
-    zone_colls = sidecar.get("collections", {})
-    for coll_name, objects in catalog.get("collections", {}).items():
-        for payload in objects:
-            name = f"{coll_name}/{payload.get('name')}"
-            try:
-                mdd_type = _deserialise_type(payload["type"])
-            except ReproError:
-                continue  # already reported by _check_objects
-            base = mdd_type.base
-            if base.dtype.fields is not None or base.dtype.kind not in "biuf":
-                continue  # struct/non-numeric cells carry no synopses
-            entries = dict(
-                zone_colls.get(coll_name, {}).get(payload.get("name"), {})
-            )
-            tiles = payload.get("tiles", [])
-            if not entries:
-                continue  # zone maps disabled for this object
-            for tile in tiles:
-                tile_id = tile.get("id")
-                raw_entry = entries.pop(str(tile_id), None)
-                if raw_entry is None:
-                    report.error(
-                        "zone-missing",
-                        f"{name} tile {tile_id} has no zone-map entry",
-                    )
-                    continue
-                report.zones_checked += 1
-                syn = TileSynopsis.from_dict(raw_entry)
-                domain = MInterval.parse(tile["domain"])
-                if syn.cell_count != domain.cell_count:
-                    report.error(
-                        "zone-count-mismatch",
-                        f"{name} tile {tile_id} synopsis counts "
-                        f"{syn.cell_count} cells, domain {domain} holds "
-                        f"{domain.cell_count}",
-                    )
-                    continue
-                if (
-                    syn.vmin is not None
-                    and syn.vmax is not None
-                    and syn.vmin > syn.vmax
-                ):
-                    report.error(
-                        "zone-range-invalid",
-                        f"{name} tile {tile_id} synopsis range "
-                        f"[{syn.vmin}, {syn.vmax}] is inverted",
-                    )
-                    continue
-                if not deep:
-                    continue
-                blob_id = tile["blob"]
-                if blob_id not in store:
-                    continue  # already reported by _check_objects
-                record = store.record(blob_id)
-                if record.virtual:
-                    expected = constant_synopsis(
-                        domain.cell_count, base.default
-                    )
-                else:
-                    decoded.add(blob_id)
-                    raw = _decode_tile(report, name, tile, store, base.dtype.itemsize)
-                    if raw is None:
-                        continue
-                    cells = np.frombuffer(raw, dtype=base.dtype)
-                    expected = compute_synopsis(
-                        cells, syn.nbins if syn.nbins >= 2 else 0
-                    )
-                if expected is not None and not syn.same_as(expected):
-                    report.error(
-                        "zone-stale",
-                        f"{name} tile {tile_id} synopsis "
-                        f"{raw_entry} does not match the decoded payload "
-                        f"{expected.to_dict()}",
-                    )
-            for orphan_id in entries:
-                report.error(
-                    "zone-orphan",
-                    f"{name} zone-map entry for tile {orphan_id} names no "
-                    f"live tile",
-                )
-    for coll_name, objects in zone_colls.items():
-        known = {
-            payload.get("name")
-            for payload in catalog.get("collections", {}).get(coll_name, [])
-        }
-        for obj_name in objects:
-            if obj_name not in known:
-                report.error(
-                    "zone-orphan",
-                    f"zone-map sidecar names unknown object "
-                    f"{coll_name}/{obj_name}",
-                )
+    report.zones_checked += 1
+    if syn.cell_count != domain.cell_count:
+        report.error(
+            "zone-count-mismatch",
+            f"{name} tile {tile_id} synopsis counts {syn.cell_count} cells, "
+            f"domain {domain} holds {domain.cell_count}",
+        )
+        return
+    if syn.vmin is not None and syn.vmax is not None and syn.vmin > syn.vmax:
+        report.error(
+            "zone-range-invalid",
+            f"{name} tile {tile_id} synopsis range [{syn.vmin}, {syn.vmax}] "
+            f"is inverted",
+        )
+        return
+    if not deep:
+        return
+    if virtual:
+        expected = constant_synopsis(domain.cell_count, base.default)
+    elif raw is not None:
+        expected = compute_synopsis(np.frombuffer(raw, dtype=base.dtype), syn.nbins)
+    else:
+        return  # unreadable or undecodable: reported already
+    if expected is not None and not syn.same_as(expected):
+        report.error(
+            "zone-stale",
+            f"{name} tile {tile_id} synopsis {row['zone']} does not match "
+            f"the decoded payload {expected.to_dict()}",
+        )
 
 
 def _check_wal(report: FsckReport, wal_path: Path) -> None:
@@ -423,10 +324,10 @@ def fsck_database(
 ) -> FsckReport:
     """Check a database directory; never mutates it.
 
-    ``deep`` additionally decodes every compressed tile once and
-    recomputes every zone-map synopsis from its decoded payload (reads
-    every blob twice — use on small databases or when staleness is
-    suspected).
+    ``deep`` additionally decodes every compressed or zoned tile once
+    and recomputes every zone-map synopsis from its decoded payload
+    (reads every blob twice — use on small databases or when staleness
+    is suspected).
     """
     directory = Path(directory)
     report = FsckReport(directory=directory)
@@ -455,11 +356,7 @@ def fsck_database(
     try:
         _check_placement(report, store)
         _check_payloads(report, store)
-        _check_objects(report, catalog, store)
-        decoded: set[int] = set()
-        _check_zones(report, catalog, store, directory / ZONES_NAME, deep, decoded)
-        if deep:
-            _check_decodes(report, catalog, store, decoded)
+        _check_objects(report, catalog, store, deep)
     finally:
         # close() would sync (a write); release the handle only.
         store._file.close()

@@ -118,7 +118,6 @@ def encode_tiles(
     started = time.perf_counter()
     compression = database.compression
     codecs = database.codecs
-    zone_maps = database.zone_maps
 
     def task(
         tile: Tile,
@@ -127,7 +126,7 @@ def encode_tiles(
         codec, payload = _encode(raw, compression, codecs, tile.data.dtype)
         # The synopsis piggybacks on the worker that already holds the
         # cells: one extra vectorized pass, amortized with the codec cost.
-        synopsis = compute_synopsis(tile.data) if zone_maps else None
+        synopsis = compute_synopsis(tile.data)
         return raw, codec, payload, synopsis
 
     def chunk_task(

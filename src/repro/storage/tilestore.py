@@ -113,6 +113,32 @@ class TileEntry:
     virtual: bool = False
 
 
+def register_record(entry: TileEntry, synopsis: Optional[TileSynopsis]) -> dict:
+    """A ``tile_register`` redo record's fields, its synopsis inline as
+    ``zone`` (absent without one): the WAL logs it under ``op``/``coll``/
+    ``obj``, a checkpoint under its object."""
+    record = {
+        "tile_id": entry.tile_id,
+        "domain": str(entry.domain),
+        "blob": entry.blob_id,
+        "codec": entry.codec,
+        "virtual": entry.virtual,
+    }
+    if synopsis is not None:
+        record["zone"] = synopsis.to_dict()
+    return record
+
+
+def type_spec(mdd_type: MDDType) -> dict:
+    """A ``create_object`` record's ``type``: the full type, not just its
+    name, so replay rebuilds the object without a type registry."""
+    return {
+        "name": mdd_type.name,
+        "base": mdd_type.base.name,
+        "dd": str(mdd_type.definition_domain),
+    }
+
+
 class ReaderView(NamedTuple):
     """One object version, as one reader sees it.
 
@@ -1087,7 +1113,7 @@ class StoredMDD:
         self.database._log_blob_put(blob_id, b"")
         synopsis = (
             constant_synopsis(domain.cell_count, self.mdd_type.base.default)
-            if self.database.zone_maps and self.mdd_type.base.dtype.fields is None
+            if self.mdd_type.base.dtype.fields is None
             else None
         )
         return self._register(domain, blob_id, "none", True, synopsis)
@@ -1130,18 +1156,13 @@ class StoredMDD:
     ) -> int:
         """Log (with a WAL) and apply ``tile_register`` under the next
         tile id."""
-        tile_id = self._next_tile_id
+        entry = TileEntry(self._next_tile_id, domain, blob_id, codec, virtual)
         if self.database.wal is not None:
             # The synopsis rides in the same redo record as the tile it
-            # describes, so replay can never resurrect one without the
-            # other (crash-safe sidecar, WAL-logged).
-            zone = {} if synopsis is None else {"zone": synopsis.to_dict()}
-            self._log_meta({"op": "tile_register", "tile_id": tile_id, "domain": str(domain),
-                            "blob": blob_id, "codec": codec, "virtual": virtual, **zone})
-        self._apply_register(
-            TileEntry(tile_id, domain, blob_id, codec, virtual), synopsis
-        )
-        return tile_id
+            # describes, so replay can never resurrect one without the other.
+            self._log_meta({"op": "tile_register", **register_record(entry, synopsis)})
+        self._apply_register(entry, synopsis)
+        return entry.tile_id
 
     def load_array(
         self,
@@ -1678,7 +1699,6 @@ class Database:
         durability: str = "none",
         wal_path: Optional[Union[str, Path]] = None,
         injector: Optional[FaultInjector] = None,
-        zone_maps: bool = True,
     ) -> None:
         self.store = store if store is not None else MemoryBlobStore()
         if disk_parameters is None:
@@ -1708,9 +1728,6 @@ class Database:
         if unknown:
             raise StorageError(f"unknown codecs {unknown}, known: {list(known_codecs())}")
         self.codecs = codecs
-        # Zone maps: per-tile value synopses for predicate pruning and
-        # aggregate short-circuiting (DESIGN §13).
-        self.zone_maps = zone_maps
         self.collections: dict[str, dict[str, StoredMDD]] = {}
         self.wal: Optional[WriteAheadLog] = None
         self.durability = "none"
@@ -1969,13 +1986,15 @@ class Database:
         return freed
 
     def republish(self) -> None:
-        """Re-freeze every object's working state as its published version.
+        """Publish every object's working state as one new epoch, as a
+        commit would.
 
         For single-threaded maintenance paths that mutate working state
         outside a transaction (catalog reload, recovery replay); not for
         use while readers are active.
         """
         with self.epoch.latch:
+            self.epoch.retire_and_advance(())
             epoch = self.epoch._current
             for objects in self.collections.values():
                 for obj in objects.values():
@@ -2081,13 +2100,7 @@ class Database:
                     "op": "create_object",
                     "coll": collection,
                     "obj": name,
-                    # Full type, not just the name: replay must be able to
-                    # reconstruct the object without a type registry.
-                    "type": {
-                        "name": mdd_type.name,
-                        "base": mdd_type.base.name,
-                        "dd": str(mdd_type.definition_domain),
-                    },
+                    "type": type_spec(mdd_type),
                 }
             )
         return obj

@@ -348,13 +348,13 @@ class TestPlanesDecodeSites:
 
 class TestDeepDecode:
     """``fsck --deep`` decodes every real compressed tile, once: objects
-    without synopses included (struct cells, zone maps off)."""
+    without synopses (struct cells) included."""
 
     DOMAIN = MInterval.parse("[0:31,0:31]")
 
-    @pytest.mark.parametrize("cells, zone_maps", [("rgb", True), ("long", False)])
-    def test_reports_a_garbled_zlib_tile(self, tmp_path, cells, zone_maps):
-        db = create_database(tmp_path, compression=True, codecs=("zlib",), zone_maps=zone_maps)
+    @pytest.mark.parametrize("cells", ["rgb", "long"])
+    def test_reports_a_garbled_zlib_tile(self, tmp_path, cells):
+        db = create_database(tmp_path, compression=True, codecs=("zlib",))
         mdd_type = MDDType("t", base_type(cells), self.DOMAIN)
         obj = db.create_object("c", mdd_type, "o")
         ramp = (np.arange(32 * 32 * mdd_type.cell_size) % 7).astype(np.uint8)
@@ -373,5 +373,5 @@ class TestDeepDecode:
         report = fsck_database(tmp_path, deep=True)
         (issue,) = report.issues
         assert issue.code == "tile-undecodable"
-        assert f"tile {tile['id']}:" in issue.message
+        assert f"tile {tile['tile_id']}:" in issue.message
         assert "corrupt zlib payload" in issue.message

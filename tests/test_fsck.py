@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from repro.core.cells import base_type
+from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
 from repro.storage.catalog import create_database, open_database, save_database
@@ -146,12 +148,18 @@ class TestFsckDetects:
         assert before == after
 
 
-class TestZoneAudit:
-    """The zone-map sidecar audit (shallow and ``--deep``)."""
+def _set_zone(directory, make):
+    """Replace the first tile row's zone in ``catalog.json`` by
+    ``make(zone)``."""
+    catalog_path = directory / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    row = catalog["collections"]["c"][0]["tiles"][0]
+    row["zone"] = make(row["zone"])
+    catalog_path.write_text(json.dumps(catalog))
 
-    def _entries(self, directory):
-        sidecar = json.loads((directory / "zones.json").read_text())
-        return sidecar, sidecar["collections"]["c"]["o"]
+
+class TestZoneAudit:
+    """The audit of each tile row's inline zone (shallow and ``--deep``)."""
 
     def test_clean_deep_audit(self, tmp_path):
         report = fsck_database(_build(tmp_path / "db"), deep=True)
@@ -159,66 +167,72 @@ class TestZoneAudit:
         assert report.zones_checked > 0
         assert "zone entries" in report.summary()
 
-    def test_absent_sidecar_is_only_a_warning(self, tmp_path):
-        directory = _build(tmp_path / "db")
-        (directory / "zones.json").unlink()
-        report = fsck_database(directory)
-        assert report.ok  # warnings never fail the check
-        assert "zone-sidecar-absent" in _codes(report)
-
-    def test_corrupt_sidecar(self, tmp_path):
-        directory = _build(tmp_path / "db")
-        (directory / "zones.json").write_text("{not json")
-        report = fsck_database(directory)
-        assert not report.ok
-        assert "zone-sidecar-corrupt" in _codes(report)
-
-    def test_missing_entry(self, tmp_path):
-        directory = _build(tmp_path / "db")
-        sidecar, entries = self._entries(directory)
-        entries.pop(sorted(entries)[0])
-        assert entries, "need a second entry to keep zone maps enabled"
-        (directory / "zones.json").write_text(json.dumps(sidecar))
-        report = fsck_database(directory)
-        assert not report.ok
-        assert "zone-missing" in _codes(report)
-
-    def test_orphan_entry(self, tmp_path):
-        directory = _build(tmp_path / "db")
-        sidecar, entries = self._entries(directory)
-        entries["9999"] = next(iter(entries.values()))
-        (directory / "zones.json").write_text(json.dumps(sidecar))
-        report = fsck_database(directory)
-        assert not report.ok
-        assert "zone-orphan" in _codes(report)
+    def test_an_attached_tile_without_a_zone_is_clean(self, tmp_path):
+        directory = tmp_path / "db"
+        db = create_database(directory, page_size=128)
+        t = MDDType("img", base_type("char"), MInterval.parse("[0:15,0:15]"))
+        obj = db.create_object("c", t, "o")
+        obj.load_array(np.ones((8, 16), np.uint8), RegularTiling(128), origin=(0, 0))
+        blob_id = db.store.put(np.full((8, 16), 7, np.uint8).tobytes())
+        obj.attach_tile(MInterval.parse("[8:15,0:15]"), blob_id)
+        save_database(db, directory)
+        db.close()
+        for deep in (False, True):
+            report = fsck_database(directory, deep=deep)
+            assert report.ok and not report.issues, report.issues
+            assert report.zones_checked == report.tiles_checked - 1
 
     def test_count_mismatch(self, tmp_path):
         directory = _build(tmp_path / "db")
-        sidecar, entries = self._entries(directory)
-        next(iter(entries.values()))["count"] += 1
-        (directory / "zones.json").write_text(json.dumps(sidecar))
+        _set_zone(directory, lambda zone: {**zone, "count": zone["count"] + 1})
         report = fsck_database(directory)
         assert not report.ok
         assert "zone-count-mismatch" in _codes(report)
 
     def test_inverted_range(self, tmp_path):
         directory = _build(tmp_path / "db")
-        sidecar, entries = self._entries(directory)
-        entry = next(iter(entries.values()))
-        entry["min"], entry["max"] = entry["max"] + 1, entry["min"]
-        (directory / "zones.json").write_text(json.dumps(sidecar))
+        _set_zone(directory, lambda zone: {**zone, "min": zone["max"] + 1, "max": zone["min"]})
         report = fsck_database(directory)
         assert not report.ok
         assert "zone-range-invalid" in _codes(report)
 
     def test_stale_synopsis_needs_deep(self, tmp_path):
         directory = _build(tmp_path / "db")
-        sidecar, entries = self._entries(directory)
-        entry = next(iter(entries.values()))
-        entry["min"] = entry["min"] + 1  # plausible but wrong
-        entry["sum"] = entry["sum"] + 1
-        (directory / "zones.json").write_text(json.dumps(sidecar))
+        # plausible but wrong
+        _set_zone(directory, lambda zone: {**zone, "min": zone["min"] + 1, "sum": zone["sum"] + 1})
         assert fsck_database(directory).ok  # shallow cannot see it
         report = fsck_database(directory, deep=True)
         assert not report.ok
         assert "zone-stale" in _codes(report)
+
+
+def _without(key):
+    return lambda zone: {k: v for k, v in zone.items() if k != key}
+
+
+#: Malformed zones of a checkpoint row, each wrong in one way.
+MALFORMED_ZONES = {
+    "no count": _without("count"),
+    "no min": _without("min"),
+    "min not a number": lambda zone: {**zone, "min": "x"},
+    "sum not a number": lambda zone: {**zone, "sum": [1]},
+    "count not an integer": lambda zone: {**zone, "count": 2.5},
+    "negative nonzero": lambda zone: {**zone, "nonzero": -1},
+    "nbins 1": lambda zone: {**zone, "nbins": 1},
+    "nbins 64": lambda zone: {**zone, "nbins": 64},
+    "bins past nbins": lambda zone: {**zone, "bins": 1 << zone["nbins"]},
+    "a list": lambda zone: list(zone.values()),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_ZONES))
+def test_a_malformed_zone_fails_typed(tmp_path, mutation):
+    """Open refuses the row with a ``StorageError``; fsck, shallow and
+    deep, reports it and never raises."""
+    directory = _build(tmp_path / "db")
+    _set_zone(directory, MALFORMED_ZONES[mutation])
+    with pytest.raises(StorageError, match="malformed zone"):
+        open_database(directory)
+    for deep in (False, True):
+        report = fsck_database(directory, deep=deep)
+        assert _codes(report) == {"zone-malformed"}, report.issues

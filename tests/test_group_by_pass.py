@@ -27,7 +27,7 @@ from repro.index.zonemap import AGG_FUNCS, CellPredicate
 from repro.query.engine import QueryEngine
 from repro.shard import ShardedDatabase
 from repro.storage.pipeline import fetch_tile_partials
-from repro.storage.tilestore import Database
+from repro.storage.tilestore import Database, StoredMDD
 from repro.tiling.base import grid_partition
 from tests.group_oracle import group_loop
 
@@ -53,9 +53,9 @@ def _build(
 
     Tile ``gap`` (modulo the tile count) is left out (a default-filled
     hole) or registered virtual; the returned mirror holds the default
-    there either way.  The last ``bare`` tiles are written with zone
-    maps off: with no synopsis to bound them, integer sums over the
-    group cells they meet — and only those — may not be combined.
+    there either way.  The last ``bare`` tiles are attached without a
+    synopsis: with none to bound them, integer sums over the group cells
+    they meet — and only those — may not be combined.
     """
     domain = MInterval.from_shape(data.shape)
     mdd = mdd_type("T", base, str(domain))
@@ -71,14 +71,19 @@ def _build(
         mirror[hole.to_slices(domain.lowest)] = base.default
     tiles = [Tile(box, mirror[box.to_slices(domain.lowest)].copy()) for box in boxes]
     obj.write_tiles(tiles[: len(tiles) - bare])
-    if bare:
-        for db in _stores(root):
-            db.zone_maps = False
-        obj.write_tiles(tiles[len(tiles) - bare :])
+    attach_bare(obj, tiles[len(tiles) - bare :])
     if hole is not None and gap_kind == "virtual":
         part = obj if deployment == "single" else obj._parts[obj.shard_of(hole.lowest)]
         part.insert_virtual_tile(hole)
     return root, obj, mirror
+
+
+def attach_bare(obj, tiles):
+    """Register ``tiles`` with no synopsis through ``attach_tile`` (the
+    public path that computes none), each stored on the part owning it."""
+    for tile in tiles:
+        part = obj if isinstance(obj, StoredMDD) else obj._parts[obj.shard_of(tile.domain.lowest)]
+        part.attach_tile(tile.domain, part.database.store.put(tile.to_bytes()))
 
 
 def _stores(root):

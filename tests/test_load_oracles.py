@@ -28,7 +28,7 @@ from repro.core.geometry import MInterval
 from repro.index.base import IndexEntry
 from repro.index.rplustree import RPlusTreeIndex
 from repro.index.zonemap import compute_synopsis
-from repro.storage.catalog import CATALOG_NAME, ZONES_NAME, open_database, save_database
+from repro.storage.catalog import CATALOG_NAME, open_database, save_database
 from repro.storage.tilestore import Database
 from tests.counted import counted, counts
 
@@ -271,9 +271,8 @@ def sales_database():
 
 def test_a_compact_checkpoint_reopens_to_the_same_object(sales_database, tmp_path):
     save_database(sales_database, tmp_path)
-    for name in (CATALOG_NAME, ZONES_NAME):
-        text = (tmp_path / name).read_text()
-        assert "\n" not in text and ", " not in text and '": ' not in text
+    text = (tmp_path / CATALOG_NAME).read_text()
+    assert "\n" not in text and ", " not in text and '": ' not in text
     reopened = open_database(tmp_path)
     try:
         assert object_state(reopened) == object_state(sales_database)
@@ -284,9 +283,8 @@ def test_a_compact_checkpoint_reopens_to_the_same_object(sales_database, tmp_pat
 
 def test_an_indented_checkpoint_still_opens(sales_database, tmp_path):
     save_database(sales_database, tmp_path)
-    for name in (CATALOG_NAME, ZONES_NAME):  # the format checkpoints had before
-        path = tmp_path / name
-        path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    path = tmp_path / CATALOG_NAME  # indented, as older checkpoints were written
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
     reopened = open_database(tmp_path)
     try:
         assert object_state(reopened) == object_state(sales_database)

@@ -123,10 +123,10 @@ def test_fsck_reports_the_oracle_overlaps_in_order(boxes):
         "collections": {
             "c": [
                 {
-                    "name": "o",
-                    "type": {"name": "T", "base": "char", "definition_domain": str(definition)},
+                    "obj": "o",
+                    "type": {"name": "T", "base": "char", "dd": str(definition)},
                     "tiles": [
-                        {"id": tile_id, "domain": str(domain), "blob": 0, "codec": "zlib"}
+                        {"tile_id": tile_id, "domain": str(domain), "blob": 0, "codec": "zlib"}
                         for tile_id, domain in enumerate(boxes)
                     ],
                 }
@@ -134,7 +134,7 @@ def test_fsck_reports_the_oracle_overlaps_in_order(boxes):
         }
     }
     report = FsckReport()
-    _check_objects(report, catalog, _EveryBlob())
+    _check_objects(report, catalog, _EveryBlob(), deep=False)
     found = [i.message for i in report.issues if i.code == "tile-overlap"]
     assert found == [
         f"c/o tiles {i} and {j} overlap ({boxes[i]} vs {boxes[j]})"

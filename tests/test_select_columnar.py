@@ -29,6 +29,7 @@ from repro.storage.tilestore import Database, ReadExecutor
 from repro.tiling.aligned import AlignedTiling
 from repro.tiling.directional import DirectionalTiling
 from tests import select_oracle
+from tests.test_group_by_pass import attach_bare
 from tests.test_partials_batched import _cuts, _guillotine
 
 RELOPS = ("<", "<=", ">", ">=", "=", "!=")
@@ -138,24 +139,22 @@ def _build(case):
     data = case["data"]
     mdd = mdd_type("S", case["base"], str(MInterval.from_shape(data.shape)))
     root = Database() if case["shards"] is None else ShardedDatabase(case["shards"])
-    stores = [root] if case["shards"] is None else root.shards
     obj = root.create_object("c", mdd, "o")
 
     def part_of(box):
         return obj if case["shards"] is None else obj._parts[obj.shard_of(box.lowest)]
 
-    for zone_maps in (True, False):
-        for db in stores:
-            db.zone_maps = zone_maps
-        tiles = [
+    def tiles(kind):
+        return [
             Tile(box, data[box.to_slices((0, 0))].copy())
             for box, fate in zip(case["boxes"], case["fates"])
-            if fate == ("stored" if zone_maps else "bare")
+            if fate == kind
         ]
-        if tiles:
-            obj.write_tiles(tiles)
-    for db in stores:
-        db.zone_maps = True
+
+    stored = tiles("stored")
+    if stored:
+        obj.write_tiles(stored)
+    attach_bare(obj, tiles("bare"))
     for box, fate in zip(case["boxes"], case["fates"]):
         if fate == "virtual":
             part_of(box).insert_virtual_tile(box)

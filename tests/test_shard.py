@@ -548,6 +548,24 @@ class TestReplication:
         assert shipped_first >= 1
         primary.close()
 
+    def test_a_ship_publishes_a_new_epoch(self, tmp_path):
+        """A follower's readers (and the ETags served from it) see each
+        applied ship as a new version, as a commit would publish it."""
+        tiles = _tiles(_data())
+        primary, obj, followers = self._deploy(tmp_path, _data())
+
+        def epochs():
+            return [f.db.collection("c")["cube"]._published.epoch for f in followers.followers]
+
+        obj.write_tiles(tiles[:8])
+        followers.ship()
+        before = epochs()
+        obj.write_tiles(tiles[8:])
+        shipped = [status.shipped_txns for status in followers.ship()]
+        assert any(shipped)
+        assert [new > old for new, old in zip(epochs(), before)] == [n > 0 for n in shipped]
+        primary.close()
+
     def test_lag_measures_without_applying(self, tmp_path):
         data = _data()
         tiles = _tiles(data)

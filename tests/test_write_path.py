@@ -129,12 +129,10 @@ def disk_charges(delta) -> dict:
 
 @pytest.mark.parametrize("durability", ["wal", "wal+fsync"])
 @pytest.mark.parametrize("compression", [False, True])
-@pytest.mark.parametrize("zone_maps", [True, False])
-def test_batch_update_matches_per_tile_oracle(tmp_path, durability, compression, zone_maps):
+def test_batch_update_matches_per_tile_oracle(tmp_path, durability, compression):
     options = dict(
         durability=durability,
         compression=compression,
-        zone_maps=zone_maps,
         io_workers=2,
         buffer_bytes=256 * KIB,
         decoded_cache_bytes=256 * KIB,
@@ -163,8 +161,7 @@ def test_batch_update_matches_per_tile_oracle(tmp_path, durability, compression,
     for db, directory in ((left_db, left_dir), (right_db, right_dir)):
         save_database(db, directory)
         close(db)
-    for name in ("catalog.json", "zones.json"):
-        assert (left_dir / name).read_bytes() == (right_dir / name).read_bytes(), name
+    assert (left_dir / "catalog.json").read_bytes() == (right_dir / "catalog.json").read_bytes()
 
 
 corner = st.integers(0, 95)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.errors import IndexError_, StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
 from repro.index.zonemap import (
@@ -75,6 +76,19 @@ class TestComputeSynopsis:
     def test_nbins_disabled(self):
         syn = compute_synopsis(np.arange(10, dtype=np.int64), nbins=0)
         assert syn.nbins == 0 and syn.bins == 0
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_the_widest_bitmap_is_63_bins(self, dtype):
+        # 64 or more bins would need bit 63, which the int64 mask wraps
+        cells = np.arange(1000, dtype=dtype)
+        syn = compute_synopsis(cells, 63)
+        assert syn.nbins == 63 and syn.bins == 2**63 - 1
+        assert TileSynopsis.from_dict(syn.to_dict()) == syn
+        for nbins in (1, 64, 70, -1):
+            with pytest.raises(IndexError_, match="nbins"):
+                compute_synopsis(cells, nbins)
+            with pytest.raises(StorageError, match="malformed zone"):
+                TileSynopsis.from_dict({**syn.to_dict(), "nbins": nbins, "bins": 0})
 
     def test_constant_tile_has_no_bitmap(self):
         # vmin == vmax: the histogram is degenerate, so no bitmap is

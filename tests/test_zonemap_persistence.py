@@ -1,5 +1,7 @@
-"""Zone maps across the durability boundary: the checkpoint sidecar,
-WAL replay, and legacy checkpoints without a sidecar."""
+"""Zone maps across the durability boundary: inline in the checkpoint's
+tile rows, in WAL replay, and tile rows that carry none."""
+
+import json
 
 import numpy as np
 
@@ -51,7 +53,13 @@ class TestCheckpointSidecar:
         _fill(db)
         save_database(db, directory)
         db.close()
-        assert (directory / "zones.json").exists()
+        # one catalog, zones inline in its tile rows: no zone sidecar
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "blobs.pages", "blobs.pages.catalog.json", "catalog.json",
+        ]
+        catalog = json.loads((directory / "catalog.json").read_text())
+        assert catalog["version"] == 3
+        assert all("zone" in row for row in catalog["collections"]["c"][0]["tiles"])
         db2 = open_database(directory)
         obj = db2.collection("c")["o"]
         _assert_pruning_works(obj, _data())
@@ -95,15 +103,21 @@ class TestCheckpointSidecar:
         db2.close()
         assert fsck_database(directory, deep=True).ok
 
-    def test_legacy_checkpoint_without_sidecar(self, tmp_path):
-        """Deleting zones.json models a pre-zone-map checkpoint: the
-        database opens cold (no pruning) and reads stay correct."""
+    def test_rows_without_zones_open_cold(self, tmp_path):
+        """A tile row without a zone (what ``attach_tile`` registers) is
+        legal: the database opens without pruning those tiles, reads stay
+        correct, and fsck is clean."""
         directory = tmp_path / "db"
         db = create_database(directory, page_size=128)
         _, data = _fill(db)
         save_database(db, directory)
         db.close()
-        (directory / "zones.json").unlink()
+        catalog_path = directory / "catalog.json"
+        catalog = json.loads(catalog_path.read_text())
+        for row in catalog["collections"]["c"][0]["tiles"]:
+            del row["zone"]
+        catalog_path.write_text(json.dumps(catalog))
+        assert fsck_database(directory, deep=True).ok
         db2 = open_database(directory)
         obj = db2.collection("c")["o"]
         pred = CellPredicate(">", 190)
@@ -114,17 +128,3 @@ class TestCheckpointSidecar:
             value, _ = obj.aggregate(DOMAIN, op)
             assert value == AGG_FUNCS[op](data), op
         db2.close()
-
-    def test_zone_maps_disabled(self, tmp_path):
-        directory = tmp_path / "db"
-        db = create_database(directory, page_size=128, zone_maps=False)
-        _, data = _fill(db)
-        pred = CellPredicate(">", 190)
-        obj = db.collection("c")["o"]
-        pruned, timing = obj.read(DOMAIN, predicate=pred)
-        assert timing.tiles_pruned == 0
-        np.testing.assert_array_equal(pruned, np.where(data > 190, data, 0))
-        save_database(db, directory)
-        db.close()
-        report = fsck_database(directory, deep=True)
-        assert report.ok, report.issues  # no entries = disabled, not stale

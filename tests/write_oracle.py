@@ -53,12 +53,8 @@ def _replace_payload(obj, entry, raw: bytes) -> None:
     blob_id = database.store.put(payload, codec=codec, page_crcs=page_crcs)
     database._note_created_blob(blob_id)
     database._log_blob_put(blob_id, payload, page_crcs=page_crcs)
-    synopsis = (
-        compute_synopsis(
-            np.frombuffer(raw, dtype=obj.mdd_type.base.dtype), DEFAULT_BINS
-        )
-        if database.zone_maps
-        else None
+    synopsis = compute_synopsis(
+        np.frombuffer(raw, dtype=obj.mdd_type.base.dtype), DEFAULT_BINS
     )
     obj._log_meta(
         {
