@@ -145,6 +145,21 @@ class RPlusTreeIndex:
                 stack.extend(node.items)
         return count
 
+    def copy(self) -> "RPlusTreeIndex":
+        """An independent tree: new nodes and item lists that share this
+        tree's entries, MBRs and packed bounds, which no mutation changes
+        in place (they are reassigned)."""
+        def twin(node: _Node) -> _Node:
+            clone = object.__new__(_Node)
+            clone.leaf, clone.mbr, clone._packed = node.leaf, node.mbr, node._packed
+            clone.items = list(node.items) if node.leaf else [twin(c) for c in node.items]
+            return clone
+
+        tree = object.__new__(RPlusTreeIndex)
+        tree.__dict__.update(self.__dict__)
+        tree._root = twin(self._root)
+        return tree
+
     def entries(self) -> Iterator[IndexEntry]:
         """Every stored entry once (unspecified order)."""
         seen: set[int] = set()

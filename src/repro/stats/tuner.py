@@ -116,13 +116,6 @@ class TuningResult:
     costs: dict[int, float]          # candidate -> ms/query (total access)
     t_o_only_best: int               # winner when index time is ignored
 
-    @property
-    def index_time_changed_choice(self) -> bool:
-        """True when optimising for total access time picked a different
-        MaxTileSize than optimising ``t_o`` alone — the effect the
-        paper's future work is after."""
-        return self.best_size != self.t_o_only_best
-
 
 def choose_max_tile_size(
     strategy_factory: StrategyFactory,

@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.core.cells import base_type
-from repro.core.errors import RecoveryError, StorageError
+from repro.core.errors import RecoveryError, ReproError, StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
 from repro.index.zonemap import TileSynopsis
@@ -223,7 +223,10 @@ def open_database(
     catalog_path = directory / CATALOG_NAME
     if not catalog_path.exists():
         raise StorageError(f"no database catalog at {catalog_path}")
-    catalog = json.loads(catalog_path.read_text())
+    try:
+        catalog = json.loads(catalog_path.read_text())
+    except ValueError as exc:
+        raise StorageError(f"corrupt catalog {catalog_path}: {exc}") from exc
     if catalog.get("version") != CATALOG_VERSION:
         raise StorageError(
             f"unsupported catalog version {catalog.get('version')!r} in "
@@ -375,21 +378,14 @@ def _create_object(database: Database, coll_name: str, record: dict) -> StoredMD
 def _apply_object_op(obj: StoredMDD, op: str, operation: dict) -> None:
     """Replay one object redo record: parse, guard for idempotence, call
     the applier the live write called (``StoredMDD._apply_*``)."""
+    if op == "tile_register":
+        row = tile_entry(operation)
+        if row.tile_id not in obj._tiles:
+            obj._apply_register(row, _synopsis(operation.get("zone")))
+        return
     tile_id = operation.get("tile_id")
     entry = obj._tiles.get(tile_id)
-    if op == "tile_register":
-        if entry is None:
-            obj._apply_register(
-                TileEntry(
-                    tile_id,
-                    MInterval.parse(operation["domain"]),
-                    operation["blob"],
-                    operation["codec"],
-                    operation["virtual"],
-                ),
-                _synopsis(operation.get("zone")),
-            )
-    elif op == "tile_remove":
+    if op == "tile_remove":
         if entry is not None:
             obj._apply_remove(tile_id)
     elif op == "tile_rebind":
@@ -406,6 +402,23 @@ def _apply_object_op(obj: StoredMDD, op: str, operation: dict) -> None:
         obj._apply_clear()
     else:
         raise RecoveryError(f"unknown redo operation {op!r}")
+
+
+#: A tile row's fields and their types (JSON's; a bool is no int here).
+ROW_FIELDS = (("tile_id", int), ("domain", str), ("blob", int), ("codec", str), ("virtual", bool))
+
+
+def tile_entry(row: dict, fields=ROW_FIELDS) -> TileEntry:
+    """A ``tile_register`` row's :class:`TileEntry`; a missing or
+    ill-typed field of ``fields`` is a :class:`RecoveryError`."""
+    try:
+        for key, kind in fields:
+            if not isinstance(row[key], kind) or (kind is int and isinstance(row[key], bool)):
+                raise TypeError(f"{key} {row[key]!r} is not a {kind.__name__}")
+        domain = MInterval.parse(row["domain"])
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise RecoveryError(f"malformed tile row {row!r}: {exc!r}") from exc
+    return TileEntry(row["tile_id"], domain, row["blob"], row["codec"], row.get("virtual", False))
 
 
 def _synopsis(zone: Optional[dict]) -> Optional[TileSynopsis]:

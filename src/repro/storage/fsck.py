@@ -9,6 +9,8 @@ the write-ahead log, without mutating any of them:
   other, and never overlap the allocator's free list;
 * every real payload is readable at its recorded size and passes its
   per-page CRC-32 verification;
+* every tile row carries its fields, typed (a malformed row is reported
+  and skipped);
 * every tile references an existing BLOB whose size matches the tile's
   domain (uncompressed tiles), tiles of one object never overlap, and
   the object's current domain contains all of them;
@@ -37,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.cells import BaseType
-from repro.core.errors import ChecksumError, ReproError, StorageError
+from repro.core.errors import ChecksumError, RecoveryError, ReproError, StorageError
 from repro.core.geometry import MInterval, overlapping_pairs, pack_bounds
 from repro.index.zonemap import (
     TileSynopsis,
@@ -49,8 +51,10 @@ from repro.storage.catalog import (
     CATALOG_NAME,
     CATALOG_VERSION,
     PAGES_NAME,
+    ROW_FIELDS,
     WAL_NAME,
     object_type,
+    tile_entry,
 )
 from repro.storage.compression import decompress
 from repro.storage.wal import scan_wal
@@ -181,9 +185,12 @@ def _check_objects(
             domains: list[tuple[MInterval, int]] = []
             for row in record.get("tiles", []):
                 report.tiles_checked += 1
-                tile_id = row.get("tile_id", "?")
-                domain = MInterval.parse(row["domain"])
-                blob_id = row["blob"]
+                try:  # fsck reads ``virtual`` from the blob record
+                    entry = tile_entry(row, ROW_FIELDS[:4])
+                except RecoveryError as exc:
+                    report.error("tile-malformed", f"{name}: {exc}")
+                    continue
+                tile_id, domain, blob_id = entry.tile_id, entry.domain, entry.blob_id
                 if blob_id not in store:
                     report.error(
                         "tile-dangling-blob",

@@ -85,9 +85,10 @@ def note_live_versions(count: int) -> None:
 class ObjectVersion:
     """An immutable point-in-time view of one stored object.
 
-    ``tiles`` and ``index`` are immutable **by convention**: they are
-    never mutated after publication (the writer clones before mutating),
-    so readers share them without copies or locks.
+    The rows (frozen :class:`TileEntry`), synopses and index entries are
+    immutable, and shared with the versions before and after; the maps
+    and index nodes are this version's own — a writer copies them before
+    its first change (DESIGN §11) — so readers share them without locks.
     """
 
     tiles: Mapping[int, "TileEntry"]
@@ -96,20 +97,14 @@ class ObjectVersion:
     epoch: int
     #: Per-tile value synopses, published atomically with ``tiles`` — a
     #: reader can never pair a tile with a synopsis from another epoch.
-    zones: Mapping[int, "TileSynopsis"] = None  # type: ignore[assignment]
-
+    zones: Mapping[int, "TileSynopsis"]
     #: The object's type: the tile table's dimensionality and cell type.
-    mdd_type: Optional["MDDType"] = None
-
-    def __post_init__(self) -> None:
-        if self.zones is None:
-            object.__setattr__(self, "zones", {})
+    mdd_type: "MDDType"
 
     @cached_property
     def table(self) -> "TileTable":
         """``tiles`` and ``zones`` as columns, derived on first use (a
         race derives it twice, identically)."""
-        assert self.mdd_type is not None
         return TileTable(self.tiles, self.zones, self.mdd_type)
 
 

@@ -18,7 +18,6 @@ paper's ``t_ix`` / ``t_o`` / ``t_cpu`` breakdown.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -102,9 +101,10 @@ _READ_MS = obs.histogram(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileEntry:
-    """Tile-table row: where one tile's cells live."""
+    """Tile-table row: where one tile's cells live.  Frozen: versions
+    share rows, and a rebind replaces its row (DESIGN §11)."""
 
     tile_id: int
     domain: MInterval
@@ -743,19 +743,10 @@ class StoredMDD:
         self._zones: dict[int, TileSynopsis] = {}
         self._next_tile_id = 1
         self._current_domain: Optional[MInterval] = None
-        # Readers outside a transaction go through this immutable version
-        # (DESIGN §11).  Outside a transaction it aliases the working
-        # containers above; a transaction's first mutation clones the
-        # working containers (copy-on-write), leaving the published
-        # version frozen until commit republishes.
-        self._published = ObjectVersion(
-            tiles=self._tiles,
-            index=self.index,
-            domain=None,
-            epoch=0,
-            zones=self._zones,
-            mdd_type=mdd_type,
-        )
+        # Readers outside a transaction read this version (DESIGN §11).  It
+        # aliases the working containers until a transaction's first
+        # mutation copies them (:meth:`_touch`).
+        self._published = self._version(0)
         #: The working state as a version, for reads inside a transaction;
         #: built by the first such read, dropped by the next mutation.
         self._working: Optional[ObjectVersion] = None
@@ -768,34 +759,32 @@ class StoredMDD:
         """Copy-on-write hook: call before any working-state mutation.
 
         Inside a transaction, the first touch saves the published version
-        for rollback and replaces the working containers with private
-        clones, so readers of :attr:`_published` never see mid-transaction
-        state.  Outside a transaction (catalog reload, recovery replay)
-        this is a no-op — those paths republish explicitly when done.
+        for rollback and copies the working containers — the tile and zone
+        maps and the index's nodes; the rows, synopses and index entries
+        they hold are immutable and shared — so readers of
+        :attr:`_published` never see mid-transaction state.  Outside a
+        transaction (catalog reload, recovery replay) this is a no-op —
+        those paths republish explicitly when done.
         """
         self._working = None
         txn = self.database._current_txn()
         if txn is None or self in txn.dirtied:
             return
         txn.dirtied[self] = (self._published, self._next_tile_id)
-        self._tiles = {
-            tile_id: replace(entry) for tile_id, entry in self._tiles.items()
-        }
-        # Synopses are immutable; a shallow copy of the mapping suffices.
+        self._tiles = dict(self._tiles)
         self._zones = dict(self._zones)
-        self.index = copy.deepcopy(self.index)
+        self.index = self.index.copy()
+
+    def _version(self, epoch: int) -> ObjectVersion:
+        """The working state as a version at ``epoch``."""
+        return ObjectVersion(
+            self._tiles, self.index, self._current_domain, epoch, self._zones, self.mdd_type
+        )
 
     def _publish(self, epoch: int) -> None:
         """Freeze the working state as the readable version (at commit)."""
         self._working = None
-        self._published = ObjectVersion(
-            tiles=self._tiles,
-            index=self.index,
-            domain=self._current_domain,
-            epoch=epoch,
-            zones=self._zones,
-            mdd_type=self.mdd_type,
-        )
+        self._published = self._version(epoch)
 
     def _restore_version(
         self, version: ObjectVersion, next_tile_id: int
@@ -825,14 +814,7 @@ class StoredMDD:
         pin = None
         if version is None and self.database._current_txn() is not None:
             if self._working is None:
-                self._working = ObjectVersion(
-                    self._tiles,
-                    self.index,
-                    self._current_domain,
-                    self.database.epoch._current,
-                    self._zones,
-                    self.mdd_type,
-                )
+                self._working = self._version(self.database.epoch._current)
             version = self._working
         elif version is None:
             epoch = self.database.epoch
@@ -880,9 +862,7 @@ class StoredMDD:
         """``tile_rebind``: point a tile at a new BLOB; its synopsis is
         replaced in the same step (``None`` drops it)."""
         self._touch()
-        entry = self._tiles[tile_id]
-        entry.blob_id = blob_id
-        entry.codec = codec
+        self._tiles[tile_id] = replace(self._tiles[tile_id], blob_id=blob_id, codec=codec)
         if synopsis is None:
             self._zones.pop(tile_id, None)
         else:

@@ -306,11 +306,6 @@ class WriteAheadLog:
         _RECORDS.inc()
         return lsn
 
-    @property
-    def buffered_records(self) -> int:
-        """Records buffered by the calling thread's open transaction."""
-        return len(self._buf())
-
     # -- transaction boundaries ------------------------------------------
 
     def commit_frame(self) -> Optional[tuple[int, int]]:

@@ -111,6 +111,13 @@ class TestRoundtrip:
             with pytest.raises(StorageError, match=f"catalog version {version} "):
                 open_database(directory)
 
+    def test_open_a_catalog_that_is_not_json(self, tmp_path):
+        directory = tmp_path / "db"
+        save_database(Database(), directory)
+        (directory / CATALOG_NAME).write_text('{"version": 3, "collections": ')
+        with pytest.raises(StorageError, match="corrupt catalog"):
+            open_database(directory)
+
     def test_types_restored(self, tmp_path):
         db = Database()
         populate(db)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cells import base_type
-from repro.core.errors import StorageError
+from repro.core.errors import RecoveryError, StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import MDDType
 from repro.storage.catalog import create_database, open_database, save_database
@@ -236,3 +236,51 @@ def test_a_malformed_zone_fails_typed(tmp_path, mutation):
     for deep in (False, True):
         report = fsck_database(directory, deep=deep)
         assert _codes(report) == {"zone-malformed"}, report.issues
+
+
+#: Malformed tile rows of a checkpoint, each wrong in one way.
+MALFORMED_ROWS = {
+    "no domain": lambda row: {k: v for k, v in row.items() if k != "domain"},
+    "domain not a literal": lambda row: {**row, "domain": "[0:x]"},
+    "domain a list": lambda row: {**row, "domain": [0, 15]},
+    "no blob": lambda row: {k: v for k, v in row.items() if k != "blob"},
+    "blob a string": lambda row: {**row, "blob": str(row["blob"])},
+    "tile id a bool": lambda row: {**row, "tile_id": True},
+    "a list": lambda row: list(row.values()),
+}
+
+
+def _set_row(directory, make) -> int:
+    """Replace the first tile row in ``catalog.json`` by ``make(row)``;
+    returns the object's row count."""
+    catalog_path = directory / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    rows = catalog["collections"]["c"][0]["tiles"]
+    rows[0] = make(rows[0])
+    catalog_path.write_text(json.dumps(catalog))
+    return len(rows)
+
+
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_ROWS))
+def test_a_malformed_tile_row_fails_typed(tmp_path, mutation):
+    """Open refuses the row with a ``RecoveryError`` (a ``StorageError``);
+    fsck, shallow and deep, reports it, skips it and checks the rest."""
+    directory = _build(tmp_path / "db")
+    rows = _set_row(directory, MALFORMED_ROWS[mutation])
+    with pytest.raises(RecoveryError, match="malformed tile row"):
+        open_database(directory)
+    for deep in (False, True):
+        report = fsck_database(directory, deep=deep)
+        assert _codes(report) == {"tile-malformed"}, report.issues
+        assert report.tiles_checked == rows
+        assert report.zones_checked == rows - 1
+
+
+def test_a_row_whose_virtual_flag_is_not_a_bool_fails_open(tmp_path):
+    """fsck reads a tile's ``virtual`` from its blob record; open builds
+    the row from the catalog's and refuses an ill-typed one."""
+    directory = _build(tmp_path / "db")
+    _set_row(directory, lambda row: {**row, "virtual": 0})
+    with pytest.raises(RecoveryError, match="virtual 0 is not a bool"):
+        open_database(directory)
+    assert fsck_database(directory).ok
