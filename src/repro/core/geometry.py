@@ -72,7 +72,7 @@ class MInterval:
 
     OPEN = OPEN
 
-    __slots__ = ("_lo", "_hi")
+    __slots__ = ("_lo", "_hi", "_shape")
 
     def __init__(
         self,
@@ -215,9 +215,14 @@ class MInterval:
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        """Inclusive extent per axis: ``u_i - l_i + 1``."""
-        self._require_bounded("shape")
-        return tuple(u - l + 1 for l, u in zip(self._lo, self._hi))  # type: ignore[operator]
+        """Inclusive extent per axis: ``u_i - l_i + 1`` (kept once
+        computed: a tile's shape is read once per decode)."""
+        try:
+            return self._shape
+        except AttributeError:
+            self._require_bounded("shape")
+            self._shape = tuple(u - l + 1 for l, u in zip(self._lo, self._hi))  # type: ignore
+            return self._shape
 
     @property
     def cell_count(self) -> int:

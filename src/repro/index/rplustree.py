@@ -13,7 +13,9 @@ duplicated into every region they straddle — natural:
   overflow path (minimal-enlargement descent, widest-axis distribution
   split), used for gradually growing MDDs;
 * **search** descends every child whose region intersects the query,
-  counting visited nodes — each node is one index page for ``t_ix``.
+  counting visited nodes — each node is one index page for ``t_ix``;
+  a read counts them alone (:meth:`RPlusTreeIndex.nodes_visited`), as
+  its tile table finds the hits.
 
 Node capacity derives from the page size and the per-entry footprint, so
 index height and page counts respond to dimensionality like a paged tree
@@ -22,7 +24,7 @@ would.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -302,31 +304,54 @@ class RPlusTreeIndex:
     # Search / remove
     # ------------------------------------------------------------------
 
-    def search(self, region: MInterval) -> SearchResult:
-        """Every entry whose domain intersects ``region``, once each."""
-        hits: dict[int, IndexEntry] = {}
+    def _walk(self, region: MInterval, leaf: Optional[Callable] = None) -> int:
+        """Descend every child whose region meets ``region``; returns the
+        nodes visited.  ``leaf(node, matches)`` runs on each leaf met,
+        with the positions of its entries meeting ``region``; without it
+        a leaf costs its visit only."""
         visited = 0
         lower, upper = pack_bounds([region], region.dim)[0]
         stack = [self._root]
         while stack:
             node = stack.pop()
             visited += 1
-            if node.mbr is None or not node.mbr.intersects(region):
+            if node.mbr is None or not node.mbr.intersects(region) or (node.leaf and leaf is None):
                 continue
             matches = np.flatnonzero(
                 intersecting_mask(node.packed_bounds(self.dim), lower, upper)
             )
-            if node.leaf:
-                for i in matches:
-                    entry = node.items[i]
-                    hits[entry.tile_id] = entry
-            else:
-                for i in matches:
-                    stack.append(node.items[i])
+            if not node.leaf:
+                stack.extend(node.items[i] for i in matches)
+            elif leaf is not None:
+                leaf(node, matches)
+        return visited
+
+    def _note(self, visited: int, found: int) -> None:
         _SEARCHES.inc()
         _NODES_VISITED.inc(visited)
-        _ENTRIES_FOUND.inc(len(hits))
+        _ENTRIES_FOUND.inc(found)
+
+    def search(self, region: MInterval) -> SearchResult:
+        """Every entry whose domain intersects ``region``, once each."""
+        hits: dict[int, IndexEntry] = {}
+
+        def collect(node: _Node, matches: np.ndarray) -> None:
+            for i in matches:
+                entry = node.items[i]
+                hits[entry.tile_id] = entry
+
+        visited = self._walk(region, collect)
+        self._note(visited, len(hits))
         return SearchResult(entries=list(hits.values()), nodes_visited=visited)
+
+    def nodes_visited(self, region: MInterval, found: int) -> int:
+        """The nodes a :meth:`search` of ``region`` visits, counted
+        without collecting its hits: the read path finds the ``found``
+        tiles meeting ``region`` in the tile table, and the tree only
+        prices the lookup (DESIGN §17)."""
+        visited = self._walk(region)
+        self._note(visited, found)
+        return visited
 
     def remove(self, tile_id: int) -> bool:
         """Drop every reference to ``tile_id`` (no rebalancing)."""

@@ -86,33 +86,47 @@ class BufferPool:
     ) -> list[tuple[bytes, PoolRead]]:
         """Each blob's payload and :class:`PoolRead`, walked in order under
         one latch hold: a hit is touched, a miss admitted with its
-        ``load(blob_id)`` payload — then one disk charge prices the misses
-        (none for a batch of hits)."""
+        ``load(blob_id)`` payload, evicting least-recently-used entries to
+        fit (a payload over the whole budget is not admitted) — then one
+        disk charge prices the misses (none for a batch of hits), and the
+        sizes admitted and evicted are counted once for the batch."""
+        entries, capacity = self._entries, self.capacity_bytes
         payloads: list[bytes] = []
         evictions: list[Optional[int]] = []  # None: a hit
         missed: list[BlobRecord] = []
         admitted: list[int] = []
         evicted: list[int] = []
         with self._latch:
-            used = self._used
+            start = used = self._used
             try:
                 for record in records:
                     blob_id = record.blob_id
-                    payload = self._entries.get(blob_id)
+                    payload = entries.get(blob_id)
                     if payload is not None:
-                        self._entries.move_to_end(blob_id)
+                        entries.move_to_end(blob_id)
                         evictions.append(None)
-                    else:
-                        payload = load(blob_id)
-                        missed.append(record)
-                        evictions.append(self._admit(blob_id, payload, admitted, evicted))
+                        payloads.append(payload)
+                        continue
+                    payload = load(blob_id)
+                    missed.append(record)
                     payloads.append(payload)
+                    size, before = len(payload), len(evicted)
+                    if size <= capacity:
+                        while used + size > capacity and entries:
+                            victim = len(entries.popitem(last=False)[1])
+                            used -= victim
+                            evicted.append(victim)
+                        entries[blob_id] = payload
+                        used += size
+                        admitted.append(size)
+                    evictions.append(len(evicted) - before)
             finally:  # one update per instrument, inside the latch hold
+                self._used = used
                 if missed:
                     _BYTES_ADMITTED.inc(sum(admitted))
                     _ADMITTED_SIZE.observe_many(admitted)
                     _BYTES_EVICTED.inc(sum(evicted))
-                    _USED_BYTES.inc(self._used - used)
+                    _USED_BYTES.inc(used - start)
             costs = iter(self.disk.charge_reads(missed))
         return [
             (payload, HIT if evicted is None else PoolRead(next(costs), False, evicted))
@@ -122,21 +136,6 @@ class BufferPool:
     def read_blob(self, blob_id: int) -> tuple[bytes, PoolRead]:
         """One blob's :meth:`read_blobs`, a miss read from the store."""
         return self.read_blobs(self.store.records([blob_id]), self.store.get)[0]
-
-    def _admit(self, blob_id: int, payload: bytes, admitted: list[int], evicted: list[int]) -> int:
-        """Admit a payload, evicting LRU entries to fit; returns how many.
-        The admitted and evicted sizes are appended for the caller to count."""
-        if len(payload) > self.capacity_bytes:
-            return 0
-        before = len(evicted)
-        while self._used + len(payload) > self.capacity_bytes and self._entries:
-            _victim, victim = self._entries.popitem(last=False)
-            self._used -= len(victim)
-            evicted.append(len(victim))
-        self._entries[blob_id] = payload
-        self._used += len(payload)
-        admitted.append(len(payload))
-        return len(evicted) - before
 
     def invalidate(self, blob_id: int) -> None:
         """Drop one entry (called on BLOB update/delete)."""

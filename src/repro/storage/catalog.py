@@ -266,6 +266,7 @@ def _recover(database: Database, catalog: dict, scan: WalScan, directory: Path) 
     for coll_name, records in catalog["collections"].items():
         database.collections.setdefault(coll_name, {})
         for record in records:
+            check_object_entry(coll_name, record)
             obj = _create_object(database, coll_name, record)
             for row in record["tiles"]:
                 _apply_object_op(obj, "tile_register", row)
@@ -366,6 +367,7 @@ def object_type(spec: dict) -> MDDType:
 def _create_object(database: Database, coll_name: str, record: dict) -> StoredMDD:
     """``create_object`` (a WAL record, or a checkpoint's object entry):
     the named object, made from the record's type spec when absent."""
+    check_object_entry(coll_name, record, OBJECT_FIELDS[:2])
     coll = database.collections.setdefault(coll_name, {})
     obj = coll.get(record["obj"])
     if obj is None:
@@ -402,6 +404,29 @@ def _apply_object_op(obj: StoredMDD, op: str, operation: dict) -> None:
         obj._apply_clear()
     else:
         raise RecoveryError(f"unknown redo operation {op!r}")
+
+
+#: A checkpoint object entry's fields and their types (JSON's; a bool
+#: is no int here): a ``create_object`` record's two, then the rest.
+OBJECT_FIELDS = (
+    ("obj", str), ("type", dict), ("next_tile_id", int), ("tiles", list),
+    ("domain", (str, type(None))),
+)
+
+
+def check_object_entry(coll_name: str, record: object, fields=OBJECT_FIELDS) -> None:
+    """A checkpoint object entry — or, with its first two ``fields``, a
+    ``create_object`` record — lacking a field or holding one ill-typed
+    is a :class:`RecoveryError` naming the object."""
+    name = f"{coll_name}/{record.get('obj') if isinstance(record, dict) else None}"
+    if not isinstance(record, dict):
+        raise RecoveryError(f"malformed object entry {name}: {record!r} is not an object")
+    for key, kind in fields:
+        if key not in record:
+            raise RecoveryError(f"malformed object entry {name}: no {key!r}")
+        value = record[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise RecoveryError(f"malformed object entry {name}: {key} {value!r} is ill-typed")
 
 
 #: A tile row's fields and their types (JSON's; a bool is no int here).

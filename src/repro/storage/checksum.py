@@ -45,6 +45,8 @@ def mismatched_pages(actual: list[int], expected: list[int]) -> list[int]:
     is inconsistent with the payload, which is exactly what a torn
     metadata write looks like.
     """
+    if actual == expected:  # one C comparison: the read path's case
+        return []
     if len(actual) != len(expected):
         return list(range(max(len(actual), len(expected))))
     return [i for i, (a, e) in enumerate(zip(actual, expected)) if a != e]

@@ -8,8 +8,9 @@ Three codecs are provided:
 * ``zlib``   — DEFLATE via the standard library;
 * ``planes`` — a header, each cell's low byte, then one ``np.packbits``
   plane per higher bit of the cell minus the tile minimum (modular, so
-  signed cells are exact); a few numpy passes decode it.  Native-order
-  integer and bool cells only: its encoder alone needs the cell type.
+  signed cells are exact); a few numpy passes decode it, or any run of
+  its cells alone.  Native-order integer and bool cells only: its
+  encoder alone needs the cell type.
 
 ``select_codec`` implements the *selective* part: a tile is stored
 compressed only when compression actually pays (saves at least one page
@@ -31,7 +32,10 @@ import numpy as np
 from repro import obs
 from repro.core.errors import StorageError
 
-Codec = tuple[Callable[[bytes, Optional[np.dtype]], bytes], Callable[[bytes], "bytes | memoryview"]]
+Codec = tuple[
+    Callable[[bytes, Optional[np.dtype]], bytes],
+    Callable[[bytes, int, Optional[int]], "bytes | memoryview"],
+]
 
 _ENCODES = obs.counter("codec.encodes", "Payloads encoded (all codecs)")
 _ENCODE_BYTES_IN = obs.counter("codec.encode_bytes_in", "Raw bytes given to encoders")
@@ -41,6 +45,8 @@ _ENCODE_MS = obs.histogram("codec.encode_ms", "Wall milliseconds per encode")
 
 #: ``planes`` header: cell kind, item size, bit width, minimum (as unsigned), cell count.
 _PLANES_HEADER = struct.Struct("<cBBQQ")
+#: The unsigned cell type of each item size.
+_UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
 def planes_eligible(dtype: Optional[np.dtype]) -> bool:
@@ -71,10 +77,14 @@ def planes_encode(payload: bytes, dtype: Optional[np.dtype]) -> bytes:
     return b"".join(parts)
 
 
-def planes_decode(payload: bytes) -> memoryview:
-    """Inverse of :func:`planes_encode`: one ``unpackbits`` over the
-    planes, the high bits OR-ed in ``uint8``, one widen, one add.  The
-    cells come back read-only, as a decoded ``bytes`` would."""
+def planes_decode(payload: bytes, start: int = 0, stop: Optional[int] = None) -> memoryview:
+    """Inverse of :func:`planes_encode`, over decoded bytes ``start`` to
+    ``stop`` (whole cells; the default is every cell): each low byte
+    widened by one ``astype``, the range's bytes of each high plane
+    unpacked, eight planes at a time folded into one ``uint8`` by adds,
+    then shifted into place in the cell type, and the minimum added
+    unless it is 0.  The cells come back read-only, as a decoded
+    ``bytes`` would."""
     if len(payload) < _PLANES_HEADER.size:
         raise StorageError("corrupt planes payload (short header)")
     kind, size, width, minimum, count = _PLANES_HEADER.unpack_from(payload)
@@ -89,19 +99,34 @@ def planes_decode(payload: bytes) -> memoryview:
             f"corrupt planes payload ({kind!r}{size}, width {width}, minimum "
             f"{minimum}, {count} cells, {body} body bytes)"
         )
-    unsigned = np.dtype(f"u{size}")
-    cells = np.zeros(count, dtype=unsigned)
-    if width:
-        cells[:] = np.frombuffer(payload, np.uint8, count, _PLANES_HEADER.size)
+    stop = count * size if stop is None else stop
+    if not 0 <= start <= stop <= count * size or (start | stop) % size:
+        raise StorageError(f"bytes {start}:{stop} are no whole cells of {count} {kind!r}{size}")
+    first, cells_wanted = start // size, (stop - start) // size
+    unsigned = _UNSIGNED[size]
+    if not width:
+        cells = np.full(cells_wanted, minimum, dtype=unsigned)
+    else:
+        cells = np.frombuffer(
+            payload, np.uint8, cells_wanted, _PLANES_HEADER.size + first
+        ).astype(unsigned)
     if width > 8:
         high = np.frombuffer(payload, np.uint8, offset=_PLANES_HEADER.size + count)
-        bits = np.unpackbits(high.reshape(width - 8, -1), axis=1, count=count)
+        lead = first % 8  # the range may start mid-byte
+        bits = np.unpackbits(
+            high.reshape(width - 8, -1)[:, first // 8 : -(-(first + cells_wanted) // 8)], axis=1
+        )[:, lead : lead + cells_wanted]
         for group in range(0, width - 8, 8):
-            byte = bits[group].copy()
-            for bit in range(1, min(8, width - 8 - group)):
-                byte |= bits[group + bit] << bit
-            cells |= byte.astype(unsigned) << (8 + group)
-    cells += unsigned.type(minimum)
+            top = min(width - 8, group + 8)
+            byte = bits[top - 1].copy()
+            for bit in range(top - 2, group - 1, -1):  # byte = 2 * byte + bit
+                byte += byte
+                byte += bits[bit]
+            wide = byte.astype(unsigned)
+            wide <<= 8 + group
+            cells += wide
+    if minimum and width:
+        cells += unsigned.type(minimum)
     cells.flags.writeable = False
     return memoryview(cells).cast("B")
 
@@ -114,16 +139,22 @@ def planes_decode(payload: bytes) -> memoryview:
 ZLIB_LEVEL = 2
 
 
-def _inflate(payload: bytes) -> bytes:
-    """``zlib`` decode; a payload DEFLATE rejects is a :class:`StorageError`."""
+def _span(raw: bytes, start: int, stop: Optional[int]) -> "bytes | memoryview":
+    """Bytes ``start`` to ``stop`` of ``raw``, zero-copy; all of it as is."""
+    return raw if start == 0 and stop is None else memoryview(raw)[start:stop]
+
+
+def _inflate(payload: bytes, start: int = 0, stop: Optional[int] = None) -> "bytes | memoryview":
+    """``zlib`` decode; a payload DEFLATE rejects is a :class:`StorageError`.
+    A range is cut from the whole stream: only a full inflate checks it."""
     try:
-        return zlib.decompress(payload)
+        return _span(zlib.decompress(payload), start, stop)
     except zlib.error as exc:
         raise StorageError(f"corrupt zlib payload ({exc})") from None
 
 
 _CODECS: dict[str, Codec] = {
-    "none": (lambda b, _dtype: b, lambda b: b),
+    "none": (lambda b, _dtype: b, _span),
     "zlib": (lambda b, _dtype: zlib.compress(b, level=ZLIB_LEVEL), _inflate),
     "planes": (planes_encode, planes_decode),
 }
@@ -149,14 +180,18 @@ def compress(payload: bytes, codec: str, dtype: Optional[np.dtype] = None) -> by
     return encoded
 
 
-def decompress(payload: bytes, codec: str) -> "bytes | memoryview":
-    """Decode ``payload`` with the named codec.  Uncounted: the read
-    pipeline counts ``codec.*`` decodes once per fetch batch."""
+def decompress(
+    payload: bytes, codec: str, start: int = 0, stop: Optional[int] = None
+) -> "bytes | memoryview":
+    """Decode ``payload`` with the named codec: the decoded bytes from
+    ``start`` to ``stop`` (default: all of them), which a cell codec
+    decodes alone.  Uncounted: the read pipeline counts ``codec.*``
+    decodes once per fetch batch."""
     try:
         _encode, decode = _CODECS[codec]
     except KeyError:
         raise StorageError(f"unknown codec {codec!r}") from None
-    return decode(payload)
+    return decode(payload, start, stop)
 
 
 #: ``select_codec``'s zlib sample: ``ZLIB_SAMPLE_CHUNKS`` evenly spaced

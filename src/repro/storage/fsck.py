@@ -9,8 +9,8 @@ the write-ahead log, without mutating any of them:
   other, and never overlap the allocator's free list;
 * every real payload is readable at its recorded size and passes its
   per-page CRC-32 verification;
-* every tile row carries its fields, typed (a malformed row is reported
-  and skipped);
+* every object entry and every tile row carries its fields, typed (a
+  malformed one is reported and skipped);
 * every tile references an existing BLOB whose size matches the tile's
   domain (uncompressed tiles), tiles of one object never overlap, and
   the object's current domain contains all of them;
@@ -53,6 +53,7 @@ from repro.storage.catalog import (
     PAGES_NAME,
     ROW_FIELDS,
     WAL_NAME,
+    check_object_entry,
     object_type,
     tile_entry,
 )
@@ -176,14 +177,19 @@ def _check_objects(
     for coll_name, objects in catalog.get("collections", {}).items():
         for record in objects:
             report.objects_checked += 1
-            name = f"{coll_name}/{record.get('obj')}"
+            try:
+                check_object_entry(coll_name, record)
+            except RecoveryError as exc:
+                report.error("object-malformed", str(exc))
+                continue
+            name = f"{coll_name}/{record['obj']}"
             try:
                 mdd_type = object_type(record["type"])
             except (ReproError, KeyError, TypeError) as exc:
                 report.error("object-type", f"{name}: bad type: {exc}")
                 continue
             domains: list[tuple[MInterval, int]] = []
-            for row in record.get("tiles", []):
+            for row in record["tiles"]:
                 report.tiles_checked += 1
                 try:  # fsck reads ``virtual`` from the blob record
                     entry = tile_entry(row, ROW_FIELDS[:4])

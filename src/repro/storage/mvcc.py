@@ -25,8 +25,8 @@ degenerates to "delete at commit".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from repro.storage.latch import OrderedLatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mddtype import MDDType
-    from repro.index.base import IndexEntry
     from repro.index.rplustree import RPlusTreeIndex
     from repro.index.zonemap import TileSynopsis
     from repro.query.timing import QueryTiming
@@ -111,30 +110,32 @@ class ObjectVersion:
 class TileTable:
     """One object version's tile table as arrays (DESIGN §17).
 
-    Row ``i`` is the tile ``entries[i]`` (in ``tiles`` order), of domain
-    ``domains[i]``: ``lo`` / ``hi`` are its bounds (``int64[n, d]``),
-    ``cells`` its cell count, ``ids`` its tile id and ``zones`` its
+    Row ``i`` is the tile ``entries[i]`` (in ``tiles`` order): ``lo`` /
+    ``hi`` are its bounds (``int64[n, d]``),
+    ``cells`` its cell count, ``ids`` its tile id, ``blob_ids`` its BLOB,
+    ``virtual`` whether its cells are synthesised and ``zones`` its
     synopsis columns.  Derived from a version, whose containers never
     change once published, it needs no upkeep of its own.
     """
 
     def __init__(self, tiles: Mapping, zones: Mapping, mdd_type: "MDDType") -> None:
         self.entries = list(tiles.values())
-        self.domains = [entry.domain for entry in self.entries]
-        self.ids = np.fromiter(tiles, dtype=np.int64, count=len(tiles))
+        count = len(self.entries)
+        self.ids = np.fromiter(tiles, dtype=np.int64, count=count)
+        self.blob_ids = np.fromiter((e.blob_id for e in self.entries), dtype=np.int64, count=count)
+        self.virtual = np.fromiter((e.virtual for e in self.entries), dtype=bool, count=count)
         bounds = np.array(
             [entry.domain.lower + entry.domain.upper for entry in self.entries], dtype=np.int64
-        ).reshape(len(self.entries), 2, mdd_type.dim)
+        ).reshape(count, 2, mdd_type.dim)
         self.lo, self.hi = bounds[:, 0], bounds[:, 1]
         self.cells = np.prod(self.hi - self.lo + 1, axis=1)
         self.zones = ZoneColumns([zones.get(tile_id) for tile_id in tiles], mdd_type.base.dtype)
-        self._by_id = np.argsort(self.ids, kind="stable")  # ids only grow: no id-sized map
-        self._sorted_ids = self.ids[self._by_id]
 
-    def rows(self, hits: Sequence["IndexEntry"]) -> np.ndarray:
-        """The rows of index hits, in hit order."""
-        ids = np.fromiter((hit.tile_id for hit in hits), dtype=np.int64, count=len(hits))
-        return self._by_id[np.searchsorted(self._sorted_ids, ids)]
+    def meeting(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """The rows of the tiles meeting the box ``low`` .. ``high``, in
+        row order: one overlap mask over the bound columns."""
+        met = (self.lo <= high) & (self.hi >= low)
+        return np.flatnonzero(reduce(np.logical_and, met.T))  # per axis: short rows
 
 
 class EpochManager:

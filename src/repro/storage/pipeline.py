@@ -11,9 +11,10 @@ This module is that per-tile chain, run on the calling thread:
   simulated disk charges, whose seek/settle/sequential regimes depend
   on head position, read ahead per chunk of misses
   (:func:`_read_runs`); each miss is decoded where it is fetched —
-  ``decompress`` + ``frombuffer``, then on the pushdown the per-tile
-  kernel; the batch's decoded misses are then admitted to the decoded
-  cache in page order, under one latch hold.
+  ``decompress`` + ``frombuffer``, only the rows its parts meet when no
+  cache keeps it, then on the pushdown the per-tile kernel; the batch's
+  decoded misses are then admitted to the decoded cache in page order,
+  under one latch hold.
 
 The stored codecs decode in a few numpy passes (``planes``) or one C
 call (``zlib``), so there is no decode worker pool: the
@@ -21,17 +22,19 @@ call (``zlib``), so there is no decode worker pool: the
 only (:mod:`repro.storage.ingest`).  All of it is one function,
 :func:`_fetch`; the public ``fetch_tiles`` / ``fetch_tile`` /
 ``fetch_tile_partials`` are its entry points; ``fetch_payloads`` (served
-tile frames) is its read walk alone.  Each tile carries its own cache
-outcomes and decode wall, counted once per batch (:func:`_count`): the
-registry takes one update per instrument per fetch batch, never one
-per tile.
+tile frames) is its read walk alone.  A batch's outcomes are columns
+(:class:`Fetched`), summed once per batch (:func:`_count`): the registry
+takes one update per instrument per fetch batch, never one per tile.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,22 +65,17 @@ _PARTIAL_AGGS = obs.counter(
 
 @dataclass(slots=True)
 class FetchedTile:
-    """One tile's outcome: charged cost, accounting sizes, decoded cells.
+    """One tile's outcome, read out of a :class:`Fetched` batch.
 
-    ``array`` is the decoded, read-only-when-cached tile array; ``None``
-    for virtual tiles (their cells are synthesised defaults).  ``cost`` is
-    the modelled disk milliseconds charged for this tile (0.0 on a buffer
-    pool or decoded-cache hit).  ``payload_bytes`` is the stored payload
-    size, counted whether or not the payload was actually materialised.
-
-    On the pushdown path (:func:`fetch_tile_partials`) ``array`` stays
-    ``None`` and ``partials`` summarises the predicate-masked cells of
-    each of the tile's parts, in order (:class:`_Reducer`).  A virtual
-    tile has neither: its clipped cells are all defaults, and the caller
-    accounts them as default fill.  From :func:`fetch_payloads` only ``payload``
-    is set: the stored bytes, undecoded.  The ``decoded_*`` / ``pool_*``
-    outcomes are this fetch's own lookups' (none made: both ``False`` /
-    ``pool_hit`` ``None``).
+    ``array`` is the decoded, read-only-when-cached tile array — its rows
+    from ``first_row`` on, when only those were decoded; ``None`` for
+    virtual tiles (their cells are synthesised defaults).  ``cost`` is the
+    modelled disk milliseconds charged for this tile (0.0 on a buffer pool
+    or decoded-cache hit); ``payload_bytes`` the stored payload size.  On
+    the pushdown (:func:`fetch_tile_partials`) ``partials`` holds one
+    partial per part instead (:class:`_Reducer`; a virtual tile has
+    none), and from :func:`fetch_payloads` only ``payload`` is set.  The
+    ``decoded_*`` / ``pool_*`` outcomes are this fetch's own lookups'.
     """
 
     entry: "TileEntry"
@@ -93,6 +91,85 @@ class FetchedTile:
     #: Wall ms of this tile's :func:`_decode` (decode, then reduce);
     #: non-zero exactly when it was decoded for this fetch.
     decode_ms: float = 0.0
+    first_row: int = 0
+
+
+class Fetched(SequenceABC):
+    """A page-ordered batch's outcomes, one column per
+    :class:`FetchedTile` field, filled in place as the batch is fetched
+    (DESIGN §17): the read path sums and walks the columns, and indexing
+    reads one tile out.  ``decoded`` marks the tiles decoded by this
+    fetch (a decoded-cache miss, when the batch has a cache)."""
+
+    __slots__ = (
+        "entries", "cost", "payload_bytes", "arrays", "first_row", "pool_hit", "pool_evicted",
+        "decoded_hit", "decoded", "decode_ms", "partials", "payloads", "cached",
+    )
+
+    def __init__(self, entries: Sequence["TileEntry"], cached: bool) -> None:
+        count = len(entries)
+        self.entries = entries
+        #: Whether a decoded cache was consulted (a decode is then its miss).
+        self.cached = cached
+        self.cost = [0.0] * count
+        self.payload_bytes = [0] * count
+        self.arrays: list[Optional[np.ndarray]] = [None] * count
+        self.first_row = [0] * count
+        self.pool_hit: list[Optional[bool]] = [None] * count
+        self.pool_evicted = [0] * count
+        self.decoded_hit = [False] * count
+        self.decoded = [False] * count
+        self.decode_ms = [0.0] * count
+        self.partials: list[tuple[TileSynopsis, ...]] = [()] * count
+        self.payloads: list[bytes] = [b""] * count
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, at: int) -> FetchedTile:  # type: ignore[override]
+        return FetchedTile(
+            self.entries[at], self.cost[at], self.payload_bytes[at], self.arrays[at],
+            self.decoded_hit[at], self.decoded[at] and self.cached, self.pool_hit[at],
+            self.pool_evicted[at], self.partials[at], self.payloads[at], self.decode_ms[at],
+            self.first_row[at],
+        )
+
+
+class TileParts(NamedTuple):
+    """A batch's tiles with their parts as bounds columns: tile ``i``'s
+    parts are rows ``first[i]`` to ``first[i + 1]`` of ``lo`` / ``hi``
+    (``int64[p, d]``, relative to the tile's origin), and ``rows[i]``
+    its leading-axis rows ``[start, stop)`` that hold them."""
+
+    entries: Sequence["TileEntry"]
+    lo: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, items: Sequence[tuple["TileEntry", Sequence["MInterval"]]]) -> "TileParts":
+        """From ``(entry, parts)`` pairs, each part an interval inside
+        its tile (the rows: the tile's whole leading axis)."""
+        entries = [entry for entry, _ in items]
+        origins = [entry.domain.lower for entry, parts in items for _ in parts]
+        lows = [part.lower for _, parts in items for part in parts]
+        highs = [part.upper for _, parts in items for part in parts]
+        dim = entries[0].domain.dim if entries else 1
+        lo, hi, origin = (
+            np.array(bounds, dtype=np.int64).reshape(-1, dim) for bounds in (lows, highs, origins)
+        )
+        counts = [len(parts) for _, parts in items]
+        rows = [(0, entry.domain.shape[0]) for entry in entries]
+        return cls(
+            entries, lo - origin, hi - origin, np.cumsum([0, *counts]),
+            np.array(rows, dtype=np.intp).reshape(-1, 2),
+        )
+
+    def per_tile(self) -> list[tuple[list, list]]:
+        """Each tile's part bounds as lists, in one conversion."""
+        lows, highs, first = self.lo.tolist(), self.hi.tolist(), self.first.tolist()
+        return [(lows[a:b], highs[a:b]) for a, b in zip(first, first[1:])]
 
 
 class _Reducer:
@@ -152,36 +229,56 @@ class _Reducer:
         return TileSynopsis(cells, 0, extreme, extreme, 0, nans)
 
     def __call__(
-        self, array: np.ndarray, entry: "TileEntry", parts: Sequence["MInterval"]
+        self, array: np.ndarray, lo: Sequence[Sequence[int]], hi: Sequence[Sequence[int]],
+        first_row: int = 0,
     ) -> tuple[TileSynopsis, ...]:
-        """One tile's partials, one per part, in order, each reduced as a
-        view of the tile (no copy)."""
+        """One tile's partials, one per part — the part bounded by
+        ``lo[k]`` / ``hi[k]`` in the tile, whose rows ``array`` holds from
+        ``first_row`` on — in order, each reduced as a view of the tile
+        (no copy); a part that is all of ``array`` is reduced as the
+        array itself."""
         self.peak = max(self.peak, array.nbytes)
-        if len(parts) == 1 and parts[0] == entry.domain:
-            return (self.reduce(array),)
-        origin = entry.domain.lowest
-        return tuple(self.reduce(array[part.to_slices(origin)]) for part in parts)
+        shape, partials = list(array.shape), []
+        for low, high in zip(lo, hi):
+            starts = [low[0] - first_row, *low[1:]]
+            stops = [high[0] - first_row + 1, *[h + 1 for h in high[1:]]]
+            whole = not any(starts) and stops == shape
+            part = array if whole else array[tuple(map(slice, starts, stops))]
+            partials.append(self.reduce(part))
+        return tuple(partials)
 
 
 def _decode(
-    tile: FetchedTile,
+    batch: Fetched,
+    at: int,
     payload: bytes,
     dtype,
-    parts: Sequence["MInterval"],
-    reduce: Optional[_Reducer],
+    rows: Optional[tuple[int, int]],
+    reduce: Optional[_Reducer] = None,
+    parts: Optional[Sequence[tuple[list, list]]] = None,
 ) -> None:
-    """The CPU half of one miss: decompress and shape the tile's cells,
-    then hand them over — or, given a reducer, reduce them to
-    ``tile.partials`` and drop them."""
-    entry = tile.entry
+    """The CPU half of one miss: decompress and shape the tile's cells —
+    only its leading-axis ``rows`` ``[start, stop)``, if given — then
+    hand them over, or, given a reducer, reduce them to the tile's
+    partials and drop them."""
+    entry = batch.entries[at]
     started = time.perf_counter()
-    raw = decompress(payload, entry.codec)
-    array = np.frombuffer(raw, dtype=dtype).reshape(entry.domain.shape)
-    if reduce is None:
-        tile.array = array
+    shape = entry.domain.shape
+    if rows is None or rows == [0, shape[0]]:
+        raw = decompress(payload, entry.codec)
     else:
-        tile.partials = reduce(array, entry, parts)
-    tile.decode_ms = (time.perf_counter() - started) * 1000.0
+        step = dtype.itemsize * math.prod(shape[1:])
+        raw = decompress(payload, entry.codec, rows[0] * step, rows[1] * step)
+        shape = (rows[1] - rows[0], *shape[1:])
+        batch.first_row[at] = rows[0]
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if reduce is None:
+        batch.arrays[at] = array
+    else:
+        assert parts is not None
+        batch.partials[at] = reduce(array, *parts[at], batch.first_row[at])
+    batch.decoded[at] = True
+    batch.decode_ms[at] = (time.perf_counter() - started) * 1000.0
 
 
 # Blobs per verified read-ahead: enough to share one pool pass and one
@@ -190,11 +287,11 @@ _READ_AHEAD_RUNS = 32
 
 
 def _read_runs(
-    database: "Database", items: Sequence[tuple[int, "TileEntry"]], records: Sequence["BlobRecord"]
-) -> Iterator[tuple[int, FetchedTile, bytes]]:
-    """Read the cache misses in order: ``(position, tile, payload)``, the
-    tile carrying the blob's charge and pool outcome (``records`` by
-    position: the batch's catalog snapshot).
+    database: "Database", batch: Fetched, misses: Sequence[int], records: Sequence["BlobRecord"]
+) -> Iterator[tuple[int, bytes]]:
+    """Read the cache misses (positions in ``batch``) in order, filling
+    their charge and pool columns: ``(position, payload)`` (``records``
+    by position: the batch's catalog snapshot).
 
     Per chunk of ``_READ_AHEAD_RUNS`` blobs: one pool peek; one
     ``store.get_run`` of the real blobs the pool lacks (all, without a
@@ -203,29 +300,28 @@ def _read_runs(
     disk charge — handed the verified payloads.  Safe because the
     caller's pinned view keeps blobs immutable.
     """
-    pool = database.pool
-    for start in range(0, len(items), _READ_AHEAD_RUNS):
-        chunk = items[start : start + _READ_AHEAD_RUNS]
-        ids = [entry.blob_id for _, entry in chunk]
+    pool, entries = database.pool, batch.entries
+    for start in range(0, len(misses), _READ_AHEAD_RUNS):
+        chunk = misses[start : start + _READ_AHEAD_RUNS]
+        ids = [entries[at].blob_id for at in chunk]
         cached = pool.cached(ids) if pool is not None else [False] * len(ids)
-        absent = [i for i, (_, e), hit in zip(ids, chunk, cached) if not (e.virtual or hit)]
+        absent = [i for i, at, hit in zip(ids, chunk, cached) if not (entries[at].virtual or hit)]
         ahead = dict(zip(absent, database.store.get_run(absent)))
-        reads = database.read_blobs([records[position] for position, _ in chunk], ahead)
-        for (position, entry), (payload, read) in zip(chunk, reads):
-            tile = FetchedTile(
-                entry, read.cost, len(payload), pool_hit=read.hit, pool_evicted=read.evicted
-            )
-            yield position, tile, payload
+        reads = database.read_blobs([records[at] for at in chunk], ahead)
+        for at, (payload, read) in zip(chunk, reads):
+            batch.cost[at], batch.pool_hit[at], batch.pool_evicted[at] = read
+            batch.payload_bytes[at] = len(payload)
+            yield at, payload
 
 
-def _count(fetched: Sequence[FetchedTile]) -> None:
+def _count(batch: Fetched) -> None:
     """One registry update per outcome: what the records sum, per batch."""
-    _POOL_HITS.inc(sum(tile.pool_hit is True for tile in fetched))
-    _POOL_MISSES.inc(sum(tile.pool_hit is False for tile in fetched))
-    _POOL_EVICTIONS.inc(sum(tile.pool_evicted for tile in fetched))
-    _DECODED_HITS.inc(sum(tile.decoded_hit for tile in fetched))
-    _DECODED_MISSES.inc(sum(tile.decoded_miss for tile in fetched))
-    decodes = [tile.decode_ms for tile in fetched if tile.decode_ms > 0.0]
+    _POOL_HITS.inc(batch.pool_hit.count(True))
+    _POOL_MISSES.inc(batch.pool_hit.count(False))
+    _POOL_EVICTIONS.inc(sum(batch.pool_evicted))
+    _DECODED_HITS.inc(sum(batch.decoded_hit))
+    decodes = list(compress(batch.decode_ms, batch.decoded))
+    _DECODED_MISSES.inc(len(decodes) if batch.cached else 0)
     _TILES_DECODED.inc(len(decodes))
     _DECODES.inc(len(decodes))
     _DECODE_MS.observe_many(decodes)
@@ -235,64 +331,62 @@ def _fetch(
     database: "Database",
     entries: Sequence["TileEntry"],
     dtype,
-    parts: Sequence[Sequence["MInterval"]] = (),
+    parts: Optional[Sequence[tuple[list, list]]] = None,
     reduce: Optional[_Reducer] = None,
     records: Optional[Sequence["BlobRecord"]] = None,
-) -> list[FetchedTile]:
+    rows: Optional[np.ndarray] = None,
+) -> Fetched:
     """Fetch a page-ordered batch of tiles: the one ``t_o`` loop.
 
-    Returns one :class:`FetchedTile` per entry, in the given order.
+    Returns the batch's :class:`Fetched` columns, in the given order.
     Decoded-cache lookups (one :meth:`DecodedTileCache.get_many` for the
     batch), then disk and pool interactions in entry order, each miss
-    decoded as it arrives — then ``reduce(array, entry, parts[i])`` with
-    a reducer.  ``records`` is the batch's catalog snapshot (hit sizes);
+    decoded as it arrives — then, with a reducer, reduced to the tile's
+    ``parts``.  ``records`` is the batch's catalog snapshot (hit sizes);
     one :meth:`BlobStore.records` call takes it when the caller has none.
 
     With a reducer the decoded arrays are dropped, never admitted to the
     decoded cache: the reduce holds one tile at a time, the hits first,
     in place, before any miss is read.  Without one, the decoded misses
-    are admitted in page order once the whole batch is read.
+    are admitted in page order once the whole batch is read.  A miss no
+    decoded cache keeps — every miss, with a reducer or without a cache
+    — decodes only its ``rows`` (leading-axis ``[start, stop)`` per
+    tile), when given; a cache admits whole tiles.
     """
     cache = database.decoded_cache
     if records is None:
         records = database.store.records([entry.blob_id for entry in entries])
-    fetched: list[FetchedTile] = [None] * len(entries)  # type: ignore
-    misses: list[tuple[int, "TileEntry"]] = []
-
-    cached = iter(
-        cache.get_many([entry.blob_id for entry in entries if not entry.virtual])
-        if cache is not None
-        else ()
-    )
-    for position, entry in enumerate(entries):
-        array = None if cache is None or entry.virtual else next(cached)
-        if array is None:
-            misses.append((position, entry))
-            continue
-        tile = fetched[position] = FetchedTile(
-            entry, 0.0, records[position].byte_size, decoded_hit=True
-        )
-        if reduce is None:
-            tile.array = array
-        else:
-            tile.partials = reduce(array, entry, parts[position])
-
-    for position, tile, payload in _read_runs(database, misses, records):
-        fetched[position] = tile
-        if tile.entry.virtual:
-            continue
-        tile.decoded_miss = cache is not None
-        _decode(tile, payload, dtype, () if reduce is None else parts[position], reduce)
+    batch = Fetched(entries, cache is not None)
+    misses: Sequence[int] = range(len(entries))
+    if cache is not None:
+        misses = missed = []
+        found = iter(cache.get_many([entry.blob_id for entry in entries if not entry.virtual]))
+        for at, entry in enumerate(entries):
+            array = None if entry.virtual else next(found)
+            if array is None:
+                missed.append(at)
+                continue
+            batch.decoded_hit[at] = True
+            batch.payload_bytes[at] = records[at].byte_size
+            if reduce is None:
+                batch.arrays[at] = array
+            else:
+                assert parts is not None
+                batch.partials[at] = reduce(array, *parts[at])
+    spans = None if rows is None or (cache is not None and reduce is None) else rows.tolist()
+    for at, payload in _read_runs(database, batch, misses, records):
+        if not entries[at].virtual:
+            _decode(batch, at, payload, dtype, None if spans is None else spans[at], reduce, parts)
 
     # Admissions after the whole batch, in page order: a batch that fails
     # midway (a page CRC mismatch) leaves nothing in the decoded cache.
     if cache is not None and reduce is None:
-        decoded = [tile for tile in fetched if tile.array is not None and not tile.decoded_hit]
-        admitted = cache.put_many([(tile.entry.blob_id, tile.array) for tile in decoded])
-        for tile, array in zip(decoded, admitted):
-            tile.array = array
-    _count(fetched)
-    return fetched
+        decoded = list(compress(range(len(entries)), batch.decoded))
+        admitted = cache.put_many([(entries[at].blob_id, batch.arrays[at]) for at in decoded])
+        for at, array in zip(decoded, admitted):
+            batch.arrays[at] = array
+    _count(batch)
+    return batch
 
 
 def fetch_tiles(
@@ -300,23 +394,24 @@ def fetch_tiles(
     entries: Sequence["TileEntry"],
     dtype,
     records: Optional[Sequence["BlobRecord"]] = None,
-) -> list[FetchedTile]:
-    """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`)."""
-    return _fetch(database, entries, dtype, records=records)
+    rows: Optional[np.ndarray] = None,
+) -> Fetched:
+    """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`);
+    without a decoded cache, each miss decodes only its ``rows``."""
+    return _fetch(database, entries, dtype, records=records, rows=rows)
 
 
 def fetch_payloads(
     database: "Database", entries: Sequence["TileEntry"], records: Sequence["BlobRecord"]
-) -> list[FetchedTile]:
+) -> Fetched:
     """Stored payloads of a page-ordered batch (served tile frames):
     :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
     decoded cache."""
-    fetched = []
-    for _, tile, payload in _read_runs(database, list(enumerate(entries)), records):
-        tile.payload = payload
-        fetched.append(tile)
-    _count(fetched)
-    return fetched
+    batch = Fetched(entries, False)
+    for at, payload in _read_runs(database, batch, range(len(entries)), records):
+        batch.payloads[at] = payload
+    _count(batch)
+    return batch
 
 
 def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
@@ -330,37 +425,31 @@ def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
 
 def fetch_tile_partials(
     database: "Database",
-    items: Sequence[tuple["TileEntry", Sequence["MInterval"]]],
+    items: "TileParts | Sequence[tuple[TileEntry, Sequence[MInterval]]]",
     dtype,
     predicate: Optional[CellPredicate] = None,
     default: object = 0,
     op: Optional[str] = None,
     records: Optional[Sequence["BlobRecord"]] = None,
-) -> tuple[list[FetchedTile], int]:
+) -> tuple[Fetched, int]:
     """Fetch tiles and reduce each to partial aggregates.
 
     The charging protocol is that of :func:`fetch_tiles`, but every
-    decoded tile is clipped to each of its item's parts, masked by
-    ``predicate`` and reduced to one
+    decoded tile is clipped to each of its parts (``items``: columns, or
+    ``(entry, parts)`` pairs), masked by ``predicate`` and reduced to one
     :class:`~repro.index.zonemap.TileSynopsis` per part instead of being
-    returned — a tile is decoded once however many parts it has — so
-    the query box is never materialized.  One tile's temporaries are
-    alive at a time, a cached tile's or a decoded miss's.  With ``op`` a
-    partial carries only the fields that op's combine reads
-    (:class:`_Reducer`); without, the full
+    returned — a tile is decoded once however many parts it has, a miss
+    only in the rows its parts meet — so the query box is never
+    materialized.  One tile's temporaries are alive at a time, a cached
+    tile's or a decoded miss's.  With ``op`` a partial carries only the
+    fields that op's combine reads (:class:`_Reducer`); without, the full
     :func:`~repro.index.zonemap.partial_synopsis`.
 
     Returns the tiles in ``items`` order plus the peak of decoded bytes
-    alive at once: the largest tile reduced.
+    alive at once: the largest tile (or run of rows) reduced.
     """
+    parts = items if isinstance(items, TileParts) else TileParts.of(items)
     reducer = _Reducer(predicate, np.asarray(default, dtype=dtype), op)
-    fetched = _fetch(
-        database,
-        [entry for entry, _ in items],
-        dtype,
-        [parts for _, parts in items],
-        reducer,
-        records,
-    )
-    _PARTIAL_AGGS.inc(sum(len(tile.partials) for tile in fetched))
+    fetched = _fetch(database, parts.entries, dtype, parts.per_tile(), reducer, records, parts.rows)
+    _PARTIAL_AGGS.inc(sum(map(len, fetched.partials)))
     return fetched, reducer.peak

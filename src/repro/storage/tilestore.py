@@ -22,11 +22,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
 from itertools import chain, compress, product
+from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,7 +82,14 @@ from repro.storage.mvcc import (
     TileTable,
     note_live_versions,
 )
-from repro.storage.pipeline import fetch_payloads, fetch_tile, fetch_tile_partials, fetch_tiles  # noqa: F401
+from repro.storage.pipeline import (  # noqa: F401
+    Fetched,
+    TileParts,
+    fetch_payloads,
+    fetch_tile,
+    fetch_tile_partials,
+    fetch_tiles,
+)
 from repro.storage.wal import WriteAheadLog
 
 #: Durability modes: no log, logged, logged + synchronous commits.
@@ -157,10 +165,61 @@ class ReaderView(NamedTuple):
 
 
 @dataclass(slots=True)
+class _Hits:
+    """Hits of one selection as columns (DESIGN §17): their tile-table
+    ``rows``; each hit's part — its tile clipped to the query region —
+    bounded by ``lo`` / ``hi``; and its routes, the ``(cell, part)``
+    pairs of the query cells it meets, grouped by hit: hit ``i``'s are
+    pairs ``first[i]`` to ``first[i + 1]`` of ``cell`` and ``cell_lo`` /
+    ``cell_hi`` (none unless the query condenses)."""
+
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    cell: np.ndarray
+    cell_lo: np.ndarray
+    cell_hi: np.ndarray
+
+    @classmethod
+    def unrouted(cls, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> "_Hits":
+        return cls(rows, lo, hi, np.zeros(len(rows) + 1, dtype=np.intp), rows[:0], lo[:0], hi[:0])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, at: np.ndarray) -> "_Hits":
+        """Hits ``at`` (positions), in that order, with their routes."""
+        if not len(self.cell):
+            return _Hits.unrouted(self.rows[at], self.lo[at], self.hi[at])
+        starts = self.first[at]
+        counts = self.first[1:][at] - starts
+        first = np.concatenate([[0], np.cumsum(counts)])
+        pairs = np.repeat(starts - first[:-1], counts) + np.arange(first[-1])
+        return _Hits(
+            self.rows[at], self.lo[at], self.hi[at], first,
+            self.cell[pairs], self.cell_lo[pairs], self.cell_hi[pairs],
+        )
+
+    def __add__(self, other: "_Hits") -> "_Hits":
+        joined = {
+            c.name: np.concatenate([getattr(self, c.name), getattr(other, c.name)])
+            for c in fields(self)
+        }
+        joined["first"] = np.concatenate([self.first, other.first[1:] + self.first[-1]])
+        return _Hits(**joined)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The routes' ``(row, cell)`` pairs, in route order."""
+        return np.repeat(self.rows, np.diff(self.first)), self.cell
+
+
+@dataclass(slots=True)
 class _Selection:
     """One store view's share of a query, as the select phase left it:
     per query cell (see :class:`ReadExecutor`) what that cell alone
-    would have tallied; ``routes`` are a tile's ``(cell, part)`` pairs."""
+    would have tallied, and the hits as columns of the view's tile
+    table."""
 
     store: "StoredMDD"
     epoch: int
@@ -170,21 +229,17 @@ class _Selection:
     #: Per cell: cells of the hits meeting it, and of the pruned ones.
     covered: list
     pruned_cells: list
-    #: ``(entry, part, routes)`` of every tile still to fetch (``part``:
-    #: the tile clipped to the query region).
-    items: list = field(default_factory=list)
-    #: ``(entry, part, routes, synopsis)`` of tiles answered with zero
-    #: decode.
-    answered: list = field(default_factory=list)
-    fetched: list = field(default_factory=list)
-    #: Catalog record of every item, aligned with ``items`` once page
-    #: ordered: one snapshot feeds the order, the fetch and the accounting
-    #: (blobs stay immutable under the pinned view).
+    table: TileTable
+    #: The tiles still to fetch (page-ordered by the fetch), and those
+    #: answered with zero decode.
+    fetch: _Hits
+    answered: _Hits
+    #: The fetch's outcomes, aligned with ``fetch``.
+    fetched: Fetched = field(default_factory=lambda: Fetched([], False))
+    #: Catalog record of every tile to fetch, aligned with ``fetch`` once
+    #: page ordered: one snapshot feeds the order, the fetch and the
+    #: accounting (blobs stay immutable under the pinned view).
     records: list = field(default_factory=list)
-    #: The view's tile table and the rows of ``items`` / ``answered`` in it.
-    table: Optional[TileTable] = None
-    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    answered_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 class ScatterStats(NamedTuple):
@@ -271,6 +326,7 @@ class ReadExecutor:
             extents = [np.array([hi - lo + 1 for lo, hi in s]) for s in self.groups]
             self.cell_counts = reduce(np.multiply.outer, extents).ravel().tolist()
         self.region = region
+        self._low, self._high = np.array(region.lowest), np.array(region.highest)
         #: The access type of the region as asked, logged by :meth:`finish`.
         self.kind = kind
         self.predicate = predicate
@@ -291,89 +347,68 @@ class ReadExecutor:
     def select(
         self, store: "StoredMDD", view: ReaderView, *, condense: bool = False
     ) -> _Selection:
-        """Index search, zone-map prune and classification — no I/O.
+        """Hit search, zone-map prune and classification — no I/O.
 
-        Charges the index lookup to ``t_ix``.  Every hit the pruner
-        cannot rule out becomes a fetch item; with ``condense`` (the
+        The hits are the rows of the view's tile table meeting the
+        region, found by one overlap mask over its bound columns; the
+        R+-tree only prices the lookup, its node visits charged to
+        ``t_ix`` as its search would have charged them.  Every hit the
+        pruner cannot rule out is to be fetched; with ``condense`` (the
         aggregates) an unpredicated tile with a synopsis lying inside
         every cell it meets is set aside as *answered* instead, and
         coverage is tallied per cell so pruned parts and uncovered space
         count as default cells.  A hit in a gap between cells is dropped.
-        The hits are rows of the view's tile table, and each of these
-        steps is a mask or a sum over its columns (DESIGN §17).
+        Each of these steps is a mask or a sum over the table's columns,
+        and the selection keeps its hits as columns (DESIGN §17).
         """
         selecting = time.perf_counter()
-        region, timing = self.region, self.timing
+        region, timing, low, high = self.region, self.timing, self._low, self._high
+        table = view.version.table
         started = time.perf_counter()
-        result = view.index.search(region)
+        rows = table.meeting(low, high)
+        nodes = view.index.nodes_visited(region, len(rows))
         cpu_ix = (time.perf_counter() - started) * 1000.0
-        page_ix = store.database.disk.charge_index(result.nodes_visited)
+        page_ix = store.database.disk.charge_index(nodes)
         timing.t_ix += cpu_ix + page_ix
         timing.t_ix_pages += page_ix
-        timing.index_nodes += result.nodes_visited
+        timing.index_nodes += nodes
 
         cells = len(self.cell_counts)
-        table = view.version.table
-        rows = table.rows(result.entries)
         if self._seen is not None:  # migration dual-presence: each corner counts once
             corners = list(map(tuple, table.lo[rows].tolist()))
             rows = rows[np.array([corner not in self._seen for corner in corners], dtype=bool)]
             self._seen.update(corners)
-        lo, hi = table.lo.take(rows, axis=0), table.hi.take(rows, axis=0)
-        low, high = np.array(region.lowest), np.array(region.highest)
-        inside = reduce(np.logical_and, ((lo >= low) & (hi <= high)).T)  # per axis: short rows
-        selection = _Selection(store, view.epoch, page_ix, [0] * cells, [0] * cells, table=table)
-        self.selections.append(selection)
+        lo, hi = table.lo[rows], table.hi[rows]
+        hits = _Hits.unrouted(rows, np.maximum(lo, low), np.minimum(hi, high))
         can = np.ones(len(rows), dtype=bool)
         if condense:  # every (hit, cell) pair; a hit in a gap between cells is dropped
-            met, cell, part_lo, part_hi, part_cells = self._route(lo, hi)
+            met, cell, cell_lo, cell_hi, cell_cells = self._route(lo, hi)
             per_hit = np.bincount(met, minlength=len(rows))
+            first = np.concatenate([[0], np.cumsum(per_hit)])
+            hits = replace(hits, first=first, cell=cell, cell_lo=cell_lo, cell_hi=cell_hi)
             can = per_hit > 0
         if self.predicate is not None and self.prune and table.zones.has.any():
             pruner = TilePruner(self.predicate, table.zones, self.dtype)
             can[can] = pruner.can_match(rows[can])
             timing.tiles_pruned += pruner.pruned
-        entries, domains, syns = table.entries, table.domains, table.zones.syns
-        # intervals only for fetched parts that are not a whole tile: a whole
-        # part is the tile's own domain (nothing new kept alive until the sink)
-        kept = np.flatnonzero(can)
-        border = kept[~inside[kept]]
-        clip = np.maximum(lo[border], low).tolist(), np.minimum(hi[border], high).tolist()
-        clipped = dict(zip(border.tolist(), map(MInterval.bounded, *clip)))
-        if not condense:
-            selection.rows = rows[kept]
-            selection.items = [
-                (entries[row], clipped.get(at, domains[row]), ())
-                for at, row in zip(kept.tolist(), selection.rows.tolist())
-            ]
-        else:
+        answered = np.zeros(len(rows), dtype=bool)
+        covered, pruned_cells = [0] * cells, [0] * cells
+        if condense:
             live = can[met]
-            selection.covered = np.bincount(cell, part_cells, cells).astype(np.int64).tolist()
-            selection.pruned_cells = np.bincount(
-                cell[~live], part_cells[~live], cells
-            ).astype(np.int64).tolist()
-            whole = part_cells == table.cells[rows][met]  # a part lies inside its tile
+            covered = np.bincount(cell, cell_cells, cells).astype(np.int64).tolist()
+            pruned = np.bincount(cell[~live], cell_cells[~live], cells)
+            pruned_cells = pruned.astype(np.int64).tolist()
+            whole = cell_cells == table.cells[rows][met]  # a part lies inside its tile
             all_whole = np.bincount(met[~whole], minlength=len(rows)) == 0
             answerable = self.predicate is None and self.prune  # else every hit is fetched
             answered = can & all_whole & table.zones.has[rows] & answerable
-            parts = list(map(domains.__getitem__, rows[met].tolist()))
-            split = np.flatnonzero(live & ~whole)  # one cell is the region: the clipped tile
-            bounded = clipped if cells == 1 else dict(zip(split.tolist(), map(
-                MInterval.bounded, part_lo[split].tolist(), part_hi[split].tolist()
-            )))
-            for pair, part in bounded.items():
-                parts[pair] = part
-            pairs, bounds = list(zip(cell.tolist(), parts)), [0, *np.cumsum(per_hit).tolist()]
-            fetch, answer = np.flatnonzero(can & ~answered), np.flatnonzero(answered)
-            selection.rows, selection.answered_rows = rows[fetch], rows[answer]
-            selection.items = [  # a hit's routes: pairs[bounds[at] : bounds[at + 1]]
-                (entries[row], clipped.get(at, domains[row]), pairs[bounds[at] : bounds[at + 1]])
-                for at, row in zip(fetch.tolist(), selection.rows.tolist())
-            ]
-            selection.answered = [
-                (entries[row], domains[row], pairs[bounds[at] : bounds[at + 1]], syns[row])
-                for at, row in zip(answer.tolist(), selection.answered_rows.tolist())
-            ]
+        fetch = can & ~answered
+        selection = _Selection(
+            store, view.epoch, page_ix, covered, pruned_cells, table,
+            hits if fetch.all() else hits.take(np.flatnonzero(fetch)),
+            hits.take(np.flatnonzero(answered)),
+        )
+        self.selections.append(selection)
         timing.select_ms += (time.perf_counter() - selecting) * 1000.0
         return selection
 
@@ -415,15 +450,11 @@ class ReadExecutor:
         uncovered cells.  The combination must equal
         materialize-then-reduce bitwise in every cell.  When it may not
         in some cell, the synopsis shortcut is off the table too — the
-        answered tiles rejoin the fetch items, so every non-pruned tile
-        is fetched and the region materialized.
+        answered tiles rejoin the tiles to fetch, so every non-pruned
+        tile is fetched and the region materialized.
         """
         routed = (  # read only by integer sums and averages
-            (sel.table.zones, *self._pairs(
-                np.concatenate([sel.rows, sel.answered_rows]), chain(sel.items, sel.answered)
-            ))
-            for sel in self.selections
-            if sel.table is not None
+            (sel.table.zones, *(sel.fetch + sel.answered).pairs()) for sel in self.selections
         )
         covered = np.sum([sel.covered for sel in self.selections], axis=0)
         exact = cells_eligible(
@@ -432,101 +463,101 @@ class ReadExecutor:
         )
         if not exact:
             for selection in self.selections:
-                selection.items.extend(item[:3] for item in selection.answered)
-                selection.rows = np.concatenate([selection.rows, selection.answered_rows])
-                selection.answered, selection.answered_rows = [], selection.answered_rows[:0]
+                selection.fetch += selection.answered
+                selection.answered = selection.answered.take(np.zeros(0, dtype=np.intp))
         return exact
-
-    @staticmethod
-    def _pairs(rows: np.ndarray, items: Iterable) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(row, cell)`` pairs of hits routed to cells, in route
-        order: ``rows`` are the hits' table rows, ``items`` the hits."""
-        routes = [item[2] for item in items]
-        cells = np.array([cell for r in routes for cell, _ in r], dtype=np.intp)
-        return np.repeat(rows, [len(r) for r in routes]), cells
 
     # -- run ---------------------------------------------------------------
 
     def fetch(self, selection: _Selection, *, op: Optional[str] = None) -> None:
-        """Run phase: fetch a selection's items in page order.
+        """Run phase: fetch a selection's tiles in page order.
 
         An ``op`` reduces every tile to one partial aggregate per cell
         part — holding only what that op's combine reads — instead of
         returning its cells.
         """
-        selection.fetched = self._fetch(
+        _hits, selection.fetched = self._fetch(
             selection, self._decoded if op is None else partial(self._partials, op=op)
         )
 
     @staticmethod
     def _page_order(selection: _Selection) -> None:
-        """Sort the fetch items by first page, for sequential runs (a
-        stable sort: ties keep select order), with their records."""
+        """Sort the tiles to fetch by first page, for sequential runs (a
+        stable sort: ties keep table order), with their records."""
         records = selection.store.database.store.records(
-            [entry.blob_id for entry, _part, _routes in selection.items]
+            selection.table.blob_ids[selection.fetch.rows].tolist()
         )
         order = np.argsort([record.pages.start for record in records], kind="stable")
         selection.records = [records[at] for at in order.tolist()]
-        selection.items[:] = [selection.items[at] for at in order.tolist()]
-        selection.rows = selection.rows[order]
+        selection.fetch = selection.fetch.take(order)
 
-    def _decoded(self, database: "Database", items, records) -> list:
-        return fetch_tiles(database, [item[0] for item in items], self.dtype, records)
+    @staticmethod
+    def _rows(table: TileTable, hits: _Hits) -> np.ndarray:
+        """Each hit's leading-axis rows ``[start, stop)`` of its tile that
+        its part meets: all a decode that no cache keeps need produce."""
+        origin = table.lo[hits.rows, 0]
+        return np.column_stack([hits.lo[:, 0] - origin, hits.hi[:, 0] - origin + 1])
 
-    def _partials(self, database: "Database", items, records, op: str) -> list:
-        parts = [(entry, [part for _, part in routes]) for entry, _part, routes in items]
+    def _decoded(self, database: "Database", table: TileTable, hits: _Hits, records) -> Fetched:
+        entries = [table.entries[row] for row in hits.rows.tolist()]
+        return fetch_tiles(database, entries, self.dtype, records, self._rows(table, hits))
+
+    def _partials(
+        self, database: "Database", table: TileTable, hits: _Hits, records, op: str
+    ) -> Fetched:
+        origin = np.repeat(table.lo[hits.rows], np.diff(hits.first), axis=0)
+        parts = TileParts(
+            [table.entries[row] for row in hits.rows.tolist()], hits.cell_lo - origin,
+            hits.cell_hi - origin, hits.first, self._rows(table, hits),
+        )
         fetched, peak = fetch_tile_partials(
             database, parts, self.dtype, self.predicate, self.default, op, records
         )
         self.timing.peak_partial_bytes = max(self.timing.peak_partial_bytes, peak)
         return fetched
 
-    def _payloads(self, database: "Database", items, records) -> list:
-        return fetch_payloads(database, [item[0] for item in items], records)
+    def _payloads(self, database: "Database", table: TileTable, hits: _Hits, records) -> Fetched:
+        return fetch_payloads(database, [table.entries[row] for row in hits.rows.tolist()], records)
 
-    def _fetch(self, selection: _Selection, run: Callable, at: Optional[int] = None) -> list:
-        """Fetch the whole selection, page-ordered first (or only item
+    def _fetch(
+        self, selection: _Selection, run: Callable, at: Optional[int] = None
+    ) -> tuple[_Hits, Fetched]:
+        """Fetch the whole selection, page-ordered first (or only tile
         ``at`` of an ordered one) with ``run`` — decoded tiles, reduced
-        partials or stored payloads — and account for
-        every tile: the one place ``t_o``, tiles / bytes / pages / cells,
-        decodes, the tiles' own cache outcomes and ``fetch_ms`` are
-        charged."""
+        partials or stored payloads — and account for the batch: the one
+        place ``t_o``, tiles / bytes / pages / cells, decodes, the tiles'
+        own cache outcomes and ``fetch_ms`` are charged, as sums over its
+        columns.  Returns the hits fetched and their outcomes."""
         started = time.perf_counter()
         if at is None:
             self._page_order(selection)
-            items, records, rows = selection.items, selection.records, selection.rows
+            hits, records = selection.fetch, selection.records
         else:
-            items, records = selection.items[at : at + 1], selection.records[at : at + 1]
-            rows = selection.rows[at : at + 1]
-        timing = self.timing
-        fetched = run(selection.store.database, items, records)
-        table = selection.table
-        assert table is not None
-        cells, lo, hi = table.cells[rows], table.lo.take(rows, axis=0), table.hi.take(rows, axis=0)
-        region = self.region
-        inside = reduce(np.logical_and, ((lo >= region.lowest) & (hi <= region.highest)).T)
-        aligned = int(cells[inside].sum())
-        timing.cells_fetched += int(cells.sum())
+            hits, records = selection.fetch.take(np.array([at])), selection.records[at : at + 1]
+        timing, table = self.timing, selection.table
+        batch = run(selection.store.database, table, hits, records)
+        cells, lo, hi = table.cells[hits.rows], table.lo[hits.rows], table.hi[hits.rows]
+        inside = reduce(np.logical_and, ((lo >= self._low) & (hi <= self._high)).T)
+        aligned, total = int(cells[inside].sum()), int(cells.sum())
+        timing.cells_fetched += total
         self._aligned_cells += aligned
-        self._border_cells += int(cells.sum()) - aligned
-        timing.tiles_read += len(fetched)
-        cost = 0.0  # page order, one tile at a time: t_o's bits depend on it
-        for record, tile in zip(records, fetched):
-            cost += tile.cost
-            timing.t_o += tile.cost
-            timing.bytes_read += tile.payload_bytes
-            timing.pages_read += record.pages.count
-            if tile.decode_ms:
-                timing.tiles_decoded += 1
-                timing.decode_ms += tile.decode_ms
-            timing.pool_hits += tile.pool_hit is True
-            timing.pool_misses += tile.pool_hit is False
-            timing.pool_evictions += tile.pool_evicted
-            timing.decoded_hits += tile.decoded_hit
-            timing.decoded_misses += tile.decoded_miss
-        selection.model_ms += cost
+        self._border_cells += total - aligned
+        timing.tiles_read += len(batch)
+        # left to right, in page order: t_o's bits depend on it
+        timing.t_o = reduce(add, batch.cost, timing.t_o)
+        selection.model_ms += reduce(add, batch.cost, 0.0)
+        timing.bytes_read += sum(batch.payload_bytes)
+        timing.pages_read += sum(record.pages.count for record in records)
+        decodes = list(compress(batch.decode_ms, batch.decoded))
+        timing.tiles_decoded += len(decodes)
+        timing.decode_ms = reduce(add, decodes, timing.decode_ms)
+        timing.pool_hits += batch.pool_hit.count(True)
+        timing.pool_misses += batch.pool_hit.count(False)
+        timing.pool_evictions += sum(batch.pool_evicted)
+        timing.decoded_hits += sum(batch.decoded_hit)
+        timing.decoded_misses += len(decodes) if batch.cached else 0
         timing.fetch_ms += (time.perf_counter() - started) * 1000.0
-        return fetched
+        return hits, batch
 
     def _charge_cpu(self, started: float) -> None:
         """``t_cpu``: the sink's measured numpy time (its ``sink_ms``)
@@ -541,12 +572,20 @@ class ReadExecutor:
         )
         self._aligned_cells = self._border_cells = 0
 
-    def _fetched(self) -> Iterator[tuple[TileEntry, MInterval, list, object]]:
-        """Every fetched tile with its clipped part and routes, selection
-        by selection in page order."""
-        for selection in self.selections:
-            for item, tile in zip(selection.items, selection.fetched):
-                yield (*item, tile)
+    def _windows(
+        self, table: TileTable, hits: _Hits, batch: Fetched
+    ) -> Iterator[tuple[Optional[np.ndarray], tuple[slice, ...], tuple[slice, ...]]]:
+        """Every fetched tile's decoded cells with the slices of its part
+        in them and in the result: offsets from one subtraction of the
+        bound columns per side, made into slices only as each tile is
+        consumed — a read holds one tile's, not every tile's, objects for
+        the cyclic collector to count, walk and promote."""
+        origin = table.lo[hits.rows]
+        origin[:, 0] += np.asarray(batch.first_row, dtype=np.int64)
+        starts = np.hstack([hits.lo - origin, hits.lo - self._low])
+        stops = starts + np.tile(hits.hi - hits.lo + 1, 2)
+        slices = zip(*[map(slice, starts.ravel().tolist(), stops.ravel().tolist())] * len(self._low))
+        return zip(batch.arrays, slices, slices)  # per tile: its source, then its target
 
     def _shaped(self, values: list):
         """The sinks' result: a plain query's scalar, a GROUP BY's cube."""
@@ -566,28 +605,32 @@ class ReadExecutor:
         """
         region, predicate, dtype = self.region, self.predicate, self.dtype
         started = time.perf_counter()
+        windows = chain.from_iterable(
+            self._windows(sel.table, sel.fetch, sel.fetched) for sel in self.selections
+        )
         out = None
-        if predicate is None and self.timing.tiles_read == 1:
-            entry, _part, _routes, tile = next(self._fetched())
-            if tile.array is not None and entry.domain.contains(region):
-                out = tile.array[region.to_slices(entry.domain.lowest)]
+        if predicate is None and sum(len(sel.fetch) for sel in self.selections) == 1:
+            windows = list(windows)
+            array, source, _target = windows[0]
+            if array is not None and array[source].shape == region.shape:
+                out = array[source]
         if out is None:
             out = np.zeros(region.shape, dtype=dtype)
             if self.default != 0:
                 out[...] = self.default
             default_cell = np.asarray(self.default, dtype=dtype)
-            for entry, part, _routes, tile in self._fetched():
-                if tile.array is None:
+            for array, source, target in windows:
+                if array is None:
                     # Synthesized tiles carry default cells; under
                     # a predicate the masked value of a default
                     # cell is the default either way.
                     continue
-                part_vals = tile.array[part.to_slices(entry.domain.lowest)]
+                part_vals = array[source]
                 if predicate is not None:
                     part_vals = np.where(
                         predicate.mask(part_vals), part_vals, default_cell
                     )
-                out[part.to_slices(region.lowest)] = part_vals
+                out[target] = part_vals
         self._charge_cpu(started)
         return out
 
@@ -618,15 +661,17 @@ class ReadExecutor:
         (the index lookups ride on the first)."""
         for selection in self.selections:
             self._page_order(selection)
-            for at, (entry, part, _routes) in enumerate(selection.items):
-                (tile,) = self._fetch(selection, self._decoded, at)
+            for at in range(len(selection.fetch)):
+                hits, batch = self._fetch(selection, self._decoded, at)
                 started = time.perf_counter()
-                if tile.array is None:
+                part = MInterval.bounded(hits.lo[0].tolist(), hits.hi[0].tolist())
+                ((array, source, _target),) = self._windows(selection.table, hits, batch)
+                if array is None:
                     data = np.zeros(part.shape, dtype=self.dtype)
                     if self.default != 0:
                         data[...] = self.default
                 else:
-                    data = tile.array[part.to_slices(entry.domain.lowest)].copy()
+                    data = array[source].copy()
                 timing = self.timing
                 timing.cells_result = part.cell_count
                 self._charge_cpu(started)
@@ -648,23 +693,20 @@ class ReadExecutor:
         keys: list = []
         for sel in self.selections:
             default_cells += np.subtract(sel.pruned_cells, sel.covered, dtype=np.int64)
-            real = np.array([not entry.virtual for entry, _part, _routes in sel.items], dtype=bool)
-            for _entry, _part, routes in compress(sel.items, ~real):
-                for cell, cell_part in routes:
-                    default_cells[cell] += cell_part.cell_count
-            rows, routed = self._pairs(
-                np.concatenate([sel.answered_rows, sel.rows[real]]),
-                chain(sel.answered, compress(sel.items, real)),
-            )
+            table, fetch, answered = sel.table, sel.fetch, sel.answered
+            virtual = table.virtual[fetch.rows]
+            routed_virtual = np.repeat(virtual, np.diff(fetch.first))
+            np.add.at(default_cells, fetch.cell[routed_virtual], np.prod(
+                fetch.cell_hi[routed_virtual] - fetch.cell_lo[routed_virtual] + 1, axis=1
+            ))
+            rows, routed = (answered + fetch.take(np.flatnonzero(~virtual))).pairs()
             cells.append(routed)
-            syns += [item[3] for item in sel.answered for _ in item[2]]
-            syns += [syn for tile in compress(sel.fetched, real) for syn in tile.partials]
-            timing.tiles_synopsis_answered += len(sel.answered)
-            timing.tiles_partial_agg += int(real.sum())
+            syns += map(table.zones.syns.__getitem__, rows[: len(answered.cell)].tolist())
+            syns += chain.from_iterable(sel.fetched.partials)
+            timing.tiles_synopsis_answered += len(answered)
+            timing.tiles_partial_agg += len(fetch) - int(virtual.sum())
             # combine order: tile id within one store, domain corner across
             # stores (tile ids are per store)
-            table = sel.table
-            assert table is not None
             keys.append(table.ids[rows, None] if self._seen is None else table.lo[rows])
         values = combine_cells(
             op, self.dtype, np.concatenate(cells), syns, np.concatenate(keys),
@@ -679,9 +721,13 @@ class ReadExecutor:
         decoded and the decoded cache is never touched, so the charges are
         a :meth:`compose` read's on a database without that cache."""
         for selection in self.selections:
-            selection.fetched = self._fetch(selection, self._payloads)
+            _hits, selection.fetched = self._fetch(selection, self._payloads)
         started = time.perf_counter()
-        tiles = [(tile.entry, tile.payload) for sel in self.selections for tile in sel.fetched]
+        tiles = [
+            pair
+            for sel in self.selections
+            for pair in zip(sel.fetched.entries, sel.fetched.payloads)
+        ]
         self.timing.sink_ms += (time.perf_counter() - started) * 1000.0
         return tiles
 
@@ -690,7 +736,9 @@ class ReadExecutor:
         selection page-ordered, nothing fetched."""
         for selection in self.selections:
             self._page_order(selection)
-        return [entry for sel in self.selections for entry, _part, _routes in sel.items]
+        return [
+            sel.table.entries[row] for sel in self.selections for row in sel.fetch.rows.tolist()
+        ]
 
     # -- account -----------------------------------------------------------
 

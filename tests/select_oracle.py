@@ -6,20 +6,84 @@ the synopsis, one :class:`TilePruner` decision (a two-element
 ``predicate.mask``) and ``cell_count`` per route, with ``route`` the
 per-entry cross product of the per-axis overlaps.  Each function takes
 the executor as ``self`` (and reads the view's ``version.tiles`` /
-``version.zones``); the columnar select must leave every
-:class:`~repro.storage.tilestore._Selection` field it fills equal.
+``version.zones``) and fills an :class:`OracleSelection`, the
+selection as tuples it kept.  :func:`per_tile` and
+:func:`fetch_sequence` read both forms alike: the columnar select must
+leave the same covered and pruned cells, the same part, routes and
+synopsis per tile id, and the same page-ordered fetch sequence.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from itertools import product, repeat
 
 import numpy as np
 
 from repro.core.geometry import MInterval
 from repro.index.zonemap import synopsis_can_match
-from repro.storage.tilestore import _Selection
+from repro.storage.tilestore import ReadExecutor
+
+
+@dataclass
+class OracleSelection:
+    """One store view's share of a query, as the per-tile select left it:
+    ``(entry, part, routes)`` of every tile to fetch (``part``: the tile
+    clipped to the query region; ``routes``: its ``(cell, part)`` pairs),
+    and ``(entry, part, routes, synopsis)`` of every tile answered."""
+
+    store: object
+    epoch: int
+    model_ms: float
+    covered: list
+    pruned_cells: list
+    items: list = field(default_factory=list)
+    answered: list = field(default_factory=list)
+    fetched: tuple = ()
+
+
+def _box(box: MInterval) -> tuple:
+    return tuple(box.lower), tuple(box.upper)
+
+
+def per_tile(selection) -> dict:
+    """Per tile id: whether it is answered, its part's bounds, its routes
+    as ``(cell, lower, upper)`` and its synopsis (answered tiles only)."""
+    if isinstance(selection, OracleSelection):
+        return {
+            entry.tile_id: (
+                len(item) == 4, _box(part),
+                [(cell, *_box(cell_part)) for cell, cell_part in routes],
+                id(item[3]) if len(item) == 4 else None,
+            )
+            for item in selection.items + selection.answered
+            for entry, part, routes in [item[:3]]
+        }
+    table, tiles = selection.table, {}
+    for answered, hits in ((False, selection.fetch), (True, selection.answered)):
+        for at, row in enumerate(hits.rows.tolist()):
+            pairs = range(hits.first[at], hits.first[at + 1])
+            tiles[int(table.ids[row])] = (
+                answered, (tuple(hits.lo[at].tolist()), tuple(hits.hi[at].tolist())),
+                [(int(hits.cell[k]), tuple(hits.cell_lo[k].tolist()), tuple(hits.cell_hi[k].tolist()))
+                 for k in pairs],
+                id(table.zones.syns[row]) if answered else None,
+            )
+    return tiles
+
+
+def fetch_sequence(selection) -> list:
+    """The tile ids a fetch of ``selection`` reads, in its page order."""
+    if isinstance(selection, OracleSelection):
+        store = selection.store.database.store
+        entries = [entry for entry, _part, _routes in selection.items]
+        return [
+            entry.tile_id
+            for entry in sorted(entries, key=lambda entry: store.record(entry.blob_id).pages.start)
+        ]
+    ReadExecutor._page_order(selection)
+    return selection.table.ids[selection.fetch.rows].tolist()
 
 
 class TilePruner:
@@ -48,7 +112,7 @@ class TilePruner:
         return False
 
 
-def select(self, store, view, *, condense: bool = False) -> _Selection:
+def select(self, store, view, *, condense: bool = False) -> OracleSelection:
     """Index search, zone-map prune and classification — no I/O.
 
     Charges the index lookup to ``t_ix``.  Every hit the pruner
@@ -70,7 +134,7 @@ def select(self, store, view, *, condense: bool = False) -> _Selection:
     timing.index_nodes += result.nodes_visited
 
     cells = len(self.cell_counts)
-    selection = _Selection(store, view.epoch, page_ix, [0] * cells, [0] * cells)
+    selection = OracleSelection(store, view.epoch, page_ix, [0] * cells, [0] * cells)
     self.selections.append(selection)
     zones = view.version.zones or {}
     pruner = (

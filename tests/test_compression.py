@@ -46,11 +46,12 @@ class TestZlib:
         assert decompress(compress(raw, "zlib"), "zlib") == raw
 
     def test_garbled_payload_raises_storage_error(self):
-        with pytest.raises(StorageError, match="corrupt zlib payload"):
-            decompress(b"not deflate", "zlib")
         truncated = compress(b"multidimensional " * 100, "zlib")[:-4]
-        with pytest.raises(StorageError, match="corrupt zlib payload"):
-            decompress(truncated, "zlib")
+        for span in ((0, None), (4, 20)):  # a run of bytes inflates it all
+            with pytest.raises(StorageError, match="corrupt zlib payload"):
+                decompress(b"not deflate", "zlib", *span)
+            with pytest.raises(StorageError, match="corrupt zlib payload"):
+                decompress(truncated, "zlib", *span)
 
     def test_client_assembly_of_a_garbled_frame_is_typed(self):
         box = MInterval.parse("[0:3,0:3]")
@@ -238,6 +239,8 @@ class TestPlanesCorrupt:
     def test_raises_storage_error(self, payload):
         with pytest.raises(StorageError, match="corrupt planes payload"):
             decompress(payload, "planes")
+        with pytest.raises(StorageError, match="corrupt planes payload"):
+            decompress(payload, "planes", 4, 20)  # a run of cells checks it all too
 
     def test_valid_payload_decodes(self):
         assert bytes(planes_decode(_valid_payload())) == np.arange(

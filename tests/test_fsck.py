@@ -276,6 +276,38 @@ def test_a_malformed_tile_row_fails_typed(tmp_path, mutation):
         assert report.zones_checked == rows - 1
 
 
+#: Checkpoint object entries, each missing one field recovery reads.
+MISSING_OBJECT_FIELDS = ("tiles", "next_tile_id", "obj", "type")
+
+
+@pytest.mark.parametrize("field", MISSING_OBJECT_FIELDS)
+def test_an_object_entry_missing_a_field_fails_typed(tmp_path, field):
+    """Open refuses the entry with a ``RecoveryError`` naming the object;
+    fsck, shallow and deep, reports it and checks the next object."""
+    directory = tmp_path / "db"
+    db = create_database(directory, page_size=128)
+    cube = MDDType("img", base_type("char"), MInterval.parse("[0:15,0:15]"))
+    for name in ("o", "p"):
+        db.create_object("c", cube, name).load_array(
+            (np.arange(256) % 251).astype(np.uint8).reshape(16, 16), RegularTiling(128)
+        )
+    save_database(db, directory)
+    db.close()
+    db.store.close()
+    catalog_path = directory / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    del catalog["collections"]["c"][0][field]
+    catalog_path.write_text(json.dumps(catalog))
+    named = "c/None" if field == "obj" else "c/o"
+    with pytest.raises(RecoveryError, match=f"malformed object entry {named}: no '{field}'"):
+        open_database(directory)
+    for deep in (False, True):
+        report = fsck_database(directory, deep=deep)
+        assert _codes(report) == {"object-malformed"}, report.issues
+        assert report.objects_checked == 2
+        assert report.tiles_checked == len(catalog["collections"]["c"][1]["tiles"])
+
+
 def test_a_row_whose_virtual_flag_is_not_a_bool_fails_open(tmp_path):
     """fsck reads a tile's ``virtual`` from its blob record; open builds
     the row from the catalog's and refuses an ill-typed one."""

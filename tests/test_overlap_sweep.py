@@ -125,6 +125,8 @@ def test_fsck_reports_the_oracle_overlaps_in_order(boxes):
                 {
                     "obj": "o",
                     "type": {"name": "T", "base": "char", "dd": str(definition)},
+                    "next_tile_id": len(boxes),
+                    "domain": None,
                     "tiles": [
                         {"tile_id": tile_id, "domain": str(domain), "blob": 0, "codec": "zlib"}
                         for tile_id, domain in enumerate(boxes)

@@ -209,8 +209,9 @@ EXPECTED_TEXT = {
         "QUERY PLAN (aggregate add_cells, pushdown)\n"
         "  scan               o[1:10,0:11]\n"
         "  prune              zone maps vs `cell > 100` — 6 tiles pruned\n"
+        # rows 8:10 of each 4x4 tile the region's border cuts: 48 bytes decoded
         f"  partial-aggregate  {PARTIALS} — 3 tiles decoded, 0 synopsis-answered "
-        "(zero decode), peak 64 decoded bytes live\n"
+        "(zero decode), peak 48 decoded bytes live\n"
         "  combine            partials merged in tile-id order (deterministic)\n"
         "  project            scalar add_cells"
     ),
@@ -236,7 +237,7 @@ EXPECTED_COUNTERS = {
     "pushdown": dict(pushed=True, tiles_pruned=0, tiles_synopsis_answered=9,
                      tiles_decoded=0, tiles_partial_agg=0, peak_partial_bytes=0),
     "predicated": dict(pushed=True, tiles_pruned=6, tiles_synopsis_answered=0,
-                       tiles_decoded=3, tiles_partial_agg=3, peak_partial_bytes=64),
+                       tiles_decoded=3, tiles_partial_agg=3, peak_partial_bytes=48),
     "group_by": dict(pushed=True, tiles_pruned=0, tiles_synopsis_answered=0,
                      tiles_decoded=9, tiles_partial_agg=9, peak_partial_bytes=64),
     "fallback": dict(pushed=False, tiles_pruned=0, tiles_synopsis_answered=0,

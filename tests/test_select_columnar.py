@@ -1,14 +1,16 @@
 """The columnar select against the per-tile one it replaced.
 
-``ReadExecutor.select`` masks the tile table's columns: inside, pruned
-(one :class:`~repro.index.zonemap.TilePruner` call per selection),
-routed (per-axis ``(hit, cell)`` pair arrays) and answered.  Over every
-tiling, dtype, default, hole / virtual / synopsis-less tile, predicate
-op, prune / condense / GROUP BY setting, on one store and on merged
-2-shard parts, it must leave every :class:`_Selection` field equal to
-what the per-tile oracle (``tests/select_oracle.py``) leaves — interior
-tiles keeping their domain object as their part — with the same pruned
-count and the same ``index.zone.*`` counter deltas.
+``ReadExecutor.select`` finds its hits with one overlap mask over the
+tile table's columns and masks them: pruned (one
+:class:`~repro.index.zonemap.TilePruner` call per selection), routed
+(per-axis ``(hit, cell)`` pair arrays) and answered, keeping them as
+columns.  Over every tiling, dtype, default, hole / virtual /
+synopsis-less tile, predicate op, prune / condense / GROUP BY setting,
+on one store and on merged 2-shard parts, it must leave what the
+per-tile oracle (``tests/select_oracle.py``) leaves: the same covered
+and pruned cells, per tile id the same part, routes and synopsis, and
+the same page-ordered fetch sequence — with the same pruned count, the
+same index node count and the same ``index.zone.*`` counter deltas.
 """
 
 import numpy as np
@@ -169,37 +171,15 @@ def _counters():
     return {name: obs.registry.value(name) for name in ZONE_COUNTERS}
 
 
-def _same_routes(new, old, entry):
-    if isinstance(old, tuple):  # () without condense
-        return new == old
-    assert [cell for cell, _ in new] == [cell for cell, _ in old]
-    for (_, got), (_, want) in zip(new, old):
-        assert got == want
-        assert (got is entry.domain) == (want is entry.domain)
-    return True
-
-
 def _same_selection(new, old):
     assert new.store is old.store and new.epoch == old.epoch
     assert new.model_ms == old.model_ms
     assert new.covered == old.covered
     assert new.pruned_cells == old.pruned_cells
-    assert len(new.items) == len(old.items)
-    for (entry, part, routes), (want_entry, want_part, want_routes) in zip(new.items, old.items):
-        assert entry is want_entry
-        assert part == want_part
-        # an interior tile's part is its domain itself, in both
-        assert (part is entry.domain) == (want_part is want_entry.domain)
-        assert _same_routes(routes, want_routes, entry)
-    assert len(new.answered) == len(old.answered)
-    for (entry, part, routes, syn), want in zip(new.answered, old.answered):
-        assert entry is want[0] and part is want[1] is entry.domain and syn is want[3]
-        assert _same_routes(routes, want[2], entry)
-    # the columns the fetch accounts with, aligned with the items
-    assert [new.table.entries[row] for row in new.rows.tolist()] == [i[0] for i in new.items]
-    assert [new.table.entries[row] for row in new.answered_rows.tolist()] == [
-        a[0] for a in new.answered
-    ]
+    # per tile id: fetched or answered, its part, its routes, its synopsis
+    assert select_oracle.per_tile(new) == select_oracle.per_tile(old)
+    # then the tiles the fetch reads, in its page order
+    assert select_oracle.fetch_sequence(new) == select_oracle.fetch_sequence(old)
 
 
 def _selected(obj, case, select):
@@ -308,4 +288,16 @@ def test_a_whole_part_equal_to_the_domain_is_reduced_as_the_whole_tile(monkeypat
     calls.clear()
     obj.aggregate_push(MInterval([0, 0], [7, 7]), "add_cells", predicate=CellPredicate(">", 3))
     assert calls == [True] * 4
+    root.close()
+
+
+def test_no_two_blobs_of_a_store_share_a_first_page():
+    """Hits come in tile-table order, not the tree's; the page order hides
+    that only because no two blobs tie on their first page — a zero-byte
+    or virtual blob takes a page of its own too."""
+    root = Database()
+    store = root.store
+    ids = [store.put(b""), store.put(b"x"), store.put_virtual(0), store.put(b""), store.put_virtual(4)]
+    starts = [record.pages.start for record in store.records(ids)]
+    assert len(set(starts)) == len(ids)
     root.close()

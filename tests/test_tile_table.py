@@ -48,7 +48,9 @@ def _columns(table: TileTable) -> dict:
         "nans": zones.nans.tolist(),
         "comparable": zones.comparable.tolist(),
         "bounds": [column.tolist() for column in zones.bounds],
-        "rows": table.rows(sorted(table.entries, key=lambda e: e.tile_id)).tolist(),
+        "blob_ids": table.blob_ids.tolist(),
+        "virtual": table.virtual.tolist(),
+        "meeting": table.meeting(np.array(FULL.lowest), np.array(FULL.highest)).tolist(),
     }
 
 
