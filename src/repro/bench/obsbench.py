@@ -52,6 +52,7 @@ _INSTRUMENTS = (
     (metrics.Gauge, "dec"),
     (metrics.Histogram, "observe"),
     (metrics.Histogram, "observe_many"),
+    (metrics.MetricsRegistry, "fold"),
 )
 
 

@@ -326,10 +326,11 @@ class RPlusTreeIndex:
                 leaf(node, matches)
         return visited
 
-    def _note(self, visited: int, found: int) -> None:
-        _SEARCHES.inc()
-        _NODES_VISITED.inc(visited)
-        _ENTRIES_FOUND.inc(found)
+    @staticmethod
+    def _note(visited: int, found: int, tally: obs.Tally = obs.DIRECT) -> None:
+        tally.inc(_SEARCHES)
+        tally.inc(_NODES_VISITED, visited)
+        tally.inc(_ENTRIES_FOUND, found)
 
     def search(self, region: MInterval) -> SearchResult:
         """Every entry whose domain intersects ``region``, once each."""
@@ -344,13 +345,15 @@ class RPlusTreeIndex:
         self._note(visited, len(hits))
         return SearchResult(entries=list(hits.values()), nodes_visited=visited)
 
-    def nodes_visited(self, region: MInterval, found: int) -> int:
+    def nodes_visited(
+        self, region: MInterval, found: int, tally: obs.Tally = obs.DIRECT
+    ) -> int:
         """The nodes a :meth:`search` of ``region`` visits, counted
         without collecting its hits: the read path finds the ``found``
         tiles meeting ``region`` in the tile table, and the tree only
-        prices the lookup (DESIGN §17)."""
+        prices the lookup (DESIGN §17), counting it in ``tally``."""
         visited = self._walk(region)
-        self._note(visited, found)
+        self._note(visited, found, tally)
         return visited
 
     def remove(self, tile_id: int) -> bool:

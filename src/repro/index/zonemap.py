@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -95,16 +96,16 @@ _SYNOPSIS_ANSWERED = obs.counter(
 )
 
 
-def note_tiles_pruned(count: int) -> None:
+def note_tiles_pruned(count: int, tally: obs.Tally = obs.DIRECT) -> None:
     """Record tiles a read skipped thanks to zone-map pruning."""
     if count:
-        _TILES_PRUNED.inc(count)
+        tally.inc(_TILES_PRUNED, count)
 
 
-def note_synopsis_answered(count: int) -> None:
+def note_synopsis_answered(count: int, tally: obs.Tally = obs.DIRECT) -> None:
     """Record tiles an aggregate answered from synopses without decode."""
     if count:
-        _SYNOPSIS_ANSWERED.inc(count)
+        tally.inc(_SYNOPSIS_ANSWERED, count)
 
 
 #: The condensers, exactly as the query engine applies them to a decoded
@@ -543,10 +544,31 @@ class ZoneColumns:
         self.nans = np.array([syn.nan_count if syn else 0 for syn in self.syns], dtype=np.int64)
         self.comparable = np.array([syn and syn.vmin is not None for syn in self.syns], dtype=bool)
 
+    #: The columns :meth:`stack` joined, part by part (none: built from syns).
+    _parts: tuple = ()
+
+    @classmethod
+    def stack(cls, parts: Sequence["ZoneColumns"]) -> "ZoneColumns":
+        """Several tables' zone columns as one, rows part by part; the
+        lazy columns are joined from the parts' own, which each part
+        derives once.  One part is itself."""
+        if len(parts) == 1:
+            return parts[0]
+        stacked = cls.__new__(cls)
+        stacked.syns = list(chain.from_iterable(part.syns for part in parts))
+        stacked.dtype = parts[0].dtype
+        for name in ("has", "cells", "nans", "comparable"):
+            setattr(stacked, name, np.concatenate([getattr(part, name) for part in parts]))
+        stacked._parts = tuple(parts)
+        return stacked
+
     @cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``vmin`` / ``vmax`` cast to the cell type as :func:`synopsis_can_match`
         casts them (0 where there is none), on the first predicated read."""
+        if self._parts:
+            lows, highs = zip(*(part.bounds for part in self._parts))
+            return np.concatenate(lows), np.concatenate(highs)
         lows = [0 if syn is None or syn.vmin is None else syn.vmin for syn in self.syns]
         highs = [0 if syn is None or syn.vmax is None else syn.vmax for syn in self.syns]
         return np.asarray(lows, dtype=self.dtype), np.asarray(highs, dtype=self.dtype)
@@ -556,6 +578,8 @@ class ZoneColumns:
         """``max(|vmin|, |vmax|)`` per row of an integer cube as uint64,
         exact at the int64 extremes (0 where a row bounds no cell), on
         the first sum or average that must be bounded."""
+        if self._parts:
+            return np.concatenate([part.magnitude for part in self._parts])
         return np.array([
             0 if syn is None or syn.vmin is None else max(abs(syn.vmin), abs(syn.vmax or 0))
             for syn in self.syns
@@ -573,22 +597,27 @@ class TilePruner:
     """
 
     def __init__(
-        self, predicate: CellPredicate, zones: ZoneColumns, dtype: np.dtype
+        self,
+        predicate: CellPredicate,
+        zones: ZoneColumns,
+        dtype: np.dtype,
+        tally: obs.Tally = obs.DIRECT,
     ) -> None:
         self.predicate = predicate
         self.zones = zones
         self.dtype = dtype
+        self.tally = tally
         self.pruned = 0
 
     def can_match(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
         """Per table row of ``rows``: may that tile hold a matching cell?
-        One ``index.zone.prune_checks`` increment counts every synopsis
-        consulted."""
+        One ``index.zone.prune_checks`` increment (into the pruner's
+        tally) counts every synopsis consulted."""
         zones = self.zones
         rows = np.asarray(rows, dtype=np.intp)
         has = zones.has[rows]
         checked = int(has.sum())
-        _PRUNE_CHECKS.inc(checked)
+        self.tally.inc(_PRUNE_CHECKS, checked)
         predicate = self.predicate
         live = has & (zones.cells[rows] > 0)
         comparable = live & zones.comparable[rows]

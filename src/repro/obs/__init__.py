@@ -32,11 +32,13 @@ from repro.obs.metrics import (
     BYTE_BUCKETS,
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
+    DIRECT,
     FINE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    Tally,
 )
 from repro.obs.export import escape_label_value, prometheus_name, prometheus_text
 
@@ -44,13 +46,16 @@ __all__ = [
     "BYTE_BUCKETS",
     "COUNT_BUCKETS",
     "DEFAULT_BUCKETS",
+    "DIRECT",
     "FINE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Tally",
     "counter",
     "escape_label_value",
+    "fold",
     "gauge",
     "histogram",
     "prometheus_name",
@@ -82,6 +87,11 @@ def histogram(
 ) -> Histogram:
     """Get-or-create a fixed-bucket histogram on the default registry."""
     return registry.histogram(name, help, buckets=buckets)
+
+
+def fold(tally: Tally) -> None:
+    """Apply a query's :class:`Tally` to the default registry at once."""
+    registry.fold(tally)
 
 
 def reset() -> None:

@@ -11,7 +11,11 @@ dependency-free and cheap:
   update each instrument once per batch, not once per tile (a
   histogram takes a batch's values in one :meth:`Histogram.observe_many`);
 * mutations are lock-protected so instrumented code may run from any
-  thread.
+  thread;
+* a query gathers its updates in a :class:`Tally` (its record's counts)
+  and :meth:`MetricsRegistry.fold` applies them in one lock hold, however
+  many parts, batches and disk charges the query ran; code outside a
+  query passes :data:`DIRECT`, which updates each instrument at once.
 
 Histograms use fixed upper-bound buckets (Prometheus style): ``observe``
 bins the value into the first bucket whose bound is >= the value, with an
@@ -220,6 +224,40 @@ class Histogram(Metric):
             self._count = 0
 
 
+class Tally(dict):
+    """One record's instrument updates, by instrument: a counter's summed
+    increments, a histogram's observations — applied together by
+    :meth:`MetricsRegistry.fold`.  Code that updates instruments for a
+    caller takes a tally (or :data:`DIRECT`) and calls its :meth:`inc` /
+    :meth:`observe_many` in place of the instrument's."""
+
+    __slots__ = ()
+
+    def inc(self, counter: Counter, amount: float = 1) -> None:
+        if amount:
+            self[counter] = self.get(counter, 0) + amount
+
+    def observe_many(self, histogram: Histogram, values: Sequence[float]) -> None:
+        if values:
+            self.setdefault(histogram, []).extend(values)
+
+
+class _Direct(Tally):
+    """The tally of code outside a query: it holds nothing, each update
+    goes straight to its instrument."""
+
+    __slots__ = ()
+
+    def inc(self, counter: Counter, amount: float = 1) -> None:
+        counter.inc(amount)
+
+    def observe_many(self, histogram: Histogram, values: Sequence[float]) -> None:
+        histogram.observe_many(values)
+
+
+DIRECT = _Direct()
+
+
 class MetricsRegistry:
     """Named home of all instruments; one process-wide default in ``obs``."""
 
@@ -234,6 +272,20 @@ class MetricsRegistry:
         with self._lock:
             for metric in self._metrics.values():
                 metric.reset()
+
+    def fold(self, tally: Tally) -> None:
+        """Apply a :class:`Tally` under one lock hold: every counter and
+        histogram ends as its own ``inc`` / ``observe_many`` calls would
+        have left it."""
+        with self._lock:
+            for metric, amount in tally.items():
+                if isinstance(metric, Counter):
+                    metric._value += amount
+                    continue
+                for value in amount:  # a histogram's values
+                    metric._counts[bisect_left(metric.buckets, value)] += 1
+                    metric._sum += value
+                metric._count += len(amount)
 
     # -- instrument creation (get-or-create by name) -----------------------
 

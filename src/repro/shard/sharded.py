@@ -421,8 +421,11 @@ class ShardedDatabase:
             shard.reset_clock()
 
     def close(self) -> None:
+        """Close every shard and drop the sharded objects, which hold this
+        database: a closed one is then freed by reference counting."""
         for shard in self.shards:
             shard.close()
+        self._collections.clear()
 
     def __repr__(self) -> str:
         return (
@@ -455,6 +458,7 @@ class ShardedMDD:
         )
         #: Per-shard account of the last finished query.
         self.last_scatter: Optional[ScatterStats] = None
+        self._stack: tuple = ((), None)
 
     # -- state --------------------------------------------------------------
 
@@ -565,6 +569,7 @@ class ShardedMDD:
     aggregate = StoredMDD.aggregate
     aggregate_push = StoredMDD.aggregate_push
     _select = StoredMDD._select
+    _stacked = StoredMDD._stacked
     read_section = StoredMDD.read_section
     resolve_region = StoredMDD.resolve_region
     _resolve_in = StoredMDD._resolve_in

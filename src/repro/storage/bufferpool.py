@@ -82,14 +82,18 @@ class BufferPool:
         return self.cached([blob_id])[0]
 
     def read_blobs(
-        self, records: Sequence[BlobRecord], load: Callable[[int], bytes]
+        self,
+        records: Sequence[BlobRecord],
+        load: Callable[[int], bytes],
+        tally: obs.Tally = obs.DIRECT,
     ) -> list[tuple[bytes, PoolRead]]:
         """Each blob's payload and :class:`PoolRead`, walked in order under
         one latch hold: a hit is touched, a miss admitted with its
         ``load(blob_id)`` payload, evicting least-recently-used entries to
         fit (a payload over the whole budget is not admitted) — then one
         disk charge prices the misses (none for a batch of hits), and the
-        sizes admitted and evicted are counted once for the batch."""
+        sizes admitted and evicted are counted once for the batch (the
+        disk's counts go to ``tally``)."""
         entries, capacity = self._entries, self.capacity_bytes
         payloads: list[bytes] = []
         evictions: list[Optional[int]] = []  # None: a hit
@@ -127,7 +131,7 @@ class BufferPool:
                     _ADMITTED_SIZE.observe_many(admitted)
                     _BYTES_EVICTED.inc(sum(evicted))
                     _USED_BYTES.inc(used - start)
-            costs = iter(self.disk.charge_reads(missed))
+            costs = iter(self.disk.charge_reads(missed, tally))
         return [
             (payload, HIT if evicted is None else PoolRead(next(costs), False, evicted))
             for payload, evicted in zip(payloads, evictions)

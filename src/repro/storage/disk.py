@@ -16,13 +16,13 @@ dereference overhead on 8 KiB pages.
 
 The disk keeps only simulator state: the head and the modelled read
 clock.  Its activity is counted once per event, in the registry's
-``disk.*`` counters across the process and in the caller's
-:class:`~repro.query.timing.QueryTiming` for one query.
+``disk.*`` counters across the process (through the caller's
+:class:`~repro.obs.metrics.Tally`, folded once per query) and in the
+caller's :class:`~repro.query.timing.QueryTiming` for one query.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -167,23 +167,32 @@ class SimulatedDisk:
         self._head: Optional[int] = None
         self._latch = OrderedLatch("disk", 50)
 
-    def charge_reads(self, records: Sequence[BlobRecord]) -> list[float]:
+    def charge_reads(
+        self, records: Sequence[BlobRecord], tally: obs.Tally = obs.DIRECT
+    ) -> list[float]:
         """Charge a batch of BLOB reads, in the given (page) order; a
-        blob's cost is its run's price plus ``blob_overhead_ms``."""
+        blob's cost is its run's price plus ``blob_overhead_ms``.  The
+        ``disk.*`` counts go to ``tally`` (a query's record)."""
         return self._read(
             [record.pages for record in records],
+            tally,
             self.parameters.blob_overhead_ms,
             len(records),
             sum(record.byte_size for record in records),
         )
 
-    def charge_index(self, nodes: int) -> float:
+    def charge_index(self, nodes: int, tally: obs.Tally = obs.DIRECT) -> float:
         """Charge ``nodes`` spatial-index node visits; their summed cost."""
-        _INDEX_NODE_READS.inc(nodes)
-        return sum(self._read([INDEX_NODE] * nodes))
+        tally.inc(_INDEX_NODE_READS, nodes)
+        return sum(self._read([INDEX_NODE] * nodes, tally))
 
     def _read(
-        self, runs: Sequence[Optional[PageRange]], overhead=0.0, blobs=0, byte_size=0
+        self,
+        runs: Sequence[Optional[PageRange]],
+        tally: obs.Tally,
+        overhead=0.0,
+        blobs=0,
+        byte_size=0,
     ) -> list[float]:
         """One latch hold pricing read-side items onto the clock; an empty
         batch (a chunk of pool hits) takes no latch."""
@@ -195,14 +204,14 @@ class SimulatedDisk:
                 self.time_ms += cost  # then the overhead (0.0 for index nodes:
                 self.time_ms += overhead  # no bit changes): t_o's bits depend on it
         costs = [cost + overhead for cost, _regime in priced]
-        regimes = Counter(regime for _cost, regime in priced)
-        _SEQUENTIAL_READS.inc(regimes[SEQUENTIAL])
-        _SHORT_SKIPS.inc(regimes[SHORT_SKIP])
-        _RANDOM_ACCESSES.inc(regimes[RANDOM])
-        _PAGES_READ.inc(sum(1 if run is None else run.count for run in runs))
-        _BLOB_READS.inc(blobs)
-        _BYTES_READ.inc(byte_size)
-        _MODEL_MS.inc(sum(costs))
+        regimes = [regime for _cost, regime in priced]
+        tally.inc(_SEQUENTIAL_READS, regimes.count(SEQUENTIAL))
+        tally.inc(_SHORT_SKIPS, regimes.count(SHORT_SKIP))
+        tally.inc(_RANDOM_ACCESSES, regimes.count(RANDOM))
+        tally.inc(_PAGES_READ, sum(1 if run is None else run.count for run in runs))
+        tally.inc(_BLOB_READS, blobs)
+        tally.inc(_BYTES_READ, byte_size)
+        tally.inc(_MODEL_MS, sum(costs))
         return costs
 
     def charge_writes(self, runs: Sequence[PageRange]) -> list[float]:

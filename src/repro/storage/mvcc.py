@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +132,20 @@ class TileTable:
         self.cells = np.prod(self.hi - self.lo + 1, axis=1)
         self.zones = ZoneColumns([zones.get(tile_id) for tile_id in tiles], mdd_type.base.dtype)
 
+    @classmethod
+    def stack(cls, tables: Sequence["TileTable"]) -> "TileTable":
+        """Several parts' tables as one, rows part by part — a sharded
+        query's pinned cut, masked, clipped and classified in one pass —
+        with every column joined; one table is itself."""
+        if len(tables) == 1:
+            return tables[0]
+        stacked = cls.__new__(cls)
+        stacked.entries = list(chain.from_iterable(table.entries for table in tables))
+        for name in ("ids", "blob_ids", "virtual", "lo", "hi", "cells"):
+            setattr(stacked, name, np.concatenate([getattr(table, name) for table in tables]))
+        stacked.zones = ZoneColumns.stack([table.zones for table in tables])
+        return stacked
+
     def meeting(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """The rows of the tiles meeting the box ``low`` .. ``high``, in
         row order: one overlap mask over the bound columns."""
@@ -149,8 +164,9 @@ class EpochManager:
 
     def __init__(self, reclaimer: Callable[[int], int]) -> None:
         #: ``reclaimer(blob_id) -> bytes freed`` physically deletes one
-        #: superseded blob (cache invalidation + store delete).
-        self._reclaimer = reclaimer
+        #: superseded blob (cache invalidation + store delete); ``None``
+        #: once detached (:meth:`detach`).
+        self._reclaimer: Optional[Callable[[int], int]] = reclaimer
         self.latch = OrderedLatch("mvcc.epoch", 30)
         self._current = 0
         self._pins: Dict[int, int] = {}  # epoch -> active pin count
@@ -224,8 +240,14 @@ class EpochManager:
 
     # -- reclamation ------------------------------------------------------
 
+    def detach(self) -> None:
+        """Drop the reclaimer (its database closed, and the reference back
+        to it with it): retired blobs then stay where they lie."""
+        with self.latch:
+            self._reclaimer = None
+
     def _reclaim_locked(self) -> None:
-        if not self._limbo:
+        if not self._limbo or self._reclaimer is None:
             return
         floor = min(self._pins) if self._pins else self._current
         # An entry tagged g was reachable by readers pinned at or before

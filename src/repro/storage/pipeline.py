@@ -23,8 +23,10 @@ only (:mod:`repro.storage.ingest`).  All of it is one function,
 :func:`_fetch`; the public ``fetch_tiles`` / ``fetch_tile`` /
 ``fetch_tile_partials`` are its entry points; ``fetch_payloads`` (served
 tile frames) is its read walk alone.  A batch's outcomes are columns
-(:class:`Fetched`), summed once per batch (:func:`_count`): the registry
-takes one update per instrument per fetch batch, never one per tile.
+(:class:`Fetched`), summed once per batch (:func:`_count`) into the
+caller's tally: a query's record folds into the registry once, and a
+batch outside a query takes one update per instrument, never one per
+tile.
 """
 
 from __future__ import annotations
@@ -139,13 +141,15 @@ class TileParts(NamedTuple):
     """A batch's tiles with their parts as bounds columns: tile ``i``'s
     parts are rows ``first[i]`` to ``first[i + 1]`` of ``lo`` / ``hi``
     (``int64[p, d]``, relative to the tile's origin), and ``rows[i]``
-    its leading-axis rows ``[start, stop)`` that hold them."""
+    its leading-axis rows ``[start, stop)`` that hold them; ``tally``
+    takes the batch's counts (a query's record)."""
 
     entries: Sequence["TileEntry"]
     lo: np.ndarray
     hi: np.ndarray
     first: np.ndarray
     rows: np.ndarray
+    tally: obs.Tally = obs.DIRECT
 
     @classmethod
     def of(cls, items: Sequence[tuple["TileEntry", Sequence["MInterval"]]]) -> "TileParts":
@@ -166,10 +170,12 @@ class TileParts(NamedTuple):
             np.array(rows, dtype=np.intp).reshape(-1, 2),
         )
 
-    def per_tile(self) -> list[tuple[list, list]]:
-        """Each tile's part bounds as lists, in one conversion."""
-        lows, highs, first = self.lo.tolist(), self.hi.tolist(), self.first.tolist()
-        return [(lows[a:b], highs[a:b]) for a, b in zip(first, first[1:])]
+    def bounds(self, at: int) -> tuple[list, list]:
+        """Tile ``at``'s part bounds as lists, converted as that tile is
+        reduced: a batch holds one tile's bound objects at a time, not
+        every tile's."""
+        start, stop = self.first[at : at + 2].tolist()
+        return self.lo[start:stop].tolist(), self.hi[start:stop].tolist()
 
 
 class _Reducer:
@@ -255,7 +261,7 @@ def _decode(
     dtype,
     rows: Optional[tuple[int, int]],
     reduce: Optional[_Reducer] = None,
-    parts: Optional[Sequence[tuple[list, list]]] = None,
+    parts: Optional[TileParts] = None,
 ) -> None:
     """The CPU half of one miss: decompress and shape the tile's cells —
     only its leading-axis ``rows`` ``[start, stop)``, if given — then
@@ -276,7 +282,7 @@ def _decode(
         batch.arrays[at] = array
     else:
         assert parts is not None
-        batch.partials[at] = reduce(array, *parts[at], batch.first_row[at])
+        batch.partials[at] = reduce(array, *parts.bounds(at), batch.first_row[at])
     batch.decoded[at] = True
     batch.decode_ms[at] = (time.perf_counter() - started) * 1000.0
 
@@ -287,11 +293,16 @@ _READ_AHEAD_RUNS = 32
 
 
 def _read_runs(
-    database: "Database", batch: Fetched, misses: Sequence[int], records: Sequence["BlobRecord"]
+    database: "Database",
+    batch: Fetched,
+    misses: Sequence[int],
+    records: Sequence["BlobRecord"],
+    tally: obs.Tally,
 ) -> Iterator[tuple[int, bytes]]:
     """Read the cache misses (positions in ``batch``) in order, filling
     their charge and pool columns: ``(position, payload)`` (``records``
-    by position: the batch's catalog snapshot).
+    by position: the batch's catalog snapshot; the disk counts into
+    ``tally``).
 
     Per chunk of ``_READ_AHEAD_RUNS`` blobs: one pool peek; one
     ``store.get_run`` of the real blobs the pool lacks (all, without a
@@ -307,34 +318,36 @@ def _read_runs(
         cached = pool.cached(ids) if pool is not None else [False] * len(ids)
         absent = [i for i, at, hit in zip(ids, chunk, cached) if not (entries[at].virtual or hit)]
         ahead = dict(zip(absent, database.store.get_run(absent)))
-        reads = database.read_blobs([records[at] for at in chunk], ahead)
+        reads = database.read_blobs([records[at] for at in chunk], ahead, tally)
         for at, (payload, read) in zip(chunk, reads):
             batch.cost[at], batch.pool_hit[at], batch.pool_evicted[at] = read
             batch.payload_bytes[at] = len(payload)
             yield at, payload
 
 
-def _count(batch: Fetched) -> None:
-    """One registry update per outcome: what the records sum, per batch."""
-    _POOL_HITS.inc(batch.pool_hit.count(True))
-    _POOL_MISSES.inc(batch.pool_hit.count(False))
-    _POOL_EVICTIONS.inc(sum(batch.pool_evicted))
-    _DECODED_HITS.inc(sum(batch.decoded_hit))
+def _count(batch: Fetched, tally: obs.Tally) -> None:
+    """One update per outcome into ``tally``: what the records sum, per
+    batch."""
+    tally.inc(_POOL_HITS, batch.pool_hit.count(True))
+    tally.inc(_POOL_MISSES, batch.pool_hit.count(False))
+    tally.inc(_POOL_EVICTIONS, sum(batch.pool_evicted))
+    tally.inc(_DECODED_HITS, sum(batch.decoded_hit))
     decodes = list(compress(batch.decode_ms, batch.decoded))
-    _DECODED_MISSES.inc(len(decodes) if batch.cached else 0)
-    _TILES_DECODED.inc(len(decodes))
-    _DECODES.inc(len(decodes))
-    _DECODE_MS.observe_many(decodes)
+    tally.inc(_DECODED_MISSES, len(decodes) if batch.cached else 0)
+    tally.inc(_TILES_DECODED, len(decodes))
+    tally.inc(_DECODES, len(decodes))
+    tally.observe_many(_DECODE_MS, decodes)
 
 
 def _fetch(
     database: "Database",
     entries: Sequence["TileEntry"],
     dtype,
-    parts: Optional[Sequence[tuple[list, list]]] = None,
+    parts: Optional[TileParts] = None,
     reduce: Optional[_Reducer] = None,
     records: Optional[Sequence["BlobRecord"]] = None,
     rows: Optional[np.ndarray] = None,
+    tally: obs.Tally = obs.DIRECT,
 ) -> Fetched:
     """Fetch a page-ordered batch of tiles: the one ``t_o`` loop.
 
@@ -351,7 +364,8 @@ def _fetch(
     are admitted in page order once the whole batch is read.  A miss no
     decoded cache keeps — every miss, with a reducer or without a cache
     — decodes only its ``rows`` (leading-axis ``[start, stop)`` per
-    tile), when given; a cache admits whole tiles.
+    tile), when given; a cache admits whole tiles.  The batch's counts
+    go to ``tally``: a query's record, folded once per query.
     """
     cache = database.decoded_cache
     if records is None:
@@ -372,9 +386,9 @@ def _fetch(
                 batch.arrays[at] = array
             else:
                 assert parts is not None
-                batch.partials[at] = reduce(array, *parts[at])
+                batch.partials[at] = reduce(array, *parts.bounds(at))
     spans = None if rows is None or (cache is not None and reduce is None) else rows.tolist()
-    for at, payload in _read_runs(database, batch, misses, records):
+    for at, payload in _read_runs(database, batch, misses, records, tally):
         if not entries[at].virtual:
             _decode(batch, at, payload, dtype, None if spans is None else spans[at], reduce, parts)
 
@@ -385,7 +399,7 @@ def _fetch(
         admitted = cache.put_many([(entries[at].blob_id, batch.arrays[at]) for at in decoded])
         for at, array in zip(decoded, admitted):
             batch.arrays[at] = array
-    _count(batch)
+    _count(batch, tally)
     return batch
 
 
@@ -395,22 +409,26 @@ def fetch_tiles(
     dtype,
     records: Optional[Sequence["BlobRecord"]] = None,
     rows: Optional[np.ndarray] = None,
+    tally: obs.Tally = obs.DIRECT,
 ) -> Fetched:
     """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`);
     without a decoded cache, each miss decodes only its ``rows``."""
-    return _fetch(database, entries, dtype, records=records, rows=rows)
+    return _fetch(database, entries, dtype, records=records, rows=rows, tally=tally)
 
 
 def fetch_payloads(
-    database: "Database", entries: Sequence["TileEntry"], records: Sequence["BlobRecord"]
+    database: "Database",
+    entries: Sequence["TileEntry"],
+    records: Sequence["BlobRecord"],
+    tally: obs.Tally = obs.DIRECT,
 ) -> Fetched:
     """Stored payloads of a page-ordered batch (served tile frames):
     :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
     decoded cache."""
     batch = Fetched(entries, False)
-    for at, payload in _read_runs(database, batch, range(len(entries)), records):
+    for at, payload in _read_runs(database, batch, range(len(entries)), records, tally):
         batch.payloads[at] = payload
-    _count(batch)
+    _count(batch, tally)
     return batch
 
 
@@ -450,6 +468,8 @@ def fetch_tile_partials(
     """
     parts = items if isinstance(items, TileParts) else TileParts.of(items)
     reducer = _Reducer(predicate, np.asarray(default, dtype=dtype), op)
-    fetched = _fetch(database, parts.entries, dtype, parts.per_tile(), reducer, records, parts.rows)
-    _PARTIAL_AGGS.inc(sum(map(len, fetched.partials)))
+    fetched = _fetch(
+        database, parts.entries, dtype, parts, reducer, records, parts.rows, parts.tally
+    )
+    parts.tally.inc(_PARTIAL_AGGS, sum(map(len, fetched.partials)))
     return fetched, reducer.peak

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
-from itertools import chain, compress, product
+from itertools import accumulate, chain, compress, pairwise, product
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -201,7 +201,22 @@ class _Hits:
             self.cell[pairs], self.cell_lo[pairs], self.cell_hi[pairs],
         )
 
+    def span(self, start: int, stop: int) -> "_Hits":
+        """Hits ``start`` to ``stop`` with their routes, as views."""
+        if (start, stop) == (0, len(self.rows)):
+            return self
+        first = self.first[start : stop + 1]
+        at, to = first[[0, -1]].tolist()
+        return _Hits(
+            self.rows[start:stop], self.lo[start:stop], self.hi[start:stop], first - at,
+            self.cell[at:to], self.cell_lo[at:to], self.cell_hi[at:to],
+        )
+
     def __add__(self, other: "_Hits") -> "_Hits":
+        if not len(other.rows):
+            return self
+        if not len(self.rows):
+            return other
         joined = {
             c.name: np.concatenate([getattr(self, c.name), getattr(other, c.name)])
             for c in fields(self)
@@ -214,32 +229,32 @@ class _Hits:
         return np.repeat(self.rows, np.diff(self.first)), self.cell
 
 
+#: A selection's outcomes before its fetch (an empty batch).
+_UNFETCHED = Fetched((), False)
+
+
 @dataclass(slots=True)
 class _Selection:
-    """One store view's share of a query, as the select phase left it:
-    per query cell (see :class:`ReadExecutor`) what that cell alone
-    would have tallied, and the hits as columns of the view's tile
-    table."""
+    """One pinned part's share of a query, as the select pass left it:
+    its hits as columns of the query's tile table, which stacks every
+    part's rows part by part (:meth:`~repro.storage.mvcc.TileTable.stack`)."""
 
     store: "StoredMDD"
     epoch: int
     #: Modelled ms charged to this store's disk: index pages, then
     #: fetches — exactly what its clock advanced by.
     model_ms: float
-    #: Per cell: cells of the hits meeting it, and of the pruned ones.
-    covered: list
-    pruned_cells: list
     table: TileTable
     #: The tiles still to fetch (page-ordered by the fetch), and those
     #: answered with zero decode.
     fetch: _Hits
     answered: _Hits
     #: The fetch's outcomes, aligned with ``fetch``.
-    fetched: Fetched = field(default_factory=lambda: Fetched([], False))
+    fetched: Fetched = _UNFETCHED
     #: Catalog record of every tile to fetch, aligned with ``fetch`` once
     #: page ordered: one snapshot feeds the order, the fetch and the
     #: accounting (blobs stay immutable under the pinned view).
-    records: list = field(default_factory=list)
+    records: Sequence[BlobRecord] = ()
 
 
 class ScatterStats(NamedTuple):
@@ -273,15 +288,16 @@ class ReadExecutor:
 
     The paper's three stages — index lookup (``t_ix``), page-ordered
     tile retrieval (``t_o``), composition (``t_cpu``) — written once.
-    :meth:`select` searches one store view, then prunes by zone map
-    and classifies every hit as pruned, synopsis-answered or to-decode
-    with masks over the view's tile table, with no I/O; :meth:`fetch`
-    page-orders a selection, fetches it and does all the ``t_o`` /
-    tiles / bytes / pages / cells accounting and counts each tile's own
-    pool and decoded-cache outcomes; a *sink* — :meth:`compose`, :meth:`blocks` or
-    :meth:`combine` — is the only stage that differs between ``read``,
-    ``read_blocks`` and ``aggregate_push``.  Materialize-then-reduce is
-    :meth:`compose` followed by :meth:`condense`, not a path of its own.
+    :meth:`select` finds the hits of every pinned part, then prunes by
+    zone map and classifies every hit as pruned, synopsis-answered or
+    to-decode with masks over the parts' stacked tile tables, with no
+    I/O; :meth:`fetch` page-orders each part's share, fetches it and does
+    all the ``t_o`` / tiles / bytes / pages / cells accounting and counts
+    each tile's own pool and decoded-cache outcomes; a *sink* —
+    :meth:`compose`, :meth:`blocks` or :meth:`combine` — is the only
+    stage that differs between ``read``, ``read_blocks`` and
+    ``aggregate_push``.  Materialize-then-reduce is :meth:`compose`
+    followed by :meth:`condense`, not a path of its own.
 
     A GROUP BY is one query with many *cells* (``groups``: closed spans
     per axis; the region searched is their hull; a plain query is one
@@ -290,11 +306,14 @@ class ReadExecutor:
     A query runs over pinned *parts* — ``(store, view)`` pairs; a store
     is the one-part case, a sharded object has one part per shard
     (``merge=True`` deduplicates hits by domain corner, so a migration's
-    dual presence counts once).  Every part is selected, one
-    :meth:`exact` decision covers all selections, and every sink walks
-    the selections in order.  Charges land in :attr:`timing` in
-    selection order then page order, which keeps ``t_o`` bit-identical
-    however tiles are spread.
+    dual presence counts once).  Selection, classification, one
+    :meth:`exact` decision and the fetch accounting are each one pass
+    over every part; what stays per part is the store's own work — its
+    pin, index walk and charge, page order and fetch through its pool
+    and disk — and a part with no hits does only its index charge.
+    Charges land in :attr:`timing` in part order then page order, which
+    keeps ``t_o`` bit-identical however tiles are spread.  The query's
+    registry updates gather in :attr:`tally`, folded once (:meth:`finish`).
     """
 
     def __init__(
@@ -331,12 +350,16 @@ class ReadExecutor:
         self.kind = kind
         self.predicate = predicate
         self.prune = prune
+        self.merge = merge
         self.dtype = mdd_type.base.dtype
         self.default = mdd_type.base.default
         self.cell_size = mdd_type.cell_size
         self.timing = QueryTiming(cells_result=sum(self.cell_counts))
+        #: The query's registry updates, folded once.
+        self.tally = obs.Tally()
         self.selections: list[_Selection] = []
-        self._seen: Optional[set] = set() if merge else None
+        #: Per cell: cells of the hits meeting it, and of the pruned ones.
+        self.covered = self.pruned_cells = np.zeros(len(self.cell_counts), dtype=np.int64)
         # Cells of fetched tiles lying wholly inside / across the
         # region's border: the input of the modelled compose cost.
         self._aligned_cells = 0
@@ -345,39 +368,54 @@ class ReadExecutor:
     # -- select ------------------------------------------------------------
 
     def select(
-        self, store: "StoredMDD", view: ReaderView, *, condense: bool = False
-    ) -> _Selection:
-        """Hit search, zone-map prune and classification — no I/O.
+        self,
+        parts: Sequence[tuple["StoredMDD", ReaderView]],
+        table: TileTable,
+        *,
+        condense: bool = False,
+    ) -> None:
+        """Hit search, zone-map prune and classification of every pinned
+        part in one pass — no I/O.
 
-        The hits are the rows of the view's tile table meeting the
-        region, found by one overlap mask over its bound columns; the
-        R+-tree only prices the lookup, its node visits charged to
-        ``t_ix`` as its search would have charged them.  Every hit the
-        pruner cannot rule out is to be fetched; with ``condense`` (the
-        aggregates) an unpredicated tile with a synopsis lying inside
-        every cell it meets is set aside as *answered* instead, and
-        coverage is tallied per cell so pruned parts and uncovered space
-        count as default cells.  A hit in a gap between cells is dropped.
-        Each of these steps is a mask or a sum over the table's columns,
-        and the selection keeps its hits as columns (DESIGN §17).
+        The hits are the rows of ``table`` — the parts' tile tables
+        stacked part by part — meeting the region, found by one overlap
+        mask over its bound columns; each part's R+-tree only prices its
+        share, its node visits charged to ``t_ix`` on that part's disk, in
+        part order.  With ``merge`` a corner met on two parts counts once,
+        on the first.  Every hit the pruner cannot rule out is to be
+        fetched; with ``condense`` (the aggregates) an unpredicated tile
+        with a synopsis lying inside every cell it meets is set aside as
+        *answered* instead, and coverage is tallied per cell so pruned
+        parts and uncovered space count as default cells.  A hit in a gap
+        between cells is dropped.  Each step is a mask or a sum over the
+        stacked columns; the hits are then cut into one selection per
+        part (DESIGN §17).
         """
         selecting = time.perf_counter()
-        region, timing, low, high = self.region, self.timing, self._low, self._high
-        table = view.version.table
+        region, timing, tally = self.region, self.timing, self.tally
+        low, high = self._low, self._high
+        sizes = (len(view.version.table.entries) for _store, view in parts)
+        starts = list(accumulate(sizes, initial=0))
         started = time.perf_counter()
         rows = table.meeting(low, high)
-        nodes = view.index.nodes_visited(region, len(rows))
-        cpu_ix = (time.perf_counter() - started) * 1000.0
-        page_ix = store.database.disk.charge_index(nodes)
-        timing.t_ix += cpu_ix + page_ix
-        timing.t_ix_pages += page_ix
-        timing.index_nodes += nodes
+        found = [stop - start for start, stop in pairwise(np.searchsorted(rows, starts).tolist())]
+        nodes = [
+            view.index.nodes_visited(region, count, tally)
+            for (_store, view), count in zip(parts, found)
+        ]
+        timing.t_ix += (time.perf_counter() - started) * 1000.0
+        charges = [
+            store.database.disk.charge_index(count, tally)
+            for (store, _view), count in zip(parts, nodes)
+        ]
+        for page_ix in charges:  # part order: t_ix_pages' bits depend on it
+            timing.t_ix += page_ix
+            timing.t_ix_pages += page_ix
+        timing.index_nodes += sum(nodes)
 
         cells = len(self.cell_counts)
-        if self._seen is not None:  # migration dual-presence: each corner counts once
-            corners = list(map(tuple, table.lo[rows].tolist()))
-            rows = rows[np.array([corner not in self._seen for corner in corners], dtype=bool)]
-            self._seen.update(corners)
+        if self.merge and len(found) - found.count(0) > 1:
+            rows = rows[self._first_corners(table.lo[rows])]
         lo, hi = table.lo[rows], table.hi[rows]
         hits = _Hits.unrouted(rows, np.maximum(lo, low), np.minimum(hi, high))
         can = np.ones(len(rows), dtype=bool)
@@ -387,30 +425,47 @@ class ReadExecutor:
             first = np.concatenate([[0], np.cumsum(per_hit)])
             hits = replace(hits, first=first, cell=cell, cell_lo=cell_lo, cell_hi=cell_hi)
             can = per_hit > 0
-        if self.predicate is not None and self.prune and table.zones.has.any():
-            pruner = TilePruner(self.predicate, table.zones, self.dtype)
+        if self.predicate is not None and self.prune and table.zones.has[rows].any():
+            pruner = TilePruner(self.predicate, table.zones, self.dtype, tally)
             can[can] = pruner.can_match(rows[can])
             timing.tiles_pruned += pruner.pruned
         answered = np.zeros(len(rows), dtype=bool)
-        covered, pruned_cells = [0] * cells, [0] * cells
         if condense:
             live = can[met]
-            covered = np.bincount(cell, cell_cells, cells).astype(np.int64).tolist()
-            pruned = np.bincount(cell[~live], cell_cells[~live], cells)
-            pruned_cells = pruned.astype(np.int64).tolist()
+            self.covered = np.bincount(cell, cell_cells, cells).astype(np.int64)
+            self.pruned_cells = np.bincount(cell[~live], cell_cells[~live], cells).astype(np.int64)
             whole = cell_cells == table.cells[rows][met]  # a part lies inside its tile
             all_whole = np.bincount(met[~whole], minlength=len(rows)) == 0
             answerable = self.predicate is None and self.prune  # else every hit is fetched
             answered = can & all_whole & table.zones.has[rows] & answerable
         fetch = can & ~answered
-        selection = _Selection(
-            store, view.epoch, page_ix, covered, pruned_cells, table,
-            hits if fetch.all() else hits.take(np.flatnonzero(fetch)),
-            hits.take(np.flatnonzero(answered)),
-        )
-        self.selections.append(selection)
+        fetch = hits if fetch.all() else hits.take(np.flatnonzero(fetch))
+        answered = hits.take(np.flatnonzero(answered))
+        self.selections = [
+            _Selection(store, view.epoch, page_ix, table, fetch_share, answered_share)
+            for (store, view), page_ix, fetch_share, answered_share in zip(
+                parts, charges, self._cut(fetch, starts), self._cut(answered, starts)
+            )
+        ]
         timing.select_ms += (time.perf_counter() - selecting) * 1000.0
-        return selection
+
+    @staticmethod
+    def _first_corners(corners: np.ndarray) -> np.ndarray:
+        """Positions of the rows of ``corners`` not seen on an earlier
+        row, in order: each domain corner counts once."""
+        corners = np.ascontiguousarray(corners)
+        keys = corners.view(np.dtype((np.void, corners.itemsize * corners.shape[1]))).ravel()
+        return np.sort(np.unique(keys, return_index=True)[1])
+
+    @staticmethod
+    def _cut(hits: _Hits, starts: list[int]) -> list[_Hits]:
+        """``hits`` (in row order) cut into each part's share: the hits
+        among that part's rows ``starts[i]`` to ``starts[i + 1]``."""
+        if not len(hits):
+            return [hits] * (len(starts) - 1)
+        cuts = np.searchsorted(hits.rows, starts).tolist()
+        none = hits.span(0, 0) if len(set(cuts)) < len(cuts) else hits  # for empty shares only
+        return [hits.span(start, stop) if start < stop else none for start, stop in pairwise(cuts)]
 
     def _route(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every pair of a hit (``lo`` / ``hi`` rows) and a query cell it
@@ -440,45 +495,64 @@ class ReadExecutor:
         cell = np.ravel_multi_index(picked, [len(spans) for spans in self.groups])
         return hit, cell, low, high, reduce(np.multiply, (high - low + 1).T)
 
+    def _hit(self) -> list[_Selection]:
+        """The selections of the parts with a tile to fetch or answer: a
+        part without one cost its index charge, and later stages skip it."""
+        return [sel for sel in self.selections if len(sel.fetch) or len(sel.answered)]
+
     def exact(self, op: str) -> bool:
         """May ``op`` be combined from synopses and per-tile partials?
 
         One :func:`~repro.index.zonemap.cells_eligible` decision over
         every cell at once, each cell with exactly the inputs it alone
         would have: the ``(row, cell)`` pairs routing its non-pruned hits
-        in every selection, over that selection's zone columns, and its
-        uncovered cells.  The combination must equal
-        materialize-then-reduce bitwise in every cell.  When it may not
-        in some cell, the synopsis shortcut is off the table too — the
-        answered tiles rejoin the tiles to fetch, so every non-pruned
-        tile is fetched and the region materialized.
+        in every selection, over the zone columns, and its uncovered
+        cells.  The combination must equal materialize-then-reduce
+        bitwise in every cell.  When it may not in some cell, the
+        synopsis shortcut is off the table too — the answered tiles
+        rejoin the tiles to fetch, so every non-pruned tile is fetched
+        and the region materialized.
         """
+        hit = self._hit()
         routed = (  # read only by integer sums and averages
-            (sel.table.zones, *(sel.fetch + sel.answered).pairs()) for sel in self.selections
+            (sel.table.zones, *(sel.fetch + sel.answered).pairs()) for sel in hit
         )
-        covered = np.sum([sel.covered for sel in self.selections], axis=0)
         exact = cells_eligible(
-            op, self.dtype, routed, np.subtract(self.cell_counts, covered), self.default,
+            op, self.dtype, routed, np.subtract(self.cell_counts, self.covered), self.default,
             self.cell_counts, masked=self.predicate is not None,
         )
         if not exact:
-            for selection in self.selections:
+            for selection in hit:
                 selection.fetch += selection.answered
-                selection.answered = selection.answered.take(np.zeros(0, dtype=np.intp))
+                selection.answered = selection.answered.span(0, 0)
         return exact
 
     # -- run ---------------------------------------------------------------
 
-    def fetch(self, selection: _Selection, *, op: Optional[str] = None) -> None:
-        """Run phase: fetch a selection's tiles in page order.
+    def fetch(self, *, op: Optional[str] = None) -> None:
+        """Run phase: fetch every part's tiles in page order, part by
+        part, through that part's pool and disk.
 
         An ``op`` reduces every tile to one partial aggregate per cell
         part — holding only what that op's combine reads — instead of
         returning its cells.
         """
-        _hits, selection.fetched = self._fetch(
-            selection, self._decoded if op is None else partial(self._partials, op=op)
-        )
+        self._run(self._decoded if op is None else partial(self._partials, op=op))
+
+    def _run(self, run: Callable) -> None:
+        """Page-order and fetch with ``run`` — decoded tiles, reduced
+        partials or stored payloads — the share of every part that has
+        tiles to fetch, then account for all of them at once."""
+        started = time.perf_counter()
+        batches = []
+        for selection in self.selections:
+            if len(selection.fetch):
+                self._page_order(selection)
+                selection.fetched = run(
+                    selection.store.database, selection.table, selection.fetch, selection.records
+                )
+                batches.append((selection, selection.fetch, selection.records, selection.fetched))
+        self._account(batches, started)
 
     @staticmethod
     def _page_order(selection: _Selection) -> None:
@@ -500,7 +574,9 @@ class ReadExecutor:
 
     def _decoded(self, database: "Database", table: TileTable, hits: _Hits, records) -> Fetched:
         entries = [table.entries[row] for row in hits.rows.tolist()]
-        return fetch_tiles(database, entries, self.dtype, records, self._rows(table, hits))
+        return fetch_tiles(
+            database, entries, self.dtype, records, self._rows(table, hits), self.tally
+        )
 
     def _partials(
         self, database: "Database", table: TileTable, hits: _Hits, records, op: str
@@ -508,7 +584,7 @@ class ReadExecutor:
         origin = np.repeat(table.lo[hits.rows], np.diff(hits.first), axis=0)
         parts = TileParts(
             [table.entries[row] for row in hits.rows.tolist()], hits.cell_lo - origin,
-            hits.cell_hi - origin, hits.first, self._rows(table, hits),
+            hits.cell_hi - origin, hits.first, self._rows(table, hits), self.tally,
         )
         fetched, peak = fetch_tile_partials(
             database, parts, self.dtype, self.predicate, self.default, op, records
@@ -517,47 +593,41 @@ class ReadExecutor:
         return fetched
 
     def _payloads(self, database: "Database", table: TileTable, hits: _Hits, records) -> Fetched:
-        return fetch_payloads(database, [table.entries[row] for row in hits.rows.tolist()], records)
+        entries = [table.entries[row] for row in hits.rows.tolist()]
+        return fetch_payloads(database, entries, records, self.tally)
 
-    def _fetch(
-        self, selection: _Selection, run: Callable, at: Optional[int] = None
-    ) -> tuple[_Hits, Fetched]:
-        """Fetch the whole selection, page-ordered first (or only tile
-        ``at`` of an ordered one) with ``run`` — decoded tiles, reduced
-        partials or stored payloads — and account for the batch: the one
-        place ``t_o``, tiles / bytes / pages / cells, decodes, the tiles'
-        own cache outcomes and ``fetch_ms`` are charged, as sums over its
-        columns.  Returns the hits fetched and their outcomes."""
-        started = time.perf_counter()
-        if at is None:
-            self._page_order(selection)
-            hits, records = selection.fetch, selection.records
-        else:
-            hits, records = selection.fetch.take(np.array([at])), selection.records[at : at + 1]
-        timing, table = self.timing, selection.table
-        batch = run(selection.store.database, table, hits, records)
-        cells, lo, hi = table.cells[hits.rows], table.lo[hits.rows], table.hi[hits.rows]
-        inside = reduce(np.logical_and, ((lo >= self._low) & (hi <= self._high)).T)
-        aligned, total = int(cells[inside].sum()), int(cells.sum())
-        timing.cells_fetched += total
-        self._aligned_cells += aligned
-        self._border_cells += total - aligned
-        timing.tiles_read += len(batch)
-        # left to right, in page order: t_o's bits depend on it
-        timing.t_o = reduce(add, batch.cost, timing.t_o)
-        selection.model_ms += reduce(add, batch.cost, 0.0)
-        timing.bytes_read += sum(batch.payload_bytes)
-        timing.pages_read += sum(record.pages.count for record in records)
-        decodes = list(compress(batch.decode_ms, batch.decoded))
-        timing.tiles_decoded += len(decodes)
-        timing.decode_ms = reduce(add, decodes, timing.decode_ms)
-        timing.pool_hits += batch.pool_hit.count(True)
-        timing.pool_misses += batch.pool_hit.count(False)
-        timing.pool_evictions += sum(batch.pool_evicted)
-        timing.decoded_hits += sum(batch.decoded_hit)
-        timing.decoded_misses += len(decodes) if batch.cached else 0
+    def _account(self, batches: list, started: float) -> None:
+        """Account for fetched ``(selection, hits, records, batch)`` in
+        part order — the one place ``t_o``, tiles / bytes / pages / cells,
+        decodes, the tiles' own cache outcomes and ``fetch_ms`` are
+        charged: the numpy passes once over every part's rows, then sums
+        over each batch's columns."""
+        timing = self.timing
+        if batches:
+            table = batches[0][0].table
+            rows = np.concatenate([hits.rows for _sel, hits, _records, _batch in batches])
+            cells, lo, hi = table.cells[rows], table.lo[rows], table.hi[rows]
+            inside = reduce(np.logical_and, ((lo >= self._low) & (hi <= self._high)).T)
+            aligned, total = int(cells[inside].sum()), int(cells.sum())
+            timing.cells_fetched += total
+            self._aligned_cells += aligned
+            self._border_cells += total - aligned
+            timing.tiles_read += len(rows)
+        for selection, _hits, records, batch in batches:
+            # left to right, part by part in page order: t_o's bits depend on it
+            timing.t_o = reduce(add, batch.cost, timing.t_o)
+            selection.model_ms += reduce(add, batch.cost, 0.0)
+            timing.bytes_read += sum(batch.payload_bytes)
+            timing.pages_read += sum(record.pages.count for record in records)
+            decodes = list(compress(batch.decode_ms, batch.decoded))
+            timing.tiles_decoded += len(decodes)
+            timing.decode_ms = reduce(add, decodes, timing.decode_ms)
+            timing.pool_hits += batch.pool_hit.count(True)
+            timing.pool_misses += batch.pool_hit.count(False)
+            timing.pool_evictions += sum(batch.pool_evicted)
+            timing.decoded_hits += sum(batch.decoded_hit)
+            timing.decoded_misses += len(decodes) if batch.cached else 0
         timing.fetch_ms += (time.perf_counter() - started) * 1000.0
-        return hits, batch
 
     def _charge_cpu(self, started: float) -> None:
         """``t_cpu``: the sink's measured numpy time (its ``sink_ms``)
@@ -605,11 +675,12 @@ class ReadExecutor:
         """
         region, predicate, dtype = self.region, self.predicate, self.dtype
         started = time.perf_counter()
+        fetched = [sel for sel in self.selections if len(sel.fetch)]
         windows = chain.from_iterable(
-            self._windows(sel.table, sel.fetch, sel.fetched) for sel in self.selections
+            self._windows(sel.table, sel.fetch, sel.fetched) for sel in fetched
         )
         out = None
-        if predicate is None and sum(len(sel.fetch) for sel in self.selections) == 1:
+        if predicate is None and sum(len(sel.fetch) for sel in fetched) == 1:
             windows = list(windows)
             array, source, _target = windows[0]
             if array is not None and array[source].shape == region.shape:
@@ -658,11 +729,17 @@ class ReadExecutor:
     def blocks(self) -> Iterator[tuple[MInterval, np.ndarray, QueryTiming]]:
         """Streaming sink: fetch and yield one tile at a time, selection
         by selection in page order, each with the timing charged for it
-        (the index lookups ride on the first)."""
+        (the index lookups ride on the first); each tile's registry
+        updates are folded before it is yielded."""
         for selection in self.selections:
+            if not len(selection.fetch):
+                continue
             self._page_order(selection)
             for at in range(len(selection.fetch)):
-                hits, batch = self._fetch(selection, self._decoded, at)
+                started = time.perf_counter()
+                hits, records = selection.fetch.span(at, at + 1), selection.records[at : at + 1]
+                batch = self._decoded(selection.store.database, selection.table, hits, records)
+                self._account([(selection, hits, records, batch)], started)
                 started = time.perf_counter()
                 part = MInterval.bounded(hits.lo[0].tolist(), hits.hi[0].tolist())
                 ((array, source, _target),) = self._windows(selection.table, hits, batch)
@@ -676,7 +753,9 @@ class ReadExecutor:
                 timing.cells_result = part.cell_count
                 self._charge_cpu(started)
                 self.timing = QueryTiming()
+                self._fold()
                 yield part, data, timing
+        self._fold()
 
     def combine(self, op: str):
         """Pushdown sink: merge the per-tile partials (reduced and
@@ -684,16 +763,19 @@ class ReadExecutor:
         (:func:`~repro.index.zonemap.combine_cells`), in deterministic
         key order, with each cell's default cells: uncovered space,
         pruned parts, and fetched virtual tiles (which carry neither an
-        array nor a partial)."""
+        array nor a partial).  Parts without hits add nothing; with none
+        at all, every cell is its default cells."""
         timing = self.timing
         started = time.perf_counter()
         default_cells = np.array(self.cell_counts, dtype=np.int64)
-        cells: list = []
+        default_cells += self.pruned_cells - self.covered
+        table = self.selections[0].table
+        nothing = np.zeros(0, dtype=np.intp)
+        cells: list = [nothing]
         syns: list = []
-        keys: list = []
-        for sel in self.selections:
-            default_cells += np.subtract(sel.pruned_cells, sel.covered, dtype=np.int64)
-            table, fetch, answered = sel.table, sel.fetch, sel.answered
+        keys: list = [self._keys(table, nothing)]
+        for sel in self._hit():
+            fetch, answered = sel.fetch, sel.answered
             virtual = table.virtual[fetch.rows]
             routed_virtual = np.repeat(virtual, np.diff(fetch.first))
             np.add.at(default_cells, fetch.cell[routed_virtual], np.prod(
@@ -705,9 +787,7 @@ class ReadExecutor:
             syns += chain.from_iterable(sel.fetched.partials)
             timing.tiles_synopsis_answered += len(answered)
             timing.tiles_partial_agg += len(fetch) - int(virtual.sum())
-            # combine order: tile id within one store, domain corner across
-            # stores (tile ids are per store)
-            keys.append(table.ids[rows, None] if self._seen is None else table.lo[rows])
+            keys.append(self._keys(table, rows))
         values = combine_cells(
             op, self.dtype, np.concatenate(cells), syns, np.concatenate(keys),
             default_cells, self.default, self.cell_counts,
@@ -715,13 +795,17 @@ class ReadExecutor:
         self._charge_cpu(started)
         return self._shaped(values)
 
+    def _keys(self, table: TileTable, rows: np.ndarray) -> np.ndarray:
+        """Combine order: tile id within one store, domain corner across
+        stores (tile ids are per store)."""
+        return table.lo[rows] if self.merge else table.ids[rows, None]
+
     def payloads(self) -> list[tuple[TileEntry, bytes]]:
         """Stored-tile sink (served tile frames): every hit with its payload
         as stored, selection by selection in page order.  Nothing is
         decoded and the decoded cache is never touched, so the charges are
         a :meth:`compose` read's on a database without that cache."""
-        for selection in self.selections:
-            _hits, selection.fetched = self._fetch(selection, self._payloads)
+        self._run(self._payloads)
         started = time.perf_counter()
         tiles = [
             pair
@@ -733,28 +817,38 @@ class ReadExecutor:
 
     def plan(self) -> list[TileEntry]:
         """The tiles :meth:`fetch` would fetch, in its order: every
-        selection page-ordered, nothing fetched."""
+        selection page-ordered, nothing fetched (the index charges are
+        folded)."""
         for selection in self.selections:
-            self._page_order(selection)
+            if len(selection.fetch):
+                self._page_order(selection)
+        self._fold()
         return [
             sel.table.entries[row] for sel in self.selections for row in sel.fetch.rows.tolist()
         ]
 
     # -- account -----------------------------------------------------------
 
+    def _fold(self) -> None:
+        """Apply the query's gathered registry updates in one fold."""
+        obs.fold(self.tally)
+        self.tally.clear()
+
     def finish(self, *, cells_returned: bool = False) -> ScatterStats:
-        """Emit the query's metrics and one access-log ``read`` per store
-        (what the rebalancer folds into per-shard load, and the advisor
-        into a tiling); returns the per-part account."""
-        timing = self.timing
-        note_tiles_pruned(timing.tiles_pruned)
-        note_synopsis_answered(timing.tiles_synopsis_answered)
-        _READS.inc()
-        _TILES_LOADED.inc(timing.tiles_read)
-        _CELLS_FETCHED.inc(timing.cells_fetched)
+        """Fold the query's record into the registry — one locked call —
+        and log one access-log ``read`` per part (what the rebalancer
+        folds into per-shard load, and the advisor into a tiling);
+        returns the per-part account."""
+        timing, tally = self.timing, self.tally
+        note_tiles_pruned(timing.tiles_pruned, tally)
+        note_synopsis_answered(timing.tiles_synopsis_answered, tally)
+        tally.inc(_READS)
+        tally.inc(_TILES_LOADED, timing.tiles_read)
+        tally.inc(_CELLS_FETCHED, timing.cells_fetched)
         if cells_returned:
-            _CELLS_RETURNED.inc(timing.cells_result)
-        _READ_MS.observe(timing.t_totalcpu)
+            tally.inc(_CELLS_RETURNED, timing.cells_result)
+        tally.observe_many(_READ_MS, [timing.t_totalcpu])
+        self._fold()
         for selection in self.selections:
             store = selection.store
             store.database.access_log.record(
@@ -800,6 +894,8 @@ class StoredMDD:
         self._working: Optional[ObjectVersion] = None
         #: Per-part account of the last finished query (one part here).
         self.last_scatter: Optional[ScatterStats] = None
+        #: The last pinned cut's tile tables and their stack (:meth:`_stacked`).
+        self._stack: tuple = ((), None)
 
     # -- MVCC plumbing (DESIGN §11) ------------------------------------
 
@@ -1306,9 +1402,18 @@ class StoredMDD:
         query = ReadExecutor(
             self.mdd_type, resolved, merge=self._MERGE, kind=classify(region, hull), **options
         )
-        for store, view in parts:
-            query.select(store, view, condense=condense)
+        query.select(parts, self._stacked(parts), condense=condense)
         return query
+
+    def _stacked(self, parts: list) -> TileTable:
+        """The pinned parts' tile tables as one (:meth:`TileTable.stack`),
+        kept while the next cut pins the same versions' tables; one
+        part's is its own."""
+        tables = [view.version.table for _store, view in parts]
+        stack = self._stack
+        if stack[0] != tables:  # TileTable compares by identity
+            stack = self._stack = (tables, TileTable.stack(tables))
+        return stack[1]
 
     def resolve_region(self, region: MInterval) -> MInterval:
         """Resolve open bounds against the current domain and clip."""
@@ -1373,8 +1478,7 @@ class StoredMDD:
         """
         with self._pinned(version) as parts:
             query = self._select(parts, region, predicate=predicate, prune=prune)
-            for selection in query.selections:
-                query.fetch(selection)
+            query.fetch()
             out = query.compose()
         self.last_scatter = query.finish(cells_returned=True)
         return out, query.timing
@@ -1493,8 +1597,7 @@ class StoredMDD:
                 parts, region, condense=True, predicate=predicate, prune=prune, groups=groups
             )
             pushed = query.exact(op)
-            for selection in query.selections:
-                query.fetch(selection, op=op if pushed else None)
+            query.fetch(op=op if pushed else None)
             value = query.combine(op) if pushed else query.condense(op, query.compose())
         self.last_scatter = query.finish()
         return value, query.timing, pushed
@@ -1783,19 +1886,22 @@ class Database:
         return self.store.record(entry.blob_id).pages.start
 
     def read_blobs(
-        self, records: Sequence[BlobRecord], fetched: Mapping[int, bytes]
+        self,
+        records: Sequence[BlobRecord],
+        fetched: Mapping[int, bytes],
+        tally: obs.Tally = obs.DIRECT,
     ) -> list[tuple[bytes, PoolRead]]:
         """Each blob's payload and :class:`PoolRead`, charged in order, via
         the pool if any; a payload comes from ``fetched`` (already read and
         verified), else — virtual, or evicted since the caller's peek —
-        from the store."""
+        from the store.  The disk's counts go to ``tally``."""
         def load(blob_id: int) -> bytes:
             payload = fetched.get(blob_id)
             return self.store.get(blob_id) if payload is None else payload
 
         if self.pool is not None:
-            return self.pool.read_blobs(records, load)
-        costs = self.disk.charge_reads(records)
+            return self.pool.read_blobs(records, load, tally)
+        costs = self.disk.charge_reads(records, tally)
         return [(load(r.blob_id), PoolRead(cost)) for r, cost in zip(records, costs)]
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
@@ -1812,9 +1918,13 @@ class Database:
         return self._io_executor
 
     def close(self) -> None:
-        """Shut down the encode pool and the WAL, and empty the
-        caches (idempotent): a closed database's cached tiles are freed
-        now, not whenever the collector reaches its reference cycles."""
+        """Shut down the encode pool and the WAL, empty the caches, and
+        drop the objects and the epoch manager's reclaimer (idempotent).
+        A closed database's cached tiles are freed now, and the database
+        by reference counting once its last handle goes: nothing it owns
+        refers back to it (each object holds it, and the reclaimer is its
+        bound method), so when it is freed never waits for the cyclic
+        collector."""
         if self._io_executor is not None:
             self._io_executor.shutdown(wait=True)
             self._io_executor = None
@@ -1824,6 +1934,8 @@ class Database:
             self.pool.clear()
         if self.decoded_cache is not None:
             self.decoded_cache.clear()
+        self.collections.clear()
+        self.epoch.detach()
 
     def invalidate_blob(self, blob_id: int) -> None:
         """Drop a BLOB from every cache layer (after update/delete)."""

@@ -143,7 +143,8 @@ def select(self, store, view, *, condense: bool = False) -> OracleSelection:
         else None
     )
     answer = condense and self.predicate is None and self.prune
-    seen = self._seen
+    # merged parts: a corner seen on an earlier part is skipped
+    seen = vars(self).setdefault("_oracle_seen", set()) if self.merge else None
     entries = []
     for hit in result.entries:
         entry = view.version.tiles[hit.tile_id]

@@ -4,7 +4,10 @@ The registry is always on, so its cost must not grow with the tiles a
 read touches.  Two cold reads of 4 and 16 tiles both fit in one
 read-ahead chunk, so they must make the same number of metric calls:
 on a page-file store behind a 1 MiB pool, with and without a decoded
-cache, as a read and as the aggregation pushdown.
+cache, as a read and as the aggregation pushdown.  Nor may it grow with
+the shards a scatter pins but does not touch: a query folds its
+record's counts into the registry once (a call), so on four shards only
+the per-part pins and latches add calls.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from repro.core.geometry import MInterval
 from repro.core.mdd import Tile
 from repro.core.mddtype import mdd_type
 from repro.obs import metrics
+from repro.shard import ShardedDatabase
 from repro.storage.catalog import create_database, open_database, save_database
 from repro.tiling.base import grid_partition
 
@@ -29,18 +33,24 @@ INSTRUMENTS = (
     (metrics.Counter, ("inc",)),
     (metrics.Gauge, ("set", "inc", "dec")),
     (metrics.Histogram, ("observe", "observe_many")),
+    (metrics.MetricsRegistry, ("fold",)),
 )
+
+
+def _load(root):
+    data = np.random.default_rng(3).integers(0, 2**20, DOMAIN.shape, dtype=np.uint32)
+    obj = root.create_object("c", mdd_type("Calls", "ulong", str(DOMAIN)), "o")
+    obj.write_tiles(
+        [Tile(box, data[box.to_slices((0, 0))].copy()) for box in grid_partition(DOMAIN, TILE)]
+    )
+    return obj
 
 
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
     directory = tmp_path_factory.mktemp("calls") / "db"
     db = create_database(directory, compression=True)
-    data = np.random.default_rng(3).integers(0, 2**20, DOMAIN.shape, dtype=np.uint32)
-    obj = db.create_object("c", mdd_type("Calls", "ulong", str(DOMAIN)), "o")
-    obj.write_tiles(
-        [Tile(box, data[box.to_slices((0, 0))].copy()) for box in grid_partition(DOMAIN, TILE)]
-    )
+    _load(db)
     save_database(db, directory)
     db.close()
     db.store.close()
@@ -86,3 +96,34 @@ def test_a_cold_chunk_costs_the_same_calls_at_4_and_16_tiles(
         db.close()
         db.store.close()
     assert made[0] == made[1], made
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    sdb = ShardedDatabase(4, compression=True, buffer_bytes=MIB)
+    yield sdb, _load(sdb)
+    sdb.close()
+
+
+@pytest.mark.parametrize(
+    "kind, region, touched, pinned",
+    [
+        ("read", MInterval.parse("[5:5,3:3]"), 1, 54),
+        ("aggregate_push", MInterval.parse("[5:5,3:3]"), 1, 54),
+        ("read", SIXTEEN, 4, 81),
+    ],
+    ids=["read-1-shard", "push-1-shard", "read-4-shards"],
+)
+def test_a_scatter_makes_its_calls_once_per_query(sharded, calls, kind, region, touched, pinned):
+    """Cold queries on four shards: each part's pin and latches, then one
+    fold.  (When every part ran every stage and each stage updated its
+    instruments itself, these made 144, 147 and 189 calls.)"""
+    sdb, obj = sharded
+    sdb.reset_clock()
+    before = calls[0]
+    if kind == "read":
+        obj.read(region)
+    else:
+        obj.aggregate_push(region, "add_cells")
+    assert obj.last_scatter.shards_hit == touched
+    assert calls[0] - before == pinned

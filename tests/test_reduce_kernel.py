@@ -110,7 +110,7 @@ def test_the_kernel_equals_the_stacked_oracle(case):
     if predicate is not None:  # the dtype-exact mask is numpy's promoted comparison
         assert np.array_equal(predicate.mask(array), reduce_oracle.mask(predicate, array))
     kernel = pipeline._Reducer(predicate, default_cell, op)
-    got = kernel(array, *pipeline.TileParts.of([(entry, parts)]).per_tile()[0])
+    got = kernel(array, *pipeline.TileParts.of([(entry, parts)]).bounds(0))
     # the per-part stacks of one, and whole tiles stacked two at a time
     per_part = reduce_oracle.parts(predicate, default_cell, op, array, entry.domain, parts)
     stacked = reduce_oracle.hits(

@@ -1,16 +1,18 @@
 """The columnar select against the per-tile one it replaced.
 
-``ReadExecutor.select`` finds its hits with one overlap mask over the
-tile table's columns and masks them: pruned (one
-:class:`~repro.index.zonemap.TilePruner` call per selection), routed
-(per-axis ``(hit, cell)`` pair arrays) and answered, keeping them as
-columns.  Over every tiling, dtype, default, hole / virtual /
-synopsis-less tile, predicate op, prune / condense / GROUP BY setting,
-on one store and on merged 2-shard parts, it must leave what the
-per-tile oracle (``tests/select_oracle.py``) leaves: the same covered
-and pruned cells, per tile id the same part, routes and synopsis, and
-the same page-ordered fetch sequence — with the same pruned count, the
-same index node count and the same ``index.zone.*`` counter deltas.
+``ReadExecutor.select`` finds the hits of every pinned part with one
+overlap mask over the parts' stacked tile-table columns and masks them:
+pruned (one :class:`~repro.index.zonemap.TilePruner` call per query),
+routed (per-axis ``(hit, cell)`` pair arrays) and answered, then cuts
+them into one selection per part, as columns.  Over every tiling,
+dtype, default, hole / virtual / synopsis-less tile, predicate op,
+prune / condense / GROUP BY setting, on one store and on merged 2-shard
+parts, it must leave what the per-tile oracle
+(``tests/select_oracle.py``, which selects part by part) leaves: the
+same covered and pruned cells over the parts, per part and tile id the
+same part, routes and synopsis, and the same page-ordered fetch
+sequence — with the same pruned count, the same index node count and
+the same ``index.zone.*`` counter deltas.
 """
 
 import numpy as np
@@ -174,8 +176,6 @@ def _counters():
 def _same_selection(new, old):
     assert new.store is old.store and new.epoch == old.epoch
     assert new.model_ms == old.model_ms
-    assert new.covered == old.covered
-    assert new.pruned_cells == old.pruned_cells
     # per tile id: fetched or answered, its part, its routes, its synopsis
     assert select_oracle.per_tile(new) == select_oracle.per_tile(old)
     # then the tiles the fetch reads, in its page order
@@ -195,8 +195,11 @@ def _selected(obj, case, select):
             groups=case["groups"],
         )
         before = _counters()
-        for store, view in parts:
-            select(query, store, view, condense=case["condense"])
+        if select is ReadExecutor.select:  # every part in one pass
+            query.select(parts, obj._stacked(parts), condense=case["condense"])
+        else:
+            for store, view in parts:
+                select(query, store, view, condense=case["condense"])
         query.timing.tiles_synopsis_answered = sum(len(s.answered) for s in query.selections)
         query.finish()
         after = _counters()
@@ -214,6 +217,9 @@ def test_columnar_select_is_the_per_tile_select(case):
         assert new.timing.tiles_pruned == old.timing.tiles_pruned
         assert new.timing.index_nodes == old.timing.index_nodes
         assert len(new.selections) == len(old.selections)
+        for name in ("covered", "pruned_cells"):  # per cell, over the parts
+            want = np.sum([getattr(sel, name) for sel in old.selections], axis=0)
+            assert getattr(new, name).tolist() == want.tolist(), name
         for got, want in zip(new.selections, old.selections):
             _same_selection(got, want)
     finally:

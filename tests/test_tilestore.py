@@ -1,5 +1,8 @@
 """Unit tests for the persistent tile store (StoredMDD + Database)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.mddtype import mdd_type
 from repro.index.rplustree import RPlusTreeIndex
 from repro.storage.backends import FileBlobStore
 from repro.query.timing import QueryTiming
+from repro.shard import ShardedDatabase
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
 from repro.tiling.directional import DirectionalTiling
@@ -402,3 +406,27 @@ class TestReadBlocks:
             MInterval.parse("[0:20,0:20]")
         ):
             assert (fragment == 0).all()
+
+
+@pytest.mark.parametrize("make", [Database, lambda: ShardedDatabase(2)], ids=["store", "2-shard"])
+def test_a_closed_database_is_freed_by_reference_counting(make):
+    """Nothing a database owns refers back to it once closed, so dropping
+    the last handle frees it at once, with the cyclic collector off: its
+    objects (each holding it) leave its catalog, and the epoch manager
+    drops its reclaimer, a bound method of it."""
+    gc.collect()
+    gc.disable()
+    try:
+        db = make()
+        obj = db.create_object("c", mdd_type("Freed", "long", "[0:7,0:7]"), "o")
+        obj.write_tiles([
+            Tile(MInterval([row, 0], [row + 3, 7]), np.ones((4, 8), dtype=np.int32))
+            for row in (0, 4)
+        ])
+        obj.read(MInterval.parse("[0:7,0:7]"))
+        freed = weakref.ref(db)
+        db.close()
+        del db, obj
+        assert freed() is None
+    finally:
+        gc.enable()
