@@ -29,30 +29,21 @@ ENTRIES = grid_entries(512, 256)  # ~1k tiles
 QUERY = MInterval.parse("[100:140,100:140]")
 
 
-def test_bench_rplustree_bulk_load(benchmark):
-    def build():
-        index = RPlusTreeIndex(dim=2, max_entries=32)
-        index.bulk_load(ENTRIES)
-        return index
-
-    index = benchmark(build)
-    assert len(index) == len(ENTRIES)
+def inserted(entries, **options):
+    """An index built as stores build theirs: one insert per tile."""
+    index = RPlusTreeIndex(dim=2, **options)
+    for entry in entries:
+        index.insert(entry)
+    return index
 
 
 def test_bench_rplustree_incremental_insert(benchmark):
-    def build():
-        index = RPlusTreeIndex(dim=2, max_entries=32)
-        for entry in ENTRIES:
-            index.insert(entry)
-        return index
-
-    index = benchmark(build)
+    index = benchmark(lambda: inserted(ENTRIES, max_entries=32))
     assert len(index) == len(ENTRIES)
 
 
 def test_bench_rplustree_search(benchmark):
-    index = RPlusTreeIndex(dim=2, max_entries=32)
-    index.bulk_load(ENTRIES)
+    index = inserted(ENTRIES, max_entries=32)
     result = benchmark(lambda: index.search(QUERY))
     want = {e.tile_id for e in ENTRIES if e.domain.intersects(QUERY)}
     assert {e.tile_id for e in result.entries} == want
@@ -67,8 +58,7 @@ def test_node_visit_scaling(benchmark):
     point = MInterval.parse("[9:9,9:9]")
     for extent, max_tile in ((128, 256), (256, 256), (512, 256), (1024, 256)):
         entries = grid_entries(extent, max_tile)
-        tree = RPlusTreeIndex(dim=2, page_size=2048)
-        tree.bulk_load(entries)
+        tree = inserted(entries, page_size=2048)
         tree_visits = tree.search(point).nodes_visited
         flat_visits = pages_needed(len(entries) * entry_bytes(2), 2048)
         rows.append([len(entries), tree_visits, flat_visits])

@@ -87,7 +87,7 @@ def test_sequential_vs_random_blob_pattern(benchmark):
 
     def charged(order):
         disk.reset()
-        return sum(disk.charge_reads(store.records(order)))
+        return sum(cost for cost, _regime in disk.charge_reads(store.records(order)))
 
     def ordered():
         return charged(ids)

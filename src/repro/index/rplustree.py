@@ -5,17 +5,13 @@ R+-tree-like indexes" [9].  Tiles are disjoint boxes, which makes the
 R+-tree's defining property — non-overlapping index regions, entries
 duplicated into every region they straddle — natural:
 
-* **bulk load** builds a kd-style disjoint decomposition: entries are
-  recursively split by a hyperplane on the widest axis; an entry
-  straddling the plane is referenced from both sides (R+-tree
-  duplication), so sibling regions never overlap;
-* **incremental insert** follows the classic choose-leaf / split-on-
-  overflow path (minimal-enlargement descent, widest-axis distribution
-  split), used for gradually growing MDDs;
+* **insert** follows the classic choose-leaf / split-on-overflow path
+  (minimal-enlargement descent, widest-axis distribution split): loads
+  build a tree one tile at a time, and a reopen replays the inserts;
 * **search** descends every child whose region intersects the query,
   counting visited nodes — each node is one index page for ``t_ix``;
   a read counts them alone (:meth:`RPlusTreeIndex.nodes_visited`), as
-  its tile table finds the hits.
+  its tile table finds the hits, and its record counts the walk.
 
 Node capacity derives from the page size and the per-entry footprint, so
 index height and page counts respond to dimensionality like a paged tree
@@ -28,19 +24,11 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.core.errors import IndexError_
 from repro.core.geometry import MInterval, pack_bounds
 from repro.index.base import IndexEntry, SearchResult, entry_bytes, intersecting_mask
+from repro.query.timing import SEARCH_COUNTS, QueryTiming
 from repro.storage.pages import DEFAULT_PAGE_SIZE
-
-_SEARCHES = obs.counter("index.rplustree.searches", "R+-tree lookups")
-_NODES_VISITED = obs.counter(
-    "index.rplustree.nodes_visited", "Tree node pages visited during descent"
-)
-_ENTRIES_FOUND = obs.counter(
-    "index.rplustree.entries_found", "Tile entries returned by tree lookups"
-)
 
 
 class _Node:
@@ -177,70 +165,6 @@ class RPlusTreeIndex:
                 stack.extend(node.items)
 
     # ------------------------------------------------------------------
-    # Bulk load (kd decomposition with R+ duplication)
-    # ------------------------------------------------------------------
-
-    def bulk_load(self, entries) -> None:
-        items = list(entries)
-        for entry in items:
-            self._check_entry(entry)
-        unique = {e.tile_id for e in items}
-        if len(unique) != len(items):
-            raise IndexError_("duplicate tile ids in bulk load")
-        if not items:
-            self._root = _Node(leaf=True)
-            self._count = 0
-            return
-        self._root = self._build(items, depth=0)
-        self._count = len(items)
-
-    def _build(self, items: list[IndexEntry], depth: int) -> _Node:
-        if len(items) <= self.max_entries:
-            return _Node(leaf=True, items=items)
-        hull = MInterval.hull_of([e.domain for e in items])
-        axis = max(range(self.dim), key=lambda ax: hull.shape[ax])
-        centers = sorted(
-            (e.domain.lower[axis] + e.domain.upper[axis]) // 2  # type: ignore[operator]
-            for e in items
-        )
-        cut = centers[len(centers) // 2]
-        low = [e for e in items if e.domain.upper[axis] < cut]  # type: ignore[operator]
-        high = [e for e in items if e.domain.lower[axis] >= cut]  # type: ignore[operator]
-        straddle = [
-            e
-            for e in items
-            if e.domain.lower[axis] < cut <= e.domain.upper[axis]  # type: ignore[operator]
-        ]
-        part_low = len(low) + len(straddle)
-        part_high = len(high) + len(straddle)
-        if (
-            part_low == 0
-            or part_high == 0
-            or part_low >= len(items)
-            or part_high >= len(items)
-        ):
-            # Degenerate geometry (everything straddles or falls on one
-            # side): fall back to an even count split, which sacrifices
-            # disjointness for guaranteed progress.
-            ordered = sorted(
-                items,
-                key=lambda e: (e.domain.lower[axis], e.domain.lower),
-            )
-            half = len(ordered) // 2
-            parts = [ordered[:half], ordered[half:]]
-        else:
-            parts = [low + straddle, high + straddle]
-        children = [self._build(part, depth + 1) for part in parts if part]
-        # Flatten when capacity allows direct fan-out.
-        flat: list[_Node] = []
-        for child in children:
-            if not child.leaf and len(flat) + len(child.items) <= self.max_entries:
-                flat.extend(child.items)
-            else:
-                flat.append(child)
-        return _Node(leaf=False, items=flat)
-
-    # ------------------------------------------------------------------
     # Incremental insert
     # ------------------------------------------------------------------
 
@@ -326,14 +250,9 @@ class RPlusTreeIndex:
                 leaf(node, matches)
         return visited
 
-    @staticmethod
-    def _note(visited: int, found: int, tally: obs.Tally = obs.DIRECT) -> None:
-        tally.inc(_SEARCHES)
-        tally.inc(_NODES_VISITED, visited)
-        tally.inc(_ENTRIES_FOUND, found)
-
     def search(self, region: MInterval) -> SearchResult:
-        """Every entry whose domain intersects ``region``, once each."""
+        """Every entry whose domain intersects ``region``, once each; the
+        walk is folded into the registry as a record of its own."""
         hits: dict[int, IndexEntry] = {}
 
         def collect(node: _Node, matches: np.ndarray) -> None:
@@ -342,19 +261,16 @@ class RPlusTreeIndex:
                 hits[entry.tile_id] = entry
 
         visited = self._walk(region, collect)
-        self._note(visited, len(hits))
+        record = QueryTiming(index_searches=1, index_nodes=visited, index_entries_found=len(hits))
+        record.fold(SEARCH_COUNTS)
         return SearchResult(entries=list(hits.values()), nodes_visited=visited)
 
-    def nodes_visited(
-        self, region: MInterval, found: int, tally: obs.Tally = obs.DIRECT
-    ) -> int:
+    def nodes_visited(self, region: MInterval) -> int:
         """The nodes a :meth:`search` of ``region`` visits, counted
-        without collecting its hits: the read path finds the ``found``
-        tiles meeting ``region`` in the tile table, and the tree only
-        prices the lookup (DESIGN §17), counting it in ``tally``."""
-        visited = self._walk(region)
-        self._note(visited, found, tally)
-        return visited
+        without collecting its hits or counting anything: the read path
+        finds the hits in the tile table, the tree only prices the lookup
+        and the query's record counts it (DESIGN §17)."""
+        return self._walk(region)
 
     def remove(self, tile_id: int) -> bool:
         """Drop every reference to ``tile_id`` (no rebalancing)."""

@@ -49,8 +49,6 @@ __all__ = [
     "combine_cells",
     "compute_synopsis",
     "constant_synopsis",
-    "note_synopsis_answered",
-    "note_tiles_pruned",
     "parse_predicate",
     "partial_synopsis",
     "synopsis_can_match",
@@ -84,28 +82,6 @@ _FLOAT_EXACT_BOUND = 2 ** 53
 _SYNOPSES_BUILT = obs.counter(
     "index.zone.synopses_built", "Tile zone-map synopses computed"
 )
-_PRUNE_CHECKS = obs.counter(
-    "index.zone.prune_checks", "Tile synopses consulted for pruning"
-)
-_TILES_PRUNED = obs.counter(
-    "index.zone.tiles_pruned", "Tiles skipped by value-predicate pruning"
-)
-_SYNOPSIS_ANSWERED = obs.counter(
-    "index.zone.synopsis_answered",
-    "Fully-covered tiles answered from the synopsis with zero decode",
-)
-
-
-def note_tiles_pruned(count: int, tally: obs.Tally = obs.DIRECT) -> None:
-    """Record tiles a read skipped thanks to zone-map pruning."""
-    if count:
-        tally.inc(_TILES_PRUNED, count)
-
-
-def note_synopsis_answered(count: int, tally: obs.Tally = obs.DIRECT) -> None:
-    """Record tiles an aggregate answered from synopses without decode."""
-    if count:
-        tally.inc(_SYNOPSIS_ANSWERED, count)
 
 
 #: The condensers, exactly as the query engine applies them to a decoded
@@ -497,7 +473,6 @@ def synopsis_can_match(
     ``=`` additionally consults the bin-occupancy bitmap; ``!=`` prunes
     only the constant tile equal to the probe (NaN cells satisfy ``!=``).
     """
-    _PRUNE_CHECKS.inc()
     if syn.cell_count == 0:
         return False
     if predicate.op == "!=":
@@ -601,23 +576,21 @@ class TilePruner:
         predicate: CellPredicate,
         zones: ZoneColumns,
         dtype: np.dtype,
-        tally: obs.Tally = obs.DIRECT,
     ) -> None:
         self.predicate = predicate
         self.zones = zones
         self.dtype = dtype
-        self.tally = tally
-        self.pruned = 0
+        #: Synopses consulted and tiles ruled out, over every call.
+        self.checked = self.pruned = 0
 
     def can_match(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
         """Per table row of ``rows``: may that tile hold a matching cell?
-        One ``index.zone.prune_checks`` increment (into the pruner's
-        tally) counts every synopsis consulted."""
+        Every synopsis consulted counts in :attr:`checked`."""
         zones = self.zones
         rows = np.asarray(rows, dtype=np.intp)
         has = zones.has[rows]
         checked = int(has.sum())
-        self.tally.inc(_PRUNE_CHECKS, checked)
+        self.checked += checked
         predicate = self.predicate
         live = has & (zones.cells[rows] > 0)
         comparable = live & zones.comparable[rows]

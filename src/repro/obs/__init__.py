@@ -10,16 +10,20 @@ engine, codecs) reports what it does through this package:
 
 One query is explained by its :class:`~repro.query.timing.QueryTiming`
 record (``repro explain`` renders it); the registry aggregates across
-queries (``repro stats``).  Instrumented modules keep module-level
-handles::
+queries (``repro stats``).  Every read-side counter is a fold of those
+records: a query counts into its record alone, and finishing it adds
+the record's fields to their counters in one locked
+:meth:`~repro.obs.metrics.MetricsRegistry.fold` (the fixed tables of
+:mod:`repro.query.timing`).  The write side, the gauges and the latches
+keep module-level handles::
 
     from repro import obs
-    _READS = obs.counter("disk.blob_reads", "BLOBs fetched")
+    _APPENDS = obs.counter("disk.wal_appends", "Write-ahead-log append charges")
     ...
-    _READS.inc()
+    _APPENDS.inc()
 
-The layer is always on.  It stays cheap because the read path updates
-each instrument once per fetch batch or read-ahead chunk, not once per
+The layer is always on.  It stays cheap because a query folds once and
+the write path updates each instrument once per batch, not once per
 tile; ``repro bench obs`` measures what it costs against a build whose
 instrument methods are empty.
 """
@@ -32,13 +36,11 @@ from repro.obs.metrics import (
     BYTE_BUCKETS,
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
-    DIRECT,
     FINE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Tally,
 )
 from repro.obs.export import escape_label_value, prometheus_name, prometheus_text
 
@@ -46,16 +48,13 @@ __all__ = [
     "BYTE_BUCKETS",
     "COUNT_BUCKETS",
     "DEFAULT_BUCKETS",
-    "DIRECT",
     "FINE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Tally",
     "counter",
     "escape_label_value",
-    "fold",
     "gauge",
     "histogram",
     "prometheus_name",
@@ -87,11 +86,6 @@ def histogram(
 ) -> Histogram:
     """Get-or-create a fixed-bucket histogram on the default registry."""
     return registry.histogram(name, help, buckets=buckets)
-
-
-def fold(tally: Tally) -> None:
-    """Apply a query's :class:`Tally` to the default registry at once."""
-    registry.fold(tally)
 
 
 def reset() -> None:

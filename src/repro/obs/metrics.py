@@ -12,10 +12,11 @@ dependency-free and cheap:
   histogram takes a batch's values in one :meth:`Histogram.observe_many`);
 * mutations are lock-protected so instrumented code may run from any
   thread;
-* a query gathers its updates in a :class:`Tally` (its record's counts)
-  and :meth:`MetricsRegistry.fold` applies them in one lock hold, however
-  many parts, batches and disk charges the query ran; code outside a
-  query passes :data:`DIRECT`, which updates each instrument at once.
+* the read side is a fold of records: a query counts into its
+  ``QueryTiming`` alone, and :meth:`MetricsRegistry.fold` adds the
+  record's fields to their counters (``repro.query.timing``'s fixed
+  tables) in one lock hold, however many parts, batches and disk charges
+  the query ran.
 
 Histograms use fixed upper-bound buckets (Prometheus style): ``observe``
 bins the value into the first bucket whose bound is >= the value, with an
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 #: Default histogram bounds in milliseconds — spans the simulated disk's
 #: range from a sub-millisecond page transfer to a multi-second scan.
@@ -224,40 +225,6 @@ class Histogram(Metric):
             self._count = 0
 
 
-class Tally(dict):
-    """One record's instrument updates, by instrument: a counter's summed
-    increments, a histogram's observations — applied together by
-    :meth:`MetricsRegistry.fold`.  Code that updates instruments for a
-    caller takes a tally (or :data:`DIRECT`) and calls its :meth:`inc` /
-    :meth:`observe_many` in place of the instrument's."""
-
-    __slots__ = ()
-
-    def inc(self, counter: Counter, amount: float = 1) -> None:
-        if amount:
-            self[counter] = self.get(counter, 0) + amount
-
-    def observe_many(self, histogram: Histogram, values: Sequence[float]) -> None:
-        if values:
-            self.setdefault(histogram, []).extend(values)
-
-
-class _Direct(Tally):
-    """The tally of code outside a query: it holds nothing, each update
-    goes straight to its instrument."""
-
-    __slots__ = ()
-
-    def inc(self, counter: Counter, amount: float = 1) -> None:
-        counter.inc(amount)
-
-    def observe_many(self, histogram: Histogram, values: Sequence[float]) -> None:
-        histogram.observe_many(values)
-
-
-DIRECT = _Direct()
-
-
 class MetricsRegistry:
     """Named home of all instruments; one process-wide default in ``obs``."""
 
@@ -273,19 +240,25 @@ class MetricsRegistry:
             for metric in self._metrics.values():
                 metric.reset()
 
-    def fold(self, tally: Tally) -> None:
-        """Apply a :class:`Tally` under one lock hold: every counter and
-        histogram ends as its own ``inc`` / ``observe_many`` calls would
-        have left it."""
+    def fold(
+        self,
+        counters: Sequence[Counter],
+        amounts: Sequence[float],
+        observed: Iterable[Tuple[Histogram, Sequence[float]]] = (),
+    ) -> None:
+        """Add each amount to its counter (a zero is skipped) and observe
+        each histogram's values, under one lock hold: every instrument
+        ends as its own ``inc`` / ``observe_many`` calls would have left
+        it."""
         with self._lock:
-            for metric, amount in tally.items():
-                if isinstance(metric, Counter):
-                    metric._value += amount
-                    continue
-                for value in amount:  # a histogram's values
-                    metric._counts[bisect_left(metric.buckets, value)] += 1
-                    metric._sum += value
-                metric._count += len(amount)
+            for counter, amount in zip(counters, amounts):
+                if amount:
+                    counter._value += amount
+            for histogram, values in observed:
+                for value in values:
+                    histogram._counts[bisect_left(histogram.buckets, value)] += 1
+                    histogram._sum += value
+                histogram._count += len(values)
 
     # -- instrument creation (get-or-create by name) -----------------------
 

@@ -227,6 +227,11 @@ def _stages(
                 "pages": timing.pages_read,
                 "decoded_hits": timing.decoded_hits,
                 "pool_hits": timing.pool_hits,
+                # the disk's reads, by the positioning of their page runs
+                "disk_reads": timing.disk_blobs,
+                "random": timing.random_reads,
+                "short_skip": timing.short_skips,
+                "sequential": timing.sequential_reads,
             },
         )
     )

@@ -12,11 +12,19 @@ Here ``t_o`` and the page component of ``t_ix`` come from the simulated
 disk (deterministic); ``t_cpu`` and the CPU component of ``t_ix`` are real
 measured time of the numpy composition work.  All figures are
 milliseconds.
+
+A record is also the query's one account: the registry's read-side
+counters are folds of records, each counter the sum of its fields in
+the fixed tables below (:meth:`QueryTiming.fold`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import ClassVar
+
+from repro import obs
 
 
 @dataclass
@@ -74,6 +82,26 @@ class QueryTiming:
     #: Summed wall ms of the per-tile decode (+ partial reduce) steps,
     #: part of ``fetch_ms``.
     decode_ms: float = 0.0
+    #: The disk's share of the fetch: the blob reads it charged (pool
+    #: misses; every tile without a pool), their pages and bytes, and
+    #: their page runs by positioning regime — random, short skip,
+    #: sequential, summing to ``disk_blobs``.  An index-node visit is
+    #: counted in ``index_nodes``: one random page each.
+    disk_blobs: int = 0
+    disk_pages: int = 0
+    disk_bytes: int = 0
+    random_reads: int = 0
+    short_skips: int = 0
+    sequential_reads: int = 0
+    #: R+-tree walks (one per part) and the hits they priced.
+    index_searches: int = 0
+    index_entries_found: int = 0
+    #: Zone-map synopses the pruner consulted.
+    prune_checks: int = 0
+    #: Partial aggregates computed on the pushdown, one per tile part.
+    partial_aggregates: int = 0
+    #: A record is one query's account: a finished one counts one read.
+    queries: ClassVar[int] = 1
 
     @property
     def t_totalaccess(self) -> float:
@@ -150,6 +178,67 @@ class QueryTiming:
             f"t_cpu={self.t_cpu:.2f}ms total={self.t_totalcpu:.2f}ms "
             f"(tiles={self.tiles_read}, pages={self.pages_read})"
         )
+
+    def fold(self, table: tuple, observed=()) -> None:
+        """Fold this record into the registry in one locked call: each
+        counter of ``table`` adds its field (a zero is skipped), and each
+        ``(histogram, values)`` of ``observed`` observes its values."""
+        counters, fields = table
+        obs.registry.fold(counters, fields(self), observed)
+
+
+def _table(*rows: tuple) -> tuple:
+    """``(counter, help, *fields)`` rows as the counters, one per field,
+    and one getter of all the fields they add."""
+    pairs = [(obs.counter(name, about), field) for name, about, *names in rows for field in names]
+    return tuple(counter for counter, _ in pairs), attrgetter(*(field for _, field in pairs))
+
+
+_SEARCH = (
+    ("index.rplustree.searches", "R+-tree lookups", "index_searches"),
+    ("index.rplustree.nodes_visited", "Tree node pages visited during descent", "index_nodes"),
+    ("index.rplustree.entries_found", "Tile entries returned by tree lookups",
+     "index_entries_found"),
+)
+_FETCH = _SEARCH + (
+    ("disk.blob_reads", "BLOBs fetched from the simulated disk", "disk_blobs"),
+    ("disk.pages_read", "Pages charged on the simulated disk", "disk_pages", "index_nodes"),
+    ("disk.bytes_read", "BLOB payload bytes read", "disk_bytes"),
+    ("disk.random_accesses", "Full seek+rotation positionings", "random_reads", "index_nodes"),
+    ("disk.short_skips", "Settle-only forward skips", "short_skips"),
+    ("disk.sequential_reads", "Reads continuing at the head", "sequential_reads"),
+    ("disk.index_node_reads", "Index node pages charged", "index_nodes"),
+    ("disk.model_ms", "Modelled disk milliseconds charged", "t_o", "t_ix_pages"),
+    ("index.zone.prune_checks", "Tile synopses consulted for pruning", "prune_checks"),
+    ("index.zone.tiles_pruned", "Tiles skipped by value-predicate pruning", "tiles_pruned"),
+    ("index.zone.synopsis_answered",
+     "Fully-covered tiles answered from the synopsis with zero decode",
+     "tiles_synopsis_answered"),
+    ("pool.hits", "Buffer-pool hits (no disk charge)", "pool_hits"),
+    ("pool.misses", "Buffer-pool misses (read through disk)", "pool_misses"),
+    ("pool.evictions", "LRU evictions from the pool", "pool_evictions"),
+    ("cache.decoded.hits", "Decoded-tile cache hits", "decoded_hits"),
+    ("cache.decoded.misses", "Decoded-tile cache misses", "decoded_misses"),
+    ("pipeline.tiles_decoded", "Tiles decompressed + reshaped", "tiles_decoded"),
+    ("codec.decodes", "Payloads decoded by reads (all codecs)", "tiles_decoded"),
+    ("pipeline.partial_aggregates",
+     "Partial aggregates (one per tile part) computed on the pushdown path",
+     "partial_aggregates"),
+)
+_QUERY = _FETCH + (
+    ("tilestore.reads", "Range reads served", "queries"),
+    ("tilestore.tiles_loaded", "Tiles fetched for reads", "tiles_read"),
+    ("tilestore.cells_fetched", "Cells in fetched tiles", "cells_fetched"),
+)
+
+#: Counter <- record field tables, one per kind of record: an index
+#: search outside a query; a fetch (a streamed tile, a plan, or a read
+#: outside a query: an update's read-modify, a single blob or tile); a
+#: finished query; a finished ``read``, which also returns its cells.
+SEARCH_COUNTS = _table(*_SEARCH)
+FETCH_COUNTS = _table(*_FETCH)
+QUERY_COUNTS = _table(*_QUERY)
+READ_COUNTS = _table(*_QUERY, ("tilestore.cells_returned", "Cells in query results", "cells_result"))
 
 
 def speedup(baseline: QueryTiming, tuned: QueryTiming) -> dict[str, float]:

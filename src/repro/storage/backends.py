@@ -199,6 +199,10 @@ class FileBlobStore(BlobStore):
         return store
 
     def close(self) -> None:
+        """Sync the catalog and close the page file; a closed store stays
+        as it is."""
+        if self._file.closed:
+            return
         self.sync()
         self._file.close()
 

@@ -9,11 +9,11 @@ retrieval), but the ablation benches use the pool to show how caching
 changes the regular-vs-arbitrary comparison.
 
 Each lookup returns its own outcome (:class:`PoolRead`), which the read
-pipeline sums into the query's record and the registry's ``pool.hits`` /
-``pool.misses`` / ``pool.evictions``; the pool keeps no tallies of its
-own.  The ``pool.bytes_*`` counters, the admitted-size histogram and the
-``pool.used_bytes`` gauge take one update per :meth:`read_blobs` batch,
-inside its latch hold.
+pipeline sums into the query's record, whose fold is the registry's
+``pool.hits`` / ``pool.misses`` / ``pool.evictions``; the pool keeps no
+tallies of its own.  The ``pool.bytes_*`` counters, the admitted-size
+histogram and the ``pool.used_bytes`` gauge take one update per
+:meth:`read_blobs` batch, inside its latch hold.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro import obs
 from repro.core.errors import StorageError
+from repro.query.timing import FETCH_COUNTS, QueryTiming
 from repro.storage.blob import BlobRecord, BlobStore
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import SimulatedDisk, count_charged
 from repro.storage.latch import OrderedLatch
 
 _BYTES_ADMITTED = obs.counter("pool.bytes_admitted", "Payload bytes admitted")
@@ -43,14 +44,15 @@ _ADMITTED_SIZE = obs.histogram(
 
 
 class PoolRead(NamedTuple):
-    """One blob read's charge and pool outcome."""
+    """One blob read's disk charge — its cost and regime — and pool outcome."""
 
     cost: float  # modelled disk milliseconds (0.0 on a hit)
+    regime: Optional[str] = None  # the disk's positioning (None: not charged)
     hit: Optional[bool] = None  # None: no pool in front of the disk
     evicted: int = 0  # entries this read's admission evicted
 
 
-HIT = PoolRead(0.0, True)
+HIT = PoolRead(0.0, None, True)
 
 
 class BufferPool:
@@ -82,18 +84,14 @@ class BufferPool:
         return self.cached([blob_id])[0]
 
     def read_blobs(
-        self,
-        records: Sequence[BlobRecord],
-        load: Callable[[int], bytes],
-        tally: obs.Tally = obs.DIRECT,
+        self, records: Sequence[BlobRecord], load: Callable[[int], bytes]
     ) -> list[tuple[bytes, PoolRead]]:
         """Each blob's payload and :class:`PoolRead`, walked in order under
         one latch hold: a hit is touched, a miss admitted with its
         ``load(blob_id)`` payload, evicting least-recently-used entries to
         fit (a payload over the whole budget is not admitted) — then one
         disk charge prices the misses (none for a batch of hits), and the
-        sizes admitted and evicted are counted once for the batch (the
-        disk's counts go to ``tally``)."""
+        sizes admitted and evicted are counted once for the batch."""
         entries, capacity = self._entries, self.capacity_bytes
         payloads: list[bytes] = []
         evictions: list[Optional[int]] = []  # None: a hit
@@ -131,15 +129,21 @@ class BufferPool:
                     _ADMITTED_SIZE.observe_many(admitted)
                     _BYTES_EVICTED.inc(sum(evicted))
                     _USED_BYTES.inc(used - start)
-            costs = iter(self.disk.charge_reads(missed, tally))
+            priced = iter(self.disk.charge_reads(missed))
         return [
-            (payload, HIT if evicted is None else PoolRead(next(costs), False, evicted))
+            (payload, HIT if evicted is None else PoolRead(*next(priced), False, evicted))
             for payload, evicted in zip(payloads, evictions)
         ]
 
     def read_blob(self, blob_id: int) -> tuple[bytes, PoolRead]:
-        """One blob's :meth:`read_blobs`, a miss read from the store."""
-        return self.read_blobs(self.store.records([blob_id]), self.store.get)[0]
+        """One blob's :meth:`read_blobs`, a miss read from the store; the
+        disk's charge is folded into the registry."""
+        records = self.store.records([blob_id])
+        [(payload, read)] = self.read_blobs(records, self.store.get)
+        record = QueryTiming(t_o=read.cost)
+        count_charged(record, records, [read.regime])
+        record.fold(FETCH_COUNTS)
+        return payload, read
 
     def invalidate(self, blob_id: int) -> None:
         """Drop one entry (called on BLOB update/delete)."""

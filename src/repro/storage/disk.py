@@ -15,15 +15,16 @@ object store, a 2 ms settle for short forward skips, and a 1 ms per-BLOB
 dereference overhead on 8 KiB pages.
 
 The disk keeps only simulator state: the head and the modelled read
-clock.  Its activity is counted once per event, in the registry's
-``disk.*`` counters across the process (through the caller's
-:class:`~repro.obs.metrics.Tally`, folded once per query) and in the
-caller's :class:`~repro.query.timing.QueryTiming` for one query.
+clock.  A read charge returns each item's ``(cost, regime)``; the
+caller counts them into its :class:`~repro.query.timing.QueryTiming`
+(:func:`count_charged`), whose fold is the registry's ``disk.*`` read
+counters.  Writes and log appends count themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from repro import obs
@@ -32,14 +33,6 @@ from repro.storage.blob import BlobRecord
 from repro.storage.latch import OrderedLatch
 from repro.storage.pages import DEFAULT_PAGE_SIZE, PageRange, pages_needed
 
-_BLOB_READS = obs.counter("disk.blob_reads", "BLOBs fetched from the simulated disk")
-_PAGES_READ = obs.counter("disk.pages_read", "Pages charged on the simulated disk")
-_BYTES_READ = obs.counter("disk.bytes_read", "BLOB payload bytes read")
-_RANDOM_ACCESSES = obs.counter("disk.random_accesses", "Full seek+rotation positionings")
-_SHORT_SKIPS = obs.counter("disk.short_skips", "Settle-only forward skips")
-_SEQUENTIAL_READS = obs.counter("disk.sequential_reads", "Reads continuing at the head")
-_INDEX_NODE_READS = obs.counter("disk.index_node_reads", "Index node pages charged")
-_MODEL_MS = obs.counter("disk.model_ms", "Modelled disk milliseconds charged")
 _WAL_APPENDS = obs.counter("disk.wal_appends", "Write-ahead-log append charges")
 _WAL_PAGES = obs.counter("disk.wal_pages_written", "Pages charged for WAL appends")
 _WAL_MS = obs.counter("disk.wal_ms", "Modelled WAL milliseconds charged")
@@ -150,12 +143,28 @@ class CpuParameters:
         ) * 1000.0
 
 
+def count_charged(
+    record, records: Sequence[BlobRecord], regimes: Sequence[Optional[str]]
+) -> None:
+    """Count into ``record`` (a :class:`~repro.query.timing.QueryTiming`)
+    the blob reads the disk charged: ``records`` with each read's regime,
+    ``None`` where nothing was charged (a pool or decoded-cache hit)."""
+    charged = list(compress(records, regimes))
+    record.disk_blobs += len(charged)
+    record.disk_pages += sum(charge.pages.count for charge in charged)
+    record.disk_bytes += sum(charge.byte_size for charge in charged)
+    record.random_reads += regimes.count(RANDOM)
+    record.short_skips += regimes.count(SHORT_SKIP)
+    record.sequential_reads += regimes.count(SEQUENTIAL)
+
+
 class SimulatedDisk:
     """The disk's state: the head (the last page touched, shared by reads
     and writes as on a real spindle) and the modelled read clock
     ``time_ms``.  Every charge is one :func:`price` call over a batch, the
-    head-moving ones under the latch; its activity is counted in the
-    registry (``disk.*``) and in the caller's query record.
+    head-moving ones under the latch; a read charge returns its priced
+    items for the caller's query record, a write counts itself in the
+    registry (``disk.data_*``, ``disk.wal_*``).
     """
 
     def __init__(self, parameters: DiskParameters | None = None) -> None:
@@ -167,33 +176,20 @@ class SimulatedDisk:
         self._head: Optional[int] = None
         self._latch = OrderedLatch("disk", 50)
 
-    def charge_reads(
-        self, records: Sequence[BlobRecord], tally: obs.Tally = obs.DIRECT
-    ) -> list[float]:
-        """Charge a batch of BLOB reads, in the given (page) order; a
-        blob's cost is its run's price plus ``blob_overhead_ms``.  The
-        ``disk.*`` counts go to ``tally`` (a query's record)."""
-        return self._read(
-            [record.pages for record in records],
-            tally,
-            self.parameters.blob_overhead_ms,
-            len(records),
-            sum(record.byte_size for record in records),
-        )
+    def charge_reads(self, records: Sequence[BlobRecord]) -> list[tuple[float, str]]:
+        """Charge a batch of BLOB reads, in the given (page) order: each
+        blob's ``(cost, regime)``, its cost its run's price plus
+        ``blob_overhead_ms``."""
+        return self._read([record.pages for record in records], self.parameters.blob_overhead_ms)
 
-    def charge_index(self, nodes: int, tally: obs.Tally = obs.DIRECT) -> float:
-        """Charge ``nodes`` spatial-index node visits; their summed cost."""
-        tally.inc(_INDEX_NODE_READS, nodes)
-        return sum(self._read([INDEX_NODE] * nodes, tally))
+    def charge_index(self, nodes: int) -> float:
+        """Charge ``nodes`` spatial-index node visits (each one random
+        page); their summed cost."""
+        return sum(cost for cost, _regime in self._read([INDEX_NODE] * nodes))
 
     def _read(
-        self,
-        runs: Sequence[Optional[PageRange]],
-        tally: obs.Tally,
-        overhead=0.0,
-        blobs=0,
-        byte_size=0,
-    ) -> list[float]:
+        self, runs: Sequence[Optional[PageRange]], overhead: float = 0.0
+    ) -> list[tuple[float, str]]:
         """One latch hold pricing read-side items onto the clock; an empty
         batch (a chunk of pool hits) takes no latch."""
         if not runs:
@@ -203,16 +199,7 @@ class SimulatedDisk:
             for cost, _regime in priced:
                 self.time_ms += cost  # then the overhead (0.0 for index nodes:
                 self.time_ms += overhead  # no bit changes): t_o's bits depend on it
-        costs = [cost + overhead for cost, _regime in priced]
-        regimes = [regime for _cost, regime in priced]
-        tally.inc(_SEQUENTIAL_READS, regimes.count(SEQUENTIAL))
-        tally.inc(_SHORT_SKIPS, regimes.count(SHORT_SKIP))
-        tally.inc(_RANDOM_ACCESSES, regimes.count(RANDOM))
-        tally.inc(_PAGES_READ, sum(1 if run is None else run.count for run in runs))
-        tally.inc(_BLOB_READS, blobs)
-        tally.inc(_BYTES_READ, byte_size)
-        tally.inc(_MODEL_MS, sum(costs))
-        return costs
+        return [(cost + overhead, regime) for cost, regime in priced]
 
     def charge_writes(self, runs: Sequence[PageRange]) -> list[float]:
         """Charge coalesced page-file write runs, in order: they move the

@@ -23,45 +23,39 @@ only (:mod:`repro.storage.ingest`).  All of it is one function,
 :func:`_fetch`; the public ``fetch_tiles`` / ``fetch_tile`` /
 ``fetch_tile_partials`` are its entry points; ``fetch_payloads`` (served
 tile frames) is its read walk alone.  A batch's outcomes are columns
-(:class:`Fetched`), summed once per batch (:func:`_count`) into the
-caller's tally: a query's record folds into the registry once, and a
-batch outside a query takes one update per instrument, never one per
-tile.
+(:class:`Fetched`), summed once per batch into the query's record
+(:meth:`Fetched.account`), which the query folds into the registry once;
+a batch fetched outside a query folds its own record
+(:func:`fold_fetch`).  Nothing here updates an instrument per tile.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import compress
+from operator import add
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.index.zonemap import CellPredicate, TileSynopsis, partial_synopsis
+from repro.query.timing import FETCH_COUNTS, QueryTiming
 from repro.storage.compression import decompress
+from repro.storage.disk import count_charged
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (avoids a cycle)
     from repro.core.geometry import MInterval
     from repro.storage.blob import BlobRecord
     from repro.storage.tilestore import Database, TileEntry
 
-_TILES_DECODED = obs.counter("pipeline.tiles_decoded", "Tiles decompressed + reshaped")
-_DECODES = obs.counter("codec.decodes", "Payloads decoded by reads (all codecs)")
-_DECODE_MS = obs.histogram(
+#: Observes the decode times a record sums in ``decode_ms``, one per tile.
+DECODE_MS = obs.histogram(
     "codec.decode_ms", "Wall milliseconds per tile decode (then reduce, on the pushdown)"
-)
-_POOL_HITS = obs.counter("pool.hits", "Buffer-pool hits (no disk charge)")
-_POOL_MISSES = obs.counter("pool.misses", "Buffer-pool misses (read through disk)")
-_POOL_EVICTIONS = obs.counter("pool.evictions", "LRU evictions from the pool")
-_DECODED_HITS = obs.counter("cache.decoded.hits", "Decoded-tile cache hits")
-_DECODED_MISSES = obs.counter("cache.decoded.misses", "Decoded-tile cache misses")
-_PARTIAL_AGGS = obs.counter(
-    "pipeline.partial_aggregates",
-    "Partial aggregates (one per tile part) computed on the pushdown path",
 )
 
 
@@ -101,19 +95,25 @@ class Fetched(SequenceABC):
     :class:`FetchedTile` field, filled in place as the batch is fetched
     (DESIGN §17): the read path sums and walks the columns, and indexing
     reads one tile out.  ``decoded`` marks the tiles decoded by this
-    fetch (a decoded-cache miss, when the batch has a cache)."""
+    fetch (a decoded-cache miss, when the batch has a cache);
+    ``records`` is the batch's catalog snapshot."""
 
     __slots__ = (
-        "entries", "cost", "payload_bytes", "arrays", "first_row", "pool_hit", "pool_evicted",
-        "decoded_hit", "decoded", "decode_ms", "partials", "payloads", "cached",
+        "entries", "records", "cost", "regime", "payload_bytes", "arrays", "first_row",
+        "pool_hit", "pool_evicted", "decoded_hit", "decoded", "decode_ms", "partials",
+        "payloads", "cached",
     )
 
-    def __init__(self, entries: Sequence["TileEntry"], cached: bool) -> None:
+    def __init__(
+        self, entries: Sequence["TileEntry"], records: Sequence["BlobRecord"], cached: bool
+    ) -> None:
         count = len(entries)
         self.entries = entries
+        self.records = records
         #: Whether a decoded cache was consulted (a decode is then its miss).
         self.cached = cached
         self.cost = [0.0] * count
+        self.regime: list[Optional[str]] = [None] * count
         self.payload_bytes = [0] * count
         self.arrays: list[Optional[np.ndarray]] = [None] * count
         self.first_row = [0] * count
@@ -136,20 +136,39 @@ class Fetched(SequenceABC):
             self.first_row[at],
         )
 
+    def account(self, record: QueryTiming) -> list[float]:
+        """Add this batch's outcomes to ``record``, summed over its
+        columns: ``t_o``, bytes and pages, the disk's charged reads, the
+        pool and decoded-cache outcomes and the decodes — whose times
+        are returned, one per decoded tile (``codec.decode_ms``).  The
+        costs add left to right, in page order: ``t_o``'s bits depend on
+        it."""
+        record.t_o = functools.reduce(add, self.cost, record.t_o)
+        record.bytes_read += sum(self.payload_bytes)
+        record.pages_read += sum(blob.pages.count for blob in self.records)
+        count_charged(record, self.records, self.regime)
+        decodes = list(compress(self.decode_ms, self.decoded))
+        record.tiles_decoded += len(decodes)
+        record.decode_ms = functools.reduce(add, decodes, record.decode_ms)
+        record.pool_hits += self.pool_hit.count(True)
+        record.pool_misses += self.pool_hit.count(False)
+        record.pool_evictions += sum(self.pool_evicted)
+        record.decoded_hits += sum(self.decoded_hit)
+        record.decoded_misses += len(decodes) if self.cached else 0
+        return decodes
+
 
 class TileParts(NamedTuple):
     """A batch's tiles with their parts as bounds columns: tile ``i``'s
     parts are rows ``first[i]`` to ``first[i + 1]`` of ``lo`` / ``hi``
     (``int64[p, d]``, relative to the tile's origin), and ``rows[i]``
-    its leading-axis rows ``[start, stop)`` that hold them; ``tally``
-    takes the batch's counts (a query's record)."""
+    its leading-axis rows ``[start, stop)`` that hold them."""
 
     entries: Sequence["TileEntry"]
     lo: np.ndarray
     hi: np.ndarray
     first: np.ndarray
     rows: np.ndarray
-    tally: obs.Tally = obs.DIRECT
 
     @classmethod
     def of(cls, items: Sequence[tuple["TileEntry", Sequence["MInterval"]]]) -> "TileParts":
@@ -296,13 +315,9 @@ def _read_runs(
     database: "Database",
     batch: Fetched,
     misses: Sequence[int],
-    records: Sequence["BlobRecord"],
-    tally: obs.Tally,
 ) -> Iterator[tuple[int, bytes]]:
     """Read the cache misses (positions in ``batch``) in order, filling
-    their charge and pool columns: ``(position, payload)`` (``records``
-    by position: the batch's catalog snapshot; the disk counts into
-    ``tally``).
+    their charge and pool columns: ``(position, payload)``.
 
     Per chunk of ``_READ_AHEAD_RUNS`` blobs: one pool peek; one
     ``store.get_run`` of the real blobs the pool lacks (all, without a
@@ -311,32 +326,18 @@ def _read_runs(
     disk charge — handed the verified payloads.  Safe because the
     caller's pinned view keeps blobs immutable.
     """
-    pool, entries = database.pool, batch.entries
+    pool, entries, records = database.pool, batch.entries, batch.records
     for start in range(0, len(misses), _READ_AHEAD_RUNS):
         chunk = misses[start : start + _READ_AHEAD_RUNS]
         ids = [entries[at].blob_id for at in chunk]
         cached = pool.cached(ids) if pool is not None else [False] * len(ids)
         absent = [i for i, at, hit in zip(ids, chunk, cached) if not (entries[at].virtual or hit)]
         ahead = dict(zip(absent, database.store.get_run(absent)))
-        reads = database.read_blobs([records[at] for at in chunk], ahead, tally)
+        reads = database.read_blobs([records[at] for at in chunk], ahead)
         for at, (payload, read) in zip(chunk, reads):
-            batch.cost[at], batch.pool_hit[at], batch.pool_evicted[at] = read
+            batch.cost[at], batch.regime[at], batch.pool_hit[at], batch.pool_evicted[at] = read
             batch.payload_bytes[at] = len(payload)
             yield at, payload
-
-
-def _count(batch: Fetched, tally: obs.Tally) -> None:
-    """One update per outcome into ``tally``: what the records sum, per
-    batch."""
-    tally.inc(_POOL_HITS, batch.pool_hit.count(True))
-    tally.inc(_POOL_MISSES, batch.pool_hit.count(False))
-    tally.inc(_POOL_EVICTIONS, sum(batch.pool_evicted))
-    tally.inc(_DECODED_HITS, sum(batch.decoded_hit))
-    decodes = list(compress(batch.decode_ms, batch.decoded))
-    tally.inc(_DECODED_MISSES, len(decodes) if batch.cached else 0)
-    tally.inc(_TILES_DECODED, len(decodes))
-    tally.inc(_DECODES, len(decodes))
-    tally.observe_many(_DECODE_MS, decodes)
 
 
 def _fetch(
@@ -347,7 +348,6 @@ def _fetch(
     reduce: Optional[_Reducer] = None,
     records: Optional[Sequence["BlobRecord"]] = None,
     rows: Optional[np.ndarray] = None,
-    tally: obs.Tally = obs.DIRECT,
 ) -> Fetched:
     """Fetch a page-ordered batch of tiles: the one ``t_o`` loop.
 
@@ -364,13 +364,12 @@ def _fetch(
     are admitted in page order once the whole batch is read.  A miss no
     decoded cache keeps — every miss, with a reducer or without a cache
     — decodes only its ``rows`` (leading-axis ``[start, stop)`` per
-    tile), when given; a cache admits whole tiles.  The batch's counts
-    go to ``tally``: a query's record, folded once per query.
+    tile), when given; a cache admits whole tiles.
     """
     cache = database.decoded_cache
     if records is None:
         records = database.store.records([entry.blob_id for entry in entries])
-    batch = Fetched(entries, cache is not None)
+    batch = Fetched(entries, records, cache is not None)
     misses: Sequence[int] = range(len(entries))
     if cache is not None:
         misses = missed = []
@@ -388,7 +387,7 @@ def _fetch(
                 assert parts is not None
                 batch.partials[at] = reduce(array, *parts.bounds(at))
     spans = None if rows is None or (cache is not None and reduce is None) else rows.tolist()
-    for at, payload in _read_runs(database, batch, misses, records, tally):
+    for at, payload in _read_runs(database, batch, misses):
         if not entries[at].virtual:
             _decode(batch, at, payload, dtype, None if spans is None else spans[at], reduce, parts)
 
@@ -399,7 +398,6 @@ def _fetch(
         admitted = cache.put_many([(entries[at].blob_id, batch.arrays[at]) for at in decoded])
         for at, array in zip(decoded, admitted):
             batch.arrays[at] = array
-    _count(batch, tally)
     return batch
 
 
@@ -409,36 +407,43 @@ def fetch_tiles(
     dtype,
     records: Optional[Sequence["BlobRecord"]] = None,
     rows: Optional[np.ndarray] = None,
-    tally: obs.Tally = obs.DIRECT,
 ) -> Fetched:
     """Fetch and decode a page-ordered batch of tiles (:func:`_fetch`);
     without a decoded cache, each miss decodes only its ``rows``."""
-    return _fetch(database, entries, dtype, records=records, rows=rows, tally=tally)
+    return _fetch(database, entries, dtype, records=records, rows=rows)
 
 
 def fetch_payloads(
     database: "Database",
     entries: Sequence["TileEntry"],
     records: Sequence["BlobRecord"],
-    tally: obs.Tally = obs.DIRECT,
 ) -> Fetched:
     """Stored payloads of a page-ordered batch (served tile frames):
     :func:`_fetch`'s :func:`_read_runs` walk, with no decode step and no
     decoded cache."""
-    batch = Fetched(entries, False)
-    for at, payload in _read_runs(database, batch, range(len(entries)), records, tally):
+    batch = Fetched(entries, records, False)
+    for at, payload in _read_runs(database, batch, range(len(entries))):
         batch.payloads[at] = payload
-    _count(batch, tally)
     return batch
 
 
+def fold_fetch(batch: Fetched) -> None:
+    """Fold a batch fetched outside a query into the registry: its own
+    record's fetch counts and decode times, in one call."""
+    record = QueryTiming()
+    decodes = batch.account(record)
+    record.fold(FETCH_COUNTS, ((DECODE_MS, decodes),))
+
+
 def fetch_tile(database: "Database", entry: "TileEntry", dtype) -> FetchedTile:
-    """Single-tile fetch: a batch of one.
+    """Single-tile fetch: a batch of one, folded (:func:`fold_fetch`).
 
     No caller in the package since ``update`` fetches in one batch; tests
     and the wall-clock benchmark's tracer still bind it.
     """
-    return _fetch(database, [entry], dtype)[0]
+    batch = _fetch(database, [entry], dtype)
+    fold_fetch(batch)
+    return batch[0]
 
 
 def fetch_tile_partials(
@@ -468,8 +473,5 @@ def fetch_tile_partials(
     """
     parts = items if isinstance(items, TileParts) else TileParts.of(items)
     reducer = _Reducer(predicate, np.asarray(default, dtype=dtype), op)
-    fetched = _fetch(
-        database, parts.entries, dtype, parts, reducer, records, parts.rows, parts.tally
-    )
-    parts.tally.inc(_PARTIAL_AGGS, sum(map(len, fetched.partials)))
+    fetched = _fetch(database, parts.entries, dtype, parts, reducer, records, parts.rows)
     return fetched, reducer.peak

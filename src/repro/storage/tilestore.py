@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, pairwise, product
+from itertools import accumulate, chain, pairwise, product
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -55,11 +55,15 @@ from repro.index.zonemap import (
     check_aggregate,
     combine_cells,
     constant_synopsis,
-    note_synopsis_answered,
-    note_tiles_pruned,
 )
 from repro.query.access import AccessKind, classify
-from repro.query.timing import LoadStats, QueryTiming
+from repro.query.timing import (
+    FETCH_COUNTS,
+    QUERY_COUNTS,
+    READ_COUNTS,
+    LoadStats,
+    QueryTiming,
+)
 from repro.stats.log import AccessLog
 from repro.storage.backends import MemoryBlobStore
 from repro.storage.blob import BlobRecord, BlobStore
@@ -83,12 +87,14 @@ from repro.storage.mvcc import (
     note_live_versions,
 )
 from repro.storage.pipeline import (  # noqa: F401
+    DECODE_MS,
     Fetched,
     TileParts,
     fetch_payloads,
     fetch_tile,
     fetch_tile_partials,
     fetch_tiles,
+    fold_fetch,
 )
 from repro.storage.wal import WriteAheadLog
 
@@ -100,10 +106,6 @@ _WRITE_THROUGH = obs.counter(
     "cache.decoded.write_throughs",
     "Decoded tiles admitted to the cache on the write path",
 )
-_TILES_LOADED = obs.counter("tilestore.tiles_loaded", "Tiles fetched for reads")
-_READS = obs.counter("tilestore.reads", "Range reads served")
-_CELLS_FETCHED = obs.counter("tilestore.cells_fetched", "Cells in fetched tiles")
-_CELLS_RETURNED = obs.counter("tilestore.cells_returned", "Cells in query results")
 _READ_MS = obs.histogram(
     "tilestore.read_ms", "Modelled t_totalcpu milliseconds per range read"
 )
@@ -230,7 +232,7 @@ class _Hits:
 
 
 #: A selection's outcomes before its fetch (an empty batch).
-_UNFETCHED = Fetched((), False)
+_UNFETCHED = Fetched((), (), False)
 
 
 @dataclass(slots=True)
@@ -312,8 +314,9 @@ class ReadExecutor:
     pin, index walk and charge, page order and fetch through its pool
     and disk — and a part with no hits does only its index charge.
     Charges land in :attr:`timing` in part order then page order, which
-    keeps ``t_o`` bit-identical however tiles are spread.  The query's
-    registry updates gather in :attr:`tally`, folded once (:meth:`finish`).
+    keeps ``t_o`` bit-identical however tiles are spread.  Every count
+    the stages make lands in :attr:`timing`, the query's one account,
+    which :meth:`finish` folds into the registry in one call.
     """
 
     def __init__(
@@ -355,8 +358,9 @@ class ReadExecutor:
         self.default = mdd_type.base.default
         self.cell_size = mdd_type.cell_size
         self.timing = QueryTiming(cells_result=sum(self.cell_counts))
-        #: The query's registry updates, folded once.
-        self.tally = obs.Tally()
+        #: Each tile decode's wall ms, for the ``codec.decode_ms``
+        #: histogram (the record holds their sum), until it is folded.
+        self._decodes: list[float] = []
         self.selections: list[_Selection] = []
         #: Per cell: cells of the hits meeting it, and of the pruned ones.
         self.covered = self.pruned_cells = np.zeros(len(self.cell_counts), dtype=np.int64)
@@ -392,26 +396,25 @@ class ReadExecutor:
         part (DESIGN §17).
         """
         selecting = time.perf_counter()
-        region, timing, tally = self.region, self.timing, self.tally
+        region, timing = self.region, self.timing
         low, high = self._low, self._high
         sizes = (len(view.version.table.entries) for _store, view in parts)
         starts = list(accumulate(sizes, initial=0))
         started = time.perf_counter()
         rows = table.meeting(low, high)
         found = [stop - start for start, stop in pairwise(np.searchsorted(rows, starts).tolist())]
-        nodes = [
-            view.index.nodes_visited(region, count, tally)
-            for (_store, view), count in zip(parts, found)
-        ]
+        nodes = [view.index.nodes_visited(region) for _store, view in parts]
         timing.t_ix += (time.perf_counter() - started) * 1000.0
         charges = [
-            store.database.disk.charge_index(count, tally)
+            store.database.disk.charge_index(count)
             for (store, _view), count in zip(parts, nodes)
         ]
         for page_ix in charges:  # part order: t_ix_pages' bits depend on it
             timing.t_ix += page_ix
             timing.t_ix_pages += page_ix
         timing.index_nodes += sum(nodes)
+        timing.index_searches += len(parts)
+        timing.index_entries_found += sum(found)
 
         cells = len(self.cell_counts)
         if self.merge and len(found) - found.count(0) > 1:
@@ -426,8 +429,9 @@ class ReadExecutor:
             hits = replace(hits, first=first, cell=cell, cell_lo=cell_lo, cell_hi=cell_hi)
             can = per_hit > 0
         if self.predicate is not None and self.prune and table.zones.has[rows].any():
-            pruner = TilePruner(self.predicate, table.zones, self.dtype, tally)
+            pruner = TilePruner(self.predicate, table.zones, self.dtype)
             can[can] = pruner.can_match(rows[can])
+            timing.prune_checks += pruner.checked
             timing.tiles_pruned += pruner.pruned
         answered = np.zeros(len(rows), dtype=bool)
         if condense:
@@ -551,7 +555,7 @@ class ReadExecutor:
                 selection.fetched = run(
                     selection.store.database, selection.table, selection.fetch, selection.records
                 )
-                batches.append((selection, selection.fetch, selection.records, selection.fetched))
+                batches.append((selection, selection.fetch, selection.fetched))
         self._account(batches, started)
 
     @staticmethod
@@ -574,9 +578,7 @@ class ReadExecutor:
 
     def _decoded(self, database: "Database", table: TileTable, hits: _Hits, records) -> Fetched:
         entries = [table.entries[row] for row in hits.rows.tolist()]
-        return fetch_tiles(
-            database, entries, self.dtype, records, self._rows(table, hits), self.tally
-        )
+        return fetch_tiles(database, entries, self.dtype, records, self._rows(table, hits))
 
     def _partials(
         self, database: "Database", table: TileTable, hits: _Hits, records, op: str
@@ -584,28 +586,30 @@ class ReadExecutor:
         origin = np.repeat(table.lo[hits.rows], np.diff(hits.first), axis=0)
         parts = TileParts(
             [table.entries[row] for row in hits.rows.tolist()], hits.cell_lo - origin,
-            hits.cell_hi - origin, hits.first, self._rows(table, hits), self.tally,
+            hits.cell_hi - origin, hits.first, self._rows(table, hits),
         )
         fetched, peak = fetch_tile_partials(
             database, parts, self.dtype, self.predicate, self.default, op, records
         )
         self.timing.peak_partial_bytes = max(self.timing.peak_partial_bytes, peak)
+        self.timing.partial_aggregates += sum(map(len, fetched.partials))
         return fetched
 
     def _payloads(self, database: "Database", table: TileTable, hits: _Hits, records) -> Fetched:
         entries = [table.entries[row] for row in hits.rows.tolist()]
-        return fetch_payloads(database, entries, records, self.tally)
+        return fetch_payloads(database, entries, records)
 
     def _account(self, batches: list, started: float) -> None:
-        """Account for fetched ``(selection, hits, records, batch)`` in
-        part order — the one place ``t_o``, tiles / bytes / pages / cells,
-        decodes, the tiles' own cache outcomes and ``fetch_ms`` are
-        charged: the numpy passes once over every part's rows, then sums
-        over each batch's columns."""
+        """Account for fetched ``(selection, hits, batch)`` in part order
+        — the one place ``t_o``, tiles / bytes / pages / cells, the disk's
+        charged reads, decodes, the tiles' own cache outcomes and
+        ``fetch_ms`` are charged: the numpy passes once over every part's
+        rows, then sums over each batch's columns
+        (:meth:`~repro.storage.pipeline.Fetched.account`)."""
         timing = self.timing
         if batches:
             table = batches[0][0].table
-            rows = np.concatenate([hits.rows for _sel, hits, _records, _batch in batches])
+            rows = np.concatenate([hits.rows for _sel, hits, _batch in batches])
             cells, lo, hi = table.cells[rows], table.lo[rows], table.hi[rows]
             inside = reduce(np.logical_and, ((lo >= self._low) & (hi <= self._high)).T)
             aligned, total = int(cells[inside].sum()), int(cells.sum())
@@ -613,20 +617,9 @@ class ReadExecutor:
             self._aligned_cells += aligned
             self._border_cells += total - aligned
             timing.tiles_read += len(rows)
-        for selection, _hits, records, batch in batches:
-            # left to right, part by part in page order: t_o's bits depend on it
-            timing.t_o = reduce(add, batch.cost, timing.t_o)
+        for selection, _hits, batch in batches:  # part by part: t_o's bits depend on it
             selection.model_ms += reduce(add, batch.cost, 0.0)
-            timing.bytes_read += sum(batch.payload_bytes)
-            timing.pages_read += sum(record.pages.count for record in records)
-            decodes = list(compress(batch.decode_ms, batch.decoded))
-            timing.tiles_decoded += len(decodes)
-            timing.decode_ms = reduce(add, decodes, timing.decode_ms)
-            timing.pool_hits += batch.pool_hit.count(True)
-            timing.pool_misses += batch.pool_hit.count(False)
-            timing.pool_evictions += sum(batch.pool_evicted)
-            timing.decoded_hits += sum(batch.decoded_hit)
-            timing.decoded_misses += len(decodes) if batch.cached else 0
+            self._decodes += batch.account(timing)
         timing.fetch_ms += (time.perf_counter() - started) * 1000.0
 
     def _charge_cpu(self, started: float) -> None:
@@ -729,8 +722,8 @@ class ReadExecutor:
     def blocks(self) -> Iterator[tuple[MInterval, np.ndarray, QueryTiming]]:
         """Streaming sink: fetch and yield one tile at a time, selection
         by selection in page order, each with the timing charged for it
-        (the index lookups ride on the first); each tile's registry
-        updates are folded before it is yielded."""
+        (the index lookups ride on the first); each tile's record is
+        folded before it is yielded."""
         for selection in self.selections:
             if not len(selection.fetch):
                 continue
@@ -739,7 +732,7 @@ class ReadExecutor:
                 started = time.perf_counter()
                 hits, records = selection.fetch.span(at, at + 1), selection.records[at : at + 1]
                 batch = self._decoded(selection.store.database, selection.table, hits, records)
-                self._account([(selection, hits, records, batch)], started)
+                self._account([(selection, hits, batch)], started)
                 started = time.perf_counter()
                 part = MInterval.bounded(hits.lo[0].tolist(), hits.hi[0].tolist())
                 ((array, source, _target),) = self._windows(selection.table, hits, batch)
@@ -753,9 +746,10 @@ class ReadExecutor:
                 timing.cells_result = part.cell_count
                 self._charge_cpu(started)
                 self.timing = QueryTiming()
-                self._fold()
+                timing.fold(FETCH_COUNTS, ((DECODE_MS, self._decodes),))
+                self._decodes = []
                 yield part, data, timing
-        self._fold()
+        self.timing.fold(FETCH_COUNTS)  # the index charges, when no tile was fetched
 
     def combine(self, op: str):
         """Pushdown sink: merge the per-tile partials (reduced and
@@ -817,38 +811,29 @@ class ReadExecutor:
 
     def plan(self) -> list[TileEntry]:
         """The tiles :meth:`fetch` would fetch, in its order: every
-        selection page-ordered, nothing fetched (the index charges are
-        folded)."""
+        selection page-ordered, nothing fetched (the record, its index
+        charges, is folded)."""
         for selection in self.selections:
             if len(selection.fetch):
                 self._page_order(selection)
-        self._fold()
+        self.timing.fold(FETCH_COUNTS)
         return [
             sel.table.entries[row] for sel in self.selections for row in sel.fetch.rows.tolist()
         ]
 
     # -- account -----------------------------------------------------------
 
-    def _fold(self) -> None:
-        """Apply the query's gathered registry updates in one fold."""
-        obs.fold(self.tally)
-        self.tally.clear()
-
     def finish(self, *, cells_returned: bool = False) -> ScatterStats:
-        """Fold the query's record into the registry — one locked call —
+        """Fold the query's record into the registry — one locked call of
+        a fixed table, with the decode times and ``tilestore.read_ms`` —
         and log one access-log ``read`` per part (what the rebalancer
         folds into per-shard load, and the advisor into a tiling);
         returns the per-part account."""
-        timing, tally = self.timing, self.tally
-        note_tiles_pruned(timing.tiles_pruned, tally)
-        note_synopsis_answered(timing.tiles_synopsis_answered, tally)
-        tally.inc(_READS)
-        tally.inc(_TILES_LOADED, timing.tiles_read)
-        tally.inc(_CELLS_FETCHED, timing.cells_fetched)
-        if cells_returned:
-            tally.inc(_CELLS_RETURNED, timing.cells_result)
-        tally.observe_many(_READ_MS, [timing.t_totalcpu])
-        self._fold()
+        timing = self.timing
+        timing.fold(
+            READ_COUNTS if cells_returned else QUERY_COUNTS,
+            ((DECODE_MS, self._decodes), (_READ_MS, [timing.t_totalcpu])),
+        )
         for selection in self.selections:
             store = selection.store
             store.database.access_log.record(
@@ -1653,6 +1638,7 @@ class StoredMDD:
             changed: list[TileEntry] = []
             patched: list[Tile] = []
             fetched = fetch_tiles(self.database, entries, self.mdd_type.base.dtype)
+            fold_fetch(fetched)
             for entry, tile in zip(entries, fetched):
                 part = entry.domain.intersection(region)
                 assert part is not None and tile.array is not None
@@ -1886,23 +1872,20 @@ class Database:
         return self.store.record(entry.blob_id).pages.start
 
     def read_blobs(
-        self,
-        records: Sequence[BlobRecord],
-        fetched: Mapping[int, bytes],
-        tally: obs.Tally = obs.DIRECT,
+        self, records: Sequence[BlobRecord], fetched: Mapping[int, bytes]
     ) -> list[tuple[bytes, PoolRead]]:
         """Each blob's payload and :class:`PoolRead`, charged in order, via
         the pool if any; a payload comes from ``fetched`` (already read and
         verified), else — virtual, or evicted since the caller's peek —
-        from the store.  The disk's counts go to ``tally``."""
+        from the store."""
         def load(blob_id: int) -> bytes:
             payload = fetched.get(blob_id)
             return self.store.get(blob_id) if payload is None else payload
 
         if self.pool is not None:
-            return self.pool.read_blobs(records, load, tally)
-        costs = self.disk.charge_reads(records, tally)
-        return [(load(r.blob_id), PoolRead(cost)) for r, cost in zip(records, costs)]
+            return self.pool.read_blobs(records, load)
+        priced = self.disk.charge_reads(records)
+        return [(load(r.blob_id), PoolRead(*item)) for r, item in zip(records, priced)]
 
     def pipeline_executor(self) -> Optional[ThreadPoolExecutor]:
         """Lazy encode pool of ``io_workers`` threads for

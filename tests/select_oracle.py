@@ -100,12 +100,13 @@ class TilePruner:
         self.predicate = predicate
         self.zones = zones
         self.dtype = dtype
-        self.pruned = 0
+        self.checked = self.pruned = 0
 
     def can_match(self, tile_id: int) -> bool:
         syn = self.zones.get(tile_id)
         if syn is None:
             return True
+        self.checked += 1
         if synopsis_can_match(syn, self.predicate, self.dtype):
             return True
         self.pruned += 1
@@ -180,6 +181,7 @@ def select(self, store, view, *, condense: bool = False) -> OracleSelection:
                 continue
         selection.items.append((entry, part, routes))
     if pruner is not None:
+        timing.prune_checks += pruner.checked
         timing.tiles_pruned += pruner.pruned
     timing.select_ms += (time.perf_counter() - selecting) * 1000.0
     return selection

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import BlobNotFoundError, StorageError
 from repro.storage.backends import FileBlobStore, MemoryBlobStore
+from repro.storage.catalog import create_database
 
 
 class TestMemoryStore:
@@ -117,3 +118,21 @@ class TestFileStore:
     def test_page_size_positive(self, tmp_path):
         with pytest.raises(StorageError):
             FileBlobStore(tmp_path / "d.pages", page_size=0)
+
+    def test_close_is_idempotent(self, tmp_path):
+        path = tmp_path / "c.pages"
+        with FileBlobStore(path) as store:
+            blob_id = store.put(b"kept")
+        store.close()  # after the with block's close
+        store.close()
+        twice = FileBlobStore(tmp_path / "twice.pages")
+        twice.close()
+        twice.close()
+        assert FileBlobStore.open(path).get(blob_id) == b"kept"
+
+    def test_a_closed_databases_store_closes_twice(self, tmp_path):
+        db = create_database(tmp_path / "db")
+        db.close()
+        db.store.close()
+        db.store.close()
+

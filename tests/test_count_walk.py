@@ -2,9 +2,10 @@
 
 On seeded trees of several levels (``max_entries=5``, inserts then
 removes), for random boxes — boxes meeting no tile and the whole domain
-among them — the count-only walk visits as many nodes as ``search``,
-moves the ``index.rplustree.*`` counters as ``search`` does, and the tile
-table's overlap mask finds ``search``'s hits.
+among them — the count-only walk visits as many nodes as ``search`` and
+counts nothing (a query's record counts it), ``search`` folds one
+search, its visits and its hits into the ``index.rplustree.*``
+counters, and the tile table's overlap mask finds ``search``'s hits.
 """
 
 import numpy as np
@@ -65,12 +66,13 @@ def test_the_walk_prices_and_the_mask_finds_what_search_does(tree):
         result = index.search(region)
         searched = _counters()
         rows = table.meeting(np.array(region.lowest), np.array(region.highest))
-        assert index.nodes_visited(region, len(rows)) == result.nodes_visited
+        assert index.nodes_visited(region) == result.nodes_visited
         walked = _counters()
         assert {int(tile_id) for tile_id in table.ids[rows]} == {
             entry.tile_id for entry in result.entries
         }
-        assert np.subtract(walked, searched).tolist() == np.subtract(searched, before).tolist()
+        assert np.subtract(searched, before).tolist() == [1, result.nodes_visited, len(rows)]
+        assert walked == searched
 
 
 def test_the_trees_have_several_levels():

@@ -2,7 +2,8 @@
 
 The positioning rule lives in one pure function, ``price``, and each of
 its cases here is one input to it.  The batch charges of
-``SimulatedDisk`` are checked for what they add: the registry's
+``SimulatedDisk`` are checked for what they add: each read's priced
+``(cost, regime)``, which a query's record folds into the registry's
 ``disk.*`` counts, the read clock, overhead and the head they share.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from repro.core.errors import StorageError
 from repro.core.geometry import MInterval
 from repro.core.mddtype import mdd_type
+from repro.query.timing import FETCH_COUNTS, QueryTiming
 from repro.storage.backends import MemoryBlobStore
 from repro.storage.blob import BlobRecord
 from repro.storage.disk import (
@@ -22,12 +24,13 @@ from repro.storage.disk import (
     CpuParameters,
     DiskParameters,
     SimulatedDisk,
+    count_charged,
     price,
 )
 from repro.storage.pages import PageRange
 from repro.storage.tilestore import Database
 from repro.tiling.aligned import RegularTiling
-from tests.counted import counted, counts
+from tests.counted import counted
 
 PARAMS = DiskParameters(page_size=1024)
 TRANSFER = PARAMS.transfer_ms_per_page()
@@ -82,22 +85,31 @@ POSITIONING = {
 }
 
 
+def regimes(priced):
+    return [regime for _cost, regime in priced]
+
+
 class TestChargePages:
     """The positioning rule: each case is one input to ``price``, and the
-    same runs read as blobs land in the matching registry counters."""
+    same runs read as blobs, counted into a record and folded, land in
+    the matching registry counters."""
 
     @staticmethod
     def charge(case):
         runs, expected = POSITIONING[case]
         assert price(PARAMS, None, runs) == (expected, runs[-1].end)
         disk = SimulatedDisk(PARAMS)
+        records = blob_records(runs)
+        priced = disk.charge_reads(records)
+        assert priced == [(cost + PARAMS.blob_overhead_ms, regime) for cost, regime in expected]
+        record = QueryTiming()
+        count_charged(record, records, regimes(priced))
         with counted() as delta:
-            costs = disk.charge_reads(blob_records(runs))
-        assert costs == [cost + PARAMS.blob_overhead_ms for cost, _regime in expected]
-        regimes = [regime for _cost, regime in expected]
-        assert delta["disk.sequential_reads"] == regimes.count(SEQUENTIAL)
-        assert delta["disk.short_skips"] == regimes.count(SHORT_SKIP)
-        assert delta["disk.random_accesses"] == regimes.count(RANDOM)
+            record.fold(FETCH_COUNTS)
+        regimes_expected = regimes(expected)
+        assert delta["disk.sequential_reads"] == regimes_expected.count(SEQUENTIAL)
+        assert delta["disk.short_skips"] == regimes_expected.count(SHORT_SKIP)
+        assert delta["disk.random_accesses"] == regimes_expected.count(RANDOM)
         assert delta["disk.blob_reads"] == len(runs)
         assert delta["disk.pages_read"] == sum(run.count for run in runs)
         return delta
@@ -136,17 +148,18 @@ class TestBlobReads:
     def test_read_blob_returns_payload_and_cost(self):
         db = Database(store=MemoryBlobStore(page_size=1024))
         blob_id = db.store.put(b"abc" * 1000)
-        with counted() as delta:
-            [(payload, read)] = db.read_blobs(db.store.records([blob_id]), {})
+        records = db.store.records([blob_id])
+        [(payload, read)] = db.read_blobs(records, {})
         assert payload == b"abc" * 1000
-        assert read.cost > 0
-        assert delta["disk.blob_reads"] == 1
-        assert delta["disk.bytes_read"] == 3000
+        assert read.cost > 0 and read.regime == RANDOM
+        record = QueryTiming()
+        count_charged(record, records, [read.regime])
+        assert (record.disk_blobs, record.disk_bytes, record.random_reads) == (1, 3000, 1)
 
     def test_blob_overhead_charged(self):
         store, disk = make_disk(blob_overhead_ms=5.0)
         blob_id = store.put(b"x")
-        [cost] = disk.charge_reads([store.record(blob_id)])
+        [(cost, _regime)] = disk.charge_reads([store.record(blob_id)])
         assert cost == pytest.approx(
             disk.parameters.random_access_ms()
             + disk.parameters.transfer_ms_per_page()
@@ -157,30 +170,22 @@ class TestBlobReads:
         store, disk = make_disk()
         first = store.put(b"a" * 2000)
         second = store.put(b"b" * 2000)
-        with counted() as delta:
-            disk.charge_reads(store.records([first, second]))
-        assert delta["disk.sequential_reads"] == 1
-        assert delta["disk.random_accesses"] == 1
+        assert regimes(disk.charge_reads(store.records([first, second]))) == [RANDOM, SEQUENTIAL]
 
     def test_counters_accumulate_time(self):
         store, disk = make_disk()
         blob_id = store.put(b"q" * 5000)
-        with counted() as delta:
-            [cost] = disk.charge_reads([store.record(blob_id)])
+        [(cost, _regime)] = disk.charge_reads([store.record(blob_id)])
         assert disk.time_ms == pytest.approx(cost)
-        assert delta["disk.model_ms"] == pytest.approx(cost)
 
     def test_batch_equals_one_at_a_time(self):
         store, batch = make_disk()
         _, single = make_disk()
         ids = [store.put(bytes(n * 700)) for n in (1, 3, 2, 5)]
         records = store.records([ids[0], ids[2], ids[1], ids[3]])
-        with counted() as batched:
-            together = batch.charge_reads(records)
-        with counted() as one_by_one:
-            apart = [single.charge_reads([record])[0] for record in records]
-        assert together == apart
-        assert counts(batched, "disk.") == counts(one_by_one, "disk.")
+        together = batch.charge_reads(records)
+        apart = [single.charge_reads([record])[0] for record in records]
+        assert together == apart  # costs and regimes
         assert batch.time_ms == single.time_ms
 
     def test_reset(self):
@@ -191,20 +196,19 @@ class TestBlobReads:
         disk.reset()
         assert disk.time_ms == 0.0
         # After a reset the head position is forgotten: random again.
-        with counted() as delta:
-            disk.charge_reads([record])
-        assert delta["disk.random_accesses"] == 1
+        assert regimes(disk.charge_reads([record])) == [RANDOM]
 
 
 class TestIndexCharge:
     def test_index_node_is_random_page(self):
         _store, disk = make_disk()
-        with counted() as delta:
-            cost = disk.charge_index(1)
+        cost = disk.charge_index(1)
         assert cost == pytest.approx(
             disk.parameters.random_access_ms()
             + disk.parameters.transfer_ms_per_page()
         )
+        with counted() as delta:  # the record of a query that visited one node
+            QueryTiming(index_nodes=1, t_ix_pages=cost).fold(FETCH_COUNTS)
         assert delta["disk.random_accesses"] == delta["disk.pages_read"] == 1
         assert delta["disk.index_node_reads"] == 1
 
@@ -217,11 +221,9 @@ class TestIndexCharge:
         store, disk = make_disk()
         first = store.put(b"a" * 2000)
         second = store.put(b"b" * 2000)
-        with counted() as delta:
-            disk.charge_reads([store.record(first)])
-            disk.charge_index(1)
-            disk.charge_reads([store.record(second)])
-        assert delta["disk.sequential_reads"] == 0
+        disk.charge_reads([store.record(first)])
+        disk.charge_index(1)
+        assert regimes(disk.charge_reads([store.record(second)])) == [RANDOM]
 
 
 class TestWriteCharge:
@@ -230,10 +232,7 @@ class TestWriteCharge:
         first = store.put(b"a" * 4096)  # pages 0-3
         second = store.put(b"b" * 100)  # page 4
         disk.charge_writes([store.record(first).pages])
-        with counted() as delta:
-            disk.charge_reads([store.record(second)])
-        assert delta["disk.sequential_reads"] == 1
-        assert delta["disk.random_accesses"] == 0
+        assert regimes(disk.charge_reads([store.record(second)])) == [SEQUENTIAL]
 
     def test_write_regimes_are_not_read_regimes(self):
         _store, disk = make_disk()

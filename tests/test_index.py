@@ -17,6 +17,14 @@ def grid_entries(domain_text="[0:99,0:99]", max_tile=256, cell_size=1):
     return [IndexEntry(tile, i) for i, tile in enumerate(spec.tiles)]
 
 
+def inserted(entries, **options):
+    """An index built as stores build theirs: one insert per tile."""
+    index = RPlusTreeIndex(dim=entries[0].domain.dim, **options)
+    for entry in entries:
+        index.insert(entry)
+    return index
+
+
 def brute_force(entries, region):
     return {e.tile_id for e in entries if e.domain.intersects(region)}
 
@@ -28,16 +36,14 @@ class TestEntryBytes:
 
 
 class TestRPlusTreeStructure:
-    def test_bulk_load_builds_multilevel_tree(self):
-        index = RPlusTreeIndex(dim=2, max_entries=8)
-        index.bulk_load(grid_entries())
+    def test_inserts_build_a_multilevel_tree(self):
+        index = inserted(grid_entries(), max_entries=8)
         assert index.height >= 2
         assert index.node_count() > 1
         assert len(index) == len(grid_entries())
 
     def test_small_load_stays_single_leaf(self):
-        index = RPlusTreeIndex(dim=2, max_entries=16)
-        index.bulk_load(grid_entries(max_tile=5000))
+        index = inserted(grid_entries(max_tile=5000), max_entries=16)
         assert index.height == 1
 
     def test_capacity_from_page_size(self):
@@ -49,12 +55,6 @@ class TestRPlusTreeStructure:
             RPlusTreeIndex(dim=0)
         with pytest.raises(IndexError_):
             RPlusTreeIndex(dim=2, max_entries=1)
-
-    def test_duplicate_ids_in_bulk_load_rejected(self):
-        entry = IndexEntry(MInterval.parse("[0:9,0:9]"), 1)
-        index = RPlusTreeIndex(dim=2)
-        with pytest.raises(IndexError_):
-            index.bulk_load([entry, entry])
 
     def test_dim_mismatch_rejected(self):
         index = RPlusTreeIndex(dim=2)
@@ -68,23 +68,17 @@ class TestRPlusTreeStructure:
 
     def test_entries_iteration_deduplicates(self):
         entries = grid_entries()
-        index = RPlusTreeIndex(dim=2, max_entries=8)
-        index.bulk_load(entries)
+        index = inserted(entries, max_entries=8)
         listed = list(index.entries())
         assert len(listed) == len(entries)
         assert {e.tile_id for e in listed} == {e.tile_id for e in entries}
 
 
 class TestRPlusTreeSearch:
-    @pytest.mark.parametrize("load", ["bulk", "incremental"])
+    @pytest.mark.parametrize("load", ["incremental", "reversed"])
     def test_matches_brute_force_on_grid(self, load):
         entries = grid_entries()
-        index = RPlusTreeIndex(dim=2, max_entries=8)
-        if load == "bulk":
-            index.bulk_load(entries)
-        else:
-            for entry in entries:
-                index.insert(entry)
+        index = inserted(entries if load == "incremental" else entries[::-1], max_entries=8)
         rng = np.random.default_rng(11)
         for _ in range(50):
             lo = rng.integers(0, 90, size=2)
@@ -110,8 +104,7 @@ class TestRPlusTreeSearch:
                 y1 = gy * 10 + int(rng.integers(5, 10))
                 entries.append(IndexEntry(MInterval([x0, y0], [x1, y1]), tile_id))
                 tile_id += 1
-        index = RPlusTreeIndex(dim=2, max_entries=6)
-        index.bulk_load(entries)
+        index = inserted(entries, max_entries=6)
         for _ in range(50):
             lo = rng.integers(0, 95, size=2)
             hi = lo + rng.integers(1, 40, size=2)
@@ -122,8 +115,7 @@ class TestRPlusTreeSearch:
     def test_nodes_visited_less_than_directory_pages(self):
         # A flat directory scans every page of its entries per search.
         entries = grid_entries(max_tile=64)  # many tiles
-        tree = RPlusTreeIndex(dim=2, page_size=512)
-        tree.bulk_load(entries)
+        tree = inserted(entries, page_size=512)
         directory_pages = pages_needed(len(entries) * entry_bytes(2), 512)
         small_query = MInterval.parse("[5:6,5:6]")
         assert tree.search(small_query).nodes_visited < directory_pages
@@ -135,8 +127,7 @@ class TestRPlusTreeSearch:
 
     def test_point_query(self):
         entries = grid_entries()
-        index = RPlusTreeIndex(dim=2, max_entries=8)
-        index.bulk_load(entries)
+        index = inserted(entries, max_entries=8)
         point = MInterval.parse("[42:42,73:73]")
         hits = index.search(point).entries
         assert len(hits) == 1
@@ -155,8 +146,7 @@ class TestRPlusTreeMutation:
 
     def test_remove(self):
         entries = grid_entries()
-        index = RPlusTreeIndex(dim=2, max_entries=8)
-        index.bulk_load(entries)
+        index = inserted(entries, max_entries=8)
         victim = entries[3]
         assert index.remove(victim.tile_id)
         assert not index.remove(victim.tile_id)

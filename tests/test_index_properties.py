@@ -56,17 +56,6 @@ def queries_2d(draw):
 
 @given(grid_boxes_2d(), queries_2d(), st.integers(min_value=2, max_value=10))
 @settings(max_examples=80, deadline=None)
-def test_bulk_loaded_search_matches_brute_force(boxes, query, capacity):
-    entries = [IndexEntry(box, i) for i, box in enumerate(boxes)]
-    index = RPlusTreeIndex(dim=2, max_entries=capacity)
-    index.bulk_load(entries)
-    got = {e.tile_id for e in index.search(query).entries}
-    want = {e.tile_id for e in entries if e.domain.intersects(query)}
-    assert got == want
-
-
-@given(grid_boxes_2d(), queries_2d(), st.integers(min_value=2, max_value=10))
-@settings(max_examples=80, deadline=None)
 def test_incremental_search_matches_brute_force(boxes, query, capacity):
     entries = [IndexEntry(box, i) for i, box in enumerate(boxes)]
     index = RPlusTreeIndex(dim=2, max_entries=capacity)
@@ -82,7 +71,8 @@ def test_incremental_search_matches_brute_force(boxes, query, capacity):
 def test_point_queries_1d(boxes, coordinate):
     entries = [IndexEntry(box, i) for i, box in enumerate(boxes)]
     index = RPlusTreeIndex(dim=1, max_entries=4)
-    index.bulk_load(entries)
+    for entry in entries:
+        index.insert(entry)
     point = MInterval([coordinate], [coordinate])
     got = {e.tile_id for e in index.search(point).entries}
     want = {e.tile_id for e in entries if e.domain.contains_point((coordinate,))}
@@ -94,6 +84,7 @@ def test_point_queries_1d(boxes, coordinate):
 def test_entry_count_preserved(boxes):
     entries = [IndexEntry(box, i) for i, box in enumerate(boxes)]
     index = RPlusTreeIndex(dim=2, max_entries=4)
-    index.bulk_load(entries)
+    for entry in entries:
+        index.insert(entry)
     assert len(index) == len(entries)
     assert len(list(index.entries())) == len(entries)

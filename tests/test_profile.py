@@ -72,6 +72,16 @@ class TestProfileRead:
         assert fetch.modelled_ms == profile.timing.t_o
         assert fetch.detail["tiles"] == profile.timing.tiles_read
 
+    def test_fetch_stage_shows_the_page_runs(self):
+        """A cold read's charged reads, each one page run, by regime."""
+        database = _load()
+        database.reset_clock()
+        profile = database.profile("prof", "img", DOMAIN)
+        detail = next(s for s in profile.stages if s.name == "fetch").detail
+        runs = detail["random"] + detail["short_skip"] + detail["sequential"]
+        assert runs == detail["disk_reads"] == profile.timing.disk_blobs > 0
+        assert detail["sequential"] > 0  # the tiles lie in page order
+
     def test_parallel_read_profile_keeps_one_tree(self):
         """An ``io_workers=4`` read's decodes land in its one record: the
         decode stage is the summed wall of every decoded tile."""
