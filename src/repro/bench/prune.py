@@ -9,7 +9,7 @@ point:
 * ``full``   — the masked read with pruning disabled (``prune=False``):
   every intersected tile is fetched and decoded, the pre-zone-map cost;
 * ``pruned`` — the same read with the zone map consulted between
-  ``index.search()`` and the fetch: one columnar
+  the select's overlap mask and the fetch: one columnar
   :class:`~repro.index.zonemap.TilePruner` mask over the selection's
   synopsis columns.
 

@@ -124,17 +124,6 @@ class RPlusTreeIndex:
             node = node.items[0]
         return level
 
-    def node_count(self) -> int:
-        """Total nodes (= index pages)."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.leaf:
-                stack.extend(node.items)
-        return count
-
     def copy(self) -> "RPlusTreeIndex":
         """An independent tree: new nodes and item lists that share this
         tree's entries, MBRs and packed bounds, which no mutation changes

@@ -564,7 +564,7 @@ class ZoneColumns:
 class TilePruner:
     """Partition index hits into fetchable and provably-irrelevant tiles.
 
-    Sits between ``index.search()`` and the fetch: one :meth:`can_match`
+    Sits between the select's overlap mask and the fetch: one :meth:`can_match`
     call decides a whole selection over the reader's zone-map columns
     (published at the same epoch as the tile table, so synopsis and tile
     never disagree) with :func:`synopsis_can_match`'s decisions, bit for

@@ -12,13 +12,13 @@ equal-owner neighbours), so shard-local curve ranges stay unfragmented.
 A migration is crash- and reader-safe without any cross-shard
 transaction machinery:
 
-1. copy every moving tile into the destination shard as **one MVCC
-   commit** — the destination's load step, closing its domain over the
-   source's, so (3) cannot shrink the object's domain (readers pinned
-   to the old epoch still read the source;
-   new readers see the tile on both shards — reads compose the same
-   bytes either way, and aggregation pushdown deduplicates by tile
-   domain, so the dual-presence window is value-invisible);
+1. fetch an object's moving tiles from the source in one page-ordered
+   batch (a fetch, not a logged read) and write them to the destination
+   as **one MVCC commit** — its load step, closing its domain over the
+   source's, so (3) cannot shrink the object's domain.  Readers pinned
+   to the old epoch still read the source; new readers see the tile on
+   both shards, and reads and pushdowns dedupe by tile domain, so the
+   dual-presence window is value-invisible;
 2. update the ownership map (new writes route to the destination);
 3. drop the source copies as **one MVCC commit** per object — one
    write step, logging one domain shrink.
@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.mdd import Tile
 from repro.shard.sharded import ShardedDatabase, ShardedMDD
+from repro.storage.pipeline import fetch_tiles, fold_fetch
 from repro.storage.tilestore import TileEntry
 
 _MOVES = obs.counter("shard.rebalance.moves", "Tiles moved between shards")
@@ -140,21 +141,22 @@ class Rebalancer:
             return None
 
         with self.sdb.fanout_commit():
-            # (1) Copy into the destination: one MVCC commit per object,
-            # the write body on the destination part closing its domain
-            # over the source's, so dropping the source copies (3) never
-            # shrinks the object's domain.
+            # (1) Copy into the destination: one fetch batch and one MVCC
+            # commit per object (see the module docstring).
             per_obj: Dict[int, Tuple[ShardedMDD, List[TileEntry]]] = {}
             for _key, obj, entry in moving:
                 per_obj.setdefault(id(obj), (obj, []))[1].append(entry)
             src_db = self.sdb.shards[hot]
             for obj, entries in per_obj.values():
-                src_part = obj._parts[hot]
-                tiles = []
-                for entry in entries:
-                    data, _ = src_part.read(entry.domain)
-                    tiles.append(Tile(entry.domain, data.copy()))
-                obj._parts[cold]._write(tiles, src_part.current_domain)
+                base = obj.mdd_type.base
+                fetched = fetch_tiles(src_db, sorted(entries, key=src_db.first_page), base.dtype)
+                fold_fetch(fetched)
+                tiles = [  # a virtual tile lands as its default cells
+                    Tile.filled(tile.entry.domain, base.dtype, base.default)
+                    if tile.array is None else Tile(tile.entry.domain, tile.array)
+                    for tile in fetched
+                ]
+                obj._parts[cold]._write(tiles, obj._parts[hot].current_domain)
 
             # (2) Route new writes: split + reassign the upper span.
             rmap.split(split_at)

@@ -26,10 +26,10 @@ pushdown combines per-tile partials with the order-insensitive
 exactness decision, so a pushed aggregate is bitwise-equal no matter how
 tiles are spread.
 
-A write admits its batch once against every shard's index and routes it
-to the owner shards (:meth:`ShardedMDD._owners`) as **one WAL
-transaction per shard**; a cross-shard batch, update or delete is one
-commit on every shard it touches.  The sharded-level write latch
+A write admits its batch in one sweep over its bounds and every shard's
+tile table, and routes it to the owner shards (:meth:`ShardedMDD._owners`)
+as **one WAL transaction per shard**; a cross-shard batch, update or
+delete is one commit on every shard it touches.  The sharded-level write latch
 (``shard.writer``, rank 5 — below every per-shard latch) scopes every
 write body (:meth:`ShardedMDD._write_scope`), so the rebalancer's
 two-commit migrations can never interleave with updates.
@@ -48,11 +48,8 @@ pins are taken under the write latch (released before the query runs),
 so a steady stream of writers cannot starve a read.
 
 Aliasing contract: the store bodies ``ShardedMDD`` shares — the query
-entry points (``read``, ``read_blocks``, ``read_stored``, ``tile_plan``,
-``aggregate``, ``aggregate_push``, ``read_section``,
-``resolve_region``), the write entry points (``write_tiles``,
-``insert_tile``, ``load_array``, ``update``, ``delete_region``), their
-validation, admission and load planning — read only ``name``, ``dim``,
+and write entry points, region resolution, access type (d), tile-table
+totals, validation, admission and load planning — read only ``name``, ``dim``,
 ``mdd_type``, the current domain, ``_MERGE`` and ``_parts``, and call
 three hooks: ``_pinned`` (the parts' views as one cut), ``_owners``
 (route a batch to its owner parts) and ``_write_scope`` (the latch and
@@ -556,12 +553,7 @@ class ShardedMDD:
                 parts = pin(pins)
             yield parts
 
-    #: The store's query and write entry points, its tile-table totals,
-    #: region resolution, access type (d), admission, write validation and
-    #: load planning read only ``name``, ``dim``, ``mdd_type``, the current domain,
-    #: :attr:`_MERGE`, ``_parts`` and the hooks :meth:`_pinned`,
-    #: :meth:`_owners` and :meth:`_write_scope` — the single-store bodies
-    #: serve the sharded object unchanged.
+    #: The single-store bodies, unchanged (the module's aliasing contract).
     read = StoredMDD.read
     read_blocks = StoredMDD.read_blocks
     read_stored = StoredMDD.read_stored
@@ -586,7 +578,6 @@ class ShardedMDD:
     delete_region = StoredMDD.delete_region
     _write = StoredMDD._write
     _admit = StoredMDD._admit
-    _admit_domain = StoredMDD._admit_domain
 
     def __repr__(self) -> str:
         return (

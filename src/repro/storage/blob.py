@@ -304,11 +304,6 @@ class BlobStore(abc.ABC):
             self._pending.pop(blob_id, None)
         return written
 
-    def is_pending(self, blob_id: int) -> bool:
-        """Whether the payload is still buffered (not on the backend)."""
-        with self._latch:
-            return blob_id in self._pending
-
     # -- reads -----------------------------------------------------------
 
     def get(self, blob_id: int) -> bytes:

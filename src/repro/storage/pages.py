@@ -133,10 +133,6 @@ class PageAllocator:
         keep.sort(key=lambda r: r.start)
         self._free = keep
 
-    def free_pages(self) -> int:
-        """Total pages currently in the free list."""
-        return sum(hole.count for hole in self._free)
-
     def free_ranges(self) -> tuple[PageRange, ...]:
         """The current free holes, ordered by start page (for sidecars)."""
         return tuple(self._free)

@@ -7,7 +7,8 @@ stored in a separate BLOB.  :class:`StoredMDD` binds together
 * an :class:`~repro.core.mddtype.MDDType`,
 * a tile table (stable tile id → domain, BLOB id, codec),
 * an R+-tree-like :class:`~repro.index.rplustree.RPlusTreeIndex` on the
-  tile domains, and
+  tile domains, walked to price ``t_ix`` (tiles are selected by masks
+  over the tile table's columns), and
 * the shared :class:`~repro.storage.disk.SimulatedDisk` /
   :class:`~repro.storage.bufferpool.BufferPool` of the owning
   :class:`Database`.
@@ -160,8 +161,6 @@ class ReaderView(NamedTuple):
     transaction).
     """
 
-    index: rplustree.RPlusTreeIndex
-    domain: Optional[MInterval]
     epoch: int
     version: ObjectVersion
 
@@ -361,6 +360,8 @@ class ReadExecutor:
         #: Each tile decode's wall ms, for the ``codec.decode_ms``
         #: histogram (the record holds their sum), until it is folded.
         self._decodes: list[float] = []
+        #: ``t_totalcpu`` of the tiles a stream yielded, records folded.
+        self._yielded_ms = 0.0
         self.selections: list[_Selection] = []
         #: Per cell: cells of the hits meeting it, and of the pruned ones.
         self.covered = self.pruned_cells = np.zeros(len(self.cell_counts), dtype=np.int64)
@@ -403,7 +404,7 @@ class ReadExecutor:
         started = time.perf_counter()
         rows = table.meeting(low, high)
         found = [stop - start for start, stop in pairwise(np.searchsorted(rows, starts).tolist())]
-        nodes = [view.index.nodes_visited(region) for _store, view in parts]
+        nodes = [view.version.index.nodes_visited(region) for _store, view in parts]
         timing.t_ix += (time.perf_counter() - started) * 1000.0
         charges = [
             store.database.disk.charge_index(count)
@@ -722,8 +723,10 @@ class ReadExecutor:
     def blocks(self) -> Iterator[tuple[MInterval, np.ndarray, QueryTiming]]:
         """Streaming sink: fetch and yield one tile at a time, selection
         by selection in page order, each with the timing charged for it
-        (the index lookups ride on the first); each tile's record is
-        folded before it is yielded."""
+        (the index lookups ride on the first), folded as a fetch first;
+        :meth:`finish` is left the query's own counts — the tiles and
+        cells fetched, or the record with its index charges if none."""
+        left = QueryTiming(cells_result=self.timing.cells_result)
         for selection in self.selections:
             if not len(selection.fetch):
                 continue
@@ -748,8 +751,12 @@ class ReadExecutor:
                 self.timing = QueryTiming()
                 timing.fold(FETCH_COUNTS, ((DECODE_MS, self._decodes),))
                 self._decodes = []
+                left.tiles_read += 1
+                left.cells_fetched += timing.cells_fetched
+                self._yielded_ms += timing.t_totalcpu
                 yield part, data, timing
-        self.timing.fold(FETCH_COUNTS)  # the index charges, when no tile was fetched
+        if left.tiles_read:
+            self.timing = left
 
     def combine(self, op: str):
         """Pushdown sink: merge the per-tile partials (reduced and
@@ -832,7 +839,7 @@ class ReadExecutor:
         timing = self.timing
         timing.fold(
             READ_COUNTS if cells_returned else QUERY_COUNTS,
-            ((DECODE_MS, self._decodes), (_READ_MS, [timing.t_totalcpu])),
+            ((DECODE_MS, self._decodes), (_READ_MS, [timing.t_totalcpu + self._yielded_ms])),
         )
         for selection in self.selections:
             store = selection.store
@@ -842,7 +849,7 @@ class ReadExecutor:
             )
         return ScatterStats(
             tuple(sel.model_ms for sel in self.selections),
-            tuple(len(sel.fetched) for sel in self.selections),
+            tuple(len(sel.fetch) for sel in self.selections),
         )
 
 
@@ -927,6 +934,17 @@ class StoredMDD:
         self._published = version
         self._working = None
 
+    def _statement_version(self) -> ObjectVersion:
+        """The version a writer's statement sees, unpinned: the working
+        state (one version until the next mutation) once this thread's
+        transaction dirtied the object, else the published version."""
+        txn = self.database._current_txn()
+        if txn is None or self not in txn.dirtied:
+            return self._published
+        if self._working is None:
+            self._working = self._version(self.database.epoch._current)
+        return self._working
+
     @contextmanager
     def _reader_view(
         self, version: Optional[ObjectVersion]
@@ -935,24 +953,19 @@ class StoredMDD:
 
         An explicit ``version`` (snapshot read) is used as-is — the
         snapshot holds the pin.  A thread inside its own transaction
-        reads the working state (read-your-own-writes), as one version
-        kept until its next mutation.  Anyone else pins the current epoch
-        and reads the published version; the pin is released when the
-        block exits.
+        reads the statement version (read-your-own-writes), served at
+        the current epoch.  Anyone else pins the current epoch and reads
+        the published version; the pin is released when the block exits.
         """
-        pin = None
+        pin = served = None
         if version is None and self.database._current_txn() is not None:
-            if self._working is None:
-                self._working = self._version(self.database.epoch._current)
-            version = self._working
+            version, served = self._statement_version(), self.database.epoch._current
         elif version is None:
             epoch = self.database.epoch
             with epoch.latch:
-                pin = epoch.pin_locked()
+                served = pin = epoch.pin_locked()
                 version = self._published
-        view = ReaderView(
-            version.index, version.domain, version.epoch if pin is None else pin, version
-        )
+        view = ReaderView(version.epoch if served is None else served, version)
         try:
             yield view
         finally:
@@ -1023,10 +1036,12 @@ class StoredMDD:
         self._apply_domain(domain)
 
     def _tile_hull(self) -> Optional[MInterval]:
-        """Hull of the stored tiles (``None`` without tiles)."""
-        if not self._tiles:
-            return None
-        return MInterval.hull_of(entry.domain for entry in self._tiles.values())
+        """Hull of the tiles this statement sees (``None`` without tiles):
+        the extremes of its table's bound columns."""
+        table = self._statement_version().table
+        if len(table.entries):
+            return MInterval.bounded(table.lo.min(axis=0).tolist(), table.hi.max(axis=0).tolist())
+        return None
 
     def _note_access(self, op: str, region: MInterval, cells: int) -> None:
         """Buffer a ``write`` / ``delete`` on this thread's transaction:
@@ -1195,7 +1210,7 @@ class StoredMDD:
         any snapshot holding it, never sees the new tile."""
         record = self.database.store.record(blob_id)  # raises when missing
         with self.database.transaction():
-            self._admit_domain(domain)
+            self._admit([domain])
             expected = domain.cell_count * self.mdd_type.cell_size
             if codec == "none" and record.byte_size != expected:
                 raise StorageError(
@@ -1212,7 +1227,7 @@ class StoredMDD:
         reads return default-valued cells.
         """
         with self.database.transaction():
-            self._admit_domain(domain)
+            self._admit([domain])
             return self._put_virtual(domain)
 
     def _put_virtual(self, domain: MInterval) -> int:
@@ -1229,31 +1244,34 @@ class StoredMDD:
 
     def _admit(self, domains: Sequence[MInterval]) -> None:
         """Admit a batch before any of it is encoded or written: each
-        domain against the definition domain and every part's stored
-        tiles — on indexes no registration of the batch has touched yet,
-        so their packed leaves stay cached — then the batch against
-        itself in one sweep."""
+        domain against the definition domain, then one sweep over its
+        bounds and the bounds of every part's tiles (as this statement
+        sees them) meeting its hull — a stored tile met first, then the
+        pair of batch tiles whose later one is put first.  Two stored
+        tiles meeting are a migration's dual presence, not a fault."""
+        if not domains:
+            return
         for domain in domains:
-            self._admit_domain(domain)
-        pairs = overlapping_pairs(pack_bounds(domains, self.dim))
-        if len(pairs):  # name the pair whose later tile is put first
+            self.mdd_type.validate_domain(domain, what="tile domain")
+        batch = pack_bounds(domains, self.dim)
+        tables = [part._statement_version().table for part in self._parts]
+        near = [(table, table.meeting(batch[:, 0].min(0), batch[:, 1].max(0))) for table in tables]
+        bounds = [batch, *(np.stack((t.lo[rows], t.hi[rows]), 1) for t, rows in near)]
+        pairs = overlapping_pairs(np.concatenate(bounds))
+        pairs = pairs[pairs[:, 0] < len(domains)]
+        stored = pairs[pairs[:, 1] >= len(domains)] - [0, len(domains)]
+        if len(stored):
+            stored_tile = [t.entries[row] for t, rows in near for row in rows][stored[0, 1]]
+            raise DomainError(
+                f"tile {domains[stored[0, 0]]} overlaps stored tile "
+                f"{stored_tile.domain} of {self.name!r}"
+            )
+        if len(pairs):
             first, later = pairs[np.argmin(pairs[:, 1])]
             raise DomainError(
                 f"tile {domains[later]} overlaps tile {domains[first]} "
                 f"in the same batch for {self.name!r}"
             )
-
-    def _admit_domain(self, domain: MInterval) -> None:
-        self.mdd_type.validate_domain(domain, what="tile domain")
-        for part in self._parts:
-            if not len(part.index):  # a fresh part holds nothing to overlap
-                continue
-            hits = part.index.search(domain)
-            if hits.entries:
-                raise DomainError(
-                    f"tile {domain} overlaps stored tile "
-                    f"{hits.entries[0].domain} of {self.name!r}"
-                )
 
     def _register(
         self,
@@ -1380,7 +1398,7 @@ class StoredMDD:
         against the hull of their domains, and is classified against it
         as asked (one store and N shards log the same kind), then every
         part is selected.  The one place a :class:`ReadExecutor` is built."""
-        domains = [view.domain for _store, view in parts if view.domain is not None]
+        domains = [view.version.domain for _s, view in parts if view.version.domain is not None]
         hull = MInterval.hull_of(domains) if domains else None
         resolved = self._resolve_in(region, hull)
         assert hull is not None
@@ -1486,15 +1504,20 @@ class StoredMDD:
         The epoch pins (taken when the generator starts, for readers
         outside a transaction) are held until the generator is exhausted
         or closed, so the streamed version stays fetchable throughout.
+        A stream run to its end is logged, counted and sets
+        :attr:`last_scatter` as a :meth:`read` is; an abandoned one is not.
         """
         with self._pinned(version) as parts:
-            yield from self._select(parts, region).blocks()
+            query = self._select(parts, region)
+            yield from query.blocks()
+        self.last_scatter = query.finish()
 
     def tile_plan(
         self, region: MInterval, version: Optional[ObjectVersion] = None
     ) -> list[TileEntry]:
         """The tiles a :meth:`read` of ``region`` fetches, in its order:
-        select and page order, no fetch — only ``t_ix`` is charged."""
+        select and page order, no fetch — only ``t_ix`` is charged.  Not
+        logged as a read: the served read of its tiles that follows is."""
         with self._pinned(version) as parts:
             return self._select(parts, region).plan()  # under the pins: blobs stay placed
 
@@ -1621,12 +1644,15 @@ class StoredMDD:
                 return sum(part._rewrite(entries, region, values) for part, entries in plans)
 
     def _hits(self, region: MInterval) -> list[TileEntry]:
-        """The tiles meeting ``region``, in index order."""
-        return [self._tiles[hit.tile_id] for hit in self.index.search(region).entries]
+        """The tiles meeting ``region``, in tile-table (tile-id) order:
+        one overlap mask over the statement version's table."""
+        table = self._statement_version().table
+        rows = table.meeting(np.array(region.lowest), np.array(region.highest))
+        return [table.entries[row] for row in rows.tolist()]
 
     def _rewrite(self, entries: Sequence[TileEntry], region: MInterval, values: np.ndarray) -> int:
         """One part's share of an update, as one transaction: the hit
-        tiles are fetched in one :func:`fetch_tiles` call (in index
+        tiles are fetched in one :func:`fetch_tiles` call (in tile-table
         order), patched, and the changed ones encoded in one
         :func:`encode_tiles` call; then each is rebound to its new BLOB.
         A tile whose cells did not change is *not* rewritten — its BLOB,
@@ -1680,8 +1706,11 @@ class StoredMDD:
         self.mdd_type.validate_domain(region, what="delete region")
 
     def _victims(self, region: MInterval) -> list[TileEntry]:
-        """The tiles lying wholly inside ``region``, in tile-id order."""
-        victims = [entry for entry in self._hits(region) if region.contains(entry.domain)]
+        """The tiles lying wholly inside ``region``, in tile-id order: one
+        containment mask over the statement version's table."""
+        table = self._statement_version().table
+        inside = (table.lo >= region.lowest) & (table.hi <= region.highest)
+        victims = [table.entries[row] for row in np.flatnonzero(inside.all(axis=1)).tolist()]
         return sorted(victims, key=lambda entry: entry.tile_id)
 
     def delete_region(self, region: MInterval) -> int:
@@ -1735,21 +1764,17 @@ class StoredMDD:
         """
         if self._current_domain is None:
             raise QueryError(f"object {self.name!r} holds no tiles to retile")
-        if any(entry.virtual for entry in self._tiles.values()):
+        if self._statement_version().table.virtual.any():
             raise StorageError(
                 f"object {self.name!r} has virtual tiles; retiling would "
                 f"materialise synthesized data"
             )
-        data, _timing = self.read(self._current_domain)
-        origin = self._current_domain.lowest
-        old_domain = self._current_domain
+        domain = self._current_domain
+        data, _timing = self.read(domain)
         with self.database.transaction():
             self.drop()
-            stats = self.load_array(
-                data, strategy, origin=origin,
-                skip_default_tiles=skip_default_tiles,
-            )
-        assert self._current_domain == old_domain
+            stats = self.load_array(data, strategy, domain.lowest, skip_default_tiles)
+        assert self._current_domain == domain
         return stats
 
     def drop(self) -> None:

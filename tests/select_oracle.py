@@ -42,6 +42,11 @@ class OracleSelection:
     answered: list = field(default_factory=list)
     fetched: tuple = ()
 
+    @property
+    def fetch(self) -> list:
+        """The tiles to fetch, as ``ReadExecutor.finish`` counts them."""
+        return self.items
+
 
 def _box(box: MInterval) -> tuple:
     return tuple(box.lower), tuple(box.upper)
@@ -127,7 +132,7 @@ def select(self, store, view, *, condense: bool = False) -> OracleSelection:
     region, timing = self.region, self.timing
     disk = store.database.disk
     started = time.perf_counter()
-    result = view.index.search(region)
+    result = view.version.index.search(region)
     cpu_ix = (time.perf_counter() - started) * 1000.0
     page_ix = disk.charge_index(result.nodes_visited)
     timing.t_ix += cpu_ix + page_ix

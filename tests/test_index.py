@@ -39,7 +39,9 @@ class TestRPlusTreeStructure:
     def test_inserts_build_a_multilevel_tree(self):
         index = inserted(grid_entries(), max_entries=8)
         assert index.height >= 2
-        assert index.node_count() > 1
+        assert sorted(e.tile_id for e in index.entries()) == [
+            e.tile_id for e in grid_entries()
+        ]
         assert len(index) == len(grid_entries())
 
     def test_small_load_stays_single_leaf(self):

@@ -58,7 +58,7 @@ class TestAllocator:
         assert c == PageRange(0, 2)  # reused the hole
         d = alloc.allocate(2)
         assert d == PageRange(2, 2)  # rest of the hole
-        assert alloc.free_pages() == 0
+        assert alloc.free_ranges() == ()
         assert b == PageRange(4, 4)
 
     def test_hole_too_small_skipped(self):
@@ -68,7 +68,7 @@ class TestAllocator:
         alloc.release(a)
         big = alloc.allocate(3)
         assert big.start == 6  # fresh pages, hole of 2 skipped
-        assert alloc.free_pages() == 2
+        assert alloc.free_ranges() == (PageRange(0, 2),)
 
     def test_release_coalesces(self):
         alloc = PageAllocator()
@@ -78,7 +78,7 @@ class TestAllocator:
         alloc.release(a)
         alloc.release(c)
         alloc.release(b)  # bridges the two holes
-        assert alloc.free_pages() == 6
+        assert alloc.free_ranges() == (PageRange(0, 6),)
         merged = alloc.allocate(6)
         assert merged == PageRange(0, 6)
 

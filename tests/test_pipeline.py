@@ -395,7 +395,7 @@ class TestSingleTileFetch:
                     obj.update(box, np.full(box.shape, 7, dtype=DTYPE))
                     assert db.store.pending_writes > 0
                     entries = sorted(obj.tile_entries(), key=db.first_page)
-                    assert any(db.store.is_pending(e.blob_id) for e in entries)
+                    assert set(db.store.take_pending()) & {e.blob_id for e in entries}
                     db.decoded_cache.clear()  # forget the write-through
                     outcomes = [route(db, e) for e in entries + entries[:3]]
                     return outcomes, _cache_state(db)

@@ -8,7 +8,7 @@ its fields over the queries' records, and each read-side histogram must
 have observed what the records count: on a page-file store with a
 buffer pool and a decoded cache, and on a 2-shard object.  A
 ``read_blocks`` stream abandoned midway leaves the sum of the records it
-yielded.
+yielded; one run to its end is also counted and logged as a read.
 """
 
 import numpy as np
@@ -155,3 +155,44 @@ def test_an_abandoned_stream_leaves_the_sum_of_what_it_yielded(tmp_path, build):
         totals[name] = 0
     assert _deltas(totals, before, after) == totals
     assert totals["disk.blob_reads"] == 2 and totals["index.rplustree.searches"] > 0
+
+
+def _events(databases) -> list:
+    """Every database's access-log events, each split from its cost."""
+    return [
+        [
+            ({k: v for k, v in e.as_dict().items() if k != "cost_ms"}, e.cost_ms)
+            for e in db.access_log.events()
+        ]
+        for db in databases
+    ]
+
+
+@pytest.mark.parametrize("build", [_store, _sharded], ids=["store", "2-shard"])
+def test_a_finished_stream_is_counted_and_logged_as_a_read(tmp_path, build):
+    """A stream run to its end folds what its tiles' records count, one
+    read, its tiles and cells fetched, and logs on every part the access
+    a cold ``read`` of the box logs, with that read's ``ScatterStats``."""
+    root, obj = build(tmp_path)
+    obj.load_array(_data(), RegularTiling(4096))
+    databases = getattr(root, "shards", [root])
+    root.reset_clock()  # cold, and an empty access log
+    before = _state()
+    records = [timing for _part, _data, timing in obj.read_blocks(BOX)]
+    after = _state()
+    streamed, scatter = _events(databases), obj.last_scatter
+    root.reset_clock()
+    obj.read(BOX)
+    read = _events(databases)
+    root.close()
+    totals = _sums(FIELDS, records)
+    totals["tilestore.reads"] = totals["tilestore.read_ms"] = 1
+    totals["codec.decode_ms"] = totals["codec.decodes"]
+    assert _deltas(totals, before, after) == totals
+    assert totals["tilestore.tiles_loaded"] == len(records) > 1
+    assert [len(events) for events in streamed] == [1] * len(databases)
+    assert streamed == [  # a stream adds its costs tile by tile
+        [(e, pytest.approx(cost)) for e, cost in events] for events in read
+    ]
+    assert scatter.per_shard_tiles == obj.last_scatter.per_shard_tiles
+    assert scatter.per_shard_ms == pytest.approx(obj.last_scatter.per_shard_ms)

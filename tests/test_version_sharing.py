@@ -50,6 +50,10 @@ def _shape(node) -> tuple:
     return (False, node.mbr, tuple(_shape(child) for child in node.items))
 
 
+def _nodes(node) -> int:
+    return 1 if node.leaf else 1 + sum(map(_nodes, node.items))
+
+
 def _searches(index: RPlusTreeIndex, regions) -> list:
     out = []
     for region in regions:
@@ -88,7 +92,7 @@ def test_a_copy_changes_nothing_of_its_original():
             assert tree.remove(tile_id)
 
     assert (_shape(original._root), len(original), _searches(original, regions)) == before
-    assert clone.node_count() > original.node_count()  # the copy split nodes
+    assert _nodes(clone._root) > _nodes(original._root)  # the copy split nodes
     assert _shape(clone._root) == _shape(reference._root)
     assert _searches(clone, regions) == _searches(reference, regions)
 

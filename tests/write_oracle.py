@@ -1,6 +1,7 @@
 """The per-tile update loop, kept as a test oracle.
 
-Index search, then per hit tile: ``fetch_tile`` → ``.copy()`` → patch →
+Index search, then per hit tile in tile-id order (the tile table's,
+which ``update`` rewrites in): ``fetch_tile`` → ``.copy()`` → patch →
 skip if unchanged → retire the old blob, ``blob_delete``,
 ``encode_payload``, ``put``, ``BLOB_PUT2``, synopsis, ``tile_rebind``,
 write-through — ``StoredMDD.update`` as it was written before it became
@@ -26,7 +27,7 @@ def update(obj, region, values) -> int:
     written = 0
     with database.transaction():
         obj._touch()
-        for hit in obj.index.search(region).entries:
+        for hit in sorted(obj.index.search(region).entries, key=lambda hit: hit.tile_id):
             entry = obj._tiles[hit.tile_id]
             if entry.virtual:
                 raise StorageError(f"cannot update virtual tile {entry.domain}")
