@@ -194,10 +194,6 @@ def generate_sales_data(
 EXTENDED_DOMAIN = MInterval.parse("[1:1095,1:300,1:300]")
 
 
-def extended_partitions_2p() -> dict[int, tuple[int, ...]]:
-    return partitions_2p(EXTENDED_DOMAIN)
-
-
 def extended_partitions_3p() -> dict[int, tuple[int, ...]]:
     return partitions_3p(EXTENDED_DOMAIN)
 

@@ -6,8 +6,10 @@ R+-tree's defining property — non-overlapping index regions, entries
 duplicated into every region they straddle — natural:
 
 * **insert** follows the classic choose-leaf / split-on-overflow path
-  (minimal-enlargement descent, widest-axis distribution split): loads
-  build a tree one tile at a time, and a reopen replays the inserts;
+  (minimal-enlargement descent, widest-axis distribution split), and is
+  the one way to build a tree: an object version's is the insert of its
+  tile rows in row order (:class:`SharedTree`), whatever history left
+  them, and nothing edits a built tree;
 * **search** descends every child whose region intersects the query,
   counting visited nodes — each node is one index page for ``t_ix``;
   a read counts them alone (:meth:`RPlusTreeIndex.nodes_visited`), as
@@ -20,7 +22,7 @@ would.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,8 +38,8 @@ class _Node:
 
     Each node lazily caches its items' bounds as one packed ``(n, 2, dim)``
     int64 array, so a search tests all children with a single batched
-    comparison.  Every structural mutation funnels through
-    :meth:`recompute_mbr`, which doubles as the cache invalidation point.
+    comparison; every insert or split invalidates it.  A built tree is
+    never edited: nodes change only while the tree is being built.
     """
 
     __slots__ = ("leaf", "items", "mbr", "_packed")
@@ -59,17 +61,13 @@ class _Node:
         self.mbr = MInterval.hull_of(boxes) if boxes else None
 
     def extend_mbr(self, box: MInterval) -> None:
-        """Grow the MBR to absorb one inserted box without a full rescan.
-
-        Exact for insertions (the MBR only ever grows); any mutation that
-        can shrink a bound must go through :meth:`recompute_mbr`.
-        """
+        """Grow the MBR to absorb one inserted box without a full rescan."""
         self._packed = None
         self.mbr = box if self.mbr is None else self.mbr.hull(box)
 
     def packed_bounds(self, dim: int) -> np.ndarray:
         """Packed item bounds (entry domains / child MBRs), cached."""
-        if self._packed is None or len(self._packed) != len(self.items):
+        if self._packed is None:
             self._packed = pack_bounds(self.boxes(), dim)
         return self._packed
 
@@ -124,32 +122,13 @@ class RPlusTreeIndex:
             node = node.items[0]
         return level
 
-    def copy(self) -> "RPlusTreeIndex":
-        """An independent tree: new nodes and item lists that share this
-        tree's entries, MBRs and packed bounds, which no mutation changes
-        in place (they are reassigned)."""
-        def twin(node: _Node) -> _Node:
-            clone = object.__new__(_Node)
-            clone.leaf, clone.mbr, clone._packed = node.leaf, node.mbr, node._packed
-            clone.items = list(node.items) if node.leaf else [twin(c) for c in node.items]
-            return clone
-
-        tree = object.__new__(RPlusTreeIndex)
-        tree.__dict__.update(self.__dict__)
-        tree._root = twin(self._root)
-        return tree
-
     def entries(self) -> Iterator[IndexEntry]:
-        """Every stored entry once (unspecified order)."""
-        seen: set[int] = set()
+        """Every stored entry once (an insert puts each in one leaf)."""
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node.leaf:
-                for entry in node.items:
-                    if entry.tile_id not in seen:
-                        seen.add(entry.tile_id)
-                        yield entry
+                yield from node.items
             else:
                 stack.extend(node.items)
 
@@ -214,7 +193,7 @@ class RPlusTreeIndex:
         return sibling
 
     # ------------------------------------------------------------------
-    # Search / remove
+    # Search
     # ------------------------------------------------------------------
 
     def _walk(self, region: MInterval, leaf: Optional[Callable] = None) -> int:
@@ -240,19 +219,18 @@ class RPlusTreeIndex:
         return visited
 
     def search(self, region: MInterval) -> SearchResult:
-        """Every entry whose domain intersects ``region``, once each; the
-        walk is folded into the registry as a record of its own."""
-        hits: dict[int, IndexEntry] = {}
+        """Every entry whose domain intersects ``region``, once each (an
+        insert puts each in one leaf); the walk is folded into the
+        registry as a record of its own."""
+        hits: list[IndexEntry] = []
 
         def collect(node: _Node, matches: np.ndarray) -> None:
-            for i in matches:
-                entry = node.items[i]
-                hits[entry.tile_id] = entry
+            hits.extend(node.items[i] for i in matches)
 
         visited = self._walk(region, collect)
         record = QueryTiming(index_searches=1, index_nodes=visited, index_entries_found=len(hits))
         record.fold(SEARCH_COUNTS)
-        return SearchResult(entries=list(hits.values()), nodes_visited=visited)
+        return SearchResult(entries=hits, nodes_visited=visited)
 
     def nodes_visited(self, region: MInterval) -> int:
         """The nodes a :meth:`search` of ``region`` visits, counted
@@ -261,27 +239,23 @@ class RPlusTreeIndex:
         and the query's record counts it (DESIGN §17)."""
         return self._walk(region)
 
-    def remove(self, tile_id: int) -> bool:
-        """Drop every reference to ``tile_id`` (no rebalancing)."""
-        removed = False
 
-        def prune(node: _Node) -> None:
-            nonlocal removed
-            if node.leaf:
-                before = len(node.items)
-                node.items = [e for e in node.items if e.tile_id != tile_id]
-                if len(node.items) != before:
-                    removed = True
-                    node.recompute_mbr()
-                return
-            for child in node.items:
-                prune(child)
-            node.items = [
-                c for c in node.items if c.items or c is self._root
-            ]
-            node.recompute_mbr()
+class SharedTree:
+    """The R+-tree of one set of tile rows, shared by the object versions
+    holding them (same ids, same domains: a rebind keeps them, a register
+    or remove starts a new one): the insert of the rows in row order — a
+    reopen's order — built on the first walk (a race builds it twice,
+    identically), so the ``t_ix`` it prices depends on the rows alone."""
 
-        prune(self._root)
-        if removed:
-            self._count -= 1
-        return removed
+    def __init__(self, page_size: int) -> None:
+        self.page_size = page_size
+        self.built: Optional[RPlusTreeIndex] = None
+
+    def of(self, dim: int, rows: Iterable) -> RPlusTreeIndex:
+        tree = self.built
+        if tree is None:
+            tree = RPlusTreeIndex(dim, page_size=self.page_size)
+            for row in rows:
+                tree.insert(IndexEntry(row.domain, row.tile_id))
+            self.built = tree
+        return tree

@@ -3,13 +3,13 @@
 The concurrency model (DESIGN §11) in one paragraph: every
 :class:`~repro.storage.tilestore.StoredMDD` keeps *working* state that
 only the single writer (the thread inside :meth:`Database.transaction`)
-may touch, plus a **published** :class:`ObjectVersion` — an immutable
-``(tiles, index, domain)`` triple that readers use without any locking.
-A transaction clones the working containers copy-on-write on first
-mutation, and at commit publishes new versions for every dirtied object
-atomically under the epoch latch.  Readers therefore always see either
-the entire transaction or none of it — never a partially committed
-batch.
+may touch, plus a **published** :class:`ObjectVersion` — immutable
+rows, synopses and domain (its R+-tree derived from the rows) that
+readers use without any locking.  A transaction clones the working maps
+copy-on-write on first mutation, and at commit publishes new versions
+for every dirtied object atomically under the epoch latch.  Readers
+therefore always see either the entire transaction or none of it —
+never a partially committed batch.
 
 Superseded BLOBs cannot be deleted at commit: a reader that pinned an
 older version may still fetch them.  :class:`EpochManager` implements
@@ -39,7 +39,7 @@ from repro.storage.latch import OrderedLatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mddtype import MDDType
-    from repro.index.rplustree import RPlusTreeIndex
+    from repro.index.rplustree import RPlusTreeIndex, SharedTree
     from repro.index.zonemap import TileSynopsis
     from repro.query.timing import QueryTiming
     from repro.storage.tilestore import Database, StoredMDD, TileEntry
@@ -85,14 +85,13 @@ def note_live_versions(count: int) -> None:
 class ObjectVersion:
     """An immutable point-in-time view of one stored object.
 
-    The rows (frozen :class:`TileEntry`), synopses and index entries are
-    immutable, and shared with the versions before and after; the maps
-    and index nodes are this version's own — a writer copies them before
-    its first change (DESIGN §11) — so readers share them without locks.
+    The rows (frozen :class:`TileEntry`) and synopses are shared with the
+    versions before and after, and so is the tree of the same rows; the
+    maps are this version's own — a writer copies them before its first
+    change (DESIGN §11) — so readers share them without locks.
     """
 
     tiles: Mapping[int, "TileEntry"]
-    index: "RPlusTreeIndex"
     domain: Optional[MInterval]
     epoch: int
     #: Per-tile value synopses, published atomically with ``tiles`` — a
@@ -100,12 +99,18 @@ class ObjectVersion:
     zones: Mapping[int, "TileSynopsis"]
     #: The object's type: the tile table's dimensionality and cell type.
     mdd_type: "MDDType"
+    tree: "SharedTree"
 
     @cached_property
     def table(self) -> "TileTable":
         """``tiles`` and ``zones`` as columns, derived on first use (a
         race derives it twice, identically)."""
         return TileTable(self.tiles, self.zones, self.mdd_type)
+
+    @property
+    def index(self) -> "RPlusTreeIndex":
+        """The R+-tree of ``tiles``, built on its first walk."""
+        return self.tree.of(self.mdd_type.dim, self.tiles.values())
 
 
 class TileTable:

@@ -6,9 +6,9 @@ stored in a separate BLOB.  :class:`StoredMDD` binds together
 
 * an :class:`~repro.core.mddtype.MDDType`,
 * a tile table (stable tile id → domain, BLOB id, codec),
-* an R+-tree-like :class:`~repro.index.rplustree.RPlusTreeIndex` on the
-  tile domains, walked to price ``t_ix`` (tiles are selected by masks
-  over the tile table's columns), and
+* an R+-tree-like :class:`~repro.index.rplustree.RPlusTreeIndex` built
+  from the tile rows, walked to price ``t_ix`` (tiles are selected by
+  masks over the tile table's columns), and
 * the shared :class:`~repro.storage.disk.SimulatedDisk` /
   :class:`~repro.storage.bufferpool.BufferPool` of the owning
   :class:`Database`.
@@ -46,7 +46,6 @@ from repro.core.order import row_major_key
 # The module, not the class: rplustree imports this package, so this line
 # may run while rplustree is still loading.
 from repro.index import rplustree
-from repro.index.base import IndexEntry
 from repro.index.zonemap import (
     AGG_FUNCS,
     CellPredicate,
@@ -401,10 +400,11 @@ class ReadExecutor:
         low, high = self._low, self._high
         sizes = (len(view.version.table.entries) for _store, view in parts)
         starts = list(accumulate(sizes, initial=0))
+        trees = [view.version.index for _store, view in parts]  # a build stays out of t_ix
         started = time.perf_counter()
         rows = table.meeting(low, high)
         found = [stop - start for start, stop in pairwise(np.searchsorted(rows, starts).tolist())]
-        nodes = [view.version.index.nodes_visited(region) for _store, view in parts]
+        nodes = [tree.nodes_visited(region) for tree in trees]
         timing.t_ix += (time.perf_counter() - started) * 1000.0
         charges = [
             store.database.disk.charge_index(count)
@@ -872,7 +872,7 @@ class StoredMDD:
         self.mdd_type = mdd_type
         self.name = name
         self.collection = collection
-        self.index = database.make_index(mdd_type.dim)
+        self._tree = rplustree.SharedTree(database.store.page_size)
         self._tiles: dict[int, TileEntry] = {}
         self._zones: dict[int, TileSynopsis] = {}
         self._next_tile_id = 1
@@ -895,9 +895,8 @@ class StoredMDD:
         """Copy-on-write hook: call before any working-state mutation.
 
         Inside a transaction, the first touch saves the published version
-        for rollback and copies the working containers — the tile and zone
-        maps and the index's nodes; the rows, synopses and index entries
-        they hold are immutable and shared — so readers of
+        for rollback and copies the tile and zone maps (the rows and
+        synopses they hold are immutable and shared), so readers of
         :attr:`_published` never see mid-transaction state.  Outside a
         transaction (catalog reload, recovery replay) this is a no-op —
         those paths republish explicitly when done.
@@ -909,12 +908,11 @@ class StoredMDD:
         txn.dirtied[self] = (self._published, self._next_tile_id)
         self._tiles = dict(self._tiles)
         self._zones = dict(self._zones)
-        self.index = self.index.copy()
 
     def _version(self, epoch: int) -> ObjectVersion:
         """The working state as a version at ``epoch``."""
         return ObjectVersion(
-            self._tiles, self.index, self._current_domain, epoch, self._zones, self.mdd_type
+            self._tiles, self._current_domain, epoch, self._zones, self.mdd_type, self._tree
         )
 
     def _publish(self, epoch: int) -> None:
@@ -928,11 +926,16 @@ class StoredMDD:
         """Roll the working state back to a saved version (abort path)."""
         self._tiles = dict(version.tiles)
         self._zones = dict(version.zones)
-        self.index = version.index
+        self._tree = version.tree
         self._current_domain = version.domain
         self._next_tile_id = next_tile_id
         self._published = version
         self._working = None
+
+    @property
+    def index(self) -> rplustree.RPlusTreeIndex:
+        """The R+-tree of the version this thread's statement sees."""
+        return self._statement_version().index
 
     def _statement_version(self) -> ObjectVersion:
         """The version a writer's statement sees, unpinned: the working
@@ -980,20 +983,21 @@ class StoredMDD:
             self.database.wal.log_meta(operation)
 
     # -- the applier (DESIGN §10): one method per object redo op --------
-    # The only code that changes an object's tiles, synopses, index or
-    # current domain.  A live write validates, logs the record, then calls
-    # the applier with the objects it holds; replay and the checkpoint
-    # reload parse the record and call the same method, so live and
-    # replayed state can only differ if the logged record does.
+    # The only code that changes an object's tiles, synopses or current
+    # domain.  A live write validates, logs the record, then calls the
+    # applier with the objects it holds; replay and the checkpoint reload
+    # parse the record and call the same method, so live and replayed
+    # state can only differ if the logged record does.  No applier walks
+    # or builds a tree: one that adds or drops a row starts a new one.
 
     def _apply_register(self, entry: TileEntry, synopsis: Optional[TileSynopsis]) -> None:
-        """``tile_register``: add a tile row (with its synopsis) and its
-        index entry; the current domain grows to cover it."""
+        """``tile_register``: add a tile row (with its synopsis); the
+        current domain grows to cover it."""
         self._touch()
         self._tiles[entry.tile_id] = entry
         if synopsis is not None:
             self._zones[entry.tile_id] = synopsis
-        self.index.insert(IndexEntry(entry.domain, entry.tile_id))
+        self._tree = rplustree.SharedTree(self._tree.page_size)
         self._next_tile_id = max(self._next_tile_id, entry.tile_id + 1)
         domain = self._current_domain
         self._current_domain = entry.domain if domain is None else domain.hull(entry.domain)
@@ -1011,11 +1015,11 @@ class StoredMDD:
             self._zones[tile_id] = synopsis
 
     def _apply_remove(self, tile_id: int) -> None:
-        """``tile_remove``: drop a tile row, its synopsis and index entry."""
+        """``tile_remove``: drop a tile row and its synopsis."""
         self._touch()
-        self.index.remove(tile_id)
         del self._tiles[tile_id]
         self._zones.pop(tile_id, None)
+        self._tree = rplustree.SharedTree(self._tree.page_size)
 
     def _apply_domain(self, domain: Optional[MInterval]) -> None:
         """``object_domain``: set the current domain."""
@@ -1023,11 +1027,11 @@ class StoredMDD:
         self._current_domain = domain
 
     def _apply_clear(self) -> None:
-        """``object_clear``: forget every tile; a fresh, empty index."""
+        """``object_clear``: forget every tile."""
         self._touch()
         self._tiles.clear()
         self._zones.clear()
-        self.index = self.database.make_index(self.dim)
+        self._tree = rplustree.SharedTree(self._tree.page_size)
         self._current_domain = None
 
     def _log_domain(self, domain: Optional[MInterval]) -> None:
@@ -1886,10 +1890,6 @@ class Database:
             self.arm_durability(durability, wal_path=wal_path, injector=injector)
 
     # -- plumbing shared by objects ---------------------------------------
-
-    def make_index(self, dim: int) -> rplustree.RPlusTreeIndex:
-        """New, empty spatial index on this database's pages."""
-        return rplustree.RPlusTreeIndex(dim, page_size=self.store.page_size)
 
     def first_page(self, entry: TileEntry) -> int:
         """Where a tile's BLOB starts: sorting a batch of fetches by this

@@ -1,11 +1,12 @@
 """The tile table finds a read's hits; the R+-tree only prices them.
 
-On seeded trees of several levels (``max_entries=5``, inserts then
-removes), for random boxes — boxes meeting no tile and the whole domain
-among them — the count-only walk visits as many nodes as ``search`` and
-counts nothing (a query's record counts it), ``search`` folds one
-search, its visits and its hits into the ``index.rplustree.*``
-counters, and the tile table's overlap mask finds ``search``'s hits.
+On seeded trees of several levels (``max_entries=5``, a random share of
+a grid inserted in random order), for random boxes — boxes meeting no
+tile and the whole domain among them — the count-only walk visits as
+many nodes as ``search`` and counts nothing (a query's record counts
+it), ``search`` folds one search, its visits and its hits into the
+``index.rplustree.*`` counters, and the tile table's overlap mask finds
+``search``'s hits.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ def _counters() -> list:
 @st.composite
 def trees(draw):
     """A tree over a random share of the grid's tiles, inserted in random
-    order, some of them removed again; its tile table; random boxes."""
+    order; its tile table; random boxes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     boxes = [
         MInterval((4 * i, 4 * j), (4 * i + 3, 4 * j + 3)) for i in range(SIDE) for j in range(SIDE)
@@ -47,9 +48,6 @@ def trees(draw):
     for tile_id, k in enumerate(order.tolist()):
         index.insert(IndexEntry(boxes[k], tile_id))
         tiles[tile_id] = TileEntry(tile_id, boxes[k], blob_id=tile_id)
-    for tile_id in rng.permutation(len(order))[: draw(st.integers(0, len(order) // 2))].tolist():
-        assert index.remove(tile_id)
-        del tiles[tile_id]
     regions = [CUBE.definition_domain, MInterval((100, 100), (120, 130))]  # whole, and none
     for _ in range(12):
         lo = rng.integers(-4, 4 * SIDE, 2)

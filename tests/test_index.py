@@ -145,27 +145,3 @@ class TestRPlusTreeMutation:
         assert index.height > 1
         got = {e.tile_id for e in index.search(MInterval([250], [420])).entries}
         assert got == set(range(25, 43))
-
-    def test_remove(self):
-        entries = grid_entries()
-        index = inserted(entries, max_entries=8)
-        victim = entries[3]
-        assert index.remove(victim.tile_id)
-        assert not index.remove(victim.tile_id)
-        got = {e.tile_id for e in index.search(victim.domain).entries}
-        assert victim.tile_id not in got
-        assert len(index) == len(entries) - 1
-
-    def test_search_after_interleaved_insert_remove(self):
-        index = RPlusTreeIndex(dim=1, max_entries=4)
-        alive = {}
-        for i in range(60):
-            entry = IndexEntry(MInterval([i * 5], [i * 5 + 4]), i)
-            index.insert(entry)
-            alive[i] = entry
-            if i % 3 == 0:
-                index.remove(i)
-                del alive[i]
-        whole = MInterval([0], [1000])
-        got = {e.tile_id for e in index.search(whole).entries}
-        assert got == set(alive)

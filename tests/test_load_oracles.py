@@ -222,7 +222,7 @@ def test_incremental_insert_builds_the_reference_tree(cube, scheme):
         strategy = animation.build_schemes()[scheme]
     database = Database()
     boxes = sorted(strategy.tile(domain, cell).tiles, key=lambda b: database.tile_key(b.lowest))
-    paged = database.make_index(domain.dim)
+    paged = RPlusTreeIndex(domain.dim, page_size=database.store.page_size)
     # the store's fan-out, and a small one that makes every tree deep
     for index in (paged, RPlusTreeIndex(domain.dim, max_entries=5)):
         reference = ReferenceTree(domain.dim, index.max_entries)

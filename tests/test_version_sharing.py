@@ -1,14 +1,15 @@
 """A write copies containers, not contents (DESIGN §11).
 
-A transaction's first mutation copies an object's tile and zone maps and
-the R+-tree's nodes; the frozen tile rows, the index entries, MBRs and
-packed bounds are shared with the version it replaces.  These tests pin
-the sharing, and that nothing shared is changed under a reader: neither
-an R+-tree copy's inserts and removes, nor a write into a populated
-object, a ``delete_region`` or an ``update``, on one store or on shards.
+A transaction's first mutation copies an object's tile and zone maps; the
+frozen tile rows are shared with the version it replaces, and the R+-tree
+is derived from the rows: a version whose rows keep their ids and domains
+(an ``update``) holds its parent's tree object, one whose rows gained or
+lost a tile holds a tree built from its own rows.  These tests pin the
+sharing, and that nothing shared is changed under a reader: neither a
+write into a populated object, a ``delete_region`` nor an ``update``, on
+one store or on shards.
 """
 
-import copy
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core.mddtype import mdd_type
 from repro.index.base import IndexEntry
 from repro.index.rplustree import RPlusTreeIndex
 from repro.shard import ShardedDatabase
+from repro.storage.backends import MemoryBlobStore
 from repro.storage.tilestore import Database
 from repro.tiling.base import grid_partition
 
@@ -39,78 +41,8 @@ def _tiles(box: MInterval, seed: int) -> list[Tile]:
 
 
 # ----------------------------------------------------------------------
-# The R+-tree copy
-# ----------------------------------------------------------------------
-
-
-def _shape(node) -> tuple:
-    """A node, its MBR and its items, recursively, by value."""
-    if node.leaf:
-        return (True, node.mbr, tuple((e.tile_id, e.domain) for e in node.items))
-    return (False, node.mbr, tuple(_shape(child) for child in node.items))
-
-
-def _nodes(node) -> int:
-    return 1 if node.leaf else 1 + sum(map(_nodes, node.items))
-
-
-def _searches(index: RPlusTreeIndex, regions) -> list:
-    out = []
-    for region in regions:
-        result = index.search(region)
-        out.append((sorted(e.tile_id for e in result.entries), result.nodes_visited))
-    return out
-
-
-def test_a_copy_changes_nothing_of_its_original():
-    """Seeded inserts and removes on a copy, with splits on several
-    levels, leave the original node for node as it was: items, MBRs,
-    search hits and nodes visited.  The copy ends as a deep copy would."""
-    rng = np.random.default_rng(51)
-    boxes = [
-        MInterval((4 * i, 4 * j), (4 * i + 3, 4 * j + 3)) for i in range(12) for j in range(12)
-    ]
-    order = rng.permutation(len(boxes))
-    entries = [IndexEntry(boxes[k], tile_id) for tile_id, k in enumerate(order)]
-    original = RPlusTreeIndex(2, max_entries=5)
-    for entry in entries[:80]:
-        original.insert(entry)
-    assert original.height >= 3
-    regions = [
-        MInterval((lo, lo), (lo + span, lo + 2 * span))
-        for lo, span in zip(rng.integers(0, 40, 12).tolist(), rng.integers(1, 12, 12).tolist())
-    ]
-    before = (_shape(original._root), len(original), _searches(original, regions))
-
-    removed = [int(tile_id) for tile_id in rng.permutation(80)[:30]]
-    clone = original.copy()
-    reference = copy.deepcopy(original)
-    for tree in (clone, reference):
-        for entry in entries[80:]:
-            tree.insert(entry)
-        for tile_id in removed:
-            assert tree.remove(tile_id)
-
-    assert (_shape(original._root), len(original), _searches(original, regions)) == before
-    assert _nodes(clone._root) > _nodes(original._root)  # the copy split nodes
-    assert _shape(clone._root) == _shape(reference._root)
-    assert _searches(clone, regions) == _searches(reference, regions)
-
-
-# ----------------------------------------------------------------------
 # Versions share what a write does not change
 # ----------------------------------------------------------------------
-
-
-def _leaf_entries(index: RPlusTreeIndex) -> list:
-    stack, out = [index._root], []
-    while stack:
-        node = stack.pop()
-        if node.leaf:
-            out.extend(node.items)
-        else:
-            stack.extend(node.items)
-    return out
 
 
 def test_an_update_shares_every_row_and_entry_it_does_not_rebind():
@@ -129,10 +61,7 @@ def test_an_update_shares_every_row_and_entry_it_does_not_rebind():
             assert row.blob_id != parent.tiles[tile_id].blob_id
         else:
             assert row is parent.tiles[tile_id]
-    assert child.index is not parent.index
-    assert child.index._root is not parent.index._root
-    old = {id(entry) for entry in _leaf_entries(parent.index)}
-    assert all(id(entry) in old for entry in _leaf_entries(child.index))
+    assert child.index is parent.index
     with pytest.raises(FrozenInstanceError):
         child.tiles[touched.tile_id].blob_id = 0
 
@@ -197,3 +126,36 @@ def test_a_snapshot_reads_its_version_after_a_write(kind, write):
     finally:
         for snap in snapshots:
             snap.close()
+
+
+# ----------------------------------------------------------------------
+# A write that adds or drops rows derives a tree of its own
+# ----------------------------------------------------------------------
+
+
+def _shape(node) -> tuple:
+    """A node, its MBR and its items, recursively, by value."""
+    if node.leaf:
+        return (True, node.mbr, tuple((e.tile_id, e.domain) for e in node.items))
+    return (False, node.mbr, tuple(_shape(child) for child in node.items))
+
+
+@pytest.mark.parametrize("write", ["write_tiles", "delete_region"])
+def test_a_write_that_adds_or_drops_rows_derives_its_own_tree(write):
+    """On 128-byte pages (a tree of two levels) the child version's
+    tree is not its parent's: it is node for node the insert of the
+    child's rows in row order, and the parent's tree is left as it was."""
+    db = Database(store=MemoryBlobStore(page_size=128))
+    obj = db.create_object("c", CUBE, "cube")
+    obj.write_tiles(_tiles(LEFT, 1))
+    parent = obj._published
+    before = _shape(parent.index._root)
+    WRITES[write](obj)
+    child = obj._published
+    assert child.tiles.keys() != parent.tiles.keys()
+    assert child.index is not parent.index and child.index.height > 1
+    fresh = RPlusTreeIndex(CUBE.dim, page_size=128)
+    for row in child.tiles.values():
+        fresh.insert(IndexEntry(row.domain, row.tile_id))
+    assert _shape(child.index._root) == _shape(fresh._root)
+    assert _shape(parent.index._root) == before
